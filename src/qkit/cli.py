@@ -142,7 +142,7 @@ def _cmd_verify(args) -> int:
         reports.extend(identities.run_suite(group, args.samples, args.seed,
                                             tol_override=tol, threads=args.threads))
     n_pass = sum(r.passed for r in reports)
-    n_fail = sum(r.status == "fail" for r in reports)
+    n_fail = sum(r.status in ("fail", "error") for r in reports)
     n_skip = len(reports) - n_pass - n_fail
     wall = sum(r.wall_ms for r in reports)
 
@@ -153,7 +153,7 @@ def _cmd_verify(args) -> int:
     else:
         lines = []
         for r in reports:
-            mark = "ok " if r.passed else ("FAIL" if r.status == "fail" else "skip")
+            mark = "ok " if r.passed else ("FAIL" if r.status in ("fail", "error") else "skip")
             lines.append(f"[{mark}] {r.id:34s} rel_err={r.rel_err:.3e} {r.status}")
         lines.append(f"# {n_pass} pass, {n_fail} fail, {n_skip} skipped")
         text = "\n".join(lines)
@@ -164,7 +164,7 @@ def _cmd_verify(args) -> int:
         print(text)
     print(f"verify: {n_pass} pass, {n_fail} fail, {n_skip} skipped, {wall:.0f} ms total",
           file=sys.stderr)
-    return 0 if n_fail == 0 else 1
+    return 0 if n_pass == len(reports) else 1
 
 
 def _cmd_asymp(args) -> int:

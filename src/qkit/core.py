@@ -13,6 +13,7 @@ plain Python ``complex``; any non-finite result raises
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -79,22 +80,19 @@ class QParam:
 class Truncation:
     """Tolerance and budget for every truncated sum/product.
 
-    strategy 'tail-bound' certifies the discarded tail of infinite
-    products with the bound (|z|/(1-q))*exp(|z|/(1-q)); 'term-ratio'
-    stops once terms fall below tol relative to the accumulated value.
+    Infinite products certify their discarded tail with the bound
+    (|z|/(1-q))*exp(|z|/(1-q)); series stop once a proven bound on their
+    discarded tail falls below tol relative to the partial sum.
     """
 
     tol: float = 1e-13
     max_terms: int = 10000
-    strategy: str = "tail-bound"
 
     def __post_init__(self):
         if self.tol < 1e-15:
             raise DomainError(f"tol must be >= 1e-15, got {self.tol}")
         if self.max_terms < 8:
             raise DomainError(f"max_terms must be >= 8, got {self.max_terms}")
-        if self.strategy not in ("tail-bound", "term-ratio"):
-            raise DomainError(f"unknown truncation strategy {self.strategy!r}")
 
 
 DEFAULT_TRUNCATION = Truncation()
@@ -111,6 +109,48 @@ def ensure_finite(value: complex, context: str = "") -> complex:
     else:
         return value
     raise NumericOverflowError(f"non-finite value {value!r}" + (f" in {context}" if context else ""))
+
+
+def geometric_tail(mag: float, r: float) -> float:
+    """Bound mag*r/(1-r) on sum_{j>k} |t_j| when |t_j| <= m_j, m_k = mag and m_(j+1) <= r m_j.
+
+    The majorant m_j may be |t_j| itself.  A ratio bound that is unknown
+    (NaN) or not below 1 gives inf.
+    """
+    if not 0.0 <= r < 1.0:
+        return math.inf
+    return mag * r / (1.0 - r)
+
+
+def _certified_sum(terms, tr: Truncation, context: str) -> complex:
+    """Sum the (t_k, tail_k) pairs of a term generator, tail_k >= sum_{j>k} |t_j|.
+
+    Stops once tail_k <= tr.tol * max(|S_k|, 1e-16 * peak, 1e-300), where
+    peak is the largest |t_j| so far: a sum that cancels far below its
+    terms is certified to double resolution of the largest term instead of
+    chasing a relative target it cannot represent.  A generator that runs
+    out (a terminating series) gives its exact sum.
+    """
+    terms = iter(terms)
+    tol = tr.tol
+    total = 0.0 + 0.0j
+    peak = 0.0
+    floor = tol * 1e-300  # tol * max(1e-16 * peak, 1e-300)
+    for term, tail in itertools.islice(terms, tr.max_terms):
+        total += term
+        mag = abs(term)
+        if mag > peak:
+            peak = mag
+            floor = tol * max(1e-16 * peak, 1e-300)
+        if tail <= tol * abs(total) or tail <= floor:
+            return ensure_finite(total, context)
+    if next(terms, None) is not None:
+        raise TruncationError(
+            f"{context} series tail bound {tail:.3e} still above tol {tr.tol:.3e} "
+            f"after {tr.max_terms} terms",
+            achieved_bound=tail,
+        )
+    return ensure_finite(total, context)
 
 
 def _product_tail_bound(a_mag: float, q: float) -> float:
@@ -143,7 +183,6 @@ def qpoch_finite(a, q: QParam, n: int) -> complex:
         return ensure_finite(prod, "qpoch_finite")
     m = -n
     prod = 1.0 + 0.0j
-    aq = a
     for j in range(1, m + 1):
         aq = a * q.power(-j)
         factor = 1.0 - aq
@@ -225,7 +264,7 @@ def qgamma(x, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
 def theta4(z, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "product") -> complex:
     """Theta function sum_{n in Z} q^(n^2) (-z)^n = (q^2, qz, q/z; q^2)_inf.
 
-    route='series' sums the bilateral series symmetrically; the default
+    route='series' sums the wings n >= 0 and n <= -1 together; the default
     'product' route uses the triple-product form.  z must be nonzero.
     """
     z = complex(z)
@@ -236,21 +275,8 @@ def theta4(z, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "prod
         return qpoch_multi([q.q * q.q, q.q * z, q.q / z], q2, None, tr)
     if route != "series":
         raise DomainError(f"unknown theta4 route {route!r}")
-    qq = q.q
-    total = 1.0 + 0.0j
-    zq = -z
-    term_pos = 1.0 + 0.0j  # q^{n^2} (-z)^n, built incrementally
-    term_neg = 1.0 + 0.0j
-    qpow = 1.0  # q^{2n-1} factor chain: q^{n^2} = q^{(n-1)^2} q^{2n-1}
-    for n in range(1, tr.max_terms):
-        qpow = qq ** (2 * n - 1)
-        term_pos *= qpow * zq
-        term_neg *= qpow / zq
-        pair = term_pos + term_neg
-        total += pair
-        if abs(term_pos) + abs(term_neg) < tr.tol * max(abs(total), 1.0) and n > 2:
-            return ensure_finite(total, "theta4")
-    raise TruncationError("theta4 series did not converge within max_terms")
+    # wing n <= -1 as q^((m+1)^2) (-1/z)^(m+1) = (-q/z) q^(m^2) (-q^2/z)^m, m >= 0
+    return _theta_sum(1.0, -z, -q.q / z, -q.q * q.q / z, q, tr, "theta4")
 
 
 def theta3(v, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "product") -> complex:
@@ -276,29 +302,30 @@ def theta2(v, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "prod
         q2 = QParam(q.q * q.q)
         pref = 2.0 * q.power(0.25) * cmath.cos(math.pi * v)
         return pref * qpoch_multi([q.q * q.q, -q.q * q.q * w, -q.q * q.q / w], q2, None, tr)
-    # Bilateral series, paired k and -k-1 terms.
+    # wing k >= 0 as q^((k+1/2)^2) e^((2k+1) pi i v) = q^(1/4) e^(pi i v) q^(k^2) (q w)^k,
+    # and wing k <= -1 likewise with w -> 1/w
+    e = cmath.exp(1j * math.pi * v)
+    return q.power(0.25) * _theta_sum(e, q.q * w, 1.0 / e, q.q / w, q, tr, "theta2")
+
+
+def _theta_sum(c1, y1, c2, y2, q: QParam, tr: Truncation, context: str) -> complex:
+    """sum_{n>=0} q^(n^2) (c1 y1^n + c2 y2^n), certified on the whole sum."""
     qq = q.q
-    total = 0.0 + 0.0j
-    sqw = cmath.sqrt(w) if abs(w) > 0 else 0.0
-    # q^{(k+1/2)^2} e^{(2k+1) pi i v}: evaluate directly, |k| up to budget
-    for k in range(0, tr.max_terms):
-        t1 = q.power((k + 0.5) ** 2) * cmath.exp((2 * k + 1) * 1j * math.pi * v)
-        t2 = q.power((k + 0.5) ** 2) * cmath.exp(-(2 * k + 1) * 1j * math.pi * v)
-        total += t1 + t2
-        if abs(t1) + abs(t2) < tr.tol * max(abs(total), 1.0) and k > 2:
-            return ensure_finite(total, "theta2")
-    raise TruncationError("theta2 series did not converge within max_terms")
+    m1, m2 = abs(y1), abs(y2)
+
+    # each wing: |q^((n+1)^2) y^(n+1)| / |q^(n^2) y^n| = q^(2n+1)|y|, decreasing in n
+    def terms():
+        t1, t2 = complex(c1), complex(c2)
+        r = qq  # q^(2n+1)
+        while True:
+            yield t1 + t2, geometric_tail(abs(t1), r * m1) + geometric_tail(abs(t2), r * m2)
+            t1 *= r * y1
+            t2 *= r * y2
+            r *= qq * qq
+
+    return _certified_sum(terms(), tr, context)
 
 
 def partial_theta(v, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """One-sided theta sum omega(v;q) = sum_{n>=0} q^(n^2) v^n (entire)."""
-    v = complex(v)
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    qq = q.q
-    for n in range(1, tr.max_terms):
-        term *= qq ** (2 * n - 1) * v
-        total += term
-        if abs(term) < tr.tol * max(abs(total), 1.0) and n > 2:
-            return ensure_finite(total, "partial_theta")
-    raise TruncationError("partial theta series did not converge within max_terms")
+    return _theta_sum(1.0, complex(v), 0.0, 0.0, q, tr, "partial_theta")

@@ -786,22 +786,6 @@ def _h_confluent_param_shift(order, p):
     return lhs, rhs
 
 
-def qpoch_r_inf_ratio(num_a, den_a, q: Fraction, order: int) -> Fraction:
-    """(num;q)_inf/(den;q)_inf when the ratio telescopes to a rational.
-
-    Only valid when num = den * q^m for an integer m >= 0.
-    """
-    ratio = Fraction(num_a) / Fraction(den_a)
-    m = 0
-    probe = Fraction(1)
-    while probe != ratio and m < 10000:
-        probe *= q
-        m += 1
-    if probe != ratio:
-        raise UnsupportedIdentityError("infinite-product ratio is not rational")
-    return 1 / qpoch_r(Fraction(den_a), q, m)
-
-
 def _h_confluent_arg_shift(order, q):
     a, b, w = Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)
 
@@ -844,82 +828,6 @@ def _h_confluent_bessel(order, p):
         rhs = rhs + piece.shift(k * (k - 1) // 2)
         k += 1
     return lhs, rhs
-
-
-_EXACT_HANDLERS = {
-    # scalar families (the given rational is the base or a root of it)
-    "qbinom_alternating": ("scalar", _h_qbinom1, "q is the given rational; all rows to the order"),
-    "qbinom_qinvhermite_zero": ("scalar", _h_qbinom2, "given rational is q^(1/4)"),
-    "qbinom_half_base": ("scalar", _h_qbinom3, "given rational is q^(1/2)"),
-    # base-variable series identities (given rational specializes the argument)
-    "triple_product": ("fps", _h_triple_product, "variable is the base; given rational is z"),
-    # argument-variable series identities (given rational is the base q)
-    "qhermite_genfun": ("fps", _h_qhermite_genfun, "variable t, x = 1"),
-    "qinvhermite_genfun": ("fps", _h_qinvhermite_genfun, "variable t, e^xi = 3/2"),
-    "poisson_kernel_qinvhermite": ("fps", _h_poisson_kernel, "variable t, e^xi=3/2, e^eta=2/3"),
-    "qlaguerre_genfun": ("fps", _h_qlaguerre_genfun, "variable t, alpha = 1, x = 2/3"),
-    "series_cal_e_theta": ("fps", _h_series_cal_e_theta, "variable t, base q^(1/4), x = 1"),
-    "airy_mult": ("fps", _h_airy_mult, "variable a, b = 2/3"),
-    "airy_unit_expansion": ("fps", _h_airy_unit, "variable a"),
-    "airy_two_param": ("fps", _h_airy_two_param, "variable z, w = 1/3"),
-    "airy_base_shift": ("fps", _h_airy_base_shift, "variable z"),
-    "sw_aq_ratio": ("fps", _h_sw_aq_ratio, "variable x, n = 3"),
-    "sw_from_aq": ("fps", _h_sw_from_aq, "variable x, n = 3"),
-    "sw_genfun": ("fps", _h_sw_genfun, "variable w, x = 2/3"),
-    "laguerre_conn_alpha_beta": ("fps", _h_laguerre_conn, "variable x, alpha=2, beta=1, n=4"),
-    "confluent_airy_series": ("fps", _h_confluent_airy, "variable z, a = 1/2"),
-    "confluent_bessel_series": ("fps", _h_confluent_bessel,
-                                "variable is the base; a=1/2, z=2/3, nu=1"),
-    "confluent_param_shift": ("fps", _h_confluent_param_shift,
-                          "variable is the base; a=1/2, b=1/3, z=2/5, d=q^2"),
-    "confluent_arg_shift": ("fps", _h_confluent_arg_shift, "variable z; a,b,w rational"),
-    # base-variable identities (given rational is the working base)
-    "laguerre_ratio_series": ("fps", _h_laguerre_1, "variable is the base; x=2/3, alpha=1, n=2"),
-    "laguerre_unit_series": ("fps", _h_laguerre_2, "variable is the base; x=2/3, alpha=1, n=2"),
-    "laguerre_shift_series": ("fps", _h_laguerre_3, "variable is the base; alpha=2, beta=1"),
-    "laguerre_from_sw": ("fps", _h_laguerre_4, "variable is the base; x=2/3, alpha=1, n=2"),
-    "sw_from_laguerre": ("fps", _h_laguerre_5, "variable is the base; x=2/3, alpha=1, n=2"),
-    "modified_bessel_phi11": ("fps", _h_specialvalue, "variable is the base; z=2/3, nu=1"),
-    "bessel_airy_pair_a": ("fps", _h_bessel_airy_a, "variable is the base; z=2/3, nu=1"),
-    "bessel_airy_pair_b": ("fps", _h_bessel_airy_b, "variable is the base; z=2/3, nu=1"),
-    "bessel_poch_series": ("fps", _h_bessel_poch_series, "variable is the base; z=2/3, nu=1"),
-    "bessel_unit_series": ("fps", _h_bessel_unit_series, "variable is the base; z=2/3, nu=1"),
-}
-
-_ALIASES = {
-    "qbinom1": "qbinom_alternating",
-    "qbinom2": "qbinom_qinvhermite_zero",
-    "qbinom3": "qbinom_half_base",
-    "eqseries1": "series_cal_e_theta",
-}
-
-
-def exact_identity_ids():
-    return sorted(_EXACT_HANDLERS)
-
-
-def verify_exact(identity_id: str, order: int, q) -> dict:
-    """Exact coefficient comparison of a supported identity.
-
-    Returns {'equal': bool, 'first_mismatch': int-or-None}.  q must be a
-    rational strictly inside (0,1); see each handler's note for what the
-    rational parameterizes when the identity needs a root of the base.
-    """
-    identity_id = _ALIASES.get(identity_id, identity_id)
-    if identity_id not in _EXACT_HANDLERS:
-        raise UnsupportedIdentityError(f"no exact handler for {identity_id!r}")
-    q = Fraction(q)
-    if not 0 < q < 1:
-        raise DomainError("the exact oracle needs a rational base in (0,1)")
-    if order < 1:
-        raise DomainError("order must be >= 1")
-    mode, handler, _note = _EXACT_HANDLERS[identity_id]
-    result = handler(order, q)
-    if mode == "scalar":
-        return result
-    lhs, rhs = result
-    miss = lhs.first_mismatch(rhs)
-    return {"equal": miss is None, "first_mismatch": miss}
 
 
 # --- kind-2 q-Bessel expansions in the base variable ---------------------------
@@ -1076,20 +984,6 @@ def _h_laguerre_phi11_series(order, p):
     return lhs, rhs
 
 
-_EXACT_HANDLERS.update({
-    "bessel_mult": ("fps", _h_bessel_mult, "variable is the base; w=1/2, z=2/3, nu=1"),
-    "bessel_laguerre_genfun": ("fps", _h_bessel_laguerre_genfun,
-                               "variable w; z=2/3, nu=1"),
-    "bessel_laguerre_inverse": ("fps", _h_bessel_laguerre_inverse,
-                                "variable is the base; z=2/3, alpha=1, n=2"),
-    "bessel3_product_series": ("fps", _h_bessel3_product_series,
-                               "variable is the base q^(1/2); z=2/3, nu=1"),
-    "confluent_bessel_sqrt": ("fps", _h_confluent_bessel_sqrt,
-                              "variable z, base q^(1/2); nu=1"),
-    "laguerre_phi11_series": ("fps", _h_laguerre_phi11_series,
-                              "variable x, base q^(1/2); alpha=1, n=2"),
-})
-
 
 # --- remaining kind-2/kind-3 connections in the half-power base ------------------
 
@@ -1210,7 +1104,56 @@ def _h_bessel3_laguerre_b(order, p):
     return lhs, rhs
 
 
-_EXACT_HANDLERS.update({
+_EXACT_HANDLERS = {
+    # scalar families (the given rational is the base or a root of it)
+    "qbinom_alternating": ("scalar", _h_qbinom1, "q is the given rational; all rows to the order"),
+    "qbinom_qinvhermite_zero": ("scalar", _h_qbinom2, "given rational is q^(1/4)"),
+    "qbinom_half_base": ("scalar", _h_qbinom3, "given rational is q^(1/2)"),
+    # base-variable series identities (given rational specializes the argument)
+    "triple_product": ("fps", _h_triple_product, "variable is the base; given rational is z"),
+    # argument-variable series identities (given rational is the base q)
+    "qhermite_genfun": ("fps", _h_qhermite_genfun, "variable t, x = 1"),
+    "qinvhermite_genfun": ("fps", _h_qinvhermite_genfun, "variable t, e^xi = 3/2"),
+    "poisson_kernel_qinvhermite": ("fps", _h_poisson_kernel, "variable t, e^xi=3/2, e^eta=2/3"),
+    "qlaguerre_genfun": ("fps", _h_qlaguerre_genfun, "variable t, alpha = 1, x = 2/3"),
+    "series_cal_e_theta": ("fps", _h_series_cal_e_theta, "variable t, base q^(1/4), x = 1"),
+    "airy_mult": ("fps", _h_airy_mult, "variable a, b = 2/3"),
+    "airy_unit_expansion": ("fps", _h_airy_unit, "variable a"),
+    "airy_two_param": ("fps", _h_airy_two_param, "variable z, w = 1/3"),
+    "airy_base_shift": ("fps", _h_airy_base_shift, "variable z"),
+    "sw_aq_ratio": ("fps", _h_sw_aq_ratio, "variable x, n = 3"),
+    "sw_from_aq": ("fps", _h_sw_from_aq, "variable x, n = 3"),
+    "sw_genfun": ("fps", _h_sw_genfun, "variable w, x = 2/3"),
+    "laguerre_conn_alpha_beta": ("fps", _h_laguerre_conn, "variable x, alpha=2, beta=1, n=4"),
+    "confluent_airy_series": ("fps", _h_confluent_airy, "variable z, a = 1/2"),
+    "confluent_bessel_series": ("fps", _h_confluent_bessel,
+                                "variable is the base; a=1/2, z=2/3, nu=1"),
+    "confluent_param_shift": ("fps", _h_confluent_param_shift,
+                          "variable is the base; a=1/2, b=1/3, z=2/5, d=q^2"),
+    "confluent_arg_shift": ("fps", _h_confluent_arg_shift, "variable z; a,b,w rational"),
+    # base-variable identities (given rational is the working base)
+    "laguerre_ratio_series": ("fps", _h_laguerre_1, "variable is the base; x=2/3, alpha=1, n=2"),
+    "laguerre_unit_series": ("fps", _h_laguerre_2, "variable is the base; x=2/3, alpha=1, n=2"),
+    "laguerre_shift_series": ("fps", _h_laguerre_3, "variable is the base; alpha=2, beta=1"),
+    "laguerre_from_sw": ("fps", _h_laguerre_4, "variable is the base; x=2/3, alpha=1, n=2"),
+    "sw_from_laguerre": ("fps", _h_laguerre_5, "variable is the base; x=2/3, alpha=1, n=2"),
+    "modified_bessel_phi11": ("fps", _h_specialvalue, "variable is the base; z=2/3, nu=1"),
+    "bessel_airy_pair_a": ("fps", _h_bessel_airy_a, "variable is the base; z=2/3, nu=1"),
+    "bessel_airy_pair_b": ("fps", _h_bessel_airy_b, "variable is the base; z=2/3, nu=1"),
+    "bessel_poch_series": ("fps", _h_bessel_poch_series, "variable is the base; z=2/3, nu=1"),
+    "bessel_unit_series": ("fps", _h_bessel_unit_series, "variable is the base; z=2/3, nu=1"),
+    # kind-2/kind-3 q-Bessel and Laguerre expansions
+    "bessel_mult": ("fps", _h_bessel_mult, "variable is the base; w=1/2, z=2/3, nu=1"),
+    "bessel_laguerre_genfun": ("fps", _h_bessel_laguerre_genfun,
+                               "variable w; z=2/3, nu=1"),
+    "bessel_laguerre_inverse": ("fps", _h_bessel_laguerre_inverse,
+                                "variable is the base; z=2/3, alpha=1, n=2"),
+    "bessel3_product_series": ("fps", _h_bessel3_product_series,
+                               "variable is the base q^(1/2); z=2/3, nu=1"),
+    "confluent_bessel_sqrt": ("fps", _h_confluent_bessel_sqrt,
+                              "variable z, base q^(1/2); nu=1"),
+    "laguerre_phi11_series": ("fps", _h_laguerre_phi11_series,
+                              "variable x, base q^(1/2); alpha=1, n=2"),
     "bessel_order_shift": ("fps", _h_bessel_order_shift,
                            "variable is the base q^(1/2); z=2/3, nu=2, alpha=1"),
     "bessel3_order_conn": ("fps", _h_bessel3_order_conn,
@@ -1221,4 +1164,39 @@ _EXACT_HANDLERS.update({
                            "variable is the base q^(1/2); z=2/3, nu=1, n=2"),
     "bessel3_laguerre_b": ("fps", _h_bessel3_laguerre_b,
                            "variable is the base q^(1/2); z=2/3, nu=1, n=2"),
-})
+}
+
+_ALIASES = {
+    "qbinom1": "qbinom_alternating",
+    "qbinom2": "qbinom_qinvhermite_zero",
+    "qbinom3": "qbinom_half_base",
+    "eqseries1": "series_cal_e_theta",
+}
+
+
+def exact_identity_ids():
+    return sorted(_EXACT_HANDLERS)
+
+
+def verify_exact(identity_id: str, order: int, q) -> dict:
+    """Exact coefficient comparison of a supported identity.
+
+    Returns {'equal': bool, 'first_mismatch': int-or-None}.  q must be a
+    rational strictly inside (0,1); see each handler's note for what the
+    rational parameterizes when the identity needs a root of the base.
+    """
+    identity_id = _ALIASES.get(identity_id, identity_id)
+    if identity_id not in _EXACT_HANDLERS:
+        raise UnsupportedIdentityError(f"no exact handler for {identity_id!r}")
+    q = Fraction(q)
+    if not 0 < q < 1:
+        raise DomainError("the exact oracle needs a rational base in (0,1)")
+    if order < 1:
+        raise DomainError("order must be >= 1")
+    mode, handler, _note = _EXACT_HANDLERS[identity_id]
+    result = handler(order, q)
+    if mode == "scalar":
+        return result
+    lhs, rhs = result
+    miss = lhs.first_mismatch(rhs)
+    return {"equal": miss is None, "first_mismatch": miss}

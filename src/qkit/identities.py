@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .core import Truncation
-from .errors import QKitError
+from .errors import DomainError, QKitError
 
 __all__ = [
     "IdentityRecord",
@@ -79,7 +79,7 @@ class ResidualReport:
     rhs: complex
     abs_err: float
     rel_err: float
-    status: str  # pass | fail | skipped(budget) | skipped(domain)
+    status: str  # pass | fail | error | skipped(budget) | skipped(domain)
     corrected: bool
     wall_ms: float = 0.0
 
@@ -138,9 +138,11 @@ def _truncation_for(tol: float) -> Truncation:
 def evaluate_identity(identity_id: str, params: dict, tol: float = 0.0) -> ResidualReport:
     """Evaluate both sides of one identity and report the residual.
 
-    Numeric failures (budget exhaustion, overflow) yield a
-    skipped(budget) report; parameter-domain violations raised by either
-    side yield skipped(domain).  Failures are data, not exceptions.
+    Parameter-domain violations raised by either side (DomainError and
+    its subclasses PoleError, ConvergenceError) yield skipped(domain);
+    other qkit failures (budget exhaustion, overflow) yield
+    skipped(budget); a stray ArithmeticError or ValueError yields error,
+    which counts as a failure.  Failures are data, not exceptions.
     """
     rec = get_identity(identity_id)
     use_tol = tol if tol > 0 else rec.tol()
@@ -149,12 +151,17 @@ def evaluate_identity(identity_id: str, params: dict, tol: float = 0.0) -> Resid
     try:
         lhs = complex(rec.lhs(params, tr))
         rhs = complex(rec.rhs(params, tr))
-    except QKitError as exc:
-        kind = "domain" if "domain" in type(exc).__name__.lower() else "budget"
+    except (QKitError, ArithmeticError, ValueError) as exc:
+        if isinstance(exc, DomainError):
+            status = "skipped(domain)"
+        elif isinstance(exc, QKitError):
+            status = "skipped(budget)"
+        else:
+            status = "error"
         wall = (time.perf_counter() - start) * 1000.0
         return ResidualReport(
             rec.id, rec.group, dict(params), complex("nan"), complex("nan"),
-            float("nan"), float("nan"), f"skipped({kind})", rec.corrected, wall,
+            float("nan"), float("nan"), status, rec.corrected, wall,
         )
     wall = (time.perf_counter() - start) * 1000.0
     abs_err = abs(lhs - rhs)

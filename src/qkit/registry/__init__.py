@@ -3,12 +3,5 @@
 from . import prelim  # noqa: F401
 from . import contour  # noqa: F401
 from . import mellin  # noqa: F401
-
-try:
-    from . import fourier  # noqa: F401
-except ImportError:  # pragma: no cover - during staged development
-    pass
-try:
-    from . import series_ids  # noqa: F401
-except ImportError:  # pragma: no cover
-    pass
+from . import fourier  # noqa: F401
+from . import series_ids  # noqa: F401

@@ -884,11 +884,6 @@ ident("fourier_sw_6", "FOURIER",
 # inverse-base Hermite polynomials
 # ===========================================================================
 
-def _hinv_sinh(q, u):
-    """h-polynomial argument helper: e^(xi) for xi = u (real)."""
-    return math.exp(u)
-
-
 def _s_h(rng):
     return {"q": qdraw(rng, 0.35, 0.65), "xi": runif(rng, -0.7, 0.7), "n": rint(rng, 0, 5),
             "alpha": runif(rng, -1.0, 1.0)}

@@ -10,10 +10,19 @@ function A_q, Jackson's three q-Bessel functions and the modified I^(k).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
-from .core import DEFAULT_TRUNCATION, QParam, Truncation, ensure_finite, qpoch_finite, qpoch_inf
+from .core import (
+    DEFAULT_TRUNCATION,
+    QParam,
+    Truncation,
+    _certified_sum,
+    ensure_finite,
+    geometric_tail,
+    qpoch_inf,
+)
 from .errors import ConvergenceError, DomainError, PoleError, TruncationError
 
 __all__ = [
@@ -120,6 +129,24 @@ class MFunctionSpec:
         object.__setattr__(self, "z", complex(z))
 
 
+def _qpow(q: QParam, e: float) -> float:
+    """q^e for real e, inf where it leaves the double range."""
+    x = e * q.ln_q
+    return math.exp(x) if x < 709.0 else math.inf
+
+
+def _ratio_bound(num: float, c: float, x: float) -> float:
+    """num / (1 - c x), or inf once c x >= 1.
+
+    With x = q^k and c = sum|a| + sum|b| this bounds
+    |c_i prod(1 - a q^i) / prod(1 - b q^i)| for every i >= k wherever
+    |c_i| <= num: prod(1 + |a| x) <= exp(x sum|a|) <= 1/(1 - x sum|a|) and
+    prod(1 - |b| x) >= 1 - x sum|b|.
+    """
+    cx = c * x
+    return num / (1.0 - cx) if cx < 1.0 else math.inf
+
+
 def phi(spec: PhiSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Evaluate the unilateral series r_phi_s.
 
@@ -148,32 +175,35 @@ def phi(spec: PhiSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
             if m is not None:
                 raise PoleError(f"lower parameter equals q^(-{m}): term pole")
 
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
     qq = q.q
-    qk = 1.0  # q^k
-    for k in range(tr.max_terms):
-        if stop is not None and k >= stop:
-            break
-        ratio = spec.z
-        for a in spec.upper:
-            ratio *= 1.0 - a * qk
-        den = 1.0 - qq * qk
-        for b in spec.lower:
-            den *= 1.0 - b * qk
-        if abs(den) < 1e-290:
-            raise PoleError(f"zero denominator factor at term {k + 1} (lower parameter pole)")
-        ratio /= den
-        if excess:
-            ratio *= (-qk) ** excess if excess > 0 else 1.0 / ((-qk) ** (-excess))
-        term *= ratio
-        total += term
-        qk *= qq
-        if stop is None and abs(term) < tr.tol * max(abs(total), 1.0) and k > 3:
-            return ensure_finite(total, "phi")
-    if stop is not None:
-        return ensure_finite(total, "phi")
-    raise TruncationError("phi series did not converge within max_terms")
+    az = abs(spec.z)
+    c = sum(abs(a) for a in spec.upper + spec.lower) + qq
+
+    # for every i >= k:
+    # |t_(i+1)/t_i| <= |z| q^(k excess) prod(1 + |a| q^k) / [(1 - q^(k+1)) prod(1 - |b| q^k)]
+    def terms():
+        term = 1.0 + 0.0j
+        qk = 1.0  # q^k
+        for k in itertools.count():
+            r = _ratio_bound(az * qk ** excess, c, qk) if excess >= 0 else math.inf
+            yield term, geometric_tail(abs(term), r)
+            ratio = spec.z
+            for a in spec.upper:
+                ratio *= 1.0 - a * qk
+            den = 1.0 - qq * qk
+            for b in spec.lower:
+                den *= 1.0 - b * qk
+            if abs(den) < 1e-290:
+                raise PoleError(f"zero denominator factor at term {k + 1} (lower parameter pole)")
+            ratio /= den
+            if excess:
+                ratio *= (-qk) ** excess if excess > 0 else 1.0 / ((-qk) ** (-excess))
+            term *= ratio
+            qk *= qq
+
+    if stop is None:
+        return _certified_sum(terms(), tr, "phi")
+    return _certified_sum(itertools.islice(terms(), stop + 1), tr, "phi")
 
 
 def psi_bilateral(spec: PsiSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -190,47 +220,65 @@ def psi_bilateral(spec: PsiSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex
             f"|z| = {az:.6g} outside convergence annulus ({inner:.6g}, {outer:.6g})"
         )
     qq = q.q
+    upper_mags = [abs(a) for a in spec.upper]
+    lower_mags = [abs(b) for b in spec.lower]
+    c = sum(upper_mags) + sum(lower_mags)
 
-    total = 1.0 + 0.0j
-    # Nonnegative wing: ratio of consecutive terms at index n -> n+1.
-    term = 1.0 + 0.0j
-    qn = 1.0
-    converged_pos = False
-    for n in range(tr.max_terms):
-        ratio = spec.z
-        for a in spec.upper:
-            ratio *= 1.0 - a * qn
+    # term(-m-1)/term(-m) = prod(1 - b q^(-m-1))/prod(1 - a q^(-m-1))/z
+    #                     = prod(x - b)/prod(x - a)/z with x = q^(m+1)
+    def neg_ratio(x):
+        val = 1.0 / spec.z
         for b in spec.lower:
-            den = 1.0 - b * qn
-            if abs(den) < 1e-290:
-                raise PoleError("lower parameter pole in bilateral term")
-            ratio /= den
-        term *= ratio
-        total += term
-        qn *= qq
-        if abs(term) < tr.tol * max(abs(total), 1.0) and n > 3:
-            converged_pos = True
-            break
-    if not converged_pos:
-        raise TruncationError("bilateral series positive wing did not converge")
-
-    # Negative wing: term(-m-1)/term(-m) = prod(1 - b q^{-m-1})/prod(1 - a q^{-m-1}) / z.
-    term = 1.0 + 0.0j
-    for m in range(tr.max_terms):
-        qneg = q.power(-(m + 1))
-        ratio = 1.0 / spec.z
-        for b in spec.lower:
-            ratio *= 1.0 - b * qneg
+            val *= x - b
         for a in spec.upper:
-            den = 1.0 - a * qneg
-            if abs(den) < 1e-290:
+            den = x - a
+            if abs(den) < 1e-290 * x:
                 raise PoleError("upper parameter pole in bilateral term (negative wing)")
-            ratio /= den
-        term *= ratio
-        total += term
-        if abs(term) < tr.tol * max(abs(total), 1.0) and m > 3:
-            return ensure_finite(total, "psi_bilateral")
-    raise TruncationError("bilateral series negative wing did not converge")
+            val /= den
+        return val
+
+    # sup_{i>=m} |term(-i-1)/term(-i)| <= prod(|b| + x) / (|z| prod(|a| - x)), x = q^(m+1),
+    # while every |a| > x
+    def neg_bound(x):
+        val = 1.0 / az
+        for b in lower_mags:
+            val *= b + x
+        for a in upper_mags:
+            if a <= x:
+                return math.inf
+            val /= a - x
+        return val
+
+    # sup_{i>=n} |term(i+1)/term(i)| <= |z| prod(1 + |a| q^n) / prod(1 - |b| q^n).  Each step
+    # extends the wing whose tail bound is larger, so the sum is certified as a whole without
+    # summing the faster wing far past need.
+    def terms():
+        pos, qn = 1.0 + 0.0j, 1.0  # term(n), q^n
+        neg, x = neg_ratio(qq), qq  # term(-m-1), q^(m+1)
+        pos_tail = geometric_tail(1.0, _ratio_bound(az, c, 1.0))
+        neg_tail = geometric_tail(abs(neg), neg_bound(x * qq))
+        yield pos + neg, pos_tail + neg_tail
+        while True:
+            if pos_tail >= neg_tail:
+                ratio = spec.z
+                for a in spec.upper:
+                    ratio *= 1.0 - a * qn
+                for b in spec.lower:
+                    den = 1.0 - b * qn
+                    if abs(den) < 1e-290:
+                        raise PoleError("lower parameter pole in bilateral term")
+                    ratio /= den
+                pos *= ratio
+                qn *= qq
+                pos_tail = geometric_tail(abs(pos), _ratio_bound(az, c, qn))
+                yield pos, pos_tail + neg_tail
+            else:
+                x *= qq
+                neg *= neg_ratio(x)
+                neg_tail = geometric_tail(abs(neg), neg_bound(x * qq))
+                yield neg, pos_tail + neg_tail
+
+    return _certified_sum(terms(), tr, "psi_bilateral")
 
 
 def m_weighted(spec: MFunctionSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -238,27 +286,31 @@ def m_weighted(spec: MFunctionSpec, tr: Truncation = DEFAULT_TRUNCATION) -> comp
     q = spec.q
     qq = q.q
     w = q.power(spec.ell)  # q^l; weight ratio q^{l(2k+1)}
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    qk = 1.0
-    wpow = w  # q^{l(2k+1)} at current k
-    w2 = w * w
-    for k in range(tr.max_terms):
-        ratio = -spec.z * wpow
-        for a in spec.alphas:
-            ratio *= 1.0 - a * qk
-        den = 1.0 - qq * qk
-        for b in spec.betas:
-            den *= 1.0 - b * qk
-        if abs(den) < 1e-290:
-            raise PoleError("lower parameter pole in weighted series")
-        term *= ratio / den
-        total += term
-        qk *= qq
-        wpow *= w2
-        if abs(term) < tr.tol * max(abs(total), 1.0) and k > 3:
-            return ensure_finite(total, "m_weighted")
-    raise TruncationError("weighted series did not converge within max_terms")
+    az = abs(spec.z)
+    c = sum(abs(a) for a in spec.alphas + spec.betas) + qq
+
+    # for every i >= k:
+    # |t_(i+1)/t_i| <= |z| q^(l(2k+1)) prod(1 + |alpha| q^k) / [(1 - q^(k+1)) prod(1 - |beta| q^k)]
+    def terms():
+        term = 1.0 + 0.0j
+        qk = 1.0
+        wpow = w  # q^{l(2k+1)} at current k
+        w2 = w * w
+        for k in itertools.count():
+            yield term, geometric_tail(abs(term), _ratio_bound(az * wpow.real, c, qk))
+            ratio = -spec.z * wpow
+            for a in spec.alphas:
+                ratio *= 1.0 - a * qk
+            den = 1.0 - qq * qk
+            for b in spec.betas:
+                den *= 1.0 - b * qk
+            if abs(den) < 1e-290:
+                raise PoleError("lower parameter pole in weighted series")
+            term *= ratio / den
+            qk *= qq
+            wpow *= w2
+
+    return _certified_sum(terms(), tr, "m_weighted")
 
 
 def q_exp_small(z, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -280,19 +332,7 @@ def q_exp_big(z, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
 
 def ramanujan_a(z, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Ramanujan function A_q(z) = sum_n q^(n^2) (-z)^n / (q;q)_n (entire)."""
-    z = complex(z)
-    qq = q.q
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    peak = 1.0
-    for n in range(1, tr.max_terms):
-        term *= qq ** (2 * n - 1) * (-z) / (1.0 - qq**n)
-        total += term
-        mag = abs(term)
-        peak = max(peak, mag)
-        if mag < tr.tol * max(abs(total), peak * 1e-16, 1e-300) and qq ** (2 * n + 1) * abs(z) < 1:
-            return ensure_finite(total, "ramanujan_a")
-    raise TruncationError("Ramanujan function series did not converge")
+    return ramanujan_a_shifted(z, 0.0, q, tr)
 
 
 def cal_e(x, t, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "hermite") -> complex:
@@ -303,82 +343,57 @@ def cal_e(x, t, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "he
     (t^2;q^2)_inf/(q t^2;q^2)_inf prefactor and shifted finite products;
     the two must agree and are cross-checked by the identity registry.
     """
-    from .polys import qhermite  # local import to avoid a cycle
-
     x = complex(x)
     t = complex(t)
     if abs(t) >= 1.0:
         raise DomainError(f"cal_e needs |t| < 1, got |t| = {abs(t)}")
     q2 = QParam(q.q * q.q)
     if route == "hermite":
-        total = 0.0 + 0.0j
-        hprev = 1.0 + 0.0j  # H_0
-        hcur = 2.0 * x  # H_1
-        tn = 1.0 + 0.0j
-        qfac = 1.0 + 0.0j  # (q;q)_n
-        for n in range(tr.max_terms):
-            if n == 1:
-                hval = hcur
-            elif n == 0:
-                hval = hprev
-            else:
-                hnext = 2.0 * x * hcur - (1.0 - q.power(n - 1)) * hprev
-                hprev, hcur = hcur, hnext
-                hval = hcur
-            if n > 0:
-                tn *= t
-                qfac *= 1.0 - q.power(n)
-            term = q.power(n * n / 4.0) * tn * hval / qfac
-            total += term
-            # |H_n(cos theta)| <= (n+1) * growth; terms die like q^{n^2/4} t^n
-            if n > 6 and abs(term) < tr.tol * max(abs(total), 1.0):
-                break
-        else:
-            raise TruncationError("cal_e hermite series did not converge")
-        return ensure_finite(total / qpoch_inf(q.q * t * t, q2, tr), "cal_e")
+        return ensure_finite(cal_e_raw(x, t, q, tr) / qpoch_inf(q.q * t * t, q2, tr), "cal_e")
     if route != "shifted":
         raise DomainError(f"unknown cal_e route {route!r}")
+    if t == 0:
+        return 1.0 + 0.0j
     # arccos with principal branch: x = cos(theta)
     theta = cmath.acos(x)
     eip = cmath.exp(1j * theta)
     eim = cmath.exp(-1j * theta)
-    total = 0.0 + 0.0j
-    qfac = 1.0 + 0.0j
-    log_t = None
-    for n in range(tr.max_terms):
-        if n > 0:
-            qfac *= 1.0 - q.power(n)
-        # the shifted products peak near q^(-n^2/4) against the q^(n^2/4)
-        # weight; accumulate the whole term logarithmically so large
-        # degrees stay representable
-        log_acc = complex(n * n / 4.0 * q.ln_q)
-        if n > 0:
-            if log_t is None:
-                log_t = cmath.log(-1j * t) if t != 0 else None
-            if log_t is None:
-                break  # t = 0: only the n = 0 term contributes
-            log_acc += n * log_t
-        for sign_e in (eip, eim):
-            base = -1j * sign_e * q.power((1.0 - n) / 2.0)
-            for j in range(n):
-                factor = 1.0 - base * q.power(j)
-                if factor == 0:
-                    log_acc = None
+    log_t = cmath.log(-1j * t)
+    qq = q.q
+    at2 = abs(t) ** 2
+    c = max(4.0 * abs(x) ** 2 - 1.0, 0.0)
+
+    # With y = q^(m+1) the shifted product pair obeys
+    # q^((m+2)^2/4) Q_(m+2) = -q^(m^2/4) Q_m ((1-y)^2 + 4x^2 y), so
+    # |t_(m+2)/t_m| <= |t|^2 (1 + c y) / ((1 - y)(1 - q y)), decreasing in m: the tail after
+    # t_n is bounded along the two chains that start at t_(n-1) and t_n.
+    def terms():
+        qfac = 1.0 + 0.0j
+        prev = 0.0
+        for n in itertools.count():
+            if n > 0:
+                qfac *= 1.0 - q.power(n)
+            # the shifted products peak near q^(-n^2/4) against the q^(n^2/4)
+            # weight; accumulate the whole term logarithmically so large
+            # degrees stay representable
+            log_acc = complex(n * n / 4.0 * q.ln_q) + n * log_t
+            for sign_e in (eip, eim):
+                base = -1j * sign_e * q.power((1.0 - n) / 2.0)
+                for j in range(n):
+                    factor = 1.0 - base * q.power(j)
+                    if factor == 0:
+                        log_acc = None
+                        break
+                    log_acc += cmath.log(factor)
+                if log_acc is None:
                     break
-                log_acc += cmath.log(factor)
-            if log_acc is None:
-                break
-        if log_acc is None:
-            term = 0.0 + 0.0j
-        else:
-            term = cmath.exp(log_acc) / qfac
-        total += term
-        if n > 6 and abs(term) < tr.tol * max(abs(total), 1.0):
-            break
-    else:
-        raise TruncationError("cal_e shifted series did not converge")
+            term = 0.0 + 0.0j if log_acc is None else cmath.exp(log_acc) / qfac
+            mag = abs(term)
+            yield term, geometric_tail(prev + mag, _ratio_bound(at2, c + 1.0 + qq, qq ** n))
+            prev = mag
+
     pref = qpoch_inf(t * t, q2, tr) / qpoch_inf(q.q * t * t, q2, tr)
-    return ensure_finite(pref * total, "cal_e")
+    return ensure_finite(pref * _certified_sum(terms(), tr, "cal_e"), "cal_e")
 
 
 def _principal_pow(base, expo) -> complex:
@@ -414,53 +429,20 @@ def jackson_bessel(kind: int, nu, z, q: QParam, tr: Truncation = DEFAULT_TRUNCAT
         if nu.real > 0:
             return 0.0 + 0.0j
         raise DomainError("q-Bessel at z = 0 needs Re nu >= 0")
-    qq = q.q
-    qnu = q.power(nu)
-
+    u = z * z / 4.0
     if kind == 2 and route == "alternative":
-        # (2/z)^nu J2 = (1/(q;q)_inf) sum (-z^2/4;q)_n (-1)^n q^(n(n+1)/2 + nu n)/(q;q)_n
-        w = -z * z / 4.0
-        total = 0.0 + 0.0j
-        term = 1.0 + 0.0j
-        for n in range(tr.max_terms):
-            if n > 0:
-                term *= -(1.0 - w * q.power(n - 1)) * q.power(n) * qnu / (1.0 - q.power(n))
-                # ratio: (-z^2/4;q)_n/(...)_{n-1} = (1 - w q^{n-1}); q^{binom(n+1,2)} ratio q^n
-            total += term
-            if n > 4 and abs(term) < tr.tol * max(abs(total), 1.0):
-                break
-        else:
-            raise TruncationError("alternative q-Bessel series did not converge")
-        return ensure_finite(
-            _principal_pow(z / 2.0, nu) * total / qpoch_inf(qq, q, tr), "jackson_bessel"
-        )
-    if route != "native":
+        body = bessel2_normalized(nu, u, q, tr)
+    elif route != "native":
         raise DomainError(f"unknown q-Bessel route {route!r}")
-
-    if kind == 1 and abs(z) >= 2.0:
+    elif kind == 1 and abs(z) >= 2.0:
         den = qpoch_inf(-z * z / 4.0, q, tr)
         if abs(den) < 1e-280:
             raise PoleError("kind-1 q-Bessel pole: (-z^2/4;q)_inf vanished")
         return jackson_bessel(2, nu, z, q, tr) / den
-
-    u = z * z / 4.0
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for n in range(1, tr.max_terms):
-        qn = q.power(n)
-        ratio = -u / ((1.0 - qn) * (1.0 - qnu * qn))
-        if kind == 2:
-            ratio *= q.power(2 * n - 1) * qnu
-        elif kind == 3:
-            ratio *= q.power(n)
-        term *= ratio
-        total += term
-        if n > 4 and abs(term) < tr.tol * max(abs(total), 1.0):
-            break
     else:
-        raise TruncationError("q-Bessel series did not converge")
-    pref = _principal_pow(z / 2.0, nu) * qpoch_inf(qq * qnu, q, tr) / qpoch_inf(qq, q, tr)
-    return ensure_finite(pref * total, "jackson_bessel")
+        normalized = (bessel1_normalized, bessel2_normalized_native, bessel3_normalized_native)
+        body = normalized[kind - 1](nu, u, q, tr)
+    return ensure_finite(_principal_pow(z / 2.0, nu) * body, "jackson_bessel")
 
 
 def modified_bessel_i(kind: int, nu, z, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -480,24 +462,21 @@ def ramanujan_a_shifted(z, shift, q: QParam, tr: Truncation = DEFAULT_TRUNCATION
     """
     z = complex(z)
     shift = float(shift)
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j  # (-z)^n / (q;q)_n
-    peak = 1.0
-    quiet = 0
-    for n in range(tr.max_terms):
-        if n:
-            term *= -z / (1.0 - q.power(n))
-        piece = term * q.power((n + shift) ** 2)
-        total += piece
-        mag = abs(piece)
-        peak = max(peak, mag)
-        if mag < tr.tol * max(abs(total), peak * 1e-16, 1e-300):
-            quiet += 1
-            if quiet >= 2 and n > 5 and n > -shift:
-                return ensure_finite(total, "ramanujan_a_shifted")
-        else:
-            quiet = 0
-    raise TruncationError("shifted Ramanujan series did not converge")
+    qq = q.q
+    az = abs(z)
+
+    # |t_(n+1)/t_n| = |z| q^(2n+2 shift+1) / (1 - q^(n+1)), decreasing in n
+    def terms():
+        term = 1.0 + 0.0j  # (-z)^n / (q;q)_n
+        qn1 = qq  # q^(n+1)
+        for n in itertools.count():
+            piece = term * qq ** ((n + shift) ** 2)
+            r = az * _qpow(q, 2 * n + 2 * shift + 1) / (1.0 - qn1)
+            yield piece, geometric_tail(abs(piece), r)
+            term *= -z / (1.0 - qn1)
+            qn1 *= qq
+
+    return _certified_sum(terms(), tr, "ramanujan_a_shifted")
 
 
 def poch_gauss(w, beta, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -538,24 +517,23 @@ def confluent_phi_weighted(a, b0, z0, beta, q: QParam,
     """
     a = complex(a)
     z0 = complex(z0)
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j  # (a;q)_k (-z0)^k/(q;q)_k
-    peak = 1.0
-    quiet = 0
-    for k in range(tr.max_terms):
-        if k:
-            term *= (1.0 - a * q.power(k - 1)) * (-z0) / (1.0 - q.power(k))
-        piece = term * poch_gauss(b0, beta + k, q, tr)
-        total += piece
-        mag = abs(piece)
-        peak = max(peak, mag)
-        if mag < tr.tol * max(abs(total), peak * 1e-16, 1e-300):
-            quiet += 1
-            if quiet >= 2 and k > 5 and k > -beta:
-                return ensure_finite(total, "confluent_phi_weighted")
-        else:
-            quiet = 0
-    raise TruncationError("weighted confluent series did not converge")
+    beta = float(beta)
+    qq = q.q
+    z0_mag = abs(z0)
+    c = abs(a) + qq + abs(b0) * _qpow(q, beta)
+
+    # t_(k+1)/t_k = (1 - a q^k)(-z0) q^(beta+k+1/2) / ((1 - q^(k+1))(1 - b0 q^(beta+k))); once
+    # |b0| q^(beta+k) < 1 no product factor can vanish and the bound below holds for every i >= k
+    def terms():
+        term = 1.0 + 0.0j  # (a;q)_k (-z0)^k/(q;q)_k
+        for k in itertools.count():
+            if k:
+                term *= (1.0 - a * q.power(k - 1)) * (-z0) / (1.0 - q.power(k))
+            piece = term * poch_gauss(b0, beta + k, q, tr)
+            r = _ratio_bound(z0_mag * _qpow(q, beta + k + 0.5), c, qq ** k)
+            yield piece, geometric_tail(abs(piece), r)
+
+    return _certified_sum(terms(), tr, "confluent_phi_weighted")
 
 
 def cal_e_raw_shifted(x, t, shift, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -563,40 +541,30 @@ def cal_e_raw_shifted(x, t, shift, q: QParam, tr: Truncation = DEFAULT_TRUNCATIO
 
     Equals sum_n q^((n+shift)^2/4) t^n H_n(x|q)/(q;q)_n with bounded terms.
     """
-    from .polys import qhermite
-
     x = complex(x)
     t = complex(t)
     shift = float(shift)
-    total = 0.0 + 0.0j
-    hprev = 1.0 + 0.0j
-    hcur = 2.0 * x
-    tn = 1.0 + 0.0j
-    qfac = 1.0 + 0.0j
-    peak = 1.0
-    quiet = 0
-    for n in range(tr.max_terms):
-        if n == 0:
-            hval = hprev
-        elif n == 1:
-            hval = hcur
-        else:
-            hprev, hcur = hcur, 2.0 * x * hcur - (1.0 - q.power(n - 1)) * hprev
-            hval = hcur
-        if n > 0:
-            tn *= t
-            qfac *= 1.0 - q.power(n)
-        term = q.power((n + shift) ** 2 / 4.0) * tn * hval / qfac
-        total += term
-        mag = abs(term)
-        peak = max(peak, mag)
-        if mag < tr.tol * max(abs(total), peak * 1e-16, 1e-300):
-            quiet += 1
-            if quiet >= 2 and n > 6 and n > -shift:
-                return ensure_finite(total, "cal_e_raw_shifted")
-        else:
-            quiet = 0
-    raise TruncationError("cal_e_raw_shifted series did not converge")
+    qq = q.q
+    at = abs(t)
+    rho = abs(x) + math.sqrt(abs(x) ** 2 + 1.0)
+
+    # |H_(n+1)| <= 2|x| |H_n| + |H_(n-1)| gives |H_(n+j)| <= max(|H_n|, rho |H_(n-1)|) rho^j,
+    # and the remaining ratio q^((2n+2 shift+1)/4) |t| / (1 - q^(n+1)) decreases in n
+    def terms():
+        hprev, hcur = 0.0 + 0.0j, 1.0 + 0.0j  # H_(n-1), H_n
+        tn = 1.0 + 0.0j
+        qfac = 1.0 + 0.0j
+        for n in itertools.count():
+            if n > 0:
+                hprev, hcur = hcur, 2.0 * x * hcur - (1.0 - qq ** (n - 1)) * hprev
+                tn *= t
+                qfac *= 1.0 - qq ** n
+            weight = qq ** ((n + shift) ** 2 / 4.0)
+            major = weight * abs(tn) * max(abs(hcur), rho * abs(hprev)) / abs(qfac)
+            r = rho * at * _qpow(q, (2 * n + 2 * shift + 1) / 4.0) / (1.0 - qq ** (n + 1))
+            yield weight * tn * hcur / qfac, geometric_tail(major, r)
+
+    return _certified_sum(terms(), tr, "cal_e_raw_shifted")
 
 
 def cal_e_raw(x, t, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -606,49 +574,7 @@ def cal_e_raw(x, t, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     the right object inside transform integrands where t sweeps past the
     normalization's zeros.
     """
-    from .polys import qhermite
-
-    x = complex(x)
-    t = complex(t)
-    total = 0.0 + 0.0j
-    hprev = 1.0 + 0.0j
-    hcur = 2.0 * x
-    tn = 1.0 + 0.0j
-    qfac = 1.0 + 0.0j
-    peak = 1.0
-    for n in range(tr.max_terms):
-        if n == 0:
-            hval = hprev
-        elif n == 1:
-            hval = hcur
-        else:
-            hprev, hcur = hcur, 2.0 * x * hcur - (1.0 - q.power(n - 1)) * hprev
-            hval = hcur
-        if n > 0:
-            tn *= t
-            qfac *= 1.0 - q.power(n)
-        term = q.power(n * n / 4.0) * tn * hval / qfac
-        total += term
-        peak = max(peak, abs(term))
-        if n > 6 and abs(term) < tr.tol * max(abs(total), peak * 1e-16, 1e-300) \
-                and q.power((2 * n + 1) / 4.0).real * abs(t) < 1:
-            return ensure_finite(total, "cal_e_raw")
-    raise TruncationError("cal_e_raw series did not converge")
-
-
-def _entire_sum(ratio, tr: Truncation, context: str) -> complex:
-    """Sum 1 + t_1 + t_2 + ... with t_k/t_{k-1} given by ratio(k-1)."""
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    peak = 1.0
-    for k in range(tr.max_terms):
-        term *= ratio(k)
-        total += term
-        mag = abs(term)
-        peak = max(peak, mag)
-        if k > 5 and mag < tr.tol * max(abs(total), peak * 1e-16, 1e-300) and abs(ratio(k + 1)) < 0.7:
-            return ensure_finite(total, context)
-    raise TruncationError(f"{context} series did not converge")
+    return cal_e_raw_shifted(x, t, 0.0, q, tr)
 
 
 def bessel1_normalized(nu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -656,11 +582,18 @@ def bessel1_normalized(nu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) ->
     nu = complex(nu)
     u = complex(u)
     qnu = q.power(nu)
+    u_mag, c = abs(u), 1.0 + abs(qnu)
 
-    def ratio(k):
-        return -u / ((1.0 - q.power(k + 1)) * (1.0 - qnu * q.power(k + 1)))
+    # |t_(i+1)/t_i| = |u| / |(1 - q^(i+1))(1 - q^nu q^(i+1))|, at most its value with |q^nu|
+    # at i = k
+    def terms():
+        term = 1.0 + 0.0j
+        for k in itertools.count():
+            qk1 = q.q ** (k + 1)
+            yield term, geometric_tail(abs(term), _ratio_bound(u_mag, c, qk1))
+            term *= -u / ((1.0 - qk1) * (1.0 - qnu * qk1))
 
-    body = _entire_sum(ratio, tr, "bessel1_normalized")
+    body = _certified_sum(terms(), tr, "bessel1_normalized")
     return qpoch_inf(q.q * qnu, q, tr) / qpoch_inf(q.q, q, tr) * body
 
 
@@ -675,11 +608,18 @@ def bessel2_normalized(nu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) ->
     nu = complex(nu)
     u = complex(u)
     qnu = q.power(nu)
+    qnu_mag, c = abs(qnu), abs(u) + q.q
 
-    def ratio(k):
-        return -(1.0 - (-u) * q.power(k)) * q.power(k + 1) * qnu / (1.0 - q.power(k + 1))
+    # |t_(i+1)/t_i| = |(1 + u q^i) q^nu q^(i+1) / (1 - q^(i+1))|, at most its value with |u|
+    # at i = k
+    def terms():
+        term = 1.0 + 0.0j
+        for k in itertools.count():
+            qk = q.q ** k
+            yield term, geometric_tail(abs(term), _ratio_bound(qnu_mag * q.q * qk, c, qk))
+            term *= -(1.0 + u * qk) * q.q * qk * qnu / (1.0 - q.q * qk)
 
-    body = _entire_sum(ratio, tr, "bessel2_normalized")
+    body = _certified_sum(terms(), tr, "bessel2_normalized")
     return body / qpoch_inf(q.q, q, tr)
 
 
@@ -688,11 +628,18 @@ def bessel2_normalized_native(nu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCAT
     nu = complex(nu)
     u = complex(u)
     qnu = q.power(nu)
+    uqnu_mag, c = abs(u * qnu), 1.0 + abs(qnu)
 
-    def ratio(k):
-        return -u * q.power(2 * k + 1) * qnu / ((1.0 - q.power(k + 1)) * (1.0 - qnu * q.power(k + 1)))
+    # |t_(i+1)/t_i| = |u q^nu| q^(2i+1) / |(1 - q^(i+1))(1 - q^nu q^(i+1))|, at most its value
+    # with |q^nu| at i = k
+    def terms():
+        term = 1.0 + 0.0j
+        for k in itertools.count():
+            qk1 = q.q ** (k + 1)
+            yield term, geometric_tail(abs(term), _ratio_bound(uqnu_mag * qk1 * qk1 / q.q, c, qk1))
+            term *= -u * qk1 * qk1 / q.q * qnu / ((1.0 - qk1) * (1.0 - qnu * qk1))
 
-    body = _entire_sum(ratio, tr, "bessel2_normalized_native")
+    body = _certified_sum(terms(), tr, "bessel2_normalized_native")
     return qpoch_inf(q.q * qnu, q, tr) / qpoch_inf(q.q, q, tr) * body
 
 
@@ -707,24 +654,19 @@ def bessel2_normalized_gauss(nu, u, alpha, q: QParam,
     u = complex(u)
     alpha = float(alpha)
     qnu = q.power(nu)
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j  # (-u;q)_n (-1)^n q^(n/2 + nu n) / (q;q)_n
-    peak = 1.0
-    quiet = 0
-    for n in range(tr.max_terms):
-        if n:
-            term *= -(1.0 - (-u) * q.power(n - 1)) * q.power(0.5) * qnu / (1.0 - q.power(n))
-        piece = term * q.power((alpha + n) ** 2 / 2.0)
-        total += piece
-        mag = abs(piece)
-        peak = max(peak, mag)
-        if mag < tr.tol * max(abs(total), peak * 1e-16, 1e-300):
-            quiet += 1
-            if quiet >= 2 and n > 5 and n > -alpha:
-                return total / qpoch_inf(q.q, q, tr)
-        else:
-            quiet = 0
-    raise TruncationError("weighted kind-2 expansion did not converge")
+    qnu_mag, c = abs(qnu), abs(u) + q.q
+
+    # t_(n+1)/t_n = -(1 + u q^n) q^nu q^(alpha+n+1) / (1 - q^(n+1)), bounded for i >= n as below
+    def terms():
+        term = 1.0 + 0.0j  # (-u;q)_n (-1)^n q^(n/2 + nu n) / (q;q)_n
+        for n in itertools.count():
+            if n:
+                term *= -(1.0 - (-u) * q.power(n - 1)) * q.power(0.5) * qnu / (1.0 - q.power(n))
+            piece = term * q.power((alpha + n) ** 2 / 2.0)
+            r = _ratio_bound(qnu_mag * _qpow(q, alpha + n + 1), c, q.q ** n)
+            yield piece, geometric_tail(abs(piece), r)
+
+    return _certified_sum(terms(), tr, "bessel2_normalized_gauss") / qpoch_inf(q.q, q, tr)
 
 
 def bessel3_normalized_gauss(nu, z2, alpha, q: QParam,
@@ -739,48 +681,41 @@ def bessel3_normalized_gauss(nu, z2, alpha, q: QParam,
     nu = complex(nu)
     z2 = complex(z2)
     alpha = float(alpha)
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j  # (-z2 q^(1/2))^n / (q;q)_n
-    peak = 1.0
-    quiet = 0
-    for n in range(tr.max_terms):
-        if n:
-            term *= -z2 * q.power(0.5) / (1.0 - q.power(n))
-        piece = term * poch_gauss(q.power(nu + 1), alpha + n, q, tr)
-        total += piece
-        mag = abs(piece)
-        peak = max(peak, mag)
-        if mag < tr.tol * max(abs(total), peak * 1e-16, 1e-300):
-            quiet += 1
-            if quiet >= 2 and n > 5 and n > -alpha:
-                return total / qpoch_inf(q.q, q, tr)
-        else:
-            quiet = 0
-    raise TruncationError("weighted kind-3 expansion did not converge")
+    w = q.power(nu + 1)
+    z2_mag, c = abs(z2), q.q + abs(w) * _qpow(q, alpha)
+
+    # t_(n+1)/t_n = -z2 q^(alpha+n+1) / ((1 - q^(n+1))(1 - w q^(alpha+n))), w = q^(nu+1); once
+    # |w| q^(alpha+n) < 1 no product factor can vanish and the bound below holds for every i >= n
+    def terms():
+        term = 1.0 + 0.0j  # (-z2 q^(1/2))^n / (q;q)_n
+        for n in itertools.count():
+            if n:
+                term *= -z2 * q.power(0.5) / (1.0 - q.power(n))
+            piece = term * poch_gauss(w, alpha + n, q, tr)
+            r = _ratio_bound(z2_mag * _qpow(q, alpha + n + 1), c, q.q ** n)
+            yield piece, geometric_tail(abs(piece), r)
+
+    return _certified_sum(terms(), tr, "bessel3_normalized_gauss") / qpoch_inf(q.q, q, tr)
 
 
 def bessel3_normalized(mu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """(2/z)^mu J3_mu(z;q) as a function of u = (z/2)^2, entire in the order."""
     mu = complex(mu)
     u = complex(u)
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j  # q^(binom(n+1,2)) (-u)^n / (q;q)_n, before the tail product
-    peak = 1.0
-    quiet = 0
-    for n in range(tr.max_terms):
-        if n > 0:
-            term *= -u * q.power(n) / (1.0 - q.power(n))
-        piece = term * qpoch_inf(q.power(mu + n + 1), q, tr)
-        total += piece
-        mag = abs(piece)
-        peak = max(peak, mag)
-        if mag < tr.tol * max(abs(total), peak * 1e-16, 1e-300):
-            quiet += 1
-            if quiet >= 2 and n > 5:
-                return total / qpoch_inf(q.q, q, tr)
-        else:
-            quiet = 0
-    raise TruncationError("bessel3_normalized series did not converge")
+    u_mag, c = abs(u), q.q + abs(q.power(mu + 1))
+
+    # t_(n+1)/t_n = -u q^(n+1) / ((1 - q^(n+1))(1 - w q^n)), w = q^(mu+1); once |w| q^n < 1
+    # no product factor can vanish and the bound below holds for every i >= n
+    def terms():
+        term = 1.0 + 0.0j  # q^(binom(n+1,2)) (-u)^n / (q;q)_n, before the tail product
+        for n in itertools.count():
+            if n > 0:
+                term *= -u * q.power(n) / (1.0 - q.power(n))
+            piece = term * qpoch_inf(q.power(mu + n + 1), q, tr)
+            r = _ratio_bound(u_mag * q.q ** (n + 1), c, q.q ** n)
+            yield piece, geometric_tail(abs(piece), r)
+
+    return _certified_sum(terms(), tr, "bessel3_normalized") / qpoch_inf(q.q, q, tr)
 
 
 def bessel3_normalized_native(nu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -788,9 +723,16 @@ def bessel3_normalized_native(nu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCAT
     nu = complex(nu)
     u = complex(u)
     qnu = q.power(nu)
+    u_mag, c = abs(u), 1.0 + abs(qnu)
 
-    def ratio(k):
-        return -u * q.power(k + 1) / ((1.0 - q.power(k + 1)) * (1.0 - qnu * q.power(k + 1)))
+    # |t_(i+1)/t_i| = |u| q^(i+1) / |(1 - q^(i+1))(1 - q^nu q^(i+1))|, at most its value with
+    # |q^nu| at i = k
+    def terms():
+        term = 1.0 + 0.0j
+        for k in itertools.count():
+            qk1 = q.q ** (k + 1)
+            yield term, geometric_tail(abs(term), _ratio_bound(u_mag * qk1, c, qk1))
+            term *= -u * qk1 / ((1.0 - qk1) * (1.0 - qnu * qk1))
 
-    body = _entire_sum(ratio, tr, "bessel3_normalized_native")
+    body = _certified_sum(terms(), tr, "bessel3_normalized_native")
     return qpoch_inf(q.q * qnu, q, tr) / qpoch_inf(q.q, q, tr) * body

@@ -95,6 +95,15 @@ class TestVerify:
         assert code == 0
         assert json.loads(target.read_text())
 
+    def test_skipped_point_fails_the_run(self, capsys, monkeypatch):
+        from qkit import identities
+
+        skipped = identities.ResidualReport("x", "SERIES", {}, complex("nan"), complex("nan"),
+                                            float("nan"), float("nan"), "skipped(budget)", False)
+        monkeypatch.setattr(identities, "run_suite", lambda *args, **kwargs: [skipped])
+        code, out, _ = run_cli(capsys, "verify", "--group", "SERIES", "--threads", "1")
+        assert code == 1 and "0 pass, 0 fail, 1 skipped" in out
+
     def test_env_tolerance_override(self, capsys, monkeypatch):
         monkeypatch.setenv("QKIT_TOL", "1e-1")
         code, out, _ = run_cli(capsys, "verify", "--group", "SERIES", "--samples", "1",

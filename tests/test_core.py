@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -20,6 +21,8 @@ from qkit import (
     theta3,
     theta4,
 )
+from qkit.core import _certified_sum, geometric_tail
+from qkit.errors import TruncationError
 
 TR = Truncation(tol=1e-14)
 
@@ -48,8 +51,29 @@ class TestTruncation:
             Truncation(tol=1e-16)
         with pytest.raises(DomainError):
             Truncation(max_terms=4)
-        with pytest.raises(DomainError):
-            Truncation(strategy="guess")
+
+
+class TestCertifiedSum:
+    def test_finite_generator_gives_exact_sum(self):
+        terms = [(1.0, math.inf), (0.5, math.inf), (0.25, math.inf)]
+        assert _certified_sum(terms, TR, "finite") == 1.75
+
+    def test_infinite_tail_never_stops(self):
+        # terms that vanish numerically but carry no tail bound run into the budget
+        terms = ((0.0, math.inf) for _ in range(100))
+        with pytest.raises(TruncationError):
+            _certified_sum(terms, Truncation(max_terms=50), "uncertified")
+
+    def test_budget_exhaustion_reports_achieved_bound(self):
+        terms = ((0.9**k, geometric_tail(0.9**k, 0.9)) for k in itertools.count())
+        with pytest.raises(TruncationError) as info:
+            _certified_sum(terms, Truncation(max_terms=20), "slow")
+        assert info.value.achieved_bound == pytest.approx(0.9**19 * 9.0)
+
+    def test_geometric_tail(self):
+        assert geometric_tail(2.0, 0.5) == 2.0
+        for r in (1.0, 1.5, math.inf, math.nan):
+            assert geometric_tail(1.0, r) == math.inf
 
 
 class TestQPochhammer:

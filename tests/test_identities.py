@@ -3,8 +3,10 @@ import random
 import pytest
 
 from qkit import identities
+from qkit.errors import ConvergenceError, DomainError, PoleError, TruncationError
 from qkit.identities import (
     GROUPS,
+    IdentityRecord,
     all_identities,
     catalog,
     evaluate_identity,
@@ -23,6 +25,10 @@ class TestCatalog:
     def test_unique_ids(self):
         ids = [c[0] for c in catalog()]
         assert len(ids) == len(set(ids))
+
+    def test_group_sizes(self):
+        sizes = {g: sum(c[1] == g for c in catalog()) for g in GROUPS}
+        assert sizes == {"PRELIM": 25, "CONTOUR": 18, "MELLIN": 7, "FOURIER": 91, "SERIES": 35}
 
     def test_groups_nonempty(self):
         cat = catalog()
@@ -87,6 +93,26 @@ class TestEvaluate:
         rep = evaluate_identity("ramanujan_1psi1",
                                 {"q": 0.4, "a": 2.0, "b": 0.3, "z": 1.4})
         assert rep.status.startswith("skipped")
+
+
+class TestFailureClassification:
+    @pytest.mark.parametrize("exc, status", [
+        (DomainError("outside"), "skipped(domain)"),
+        (PoleError("pole"), "skipped(domain)"),
+        (ConvergenceError("annulus"), "skipped(domain)"),
+        (TruncationError("budget"), "skipped(budget)"),
+        (ZeroDivisionError("division"), "error"),
+        (OverflowError("range"), "error"),
+        (ValueError("math domain"), "error"),
+    ])
+    def test_status_follows_exception_type(self, monkeypatch, exc, status):
+        def raising(p, tr):
+            raise exc
+
+        rec = IdentityRecord("raiser", "PRELIM", "test", raising, raising, None, "a", "b")
+        monkeypatch.setattr(identities, "get_identity", lambda identity_id: rec)
+        rep = evaluate_identity("raiser", {})
+        assert rep.status == status and not rep.passed
 
 
 class TestRunSuite:

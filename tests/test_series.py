@@ -57,6 +57,13 @@ class TestPhi:
         with pytest.raises(PoleError):
             phi(PhiSpec([0.3], [q.power(-2)], q, 0.2), TR)
 
+    def test_slow_geometric_tail_is_certified(self):
+        # q-binomial theorem: 1phi0(a; -; q, z) = (az;q)_inf/(z;q)_inf; at z = 0.99 the
+        # terms shrink by only ~0.99 per step, so stopping on one small term under-sums
+        q = QParam(0.5)
+        exact = qpoch_inf(0.495, q) / qpoch_inf(0.99, q)
+        assert rel(phi(PhiSpec((0.5,), (), q, 0.99)), exact) < 1e-12
+
     def test_heine_chain(self):
         rng = random.Random(19)
         hits = 0
