@@ -1117,10 +1117,14 @@ def _gf2_rhs(p, tr):
     L = _L(p)
     t = p["t"]
 
+    # The weight exp(-2 L a^2) rides on the growing factor: q^(b^2/2) with
+    # b = -2a - 1/4 is exp(-2 L a^2 - L a/2 - L/32), so no factor leaves
+    # the double range far out on the line.
     def f(a):
-        return qp(t * q.power(2 * a + 0.25), q, tr) * qp(t * q.power(-2 * a - 0.25), q, tr)
+        return (qp(t * q.power(2 * a + 0.25), q, tr) * poch_gauss(t, -2 * a - 0.25, q, tr)
+                * math.exp(L * a / 2 + L / 32))
 
-    return math.sqrt(2 * L / math.pi) * gline(f, q, tr, sigma2=1 / (4 * L))
+    return math.sqrt(2 * L / math.pi) * gline(f, q, tr, sigma2=-1.0)
 
 
 ident("fourier_h_kernel_int_2", "FOURIER",

@@ -88,6 +88,12 @@ class TestEvaluate:
         rep = evaluate_identity("fourier_airy_3", {"q": 0.6, "z": 0.4})
         assert rep.passed and rep.rel_err <= 1e-8
 
+    def test_h_kernel_int_2_far_window(self):
+        # the window probe used to overflow the bare product pair at this draw
+        rep = evaluate_identity("fourier_h_kernel_int_2",
+                                sample_params("fourier_h_kernel_int_2", 1972007450, 0))
+        assert rep.passed, rep.status
+
     def test_reports_are_data_not_exceptions(self):
         # an out-of-domain parameter point must come back as a skip
         rep = evaluate_identity("ramanujan_1psi1",

@@ -3,7 +3,11 @@ import math
 
 import pytest
 
-from qkit import QParam, QuadratureError, Truncation, q_exp_small, qpoch_inf, qpoch_multi, ramanujan_a
+from qkit import (QParam, QuadratureError, Truncation, q_exp_small, qpoch_finite, qpoch_inf,
+                  qpoch_multi, ramanujan_a)
+from qkit.identities import _truncation_for
+from qkit.polys import qhermite
+from qkit.registry import prelim
 from qkit.quad import (
     ContourSpec,
     LineIntegrand,
@@ -21,6 +25,17 @@ TR = Truncation(tol=1e-12)
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def counted(f):
+    """f wrapped so that calls[0] counts its evaluations."""
+    calls = [0]
+
+    def g(*args):
+        calls[0] += 1
+        return f(*args)
+
+    return g, calls
 
 
 class TestGaussianLine:
@@ -76,6 +91,12 @@ class TestCircleContour:
             val = circle_contour(ContourSpec(1.0, f), TR)
             assert rel(val, 0.5 ** (k * k) * u**k) < 1e-11
 
+    def test_cauchy_work(self):
+        # the first comparison is at N = 128 and every earlier angle is reused
+        f, calls = counted(lambda z: 1 / z)
+        circle_contour(ContourSpec(1.0, f), TR)
+        assert calls[0] < 192
+
     def test_radius_independence(self):
         q = QParam(0.3)
         w = 0.5
@@ -129,6 +150,47 @@ class TestRealLineFamily:
     def test_real_line_gaussian(self):
         val = real_line(lambda u: math.exp(-u * u), TR)
         assert rel(val, math.sqrt(math.pi)) < 1e-11
+
+    def test_finite_interval_between_nodes(self):
+        # sin^2(4t) vanishes at every node of a 5-point Simpson rule on [0, pi]
+        val = finite_interval(lambda t: math.sin(4 * t) ** 2, 0.0, math.pi, TR)
+        assert abs(val - math.pi / 2) < 1e-12
+
+    def test_real_line_between_nodes(self):
+        # sin^2(2 pi u) vanishes at every half-integer
+        val = real_line(lambda u: math.sin(2 * math.pi * u) ** 2 * math.exp(-u * u), TR)
+        expected = math.sqrt(math.pi) / 2 * (1 - math.exp(-4 * math.pi**2))
+        assert abs(val - expected) < 1e-12
+
+    def test_qhermite_gram_work(self):
+        # acceptance criterion 8's (4, 4) entry
+        q = QParam(0.5)
+
+        def f(th):
+            e2 = cmath.exp(2j * th)
+            w = (qpoch_inf(e2, q, TR) * qpoch_inf(e2.conjugate(), q, TR)).real
+            return qhermite(4, math.cos(th), q).real ** 2 * w
+
+        f, calls = counted(f)
+        val = finite_interval(f, 0.0, math.pi, TR).real / (2 * math.pi)
+        norm = qpoch_finite(q.q, q, 4).real / qpoch_inf(q.q, q, TR).real
+        assert rel(val, norm) < 1e-10
+        assert calls[0] <= 1000
+
+    def test_zero_gram_entry_certifies(self, monkeypatch):
+        # an exactly vanishing q-Laguerre entry needs the absolute target:
+        # integrands carry jumps of about tol |g| from their products
+        calls = []
+
+        def counting_halfline(f, tr):
+            f, n = counted(f)
+            calls.append(n)
+            return halfline_log(f, tr)
+
+        monkeypatch.setattr(prelim, "halfline_log", counting_halfline)
+        val = prelim._ql_gram({"alpha": 0.5, "m": 1, "n": 2, "q": 0.335676}, _truncation_for(1e-5))
+        assert abs(val - 1.0) < 1e-9
+        assert calls[0][0] <= 2000
 
 
 class TestParsevalRoundtrip:

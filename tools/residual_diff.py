@@ -1,0 +1,93 @@
+"""Compare the residuals of two ``qkit verify --format json`` reports.
+
+Usage:
+    python tools/residual_diff.py PARENT.json CHANGE.json
+
+Points are matched by identity id and their order within that id, so both
+reports should come from the same ``--group/--samples/--seed`` arguments.
+For each group the script prints the status changes, the largest and the
+median |log10(new rel_err / old rel_err)|, and every point whose residual
+grew more than tenfold.  Residuals below FLOOR count as FLOOR, so two
+results exact to rounding do not show as a huge ratio.
+
+Exit status: 0 when every point keeps its status, 1 when any status changed
+or a point is missing from one report, 2 on a usage error.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import statistics
+import sys
+
+FLOOR = 1e-18
+GROWTH = 10.0
+
+
+def _points(path):
+    """{(group, id, k): report} with k counting repeats of an id in file order."""
+    with open(path, encoding="utf-8") as fh:
+        reports = json.load(fh)
+    seen = {}
+    out = {}
+    for rep in reports:
+        k = seen.get(rep["id"], 0)
+        seen[rep["id"]] = k + 1
+        out[(rep["group"], rep["id"], k)] = rep
+    return out
+
+
+def _log_ratio(old, new):
+    old = max(abs(old), FLOOR)
+    new = max(abs(new), FLOOR)
+    if not (math.isfinite(old) and math.isfinite(new)):
+        return math.inf
+    return math.log10(new / old)
+
+
+def compare(parent, change):
+    """Print the per-group comparison; return the number of status changes."""
+    changed = 0
+    groups = sorted({key[0] for key in parent} | {key[0] for key in change})
+    for group in groups:
+        keys = sorted({k for k in parent if k[0] == group} | {k for k in change if k[0] == group})
+        logs = []
+        status_lines = []
+        growth_lines = []
+        for key in keys:
+            old, new = parent.get(key), change.get(key)
+            label = f"{key[1]}#{key[2]}"
+            if old is None or new is None:
+                before = "missing" if old is None else old["status"]
+                after = "missing" if new is None else new["status"]
+                status_lines.append(f"  status {label}: {before} -> {after}")
+                continue
+            if old["status"] != new["status"]:
+                status_lines.append(f"  status {label}: {old['status']} -> {new['status']}")
+            d = _log_ratio(old["rel_err"], new["rel_err"])
+            logs.append(abs(d))
+            if d > math.log10(GROWTH):
+                growth_lines.append(f"  grew {label}: {old['rel_err']:.3g} -> {new['rel_err']:.3g}")
+        changed += len(status_lines)
+        worst = max(logs) if logs else 0.0
+        median = statistics.median(logs) if logs else 0.0
+        print(f"{group}: {len(keys)} points, {len(status_lines)} status changes, "
+              f"|log10(new/old)| max {worst:.2f} median {median:.2f}, "
+              f"{len(growth_lines)} grew >{GROWTH:g}x")
+        for line in status_lines + growth_lines:
+            print(line)
+    return changed
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: python tools/residual_diff.py PARENT.json CHANGE.json", file=sys.stderr)
+        return 2
+    changed = compare(_points(argv[0]), _points(argv[1]))
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
