@@ -1,12 +1,24 @@
 """Exact oracle: truncated formal power series over the rationals.
 
-Identities are verified coefficient-by-coefficient to a requested order
-with zero floating-point error.  Each supported identity fixes all but
-one variable at exact rationals; the remaining variable is either the
-identity's own argument (with the base q a rational number) or the base
-itself (for identities whose constants are infinite products in q).
-Bases entering through fractional powers are handled by working in a
-rational root of q, with the identity's q a power of the working base.
+Identities are verified coefficient by coefficient to a requested order
+with zero floating-point error.  Both sides of an identity are power
+series in one variable t, and every q-object is built from monomials: a
+pair (c, j) stands for c t^j, with c rational and j >= 0 an integer.  The
+base and each parameter of an identity are such monomials, so one
+convention fixes which quantity the series runs in:
+
+- argument variable: the base is (q, 0) with q the given rational, and
+  the argument is (c, 1);
+- base variable: the base is (1, 1), so the series runs in q itself and
+  the given rational fixes a free parameter, x or z;
+- root of the base: the base is (1, 2), so the series runs in p with
+  q = p^2 and half-integer powers of q stay integral.
+
+One builder per q-object (qpoch_series, airy_series, phi11_series,
+laguerre_series, sw_series, bessel2_body, bessel3_body) serves all three.
+A Pochhammer symbol in which neither a nor q carries t stays a Fraction.
+Every handler returns its two sides as series; the scalar families return
+their rows 0..order as the coefficients.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ class FPS:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = [Fraction(c) for c in coeffs]
+        self.coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
 
     @classmethod
     def zero(cls, order):
@@ -90,16 +102,6 @@ class FPS:
             return self
         return FPS([Fraction(0)] * k + self.coeffs[: max(self.order + 1 - k, 0)])
 
-    def scale_var(self, factor):
-        """Substitute variable -> factor * variable."""
-        f = Fraction(factor)
-        out = []
-        p = Fraction(1)
-        for c in self.coeffs:
-            out.append(c * p)
-            p *= f
-        return FPS(out)
-
     def reciprocal(self):
         if self.coeffs[0] == 0:
             raise DomainError("reciprocal needs a nonzero constant term")
@@ -150,60 +152,6 @@ def qbinom_r(n: int, k: int, q: Fraction) -> Fraction:
     return qfac_r(q, n) / (qfac_r(q, k) * qfac_r(q, n - k))
 
 
-# --- series builders in the argument variable (rational base) ----------------
-
-def qpoch_series(a_coeff, a_power: int, q: Fraction, n, order: int) -> FPS:
-    """(a z^m; q)_n as an exact series; n=None means the infinite product.
-
-    The infinite case uses the exponential-series expansion, which is
-    exact to the truncation order for m >= 1.
-    """
-    a = Fraction(a_coeff)
-    m = a_power
-    if n is not None:
-        out = FPS.const(1, order)
-        for k in range(n):
-            out = out * (FPS.const(1, order) - FPS.monomial(a * q**k, m, order))
-        return out
-    if m < 1:
-        raise DomainError("infinite product needs the variable in its argument")
-    out = FPS.zero(order)
-    k = 0
-    while k * m <= order:
-        coeff = (-a) ** k * q ** (k * (k - 1) // 2) / qfac_r(q, k)
-        out = out + FPS.monomial(coeff, k * m, order)
-        k += 1
-    return out
-
-
-def qpoch_series_recip(a_coeff, a_power: int, q: Fraction, order: int) -> FPS:
-    """1/(a z^m;q)_inf exactly: sum_k (a z^m)^k / (q;q)_k."""
-    a = Fraction(a_coeff)
-    m = a_power
-    if m < 1:
-        raise DomainError("reciprocal product needs the variable in its argument")
-    out = FPS.zero(order)
-    k = 0
-    while k * m <= order:
-        out = out + FPS.monomial(a**k / qfac_r(q, k), k * m, order)
-        k += 1
-    return out
-
-
-def airy_series(c_coeff, c_power: int, q: Fraction, order: int) -> FPS:
-    """A_q(c z^m) = sum_k q^(k^2) (-c z^m)^k/(q;q)_k exactly."""
-    c = Fraction(c_coeff)
-    m = c_power
-    if m < 1:
-        raise DomainError("Ramanujan series needs the variable in its argument")
-    out = FPS.zero(order)
-    k = 0
-    while k * m <= order:
-        out = out + FPS.monomial(q ** (k * k) * (-c) ** k / qfac_r(q, k), k * m, order)
-        k += 1
-    return out
-
-
 # --- rational polynomial values ----------------------------------------------
 
 def qhermite_r(n: int, x: Fraction, q: Fraction) -> Fraction:
@@ -243,927 +191,609 @@ def stieltjes_wigert_r(n: int, x: Fraction, q: Fraction) -> Fraction:
     return total / qfac_r(q, n)
 
 
-def qlaguerre_fps(n: int, alpha: int, x_fps: FPS, q: Fraction) -> FPS:
-    """L_n^(alpha) with a series-valued argument."""
-    order = x_fps.order
-    pref = qpoch_r(q ** (alpha + 1), q, n)
-    out = FPS.zero(order)
-    xk = FPS.const(1, order)
-    for k in range(n + 1):
-        if k:
-            xk = xk * x_fps
-        coeff = (q ** (alpha * k + k * k) * (-1) ** k
-                 / (qfac_r(q, k) * qfac_r(q, n - k) * qpoch_r(q ** (alpha + 1), q, k)))
-        out = out + xk * coeff
-    return out * pref
+# --- series builders over monomials (c, j) = c t^j ---------------------------
+
+_BASE = (1, 1)  # the base is the series variable
+_ROOT = (1, 2)  # the series variable is a square root of the base
 
 
-def stieltjes_wigert_fps(n: int, x_fps: FPS, q: Fraction) -> FPS:
-    order = x_fps.order
-    out = FPS.zero(order)
-    xk = FPS.const(1, order)
-    for k in range(n + 1):
-        if k:
-            xk = xk * x_fps
-        out = out + xk * (qbinom_r(n, k, q) * q ** (k * k) * (-1) ** k)
-    return out / qfac_r(q, n) if False else out * (1 / qfac_r(q, n))
+def _pow(mono, e):
+    """A monomial to an integer power."""
+    return (mono[0] ** e, mono[1] * e)
 
 
-# --- series builders in the base variable -------------------------------------
+def _recip(x):
+    return x.reciprocal() if isinstance(x, FPS) else 1 / x
 
-def pochq(c, j0: int, order: int, step: int = 1) -> FPS:
-    """prod_{k>=0} (1 - c p^(j0 + step k)) as a series in the base p.
 
-    Exact to the requested order: factors whose power exceeds it are 1 up
-    to that order.  j0 = 0 contributes the rational constant (1 - c).
+def _sum(order, power, piece, n=None):
+    """sum_k t^power(k) piece(k, order - power(k)), exact to the order.
+
+    piece(k, m) is a series built to order m, or a constant.  k runs over
+    range(n); with n=None the sum is infinite and power must be
+    nondecreasing with power(k) >= k - 1, so it ends once a term passes
+    the order.
     """
-    c = Fraction(c)
-    out = FPS.const(1, order)
-    j = j0
-    while j <= order:
-        out = out * (FPS.const(1, order) - FPS.monomial(c, j, order))
-        j += step
-    if j0 == 0:
-        pass  # already included above via the j = 0 factor
-    return out
+    out = [Fraction(0)] * (order + 1)
+    for k in range(order + 2 if n is None else n):
+        p = power(k)
+        if p > order:
+            if n is None:
+                break
+            continue
+        if p < 0:
+            raise DomainError("a term would leave the series ring")
+        term = piece(k, order - p)
+        if isinstance(term, FPS):
+            for i, c in zip(range(p, order + 1), term.coeffs):
+                out[i] += c
+        else:
+            out[p] += term
+    else:
+        if n is None:
+            raise DomainError("the terms of an infinite sum must gain powers of t")
+    return FPS(out)
 
 
-def pochq_fin(c, j0: int, n: int, order: int, step: int = 1) -> FPS:
-    """prod_{k=0}^{n-1}(1 - c p^(j0 + step k)) in the base variable."""
-    c = Fraction(c)
-    out = FPS.const(1, order)
-    for k in range(n):
-        j = j0 + step * k
-        out = out * (FPS.const(1, order) - FPS.monomial(c, j, order))
-    return out
+def qpoch_series(a, q, n, order):
+    """(a;q)_n for monomials a and q; n=None means the infinite product.
+
+    A constant symbol (neither a nor q carries t) is a Fraction.  With q
+    constant the infinite product is Euler's sum_k (-a)^k q^binom(k,2)/(q;q)_k;
+    otherwise it is the product of its factors, the ones past the order
+    being 1 there.
+    """
+    (ac, aj), (qc, qj) = a, q
+    if aj == qj == 0:
+        if n is None:
+            raise DomainError("infinite product needs the variable in its argument")
+        return qpoch_r(Fraction(ac), Fraction(qc), n)
+    if n is None and qj == 0:
+        return _sum(order, lambda k: aj * k,
+                    lambda k, m: (-ac) ** k * qc ** (k * (k - 1) // 2) / qfac_r(qc, k))
+    out = [Fraction(1)] + [Fraction(0)] * order
+    k = 0
+    while (n is None or k < n) and aj + qj * k <= order:
+        j, c = aj + qj * k, ac * qc**k
+        for i in range(order, j - 1, -1):
+            if out[i - j]:
+                out[i] -= c * out[i - j]
+        k += 1
+    return FPS(out)
 
 
-# --- identity handlers ----------------------------------------------------------
+def airy_series(c, q, order):
+    """A_q(c) = sum_k q^(k^2) (-c)^k / (q;q)_k."""
+    (cc, cj), (qc, qj) = c, q
+    return _sum(order, lambda k: cj * k + qj * k * k,
+                lambda k, m: (-cc) ** k * qc ** (k * k) * _recip(qpoch_series(q, q, k, m)))
 
 
-def _check_scalar_family(pairs):
-    for idx, (lhs, rhs) in enumerate(pairs):
-        if lhs != rhs:
-            return {"equal": False, "first_mismatch": idx}
-    return {"equal": True, "first_mismatch": None}
+def phi11_series(a, b, z, q, order):
+    """1phi1(a; b; q, z) = sum_n (a;q)_n (-1)^n q^binom(n,2) z^n / ((q;q)_n (b;q)_n)."""
+    (zc, zj), (qc, qj) = z, q
 
+    def piece(n, m):
+        den = qpoch_series(q, q, n, m) * qpoch_series(b, q, n, m)
+        return qpoch_series(a, q, n, m) * _recip(den) * ((-zc) ** n * qc ** (n * (n - 1) // 2))
+
+    return _sum(order, lambda n: zj * n + qj * (n * (n - 1) // 2), piece)
+
+
+def laguerre_series(n, al, x, q, order):
+    """L_n^(al)(x;q) as (q^(al+1);q)_n sum_k q^(al k + k^2) (-x)^k / den_k.
+
+    den_k = (q;q)_k (q;q)_(n-k) (q^(al+1);q)_k.
+    """
+    (xc, xj), (qc, qj) = x, q
+    qa = _pow(q, al + 1)
+
+    def piece(k, m):
+        den = qpoch_series(q, q, k, m) * qpoch_series(q, q, n - k, m) * qpoch_series(qa, q, k, m)
+        return (-xc) ** k * qc ** (al * k + k * k) * _recip(den)
+
+    total = _sum(order, lambda k: xj * k + qj * (al * k + k * k), piece, n + 1)
+    return qpoch_series(qa, q, n, order) * total
+
+
+def sw_series(n, x, q, order):
+    """S_n(x;q) = sum_k q^(k^2) (-x)^k / ((q;q)_k (q;q)_(n-k))."""
+    (xc, xj), (qc, qj) = x, q
+    return _sum(order, lambda k: xj * k + qj * k * k,
+                lambda k, m: (-xc) ** k * qc ** (k * k)
+                * _recip(qpoch_series(q, q, k, m) * qpoch_series(q, q, n - k, m)), n + 1)
+
+
+def bessel2_body(mu, c, q, order):
+    """sum_n (-c)^n q^(n(n+mu)) (q^(mu+n+1);q)_inf / (q;q)_n.
+
+    Equals (q;q)_inf (2/z)^mu J2_mu(z;q) with (z/2)^2 = c.
+    """
+    (cc, cj), (qc, qj) = c, q
+    return _sum(order, lambda n: cj * n + qj * n * (n + mu),
+                lambda n, m: (-cc) ** n * qc ** (n * (n + mu))
+                * qpoch_series(_pow(q, mu + n + 1), q, None, m) * _recip(qpoch_series(q, q, n, m)))
+
+
+def bessel3_body(mu, c, q, order):
+    """sum_n q^binom(n+1,2) (-c)^n (q^(mu+n+1);q)_inf / (q;q)_n.
+
+    Equals (q;q)_inf (2/w)^mu J3_mu(w;q) with (w/2)^2 = c.
+    """
+    (cc, cj), (qc, qj) = c, q
+    return _sum(order, lambda n: cj * n + qj * (n * (n + 1) // 2),
+                lambda n, m: (-cc) ** n * qc ** (n * (n + 1) // 2)
+                * qpoch_series(_pow(q, mu + n + 1), q, None, m) * _recip(qpoch_series(q, q, n, m)))
+
+
+# --- identity handlers: (order, rational) -> (lhs, rhs) ------------------------
 
 def _h_qbinom1(order, q):
-    pairs = []
-    for n in range(order + 1):
-        lhs = sum(qbinom_r(n, k, q) * (-1) ** k for k in range(n + 1))
-        if n % 2:
-            rhs = Fraction(0)
-        else:
-            rhs = qfac_r(q, n) / qfac_r(q * q, n // 2)
-        pairs.append((lhs, rhs))
-    return _check_scalar_family(pairs)
+    rows = range(order + 1)
+    lhs = [sum(qbinom_r(n, k, q) * (-1) ** k for k in range(n + 1)) for n in rows]
+    rhs = [0 if n % 2 else qfac_r(q, n) / qfac_r(q * q, n // 2) for n in rows]
+    return FPS(lhs), FPS(rhs)
 
 
 def _h_qbinom2(order, p):
-    # working base p with q = p^4, so q^(n(n-s)) and q^(-s^2/4) are rational
+    # the rational is q^(1/4), so q^(n(n-s)) and q^(-s^2/4) are rational
     q = p**4
-    pairs = []
-    for s in range(order + 1):
-        lhs = Fraction(0)
-        for n in range(s + 1):
-            lhs += (Fraction(-1) ** n * q**(n * n) / q ** (n * s)
-                    / (qfac_r(q, n) * qfac_r(q, s - n)))
-        if s % 2:
-            rhs = Fraction(0)
-        else:
-            rhs = Fraction(-1) ** (s // 2) / p ** (s * s) / qfac_r(q * q, s // 2)
-        pairs.append((lhs, rhs))
-    return _check_scalar_family(pairs)
+    rows = range(order + 1)
+    lhs = [sum(Fraction(-1) ** n * q ** (n * n) / q ** (n * s) / (qfac_r(q, n) * qfac_r(q, s - n))
+               for n in range(s + 1)) for s in rows]
+    rhs = [0 if s % 2 else Fraction(-1) ** (s // 2) / p ** (s * s) / qfac_r(q * q, s // 2)
+           for s in rows]
+    return FPS(lhs), FPS(rhs)
 
 
 def _h_qbinom3(order, p):
-    # working base p with q = p^2
+    # the rational is q^(1/2)
     q = p * p
-    pairs = []
-    for n in range(order + 1):
-        lhs = sum(p**k / (qfac_r(q, k) * qfac_r(q, n - k)) for k in range(n + 1))
-        rhs = 1 / qfac_r(p, n)
-        pairs.append((lhs, rhs))
-    return _check_scalar_family(pairs)
+    rows = range(order + 1)
+    lhs = [sum(p**k / (qfac_r(q, k) * qfac_r(q, n - k)) for k in range(n + 1)) for n in rows]
+    return FPS(lhs), FPS([1 / qfac_r(p, n) for n in rows])
 
 
 def _h_triple_product(order, z):
-    # base-variable mode: theta sum in q with the argument fixed rational
-    if z == 0:
-        raise UnsupportedIdentityError("triple product needs z != 0")
-    lhs = FPS.zero(order)
-    n = 0
-    while n * n <= order:
-        if n == 0:
-            lhs = lhs + FPS.monomial(1, 0, order)
-        else:
-            lhs = lhs + FPS.monomial(z**n + z**-n, n * n, order)
-        n += 1
-    rhs = pochq(1, 2, order, step=2) * pochq(-z, 1, order, step=2) * pochq(
-        -1 / z, 1, order, step=2)
+    q2 = (1, 2)
+    lhs = _sum(order, lambda n: n * n, lambda n, m: z**n + z**-n if n else 1)
+    rhs = (qpoch_series(q2, q2, None, order) * qpoch_series((-z, 1), q2, None, order)
+           * qpoch_series((-1 / z, 1), q2, None, order))
     return lhs, rhs
 
 
 def _h_qhermite_genfun(order, q):
-    # variable t, x = 1 (theta = 0)
-    lhs = FPS.zero(order)
-    for n in range(order + 1):
-        lhs = lhs + FPS.monomial(qhermite_r(n, Fraction(1), q) / qfac_r(q, n), n, order)
-    rhs = qpoch_series_recip(1, 1, q, order)
-    return lhs, rhs * rhs
+    # x = 1 (theta = 0)
+    lhs = _sum(order, lambda n: n, lambda n, m: qhermite_r(n, 1, q) / qfac_r(q, n))
+    r = qpoch_series((1, 1), (q, 0), None, order).reciprocal()
+    return lhs, r * r
 
 
 def _h_qinvhermite_genfun(order, q):
-    rho = Fraction(3, 2)  # e^xi
-    lhs = qpoch_series(-rho, 1, q, None, order) * qpoch_series(1 / rho, 1, q, None, order)
-    rhs = FPS.zero(order)
-    for n in range(order + 1):
-        rhs = rhs + FPS.monomial(
-            q ** (n * (n - 1) // 2) * qhermite_inv_r(n, rho, q) / qfac_r(q, n), n, order)
+    rho, Q = Fraction(3, 2), (q, 0)  # e^xi
+    lhs = qpoch_series((-rho, 1), Q, None, order) * qpoch_series((1 / rho, 1), Q, None, order)
+    rhs = _sum(order, lambda n: n,
+               lambda n, m: q ** (n * (n - 1) // 2) * qhermite_inv_r(n, rho, q) / qfac_r(q, n))
     return lhs, rhs
 
 
 def _h_poisson_kernel(order, q):
-    rho, sig = Fraction(3, 2), Fraction(2, 3)  # e^xi, e^eta
-    lhs = FPS.zero(order)
-    for n in range(order + 1):
-        lhs = lhs + FPS.monomial(
-            qhermite_inv_r(n, rho, q) * qhermite_inv_r(n, sig, q)
-            * q ** (n * (n - 1) // 2) / qfac_r(q, n), n, order)
-    num = (qpoch_series(-rho * sig, 1, q, None, order)
-           * qpoch_series(-1 / (rho * sig), 1, q, None, order)
-           * qpoch_series(rho / sig, 1, q, None, order)
-           * qpoch_series(sig / rho, 1, q, None, order))
-    rhs = num * qpoch_series_recip(1 / q, 2, q, order)
-    return lhs, rhs
+    rho, sig, Q = Fraction(3, 2), Fraction(2, 3), (q, 0)  # e^xi, e^eta
+    lhs = _sum(order, lambda n: n,
+               lambda n, m: qhermite_inv_r(n, rho, q) * qhermite_inv_r(n, sig, q)
+               * q ** (n * (n - 1) // 2) / qfac_r(q, n))
+    num = (qpoch_series((-rho * sig, 1), Q, None, order)
+           * qpoch_series((-1 / (rho * sig), 1), Q, None, order)
+           * qpoch_series((rho / sig, 1), Q, None, order)
+           * qpoch_series((sig / rho, 1), Q, None, order))
+    return lhs, num * qpoch_series((1 / q, 2), Q, None, order).reciprocal()
 
 
 def _h_qlaguerre_genfun(order, q):
-    alpha = 1
-    x = Fraction(2, 3)
-    lhs = FPS.zero(order)
-    for n in range(order + 1):
-        lhs = lhs + FPS.monomial(qlaguerre_r(n, alpha, x, q) / q**n, n, order)
-    phi_part = FPS.zero(order)
-    for k in range(order + 1):
-        coeff = (qpoch_r(-x, q, k) * q ** (k * (k - 1) // 2) * (-q) ** k / qfac_r(q, k))
-        phi_part = phi_part + FPS.monomial(coeff, k, order)
-    rhs = qpoch_series_recip(1 / q, 1, q, order) * phi_part
+    al, x, Q = 1, Fraction(2, 3), (q, 0)
+    lhs = _sum(order, lambda n: n, lambda n, m: qlaguerre_r(n, al, x, q) / q**n)
+    rhs = (qpoch_series((1 / q, 1), Q, None, order).reciprocal()
+           * phi11_series((-x, 0), (0, 0), (q, 1), Q, order))
     return lhs, rhs
 
 
 def _h_series_cal_e_theta(order, p):
-    # working base p with q = p^4; theta = 0 so x = 1; variable t
+    # the rational is q^(1/4); x = 1 (theta = 0)
     q = p**4
-    lhs = FPS.zero(order)
-    for n in range(order + 1):
-        lhs = lhs + FPS.monomial(p ** (n * n) * qhermite_r(n, Fraction(1), q)
-                                 / qfac_r(q, n), n, order)
-    lhs = lhs * qpoch_series_recip(q, 2, q * q, order)
-    rhs = FPS.zero(order)
-    for k in range(order + 1):
-        tail = qpoch_series(-(q ** (k + 1)), 2, q * q, None, order)
-        rhs = rhs + tail.shift(k) * (p ** (k * k) * qpoch_r(-1, q, k) / qfac_r(q, k))
-    rhs = rhs * qpoch_series_recip(q, 2, q * q, order)
-    return lhs, rhs
+    q2 = (q * q, 0)
+    damp = qpoch_series((q, 2), q2, None, order).reciprocal()
+    lhs = _sum(order, lambda n: n,
+               lambda n, m: p ** (n * n) * qhermite_r(n, 1, q) / qfac_r(q, n))
+    rhs = _sum(order, lambda k: k,
+               lambda k, m: qpoch_series((-(q ** (k + 1)), 2), q2, None, m)
+               * (p ** (k * k) * qpoch_r(-1, q, k) / qfac_r(q, k)))
+    return lhs * damp, rhs * damp
 
 
 def _h_airy_mult(order, q):
-    b = Fraction(2, 3)
-    lhs = airy_series(b, 1, q, order)
-    rhs = FPS.zero(order)
-    for k in range(order + 1):
-        coeff = qpoch_r(b, q, k) * q ** (k * (k + 1) // 2) / qfac_r(q, k)
-        rhs = rhs + (airy_series(q**k, 1, q, order) * coeff).shift(k)
-    return lhs, rhs
+    b, Q = Fraction(2, 3), (q, 0)
+    rhs = _sum(order, lambda k: k,
+               lambda k, m: airy_series((q**k, 1), Q, m)
+               * (qpoch_r(b, q, k) * q ** (k * (k + 1) // 2) / qfac_r(q, k)))
+    return airy_series((b, 1), Q, order), rhs
 
 
 def _h_airy_unit(order, q):
-    lhs = FPS.const(1, order)
-    rhs = FPS.zero(order)
-    for k in range(order + 1):
-        coeff = q ** (k * (k + 1) // 2) / qfac_r(q, k)
-        rhs = rhs + (airy_series(q**k, 1, q, order) * coeff).shift(k)
-    return lhs, rhs
+    Q = (q, 0)
+    rhs = _sum(order, lambda k: k,
+               lambda k, m: airy_series((q**k, 1), Q, m)
+               * (q ** (k * (k + 1) // 2) / qfac_r(q, k)))
+    return FPS.const(1, order), rhs
 
 
 def _h_airy_two_param(order, q):
-    w = Fraction(1, 3)
-    lhs = airy_series(1, 1, q, order)
-    rhs = FPS.zero(order)
-    for k in range(order + 1):
-        coeff = q ** (k * k) * (-1) ** k * qpoch_r(w, q, k) / qfac_r(q, k)
-        rhs = rhs + (airy_series(w * q ** (2 * k), 1, q, order) * coeff).shift(k)
-    return lhs, rhs
+    w, Q = Fraction(1, 3), (q, 0)
+    rhs = _sum(order, lambda k: k,
+               lambda k, m: airy_series((w * q ** (2 * k), 1), Q, m)
+               * (q ** (k * k) * (-1) ** k * qpoch_r(w, q, k) / qfac_r(q, k)))
+    return airy_series((1, 1), Q, order), rhs
 
 
 def _h_airy_base_shift(order, q):
-    q2 = q * q
-    lhs = airy_series(1, 1, q, order) * qpoch_series_recip(q2, 1, q2, order)
-    rhs = FPS.zero(order)
-    for k in range(order + 1):
-        base = FPS.monomial(q ** (k * k) * (-1) ** k / qfac_r(q2, k), k, order)
-        finite = qpoch_series(q2, 1, q2, k, order)
-        rhs = rhs + base * finite.reciprocal()
-    return lhs, rhs
+    Q, q2 = (q, 0), (q * q, 0)
+    lhs = airy_series((1, 1), Q, order) * qpoch_series((q * q, 1), q2, None, order).reciprocal()
+    return lhs, phi11_series((0, 0), (q * q, 1), (q, 1), q2, order)
 
 
 def _h_sw_aq_ratio(order, q):
-    n = 3
-    lhs = (stieltjes_wigert_fps(n, FPS.monomial(1, 1, order), q) * qfac_r(q, n)
-           * qpoch_series_recip(-(q ** (n + 1)), 1, q, order))
-    rhs = FPS.zero(order)
-    for k in range(order + 1):
-        base = FPS.monomial(q ** (k * k) * (-1) ** k / qfac_r(q, k), k, order)
-        finite = qpoch_series(-(q ** (n + 1)), 1, q, k, order)
-        rhs = rhs + base * finite.reciprocal()
+    n, Q = 3, (q, 0)
+    b = (-(q ** (n + 1)), 1)
+    lhs = (sw_series(n, (1, 1), Q, order) * qfac_r(q, n)
+           * qpoch_series(b, Q, None, order).reciprocal())
+    rhs = _sum(order, lambda k: k,
+               lambda k, m: q ** (k * k) * (-1) ** k / qfac_r(q, k)
+               * qpoch_series(b, Q, k, m).reciprocal())
     return lhs, rhs
 
 
 def _h_sw_from_aq(order, q):
-    n = 3
-    lhs = stieltjes_wigert_fps(n, FPS.monomial(1, 1, order), q) * qfac_r(q, n)
-    rhs = FPS.zero(order)
-    for k in range(order + 1):
-        coeff = q ** (n * k) * q ** (k * (k + 1) // 2) / qfac_r(q, k)
-        rhs = rhs + (airy_series(q**k, 1, q, order) * coeff).shift(k)
-    return lhs, rhs
+    n, Q = 3, (q, 0)
+    rhs = _sum(order, lambda k: k,
+               lambda k, m: airy_series((q**k, 1), Q, m)
+               * (q ** (n * k) * q ** (k * (k + 1) // 2) / qfac_r(q, k)))
+    return sw_series(n, (1, 1), Q, order) * qfac_r(q, n), rhs
 
 
 def _h_sw_genfun(order, q):
-    x = Fraction(2, 3)
-    lhs = FPS.zero(order)
-    for n in range(order + 1):
-        lhs = lhs + FPS.monomial(stieltjes_wigert_r(n, x, q), n, order)
-    rhs = airy_series(x, 1, q, order) * qpoch_series_recip(1, 1, q, order)
-    return lhs, rhs
+    x, Q = Fraction(2, 3), (q, 0)
+    lhs = _sum(order, lambda n: n, lambda n, m: stieltjes_wigert_r(n, x, q))
+    return lhs, airy_series((x, 1), Q, order) * qpoch_series((1, 1), Q, None, order).reciprocal()
 
 
 def _h_laguerre_conn(order, q):
     al, be, n = 2, 1, 4
-    x = FPS.monomial(1, 1, order)
-    lhs = qlaguerre_fps(n, al, x, q) * (Fraction(1) / q ** (al * n))
-    rhs = FPS.zero(order)
-    for k in range(n + 1):
-        coeff = (qpoch_r(q ** (al - be), q, n - k) / qfac_r(q, n - k)
-                 / q ** (al * (n - k)) / q ** (be * k))
-        rhs = rhs + qlaguerre_fps(k, be, x, q) * coeff
+    x, Q = (1, 1), (q, 0)
+    lhs = laguerre_series(n, al, x, Q, order) * (1 / q ** (al * n))
+    rhs = sum((laguerre_series(k, be, x, Q, order)
+               * (qpoch_r(q ** (al - be), q, n - k) / qfac_r(q, n - k)
+                  / q ** (al * (n - k)) / q ** (be * k)) for k in range(n + 1)),
+              FPS.zero(order))
     return lhs, rhs
 
 
-def _h_laguerre_1(order, p):
-    # base-variable mode: x rational, alpha and n integers
-    x = Fraction(2, 3)
-    al, n = 1, 2
-    lhs = (pochq(1, al + n + 1, order) * qfac_series(n, order)
-           * laguerre_in_base(n, al, x, order)
-           * pochq(-x, al + n + 1, order).reciprocal())
-    rhs = FPS.zero(order)
-    k = 0
-    while k * (k - 1) // 2 + k * (al + 1) <= order:
-        coeff_power = k * (k - 1) // 2 + k * (al + 1)
-        num = pochq_fin(-x, 0, k, order)
-        den = (qfac_series(k, order) * pochq_fin(-x, al + n + 1, k, order))
-        rhs = rhs + (num * den.reciprocal() * Fraction(-1) ** k).shift(coeff_power)
-        k += 1
+def _h_laguerre_1(order, x):
+    al, n, q = 1, 2, _BASE
+    top = (-x, al + n + 1)
+    lhs = (qpoch_series((1, al + n + 1), q, None, order) * qpoch_series(q, q, n, order)
+           * laguerre_series(n, al, (x, 0), q, order)
+           * qpoch_series(top, q, None, order).reciprocal())
+    rhs = _sum(order, lambda k: k * (k - 1) // 2 + k * (al + 1),
+               lambda k, m: (-1) ** k * qpoch_series((-x, 0), q, k, m)
+               * (qpoch_series(q, q, k, m) * qpoch_series(top, q, k, m)).reciprocal())
     return lhs, rhs
 
 
-def qfac_series(n, order):
-    """(p;p)_n as a base-variable series."""
-    return pochq_fin(1, 1, n, order)
-
-
-def laguerre_in_base(n: int, al: int, x, order: int) -> FPS:
-    """L_n^(al)(x;q) as a series in the base, x rational, al integer."""
-    x = Fraction(x)
-    pref = pochq_fin(1, al + 1, n, order)
-    total = FPS.zero(order)
-    for k in range(n + 1):
-        num = FPS.monomial((-x) ** k, al * k + k * k, order)
-        den = (qfac_series(k, order) * qfac_series(n - k, order)
-               * pochq_fin(1, al + 1, k, order))
-        total = total + num * den.reciprocal()
-    return pref * total
-
-
-def sw_in_base(n: int, x, order: int, scale_power: int = 0) -> FPS:
-    """S_n(x p^scale;q) as a series in the base, x rational."""
-    x = Fraction(x)
-    total = FPS.zero(order)
-    for k in range(n + 1):
-        coeff = (qfac_series(n, order)
-                 * (qfac_series(k, order) * qfac_series(n - k, order)).reciprocal())
-        total = total + (coeff * (-x) ** k).shift(k * k + scale_power * k)
-    return total * qfac_series(n, order).reciprocal()
-
-
-def airy_in_base(c, shift_power: int, order: int) -> FPS:
-    """A_q(c p^shift) as a series in the base, c rational."""
-    c = Fraction(c)
-    total = FPS.zero(order)
-    k = 0
-    while k * k + shift_power * k <= order:
-        piece = qfac_series(k, order).reciprocal() * (-c) ** k
-        total = total + piece.shift(k * k + shift_power * k)
-        k += 1
-    return total
-
-
-def _h_laguerre_2(order, p):
-    x = Fraction(2, 3)
-    al, n = 1, 2
-    lhs = pochq_fin(1, al + 1, n, order) * qfac_series(n, order).reciprocal()
-    rhs = FPS.zero(order)
-    k = 0
-    while k * (k - 1) // 2 + k * (al + 1) <= order:
-        power = k * (k - 1) // 2 + k * (al + 1)
-        coeff = (pochq_fin(1, n, k, order) * x**k
-                 * (qfac_series(k, order) * pochq_fin(1, al + n + 1, k, order)).reciprocal())
-        rhs = rhs + (coeff * laguerre_in_base(n, al + k, x, order)).shift(power)
-        k += 1
+def _h_laguerre_2(order, x):
+    al, n, q = 1, 2, _BASE
+    lhs = qpoch_series((1, al + 1), q, n, order) * qpoch_series(q, q, n, order).reciprocal()
+    rhs = _sum(order, lambda k: k * (k - 1) // 2 + k * (al + 1),
+               lambda k, m: x**k * qpoch_series((1, n), q, k, m)
+               * (qpoch_series(q, q, k, m) * qpoch_series((1, al + n + 1), q, k, m)).reciprocal()
+               * laguerre_series(n, al + k, (x, 0), q, m))
     return lhs, rhs
 
 
-def _h_laguerre_3(order, p):
-    x = Fraction(2, 3)
-    al, be, n = 1, 2, 2
-    lhs = (pochq(1, al + n + 1, order) * pochq(1, be + n + 1, order).reciprocal()
-           * laguerre_in_base(n, al, x, order))
-    rhs = FPS.zero(order)
-    k = 0
-    while k * (k - 1) // 2 + k * (al + 1) <= order:
-        power = k * (k - 1) // 2 + k * (al + 1)
-        coeff = (pochq_fin(1, be - al, k, order) * Fraction(-1) ** k
-                 * (qfac_series(k, order) * pochq_fin(1, be + n + 1, k, order)).reciprocal())
-        # x q^(al-be): the shifted order be+k >= 2 keeps every power nonnegative
-        rhs = rhs + (coeff * laguerre_in_base_scaled(n, be + k, x, al - be, order)).shift(power)
-        k += 1
+def _h_laguerre_3(order, x):
+    al, be, n, q = 1, 2, 2, _BASE
+    lhs = (qpoch_series((1, al + n + 1), q, None, order)
+           * qpoch_series((1, be + n + 1), q, None, order).reciprocal()
+           * laguerre_series(n, al, (x, 0), q, order))
+    # x q^(al-be): the shifted order be+k >= 2 keeps every power nonnegative
+    rhs = _sum(order, lambda k: k * (k - 1) // 2 + k * (al + 1),
+               lambda k, m: (-1) ** k * qpoch_series((1, be - al), q, k, m)
+               * (qpoch_series(q, q, k, m) * qpoch_series((1, be + n + 1), q, k, m)).reciprocal()
+               * laguerre_series(n, be + k, (x, al - be), q, m))
     return lhs, rhs
 
 
-def laguerre_in_base_scaled(n: int, al: int, x, xshift: int, order: int) -> FPS:
-    """L_n^(al)(x p^xshift; q) in the base variable; needs al + xshift >= -1."""
-    x = Fraction(x)
-    if al + xshift < -1:
-        raise DomainError("scaled q-Laguerre would leave the series ring")
-    pref = pochq_fin(1, al + 1, n, order)
-    total = FPS.zero(order)
-    for k in range(n + 1):
-        num = FPS.monomial((-x) ** k, al * k + k * k + xshift * k, order)
-        den = (qfac_series(k, order) * qfac_series(n - k, order)
-               * pochq_fin(1, al + 1, k, order))
-        total = total + num * den.reciprocal()
-    return pref * total
+def _h_laguerre_4(order, x):
+    al, n, q = 1, 2, _BASE
+    rhs = _sum(order, lambda k: k * (k - 1) // 2 + k * (al + 1),
+               lambda k, m: (-1) ** k * qpoch_series(q, q, k, m).reciprocal()
+               * sw_series(n, (x, k + al), q, m))
+    rhs = rhs * qpoch_series((1, al + n + 1), q, None, order).reciprocal()
+    return laguerre_series(n, al, (x, 0), q, order), rhs
 
 
-def _h_laguerre_4(order, p):
-    x = Fraction(2, 3)
-    al, n = 1, 2
-    lhs = laguerre_in_base(n, al, x, order)
-    rhs = FPS.zero(order)
-    k = 0
-    while k * (k - 1) // 2 + k * (al + 1) <= order:
-        power = k * (k - 1) // 2 + k * (al + 1)
-        coeff = Fraction(-1) ** k * qfac_series(k, order).reciprocal()
-        rhs = rhs + (coeff * sw_in_base(n, x, order, scale_power=k + al)).shift(power)
-        k += 1
-    rhs = rhs * pochq(1, al + n + 1, order).reciprocal()
+def _h_laguerre_5(order, x):
+    al, n, q = 1, 2, _BASE
+    lhs = (sw_series(n, (x, al), q, order)
+           * qpoch_series((1, al + n + 1), q, None, order).reciprocal())
+    rhs = _sum(order, lambda k: k * k + k * al,
+               lambda k, m: (qpoch_series(q, q, k, m)
+                             * qpoch_series((1, al + n + 1), q, k, m)).reciprocal()
+               * laguerre_series(n, al + k, (x, 0), q, m))
     return lhs, rhs
 
 
-def _h_laguerre_5(order, p):
-    x = Fraction(2, 3)
-    al, n = 1, 2
-    lhs = sw_in_base(n, x, order, scale_power=al) * pochq(1, al + n + 1, order).reciprocal()
-    rhs = FPS.zero(order)
-    k = 0
-    while k * k + k * al <= order:
-        power = k * k + k * al
-        coeff = (qfac_series(k, order) * pochq_fin(1, al + n + 1, k, order)).reciprocal()
-        rhs = rhs + (coeff * laguerre_in_base(n, al + k, x, order)).shift(power)
-        k += 1
-    return lhs, rhs
+def _h_specialvalue(order, z):
+    nu, q = 1, _BASE
+    rhs = _sum(order, lambda k: k * (k - 1) // 2 + k * (nu + 1),
+               lambda k, m: (-1) ** k * qpoch_series((z * z, 0), q, k, m)
+               * qpoch_series(q, q, k, m).reciprocal())
+    return bessel2_body(nu, (-z * z, 0), q, order), rhs
 
 
-def _h_specialvalue(order, p):
-    z = Fraction(2, 3)
-    nu = 1
-    lhs = FPS.zero(order)
-    n = 0
-    while n * (n + nu) <= order:
-        coeff = z ** (2 * n) * qfac_series(n, order).reciprocal()
-        lhs = lhs + (coeff * pochq(1, nu + n + 1, order)).shift(n * (n + nu))
-        n += 1
-    rhs = FPS.zero(order)
-    k = 0
-    while k * (k - 1) // 2 + k * (nu + 1) <= order:
-        power = k * (k - 1) // 2 + k * (nu + 1)
-        coeff = pochq_fin(z * z, 0, k, order) * Fraction(-1) ** k \
-            * qfac_series(k, order).reciprocal()
-        rhs = rhs + coeff.shift(power)
-        k += 1
-    return lhs, rhs
+def _h_bessel_airy_a(order, z):
+    nu, q = 1, _BASE
+    rhs = _sum(order, lambda k: k * (k + 1) // 2 + nu * k,
+               lambda k, m: (-1) ** k * qpoch_series(q, q, k, m).reciprocal()
+               * airy_series((z * z, nu + k), q, m))
+    return bessel2_body(nu, (z * z, 0), q, order), rhs
 
 
-def bessel2_body_in_base(mu: int, c, cshift: int, order: int) -> FPS:
-    """(q^(mu+1);q)_inf * sum_n (-c p^cshift)^n q^(n(n+mu))/((q;q)_n (q^(mu+1);q)_n).
-
-    Equals (q;q)_inf (2/z)^mu J2_mu(z;q) with (z/2)^2 = c p^cshift.
-    """
-    c = Fraction(c)
-    out = FPS.zero(order)
-    n = 0
-    while n * (n + mu) + cshift * n <= order:
-        coeff = ((-c) ** n
-                 * (qfac_series(n, order)).reciprocal())
-        piece = coeff * pochq(1, mu + n + 1, order)
-        out = out + piece.shift(n * (n + mu) + cshift * n)
-        n += 1
-    return out
+def _h_bessel_airy_b(order, z):
+    nu, q = 1, _BASE
+    rhs = _sum(order, lambda k: k * k + nu * k,
+               lambda k, m: qpoch_series(q, q, k, m).reciprocal()
+               * bessel2_body(k + nu, (z * z, 0), q, m))
+    return airy_series((z * z, nu), q, order), rhs
 
 
-def _h_bessel_airy_a(order, p):
-    z = Fraction(2, 3)
-    nu = 1
-    lhs = bessel2_body_in_base(nu, z * z, 0, order)
-    rhs = FPS.zero(order)
-    k = 0
-    while k * (k + 1) // 2 + nu * k <= order:
-        power = k * (k + 1) // 2 + nu * k
-        coeff = Fraction(-1) ** k * qfac_series(k, order).reciprocal()
-        rhs = rhs + (coeff * airy_in_base(z * z, nu + k, order)).shift(power)
-        k += 1
-    return lhs, rhs
+def _h_bessel_poch_series(order, z):
+    nu, q, c = 1, _BASE, z * z / 4
+    rhs = _sum(order, lambda k: k * (k + 1) // 2 + nu * k,
+               lambda k, m: (-1) ** k * qpoch_series((-c, 0), q, k, m)
+               * qpoch_series(q, q, k, m).reciprocal())
+    return bessel2_body(nu, (c, 0), q, order), rhs
 
 
-def _h_bessel_airy_b(order, p):
-    z = Fraction(2, 3)
-    nu = 1
-    lhs = airy_in_base(z * z, nu, order)
-    rhs = FPS.zero(order)
-    k = 0
-    while k * k + nu * k <= order:
-        power = k * k + nu * k
-        coeff = qfac_series(k, order).reciprocal()
-        rhs = rhs + (coeff * bessel2_body_in_base(k + nu, z * z, 0, order)).shift(power)
-        k += 1
-    return lhs, rhs
-
-
-def _h_bessel_poch_series(order, p):
-    z = Fraction(2, 3)
-    nu = 1
-    lhs = bessel2_body_in_base(nu, z * z / 4, 0, order)
-    rhs = FPS.zero(order)
-    k = 0
-    while k * (k + 1) // 2 + nu * k <= order:
-        power = k * (k + 1) // 2 + nu * k
-        coeff = (pochq_fin(-z * z / 4, 0, k, order) * Fraction(-1) ** k
-                 * qfac_series(k, order).reciprocal())
-        rhs = rhs + coeff.shift(power)
-        k += 1
-    return lhs, rhs
-
-
-def _h_bessel_unit_series(order, p):
-    z = Fraction(2, 3)
-    nu = 1
-    lhs = pochq(1, nu + 1, order)
-    rhs = FPS.zero(order)
-    k = 0
-    while k * (k + 1) // 2 + nu * k <= order:
-        power = k * (k + 1) // 2 + nu * k
-        coeff = qfac_series(k, order).reciprocal() * (z * z / 4) ** k
-        rhs = rhs + (coeff * bessel2_body_in_base(k + nu, z * z / 4, 0, order)).shift(power)
-        k += 1
-    return lhs, rhs
+def _h_bessel_unit_series(order, z):
+    nu, q, c = 1, _BASE, z * z / 4
+    rhs = _sum(order, lambda k: k * (k + 1) // 2 + nu * k,
+               lambda k, m: c**k * qpoch_series(q, q, k, m).reciprocal()
+               * bessel2_body(k + nu, (c, 0), q, m))
+    return qpoch_series((1, nu + 1), q, None, order), rhs
 
 
 def _h_confluent_airy(order, q):
-    a = Fraction(1, 2)
-    lhs_phi = FPS.zero(order)
-    for n in range(order + 1):
-        coeff = qpoch_r(a, q, n) * q ** (n * (n - 1) // 2) / qfac_r(q, n)
-        finite = qpoch_series(1, 1, q, n, order)  # (z;q)_n in the denominator
-        lhs_phi = lhs_phi + (finite.reciprocal() * coeff).shift(n)
-    lhs = qpoch_series(1, 1, q, None, order) * lhs_phi
-    rhs = FPS.zero(order)
-    q2 = q * q
-    k = 0
-    while 2 * k <= order:
-        coeff = q ** (2 * k * k - k) / qfac_r(q2, k)
-        rhs = rhs + (airy_series(q ** (2 * k - 1) * a, 1, q, order) * coeff).shift(2 * k)
-        k += 1
+    a, Q = Fraction(1, 2), (q, 0)
+    lhs = qpoch_series((1, 1), Q, None, order) * phi11_series((a, 0), (1, 1), (-1, 1), Q, order)
+    rhs = _sum(order, lambda k: 2 * k,
+               lambda k, m: airy_series((q ** (2 * k - 1) * a, 1), Q, m)
+               * (q ** (2 * k * k - k) / qfac_r(q * q, k)))
     return lhs, rhs
 
 
-def _h_confluent_param_shift(order, p):
-    # base-variable mode with d = q^2, so every sum truncates in the order
-    a, b, z = Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)
-
-    def phi11_base(upper_c, lower_c, lower_j, arg_c, arg_j):
-        # 1phi1(upper_c; lower_c p^lower_j; p, arg_c p^arg_j) in the base
-        out = FPS.zero(order)
-        n = 0
-        while n * (n - 1) // 2 + arg_j * n <= order:
-            num = pochq_fin(upper_c, 0, n, order) * (-arg_c) ** n
-            den = qfac_series(n, order) * pochq_fin(lower_c, lower_j, n, order)
-            out = out + (num * den.reciprocal()).shift(n * (n - 1) // 2 + arg_j * n)
-            n += 1
-        return out
-
-    lhs = phi11_base(a, b, 0, z, 0)
-    rhs = FPS.zero(order)
-    k = 0
-    while k * (k - 1) // 2 <= order:
-        coeff = (pochq_fin(1, 2, k, order) * (-b) ** k
-                 * (qfac_series(k, order) * pochq_fin(b, 2, k, order)).reciprocal())
-        rhs = rhs + (coeff * phi11_base(a, b, k + 2, z, k)).shift(k * (k - 1) // 2)
-        k += 1
-    rhs = rhs * pochq_fin(b, 0, 2, order).reciprocal()
-    return lhs, rhs
+def _h_confluent_param_shift(order, z):
+    # d = q^2, so every sum truncates in the order
+    a, b, q = Fraction(1, 2), Fraction(1, 3), _BASE
+    rhs = _sum(order, lambda k: k * (k - 1) // 2,
+               lambda k, m: (-b) ** k * qpoch_series((1, 2), q, k, m)
+               * (qpoch_series(q, q, k, m) * qpoch_series((b, 2), q, k, m)).reciprocal()
+               * phi11_series((a, 0), (b, k + 2), (z, k), q, m))
+    rhs = rhs * qpoch_series((b, 0), q, 2, order).reciprocal()
+    return phi11_series((a, 0), (b, 0), (z, 0), q, order), rhs
 
 
 def _h_confluent_arg_shift(order, q):
-    a, b, w = Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)
+    a, b, w, Q = Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), (q, 0)
+    rhs = _sum(order, lambda k: k,
+               lambda k, m: phi11_series((a, 0), (b * q**k, 0), (w * q**k, 1), Q, m)
+               * (qpoch_r(w, q, k) * (-1) ** k * q ** (k * (k - 1) // 2)
+                  / (qfac_r(q, k) * qpoch_r(b, q, k))))
+    return phi11_series((a * w, 0), (b, 0), (1, 1), Q, order), rhs
 
-    def phi11_series(av_ratio, bv, arg_coeff):
-        # 1phi1(av; bv; q, arg_coeff * z) as FPS in z
-        out = FPS.zero(order)
-        for n in range(order + 1):
-            coeff = (qpoch_r(av_ratio, q, n) * q ** (n * (n - 1) // 2) * (-arg_coeff) ** n
-                     / (qfac_r(q, n) * qpoch_r(bv, q, n)))
-            out = out + FPS.monomial(coeff, n, order)
-        return out
 
-    lhs = phi11_series(a * w, b, 1)
-    rhs = FPS.zero(order)
-    for k in range(order + 1):
-        coeff = (qpoch_r(w, q, k) * Fraction(-1) ** k * q ** (k * (k - 1) // 2)
-                 / (qfac_r(q, k) * qpoch_r(b, q, k)))
-        inner = phi11_series(a, b * q**k, w * q**k)
-        rhs = rhs + (inner * coeff).shift(k)
+def _h_confluent_bessel(order, z):
+    a, nu, q = Fraction(1, 2), 1, _BASE
+    lhs = (qpoch_series((1, nu + 1), q, None, order)
+           * phi11_series((-a, nu + 1), (1, nu + 1), (z, 0), q, order))
+    rhs = _sum(order, lambda k: k * (k - 1) // 2,
+               lambda k, m: (-z) ** k * qpoch_series(q, q, k, m).reciprocal()
+               * bessel2_body(nu + k, (a * z, 0), q, m))
     return lhs, rhs
 
 
-def _h_confluent_bessel(order, p):
-    a, z = Fraction(1, 2), Fraction(2, 3)
-    nu = 1
-    lhs = FPS.zero(order)
-    n = 0
-    while n * (n - 1) // 2 <= order:
-        coeff = (-z) ** n
-        piece = (pochq_fin(-a, nu + 1, n, order) * pochq(1, nu + n + 1, order)
-                 * qfac_series(n, order).reciprocal() * coeff)
-        lhs = lhs + piece.shift(n * (n - 1) // 2)
-        n += 1
-    rhs = FPS.zero(order)
-    k = 0
-    while k * (k - 1) // 2 <= order:
-        coeff = (-z) ** k
-        piece = (bessel2_body_in_base(nu + k, a * z, 0, order)
-                 * qfac_series(k, order).reciprocal() * coeff)
-        rhs = rhs + piece.shift(k * (k - 1) // 2)
-        k += 1
-    return lhs, rhs
-
-
-# --- kind-2 q-Bessel expansions in the base variable ---------------------------
-
-def _h_bessel_mult(order, p):
-    w, z = Fraction(1, 2), Fraction(2, 3)
-    nu = 1
-    lhs = bessel2_body_in_base(nu, w * w * z * z / 4, 0, order)
-    rhs = FPS.zero(order)
-    k = 0
-    while k * (k + 1) // 2 + nu * k <= order:
-        power = k * (k + 1) // 2 + nu * k
-        coeff = (pochq_fin(z * z, 0, k, order) * (w * w / 4) ** k
-                 * qfac_series(k, order).reciprocal())
-        rhs = rhs + (coeff * bessel2_body_in_base(nu + k, w * w / 4, 0, order)).shift(power)
-        k += 1
-    return lhs, rhs
+def _h_bessel_mult(order, z):
+    w, nu, q = Fraction(1, 2), 1, _BASE
+    rhs = _sum(order, lambda k: k * (k + 1) // 2 + nu * k,
+               lambda k, m: (w * w / 4) ** k * qpoch_series((z * z, 0), q, k, m)
+               * qpoch_series(q, q, k, m).reciprocal()
+               * bessel2_body(nu + k, (w * w / 4, 0), q, m))
+    return bessel2_body(nu, (w * w * z * z / 4, 0), q, order), rhs
 
 
 def _h_bessel_laguerre_genfun(order, q):
-    # argument-variable mode in w: S((wz)^2) = (w^2;q)_inf sum_n L_n w^(2n)/(q^(nu+1);q)_n
-    z = Fraction(2, 3)
-    nu = 1
-    lhs = FPS.zero(order)
-    n = 0
-    while 2 * n <= order:
-        coeff = ((-1) ** n * (z * z) ** n * q ** (n * (n + nu))
-                 / (qfac_r(q, n) * qpoch_r(q ** (nu + 1), q, n)))
-        lhs = lhs + FPS.monomial(coeff, 2 * n, order)
-        n += 1
-    rhs = FPS.zero(order)
-    n = 0
-    while 2 * n <= order:
-        coeff = qlaguerre_r(n, nu, z * z, q) / qpoch_r(q ** (nu + 1), q, n)
-        rhs = rhs + FPS.monomial(coeff, 2 * n, order)
-        n += 1
-    return lhs, qpoch_series(1, 2, q, None, order) * rhs
+    # S((wz)^2) = (w^2;q)_inf sum_n L_n w^(2n)/(q^(nu+1);q)_n in the variable w
+    z, nu = Fraction(2, 3), 1
+    lhs = _sum(order, lambda n: 2 * n,
+               lambda n, m: (-1) ** n * (z * z) ** n * q ** (n * (n + nu))
+               / (qfac_r(q, n) * qpoch_r(q ** (nu + 1), q, n)))
+    rhs = _sum(order, lambda n: 2 * n,
+               lambda n, m: qlaguerre_r(n, nu, z * z, q) / qpoch_r(q ** (nu + 1), q, n))
+    return lhs, qpoch_series((1, 2), (q, 0), None, order) * rhs
 
 
-def _h_bessel_laguerre_inverse(order, p):
-    # base-variable mode: L_n^(al)(z^2/4) (z/2)^al (q^(al+n+1);q)_inf (q;q)_inf =
+def _h_bessel_laguerre_inverse(order, z):
+    # L_n^(al)(z^2/4) (z/2)^al (q^(al+n+1);q)_inf (q;q)_inf =
     #   (q^(n+1);q)_inf sum_k q^binom(k+1,2) (z q^(al+n)/2)^k (z/2)^(al+k) B2body-parts
-    z = Fraction(2, 3)
-    al, n = 1, 2
-    lhs = (laguerre_in_base(n, al, z * z / 4, order) * (z / 2) ** al
-           * pochq(1, al + n + 1, order))
-    rhs = FPS.zero(order)
-    k = 0
-    while k * (k + 1) // 2 + k * (al + n) <= order:
-        power = k * (k + 1) // 2 + k * (al + n)
-        coeff = (z / 2) ** (2 * k) * (z / 2) ** al * qfac_series(k, order).reciprocal()
-        rhs = rhs + (coeff * bessel2_body_in_base(k + al, z * z / 4, 0, order)).shift(power)
-        k += 1
-    rhs = rhs * pochq(1, n + 1, order) * pochq(1, 1, order).reciprocal()
+    al, n, q, c = 1, 2, _BASE, z * z / 4
+    lhs = (laguerre_series(n, al, (c, 0), q, order) * (z / 2) ** al
+           * qpoch_series((1, al + n + 1), q, None, order))
+    rhs = _sum(order, lambda k: k * (k + 1) // 2 + k * (al + n),
+               lambda k, m: (z / 2) ** (2 * k) * (z / 2) ** al
+               * qpoch_series(q, q, k, m).reciprocal() * bessel2_body(k + al, (c, 0), q, m))
+    rhs = (rhs * qpoch_series((1, n + 1), q, None, order)
+           * qpoch_series(q, q, None, order).reciprocal())
     return lhs, rhs
 
 
-# --- kind-3 q-Bessel expansions in the half-power base --------------------------
-
-def bessel3_body_in_base(mu: int, c, cshift: int, order: int, qpow: int = 2) -> FPS:
-    """(p^qpow;p^qpow)_inf (2/w)^mu J3_mu(w;q) with (w/2)^2 = c p^cshift, q = p^qpow.
-
-    Series sum_n q^binom(n+1,2) (-c p^cshift)^n (q^(mu+n+1);q)_inf/(q;q)_n
-    in the base p; all exponents are integers when qpow divides evenly.
-    """
-    c = Fraction(c)
-    out = FPS.zero(order)
-    n = 0
-    while qpow * (n * (n + 1) // 2) + cshift * n <= order:
-        coeff = (-c) ** n
-        den = pochq_fin(1, qpow, n, order, step=qpow).reciprocal()
-        tail = pochq(1, qpow * (mu + n + 1), order, step=qpow)
-        piece = (den * tail * coeff).shift(qpow * (n * (n + 1) // 2) + cshift * n)
-        out = out + piece
-        n += 1
-    return out
-
-
-def _h_bessel3_product_series(order, p):
-    # base variable with q = p^2 so half-integer powers are integral in p
-    z = Fraction(2, 3)
-    nu = 1
-    lhs = pochq(z * z, 2, order, step=2)
-    rhs = FPS.zero(order)
-    n = 0
-    while 2 * n * (n + nu) <= order:
-        den = pochq_fin(1, 2, n, order, step=2).reciprocal()
-        # q^(n(n+nu)) in the half-power base is p^(2n(n+nu))
-        piece = (bessel3_body_in_base(nu + n, z * z, 2 * n, order)
-                 * den).shift(2 * n * (n + nu))
-        rhs = rhs + piece
-        n += 1
-    return lhs, rhs
+def _h_bessel3_product_series(order, z):
+    nu, q = 1, _ROOT
+    rhs = _sum(order, lambda n: 2 * n * (n + nu),
+               lambda n, m: qpoch_series(q, q, n, m).reciprocal()
+               * bessel3_body(nu + n, (z * z, 2 * n), q, m))
+    return qpoch_series((z * z, 2), q, None, order), rhs
 
 
 def _h_confluent_bessel_sqrt(order, p):
-    # variable z with base p, q = p^2: both sides are series in z
-    q = p * p
-    nu = 1
-
-    def phi_term_series():
-        out = FPS.zero(order)
-        for k in range(order + 1):
-            inner = FPS.zero(order)
-            m = 0
-            while m + k <= order:
-                cm = (q ** (m * (m - 1) // 2) * (-1) ** m * p ** (2 * m * (k + 1))
-                      / (qfac_r(q, m) * qpoch_r(q ** (nu + k + 1), q, m)))
-                # upper parameter -q^(nu+1) z/4 contributes (a;q)_m as a z-polynomial
-                am = FPS.const(1, order)
-                for j in range(m):
-                    am = am * (FPS.const(1, order)
-                               + FPS.monomial(q ** (nu + 1 + j) / 4, 1, order))
-                inner = inner + (am * cm).shift(m)
-                m += 1
-            coeff = q ** (k * k) / (qfac_r(q, k) * qpoch_r(q ** (nu + 1), q, k))
-            out = out + (inner * coeff).shift(k)
-        return out
-
-    rhs = phi_term_series()
-    lhs = FPS.zero(order)
-    n = 0
-    while 2 * n <= order:
-        coeff = ((-1) ** n * p ** (2 * n * (n + nu) + 2 * n) / Fraction(4) ** n
-                 / (qfac_r(q, n) * qpoch_r(q ** (nu + 1), q, n)))
-        lhs = lhs + FPS.monomial(coeff, 2 * n, order)
-        n += 1
+    # variable z; the rational is q^(1/2)
+    q, nu, Q = p * p, 1, (p * p, 0)
+    lhs = _sum(order, lambda n: 2 * n,
+               lambda n, m: (-1) ** n * p ** (2 * n * (n + nu) + 2 * n) / Fraction(4) ** n
+               / (qfac_r(q, n) * qpoch_r(q ** (nu + 1), q, n)))
+    # the upper parameter -q^(nu+1) z/4 carries the variable
+    rhs = _sum(order, lambda k: k,
+               lambda k, m: phi11_series((-(q ** (nu + 1)) / 4, 1), (q ** (nu + k + 1), 0),
+                                         (q ** (k + 1), 1), Q, m)
+               * (q ** (k * k) / (qfac_r(q, k) * qpoch_r(q ** (nu + 1), q, k))))
     return lhs, rhs
 
 
 def _h_laguerre_phi11_series(order, p):
-    # variable x with base p, q = p^2: alpha and n integers
-    q = p * p
-    al, n = 1, 2
-    lhs = qlaguerre_fps(n, al, FPS.monomial(1, 1, order), q) * (
-        qfac_r(q, n) / qpoch_r(q ** (al + 1), q, n))
-    rhs = FPS.zero(order)
-    for k in range(order + 1):
-        coeff_num = Fraction(1)
-        # (-q^(-al-n-1/2);q)_k = prod (1 + p^(-2al-2n-1+2j)) -- rational in p
-        for j in range(k):
-            coeff_num *= 1 + p ** (2 * j - 2 * al - 2 * n - 1)
-        coeff = (coeff_num * p ** ((k + 2 * al + 2 * n + 1) * k)
-                 / (qfac_r(q, k) * qpoch_r(q ** (al + 1), q, k)))
-        inner = FPS.zero(order)
-        m = 0
-        while m + k <= order:
-            cm = (qpoch_r(-(p ** (2 * al + 1)), q, m) * q ** (m * (m - 1) // 2)
-                  * (-1) ** m * p ** (m * (2 * k + 1))
-                  / (qfac_r(q, m) * qpoch_r(q ** (al + k + 1), q, m)))
-            inner = inner + FPS.monomial(cm, m, order)
-            m += 1
-        rhs = rhs + (inner * coeff).shift(k)
+    # variable x; the rational is q^(1/2), so (-q^(-al-n-1/2);q)_k is rational
+    q, al, n, Q = p * p, 1, 2, (p * p, 0)
+    lhs = laguerre_series(n, al, (1, 1), Q, order) * (qfac_r(q, n) / qpoch_r(q ** (al + 1), q, n))
+    rhs = _sum(order, lambda k: k,
+               lambda k, m: phi11_series((-(p ** (2 * al + 1)), 0), (q ** (al + k + 1), 0),
+                                         (p ** (2 * k + 1), 1), Q, m)
+               * (qpoch_r(-(p ** (-2 * al - 2 * n - 1)), q, k)
+                  * p ** ((k + 2 * al + 2 * n + 1) * k)
+                  / (qfac_r(q, k) * qpoch_r(q ** (al + 1), q, k))))
     return lhs, rhs
 
 
-
-# --- remaining kind-2/kind-3 connections in the half-power base ------------------
-
-def _h_bessel_order_shift(order, p):
-    # base variable with q = p^2; the terminating factor is rewritten as
+def _h_bessel_order_shift(order, z):
+    # the terminating factor is rewritten as
     # (q^-nu;q)_k = (-1)^k q^(binom(k,2)-nu k) (q^(nu-k+1);q)_k so that all
     # exponents stay nonnegative; both sides carry a common p^(nu alpha)
-    z = Fraction(2, 3)
-    nu, al = 2, 1
-    lhs = bessel2_body_in_base_p(nu + al, z * z / 4, 0, order).shift(nu * al)
-    rhs = FPS.zero(order)
-    for k in range(nu + 1):
-        coeff = pochq_fin(1, 2 * (nu - k + 1), k, order, step=2)
-        den = pochq_fin(1, 2, k, order, step=2).reciprocal()
-        piece = coeff * den * bessel2_body_in_base_p(al + k, z * z / 4, 2 * nu, order)
-        rhs = rhs + piece.shift(2 * (k * k + k * al) + nu * al)
+    nu, al, q, c = 2, 1, _ROOT, z * z / 4
+    lhs = bessel2_body(nu + al, (c, 0), q, order).shift(nu * al)
+    rhs = _sum(order, lambda k: 2 * (k * k + k * al) + nu * al,
+               lambda k, m: qpoch_series((1, 2 * (nu - k + 1)), q, k, m)
+               * qpoch_series(q, q, k, m).reciprocal() * bessel2_body(al + k, (c, 2 * nu), q, m),
+               nu + 1)
     return lhs, rhs
 
 
-def bessel2_body_in_base_p(mu: int, c, cshift: int, order: int, qpow: int = 2) -> FPS:
-    """(q;q)_inf (2/w)^mu J2_mu(w;q) in base p with q = p^qpow, (w/2)^2 = c p^cshift."""
-    c = Fraction(c)
-    out = FPS.zero(order)
-    n = 0
-    while qpow * n * (n + mu) + cshift * n <= order:
-        den = pochq_fin(1, qpow, n, order, step=qpow).reciprocal()
-        tail = pochq(1, qpow * (mu + n + 1), order, step=qpow)
-        out = out + ((-c) ** n * den * tail).shift(qpow * n * (n + mu) + cshift * n)
-        n += 1
-    return out
+def _h_bessel3_order_conn(order, z):
+    # mu >= nu integers so the connection coefficients stay polynomial
+    nu, mu, q = 1, 2, _ROOT
+    rhs = _sum(order, lambda n: n * (2 * nu + 1) + n * n,
+               lambda n, m: (-1) ** n * qpoch_series((1, 2 * (mu - nu)), q, n, m)
+               * qpoch_series(q, q, n, m).reciprocal()
+               * bessel3_body(mu + n, (z * z, 2 * n), q, m))
+    return bessel3_body(nu, (z * z, 0), q, order), rhs
 
 
-def _h_bessel3_order_conn(order, p):
-    # q = p^2; mu >= nu integers so the connection coefficients stay polynomial
-    z = Fraction(2, 3)
-    nu, mu = 1, 2
-    lhs = bessel3_body_in_base(nu, z * z, 0, order)
-    rhs = FPS.zero(order)
-    n = 0
-    while n * (n + 2 * nu + 1) <= order:
-        coeff = (pochq_fin(1, 2 * (mu - nu), n, order, step=2) * Fraction(-1) ** n
-                 * pochq_fin(1, 2, n, order, step=2).reciprocal())
-        piece = coeff * bessel3_body_in_base(mu + n, z * z, 2 * n, order)
-        rhs = rhs + piece.shift(n * (2 * nu + 1) + n * n)
-        n += 1
-    return lhs, rhs
-
-
-def _h_bessel3_arg_conn(order, p):
-    # q = p^2; scaled-argument connection with w rational
-    z, w = Fraction(2, 3), Fraction(5, 4)
-    nu = 1
+def _h_bessel3_arg_conn(order, z):
+    w, nu, q = Fraction(5, 4), 1, _ROOT
     u = z / w
-    lhs = bessel3_body_in_base(nu, u * u, 0, order)
-    rhs = FPS.zero(order)
-    n = 0
-    while n * n + n <= order:
-        coeff = (pochq_fin(w * w, 0, n, order, step=2)
-                 * pochq_fin(1, 2, n, order, step=2).reciprocal()
-                 * (Fraction(-1) * z * z / (w * w)) ** n)
-        piece = coeff * bessel3_body_in_base(nu + n, z * z, 2 * n, order)
-        rhs = rhs + piece.shift(n + n * n)
-        n += 1
+    rhs = _sum(order, lambda n: n + n * n,
+               lambda n, m: (-z * z / (w * w)) ** n * qpoch_series((w * w, 0), q, n, m)
+               * qpoch_series(q, q, n, m).reciprocal()
+               * bessel3_body(nu + n, (z * z, 2 * n), q, m))
+    return bessel3_body(nu, (u * u, 0), q, order), rhs
+
+
+def _h_bessel3_laguerre_a(order, z):
+    # nu = 1 so the -z^2 q^(-nu) argument stays inside the ring
+    nu, n, q = 1, 2, _ROOT
+    lhs = (laguerre_series(n, nu, (-z * z, -2 * nu), q, order)
+           * qpoch_series((1, 2 * (nu + n + 1)), q, None, order))
+    # q^(k(k-nu-n)/2) z^k and the (zz/ (z q^(n/2)))^nu prefactor combine to
+    # z^(2k) q^(k^2) with every p-exponent integral
+    rhs = _sum(order, lambda k: 2 * k * k,
+               lambda k, m: (z * z) ** k * qpoch_series(q, q, k, m).reciprocal()
+               * bessel3_body(k + nu, (z * z, 2 * (n + k)), q, m))
+    rhs = (rhs * qpoch_series((1, 2 * (n + 1)), q, None, order)
+           * qpoch_series(q, q, None, order).reciprocal())
     return lhs, rhs
 
 
-def laguerre_in_base_scaled2(n: int, al: int, x, xshift: int, order: int, qpow: int = 2) -> FPS:
-    """L_n^(al)(x p^(qpow xshift);q) in base p with q = p^qpow."""
-    x = Fraction(x)
-    if al + xshift < -1:
-        raise DomainError("scaled q-Laguerre would leave the series ring")
-    pref = pochq_fin(1, qpow * (al + 1), n, order, step=qpow)
-    total = FPS.zero(order)
-    for k in range(n + 1):
-        power = qpow * (al * k + k * k + xshift * k)
-        num = FPS.monomial((-x) ** k, power, order)
-        den = (pochq_fin(1, qpow, k, order, step=qpow)
-               * pochq_fin(1, qpow, n - k, order, step=qpow)
-               * pochq_fin(1, qpow * (al + 1), k, order, step=qpow))
-        total = total + num * den.reciprocal()
-    return pref * total
-
-
-def _h_bessel3_laguerre_a(order, p):
-    # q = p^2, nu = 1 so the -z^2 q^(-nu) argument stays inside the ring
-    z = Fraction(2, 3)
-    nu, n = 1, 2
-    lhs = (laguerre_in_base_scaled2(n, nu, -z * z, -nu, order)
-           * pochq(1, 2 * (nu + n + 1), order, step=2))
-    rhs = FPS.zero(order)
-    k = 0
-    while k * k <= order:
-        # q^(k(k-nu-n)/2) z^k and the (zz/ (z q^(n/2)))^nu prefactor combine to
-        # z^(2k) q^(k^2) with every p-exponent integral
-        coeff = ((z * z) ** k
-                 * pochq_fin(1, 2, k, order, step=2).reciprocal())
-        piece = coeff * bessel3_body_in_base(k + nu, z * z, 2 * (n + k), order)
-        rhs = rhs + piece.shift(2 * k * k)
-        k += 1
-    rhs = rhs * pochq(1, 2 * (n + 1), order, step=2) * pochq(1, 2, order, step=2).reciprocal()
-    return lhs, rhs
-
-
-def _h_bessel3_laguerre_b(order, p):
-    z = Fraction(2, 3)
-    nu, n = 1, 2
-    lhs = bessel3_body_in_base(nu, z * z, 2 * n, order) * pochq(1, 2 * (n + 1), order, step=2)
-    rhs = FPS.zero(order)
-    k = 0
-    while k * (k + 1) <= order:
-        coeff = ((-z * z) ** k
-                 * (pochq_fin(1, 2, k, order, step=2)
-                    * pochq_fin(1, 2 * (nu + n + 1), k, order, step=2)).reciprocal())
-        piece = coeff * laguerre_in_base_scaled2(n, nu + k, -z * z, -nu, order)
-        rhs = rhs + piece.shift(k * (k + 1))
-        k += 1
-    rhs = rhs * pochq(1, 2 * (nu + n + 1), order, step=2) * pochq(1, 2, order, step=2)
+def _h_bessel3_laguerre_b(order, z):
+    nu, n, q = 1, 2, _ROOT
+    lhs = (bessel3_body(nu, (z * z, 2 * n), q, order)
+           * qpoch_series((1, 2 * (n + 1)), q, None, order))
+    rhs = _sum(order, lambda k: k * (k + 1),
+               lambda k, m: (-z * z) ** k
+               * (qpoch_series(q, q, k, m)
+                  * qpoch_series((1, 2 * (nu + n + 1)), q, k, m)).reciprocal()
+               * laguerre_series(n, nu + k, (-z * z, -2 * nu), q, m))
+    rhs = (rhs * qpoch_series((1, 2 * (nu + n + 1)), q, None, order)
+           * qpoch_series(q, q, None, order))
     return lhs, rhs
 
 
 _EXACT_HANDLERS = {
-    # scalar families (the given rational is the base or a root of it)
-    "qbinom_alternating": ("scalar", _h_qbinom1, "q is the given rational; all rows to the order"),
-    "qbinom_qinvhermite_zero": ("scalar", _h_qbinom2, "given rational is q^(1/4)"),
-    "qbinom_half_base": ("scalar", _h_qbinom3, "given rational is q^(1/2)"),
-    # base-variable series identities (given rational specializes the argument)
-    "triple_product": ("fps", _h_triple_product, "variable is the base; given rational is z"),
-    # argument-variable series identities (given rational is the base q)
-    "qhermite_genfun": ("fps", _h_qhermite_genfun, "variable t, x = 1"),
-    "qinvhermite_genfun": ("fps", _h_qinvhermite_genfun, "variable t, e^xi = 3/2"),
-    "poisson_kernel_qinvhermite": ("fps", _h_poisson_kernel, "variable t, e^xi=3/2, e^eta=2/3"),
-    "qlaguerre_genfun": ("fps", _h_qlaguerre_genfun, "variable t, alpha = 1, x = 2/3"),
-    "series_cal_e_theta": ("fps", _h_series_cal_e_theta, "variable t, base q^(1/4), x = 1"),
-    "airy_mult": ("fps", _h_airy_mult, "variable a, b = 2/3"),
-    "airy_unit_expansion": ("fps", _h_airy_unit, "variable a"),
-    "airy_two_param": ("fps", _h_airy_two_param, "variable z, w = 1/3"),
-    "airy_base_shift": ("fps", _h_airy_base_shift, "variable z"),
-    "sw_aq_ratio": ("fps", _h_sw_aq_ratio, "variable x, n = 3"),
-    "sw_from_aq": ("fps", _h_sw_from_aq, "variable x, n = 3"),
-    "sw_genfun": ("fps", _h_sw_genfun, "variable w, x = 2/3"),
-    "laguerre_conn_alpha_beta": ("fps", _h_laguerre_conn, "variable x, alpha=2, beta=1, n=4"),
-    "confluent_airy_series": ("fps", _h_confluent_airy, "variable z, a = 1/2"),
-    "confluent_bessel_series": ("fps", _h_confluent_bessel,
-                                "variable is the base; a=1/2, z=2/3, nu=1"),
-    "confluent_param_shift": ("fps", _h_confluent_param_shift,
-                          "variable is the base; a=1/2, b=1/3, z=2/5, d=q^2"),
-    "confluent_arg_shift": ("fps", _h_confluent_arg_shift, "variable z; a,b,w rational"),
-    # base-variable identities (given rational is the working base)
-    "laguerre_ratio_series": ("fps", _h_laguerre_1, "variable is the base; x=2/3, alpha=1, n=2"),
-    "laguerre_unit_series": ("fps", _h_laguerre_2, "variable is the base; x=2/3, alpha=1, n=2"),
-    "laguerre_shift_series": ("fps", _h_laguerre_3, "variable is the base; alpha=2, beta=1"),
-    "laguerre_from_sw": ("fps", _h_laguerre_4, "variable is the base; x=2/3, alpha=1, n=2"),
-    "sw_from_laguerre": ("fps", _h_laguerre_5, "variable is the base; x=2/3, alpha=1, n=2"),
-    "modified_bessel_phi11": ("fps", _h_specialvalue, "variable is the base; z=2/3, nu=1"),
-    "bessel_airy_pair_a": ("fps", _h_bessel_airy_a, "variable is the base; z=2/3, nu=1"),
-    "bessel_airy_pair_b": ("fps", _h_bessel_airy_b, "variable is the base; z=2/3, nu=1"),
-    "bessel_poch_series": ("fps", _h_bessel_poch_series, "variable is the base; z=2/3, nu=1"),
-    "bessel_unit_series": ("fps", _h_bessel_unit_series, "variable is the base; z=2/3, nu=1"),
-    # kind-2/kind-3 q-Bessel and Laguerre expansions
-    "bessel_mult": ("fps", _h_bessel_mult, "variable is the base; w=1/2, z=2/3, nu=1"),
-    "bessel_laguerre_genfun": ("fps", _h_bessel_laguerre_genfun,
-                               "variable w; z=2/3, nu=1"),
-    "bessel_laguerre_inverse": ("fps", _h_bessel_laguerre_inverse,
-                                "variable is the base; z=2/3, alpha=1, n=2"),
-    "bessel3_product_series": ("fps", _h_bessel3_product_series,
-                               "variable is the base q^(1/2); z=2/3, nu=1"),
-    "confluent_bessel_sqrt": ("fps", _h_confluent_bessel_sqrt,
-                              "variable z, base q^(1/2); nu=1"),
-    "laguerre_phi11_series": ("fps", _h_laguerre_phi11_series,
-                              "variable x, base q^(1/2); alpha=1, n=2"),
-    "bessel_order_shift": ("fps", _h_bessel_order_shift,
-                           "variable is the base q^(1/2); z=2/3, nu=2, alpha=1"),
-    "bessel3_order_conn": ("fps", _h_bessel3_order_conn,
-                           "variable is the base q^(1/2); z=2/3, nu=1, mu=2"),
-    "bessel3_arg_conn": ("fps", _h_bessel3_arg_conn,
-                         "variable is the base q^(1/2); z=2/3, w=5/4, nu=1"),
-    "bessel3_laguerre_a": ("fps", _h_bessel3_laguerre_a,
-                           "variable is the base q^(1/2); z=2/3, nu=1, n=2"),
-    "bessel3_laguerre_b": ("fps", _h_bessel3_laguerre_b,
-                           "variable is the base q^(1/2); z=2/3, nu=1, n=2"),
+    # scalar families: rows 0..order; the rational is the base or a root of it
+    "qbinom_alternating": (_h_qbinom1, "the rational is q"),
+    "qbinom_qinvhermite_zero": (_h_qbinom2, "the rational is q^(1/4)"),
+    "qbinom_half_base": (_h_qbinom3, "the rational is q^(1/2)"),
+    # argument variable: the rational is the base q (or a root of it)
+    "qhermite_genfun": (_h_qhermite_genfun, "variable t, x = 1"),
+    "qinvhermite_genfun": (_h_qinvhermite_genfun, "variable t, e^xi = 3/2"),
+    "poisson_kernel_qinvhermite": (_h_poisson_kernel, "variable t, e^xi=3/2, e^eta=2/3"),
+    "qlaguerre_genfun": (_h_qlaguerre_genfun, "variable t, alpha = 1, x = 2/3"),
+    "series_cal_e_theta": (_h_series_cal_e_theta, "variable t; the rational is q^(1/4); x = 1"),
+    "airy_mult": (_h_airy_mult, "variable a, b = 2/3"),
+    "airy_unit_expansion": (_h_airy_unit, "variable a"),
+    "airy_two_param": (_h_airy_two_param, "variable z, w = 1/3"),
+    "airy_base_shift": (_h_airy_base_shift, "variable z"),
+    "sw_aq_ratio": (_h_sw_aq_ratio, "variable x, n = 3"),
+    "sw_from_aq": (_h_sw_from_aq, "variable x, n = 3"),
+    "sw_genfun": (_h_sw_genfun, "variable w, x = 2/3"),
+    "laguerre_conn_alpha_beta": (_h_laguerre_conn, "variable x, alpha=2, beta=1, n=4"),
+    "confluent_airy_series": (_h_confluent_airy, "variable z, a = 1/2"),
+    "confluent_arg_shift": (_h_confluent_arg_shift, "variable z; a=1/2, b=1/3, w=2/5"),
+    "bessel_laguerre_genfun": (_h_bessel_laguerre_genfun, "variable w; z=2/3, nu=1"),
+    "confluent_bessel_sqrt": (_h_confluent_bessel_sqrt,
+                              "variable z; the rational is q^(1/2); nu=1"),
+    "laguerre_phi11_series": (_h_laguerre_phi11_series,
+                              "variable x; the rational is q^(1/2); alpha=1, n=2"),
+    # base variable: the rational is the free parameter x or z
+    "triple_product": (_h_triple_product, "variable q; the rational is z"),
+    "laguerre_ratio_series": (_h_laguerre_1, "variable q; the rational is x; alpha=1, n=2"),
+    "laguerre_unit_series": (_h_laguerre_2, "variable q; the rational is x; alpha=1, n=2"),
+    "laguerre_shift_series": (_h_laguerre_3,
+                              "variable q; the rational is x; alpha=1, beta=2, n=2"),
+    "laguerre_from_sw": (_h_laguerre_4, "variable q; the rational is x; alpha=1, n=2"),
+    "sw_from_laguerre": (_h_laguerre_5, "variable q; the rational is x; alpha=1, n=2"),
+    "modified_bessel_phi11": (_h_specialvalue, "variable q; the rational is z; nu=1"),
+    "bessel_airy_pair_a": (_h_bessel_airy_a, "variable q; the rational is z; nu=1"),
+    "bessel_airy_pair_b": (_h_bessel_airy_b, "variable q; the rational is z; nu=1"),
+    "bessel_poch_series": (_h_bessel_poch_series, "variable q; the rational is z; nu=1"),
+    "bessel_unit_series": (_h_bessel_unit_series, "variable q; the rational is z; nu=1"),
+    "confluent_bessel_series": (_h_confluent_bessel,
+                                "variable q; the rational is z; a=1/2, nu=1"),
+    "confluent_param_shift": (_h_confluent_param_shift,
+                              "variable q; the rational is z; a=1/2, b=1/3, d=q^2"),
+    "bessel_mult": (_h_bessel_mult, "variable q; the rational is z; w=1/2, nu=1"),
+    "bessel_laguerre_inverse": (_h_bessel_laguerre_inverse,
+                                "variable q; the rational is z; alpha=1, n=2"),
+    # root of the base: the series runs in q^(1/2); the rational is z
+    "bessel3_product_series": (_h_bessel3_product_series, "variable q^(1/2); z; nu=1"),
+    "bessel_order_shift": (_h_bessel_order_shift, "variable q^(1/2); z; nu=2, alpha=1"),
+    "bessel3_order_conn": (_h_bessel3_order_conn, "variable q^(1/2); z; nu=1, mu=2"),
+    "bessel3_arg_conn": (_h_bessel3_arg_conn, "variable q^(1/2); z; w=5/4, nu=1"),
+    "bessel3_laguerre_a": (_h_bessel3_laguerre_a, "variable q^(1/2); z; nu=1, n=2"),
+    "bessel3_laguerre_b": (_h_bessel3_laguerre_b, "variable q^(1/2); z; nu=1, n=2"),
 }
 
 _ALIASES = {
@@ -1179,11 +809,13 @@ def exact_identity_ids():
 
 
 def verify_exact(identity_id: str, order: int, q) -> dict:
-    """Exact coefficient comparison of a supported identity.
+    """Exact comparison of coefficients 0..order of both sides of an identity.
 
-    Returns {'equal': bool, 'first_mismatch': int-or-None}.  q must be a
-    rational strictly inside (0,1); see each handler's note for what the
-    rational parameterizes when the identity needs a root of the base.
+    Returns {'equal': bool, 'first_mismatch': int-or-None}.  A side built
+    short of the order mismatches at its first missing coefficient.  q must
+    be a rational strictly inside (0,1); each handler's note says what it
+    sets: the base q or a root of it, or a free parameter x or z when the
+    series runs in the base.
     """
     identity_id = _ALIASES.get(identity_id, identity_id)
     if identity_id not in _EXACT_HANDLERS:
@@ -1193,10 +825,9 @@ def verify_exact(identity_id: str, order: int, q) -> dict:
         raise DomainError("the exact oracle needs a rational base in (0,1)")
     if order < 1:
         raise DomainError("order must be >= 1")
-    mode, handler, _note = _EXACT_HANDLERS[identity_id]
-    result = handler(order, q)
-    if mode == "scalar":
-        return result
-    lhs, rhs = result
-    miss = lhs.first_mismatch(rhs)
-    return {"equal": miss is None, "first_mismatch": miss}
+    handler, _note = _EXACT_HANDLERS[identity_id]
+    lhs, rhs = handler(order, q)
+    for i in range(order + 1):
+        if i > lhs.order or i > rhs.order or lhs.coeffs[i] != rhs.coeffs[i]:
+            return {"equal": False, "first_mismatch": i}
+    return {"equal": True, "first_mismatch": None}

@@ -224,15 +224,10 @@ def _simpson_refine(f, a, b, fa, fm, fb, whole, tol, budget, depth) -> complex:
 
 @dataclass(frozen=True)
 class VerticalLineSpec:
-    """Bromwich-type line Re(z) = rho, 0 < rho < 1, with integrand f.
-
-    decay_order_hint bounds how slowly f decays along the line; panels
-    stop once consecutive contributions certify the tail below tolerance.
-    """
+    """Bromwich-type line Re(z) = rho, 0 < rho < 1, with integrand f."""
 
     rho: float
     f: object
-    decay_order_hint: int = 2
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:

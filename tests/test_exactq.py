@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qkit import DomainError, QParam, Truncation, UnsupportedIdentityError
+from qkit import exactq
 from qkit.exactq import FPS, exact_identity_ids, qpoch_series, verify_exact
 from qkit.identities import evaluate_identity, get_identity
 
@@ -44,7 +45,7 @@ class TestQPochSeries:
     def test_infinite_product_coefficients(self):
         # (z;q)_inf has coefficients (-1)^n q^(n(n-1)/2)/(q;q)_n
         q = Fraction(1, 2)
-        got = qpoch_series(1, 1, q, None, 6)
+        got = qpoch_series((1, 1), (q, 0), None, 6)
         for n in range(7):
             qfac = Fraction(1)
             for k in range(1, n + 1):
@@ -55,7 +56,7 @@ class TestQPochSeries:
     def test_finite_matches_product(self):
         q = Fraction(1, 3)
         a = Fraction(2, 5)
-        fin = qpoch_series(a, 1, q, 3, 5)
+        fin = qpoch_series((a, 1), (q, 0), 3, 5)
         direct = FPS.const(1, 5)
         for k in range(3):
             direct = direct * (FPS.const(1, 5) - FPS.monomial(a * q**k, 1, 5))
@@ -72,6 +73,34 @@ class TestVerifyExact:
             for ident in exact_identity_ids():
                 r = verify_exact(ident, 20, qrat)
                 assert r["equal"], (ident, qrat, r)
+
+    def test_rational_sets_a_free_parameter(self):
+        # identities whose series runs in the base take x or z from the rational;
+        # the unit expansions bessel_unit_series and laguerre_unit_series take it
+        # too, but both their sides are free of it, as airy_unit_expansion's are of q
+        free = ["bessel3_arg_conn", "bessel3_laguerre_a", "bessel3_laguerre_b",
+                "bessel3_order_conn", "bessel3_product_series", "bessel_airy_pair_a",
+                "bessel_airy_pair_b", "bessel_laguerre_inverse", "bessel_mult",
+                "bessel_order_shift", "bessel_poch_series", "confluent_bessel_series",
+                "confluent_param_shift", "laguerre_from_sw", "laguerre_ratio_series",
+                "laguerre_shift_series", "modified_bessel_phi11", "sw_from_laguerre"]
+        for ident in free:
+            handler, _note = exactq._EXACT_HANDLERS[ident]
+            third = [s.coeffs for s in handler(12, Fraction(1, 3))]
+            half = [s.coeffs for s in handler(12, Fraction(1, 2))]
+            assert third != half, ident
+
+    def test_short_side_is_a_mismatch(self, monkeypatch):
+        ident = "sw_genfun"
+        handler, note = exactq._EXACT_HANDLERS[ident]
+
+        def short(order, q):
+            lhs, rhs = handler(order, q)
+            return lhs, FPS(rhs.coeffs[: order - 2])
+
+        monkeypatch.setitem(exactq._EXACT_HANDLERS, ident, (short, note))
+        r = verify_exact(ident, 12, Fraction(1, 2))
+        assert r == {"equal": False, "first_mismatch": 10}
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedIdentityError):
