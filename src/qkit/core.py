@@ -81,8 +81,10 @@ class Truncation:
     """Tolerance and budget for every truncated sum/product.
 
     Infinite products certify their discarded tail with the bound
-    (|z|/(1-q))*exp(|z|/(1-q)); series stop once a proven bound on their
-    discarded tail falls below tol relative to the partial sum.
+    (|z|/(1-q))*exp(|z|/(1-q)), skipping the check on the factors that
+    |z| >= tol (1-q) shows must fail it (see :func:`qpoch_inf`); series
+    stop once a proven bound on their discarded tail falls below tol
+    relative to the partial sum.
     """
 
     tol: float = 1e-13
@@ -198,15 +200,31 @@ def qpoch_inf(a, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Infinite q-shifted factorial (a;q)_inf = prod_{k>=0}(1 - a q^k).
 
     The partial product is extended until the discarded tail is
-    certified below tr.tol by the exponential product bound.
+    certified below tr.tol by the exponential product bound t*exp(t),
+    t = |a q^k|/(1-q).  That bound is at least t, so every factor with
+    |a| q^k >= tol (1-q) fails the check: the number of such factors comes
+    from one logarithm, and all but the last of them are multiplied in
+    without it.  That held-back factor, a slack of 1e-12 in the logarithm
+    and one of 1e-15 per factor absorb the rounding of the logarithms and
+    of the running power a q^k, so the factors and the stopping index are
+    those of checking every factor.
     """
     a = complex(a)
     if a == 0:
         return 1.0 + 0.0j
     qq = q.q
+    mag = abs(a)
+    floor = tr.tol * (1.0 - qq)
+    unchecked = 0
+    if floor < mag < math.inf:  # an inf or nan a runs the checked loop to its budget
+        room = math.log(mag) - math.log(floor) - 1e-12
+        unchecked = min(int(room / (1e-15 - q.ln_q)), tr.max_terms)
     prod = 1.0 + 0.0j
     aq = a
-    for _ in range(tr.max_terms):
+    for _ in range(unchecked):
+        prod *= 1.0 - aq
+        aq *= qq
+    for _ in range(tr.max_terms - unchecked):
         if _product_tail_bound(abs(aq), qq) < tr.tol:
             return ensure_finite(prod, "qpoch_inf")
         prod *= 1.0 - aq

@@ -146,10 +146,12 @@ def qpoch_r(a: Fraction, q: Fraction, n: int) -> Fraction:
     return out
 
 
-def qbinom_r(n: int, k: int, q: Fraction) -> Fraction:
-    if k < 0 or k > n:
-        return Fraction(0)
-    return qfac_r(q, n) / (qfac_r(q, k) * qfac_r(q, n - k))
+def qbinom_row(n: int, q: Fraction) -> list:
+    """[n choose k]_q for k = 0..n by the ratio [n,k+1] = [n,k] (1-q^(n-k))/(1-q^(k+1))."""
+    row = [Fraction(1)]
+    for k in range(n):
+        row.append(row[-1] * (1 - q ** (n - k)) / (1 - q ** (k + 1)))
+    return row
 
 
 # --- rational polynomial values ----------------------------------------------
@@ -166,12 +168,8 @@ def qhermite_r(n: int, x: Fraction, q: Fraction) -> Fraction:
 def qhermite_inv_r(n: int, e_xi: Fraction, q: Fraction) -> Fraction:
     """h_n at sinh(xi) with e^(xi) rational; q^(k(k-n)) stays rational."""
     total = Fraction(0)
-    for k in range(n + 1):
-        term = (qbinom_r(n, k, q) * (-1) ** k * q ** (k * k) / q ** (k * n)
-                * e_xi ** (n - 2 * k) if n - 2 * k >= 0
-                else qbinom_r(n, k, q) * (-1) ** k * q ** (k * k) / q ** (k * n)
-                / e_xi ** (2 * k - n))
-        total += term
+    for k, binom in enumerate(qbinom_row(n, q)):
+        total += binom * (-1) ** k * q ** (k * k) / q ** (k * n) * e_xi ** (n - 2 * k)
     return total
 
 
@@ -186,8 +184,8 @@ def qlaguerre_r(n: int, alpha: int, x: Fraction, q: Fraction) -> Fraction:
 
 def stieltjes_wigert_r(n: int, x: Fraction, q: Fraction) -> Fraction:
     total = Fraction(0)
-    for k in range(n + 1):
-        total += qbinom_r(n, k, q) * q ** (k * k) * (-x) ** k
+    for k, binom in enumerate(qbinom_row(n, q)):
+        total += binom * q ** (k * k) * (-x) ** k
     return total / qfac_r(q, n)
 
 
@@ -330,7 +328,7 @@ def bessel3_body(mu, c, q, order):
 
 def _h_qbinom1(order, q):
     rows = range(order + 1)
-    lhs = [sum(qbinom_r(n, k, q) * (-1) ** k for k in range(n + 1)) for n in rows]
+    lhs = [sum(b * (-1) ** k for k, b in enumerate(qbinom_row(n, q))) for n in rows]
     rhs = [0 if n % 2 else qfac_r(q, n) / qfac_r(q * q, n // 2) for n in rows]
     return FPS(lhs), FPS(rhs)
 

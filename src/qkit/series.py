@@ -23,7 +23,7 @@ from .core import (
     geometric_tail,
     qpoch_inf,
 )
-from .errors import ConvergenceError, DomainError, PoleError, TruncationError
+from .errors import ConvergenceError, DomainError, NumericOverflowError, PoleError, TruncationError
 
 __all__ = [
     "PhiSpec",
@@ -479,31 +479,93 @@ def ramanujan_a_shifted(z, shift, q: QParam, tr: Truncation = DEFAULT_TRUNCATION
     return _certified_sum(terms(), tr, "ramanujan_a_shifted")
 
 
+def _leading_logs(w, beta: float, q: QParam, tr: Truncation):
+    """(start, logs, wq) for the leading factors 1 - w q^(beta+j), |w q^(beta+j)| > 1/8.
+
+    The J leading factors are those before |w q^(beta+j)| first drops to
+    1/8 or below.  Factor start-1 is the last one that vanishes (start = 0
+    if none does), logs holds log(1 - w q^(beta+j)) for start <= j < J,
+    and wq = w q^(beta+J) starts the tail.
+    """
+    qq, max_terms = q.q, tr.max_terms
+    start = 0
+    logs = []
+    j = 0
+    try:
+        wq = complex(w) * q.power(beta)  # w q^(beta+j)
+    except OverflowError:
+        raise NumericOverflowError(f"poch_gauss: q^beta overflows at beta = {beta}") from None
+    while abs(wq) > 0.125 and j < max_terms:
+        factor = 1.0 - wq
+        j += 1
+        if abs(factor) < 1e-290:
+            start = j
+            logs.clear()
+        else:
+            logs.append(cmath.log(factor))
+        wq *= qq
+    if j >= max_terms:
+        raise TruncationError("poch_gauss leading product did not shrink")
+    return start, logs, wq
+
+
+def _damped(log_value: complex, factor: complex) -> complex:
+    """exp(log_value) * factor; 0 where the exponential underflows."""
+    if log_value.real < -745.0:
+        return 0.0 + 0.0j
+    try:
+        value = cmath.exp(log_value) * factor
+    except OverflowError:
+        raise NumericOverflowError(f"poch_gauss exponent {log_value.real:.1f} overflows") from None
+    return ensure_finite(value, "poch_gauss")
+
+
 def poch_gauss(w, beta, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Gaussian-damped infinite product q^(beta^2/2) (w q^beta;q)_inf.
 
-    The leading factors are accumulated as complex logarithms together
-    with the Gaussian exponent, so the value stays representable (and
-    free of cancellation) even where the bare product overflows.
+    The leading factors, those with |w q^(beta+j)| > 1/8, are accumulated
+    as complex logarithms, summed from the last one back, together with the
+    Gaussian exponent, so the value stays representable (and free of
+    cancellation) even where the bare product overflows; a value beyond
+    the double range raises NumericOverflowError.  The damped series that
+    need poch_gauss(w, beta + k) for k = 0, 1, 2, ... walk
+    ``_poch_gauss_ladder`` instead, which shares these leading factors.
     """
-    w = complex(w)
     beta = float(beta)
-    log_acc = complex(beta * beta / 2.0 * q.ln_q)
-    k = 0
-    wq = w * q.power(beta)
-    while abs(wq) > 0.125 and k < tr.max_terms:
-        factor = 1.0 - wq
-        if abs(factor) < 1e-290:
-            return 0.0 + 0.0j
-        log_acc += cmath.log(factor)
-        wq *= q.q
-        k += 1
-    if k >= tr.max_terms:
-        raise TruncationError("poch_gauss leading product did not shrink")
-    tail = qpoch_inf(wq, q, tr)
-    if log_acc.real < -745.0:
+    start, logs, wq = _leading_logs(w, beta, q, tr)
+    if start:
         return 0.0 + 0.0j
-    return ensure_finite(cmath.exp(log_acc) * tail, "poch_gauss")
+    return _damped(beta * beta / 2.0 * q.ln_q + sum(reversed(logs)), qpoch_inf(wq, q, tr))
+
+
+def _poch_gauss_ladder(w, beta: float, q: QParam, tr: Truncation):
+    """Yield poch_gauss(w, beta + k) for k = 0, 1, 2, ... at O(1) cost per value.
+
+    The J leading factors are logged once and the tail
+    (w q^(beta+J);q)_inf is built once.  Value k < J is
+    exp((beta+k)^2/2 ln q + sum_(k<=j<J) log(1 - w q^(beta+j))) times the
+    tail, each suffix sum taken from the last logarithm back as in
+    poch_gauss; a vanishing factor makes every value at or below it 0.
+    Beyond the threshold the tail loses one factor per step,
+    T_(k+1) = T_k / (1 - w q^(beta+k)) with a divisor of at least 7/8, and
+    the Gaussian weight is taken afresh for each k, so a value that
+    underflows does not zero the larger ones after it (beta < 0).
+    """
+    ln_q = q.ln_q
+    start, logs, wq = _leading_logs(w, beta, q, tr)
+    for _ in range(start):
+        yield 0.0 + 0.0j
+    tail = qpoch_inf(wq, q, tr)
+    # suffix[i] = sum of the last i+1 logs, so value k < J takes suffix[J-1-k]
+    suffix = list(itertools.accumulate(reversed(logs)))
+    lead = start + len(logs)
+    for k in range(start, lead):
+        yield _damped((beta + k) ** 2 / 2.0 * ln_q + suffix[lead - 1 - k], tail)
+    for k in itertools.count(lead):
+        if k > lead:
+            tail /= 1.0 - wq
+            wq *= q.q
+        yield _damped(complex((beta + k) ** 2 / 2.0 * ln_q), tail)
 
 
 def confluent_phi_weighted(a, b0, z0, beta, q: QParam,
@@ -526,10 +588,11 @@ def confluent_phi_weighted(a, b0, z0, beta, q: QParam,
     # |b0| q^(beta+k) < 1 no product factor can vanish and the bound below holds for every i >= k
     def terms():
         term = 1.0 + 0.0j  # (a;q)_k (-z0)^k/(q;q)_k
+        ladder = _poch_gauss_ladder(b0, beta, q, tr)
         for k in itertools.count():
             if k:
                 term *= (1.0 - a * q.power(k - 1)) * (-z0) / (1.0 - q.power(k))
-            piece = term * poch_gauss(b0, beta + k, q, tr)
+            piece = term * next(ladder)
             r = _ratio_bound(z0_mag * _qpow(q, beta + k + 0.5), c, qq ** k)
             yield piece, geometric_tail(abs(piece), r)
 
@@ -688,10 +751,11 @@ def bessel3_normalized_gauss(nu, z2, alpha, q: QParam,
     # |w| q^(alpha+n) < 1 no product factor can vanish and the bound below holds for every i >= n
     def terms():
         term = 1.0 + 0.0j  # (-z2 q^(1/2))^n / (q;q)_n
+        ladder = _poch_gauss_ladder(w, alpha, q, tr)
         for n in itertools.count():
             if n:
                 term *= -z2 * q.power(0.5) / (1.0 - q.power(n))
-            piece = term * poch_gauss(w, alpha + n, q, tr)
+            piece = term * next(ladder)
             r = _ratio_bound(z2_mag * _qpow(q, alpha + n + 1), c, q.q ** n)
             yield piece, geometric_tail(abs(piece), r)
 

@@ -21,8 +21,8 @@ from qkit import (
     theta3,
     theta4,
 )
-from qkit.core import _certified_sum, geometric_tail
-from qkit.errors import TruncationError
+from qkit.core import _certified_sum, _product_tail_bound, ensure_finite, geometric_tail
+from qkit.errors import QKitError, TruncationError
 
 TR = Truncation(tol=1e-14)
 
@@ -145,6 +145,61 @@ class TestQPochhammer:
             n = rng.randint(0, 30)
             lhs = qpoch_finite(a, q, n) * qpoch_inf(a * q.power(n), q, TR)
             assert rel(lhs, qpoch_inf(a, q, TR)) < 1e-12
+
+
+def _qpoch_inf_checked(a, q, tr):
+    """Reference: the bound t*exp(t) checked before every factor."""
+    a = complex(a)
+    if a == 0:
+        return 1.0 + 0.0j
+    prod = 1.0 + 0.0j
+    aq = a
+    for _ in range(tr.max_terms):
+        if _product_tail_bound(abs(aq), q.q) < tr.tol:
+            return ensure_finite(prod, "qpoch_inf")
+        prod *= 1.0 - aq
+        aq *= q.q
+    bound = _product_tail_bound(abs(aq), q.q)
+    raise TruncationError(
+        f"(a;q)_inf tail bound {bound:.3e} still above tol {tr.tol:.3e} "
+        f"after {tr.max_terms} factors",
+        achieved_bound=bound,
+    )
+
+
+def _outcome(f, *args):
+    """repr of the value, or the exception's class, message and bound."""
+    try:
+        return repr(f(*args))
+    except (QKitError, ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc), repr(getattr(exc, "achieved_bound", None))
+
+
+class TestQpochInfFactorCount:
+    """The closed-form count of unchecked factors keeps every result bit for bit."""
+
+    def test_bit_identical_to_checking_every_factor(self):
+        rng = random.Random(2026)
+        cases = []
+        for qv in (0.05, 0.3, 0.5, 0.9, 0.99):
+            for max_terms in (8, 100, 10000):
+                for mag in (5e-324, math.inf, math.nan):
+                    cases.append((qv, mag, 1e-13, max_terms))
+                for _ in range(40):
+                    cases.append((qv, 10 ** rng.uniform(-20, 4), 10 ** rng.uniform(-15, -4), max_terms))
+        for qv, mag, tol, max_terms in cases:
+            q, tr = QParam(qv), Truncation(tol=tol, max_terms=max_terms)
+            for a in (mag, -mag, cmath.rect(mag, rng.uniform(-math.pi, math.pi))
+                      if math.isfinite(mag) else complex(mag, 1.0)):
+                assert _outcome(qpoch_inf, a, q, tr) == _outcome(_qpoch_inf_checked, a, q, tr), \
+                    (a, qv, tol, max_terms)
+
+    def test_factor_count_edges(self):
+        q = QParam(0.5)
+        assert qpoch_inf(5e-324, q, TR) == 1
+        for a in (math.inf, math.nan, complex(math.inf, math.nan)):
+            with pytest.raises(TruncationError):
+                qpoch_inf(a, q, TR)
 
 
 class TestQBinom:

@@ -26,7 +26,17 @@ from qkit import (
     qpoch_multi,
     ramanujan_a,
 )
-from qkit.series import bessel2_normalized, bessel2_normalized_native, poch_gauss, ramanujan_a_shifted
+import qkit.series
+from qkit.errors import NumericOverflowError, QKitError
+from qkit.series import (
+    _poch_gauss_ladder,
+    bessel2_normalized,
+    bessel2_normalized_native,
+    bessel3_normalized_gauss,
+    confluent_phi_weighted,
+    poch_gauss,
+    ramanujan_a_shifted,
+)
 
 TR = Truncation(tol=1e-14)
 
@@ -183,6 +193,78 @@ class TestQExponentials:
             stable = poch_gauss(w, b, q, TR)
             naive = q.power(b * b / 2.0) * qpoch_inf(w * q.power(b), q, TR)
             assert rel(stable, naive) < 1e-12
+
+
+def _value_or_class(f, *args):
+    try:
+        return f(*args)
+    except (QKitError, ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+class TestPochGaussLadder:
+    """The ladder walks poch_gauss(w, beta + k), k = 0, 1, 2, ..., from one tail product."""
+
+    def _assert_ladder_matches(self, w, beta, q, tr, steps=60):
+        ladder = _poch_gauss_ladder(w, beta, q, tr)
+        for k in range(steps):
+            direct = _value_or_class(poch_gauss, w, beta + k, q, tr)
+            walked = _value_or_class(next, ladder)
+            if isinstance(direct, type) or isinstance(walked, type):
+                # the ladder stops at its first failure; the direct call fails the same way
+                assert walked == direct, (w, beta, k, q.q)
+                return
+            if abs(direct) < 1e-280:  # below the normal double range
+                assert abs(walked) < 1e-270, (w, beta, k, q.q)
+            else:
+                assert rel(walked, direct) < 1e-12, (w, beta, k, q.q)
+
+    def test_matches_direct_calls(self):
+        rng = random.Random(4242)
+        for _ in range(150):
+            q = QParam(rng.uniform(0.02, 0.95))
+            w = cmath.rect(10 ** rng.uniform(-6, 6), rng.uniform(-math.pi, math.pi))
+            beta = rng.uniform(-30.0, 10.0)
+            self._assert_ladder_matches(w, beta, q, Truncation(tol=1e-13))
+
+    def test_vanishing_factor_and_regrowth(self):
+        q = QParam(0.5)
+        # 1 - w q^(beta+2) = 1 - 4 * 0.5^2 = 0 exactly: the values k <= 2 vanish, the later
+        # ones do not
+        ladder = _poch_gauss_ladder(4.0, 0.0, q, TR)
+        assert [next(ladder) for _ in range(3)] == [0, 0, 0]
+        for k in range(3, 20):
+            assert rel(next(ladder), poch_gauss(4.0, k, q, TR)) < 1e-12
+        # q^(beta^2/2) underflows at k = 0 but the value grows back to about 1 at k = 30
+        q = QParam(0.05)
+        ladder = _poch_gauss_ladder(1e-30, -30.0, q, TR)
+        values = [next(ladder) for _ in range(31)]
+        assert values[0] == 0 and rel(values[30], qpoch_inf(1e-30, q, TR)) < 1e-13
+        self._assert_ladder_matches(1e-30, -30.0, q, TR)
+
+    def test_overflow_is_numeric_overflow_error(self):
+        w, beta, q = 449732.499041943 + 129668.65673271654j, 5.588164397319055, QParam(0.95)
+        with pytest.raises(NumericOverflowError):
+            poch_gauss(w, beta, q)
+        with pytest.raises(NumericOverflowError):
+            next(_poch_gauss_ladder(w, beta, q, TR))
+        with pytest.raises(NumericOverflowError):  # q^beta itself leaves the double range
+            poch_gauss(1e-300, -300.0, QParam(0.05))
+
+    def test_damped_series_build_one_tail(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return qpoch_inf(*args)
+
+        monkeypatch.setattr(qkit.series, "qpoch_inf", counting)
+        q = QParam(0.6)
+        confluent_phi_weighted(0.3 + 0.1j, 2.5, 0.4 - 0.2j, -3.5, q, TR)
+        assert len(calls) <= 2
+        calls.clear()
+        bessel3_normalized_gauss(0.4, 0.5 + 0.3j, -2.0, q, TR)
+        assert len(calls) <= 2
 
 
 class TestCalE:

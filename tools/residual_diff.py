@@ -5,9 +5,10 @@ Usage:
 
 Points are matched by identity id and their order within that id, so both
 reports should come from the same ``--group/--samples/--seed`` arguments.
-For each group the script prints the status changes, the largest and the
-median |log10(new rel_err / old rel_err)|, and every point whose residual
-grew more than tenfold.  Residuals below FLOOR count as FLOOR, so two
+For each group the script prints how many points are identical in both
+reports (the same rel_err, lhs and rhs), the status changes, the largest
+and the median |log10(new rel_err / old rel_err)|, and every point whose
+residual grew more than tenfold.  Residuals below FLOOR count as FLOOR, so two
 results exact to rounding do not show as a huge ratio.
 
 Exit status: 0 when every point keeps its status, 1 when any status changed
@@ -38,6 +39,11 @@ def _points(path):
     return out
 
 
+def _values(rep):
+    """rel_err, lhs and rhs as text, so NaN (a skipped point) equals NaN."""
+    return json.dumps([rep["rel_err"], rep["lhs"], rep["rhs"]])
+
+
 def _log_ratio(old, new):
     old = max(abs(old), FLOOR)
     new = max(abs(new), FLOOR)
@@ -53,6 +59,7 @@ def compare(parent, change):
     for group in groups:
         keys = sorted({k for k in parent if k[0] == group} | {k for k in change if k[0] == group})
         logs = []
+        identical = 0
         status_lines = []
         growth_lines = []
         for key in keys:
@@ -65,6 +72,7 @@ def compare(parent, change):
                 continue
             if old["status"] != new["status"]:
                 status_lines.append(f"  status {label}: {old['status']} -> {new['status']}")
+            identical += _values(old) == _values(new)
             d = _log_ratio(old["rel_err"], new["rel_err"])
             logs.append(abs(d))
             if d > math.log10(GROWTH):
@@ -72,7 +80,7 @@ def compare(parent, change):
         changed += len(status_lines)
         worst = max(logs) if logs else 0.0
         median = statistics.median(logs) if logs else 0.0
-        print(f"{group}: {len(keys)} points, {len(status_lines)} status changes, "
+        print(f"{group}: {len(keys)} points, {identical} identical, {len(status_lines)} status changes, "
               f"|log10(new/old)| max {worst:.2f} median {median:.2f}, "
               f"{len(growth_lines)} grew >{GROWTH:g}x")
         for line in status_lines + growth_lines:
