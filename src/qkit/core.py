@@ -13,6 +13,7 @@ plain Python ``complex``; any non-finite result raises
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -70,10 +71,16 @@ class QParam:
         return -self.ln_q
 
     def power(self, e) -> complex:
-        """q**e for arbitrary complex exponent, via exp(e*ln q)."""
-        if isinstance(e, (int, float)):
-            return complex(math.exp(e * self.ln_q))
-        return cmath.exp(e * self.ln_q)
+        """q**e for arbitrary complex exponent, via exp(e*ln q).
+
+        Raises NumericOverflowError where the value leaves the double range.
+        """
+        try:
+            if isinstance(e, (int, float)):
+                return complex(math.exp(e * self.ln_q))
+            return cmath.exp(e * self.ln_q)
+        except OverflowError:
+            raise NumericOverflowError(f"q^e overflows at q = {self.q}, e = {e}") from None
 
 
 @dataclass(frozen=True)
@@ -102,13 +109,7 @@ DEFAULT_TRUNCATION = Truncation()
 
 def ensure_finite(value: complex, context: str = "") -> complex:
     """Return value unchanged, raising NumericOverflowError if non-finite."""
-    if isinstance(value, complex):
-        if math.isfinite(value.real) and math.isfinite(value.imag):
-            return value
-    elif isinstance(value, float):
-        if math.isfinite(value):
-            return value
-    else:
+    if not isinstance(value, (complex, float)) or cmath.isfinite(value):
         return value
     raise NumericOverflowError(f"non-finite value {value!r}" + (f" in {context}" if context else ""))
 
@@ -208,8 +209,24 @@ def qpoch_inf(a, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     and one of 1e-15 per factor absorb the rounding of the logarithms and
     of the running power a q^k, so the factors and the stopping index are
     those of checking every factor.
+
+    (q;q)_inf itself, the normalisation of q-gamma and the q-Bessel
+    functions, is multiplied out once per (q, tol, max_terms) and then
+    looked up: the product is deterministic, so the value is the same.
     """
     a = complex(a)
+    if a == q.q:
+        return _qfac_inf(q.q, tr.tol, tr.max_terms)
+    return _qpoch_inf(a, q, tr)
+
+
+@functools.lru_cache(maxsize=256)
+def _qfac_inf(q: float, tol: float, max_terms: int) -> complex:
+    """(q;q)_inf by the product of :func:`qpoch_inf`; an exception is raised, not kept."""
+    return _qpoch_inf(complex(q), QParam(q), Truncation(tol, max_terms))
+
+
+def _qpoch_inf(a: complex, q: QParam, tr: Truncation) -> complex:
     if a == 0:
         return 1.0 + 0.0j
     qq = q.q

@@ -27,6 +27,18 @@ __all__ = [
 ]
 
 
+def _powers(q: QParam, n: int) -> list:
+    """[q^0, q^1, ..., q^n] by running products.
+
+    Walked upward, so an underflow zeroes only powers that lie below the
+    double range themselves.
+    """
+    pw = [1.0]
+    for _ in range(n):
+        pw.append(pw[-1] * q.q)
+    return pw
+
+
 def qhermite(n: int, x, q: QParam) -> complex:
     """Continuous q-Hermite polynomial H_n(x|q) by the three-term recurrence.
 
@@ -37,10 +49,13 @@ def qhermite(n: int, x, q: QParam) -> complex:
     x = complex(x)
     if n == 0:
         return 1.0 + 0.0j
+    x2 = 2.0 * x
     hprev = 1.0 + 0.0j
-    hcur = 2.0 * x
-    for k in range(1, n):
-        hprev, hcur = hcur, 2.0 * x * hcur - (1.0 - q.power(k)) * hprev
+    hcur = x2
+    qk = 1.0  # q^k
+    for _ in range(n - 1):
+        qk *= q.q
+        hprev, hcur = hcur, x2 * hcur - (1.0 - qk) * hprev
     return ensure_finite(hcur, "qhermite")
 
 
@@ -119,6 +134,8 @@ def qlaguerre(n: int, alpha, x, q: QParam) -> complex:
     x = complex(x)
     qa = q.power(alpha)
     pref = qpoch_finite(q.q * qa, q, n)
+    pw = _powers(q, n)
+    step = -qa * x
     # term_k = q^(alpha k + k^2) (-x)^k / [(q;q)_k (q^(alpha+1);q)_k]; the
     # 1/(q;q)_{n-k} factor is restored via the ratio (q;q)_n/(q;q)_{n-k}
     total = 0.0 + 0.0j
@@ -126,9 +143,9 @@ def qlaguerre(n: int, alpha, x, q: QParam) -> complex:
     ratio_fac = 1.0 + 0.0j  # (q;q)_n / (q;q)_{n-k}
     for k in range(n + 1):
         if k:
-            term *= qa * q.power(2 * k - 1) * (-x) / (
-                (1.0 - q.power(k)) * (1.0 - qa * q.power(k)))
-            ratio_fac *= 1.0 - q.power(n - k + 1)
+            qk = pw[k]
+            term *= step * pw[k - 1] * qk / ((1.0 - qk) * (1.0 - qa * qk))
+            ratio_fac *= 1.0 - pw[n - k + 1]
         total += term * ratio_fac
     total /= qpoch_finite(q.q, q, n)
     return ensure_finite(pref * total, "qlaguerre")
@@ -148,22 +165,27 @@ def stieltjes_wigert(n: int, x, q: QParam, route: str = "qbinom") -> complex:
     total = 0.0 + 0.0j
     if route == "qbinom":
         # incremental terms keep scaled arguments inside the double range
+        pw = _powers(q, n)
         term = 1.0 + 0.0j  # q^(k^2) (-x)^k / (q;q)_k
         ratio_fac = 1.0 + 0.0j  # (q;q)_n / (q;q)_{n-k}
         for k in range(n + 1):
             if k:
-                term *= q.power(2 * k - 1) * (-x) / (1.0 - q.power(k))
-                ratio_fac *= 1.0 - q.power(n - k + 1)
+                qk = pw[k]
+                term *= pw[k - 1] * qk * -x / (1.0 - qk)
+                ratio_fac *= 1.0 - pw[n - k + 1]
             total += term * ratio_fac
         return ensure_finite(total / qfac_n, "stieltjes_wigert")
     if route != "shifted":
         raise DomainError(f"unknown stieltjes_wigert route {route!r}")
     qminus_n = q.power(-n)
+    xqn = x * q.power(n)
     term = 1.0 + 0.0j
+    qk = 1.0  # q^(k-1)
     for k in range(n + 1):
         if k:
-            term *= ((1.0 - qminus_n * q.power(k - 1)) * q.power(k)
-                     * (x * q.power(n)) / (1.0 - q.power(k)))
+            qk1 = qk * q.q
+            term *= (1.0 - qminus_n * qk) * qk1 * xqn / (1.0 - qk1)
+            qk = qk1
         total += term
     return ensure_finite(total / qfac_n, "stieltjes_wigert")
 

@@ -354,43 +354,29 @@ def cal_e(x, t, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "he
         raise DomainError(f"unknown cal_e route {route!r}")
     if t == 0:
         return 1.0 + 0.0j
-    # arccos with principal branch: x = cos(theta)
-    theta = cmath.acos(x)
-    eip = cmath.exp(1j * theta)
-    eim = cmath.exp(-1j * theta)
-    log_t = cmath.log(-1j * t)
     qq = q.q
-    at2 = abs(t) ** 2
+    t2 = t * t
+    x4 = 4.0 * x * x
+    at2 = abs(t2)
     c = max(4.0 * abs(x) ** 2 - 1.0, 0.0)
 
-    # With y = q^(m+1) the shifted product pair obeys
-    # q^((m+2)^2/4) Q_(m+2) = -q^(m^2/4) Q_m ((1-y)^2 + 4x^2 y), so
-    # |t_(m+2)/t_m| <= |t|^2 (1 + c y) / ((1 - y)(1 - q y)), decreasing in m: the tail after
+    # Term n is q^(n^2/4) (-i t)^n Q_n/(q;q)_n with the shifted product pair
+    # Q_n = prod_(e = e^(+-i theta)) (-i e q^((1-n)/2);q)_n, x = cos(theta).  With y = q^(m+1),
+    # q^((m+2)^2/4) Q_(m+2) = -q^(m^2/4) Q_m ((1-y)^2 + 4x^2 y), so from t_0 = 1 and
+    # t_1 = 2 x t q^(1/4)/(1-q) each term is t_(m+2) = t_m t^2 ((1-y)^2 + 4x^2 y)/((1-y)(1-q y)),
+    # and |t_(m+2)/t_m| <= |t|^2 (1 + c y) / ((1 - y)(1 - q y)), decreasing in m: the tail after
     # t_n is bounded along the two chains that start at t_(n-1) and t_n.
     def terms():
-        qfac = 1.0 + 0.0j
+        cur, nxt = 1.0 + 0.0j, 2.0 * x * t * q.power(0.25) / (1.0 - qq)  # t_n, t_(n+1)
         prev = 0.0
-        for n in itertools.count():
-            if n > 0:
-                qfac *= 1.0 - q.power(n)
-            # the shifted products peak near q^(-n^2/4) against the q^(n^2/4)
-            # weight; accumulate the whole term logarithmically so large
-            # degrees stay representable
-            log_acc = complex(n * n / 4.0 * q.ln_q) + n * log_t
-            for sign_e in (eip, eim):
-                base = -1j * sign_e * q.power((1.0 - n) / 2.0)
-                for j in range(n):
-                    factor = 1.0 - base * q.power(j)
-                    if factor == 0:
-                        log_acc = None
-                        break
-                    log_acc += cmath.log(factor)
-                if log_acc is None:
-                    break
-            term = 0.0 + 0.0j if log_acc is None else cmath.exp(log_acc) / qfac
-            mag = abs(term)
-            yield term, geometric_tail(prev + mag, _ratio_bound(at2, c + 1.0 + qq, qq ** n))
+        qn = 1.0  # q^n
+        while True:
+            mag = abs(cur)
+            yield cur, geometric_tail(prev + mag, _ratio_bound(at2, c + 1.0 + qq, qn))
+            y = qn * qq
+            cur, nxt = nxt, cur * t2 * ((1.0 - y) ** 2 + x4 * y) / ((1.0 - y) * (1.0 - qq * y))
             prev = mag
+            qn = y
 
     pref = qpoch_inf(t * t, q2, tr) / qpoch_inf(q.q * t * t, q2, tr)
     return ensure_finite(pref * _certified_sum(terms(), tr, "cal_e"), "cal_e")
@@ -460,20 +446,21 @@ def ramanujan_a_shifted(z, shift, q: QParam, tr: Truncation = DEFAULT_TRUNCATION
     bounded by |z|^n for any real shift; the naive route overflows once
     the scaled argument q^(2 shift) z leaves the double range.
     """
-    z = complex(z)
+    mz = -complex(z)
     shift = float(shift)
-    qq = q.q
-    az = abs(z)
+    qq, ln_q = q.q, q.ln_q
+    az = abs(mz)
 
     # |t_(n+1)/t_n| = |z| q^(2n+2 shift+1) / (1 - q^(n+1)), decreasing in n
     def terms():
         term = 1.0 + 0.0j  # (-z)^n / (q;q)_n
         qn1 = qq  # q^(n+1)
         for n in itertools.count():
-            piece = term * qq ** ((n + shift) ** 2)
-            r = az * _qpow(q, 2 * n + 2 * shift + 1) / (1.0 - qn1)
+            piece = term * math.exp((n + shift) ** 2 * ln_q)
+            e = (2 * n + 2 * shift + 1) * ln_q
+            r = az * math.exp(e) / (1.0 - qn1) if e < 709.0 else math.inf
             yield piece, geometric_tail(abs(piece), r)
-            term *= -z / (1.0 - qn1)
+            term *= mz / (1.0 - qn1)
             qn1 *= qq
 
     return _certified_sum(terms(), tr, "ramanujan_a_shifted")
@@ -491,10 +478,7 @@ def _leading_logs(w, beta: float, q: QParam, tr: Truncation):
     start = 0
     logs = []
     j = 0
-    try:
-        wq = complex(w) * q.power(beta)  # w q^(beta+j)
-    except OverflowError:
-        raise NumericOverflowError(f"poch_gauss: q^beta overflows at beta = {beta}") from None
+    wq = complex(w) * q.power(beta)  # w q^(beta+j)
     while abs(wq) > 0.125 and j < max_terms:
         factor = 1.0 - wq
         j += 1
@@ -551,7 +535,7 @@ def _poch_gauss_ladder(w, beta: float, q: QParam, tr: Truncation):
     the Gaussian weight is taken afresh for each k, so a value that
     underflows does not zero the larger ones after it (beta < 0).
     """
-    ln_q = q.ln_q
+    qq, ln_q = q.q, q.ln_q
     start, logs, wq = _leading_logs(w, beta, q, tr)
     for _ in range(start):
         yield 0.0 + 0.0j
@@ -564,8 +548,15 @@ def _poch_gauss_ladder(w, beta: float, q: QParam, tr: Truncation):
     for k in itertools.count(lead):
         if k > lead:
             tail /= 1.0 - wq
-            wq *= q.q
-        yield _damped(complex((beta + k) ** 2 / 2.0 * ln_q), tail)
+            wq *= qq
+        e = (beta + k) ** 2 / 2.0 * ln_q
+        if e < -745.0:
+            yield 0.0 + 0.0j
+            continue
+        value = math.exp(e) * tail
+        if not cmath.isfinite(value):
+            raise NumericOverflowError(f"poch_gauss value {value!r} is not finite")
+        yield value
 
 
 def confluent_phi_weighted(a, b0, z0, beta, q: QParam,
@@ -578,22 +569,25 @@ def confluent_phi_weighted(a, b0, z0, beta, q: QParam,
     smoothly (the product zero cancels them).
     """
     a = complex(a)
-    z0 = complex(z0)
+    mz0 = -complex(z0)
     beta = float(beta)
-    qq = q.q
-    z0_mag = abs(z0)
+    qq, ln_q = q.q, q.ln_q
+    z0_mag = abs(mz0)
     c = abs(a) + qq + abs(b0) * _qpow(q, beta)
 
     # t_(k+1)/t_k = (1 - a q^k)(-z0) q^(beta+k+1/2) / ((1 - q^(k+1))(1 - b0 q^(beta+k))); once
     # |b0| q^(beta+k) < 1 no product factor can vanish and the bound below holds for every i >= k
     def terms():
         term = 1.0 + 0.0j  # (a;q)_k (-z0)^k/(q;q)_k
+        qk = 1.0  # q^k
         ladder = _poch_gauss_ladder(b0, beta, q, tr)
         for k in itertools.count():
             if k:
-                term *= (1.0 - a * q.power(k - 1)) * (-z0) / (1.0 - q.power(k))
+                term *= (1.0 - a * qk) * mz0 / (1.0 - qk * qq)
+                qk *= qq
             piece = term * next(ladder)
-            r = _ratio_bound(z0_mag * _qpow(q, beta + k + 0.5), c, qq ** k)
+            e = (beta + k + 0.5) * ln_q
+            r = _ratio_bound(z0_mag * math.exp(e), c, qk) if e < 709.0 else math.inf
             yield piece, geometric_tail(abs(piece), r)
 
     return _certified_sum(terms(), tr, "confluent_phi_weighted")
@@ -604,10 +598,10 @@ def cal_e_raw_shifted(x, t, shift, q: QParam, tr: Truncation = DEFAULT_TRUNCATIO
 
     Equals sum_n q^((n+shift)^2/4) t^n H_n(x|q)/(q;q)_n with bounded terms.
     """
-    x = complex(x)
+    x2 = 2.0 * complex(x)
     t = complex(t)
     shift = float(shift)
-    qq = q.q
+    qq, ln_q = q.q, q.ln_q
     at = abs(t)
     rho = abs(x) + math.sqrt(abs(x) ** 2 + 1.0)
 
@@ -617,14 +611,17 @@ def cal_e_raw_shifted(x, t, shift, q: QParam, tr: Truncation = DEFAULT_TRUNCATIO
         hprev, hcur = 0.0 + 0.0j, 1.0 + 0.0j  # H_(n-1), H_n
         tn = 1.0 + 0.0j
         qfac = 1.0 + 0.0j
+        qn = 1.0  # q^n
         for n in itertools.count():
             if n > 0:
-                hprev, hcur = hcur, 2.0 * x * hcur - (1.0 - qq ** (n - 1)) * hprev
+                hprev, hcur = hcur, x2 * hcur - (1.0 - qn) * hprev
                 tn *= t
-                qfac *= 1.0 - qq ** n
-            weight = qq ** ((n + shift) ** 2 / 4.0)
+                qn *= qq
+                qfac *= 1.0 - qn
+            weight = math.exp((n + shift) ** 2 / 4.0 * ln_q)
             major = weight * abs(tn) * max(abs(hcur), rho * abs(hprev)) / abs(qfac)
-            r = rho * at * _qpow(q, (2 * n + 2 * shift + 1) / 4.0) / (1.0 - qq ** (n + 1))
+            e = (2 * n + 2 * shift + 1) / 4.0 * ln_q
+            r = rho * at * math.exp(e) / (1.0 - qn * qq) if e < 709.0 else math.inf
             yield weight * tn * hcur / qfac, geometric_tail(major, r)
 
     return _certified_sum(terms(), tr, "cal_e_raw_shifted")
@@ -716,17 +713,22 @@ def bessel2_normalized_gauss(nu, u, alpha, q: QParam,
     nu = complex(nu)
     u = complex(u)
     alpha = float(alpha)
+    qq, ln_q = q.q, q.ln_q
     qnu = q.power(nu)
-    qnu_mag, c = abs(qnu), abs(u) + q.q
+    step = -q.power(0.5) * qnu  # -q^(1/2) q^nu
+    qnu_mag, c = abs(qnu), abs(u) + qq
 
     # t_(n+1)/t_n = -(1 + u q^n) q^nu q^(alpha+n+1) / (1 - q^(n+1)), bounded for i >= n as below
     def terms():
         term = 1.0 + 0.0j  # (-u;q)_n (-1)^n q^(n/2 + nu n) / (q;q)_n
+        qn = 1.0  # q^n
         for n in itertools.count():
             if n:
-                term *= -(1.0 - (-u) * q.power(n - 1)) * q.power(0.5) * qnu / (1.0 - q.power(n))
-            piece = term * q.power((alpha + n) ** 2 / 2.0)
-            r = _ratio_bound(qnu_mag * _qpow(q, alpha + n + 1), c, q.q ** n)
+                term *= (1.0 + u * qn) * step / (1.0 - qn * qq)
+                qn *= qq
+            piece = term * math.exp((alpha + n) ** 2 / 2.0 * ln_q)
+            e = (alpha + n + 1) * ln_q
+            r = _ratio_bound(qnu_mag * math.exp(e), c, qn) if e < 709.0 else math.inf
             yield piece, geometric_tail(abs(piece), r)
 
     return _certified_sum(terms(), tr, "bessel2_normalized_gauss") / qpoch_inf(q.q, q, tr)
@@ -744,42 +746,37 @@ def bessel3_normalized_gauss(nu, z2, alpha, q: QParam,
     nu = complex(nu)
     z2 = complex(z2)
     alpha = float(alpha)
+    qq, ln_q = q.q, q.ln_q
     w = q.power(nu + 1)
-    z2_mag, c = abs(z2), q.q + abs(w) * _qpow(q, alpha)
+    step = -z2 * q.power(0.5)  # -z2 q^(1/2)
+    z2_mag, c = abs(z2), qq + abs(w) * _qpow(q, alpha)
 
     # t_(n+1)/t_n = -z2 q^(alpha+n+1) / ((1 - q^(n+1))(1 - w q^(alpha+n))), w = q^(nu+1); once
     # |w| q^(alpha+n) < 1 no product factor can vanish and the bound below holds for every i >= n
     def terms():
         term = 1.0 + 0.0j  # (-z2 q^(1/2))^n / (q;q)_n
+        qn = 1.0  # q^n
         ladder = _poch_gauss_ladder(w, alpha, q, tr)
         for n in itertools.count():
             if n:
-                term *= -z2 * q.power(0.5) / (1.0 - q.power(n))
+                qn *= qq
+                term *= step / (1.0 - qn)
             piece = term * next(ladder)
-            r = _ratio_bound(z2_mag * _qpow(q, alpha + n + 1), c, q.q ** n)
+            e = (alpha + n + 1) * ln_q
+            r = _ratio_bound(z2_mag * math.exp(e), c, qn) if e < 709.0 else math.inf
             yield piece, geometric_tail(abs(piece), r)
 
     return _certified_sum(terms(), tr, "bessel3_normalized_gauss") / qpoch_inf(q.q, q, tr)
 
 
 def bessel3_normalized(mu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
-    """(2/z)^mu J3_mu(z;q) as a function of u = (z/2)^2, entire in the order."""
-    mu = complex(mu)
-    u = complex(u)
-    u_mag, c = abs(u), q.q + abs(q.power(mu + 1))
+    """(2/z)^mu J3_mu(z;q) as a function of u = (z/2)^2, entire in the order.
 
-    # t_(n+1)/t_n = -u q^(n+1) / ((1 - q^(n+1))(1 - w q^n)), w = q^(mu+1); once |w| q^n < 1
-    # no product factor can vanish and the bound below holds for every i >= n
-    def terms():
-        term = 1.0 + 0.0j  # q^(binom(n+1,2)) (-u)^n / (q;q)_n, before the tail product
-        for n in itertools.count():
-            if n > 0:
-                term *= -u * q.power(n) / (1.0 - q.power(n))
-            piece = term * qpoch_inf(q.power(mu + n + 1), q, tr)
-            r = _ratio_bound(u_mag * q.q ** (n + 1), c, q.q ** n)
-            yield piece, geometric_tail(abs(piece), r)
-
-    return _certified_sum(terms(), tr, "bessel3_normalized") / qpoch_inf(q.q, q, tr)
+    Its series sum_n q^(n(n+1)/2) (-u)^n (q^(mu+n+1);q)_inf/(q;q)_n /(q;q)_inf
+    is the undamped case alpha = 0 of :func:`bessel3_normalized_gauss`, since
+    q^(n(n+1)/2) = q^(n/2) q^(n^2/2).
+    """
+    return bessel3_normalized_gauss(mu, u, 0.0, q, tr)
 
 
 def bessel3_normalized_native(nu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import qkit.core
 from qkit import (
     DEFAULT_TRUNCATION,
     DomainError,
@@ -22,7 +23,7 @@ from qkit import (
     theta4,
 )
 from qkit.core import _certified_sum, _product_tail_bound, ensure_finite, geometric_tail
-from qkit.errors import QKitError, TruncationError
+from qkit.errors import NumericOverflowError, QKitError, TruncationError
 
 TR = Truncation(tol=1e-14)
 
@@ -36,6 +37,14 @@ class TestQParam:
         for bad in (0.0, 1.0, -0.3, 1.7):
             with pytest.raises(DomainError):
                 QParam(bad)
+
+    def test_power_overflow_is_numeric_overflow_error(self):
+        q = QParam(0.05)
+        for e in (-400.5, -400.5 + 1j):  # e ln q > 709 on the real and the complex branch
+            with pytest.raises(NumericOverflowError):
+                q.power(e)
+        with pytest.raises(NumericOverflowError):
+            qgamma(-400.5, q)
 
     def test_cached_fields(self):
         q = QParam(0.37)
@@ -51,6 +60,14 @@ class TestTruncation:
             Truncation(tol=1e-16)
         with pytest.raises(DomainError):
             Truncation(max_terms=4)
+
+
+def test_ensure_finite():
+    for value in (1.5, 2 - 3j, 7, 0.0):
+        assert ensure_finite(value) == value
+    for value in (math.inf, math.nan, complex(1.0, math.inf), complex(math.nan, 0.0)):
+        with pytest.raises(NumericOverflowError):
+            ensure_finite(value, "test")
 
 
 class TestCertifiedSum:
@@ -200,6 +217,28 @@ class TestQpochInfFactorCount:
         for a in (math.inf, math.nan, complex(math.inf, math.nan)):
             with pytest.raises(TruncationError):
                 qpoch_inf(a, q, TR)
+
+    def test_qq_product_is_multiplied_out_once(self, monkeypatch):
+        bounds = []
+
+        def counting(mag, qq):
+            bounds.append(mag)
+            return _product_tail_bound(mag, qq)
+
+        monkeypatch.setattr(qkit.core, "_product_tail_bound", counting)
+        qkit.core._qfac_inf.cache_clear()
+        q, tr = QParam(0.123457), Truncation(tol=3e-14)
+        first = _outcome(qpoch_inf, q.q, q, tr)
+        assert bounds and first == _outcome(_qpoch_inf_checked, q.q, q, tr)
+        bounds.clear()
+        assert _outcome(qpoch_inf, q.q, q, tr) == first and not bounds
+        # a failure is raised afresh each time, never stored
+        q, tr = QParam(0.99), Truncation(max_terms=8)
+        for _ in range(2):
+            bounds.clear()
+            with pytest.raises(TruncationError):
+                qpoch_inf(q.q, q, tr)
+            assert bounds
 
 
 class TestQBinom:

@@ -1,9 +1,20 @@
 """The float primitives against mpmath at 30 digits (skipped without mpmath)."""
 
+import cmath
+import math
+import random
+
 import pytest
 
-from qkit import QParam, Truncation, qpoch_inf
-from qkit.series import poch_gauss
+from qkit import QParam, Truncation, qgamma, qpoch_inf
+from qkit.series import (
+    bessel2_normalized_gauss,
+    bessel3_normalized_gauss,
+    cal_e_raw_shifted,
+    confluent_phi_weighted,
+    poch_gauss,
+    ramanujan_a_shifted,
+)
 
 mp = pytest.importorskip("mpmath")
 
@@ -35,3 +46,131 @@ def test_poch_gauss_matches_mpmath(qv):
             b = mp.mpf(beta)
             exact = mq ** (b * b / 2) * mp.qp(mp.mpc(w) * mq**b, mq)
             assert rel(poch_gauss(w, beta, q, TR), exact) < 1e-13, (w, beta)
+
+
+@pytest.mark.parametrize("qv", [0.1, 0.5, 0.9, 0.97])
+def test_qgamma_matches_mpmath(qv):
+    q, mq = QParam(qv), mp.mpf(qv)
+    for x in (0.5, 2.3, 7.25, 12.5, -1.5, -4.6, 3 + 1j, -2.7 + 0.4j, 0.1 - 2j):
+        assert rel(qgamma(x, q, TR), mp.qgamma(mp.mpc(x), mq)) < 1e-13, x
+
+
+# Direct sums of the Gaussian-damped series, term by term from their definitions.  Each
+# returns (sum, sum of |term|); it runs past the Gaussian's peak at n = -shift before it
+# stops on a term below 1e-40 of the largest.
+
+def _direct(term, shift):
+    total, absum, peak, n = 0, 0, 0, 0
+    while True:
+        t = term(n)
+        total += t
+        absum += abs(t)
+        peak = max(peak, abs(t))
+        if n > 2 * abs(shift) + 5 and abs(t) < mp.mpf(10) ** -40 * peak:
+            return total, absum
+        n += 1
+
+
+def _ramanujan_a_shifted(z, shift, q):
+    z, s, q = mp.mpc(z), mp.mpf(shift), mp.mpf(q)
+    return _direct(lambda n: q ** ((n + s) ** 2) * (-z) ** n / mp.qp(q, q, n), shift)
+
+
+def _cal_e_raw_shifted(x, t, shift, q):
+    x, t, s, q = mp.mpc(x), mp.mpc(t), mp.mpf(shift), mp.mpf(q)
+    h = [mp.mpc(1), 2 * x]  # H_n(x|q)
+
+    def term(n):
+        while len(h) <= n:
+            k = len(h) - 1
+            h.append(2 * x * h[k] - (1 - q**k) * h[k - 1])
+        return q ** ((n + s) ** 2 / 4) * t**n * h[n] / mp.qp(q, q, n)
+
+    return _direct(term, shift)
+
+
+def _bessel2_normalized_gauss(nu, u, alpha, q):
+    nu, u, a, q = mp.mpc(nu), mp.mpc(u), mp.mpf(alpha), mp.mpf(q)
+    qq = mp.qp(q, q)
+    total, absum = _direct(lambda n: mp.qp(-u, q, n) * (-1) ** n * q ** (n / 2 + nu * n)
+                           * q ** ((a + n) ** 2 / 2) / mp.qp(q, q, n), alpha)
+    return total / qq, absum / qq
+
+
+def _bessel3_normalized_gauss(nu, z2, alpha, q):
+    nu, z2, a, q = mp.mpc(nu), mp.mpc(z2), mp.mpf(alpha), mp.mpf(q)
+    qq = mp.qp(q, q)
+    total, absum = _direct(lambda n: (-z2 * mp.sqrt(q)) ** n * q ** ((a + n) ** 2 / 2)
+                           * mp.qp(q ** (nu + 1 + a + n), q) / mp.qp(q, q, n), alpha)
+    return total / qq, absum / qq
+
+
+def _confluent_phi_weighted(a, b0, z0, beta, q):
+    a, b0, z0, b, q = mp.mpc(a), mp.mpc(b0), mp.mpc(z0), mp.mpf(beta), mp.mpf(q)
+    return _direct(lambda k: mp.qp(a, q, k) * (-z0) ** k * q ** ((b + k) ** 2 / 2)
+                   * mp.qp(b0 * q ** (b + k), q) / mp.qp(q, q, k), beta)
+
+
+def _cring(rng, lo, hi):
+    return rng.uniform(lo, hi) * cmath.exp(2j * math.pi * rng.random())
+
+
+# (function, direct sum, sampler of (args..., q)) over the ranges the FOURIER samplers feed
+# the damped series: shifts -30..12 (the Gaussian window), q and the other arguments as drawn
+DAMPED = {
+    "ramanujan_a_shifted": (
+        ramanujan_a_shifted, _ramanujan_a_shifted,
+        lambda r: (_cring(r, 0.01, 3.0), r.uniform(-30, 12), r.uniform(0.1, 0.7))),
+    "cal_e_raw_shifted": (
+        cal_e_raw_shifted, _cal_e_raw_shifted,
+        lambda r: (_cring(r, 0.03, 0.95), _cring(r, 0.01, 3.0), r.uniform(-30, 12),
+                   r.uniform(0.15, 0.65))),
+    "bessel2_normalized_gauss": (
+        bessel2_normalized_gauss, _bessel2_normalized_gauss,
+        lambda r: (complex(r.uniform(0.2, 1.4), r.uniform(-1, 1)), _cring(r, 0.03, 1.6),
+                   r.uniform(-30, 12), r.uniform(0.15, 0.62))),
+    "bessel3_normalized_gauss": (
+        bessel3_normalized_gauss, _bessel3_normalized_gauss,
+        lambda r: (r.uniform(0.4, 1.0), _cring(r, 0.1, 0.5), r.uniform(-30, 12),
+                   r.uniform(0.45, 0.6))),
+    "confluent_phi_weighted": (
+        confluent_phi_weighted, _confluent_phi_weighted,
+        lambda r: (_cring(r, 0.1, 2.6), _cring(r, 0.03, 0.5), _cring(r, 0.1, 0.6),
+                   r.uniform(-30, 12), r.uniform(0.38, 0.63))),
+}
+
+# Shifts so negative that the Gaussian weight q^(shift^2/c) underflows to 0 at n = 0, while
+# the terms near n = -shift are of ordinary size: a weight carried by a multiplicative
+# recurrence would stay 0.  Each entry is (args..., q) and c.
+UNDERFLOW = {
+    "ramanujan_a_shifted": ((0.4 - 0.3j, -30.0, 0.05), 1),
+    "cal_e_raw_shifted": ((0.3 + 0.2j, 0.8 - 0.5j, -60.0, 0.05), 4),
+    "bessel2_normalized_gauss": ((0.5, 0.4 + 0.3j, -40.0, 0.05), 2),
+    "bessel3_normalized_gauss": ((0.7, 0.3 - 0.2j, -40.0, 0.05), 2),
+    "confluent_phi_weighted": ((0.5 + 0.5j, 0.2 - 0.1j, 0.3 + 0.2j, -40.0, 0.05), 2),
+}
+
+
+def _check_damped(name, args):
+    f, direct, _ = DAMPED[name]
+    *fargs, qv = args
+    value = f(*fargs, QParam(qv), TR)
+    exact, absum = direct(*args)
+    # 1e-12 relative where the terms do not cancel; a sum that cancels below its largest
+    # terms loses the digits they carry (ROADMAP item 2), so the bound scales with sum |t_n|
+    assert float(abs(value - exact)) < 1e-12 * float(absum), (name, args)
+
+
+@pytest.mark.parametrize("name", sorted(DAMPED))
+def test_damped_series_match_direct_sums(name):
+    rng = random.Random(sum(map(ord, name)))
+    for _ in range(8):
+        _check_damped(name, DAMPED[name][2](rng))
+
+
+@pytest.mark.parametrize("name", sorted(UNDERFLOW))
+def test_damped_series_regrow_after_underflow(name):
+    args, c = UNDERFLOW[name]
+    shift, qv = args[-2:]
+    assert math.exp(shift * shift / c * math.log(qv)) == 0
+    _check_damped(name, args)

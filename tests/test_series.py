@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import types
 
 import pytest
 
@@ -32,6 +33,7 @@ from qkit.series import (
     _poch_gauss_ladder,
     bessel2_normalized,
     bessel2_normalized_native,
+    bessel3_normalized,
     bessel3_normalized_gauss,
     confluent_phi_weighted,
     poch_gauss,
@@ -265,6 +267,9 @@ class TestPochGaussLadder:
         calls.clear()
         bessel3_normalized_gauss(0.4, 0.5 + 0.3j, -2.0, q, TR)
         assert len(calls) <= 2
+        calls.clear()
+        bessel3_normalized(0.4, 0.5 + 0.3j, q, TR)
+        assert len(calls) <= 2
 
 
 class TestCalE:
@@ -283,6 +288,29 @@ class TestCalE:
     def test_domain(self):
         with pytest.raises(DomainError):
             cal_e(0.3, 1.2, QParam(0.5), TR)
+
+    def test_shifted_route_work_is_linear(self, monkeypatch):
+        """Each term of the shifted route costs O(1): no per-term rebuild of the products."""
+        terms, logs = [], []
+        kernel = qkit.series._certified_sum
+
+        def counting_sum(gen, tr, context):
+            def counted():
+                for pair in gen:
+                    terms.append(pair)
+                    yield pair
+
+            return kernel(counted(), tr, context)
+
+        def counting_log(*args):
+            logs.append(args)
+            return cmath.log(*args)
+
+        monkeypatch.setattr(qkit.series, "_certified_sum", counting_sum)
+        monkeypatch.setattr(qkit.series, "cmath",
+                            types.SimpleNamespace(**{**vars(cmath), "log": counting_log}))
+        cal_e(0.3, 0.5j, QParam(0.45), TR, route="shifted")
+        assert len(terms) >= 10 and len(logs) <= len(terms)
 
 
 class TestBessel:
