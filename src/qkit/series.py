@@ -457,8 +457,7 @@ def ramanujan_a_shifted(z, shift, q: QParam, tr: Truncation = DEFAULT_TRUNCATION
         qn1 = qq  # q^(n+1)
         for n in itertools.count():
             piece = term * math.exp((n + shift) ** 2 * ln_q)
-            e = (2 * n + 2 * shift + 1) * ln_q
-            r = az * math.exp(e) / (1.0 - qn1) if e < 709.0 else math.inf
+            r = az * _qpow(q, 2 * n + 2 * shift + 1) / (1.0 - qn1)
             yield piece, geometric_tail(abs(piece), r)
             term *= mz / (1.0 - qn1)
             qn1 *= qq
@@ -493,17 +492,6 @@ def _leading_logs(w, beta: float, q: QParam, tr: Truncation):
     return start, logs, wq
 
 
-def _damped(log_value: complex, factor: complex) -> complex:
-    """exp(log_value) * factor; 0 where the exponential underflows."""
-    if log_value.real < -745.0:
-        return 0.0 + 0.0j
-    try:
-        value = cmath.exp(log_value) * factor
-    except OverflowError:
-        raise NumericOverflowError(f"poch_gauss exponent {log_value.real:.1f} overflows") from None
-    return ensure_finite(value, "poch_gauss")
-
-
 def poch_gauss(w, beta, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Gaussian-damped infinite product q^(beta^2/2) (w q^beta;q)_inf.
 
@@ -511,15 +499,11 @@ def poch_gauss(w, beta, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> compl
     as complex logarithms, summed from the last one back, together with the
     Gaussian exponent, so the value stays representable (and free of
     cancellation) even where the bare product overflows; a value beyond
-    the double range raises NumericOverflowError.  The damped series that
-    need poch_gauss(w, beta + k) for k = 0, 1, 2, ... walk
-    ``_poch_gauss_ladder`` instead, which shares these leading factors.
+    the double range raises NumericOverflowError.  It is the first value of
+    ``_poch_gauss_ladder``, which the damped series that need
+    poch_gauss(w, beta + k) for k = 0, 1, 2, ... walk on.
     """
-    beta = float(beta)
-    start, logs, wq = _leading_logs(w, beta, q, tr)
-    if start:
-        return 0.0 + 0.0j
-    return _damped(beta * beta / 2.0 * q.ln_q + sum(reversed(logs)), qpoch_inf(wq, q, tr))
+    return next(_poch_gauss_ladder(w, float(beta), q, tr))
 
 
 def _poch_gauss_ladder(w, beta: float, q: QParam, tr: Truncation):
@@ -528,12 +512,12 @@ def _poch_gauss_ladder(w, beta: float, q: QParam, tr: Truncation):
     The J leading factors are logged once and the tail
     (w q^(beta+J);q)_inf is built once.  Value k < J is
     exp((beta+k)^2/2 ln q + sum_(k<=j<J) log(1 - w q^(beta+j))) times the
-    tail, each suffix sum taken from the last logarithm back as in
-    poch_gauss; a vanishing factor makes every value at or below it 0.
-    Beyond the threshold the tail loses one factor per step,
-    T_(k+1) = T_k / (1 - w q^(beta+k)) with a divisor of at least 7/8, and
-    the Gaussian weight is taken afresh for each k, so a value that
-    underflows does not zero the larger ones after it (beta < 0).
+    tail, each suffix sum taken from the last logarithm back; a vanishing
+    factor makes every value at or below it 0.  Beyond the threshold the
+    tail loses one factor per step, T_(k+1) = T_k / (1 - w q^(beta+k))
+    with a divisor of at least 7/8.  The exponent is taken afresh for each
+    k, so a value that underflows does not zero the larger ones after it
+    (beta < 0).
     """
     qq, ln_q = q.q, q.ln_q
     start, logs, wq = _leading_logs(w, beta, q, tr)
@@ -543,17 +527,20 @@ def _poch_gauss_ladder(w, beta: float, q: QParam, tr: Truncation):
     # suffix[i] = sum of the last i+1 logs, so value k < J takes suffix[J-1-k]
     suffix = list(itertools.accumulate(reversed(logs)))
     lead = start + len(logs)
-    for k in range(start, lead):
-        yield _damped((beta + k) ** 2 / 2.0 * ln_q + suffix[lead - 1 - k], tail)
-    for k in itertools.count(lead):
-        if k > lead:
+    for k in itertools.count(start):
+        e = (beta + k) ** 2 / 2.0 * ln_q
+        if k < lead:
+            e += suffix[lead - 1 - k]
+        elif k > lead:
             tail /= 1.0 - wq
             wq *= qq
-        e = (beta + k) ** 2 / 2.0 * ln_q
-        if e < -745.0:
+        if e.real < -745.0:  # exp underflows
             yield 0.0 + 0.0j
             continue
-        value = math.exp(e) * tail
+        try:
+            value = cmath.exp(e) * tail
+        except OverflowError:
+            raise NumericOverflowError(f"poch_gauss exponent {e.real:.1f} overflows") from None
         if not cmath.isfinite(value):
             raise NumericOverflowError(f"poch_gauss value {value!r} is not finite")
         yield value
@@ -571,7 +558,7 @@ def confluent_phi_weighted(a, b0, z0, beta, q: QParam,
     a = complex(a)
     mz0 = -complex(z0)
     beta = float(beta)
-    qq, ln_q = q.q, q.ln_q
+    qq = q.q
     z0_mag = abs(mz0)
     c = abs(a) + qq + abs(b0) * _qpow(q, beta)
 
@@ -586,8 +573,7 @@ def confluent_phi_weighted(a, b0, z0, beta, q: QParam,
                 term *= (1.0 - a * qk) * mz0 / (1.0 - qk * qq)
                 qk *= qq
             piece = term * next(ladder)
-            e = (beta + k + 0.5) * ln_q
-            r = _ratio_bound(z0_mag * math.exp(e), c, qk) if e < 709.0 else math.inf
+            r = _ratio_bound(z0_mag * _qpow(q, beta + k + 0.5), c, qk)
             yield piece, geometric_tail(abs(piece), r)
 
     return _certified_sum(terms(), tr, "confluent_phi_weighted")
@@ -620,8 +606,7 @@ def cal_e_raw_shifted(x, t, shift, q: QParam, tr: Truncation = DEFAULT_TRUNCATIO
                 qfac *= 1.0 - qn
             weight = math.exp((n + shift) ** 2 / 4.0 * ln_q)
             major = weight * abs(tn) * max(abs(hcur), rho * abs(hprev)) / abs(qfac)
-            e = (2 * n + 2 * shift + 1) / 4.0 * ln_q
-            r = rho * at * math.exp(e) / (1.0 - qn * qq) if e < 709.0 else math.inf
+            r = rho * at * _qpow(q, (2 * n + 2 * shift + 1) / 4.0) / (1.0 - qn * qq)
             yield weight * tn * hcur / qfac, geometric_tail(major, r)
 
     return _certified_sum(terms(), tr, "cal_e_raw_shifted")
@@ -727,8 +712,7 @@ def bessel2_normalized_gauss(nu, u, alpha, q: QParam,
                 term *= (1.0 + u * qn) * step / (1.0 - qn * qq)
                 qn *= qq
             piece = term * math.exp((alpha + n) ** 2 / 2.0 * ln_q)
-            e = (alpha + n + 1) * ln_q
-            r = _ratio_bound(qnu_mag * math.exp(e), c, qn) if e < 709.0 else math.inf
+            r = _ratio_bound(qnu_mag * _qpow(q, alpha + n + 1), c, qn)
             yield piece, geometric_tail(abs(piece), r)
 
     return _certified_sum(terms(), tr, "bessel2_normalized_gauss") / qpoch_inf(q.q, q, tr)
@@ -746,7 +730,7 @@ def bessel3_normalized_gauss(nu, z2, alpha, q: QParam,
     nu = complex(nu)
     z2 = complex(z2)
     alpha = float(alpha)
-    qq, ln_q = q.q, q.ln_q
+    qq = q.q
     w = q.power(nu + 1)
     step = -z2 * q.power(0.5)  # -z2 q^(1/2)
     z2_mag, c = abs(z2), qq + abs(w) * _qpow(q, alpha)
@@ -762,8 +746,7 @@ def bessel3_normalized_gauss(nu, z2, alpha, q: QParam,
                 qn *= qq
                 term *= step / (1.0 - qn)
             piece = term * next(ladder)
-            e = (alpha + n + 1) * ln_q
-            r = _ratio_bound(z2_mag * math.exp(e), c, qn) if e < 709.0 else math.inf
+            r = _ratio_bound(z2_mag * _qpow(q, alpha + n + 1), c, qn)
             yield piece, geometric_tail(abs(piece), r)
 
     return _certified_sum(terms(), tr, "bessel3_normalized_gauss") / qpoch_inf(q.q, q, tr)

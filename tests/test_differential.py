@@ -151,21 +151,30 @@ UNDERFLOW = {
 }
 
 
-def _check_damped(name, args):
+def _errors(name, args):
+    """(|value - S| / |S|, sum |t_n| / |S|) of one damped series against its direct sum S."""
     f, direct, _ = DAMPED[name]
     *fargs, qv = args
     value = f(*fargs, QParam(qv), TR)
     exact, absum = direct(*args)
-    # 1e-12 relative where the terms do not cancel; a sum that cancels below its largest
-    # terms loses the digits they carry (ROADMAP item 2), so the bound scales with sum |t_n|
-    assert float(abs(value - exact)) < 1e-12 * float(absum), (name, args)
+    return rel(value, exact), float(absum / abs(exact))
 
 
 @pytest.mark.parametrize("name", sorted(DAMPED))
 def test_damped_series_match_direct_sums(name):
     rng = random.Random(sum(map(ord, name)))
+    relative = 0
     for _ in range(8):
-        _check_damped(name, DAMPED[name][2](rng))
+        args = DAMPED[name][2](rng)
+        err, spread = _errors(name, args)
+        # a sum that cancels below its largest terms loses the digits they carry (ROADMAP
+        # item 2), so the error is bounded by 1e-13 sum |t_n|; where the terms barely cancel
+        # the value is also within 1e-12 relative
+        assert err < 1e-13 * spread, (name, args, err, spread)
+        if spread < 10.0:
+            relative += 1
+            assert err < 1e-12, (name, args, err)
+    assert relative >= 4, name  # the relative check is not left to a few points
 
 
 @pytest.mark.parametrize("name", sorted(UNDERFLOW))
@@ -173,4 +182,9 @@ def test_damped_series_regrow_after_underflow(name):
     args, c = UNDERFLOW[name]
     shift, qv = args[-2:]
     assert math.exp(shift * shift / c * math.log(qv)) == 0
-    _check_damped(name, args)
+    err, spread = _errors(name, args)
+    # the terms barely cancel, but the Gaussian exponents here exceed 2e3 in size and
+    # exp keeps eps |exponent| of them (poch_gauss(0.2 - 0.1j, -40) at q = 0.05 is 4e-13
+    # off), so the relative bound is the one that holds
+    assert spread < 10.0, (name, args, spread)
+    assert err < 1e-12, (name, args, err)

@@ -2,31 +2,34 @@
 
 Usage:
     python tools/bench_record.py OUT.json LABEL [--checkout DIR] [--seed N]
-                                 [--seconds S] [--workload NAME]
+                                 [--workload NAME]
 
 Runs ``perfbench/run.py --workload all`` (or the one named workload) of the
 checkout DIR (default: this repository) twice, first with ``--trace 0`` and
-then with ``--trace 1``, and adds the result to OUT.json under LABEL:
+then with ``--trace 1``, each at the benchmark's own run length, and adds
+the result to OUT.json under LABEL:
 
-- ``end_to_end``: one entry per call, in call order, with the seed, the run
-  length, the correctness verdicts of both runs and every end-to-end metric
-  by ``workload/metric``.  Calling the script alternately for two labels gives
-  alternating pairs of runs, the i-th entry of one label against the i-th of
-  the other.
+- ``end_to_end``: one entry per call, in call order, with the seed, whether
+  the checkout had uncommitted changes outside ``src``, the correctness
+  verdicts of both runs and every end-to-end metric by ``workload/metric``.
+  Calling the script alternately for two labels gives alternating pairs of
+  runs, the i-th entry of one label against the i-th of the other.
 - ``traced_counts``: per seed, the deterministic counts of the traced run
   (calls, integrand evaluations, series coefficients, point statuses).  Self
   times and the tracing overhead are left out, since they are wall times.
 
-Each label also records the commit, whether its work tree had uncommitted
-changes, the git tree of its ``src`` directory (which names the code that
-was measured even after the commit is rewritten), ``nproc`` and the Python
-version.  A call on a checkout whose ``src`` tree differs from the one
-recorded under LABEL starts that label afresh.  The script uses the
-standard library only and runs each benchmark in the interpreter that runs
-it.
+Each label also records the commit of its first run, the git tree of its
+``src`` directory (which names the code that was measured even after the
+commit is rewritten), ``nproc`` and the Python version.  The script refuses
+(exit 2) a checkout with uncommitted changes under ``src``, whose code no
+tree names, and a checkout whose ``src`` tree or Python version differs
+from the one already recorded under LABEL; an earlier run is never
+dropped.  It uses the standard library only and runs each benchmark in the
+interpreter that runs it.
 
 Exit status: 0 when every run is correct, 1 when a run reports
-``correct: false``, 2 on a usage error or a benchmark that did not finish.
+``correct: false``, 2 on a usage error, a refused checkout or a benchmark
+that did not finish.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ def _git(checkout, *args):
 def _bench(checkout, args, trace):
     """The final JSON line of one perfbench run."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(trace)]
+           "--seed", str(args.seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     sys.stderr.write(proc.stderr)
     if proc.returncode != 0:
@@ -67,7 +70,6 @@ def main(argv=None):
     parser.add_argument("label")
     parser.add_argument("--checkout", default=ROOT)
     parser.add_argument("--seed", type=int, default=55)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--workload", default="all")
     args = parser.parse_args(argv)
     checkout = os.path.abspath(args.checkout)
@@ -79,22 +81,28 @@ def main(argv=None):
         with open(args.out, encoding="utf-8") as fh:
             record = json.load(fh)
     src_tree = _git(checkout, "rev-parse", "HEAD:src")
-    entry = record["runs"].get(args.label)
-    if entry is None or entry["src_tree"] != src_tree:
-        entry = record["runs"][args.label] = {
-            "commit": _git(checkout, "rev-parse", "HEAD"),
-            "dirty": bool(_git(checkout, "status", "--porcelain", "--untracked-files=no")),
-            "src_tree": src_tree,
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-            "end_to_end": [],
-            "traced_counts": {},
-        }
+    if src_tree is None:
+        parser.error(f"{checkout} is not a git checkout with a src directory")
+    if _git(checkout, "status", "--porcelain", "--", "src"):
+        parser.error(f"{checkout} has uncommitted changes under src; commit them first")
+    identity = {"src_tree": src_tree, "python": platform.python_version()}
+    entry = record["runs"].setdefault(args.label, {
+        "commit": _git(checkout, "rev-parse", "HEAD"),
+        "nproc": os.cpu_count(),
+        **identity,
+        "end_to_end": [],
+        "traced_counts": {},
+    })
+    for key, value in identity.items():
+        if entry[key] != value:
+            parser.error(f"{args.out} holds label {args.label!r} with {key} {entry[key]}, "
+                         f"not {value}; record this checkout under another label")
 
+    dirty = bool(_git(checkout, "status", "--porcelain", "--untracked-files=no"))
     plain = _bench(checkout, args, 0)
     traced = _bench(checkout, args, 1)
     entry["end_to_end"].append({
-        "seed": args.seed, "seconds": args.seconds, "workload": args.workload,
+        "seed": args.seed, "workload": args.workload, "dirty": dirty,
         "correct": plain["correct"], "traced_correct": traced["correct"],
         "attempted": plain["attempted"], "failed": plain["failed"],
         "metrics": {k: v["value"] for k, v in plain["metrics"].items()},
