@@ -154,7 +154,8 @@ def _cmd_verify(args) -> int:
         lines = []
         for r in reports:
             mark = "ok " if r.passed else ("FAIL" if r.status in ("fail", "error") else "skip")
-            lines.append(f"[{mark}] {r.id:34s} rel_err={r.rel_err:.3e} {r.status}")
+            why = f" ({r.reason})" if r.reason else ""
+            lines.append(f"[{mark}] {r.id:34s} rel_err={r.rel_err:.3e} {r.status}{why}")
         lines.append(f"# {n_pass} pass, {n_fail} fail, {n_skip} skipped")
         text = "\n".join(lines)
     if args.out:

@@ -82,6 +82,11 @@ class ResidualReport:
     status: str  # pass | fail | error | skipped(budget) | skipped(domain)
     corrected: bool
     wall_ms: float = 0.0
+    # Set only when a side raised: "<side>: <exception type>: <message>",
+    # and the diagnostics the exception carries, if any.
+    reason: str | None = None
+    achieved_bound: float | None = None  # TruncationError
+    estimates: tuple | None = None  # QuadratureError: the last two estimates
 
     @property
     def passed(self) -> bool:
@@ -142,14 +147,18 @@ def evaluate_identity(identity_id: str, params: dict, tol: float = 0.0) -> Resid
     its subclasses PoleError, ConvergenceError) yield skipped(domain);
     other qkit failures (budget exhaustion, overflow) yield
     skipped(budget); a stray ArithmeticError or ValueError yields error,
-    which counts as a failure.  Failures are data, not exceptions.
+    which counts as a failure.  Failures are data, not exceptions: the
+    report keeps which side raised what, and the exception's
+    achieved_bound or estimates.
     """
     rec = get_identity(identity_id)
     use_tol = tol if tol > 0 else rec.tol()
     tr = _truncation_for(use_tol)
     start = time.perf_counter()
+    side = "lhs"
     try:
         lhs = complex(rec.lhs(params, tr))
+        side = "rhs"
         rhs = complex(rec.rhs(params, tr))
     except (QKitError, ArithmeticError, ValueError) as exc:
         if isinstance(exc, DomainError):
@@ -162,6 +171,9 @@ def evaluate_identity(identity_id: str, params: dict, tol: float = 0.0) -> Resid
         return ResidualReport(
             rec.id, rec.group, dict(params), complex("nan"), complex("nan"),
             float("nan"), float("nan"), status, rec.corrected, wall,
+            reason=f"{side}: {type(exc).__name__}: {exc}",
+            achieved_bound=getattr(exc, "achieved_bound", None),
+            estimates=getattr(exc, "estimates", None),
         )
     wall = (time.perf_counter() - start) * 1000.0
     abs_err = abs(lhs - rhs)
@@ -218,12 +230,14 @@ def _param_value_to_json(v):
 
 def report_to_dict(rep: ResidualReport, deterministic: bool = True) -> dict:
     """Schema: {id, group, params, lhs:[re,im], rhs:[re,im], abs_err, rel_err,
-    status, corrected, wall_ms}.
+    status, corrected, wall_ms}, plus reason on a report whose evaluation
+    raised and achieved_bound or estimates:[[re,im], [re,im]] when the
+    exception carried them.
 
     wall_ms is serialized as 0 so that fixed-seed runs are byte-identical;
     measured timings are reported separately on stderr by the CLI.
     """
-    return {
+    out = {
         "id": rep.id,
         "group": rep.group,
         "params": {k: _param_value_to_json(v) for k, v in sorted(rep.params.items())},
@@ -235,6 +249,13 @@ def report_to_dict(rep: ResidualReport, deterministic: bool = True) -> dict:
         "corrected": rep.corrected,
         "wall_ms": 0.0 if deterministic else rep.wall_ms,
     }
+    if rep.reason is not None:
+        out["reason"] = rep.reason
+    if rep.achieved_bound is not None:
+        out["achieved_bound"] = rep.achieved_bound
+    if rep.estimates is not None:
+        out["estimates"] = [[complex(e).real, complex(e).imag] for e in rep.estimates]
+    return out
 
 
 def reports_to_json(reports, deterministic: bool = True) -> str:

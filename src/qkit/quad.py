@@ -8,9 +8,12 @@ period (Trefethen & Weideman, SIAM Review 56, 2014), so each engine only
 chooses the map: a Gaussian-weighted line (gaussian_line), a line with
 two-sided exponential decay (real_line, and halfline_log after x = e^u),
 the tanh-sinh map of a finite interval (finite_interval; Takahasi & Mori
-1974), and the angle over one period (circle_contour).  vertical_line
-keeps geometric panels with adaptive Simpson.  All engines are pure
-given their integrand closures.
+1974), and the angle over one period (circle_contour).  gaussian_line
+starts from the step its weight and oscillation hint call for, so its
+first comparison usually confirms convergence; a harder integrand keeps
+halving under the same stop rule.  vertical_line keeps geometric panels
+with adaptive Simpson.  All engines are pure given their integrand
+closures.
 """
 
 from __future__ import annotations
@@ -138,9 +141,10 @@ def gaussian_line(gi: LineIntegrand, tr: Truncation = DEFAULT_TRUNCATION) -> com
     """Integrate f(y) exp(-y^2/(2 sigma^2)) over the real line.
 
     The window starts where the Gaussian falls below tolerance and is
-    probed and widened while the integrand is not negligible at its ends;
-    the trapezoid starts from a quarter of the step that the weight and
-    the oscillation hint call for.
+    probed and widened while the integrand is not negligible at its ends.
+    The trapezoid starts from h0 = min(sigma/8, pi/(4 (hint + 1/L))), eight
+    nodes per period of the hinted frequency; an integrand that h0 does
+    not resolve keeps halving the step under the stop rule.
     """
     f = gi.f
     sigma2 = gi.variance()
@@ -163,7 +167,7 @@ def gaussian_line(gi: LineIntegrand, tr: Truncation = DEFAULT_TRUNCATION) -> com
     scale0 = max(1.0, abs(complex(f(0.0))))
     ymax = sigma * math.sqrt(2.0 * max(math.log(scale0 / tr.tol), 1.0))
     h0 = min(sigma / 8.0, math.pi / (4.0 * (gi.oscillation_hint + L_inv)))
-    return _trapezoid(integrand, -ymax, ymax, h0 / 4.0, tr, "gaussian_line", probe=sigma)
+    return _trapezoid(integrand, -ymax, ymax, h0, tr, "gaussian_line", probe=sigma)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from qkit import identities
-from qkit.errors import ConvergenceError, DomainError, PoleError, TruncationError
+from qkit.errors import (ConvergenceError, DomainError, PoleError, QuadratureError,
+                         TruncationError)
 from qkit.identities import (
     GROUPS,
     IdentityRecord,
@@ -11,6 +12,7 @@ from qkit.identities import (
     catalog,
     evaluate_identity,
     get_identity,
+    report_to_dict,
     reports_to_csv,
     reports_to_json,
     run_suite,
@@ -119,6 +121,51 @@ class TestFailureClassification:
         monkeypatch.setattr(identities, "get_identity", lambda identity_id: rec)
         rep = evaluate_identity("raiser", {})
         assert rep.status == status and not rep.passed
+
+    def _forced(self, monkeypatch, lhs, rhs):
+        rec = IdentityRecord("raiser", "PRELIM", "test", lhs, rhs, None, "a", "b")
+        monkeypatch.setattr(identities, "get_identity", lambda identity_id: rec)
+        return evaluate_identity("raiser", {})
+
+    def test_budget_keeps_reason_and_bound(self, monkeypatch):
+        def truncated(p, tr):
+            raise TruncationError("tail bound 3.0e-09 still above tol", achieved_bound=3e-9)
+
+        rep = self._forced(monkeypatch, truncated, truncated)
+        assert rep.status == "skipped(budget)"
+        d = report_to_dict(rep)
+        assert d["reason"] == "lhs: TruncationError: tail bound 3.0e-09 still above tol"
+        assert d["achieved_bound"] == 3e-9 and "estimates" not in d
+
+    def test_budget_keeps_quadrature_estimates(self, monkeypatch):
+        def unstable(p, tr):
+            raise QuadratureError("did not stabilize", estimates=(1.0, 1.5 + 2j))
+
+        rep = self._forced(monkeypatch, lambda p, tr: 1.0, unstable)
+        assert rep.status == "skipped(budget)"
+        d = report_to_dict(rep)
+        assert d["reason"] == "rhs: QuadratureError: did not stabilize"
+        assert d["estimates"] == [[1.0, 0.0], [1.5, 2.0]] and "achieved_bound" not in d
+
+    def test_domain_keeps_reason(self, monkeypatch):
+        def outside(p, tr):
+            raise PoleError("pole at z = 1")
+
+        rep = self._forced(monkeypatch, outside, outside)
+        assert rep.status == "skipped(domain)"
+        d = report_to_dict(rep)
+        assert d["reason"] == "lhs: PoleError: pole at z = 1"
+        assert "achieved_bound" not in d and "estimates" not in d
+
+    def test_registered_skip_reports_reason(self):
+        rep = evaluate_identity("ramanujan_1psi1", {"q": 0.4, "a": 2.0, "b": 0.3, "z": 1.4})
+        assert rep.status == "skipped(domain)"
+        assert rep.reason.split(": ")[1] in ("DomainError", "PoleError", "ConvergenceError")
+
+    def test_pass_carries_no_reason(self):
+        rep = evaluate_identity("triple_product", sample_params("triple_product", 0, 0))
+        assert rep.passed and rep.reason is None
+        assert "reason" not in report_to_dict(rep)
 
 
 class TestRunSuite:

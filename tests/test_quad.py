@@ -69,6 +69,30 @@ class TestGaussianLine:
         expected = q.power(alpha * alpha / 2) * qpoch_inf(-z * q.power(alpha + 0.5), q, TR)
         assert rel(val, expected) < 1e-9
 
+    def test_pure_phase_work(self):
+        # the step the hint calls for resolves e^(2iy) at its first comparison
+        q = QParam(0.5)
+        L = q.log_inv
+        f, calls = counted(lambda y: cmath.exp(2j * y))
+        val = gaussian_line(LineIntegrand(f, q, oscillation_hint=2.0), TR)
+        assert rel(val, math.sqrt(2 * math.pi * L) * q.power(2.0)) < 1e-11
+        assert calls[0] <= 400
+
+    def test_near_pole_refines(self):
+        # 1/(y^2 + d^2) is analytic only in |Im y| < d: the stop rule, not the
+        # start grid, must drive the step down as d shrinks
+        q = QParam(0.5)  # sigma^2 = ln 2
+        s2 = q.log_inv
+        work = {}
+        for d in (0.5, 0.05, 0.02):
+            f, calls = counted(lambda y, d=d: 1.0 / (y * y + d * d))
+            val = gaussian_line(LineIntegrand(f, q), TR)
+            expected = (math.pi / d) * math.exp(d * d / (2 * s2)) * math.erfc(
+                d / math.sqrt(2 * s2))
+            assert rel(val, expected) < 1e-12, d
+            work[d] = calls[0]
+        assert work[0.02] >= 8 * work[0.5]
+
     def test_budget_guard(self):
         q = QParam(0.5)
         with pytest.raises(QuadratureError):
