@@ -99,10 +99,12 @@ class TestVerify:
         from qkit import identities
 
         skipped = identities.ResidualReport("x", "SERIES", {}, complex("nan"), complex("nan"),
-                                            float("nan"), float("nan"), "skipped(budget)", False)
+                                            float("nan"), float("nan"), "skipped(budget)", False,
+                                            reason="rhs: QuadratureError: did not stabilize")
         monkeypatch.setattr(identities, "run_suite", lambda *args, **kwargs: [skipped])
         code, out, _ = run_cli(capsys, "verify", "--group", "SERIES", "--threads", "1")
         assert code == 1 and "0 pass, 0 fail, 1 skipped" in out
+        assert "skipped(budget) (rhs: QuadratureError: did not stabilize)" in out
 
     def test_env_tolerance_override(self, capsys, monkeypatch):
         monkeypatch.setenv("QKIT_TOL", "1e-1")
