@@ -9,7 +9,9 @@ For each group the script prints how many points are identical in both
 reports (the same rel_err, lhs and rhs), the status changes, the largest
 and the median |log10(new rel_err / old rel_err)|, and every point whose
 residual grew more than tenfold.  Residuals below FLOOR count as FLOOR, so two
-results exact to rounding do not show as a huge ratio.
+results exact to rounding do not show as a huge ratio.  A point without a
+finite residual in either report (one that raised) enters only the status
+comparison.
 
 Exit status: 0 when every point keeps its status, 1 when any status changed
 or a point is missing from one report, 2 on a usage error.
@@ -45,11 +47,7 @@ def _values(rep):
 
 
 def _log_ratio(old, new):
-    old = max(abs(old), FLOOR)
-    new = max(abs(new), FLOOR)
-    if not (math.isfinite(old) and math.isfinite(new)):
-        return math.inf
-    return math.log10(new / old)
+    return math.log10(max(abs(new), FLOOR) / max(abs(old), FLOOR))
 
 
 def compare(parent, change):
@@ -73,6 +71,8 @@ def compare(parent, change):
             if old["status"] != new["status"]:
                 status_lines.append(f"  status {label}: {old['status']} -> {new['status']}")
             identical += _values(old) == _values(new)
+            if not (math.isfinite(old["rel_err"]) and math.isfinite(new["rel_err"])):
+                continue  # a point that raised has no residual; its status is compared above
             d = _log_ratio(old["rel_err"], new["rel_err"])
             logs.append(abs(d))
             if d > math.log10(GROWTH):
