@@ -81,6 +81,7 @@ class TestEvaluate:
     def test_triple_product_entry(self):
         rep = evaluate_identity("triple_product", {"q": 0.5, "z": 1 + 0.3j})
         assert rep.passed and rep.rel_err <= 1e-11
+        assert rep.reason is None and "reason" not in report_to_dict(rep)
 
     def test_sw_symmetry_entry(self):
         rep = evaluate_identity("sw_symmetry", {"q": 0.4, "t": 0.6, "n": 7})
@@ -101,9 +102,15 @@ class TestEvaluate:
         rep = evaluate_identity("ramanujan_1psi1",
                                 {"q": 0.4, "a": 2.0, "b": 0.3, "z": 1.4})
         assert rep.status.startswith("skipped")
+        assert rep.reason.startswith("lhs: ConvergenceError: |z| = 1.4 outside")
 
 
 class TestFailureClassification:
+    def _forced(self, monkeypatch, lhs, rhs):
+        rec = IdentityRecord("raiser", "PRELIM", "test", lhs, rhs, None, "a", "b")
+        monkeypatch.setattr(identities, "get_identity", lambda identity_id: rec)
+        return evaluate_identity("raiser", {})
+
     @pytest.mark.parametrize("exc, status", [
         (DomainError("outside"), "skipped(domain)"),
         (PoleError("pole"), "skipped(domain)"),
@@ -117,15 +124,9 @@ class TestFailureClassification:
         def raising(p, tr):
             raise exc
 
-        rec = IdentityRecord("raiser", "PRELIM", "test", raising, raising, None, "a", "b")
-        monkeypatch.setattr(identities, "get_identity", lambda identity_id: rec)
-        rep = evaluate_identity("raiser", {})
+        rep = self._forced(monkeypatch, raising, raising)
         assert rep.status == status and not rep.passed
-
-    def _forced(self, monkeypatch, lhs, rhs):
-        rec = IdentityRecord("raiser", "PRELIM", "test", lhs, rhs, None, "a", "b")
-        monkeypatch.setattr(identities, "get_identity", lambda identity_id: rec)
-        return evaluate_identity("raiser", {})
+        assert rep.reason == f"lhs: {type(exc).__name__}: {exc}"
 
     def test_budget_keeps_reason_and_bound(self, monkeypatch):
         def truncated(p, tr):
@@ -147,25 +148,6 @@ class TestFailureClassification:
         assert d["reason"] == "rhs: QuadratureError: did not stabilize"
         assert d["estimates"] == [[1.0, 0.0], [1.5, 2.0]] and "achieved_bound" not in d
 
-    def test_domain_keeps_reason(self, monkeypatch):
-        def outside(p, tr):
-            raise PoleError("pole at z = 1")
-
-        rep = self._forced(monkeypatch, outside, outside)
-        assert rep.status == "skipped(domain)"
-        d = report_to_dict(rep)
-        assert d["reason"] == "lhs: PoleError: pole at z = 1"
-        assert "achieved_bound" not in d and "estimates" not in d
-
-    def test_registered_skip_reports_reason(self):
-        rep = evaluate_identity("ramanujan_1psi1", {"q": 0.4, "a": 2.0, "b": 0.3, "z": 1.4})
-        assert rep.status == "skipped(domain)"
-        assert rep.reason.split(": ")[1] in ("DomainError", "PoleError", "ConvergenceError")
-
-    def test_pass_carries_no_reason(self):
-        rep = evaluate_identity("triple_product", sample_params("triple_product", 0, 0))
-        assert rep.passed and rep.reason is None
-        assert "reason" not in report_to_dict(rep)
 
 
 class TestRunSuite:
