@@ -192,6 +192,10 @@ def _cmd_oracle(args) -> int:
         qrat = Fraction(args.q)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational {args.q!r}: {exc}") from None
+    if not 0 < qrat < 1:
+        raise UsageError(f"--q must be a rational strictly inside (0,1), not {args.q}")
+    if args.order < 1:
+        raise UsageError(f"--order must be >= 1, not {args.order}")
     from .errors import UnsupportedIdentityError
 
     try:

@@ -19,11 +19,19 @@ laguerre_series, sw_series, bessel2_body, bessel3_body) serves all three.
 A Pochhammer symbol in which neither a nor q carries t stays a Fraction.
 Every handler returns its two sides as series; the scalar families return
 their rows 0..order as the coefficients.
+
+The arithmetic is fraction-free: an FPS holds integer numerators over one
+positive denominator, reduced once per operation, and the scalar
+Pochhammers multiply integers and form one Fraction at the end.  Only the
+constants the handlers pass in (parameters, powers of the base) are
+Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DomainError, UnsupportedIdentityError
 
@@ -31,12 +39,24 @@ __all__ = ["FPS", "qpoch_series", "verify_exact", "exact_identity_ids"]
 
 
 class FPS:
-    """Dense truncated power series with Fraction coefficients c_0..c_N."""
+    """Dense truncated power series c_0..c_N with rational coefficients.
 
-    __slots__ = ("coeffs",)
+    The coefficients are held as integer numerators ``num`` over one
+    positive denominator ``den``, c_i = num[i]/den, kept canonical:
+    gcd(den, *num) = 1 after every operation, so two equal series hold
+    the same integers.  Arithmetic works on the integers alone and reduces
+    once per operation, not once per coefficient.  ``coeffs`` is the
+    coefficient list as reduced Fractions, built afresh on every read.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs):
-        self.coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        fracs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        # the lcm of reduced denominators leaves no common factor to divide out
+        den = lcm(*(c.denominator for c in fracs))
+        self.num = [c.numerator * (den // c.denominator) for c in fracs]
+        self.den = den
 
     @classmethod
     def zero(cls, order):
@@ -44,55 +64,59 @@ class FPS:
 
     @classmethod
     def const(cls, value, order):
-        c = [Fraction(0)] * (order + 1)
-        c[0] = Fraction(value)
-        return cls(c)
+        return cls([value] + [0] * order)
 
     @classmethod
     def monomial(cls, value, power, order):
         if power < 0:
             raise DomainError("negative powers are outside the series ring")
-        c = [Fraction(0)] * (order + 1)
+        c = [0] * (order + 1)
         if power <= order:
-            c[power] = Fraction(value)
+            c[power] = value
         return cls(c)
 
     @property
+    def coeffs(self):
+        den = self.den
+        return [Fraction(c, den) for c in self.num]
+
+    @property
     def order(self):
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def __add__(self, other):
+        a, ad = self.num, self.den
         if isinstance(other, FPS):
-            n = min(self.order, other.order)
-            return FPS([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-        out = list(self.coeffs)
-        out[0] += Fraction(other)
-        return FPS(out)
+            b, bd = other.num, other.den
+            g = gcd(ad, bd)
+            sa, sb = bd // g, ad // g
+            return _fps([x * sa + y * sb for x, y in zip(a, b)], ad * sa)
+        f = _rational(other)
+        out = [x * f.denominator for x in a]
+        out[0] += f.numerator * ad
+        return _fps(out, ad * f.denominator)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FPS([-c for c in self.coeffs])
+        return _fps([-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, FPS) else -Fraction(other))
+        return self + (-other if isinstance(other, FPS) else -_rational(other))
 
     def __rsub__(self, other):
-        return (-self) + Fraction(other)
+        return (-self) + other
 
     def __mul__(self, other):
+        a = self.num
         if not isinstance(other, FPS):
-            f = Fraction(other)
-            return FPS([c * f for c in self.coeffs])
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a:
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return FPS(out)
+            f = _rational(other)
+            fn = f.numerator
+            return _fps([c * fn for c in a], self.den * f.denominator)
+        b = other.num
+        n = min(len(a), len(b))
+        return _fps([sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n)],
+                    self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -100,26 +124,39 @@ class FPS:
         """Multiply by the k-th power of the variable."""
         if k == 0:
             return self
-        return FPS([Fraction(0)] * k + self.coeffs[: max(self.order + 1 - k, 0)])
+        return _fps([0] * k + self.num[: max(len(self.num) - k, 0)], self.den)
 
     def reciprocal(self):
-        if self.coeffs[0] == 0:
+        """1/f by y_m = -sum_k a_k a_0^(k-1) y_(m-k), y_0 = 1, over the integers.
+
+        With f = A/den, A = sum a_k t^k, the m-th coefficient of 1/A is
+        y_m / a_0^(m+1), so 1/f has numerators den y_m a_0^(N-m) over a_0^(N+1).
+        """
+        a = self.num
+        a0 = a[0]
+        if a0 == 0:
             raise DomainError("reciprocal needs a nonzero constant term")
-        n = self.order
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * n
+        n = len(a) - 1
+        w, p = [0], 1  # w_k = a_k a_0^(k-1)
+        for k in range(1, n + 1):
+            w.append(a[k] * p)
+            p *= a0
+        y = [1]
         for m in range(1, n + 1):
-            s = Fraction(0)
-            for k in range(1, m + 1):
-                if self.coeffs[k]:
-                    s += self.coeffs[k] * out[m - k]
-            out[m] = -inv0 * s
-        return FPS(out)
+            y.append(-sum(map(mul, w[1 : m + 1], y[::-1])))
+        den, p = self.den, 1
+        out = [0] * (n + 1)
+        for m in range(n, -1, -1):
+            out[m] = den * y[m] * p
+            p *= a0
+        if p < 0:
+            out, p = [-c for c in out], -p
+        return _fps(out, p)
 
     def first_mismatch(self, other):
-        n = min(self.order, other.order)
-        for i in range(n + 1):
-            if self.coeffs[i] != other.coeffs[i]:
+        a, ad, b, bd = self.num, self.den, other.num, other.den
+        for i, (x, y) in enumerate(zip(a, b)):
+            if x * bd != y * ad:
                 return i
         return None
 
@@ -127,23 +164,45 @@ class FPS:
         return isinstance(other, FPS) and self.first_mismatch(other) is None
 
     def __repr__(self):
-        return f"FPS({self.coeffs[: min(6, len(self.coeffs))]}...)"
+        return f"FPS({self.coeffs[:6]}...)"
 
 
-# --- scalar q-arithmetic over Fractions -------------------------------------
-
-def qfac_r(q: Fraction, n: int) -> Fraction:
-    out = Fraction(1)
-    for k in range(1, n + 1):
-        out *= 1 - q**k
+def _fps(num, den):
+    """The series num/den (den > 0) in canonical form, without __init__."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    out = object.__new__(FPS)
+    out.num, out.den = num, den
     return out
 
 
-def qpoch_r(a: Fraction, q: Fraction, n: int) -> Fraction:
-    out = Fraction(1)
-    for k in range(n):
-        out *= 1 - a * q**k
-    return out
+def _rational(x):
+    """An int or Fraction as it is, anything else as a Fraction."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
+
+
+# --- scalar q-arithmetic over the integers -----------------------------------
+
+def qpoch_r(a, q, n: int) -> Fraction:
+    """(a;q)_n for rationals a = c/d and q = p/b.
+
+    It is prod_k (d b^k - c p^k) / prod_k d b^k, k < n, multiplied out in
+    integers and made one Fraction at the end.
+    """
+    c, d, p, b = a.numerator, a.denominator, q.numerator, q.denominator
+    top = bot = 1
+    for _ in range(n):
+        top *= d - c
+        bot *= d
+        c *= p
+        d *= b
+    return Fraction(top, bot)
+
+
+def qfac_r(q, n: int) -> Fraction:
+    return qpoch_r(q, q, n)
 
 
 def qbinom_row(n: int, q: Fraction) -> list:
@@ -210,9 +269,9 @@ def _sum(order, power, piece, n=None):
     piece(k, m) is a series built to order m, or a constant.  k runs over
     range(n); with n=None the sum is infinite and power must be
     nondecreasing with power(k) >= k - 1, so it ends once a term passes
-    the order.
+    the order.  The terms are added over the lcm of their denominators.
     """
-    out = [Fraction(0)] * (order + 1)
+    out, den = [0] * (order + 1), 1
     for k in range(order + 2 if n is None else n):
         p = power(k)
         if p > order:
@@ -223,14 +282,21 @@ def _sum(order, power, piece, n=None):
             raise DomainError("a term would leave the series ring")
         term = piece(k, order - p)
         if isinstance(term, FPS):
-            for i, c in zip(range(p, order + 1), term.coeffs):
-                out[i] += c
+            tnum, tden = term.num, term.den
         else:
-            out[p] += term
+            term = _rational(term)
+            tnum, tden = (term.numerator,), term.denominator
+        grow = tden // gcd(den, tden)
+        if grow != 1:
+            out = [c * grow for c in out]
+            den *= grow
+        scale = den // tden
+        for i, c in zip(range(p, order + 1), tnum):
+            out[i] += c * scale
     else:
         if n is None:
             raise DomainError("the terms of an infinite sum must gain powers of t")
-    return FPS(out)
+    return _fps(out, den)
 
 
 def qpoch_series(a, q, n, order):
@@ -239,25 +305,32 @@ def qpoch_series(a, q, n, order):
     A constant symbol (neither a nor q carries t) is a Fraction.  With q
     constant the infinite product is Euler's sum_k (-a)^k q^binom(k,2)/(q;q)_k;
     otherwise it is the product of its factors, the ones past the order
-    being 1 there.
+    being 1 there.  A factor 1 - c t^j with c = cn/cd multiplies the
+    numerators as num[i] <- num[i] cd - cn num[i-j] and the denominator by cd;
+    c = a q^k is walked as a running product.
     """
     (ac, aj), (qc, qj) = a, q
     if aj == qj == 0:
         if n is None:
             raise DomainError("infinite product needs the variable in its argument")
-        return qpoch_r(Fraction(ac), Fraction(qc), n)
+        return qpoch_r(ac, qc, n)
     if n is None and qj == 0:
         return _sum(order, lambda k: aj * k,
                     lambda k, m: (-ac) ** k * qc ** (k * (k - 1) // 2) / qfac_r(qc, k))
-    out = [Fraction(1)] + [Fraction(0)] * order
+    out, den = [1] + [0] * order, 1
+    c, qc = Fraction(ac), Fraction(qc)
     k = 0
     while (n is None or k < n) and aj + qj * k <= order:
-        j, c = aj + qj * k, ac * qc**k
+        j, cn, cd = aj + qj * k, c.numerator, c.denominator
         for i in range(order, j - 1, -1):
-            if out[i - j]:
-                out[i] -= c * out[i - j]
+            out[i] = out[i] * cd - cn * out[i - j]
+        if cd != 1:
+            for i in range(j):
+                out[i] *= cd
+            den *= cd
+        c *= qc
         k += 1
-    return FPS(out)
+    return _fps(out, den)
 
 
 def airy_series(c, q, order):
@@ -825,7 +898,10 @@ def verify_exact(identity_id: str, order: int, q) -> dict:
         raise DomainError("order must be >= 1")
     handler, _note = _EXACT_HANDLERS[identity_id]
     lhs, rhs = handler(order, q)
-    for i in range(order + 1):
-        if i > lhs.order or i > rhs.order or lhs.coeffs[i] != rhs.coeffs[i]:
-            return {"equal": False, "first_mismatch": i}
-    return {"equal": True, "first_mismatch": None}
+    i = lhs.first_mismatch(rhs)
+    if i is None or i > order:
+        # no mismatch to the order, unless a side stops short of it
+        i = min(lhs.order, rhs.order) + 1
+        if i > order:
+            return {"equal": True, "first_mismatch": None}
+    return {"equal": False, "first_mismatch": i}

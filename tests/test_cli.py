@@ -137,3 +137,12 @@ class TestOracle:
     def test_bad_rational(self, capsys):
         code, _, _ = run_cli(capsys, "oracle", "--identity", "qbinom1", "--q", "zebra")
         assert code == 2
+
+    def test_base_outside_unit_interval(self, capsys):
+        code, _, err = run_cli(capsys, "oracle", "--identity", "qbinom1", "--q", "3/2")
+        assert code == 2 and "usage error" in err
+
+    def test_order_below_one(self, capsys):
+        code, _, err = run_cli(capsys, "oracle", "--identity", "qbinom1",
+                               "--q", "1/3", "--order", "0")
+        assert code == 2 and "usage error" in err
