@@ -22,9 +22,9 @@ their rows 0..order as the coefficients.
 
 The arithmetic is fraction-free: an FPS holds integer numerators over one
 positive denominator, reduced once per operation, and the scalar
-Pochhammers multiply integers and form one Fraction at the end.  Only the
-constants the handlers pass in (parameters, powers of the base) are
-Fractions.
+Pochhammers multiply integers and form one Fraction at the end.  The
+constants the handlers pass in (parameters, powers of the base) and the
+rational polynomial values stay Fractions.
 """
 
 from __future__ import annotations
@@ -124,7 +124,8 @@ class FPS:
         """Multiply by the k-th power of the variable."""
         if k == 0:
             return self
-        return _fps([0] * k + self.num[: max(len(self.num) - k, 0)], self.den)
+        n = len(self.num)
+        return _fps([0] * min(k, n) + self.num[: max(n - k, 0)], self.den)
 
     def reciprocal(self):
         """1/f by y_m = -sum_k a_k a_0^(k-1) y_(m-k), y_0 = 1, over the integers.

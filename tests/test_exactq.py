@@ -1,7 +1,12 @@
+import hashlib
+import importlib.util
+import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkit import DomainError, QParam, Truncation, UnsupportedIdentityError
 from qkit import exactq
@@ -39,6 +44,103 @@ class TestFPS:
         b = FPS([1, 1])
         assert (a + b).order == 1
         assert (a * b).order == 1
+
+
+# --- FPS against a plain list-of-Fraction reference ------------------------------
+
+def _ref_mul(a, b):
+    n = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)]
+
+
+def _ref_reciprocal(a):
+    out = [1 / a[0]]
+    for m in range(1, len(a)):
+        out.append(-sum((a[k] * out[m - k] for k in range(1, m + 1)), Fraction(0)) / a[0])
+    return out
+
+
+def _ref_first_mismatch(a, b):
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
+def _canonical(s):
+    """The series as reduced Fractions, after checking its integer representation."""
+    assert s.den > 0
+    assert math.gcd(s.den, *s.num) == 1
+    return s.coeffs
+
+
+_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+_lists = st.lists(_rationals, min_size=1, max_size=9)
+# a zero constant term is common enough to reach reciprocal's DomainError
+_coeffs = st.one_of(_lists, _lists.map(lambda c: [Fraction(0)] + c[1:]))
+
+
+class TestFPSAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(_coeffs, _coeffs, _rationals)
+    def test_ring_operations(self, a, b, f):
+        x, y = FPS(a), FPS(b)
+        n = min(len(a), len(b))
+        assert _canonical(x) == a
+        assert _canonical(x + y) == [a[i] + b[i] for i in range(n)]
+        assert _canonical(x - y) == [a[i] - b[i] for i in range(n)]
+        assert _canonical(-x) == [-c for c in a]
+        assert _canonical(x + f) == [a[0] + f] + a[1:]
+        assert _canonical(f - x) == [f - a[0]] + [-c for c in a[1:]]
+        assert _canonical(x * f) == [c * f for c in a]
+        assert _canonical(f * x) == [c * f for c in a]
+        assert _canonical(x * y) == _ref_mul(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coeffs, st.integers(min_value=0, max_value=11))
+    def test_shift_and_reciprocal(self, a, k):
+        x = FPS(a)
+        assert _canonical(x.shift(k)) == ([Fraction(0)] * k + a)[: len(a)]
+        if a[0] == 0:
+            with pytest.raises(DomainError):
+                x.reciprocal()
+        else:
+            assert _canonical(x.reciprocal()) == _ref_reciprocal(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coeffs, _coeffs, st.integers(min_value=0, max_value=8))
+    def test_first_mismatch_and_equality(self, a, b, k):
+        # b shares a prefix of a, so equal prefixes are drawn as often as unequal ones
+        b = a[:k] + b
+        x, y = FPS(a), FPS(b)
+        expected = _ref_first_mismatch(a, b)
+        assert x.first_mismatch(y) == expected
+        assert (x == y) is (expected is None)
+
+
+def _load_exact_sides():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "exact_sides.py")
+    spec = importlib.util.spec_from_file_location("exact_sides", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 of both sides at order 20, base 5/7, in the text format of tools/exact_sides.py;
+# one id per convention: scalar rows, argument variable, base variable, root of the base
+PINNED_SIDES = {
+    "qbinom_qinvhermite_zero": "a443fb80fd59202f521b440b883bf3214501dab6e66c2bf86c3974f4eafbf2f4",
+    "poisson_kernel_qinvhermite":
+        "a7dc33a46b947343101c9eb3f95c87860505223c6e1f660cc859dddb30029e01",
+    "laguerre_shift_series": "e6a4f3500620b4847a4b04b74e2ccc06a71db91afdfc40a68e80a626313d47d1",
+    "bessel3_laguerre_b": "b41a8296b9a7fc86639ddcf430e15961e909b3ca1bd428de1f6110e4c8ec4774",
+}
+
+
+@pytest.mark.parametrize("ident", sorted(PINNED_SIDES))
+def test_pinned_sides(ident):
+    tool = _load_exact_sides()
+    lhs, rhs = tool.sides(exactq, ident, 20, Fraction(5, 7))
+    text = "lhs " + " ".join(map(str, lhs)) + "\nrhs " + " ".join(map(str, rhs))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SIDES[ident]
+    assert tool.digest(lhs, rhs) == PINNED_SIDES[ident]
 
 
 class TestQPochSeries:
