@@ -6,12 +6,14 @@ import random
 
 import pytest
 
-from qkit import QParam, Truncation, qgamma, qpoch_inf
+from qkit import QParam, Truncation, qgamma, qpoch_inf, theta2, theta3, theta4
 from qkit.series import (
+    PhiSpec,
     bessel2_normalized_gauss,
     bessel3_normalized_gauss,
     cal_e_raw_shifted,
     confluent_phi_weighted,
+    phi,
     poch_gauss,
     ramanujan_a_shifted,
 )
@@ -188,3 +190,87 @@ def test_damped_series_regrow_after_underflow(name):
     # off), so the relative bound is the one that holds
     assert spread < 10.0, (name, args, spread)
     assert err < 1e-12, (name, args, err)
+
+
+# --- theta functions and phi ---------------------------------------------------------
+
+def _theta_absum(q, r, s):
+    """sum over n in Z of q^((n+s)^2) r^(n+s): the sum of |term| of a theta series."""
+    q, r, s = mp.mpf(q), mp.mpf(r), mp.mpf(s)
+    total, n = mp.mpf(0), 0
+    while True:
+        wing = q ** ((n + s) ** 2) * r ** (n + s) + q ** ((n + 1 - s) ** 2) * r ** (-n - 1 + s)
+        total += wing
+        if n > 2 + abs(mp.log(r) / mp.log(q)) and wing < mp.mpf(10) ** -40 * total:
+            return total
+        n += 1
+
+
+def _theta_cases(v, qv):
+    """(qkit function, its argument, mpmath value, sum of |term|) for theta2, theta3, theta4.
+
+    theta2/theta3(v) are jtheta(2/3, pi v, q); theta4(e^(2iu)) is jtheta(4, u, q), taken
+    at u = v.
+    """
+    mq, mv = mp.mpf(qv), mp.mpc(v)
+    r = math.exp(-2 * math.pi * v.imag)  # |e^(2 pi i v)|
+    z = cmath.exp(2j * v)
+    return [
+        (theta2, v, mp.jtheta(2, mp.pi * mv, mq), _theta_absum(qv, r, 0.5)),
+        (theta3, v, mp.jtheta(3, mp.pi * mv, mq), _theta_absum(qv, r, 0)),
+        (theta4, z, mp.jtheta(4, mv, mq), _theta_absum(qv, abs(z), 0)),
+    ]
+
+
+@pytest.mark.parametrize("route", ["product", "series"])
+def test_theta_matches_jtheta(route):
+    rng = random.Random(f"theta:{route}")
+    relative = 0
+    for _ in range(40):
+        qv = rng.uniform(0.05, 0.9)
+        v = complex(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4))
+        for f, arg, exact, absum in _theta_cases(v, qv):
+            value = f(arg, QParam(qv), TR, route)
+            err, spread = rel(value, exact), float(absum / abs(exact))
+            if route == "product":
+                # the factors do not cancel: measured worst 2e-14 relative
+                assert err < 1e-13, (f.__name__, qv, v, err)
+                continue
+            # the series cancels near a zero of theta (ROADMAP item 2), so its error is
+            # bounded by the sum of |term|: measured worst 4e-16 of it
+            assert err < 1e-14 * spread, (f.__name__, qv, v, err, spread)
+            if spread < 10.0:
+                relative += 1
+                assert err < 1e-12, (f.__name__, qv, v, err)
+    assert route == "product" or relative >= 60  # 85 of the 120 cases are checked relative
+
+
+def _phi21_absum(a, b, c, z, q):
+    """sum_k |(a;q)_k (b;q)_k z^k / ((q;q)_k (c;q)_k)| as the term ratios run."""
+    a, b, c, z, q = mp.mpc(a), mp.mpc(b), mp.mpc(c), mp.mpc(z), mp.mpf(q)
+    total, term, k = mp.mpf(0), mp.mpf(1), 0
+    while True:
+        total += term
+        term *= abs((1 - a * q**k) * (1 - b * q**k) * z / ((1 - q ** (k + 1)) * (1 - c * q**k)))
+        k += 1
+        if k > 10 and term < mp.mpf(10) ** -40 * total:
+            return total
+
+
+def test_phi21_matches_qhyper():
+    rng = random.Random("phi21")
+    relative = 0
+    for _ in range(40):
+        qv = rng.uniform(0.05, 0.9)
+        a, b, c = _cring(rng, 0.1, 2.0), _cring(rng, 0.1, 2.0), _cring(rng, 0.1, 0.9)
+        z = _cring(rng, 0.05, 0.8)
+        value = phi(PhiSpec((a, b), (c,), QParam(qv), z), TR)
+        exact = mp.qhyper([mp.mpc(a), mp.mpc(b)], [mp.mpc(c)], mp.mpf(qv), mp.mpc(z))
+        err = rel(value, exact)
+        spread = float(_phi21_absum(a, b, c, z, qv) / abs(exact))
+        # as for the damped series: measured worst 1.2e-15 of sum |t_k|
+        assert err < 1e-14 * spread, (qv, a, b, c, z, err, spread)
+        if spread < 10.0:
+            relative += 1
+            assert err < 1e-12, (qv, a, b, c, z, err)
+    assert relative >= 20  # 31 of the 40 points are checked relative
