@@ -11,7 +11,10 @@ the tanh-sinh map of a finite interval (finite_interval; Takahasi & Mori
 1974), and the angle over one period (circle_contour).  gaussian_line
 starts from the step its weight and oscillation hint call for, so its
 first comparison usually confirms convergence; a harder integrand keeps
-halving under the same stop rule.  vertical_line keeps geometric panels
+halving under the same stop rule.  The windows of gaussian_line and
+finite_interval start where their weight falls below tolerance, and like
+real_line's they are probed outward while the integrand is not negligible
+near their ends.  vertical_line keeps geometric panels
 with adaptive Simpson.  All engines are pure given their integrand
 closures.
 """
@@ -40,8 +43,9 @@ __all__ = [
 # Hard cap on integrand evaluations per engine call.
 _EVAL_BUDGET = 1 << 20
 
-# Half-width of the tanh-sinh window: beyond it exp(-pi |sinh t|) underflows,
-# so every mapped point there has weight exactly 0.
+# Outer limit of the tanh-sinh map: beyond it exp(-pi |sinh t|) underflows,
+# so every mapped point there has weight exactly 0 and f is not called.  The
+# window itself starts much closer in, at finite_interval's t0.
 _TANH_SINH_T = math.asinh(750.0 / math.pi)
 
 
@@ -303,10 +307,24 @@ def finite_interval(f, a: float, b: float, tr: Truncation = DEFAULT_TRUNCATION) 
 
     x = m + d tanh(pi/2 sinh t), m = (a+b)/2, d = (b-a)/2, maps the line
     onto (a, b) with double-exponential decay of the mapped integrand, and
-    the trapezoid core integrates over t.  Near each end the point is
-    formed from e = exp(-pi |sinh t|) so it keeps full relative accuracy
-    there; f is never called where e underflows.  The accuracy target has
-    an absolute floor of tol, as for real_line.
+    the trapezoid core integrates over t.  The map's weight
+    (pi/2) d cosh t 4e/(1+e)^2, e = exp(-pi |sinh t|), falls to about
+    1e-4 tol at |t| = t0 = asinh(ln(1e4/tol)/pi), so the window starts at
+    +-t0 and is probed outward while the mapped integrand is not
+    negligible near its ends; after convergence it is widened until both
+    ends certify, as for real_line.  This cut assumes that f grows at most
+    like a power of the distance to an end, so that the mapped integrand
+    still decays double-exponentially beyond the point where it is
+    negligible.  f is not called where e underflows (|t| beyond
+    asinh(750/pi)).  The accuracy target has an absolute floor of tol, as
+    for real_line.
+
+    Near each end the point is formed as a + 2de/(1+e) or b - 2de/(1+e).
+    Only the distance to an end at 0 keeps full relative accuracy: at an
+    end b != 0 the distance is rounded to the spacing of floats near b,
+    and once 2de/(1+e) is below half that spacing the point is b itself,
+    so f is called at such an end and must be finite there:
+    (x (1-x))^(-1/2) on [0, 1] raises at x = 1 for this reason.
 
     Integrands with an inverse-square-root edge factor on (-1, 1) should
     be evaluated through the x = cos(theta) substitution by the caller;
@@ -324,4 +342,5 @@ def finite_interval(f, a: float, b: float, tr: Truncation = DEFAULT_TRUNCATION) 
         x = b - near_end if s > 0.0 else a + near_end
         return complex(f(x)) * (d * 0.5 * math.pi * math.cosh(t) * 4.0 * e / (1.0 + e) ** 2)
 
-    return _trapezoid(g, -_TANH_SINH_T, _TANH_SINH_T, 0.5, tr, "finite_interval", atol=tr.tol)
+    t0 = min(math.asinh(math.log(1e4 / tr.tol) / math.pi), _TANH_SINH_T)
+    return _trapezoid(g, -t0, t0, 0.5, tr, "finite_interval", probe=0.5, atol=tr.tol)

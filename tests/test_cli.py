@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -105,6 +107,18 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--group", "SERIES", "--threads", "1")
         assert code == 1 and "0 pass, 0 fail, 1 skipped" in out
         assert "skipped(budget) (rhs: QuadratureError: did not stabilize)" in out
+
+    def test_python_dash_m(self):
+        # a plain checkout has no qkit script on PATH; python -m qkit must work
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qkit", "verify", "--group", "SERIES", "--samples", "1",
+             "--seed", "99", "--threads", "1", "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)
 
     def test_env_tolerance_override(self, capsys, monkeypatch):
         monkeypatch.setenv("QKIT_TOL", "1e-1")
