@@ -1,22 +1,21 @@
 """Quadrature engines for the integral representations.
 
-Every engine but vertical_line maps its integral onto one composite
-trapezoid core, which halves the step (reusing the points it has) until
-two successive estimates agree.  For integrands analytic in a strip the
-trapezoid rule converges exponentially on the real line and over a
-period (Trefethen & Weideman, SIAM Review 56, 2014), so each engine only
-chooses the map: a Gaussian-weighted line (gaussian_line), a line with
-two-sided exponential decay (real_line, and halfline_log after x = e^u),
-the tanh-sinh map of a finite interval (finite_interval; Takahasi & Mori
-1974), and the angle over one period (circle_contour).  gaussian_line
-starts from the step its weight and oscillation hint call for, so its
-first comparison usually confirms convergence; a harder integrand keeps
-halving under the same stop rule.  The windows of gaussian_line and
-finite_interval start where their weight falls below tolerance, and like
-real_line's they are probed outward while the integrand is not negligible
-near their ends.  vertical_line keeps geometric panels
-with adaptive Simpson.  All engines are pure given their integrand
-closures.
+Every engine maps its integral onto one composite trapezoid core, which
+halves the step (reusing the points it has) until two successive
+estimates agree.  For integrands analytic in a strip the trapezoid rule
+converges exponentially on the real line and over a period (Trefethen &
+Weideman, SIAM Review 56, 2014), so each engine only chooses the map: a
+Gaussian-weighted line (gaussian_line), a line with two-sided exponential
+decay (real_line, halfline_log after x = e^u, and vertical_line after
+y = sinh u), the tanh-sinh map of a finite interval (finite_interval;
+Takahasi & Mori 1974), and the angle over one period (circle_contour).
+gaussian_line starts from the step its weight and oscillation hint call
+for, so its first comparison usually confirms convergence; a harder
+integrand keeps halving under the same stop rule.  The windows of
+gaussian_line and finite_interval start where their weight falls below
+tolerance, and like real_line's they are probed outward while the
+integrand is not negligible near their ends.  All engines are pure given
+their integrand closures.
 """
 
 from __future__ import annotations
@@ -68,7 +67,10 @@ def _trapezoid(g, lo: float, hi: float, h0: float, tr: Truncation, name: str,
         def edge_mag(y: float) -> float:
             worst = 0.0
             for yy in (y, y - 0.23 * probe, y + 0.26 * probe):
-                v = complex(g(yy))
+                try:
+                    v = complex(g(yy))
+                except OverflowError:
+                    raise QuadratureError(f"{name} integrand overflows near {yy:.3g}") from None
                 m = abs(v.real) + abs(v.imag)
                 if not math.isfinite(m):
                     raise QuadratureError(f"{name} integrand not finite near {yy:.3g}")
@@ -204,32 +206,6 @@ def circle_contour(cs: ContourSpec, tr: Truncation = DEFAULT_TRUNCATION) -> comp
     return _trapezoid(g, 0.0, two_pi, two_pi / 64, tr, "circle_contour") / two_pi
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, budget: list, depth: int = 0) -> complex:
-    fa, fm, fb = complex(f(a)), complex(f((a + b) / 2.0)), complex(f(b))
-    budget[0] += 3
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_refine(f, a, b, fa, fm, fb, whole, tol, budget, depth)
-
-
-def _simpson_refine(f, a, b, fa, fm, fb, whole, tol, budget, depth) -> complex:
-    if budget[0] > _EVAL_BUDGET:
-        raise QuadratureError("adaptive Simpson exceeded evaluation budget")
-    m = (a + b) / 2.0
-    lm, rm = (a + m) / 2.0, (m + b) / 2.0
-    flm, frm = complex(f(lm)), complex(f(rm))
-    budget[0] += 2
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth > 48:
-        return left + right
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    return _simpson_refine(
-        f, a, m, fa, flm, fm, left, tol / 2.0, budget, depth + 1
-    ) + _simpson_refine(f, m, b, fm, frm, fb, right, tol / 2.0, budget, depth + 1)
-
-
 @dataclass(frozen=True)
 class VerticalLineSpec:
     """Bromwich-type line Re(z) = rho, 0 < rho < 1, with integrand f."""
@@ -245,50 +221,31 @@ class VerticalLineSpec:
 def vertical_line(vs: VerticalLineSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """(1/(2 pi i)) integral of f over the vertical line rho - i*inf .. rho + i*inf.
 
-    The line is split into geometric panels [y, 2y] integrated by
-    adaptive Simpson; each wing stops when two consecutive panels
-    contribute below tolerance relative to the accumulated value.
+    With y = sinh(u) the line integral becomes the integral over R of
+    f(rho + i sinh u) cosh u, which real_line's trapezoid core integrates.
+    Integrands decaying like exp(-c ln^2 |y|) or like a power of |y| decay
+    like a Gaussian or an exponential in u, which real_line's window probe
+    and widening certify.
     """
     f = vs.f
     rho = vs.rho
-    budget = [0]
 
-    def g(y: float) -> complex:
-        return complex(f(complex(rho, y)))
+    def g(u: float) -> complex:
+        return complex(f(complex(rho, math.sinh(u)))) * math.cosh(u)
 
-    # central panel and symmetric geometric expansion
-    panel_tol = tr.tol
-    total = _adaptive_simpson(g, -1.0, 1.0, panel_tol, budget)
-    y = 1.0
-    quiet = 0
-    while quiet < 2:
-        upper = _adaptive_simpson(g, y, 2.0 * y, panel_tol, budget)
-        lower = _adaptive_simpson(g, -2.0 * y, -y, panel_tol, budget)
-        total += upper + lower
-        scale = max(abs(total), 1e-300)
-        if abs(upper) + abs(lower) <= tr.tol * scale:
-            quiet += 1
-        else:
-            quiet = 0
-        y *= 2.0
-        if y > 2.0**48:
-            raise QuadratureError(
-                "vertical_line tail not certified within panel budget",
-                estimates=(abs(upper) + abs(lower), scale),
-            )
     # the contour runs upward: dz = i dy, and the 1/(2 pi i) brings 1/(2 pi)
-    return ensure_finite(total / (2.0 * math.pi), "vertical_line")
+    return real_line(g, tr, width=2.0) / (2.0 * math.pi)
 
 
-def real_line(f, tr: Truncation = DEFAULT_TRUNCATION, center: float = 0.0, width: float = 1.0) -> complex:
-    """Integral of f over R from the window center +- width, probed and widened.
+def real_line(f, tr: Truncation = DEFAULT_TRUNCATION, width: float = 1.0) -> complex:
+    """Integral of f over R from the window +-width, probed and widened.
 
     Suitable for integrands with (at least) exponential two-sided decay,
     e.g. lognormal weights after the x = e^u substitution.  The accuracy
     target has an absolute floor of tol, so integrals that vanish (odd
     Gram entries) still certify.
     """
-    return _trapezoid(f, center - width, center + width, width / 4.0, tr, "real_line",
+    return _trapezoid(f, -width, width, width / 4.0, tr, "real_line",
                       probe=width, atol=tr.tol)
 
 
@@ -299,7 +256,7 @@ def halfline_log(f, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
         x = math.exp(u)
         return complex(f(x)) * x
 
-    return real_line(g, tr, center=0.0, width=2.0)
+    return real_line(g, tr, width=2.0)
 
 
 def finite_interval(f, a: float, b: float, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
