@@ -137,10 +137,11 @@ def _truncation_for(tol: float) -> Truncation:
     # internal cancellation amplify the integrand's own evaluation error
     # by the mass-to-value ratio, so the slice must leave a wide reserve.
     # It is never looser than 1e-9: mellin_qlaguerre at q = 0.519597,
-    # n = 2 has an integrand mass 1e3 times its integral, and the relative
-    # error of its quadrature side follows the engine tol: 6.7e-7 at 1e-9,
-    # 7.3e-9 at 1e-11, 6.8e-11 at 1e-13.  A 1e-8 slice of MELLIN's 1e-5
-    # would leave that point near its tolerance.
+    # n = 2 has an integrand mass 1e3 times its integral, which amplifies
+    # the truncation error of each product in the integrand.  Its
+    # quadrature side is off by 6.7e-7 relative at tol 1e-9, 7.3e-9 at
+    # 1e-11 and 6.8e-11 at 1e-13, whatever the rule, so a 1e-8 slice of
+    # MELLIN's 1e-5 would leave that point near its tolerance.
     return Truncation(tol=max(1e-14, min(tol * 1e-3, 1e-9)), max_terms=100000)
 
 
