@@ -48,9 +48,9 @@ _EVAL_BUDGET = 1 << 20
 _TANH_SINH_T = math.asinh(750.0 / math.pi)
 
 
-def _trapezoid(g, lo: float, hi: float, h0: float, tr: Truncation, name: str,
+def _trapezoid(integrand, lo: float, hi: float, h0: float, tr: Truncation, name: str,
                probe: float = 0.0, atol: float = 1e-300) -> complex:
-    """Composite trapezoid integral of g over [lo, hi] with step halving.
+    """Composite trapezoid integral of g = integrand over [lo, hi] with step halving.
 
     Starts from panels no wider than h0 and halves the step, reusing every
     point already evaluated, until two successive estimates differ by at
@@ -59,25 +59,29 @@ def _trapezoid(g, lo: float, hi: float, h0: float, tr: Truncation, name: str,
     in steps of at least probe while g is not negligible near them, and
     after convergence the window is widened 1.3x about its centre until
     |g| at both ends, times the window length, is within ten times that
-    same threshold.
+    same threshold.  An OverflowError of g, such as a map that leaves
+    the double range while the probe walks out, raises QuadratureError.
     """
+    def g(x: float) -> complex:
+        try:
+            return complex(integrand(x))
+        except OverflowError:
+            raise QuadratureError(f"{name} integrand overflows at {x:.4g}") from None
+
     if probe > 0.0:
         # Integrands whose analytic factor grows against their decay fall off
         # only exponentially, so the caller's window can be far too narrow.
         def edge_mag(y: float) -> float:
             worst = 0.0
             for yy in (y, y - 0.23 * probe, y + 0.26 * probe):
-                try:
-                    v = complex(g(yy))
-                except OverflowError:
-                    raise QuadratureError(f"{name} integrand overflows near {yy:.3g}") from None
+                v = g(yy)
                 m = abs(v.real) + abs(v.imag)
                 if not math.isfinite(m):
                     raise QuadratureError(f"{name} integrand not finite near {yy:.3g}")
                 worst = max(worst, m)
             return worst
 
-        negligible = 0.02 * tr.tol * max(1.0, abs(complex(g(0.5 * (lo + hi)))))
+        negligible = 0.02 * tr.tol * max(1.0, abs(g(0.5 * (lo + hi))))
         step = max(probe, (hi - lo) / 8.0)
         for _ in range(400):
             if edge_mag(lo) <= negligible:
@@ -92,12 +96,12 @@ def _trapezoid(g, lo: float, hi: float, h0: float, tr: Truncation, name: str,
     for _ in range(200):  # window widening loop
         n = max(8, math.ceil((hi - lo) / h0))
         h = (hi - lo) / n
-        vals = [complex(g(lo + i * h)) for i in range(n + 1)]
+        vals = [g(lo + i * h) for i in range(n + 1)]
         evals += n + 1
         fmax = max(abs(v.real) + abs(v.imag) for v in vals)
         total = (sum(vals) - 0.5 * (vals[0] + vals[-1])) * h
         for _level in range(24):
-            mvals = [complex(g(lo + (i + 0.5) * h)) for i in range(n)]
+            mvals = [g(lo + (i + 0.5) * h) for i in range(n)]
             evals += n
             prev, total = total, 0.5 * total + 0.5 * h * sum(mvals)
             if evals > _EVAL_BUDGET:
@@ -158,17 +162,10 @@ def gaussian_line(gi: LineIntegrand, tr: Truncation = DEFAULT_TRUNCATION) -> com
     L_inv = 1.0 / max(abs(gi.q.ln_q), 1e-12)
 
     if gi.self_weighted():
-        def integrand(y: float) -> complex:
-            try:
-                return complex(f(y))
-            except OverflowError:
-                raise QuadratureError(f"integrand overflow at y = {y:.4g}") from None
+        integrand = f
     else:
         def integrand(y: float) -> complex:
-            try:
-                return complex(f(y)) * math.exp(-y * y / (2.0 * sigma2))
-            except OverflowError:
-                raise QuadratureError(f"integrand overflow at y = {y:.4g}") from None
+            return complex(f(y)) * math.exp(-y * y / (2.0 * sigma2))
 
     scale0 = max(1.0, abs(complex(f(0.0))))
     ymax = sigma * math.sqrt(2.0 * max(math.log(scale0 / tr.tol), 1.0))
