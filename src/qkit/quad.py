@@ -219,10 +219,10 @@ def vertical_line(vs: VerticalLineSpec, tr: Truncation = DEFAULT_TRUNCATION) -> 
     """(1/(2 pi i)) integral of f over the vertical line rho - i*inf .. rho + i*inf.
 
     With y = sinh(u) the line integral becomes the integral over R of
-    f(rho + i sinh u) cosh u, which real_line's trapezoid core integrates.
-    Integrands decaying like exp(-c ln^2 |y|) or like a power of |y| decay
-    like a Gaussian or an exponential in u, which real_line's window probe
-    and widening certify.
+    f(rho + i sinh u) cosh u, which the trapezoid core integrates from the
+    window +-2 under its relative target.  Integrands decaying like
+    exp(-c ln^2 |y|) or like a power of |y| decay like a Gaussian or an
+    exponential in u, which the window probe and widening certify.
     """
     f = vs.f
     rho = vs.rho
@@ -231,7 +231,7 @@ def vertical_line(vs: VerticalLineSpec, tr: Truncation = DEFAULT_TRUNCATION) -> 
         return complex(f(complex(rho, math.sinh(u)))) * math.cosh(u)
 
     # the contour runs upward: dz = i dy, and the 1/(2 pi i) brings 1/(2 pi)
-    return real_line(g, tr, width=2.0) / (2.0 * math.pi)
+    return _trapezoid(g, -2.0, 2.0, 0.5, tr, "vertical_line", probe=2.0) / (2.0 * math.pi)
 
 
 def real_line(f, tr: Truncation = DEFAULT_TRUNCATION, width: float = 1.0) -> complex:
