@@ -9,9 +9,12 @@ Gaussian-weighted line (gaussian_line), a line with two-sided exponential
 decay (real_line, halfline_log after x = e^u, and vertical_line after
 y = sinh u), the tanh-sinh map of a finite interval (finite_interval;
 Takahasi & Mori 1974), and the angle over one period (circle_contour).
-gaussian_line starts from the step its weight and oscillation hint call
-for, so its first comparison usually confirms convergence; a harder
-integrand keeps halving under the same stop rule.  The windows of
+Since the core reuses every point, reaching a step h costs about 2W/h
+evaluations on a window of length W whatever step it started from, so a
+coarse start step is free: gaussian_line starts from four nodes per sigma
+and per period of its oscillation hint, where its first comparison
+usually confirms convergence, and a harder integrand keeps halving under
+the same stop rule.  The windows of
 gaussian_line and finite_interval start where their weight falls below
 tolerance, and like real_line's they are probed outward while the
 integrand is not negligible near their ends.  All engines are pure given
@@ -152,9 +155,12 @@ def gaussian_line(gi: LineIntegrand, tr: Truncation = DEFAULT_TRUNCATION) -> com
 
     The window starts where the Gaussian falls below tolerance and is
     probed and widened while the integrand is not negligible at its ends.
-    The trapezoid starts from h0 = min(sigma/8, pi/(4 (hint + 1/L))), eight
-    nodes per period of the hinted frequency; an integrand that h0 does
-    not resolve keeps halving the step under the stop rule.
+    The trapezoid starts from h0 = min(sigma/4, pi/(2 (hint + 1/L))), four
+    nodes per sigma and per period of the hinted frequency.  The start step
+    is free: the core halves it reusing every point, so an integrand that
+    h0 does not resolve pays only for the levels it needs, about 2W/h
+    evaluations for a final step h on a window of length W, while one that
+    it does resolve stops at the first comparison, T(h0) against T(h0/2).
     """
     f = gi.f
     sigma2 = gi.variance()
@@ -169,7 +175,7 @@ def gaussian_line(gi: LineIntegrand, tr: Truncation = DEFAULT_TRUNCATION) -> com
 
     scale0 = max(1.0, abs(complex(f(0.0))))
     ymax = sigma * math.sqrt(2.0 * max(math.log(scale0 / tr.tol), 1.0))
-    h0 = min(sigma / 8.0, math.pi / (4.0 * (gi.oscillation_hint + L_inv)))
+    h0 = min(sigma / 4.0, math.pi / (2.0 * (gi.oscillation_hint + L_inv)))
     return _trapezoid(integrand, -ymax, ymax, h0, tr, "gaussian_line", probe=sigma)
 
 
@@ -276,9 +282,14 @@ def finite_interval(f, a: float, b: float, tr: Truncation = DEFAULT_TRUNCATION) 
     Near each end the point is formed as a + 2de/(1+e) or b - 2de/(1+e).
     Only the distance to an end at 0 keeps full relative accuracy: at an
     end b != 0 the distance is rounded to the spacing of floats near b,
-    and once 2de/(1+e) is below half that spacing the point is b itself,
-    so f is called at such an end and must be finite there:
-    (x (1-x))^(-1/2) on [0, 1] raises at x = 1 for this reason.
+    and once 2de/(1+e) is below half that spacing the point is b itself.
+    f is not called at such a point; it counts as 0, which drops
+    the integral over the gap between the end and the nearest float
+    inside it; f at that float, times the gap, bounds the dropped part
+    when |f| is monotone there.  If that bound exceeds tol times the
+    largest mapped value so far (at least 1), the point raises
+    QuadratureError naming the end: (x (1-x))^(-1/2) on [0, 1] does so at
+    x = 1, where the points that round onto 1 hold 1.5e-8 of its integral.
 
     Integrands with an inverse-square-root edge factor on (-1, 1) should
     be evaluated through the x = cos(theta) substitution by the caller;
@@ -286,15 +297,26 @@ def finite_interval(f, a: float, b: float, tr: Truncation = DEFAULT_TRUNCATION) 
     """
     m = 0.5 * (a + b)
     d = 0.5 * (b - a)
+    peak = 1.0
 
     def g(t: float) -> complex:
+        nonlocal peak
         s = math.sinh(t)
         e = math.exp(-math.pi * abs(s))
         if e == 0.0:
             return 0.0
         near_end = 2.0 * d * e / (1.0 + e)
-        x = b - near_end if s > 0.0 else a + near_end
-        return complex(f(x)) * (d * 0.5 * math.pi * math.cosh(t) * 4.0 * e / (1.0 + e) ** 2)
+        end, x = (b, b - near_end) if s > 0.0 else (a, a + near_end)
+        if x == end:
+            inside = math.nextafter(end, m)
+            if abs(complex(f(inside))) * abs(end - inside) > tr.tol * peak:
+                raise QuadratureError(
+                    f"finite_interval integrand is not negligible at the end {end!r}, "
+                    "where the tanh-sinh points round onto it")
+            return 0.0
+        v = complex(f(x)) * (d * 0.5 * math.pi * math.cosh(t) * 4.0 * e / (1.0 + e) ** 2)
+        peak = max(peak, abs(v))
+        return v
 
     t0 = min(math.asinh(math.log(1e4 / tr.tol) / math.pi), _TANH_SINH_T)
     return _trapezoid(g, -t0, t0, 0.5, tr, "finite_interval", probe=0.5, atol=tr.tol)
