@@ -283,13 +283,13 @@ def finite_interval(f, a: float, b: float, tr: Truncation = DEFAULT_TRUNCATION) 
     Only the distance to an end at 0 keeps full relative accuracy: at an
     end b != 0 the distance is rounded to the spacing of floats near b,
     and once 2de/(1+e) is below half that spacing the point is b itself.
-    f is not called at such a point; it counts as 0, which drops
-    the integral over the gap between the end and the nearest float
-    inside it; f at that float, times the gap, bounds the dropped part
-    when |f| is monotone there.  If that bound exceeds tol times the
-    largest mapped value so far (at least 1), the point raises
-    QuadratureError naming the end: (x (1-x))^(-1/2) on [0, 1] does so at
-    x = 1, where the points that round onto 1 hold 1.5e-8 of its integral.
+    Such a point is not passed to f and counts as 0, which drops the
+    integral over the gap between the end and the nearest float inside it.
+    f at that float times the gap estimates the dropped part; if the
+    estimate exceeds tol times the largest mapped value so far (at least
+    1), the engine raises QuadratureError naming the end.  (x (1-x))^(-1/2)
+    on [0, 1] does so at x = 1, where the points that round onto 1 hold
+    1.5e-8 of its integral.
 
     Integrands with an inverse-square-root edge factor on (-1, 1) should
     be evaluated through the x = cos(theta) substitution by the caller;
@@ -306,16 +306,17 @@ def finite_interval(f, a: float, b: float, tr: Truncation = DEFAULT_TRUNCATION) 
         if e == 0.0:
             return 0.0
         near_end = 2.0 * d * e / (1.0 + e)
-        end, x = (b, b - near_end) if s > 0.0 else (a, a + near_end)
-        if x == end:
-            inside = math.nextafter(end, m)
-            if abs(complex(f(inside))) * abs(end - inside) > tr.tol * peak:
+        x = b - near_end if s > 0.0 else a + near_end
+        if x == a or x == b:
+            inside = math.nextafter(x, m)
+            if abs(complex(f(inside))) * abs(x - inside) > tr.tol * peak:
                 raise QuadratureError(
-                    f"finite_interval integrand is not negligible at the end {end!r}, "
+                    f"finite_interval integrand is not negligible at the end {x!r}, "
                     "where the tanh-sinh points round onto it")
             return 0.0
         v = complex(f(x)) * (d * 0.5 * math.pi * math.cosh(t) * 4.0 * e / (1.0 + e) ** 2)
-        peak = max(peak, abs(v))
+        if abs(v) > peak:
+            peak = abs(v)
         return v
 
     t0 = min(math.asinh(math.log(1e4 / tr.tol) / math.pi), _TANH_SINH_T)
