@@ -9,16 +9,13 @@ Gaussian-weighted line (gaussian_line), a line with two-sided exponential
 decay (real_line, halfline_log after x = e^u, and vertical_line after
 y = sinh u), the tanh-sinh map of a finite interval (finite_interval;
 Takahasi & Mori 1974), and the angle over one period (circle_contour).
-Since the core reuses every point, reaching a step h costs about 2W/h
-evaluations on a window of length W whatever step it started from, so a
-coarse start step is free: gaussian_line starts from four nodes per sigma
-and per period of its oscillation hint, where its first comparison
-usually confirms convergence, and a harder integrand keeps halving under
-the same stop rule.  The windows of
-gaussian_line and finite_interval start where their weight falls below
-tolerance, and like real_line's they are probed outward while the
-integrand is not negligible near their ends.  All engines are pure given
-their integrand closures.
+gaussian_line starts from four nodes per sigma and per period of its
+oscillation hint, where its first comparison usually confirms
+convergence; a harder integrand keeps halving under the same stop rule.
+The windows of gaussian_line and finite_interval start where their
+weight falls below tolerance, and like real_line's they are probed
+outward while the integrand is not negligible near their ends.  All
+engines are pure given their integrand closures.
 """
 
 from __future__ import annotations
@@ -283,13 +280,15 @@ def finite_interval(f, a: float, b: float, tr: Truncation = DEFAULT_TRUNCATION) 
     Only the distance to an end at 0 keeps full relative accuracy: at an
     end b != 0 the distance is rounded to the spacing of floats near b,
     and once 2de/(1+e) is below half that spacing the point is b itself.
-    Such a point is not passed to f and counts as 0, which drops the
-    integral over the gap between the end and the nearest float inside it.
-    f at that float times the gap estimates the dropped part; if the
-    estimate exceeds tol times the largest mapped value so far (at least
-    1), the engine raises QuadratureError naming the end.  (x (1-x))^(-1/2)
-    on [0, 1] does so at x = 1, where the points that round onto 1 hold
-    1.5e-8 of its integral.
+    f is never called at an end: such a point keeps its weight and takes f
+    at the nearest float inside.  That is exact to rounding while f is
+    flat over the last float spacing.  Where |f| there, times the spacing,
+    exceeds tol times the largest mapped value so far (at least 1), f is
+    also called at the next float inward, and if it changes across that
+    spacing by more than the same bound over the spacing, or is not finite,
+    the engine raises QuadratureError naming the end.  (x (1-x))^(-1/2) on
+    [0, 1] does so at x = 1, where the points that round onto 1 hold 1.5e-8
+    of its integral.
 
     Integrands with an inverse-square-root edge factor on (-1, 1) should
     be evaluated through the x = cos(theta) substitution by the caller;
@@ -299,6 +298,18 @@ def finite_interval(f, a: float, b: float, tr: Truncation = DEFAULT_TRUNCATION) 
     d = 0.5 * (b - a)
     peak = 1.0
 
+    def f_at_end(end: float) -> complex:
+        inside = math.nextafter(end, m)
+        fi = complex(f(inside))
+        gap = abs(end - inside)
+        # a second call only where the gap's share could matter
+        if not abs(fi) * gap <= tr.tol * peak:
+            if not abs(fi - complex(f(math.nextafter(inside, m)))) * gap <= tr.tol * peak:
+                raise QuadratureError(
+                    f"finite_interval integrand is not negligible at the end {end!r}, "
+                    "where the tanh-sinh points round onto it")
+        return fi
+
     def g(t: float) -> complex:
         nonlocal peak
         s = math.sinh(t)
@@ -307,14 +318,8 @@ def finite_interval(f, a: float, b: float, tr: Truncation = DEFAULT_TRUNCATION) 
             return 0.0
         near_end = 2.0 * d * e / (1.0 + e)
         x = b - near_end if s > 0.0 else a + near_end
-        if x == a or x == b:
-            inside = math.nextafter(x, m)
-            if abs(complex(f(inside))) * abs(x - inside) > tr.tol * peak:
-                raise QuadratureError(
-                    f"finite_interval integrand is not negligible at the end {x!r}, "
-                    "where the tanh-sinh points round onto it")
-            return 0.0
-        v = complex(f(x)) * (d * 0.5 * math.pi * math.cosh(t) * 4.0 * e / (1.0 + e) ** 2)
+        fx = f_at_end(x) if x == a or x == b else complex(f(x))
+        v = fx * (d * 0.5 * math.pi * math.cosh(t) * 4.0 * e / (1.0 + e) ** 2)
         if abs(v) > peak:
             peak = abs(v)
         return v

@@ -72,7 +72,7 @@ class TestGaussianLine:
 
     def test_pure_phase_work(self):
         # four nodes per period of the hint resolve e^(2iy), so the first
-        # comparison stops: 165 calls, where a start at eight nodes took 313
+        # comparison stops
         q = QParam(0.5)
         L = q.log_inv
         f, calls = counted(lambda y: cmath.exp(2j * y))
@@ -107,7 +107,7 @@ class TestGaussianLine:
             work[d] = calls[0]
         assert work[0.02] >= 8 * work[0.5]
         # halving reuses every point, so the coarse start costs the hardest
-        # case almost nothing: 8,713 calls, against 8,649 from a start at h0/2
+        # case almost nothing
         assert work[0.02] <= 8800
 
     def test_budget_guard(self):
@@ -224,8 +224,7 @@ class TestRealLineFamily:
     def test_finite_interval_nonvanishing_ends(self, f, exact):
         # integrands that do not vanish at the ends: the window probe must
         # carry the start window out until the mapped integrand is negligible;
-        # points that round onto the end 1 are dropped, which costs ln(1 - x)
-        # about 2e-15
+        # points that round onto the end 1 take f at the float inside it
         val = finite_interval(f, 0.0, 1.0, TR)
         assert abs(val - exact) < 1e-12
 
@@ -243,6 +242,24 @@ class TestRealLineFamily:
 
         with pytest.raises(QuadratureError, match=f"end {end},"):
             finite_interval(guarded, a, b, TR)
+
+    @pytest.mark.parametrize("a, tol", [(1000.0, 1e-13), (8.0, 1e-15)], ids=["1000", "8"])
+    def test_finite_interval_bounded_nonzero_end(self, a, tol):
+        # points that round onto the end b = a + 1 keep their weight, so a
+        # bounded integrand loses no mass there and f is never called at b
+        def one(x):
+            assert a < x < a + 1
+            return 1.0
+
+        val = finite_interval(one, a, a + 1.0, Truncation(tol=tol))
+        assert abs(val - 1.0) < 1e-14
+
+    def test_finite_interval_nan_at_end(self):
+        def f(x):
+            return math.nan if x > 1000.5 else 1.0
+
+        with pytest.raises(QuadratureError, match="end 1001.0,"):
+            finite_interval(f, 1000.0, 1001.0, Truncation())
 
     def test_real_line_between_nodes(self):
         # sin^2(2 pi u) vanishes at every half-integer
