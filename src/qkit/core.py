@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import (
     DomainError,
@@ -87,11 +88,10 @@ class QParam:
 class Truncation:
     """Tolerance and budget for every truncated sum/product.
 
-    Infinite products certify their discarded tail with the bound
-    (|z|/(1-q))*exp(|z|/(1-q)), skipping the check on the factors that
-    |z| >= tol (1-q) shows must fail it (see :func:`qpoch_inf`); series
-    stop once a proven bound on their discarded tail falls below tol
-    relative to the partial sum.
+    Series stop once a proven bound on their discarded tail falls below
+    tol relative to the partial sum.  Infinite products do not read tol:
+    they are accurate to the double floor (see :func:`qpoch_inf`), and
+    max_terms caps only their leading factors.
     """
 
     tol: float = 1e-13
@@ -156,17 +156,6 @@ def _certified_sum(terms, tr: Truncation, context: str) -> complex:
     return ensure_finite(total, context)
 
 
-def _product_tail_bound(a_mag: float, q: float) -> float:
-    """Bound for |prod_{k>=0}(1 - a q^k) - 1| with |a| = a_mag.
-
-    Exponential form t*exp(t) with t = a_mag/(1-q); valid for all a.
-    """
-    t = a_mag / (1.0 - q)
-    if t > 700.0:
-        return math.inf
-    return t * math.exp(t)
-
-
 def qpoch_finite(a, q: QParam, n: int) -> complex:
     """q-shifted factorial (a;q)_n for any integer n.
 
@@ -198,60 +187,79 @@ def qpoch_finite(a, q: QParam, n: int) -> complex:
 
 
 def qpoch_inf(a, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
-    """Infinite q-shifted factorial (a;q)_inf = prod_{k>=0}(1 - a q^k).
+    """Infinite q-shifted factorial (a;q)_inf = prod_{k>=0}(1 - a q^k), to the double floor.
 
-    The partial product is extended until the discarded tail is
-    certified below tr.tol by the exponential product bound t*exp(t),
-    t = |a q^k|/(1-q).  That bound is at least t, so every factor with
-    |a| q^k >= tol (1-q) fails the check: the number of such factors comes
-    from one logarithm, and all but the last of them are multiplied in
-    without it.  That held-back factor, a slack of 1e-12 in the logarithm
-    and one of 1e-15 per factor absorb the rounding of the logarithms and
-    of the running power a q^k, so the factors and the stopping index are
-    those of checking every factor.
+    The leading factors 1 - a q^k are multiplied out while |a q^k| > s =
+    (1-q)/8; at most tr.max_terms of them are allowed.  The rest, (w;q)_inf
+    with w = a q^N and |w| <= s, is Euler's series
+    sum_k (-1)^k q^(k(k-1)/2) w^k / (q;q)_k (Gasper & Rahman, (1.3.16)),
+    cut at a degree fixed per q so that the dropped terms stay below 2^-56
+    of |(w;q)_inf| and evaluated by Horner's rule.  tr.tol is not read: the
+    truncation error is below the rounding of the result whatever the
+    tolerance.
 
     (q;q)_inf itself, the normalisation of q-gamma and the q-Bessel
-    functions, is multiplied out once per (q, tol, max_terms) and then
-    looked up: the product is deterministic, so the value is the same.
+    functions, is computed once per (q, max_terms) and then looked up.
     """
     a = complex(a)
     if a == q.q:
-        return _qfac_inf(q.q, tr.tol, tr.max_terms)
+        return _qfac_inf(q.q, tr.max_terms)
     return _qpoch_inf(a, q, tr)
 
 
 @functools.lru_cache(maxsize=256)
-def _qfac_inf(q: float, tol: float, max_terms: int) -> complex:
+def _qfac_inf(q: float, max_terms: int) -> complex:
     """(q;q)_inf by the product of :func:`qpoch_inf`; an exception is raised, not kept."""
-    return _qpoch_inf(complex(q), QParam(q), Truncation(tol, max_terms))
+    return _qpoch_inf(complex(q), QParam(q), Truncation(max_terms=max_terms))
+
+
+@functools.lru_cache(maxsize=256)
+def _euler_tail(q: float) -> tuple:
+    """(s, (c_K, ..., c_0)): Euler's coefficients of (w;q)_inf for |w| <= s = (1-q)/8.
+
+    c_k = (-1)^k q^(k(k-1)/2) / (q;q)_k, each rounded once from its exact
+    rational value.  For |w| <= s the term ratio |c_(k+1) w^(k+1)| / |c_k w^k|
+    is at most q^k/8 and |(w;q)_inf| >= 1 - s/(1-q) = 7/8, so the terms
+    after c_K w^K sum to at most (8/7)^2 |c_(K+1)| s^(K+1) relative to the
+    product; K is the least degree that puts this below 2^-56.
+    """
+    s = (1.0 - q) / 8.0
+    qf = Fraction(q)
+    c = Fraction(1)
+    coeffs = [1.0]
+    for k in itertools.count(1):
+        c *= -qf ** (k - 1) / (1 - qf**k)
+        if (64.0 / 49.0) * abs(float(c)) * s**k <= 2.0**-56:
+            return s, tuple(reversed(coeffs))
+        coeffs.append(float(c))
 
 
 def _qpoch_inf(a: complex, q: QParam, tr: Truncation) -> complex:
-    if a == 0:
-        return 1.0 + 0.0j
     qq = q.q
+    s, coeffs = _euler_tail(qq)
     mag = abs(a)
-    floor = tr.tol * (1.0 - qq)
-    unchecked = 0
-    if floor < mag < math.inf:  # an inf or nan a runs the checked loop to its budget
-        room = math.log(mag) - math.log(floor) - 1e-12
-        unchecked = min(int(room / (1e-15 - q.ln_q)), tr.max_terms)
+    if not mag < math.inf:  # nan fails every comparison, so it is caught here
+        raise TruncationError(f"(a;q)_inf of a non-finite a = {a!r}", achieved_bound=math.inf)
     prod = 1.0 + 0.0j
-    aq = a
-    for _ in range(unchecked):
-        prod *= 1.0 - aq
-        aq *= qq
-    for _ in range(tr.max_terms - unchecked):
-        if _product_tail_bound(abs(aq), qq) < tr.tol:
-            return ensure_finite(prod, "qpoch_inf")
-        prod *= 1.0 - aq
-        aq *= qq
-    bound = _product_tail_bound(abs(aq), qq)
-    raise TruncationError(
-        f"(a;q)_inf tail bound {bound:.3e} still above tol {tr.tol:.3e} "
-        f"after {tr.max_terms} factors",
-        achieved_bound=bound,
-    )
+    for _ in range(tr.max_terms):
+        if mag <= s:
+            break
+        prod *= 1.0 - a
+        a *= qq
+        mag = abs(a)
+    else:
+        if mag > s:
+            t = mag / (1.0 - qq)  # |(a;q)_inf - 1| <= exp(t) - 1
+            bound = math.expm1(t) if t < 700.0 else math.inf
+            raise TruncationError(
+                f"(a;q)_inf still has a factor 1 - w, |w| = {mag:.3e} > {s:.3e}, "
+                f"after {tr.max_terms} factors",
+                achieved_bound=bound,
+            )
+    tail = 0.0
+    for c in coeffs:
+        tail = tail * a + c
+    return ensure_finite(prod * tail, "qpoch_inf")
 
 
 def qpoch_multi(avals, q: QParam, n=None, tr: Truncation = DEFAULT_TRUNCATION) -> complex:

@@ -136,13 +136,10 @@ def _truncation_for(tol: float) -> Truncation:
     # engines get a thin slice of the identity tolerance: integrals with
     # internal cancellation amplify the integrand's own evaluation error
     # by the mass-to-value ratio, so the slice must leave a wide reserve.
-    # It is never looser than 1e-9: mellin_qlaguerre at q = 0.519597,
-    # n = 2 has an integrand mass 1e3 times its integral, which amplifies
-    # the truncation error of each product in the integrand.  Its
-    # quadrature side is off by 6.7e-7 relative at tol 1e-9, 7.3e-9 at
-    # 1e-11 and 6.8e-11 at 1e-13; with the products held at 1e-9 it stays
-    # at 6.7e-7 for engine tol 1e-11, so the products set the error, and a
-    # 1e-8 slice of MELLIN's 1e-5 would leave that point near its tolerance.
+    # It is never looser than 1e-9.  The products inside integrands no
+    # longer read it (they are accurate to the double floor), so the cap
+    # now guards only series and quadrature; removing it, and tightening
+    # the group tolerances to what the engines achieve, are open steps.
     return Truncation(tol=max(1e-14, min(tol * 1e-3, 1e-9)), max_terms=100000)
 
 

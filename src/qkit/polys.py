@@ -248,9 +248,8 @@ def weight(spec: WeightSpec, x: float, tr: Truncation = DEFAULT_TRUNCATION) -> f
         if not -1.0 < x < 1.0:
             raise DomainError(f"q-Hermite weight needs |x| < 1, got {x}")
         theta = math.acos(x)
-        e2 = cmath.exp(2j * theta)
-        val = qpoch_inf(e2, q, tr) * qpoch_inf(e2.conjugate(), q, tr)
-        return val.real / math.sqrt(1.0 - x * x)
+        p = qpoch_inf(cmath.exp(2j * theta), q, tr)
+        return (p * p.conjugate()).real / math.sqrt(1.0 - x * x)
     if spec.kind == "sw_lognormal":
         if not x > 0.0:
             raise DomainError(f"Stieltjes-Wigert weight needs x > 0, got {x}")

@@ -1,9 +1,12 @@
 import cmath
+import collections
 import itertools
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qkit.core
 from qkit import (
@@ -22,7 +25,7 @@ from qkit import (
     theta3,
     theta4,
 )
-from qkit.core import _certified_sum, _product_tail_bound, ensure_finite, geometric_tail
+from qkit.core import _certified_sum, ensure_finite, geometric_tail
 from qkit.errors import NumericOverflowError, QKitError, TruncationError
 
 TR = Truncation(tol=1e-14)
@@ -164,81 +167,111 @@ class TestQPochhammer:
             assert rel(lhs, qpoch_inf(a, q, TR)) < 1e-12
 
 
-def _qpoch_inf_checked(a, q, tr):
-    """Reference: the bound t*exp(t) checked before every factor."""
-    a = complex(a)
-    if a == 0:
-        return 1.0 + 0.0j
-    prod = 1.0 + 0.0j
-    aq = a
-    for _ in range(tr.max_terms):
-        if _product_tail_bound(abs(aq), q.q) < tr.tol:
-            return ensure_finite(prod, "qpoch_inf")
-        prod *= 1.0 - aq
-        aq *= q.q
-    bound = _product_tail_bound(abs(aq), q.q)
-    raise TruncationError(
-        f"(a;q)_inf tail bound {bound:.3e} still above tol {tr.tol:.3e} "
-        f"after {tr.max_terms} factors",
-        achieved_bound=bound,
-    )
+def _qpoch_inf_mp(a, qv):
+    """(a;q)_inf to 40 digits: factors while |a q^k| > 1/2, then exp(-sum_n w^n / (n (1 - q^n)))."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a, q = mp.mpc(a), mp.mpf(qv)
+        prod = mp.mpf(1)
+        while abs(a) > 0.5:
+            prod *= 1 - a
+            a *= q
+        log_tail, wn, qn, n = 0, a, q, 1
+        while abs(wn) > 1e-45:
+            log_tail += wn / (n * (1 - qn))
+            n, wn, qn = n + 1, wn * a, qn * q
+        return prod * mp.exp(-log_tail)
 
 
-def _outcome(f, *args):
-    """repr of the value, or the exception's class, message and bound."""
+def _leading_product(a, qv):
+    """The factors 1 - a q^k with |a q^k| > (1-q)/8, multiplied in floats as qpoch_inf does; and the rest w."""
+    s = (1.0 - qv) / 8.0
+    prod, w, n = 1.0 + 0.0j, complex(a), 0
+    while abs(w) > s:
+        prod *= 1.0 - w
+        w *= qv
+        n += 1
+    return prod, w, n
+
+
+def _check_against_mp(a, qv, tr):
+    """qpoch_inf(a) is within 16 u of the 40-digit value, beyond the error of its leading product.
+
+    The leading factors are multiplied as in any product algorithm, so near
+    a zero factor their rounding is amplified; the reference is that float
+    leading product times the exact rest (w;q)_inf.  Returns the outcome.
+    """
+    mp = pytest.importorskip("mpmath")
+    exact = _qpoch_inf_mp(a, qv)
+    lead, w, n = _leading_product(a, qv)
     try:
-        return repr(f(*args))
-    except (QKitError, ArithmeticError, ValueError) as exc:
-        return type(exc).__name__, str(exc), repr(getattr(exc, "achieved_bound", None))
+        val = qpoch_inf(a, QParam(qv), tr)
+    except TruncationError as exc:
+        assert n > tr.max_terms and exc.achieved_bound > 0, (a, qv, tr)
+        return "budget"
+    except NumericOverflowError:
+        assert abs(exact) > sys.float_info.max, (a, qv)
+        return "overflow"
+    assert n <= tr.max_terms, (a, qv, tr)
+    with mp.workdps(40):
+        reference = lead * _qpoch_inf_mp(w, qv)
+        # 16 u relative, and 16 subnormal steps for a product that underflows
+        allowed = abs(reference - exact) + 16 * 2.0**-52 * abs(exact) + 16 * 2.0**-1074
+        assert abs(val - exact) <= allowed, (a, qv, tr)
+    return "value"
 
 
-class TestQpochInfFactorCount:
-    """The closed-form count of unchecked factors keeps every result bit for bit."""
+class TestQpochInfEulerTail:
+    """Leading factors times Euler's series for the rest, accurate to the double floor whatever tr.tol."""
 
-    def test_bit_identical_to_checking_every_factor(self):
+    def test_matches_40_digit_product_whatever_the_tol(self):
         rng = random.Random(2026)
-        cases = []
+        outcomes = collections.Counter()
         for qv in (0.05, 0.3, 0.5, 0.9, 0.99):
             for max_terms in (8, 100, 10000):
-                for mag in (5e-324, math.inf, math.nan):
-                    cases.append((qv, mag, 1e-13, max_terms))
                 for _ in range(40):
-                    cases.append((qv, 10 ** rng.uniform(-20, 4), 10 ** rng.uniform(-15, -4), max_terms))
-        for qv, mag, tol, max_terms in cases:
-            q, tr = QParam(qv), Truncation(tol=tol, max_terms=max_terms)
-            for a in (mag, -mag, cmath.rect(mag, rng.uniform(-math.pi, math.pi))
-                      if math.isfinite(mag) else complex(mag, 1.0)):
-                assert _outcome(qpoch_inf, a, q, tr) == _outcome(_qpoch_inf_checked, a, q, tr), \
-                    (a, qv, tol, max_terms)
+                    mag = 10 ** rng.uniform(-20, 4)
+                    tr = Truncation(tol=10 ** rng.uniform(-15, -4), max_terms=max_terms)
+                    for a in (mag, -mag, cmath.rect(mag, rng.uniform(-math.pi, math.pi))):
+                        outcomes[_check_against_mp(a, qv, tr)] += 1
+        assert outcomes["value"] > 1500 and outcomes["budget"] and outcomes["overflow"], outcomes
 
-    def test_factor_count_edges(self):
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.05, 0.99), st.floats(-20.0, 4.0), st.floats(-math.pi, math.pi))
+    def test_property_matches_40_digit_product(self, qv, log_mag, phase):
+        _check_against_mp(cmath.rect(10**log_mag, phase), qv, DEFAULT_TRUNCATION)
+
+    def test_edges(self):
         q = QParam(0.5)
         assert qpoch_inf(5e-324, q, TR) == 1
-        for a in (math.inf, math.nan, complex(math.inf, math.nan)):
+        for a in (math.inf, math.nan, complex(math.inf, math.nan), complex(math.nan, 1.0)):
             with pytest.raises(TruncationError):
                 qpoch_inf(a, q, TR)
+        with pytest.raises(TruncationError) as info:
+            qpoch_inf(0.99, QParam(0.99), Truncation(max_terms=8))
+        assert info.value.achieved_bound > 1
 
     def test_qq_product_is_multiplied_out_once(self, monkeypatch):
-        bounds = []
+        calls = []
 
-        def counting(mag, qq):
-            bounds.append(mag)
-            return _product_tail_bound(mag, qq)
+        def counting(a, q, tr):
+            calls.append(a)
+            return kernel(a, q, tr)
 
-        monkeypatch.setattr(qkit.core, "_product_tail_bound", counting)
+        kernel = qkit.core._qpoch_inf
+        monkeypatch.setattr(qkit.core, "_qpoch_inf", counting)
         qkit.core._qfac_inf.cache_clear()
-        q, tr = QParam(0.123457), Truncation(tol=3e-14)
-        first = _outcome(qpoch_inf, q.q, q, tr)
-        assert bounds and first == _outcome(_qpoch_inf_checked, q.q, q, tr)
-        bounds.clear()
-        assert _outcome(qpoch_inf, q.q, q, tr) == first and not bounds
+        q = QParam(0.123457)
+        first = qpoch_inf(q.q, q, Truncation(tol=3e-14))
+        assert len(calls) == 1 and first == kernel(complex(q.q), q, TR)
+        # the tolerance is not part of the key: products do not read it
+        assert qpoch_inf(q.q, q, Truncation(tol=1e-5)) == first and len(calls) == 1
         # a failure is raised afresh each time, never stored
         q, tr = QParam(0.99), Truncation(max_terms=8)
-        for _ in range(2):
-            bounds.clear()
+        for attempt in (2, 3):
             with pytest.raises(TruncationError):
                 qpoch_inf(q.q, q, tr)
-            assert bounds
+            assert len(calls) == attempt
 
 
 class TestQBinom:

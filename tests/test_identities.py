@@ -97,6 +97,19 @@ class TestEvaluate:
                                 sample_params("fourier_h_kernel_int_2", 1972007450, 0))
         assert rep.passed, rep.status
 
+    def test_b3_x_3_products_at_the_double_floor(self):
+        # the integrand's mass is about 1e3 times the integral, so products
+        # truncated at the engine tol put this draw at 1.5e-8 against tol 1e-8
+        rep = evaluate_identity("fourier_b3_x_3", sample_params("fourier_b3_x_3", 100, 0))
+        assert rep.passed, (rep.status, rep.rel_err)
+
+    def test_qsquare_contour_needs_untruncated_euler_tail(self):
+        # circle_contour extracts one Laurent mode of a large-mass integrand;
+        # an Euler tail cut at the engine tol is a polynomial whose error
+        # lands in that mode
+        rep = evaluate_identity("qsquare_contour_rep", sample_params("qsquare_contour_rep", 56, 0))
+        assert rep.passed, (rep.status, rep.rel_err)
+
     def test_reports_are_data_not_exceptions(self):
         # an out-of-domain parameter point must come back as a skip
         rep = evaluate_identity("ramanujan_1psi1",

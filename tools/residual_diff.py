@@ -8,8 +8,9 @@ reports should come from the same ``--group/--samples/--seed`` arguments.
 For each group the script prints how many points are identical in both
 reports (the same rel_err, lhs and rhs), the status changes, the largest
 and the median |log10(new rel_err / old rel_err)|, and every point whose
-residual grew more than tenfold.  Residuals below FLOOR count as FLOOR, so two
-results exact to rounding do not show as a huge ratio.  A point without a
+residual grew more than tenfold.  Residuals below FLOOR = 1e-15, the rounding
+level of a double, count as FLOOR, so a move from 0 to 1e-15 between two
+results exact to rounding does not show as a huge ratio.  A point without a
 finite residual in either report (one that raised) enters only the status
 comparison.
 
@@ -24,7 +25,7 @@ import math
 import statistics
 import sys
 
-FLOOR = 1e-18
+FLOOR = 1e-15
 GROWTH = 10.0
 
 
