@@ -247,15 +247,13 @@ def _qpoch_inf(a: complex, q: QParam, tr: Truncation) -> complex:
         prod *= 1.0 - a
         a *= qq
         mag = abs(a)
-    else:
-        if mag > s:
-            t = mag / (1.0 - qq)  # |(a;q)_inf - 1| <= exp(t) - 1
-            bound = math.expm1(t) if t < 700.0 else math.inf
-            raise TruncationError(
-                f"(a;q)_inf still has a factor 1 - w, |w| = {mag:.3e} > {s:.3e}, "
-                f"after {tr.max_terms} factors",
-                achieved_bound=bound,
-            )
+    if mag > s:
+        t = mag / (1.0 - qq)  # |(a;q)_inf - 1| <= exp(t) - 1
+        raise TruncationError(
+            f"(a;q)_inf still has a factor 1 - w, |w| = {mag:.3e} > {s:.3e}, "
+            f"after {tr.max_terms} factors",
+            achieved_bound=math.expm1(t) if t < 700.0 else math.inf,
+        )
     tail = 0.0
     for c in coeffs:
         tail = tail * a + c

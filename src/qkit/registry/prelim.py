@@ -174,8 +174,8 @@ def _qh_gram(p, tr):
     m, n = p["m"], p["n"]
 
     def f(th):
-        p = qp(exp_i(2 * th), q, tr)
-        w = (p * p.conjugate()).real
+        prod = qp(exp_i(2 * th), q, tr)
+        w = (prod * prod.conjugate()).real
         return qhermite(m, math.cos(th), q).real * qhermite(n, math.cos(th), q).real * w
 
     inner = finite_interval(f, 0.0, math.pi, tr).real / TWO_PI
@@ -203,8 +203,8 @@ def _cal_ip(p, tr, v):
     u = p["u"]
 
     def f(th):
-        p = qp(exp_i(2 * th), q, tr)
-        w = (p * p.conjugate()).real
+        prod = qp(exp_i(2 * th), q, tr)
+        w = (prod * prod.conjugate()).real
         x = math.cos(th)
         return cal_e(x, u, q, tr) * cal_e(x, v, q, tr) * w
 
