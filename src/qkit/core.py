@@ -217,7 +217,8 @@ def _euler_tail(q: float) -> tuple:
     """(s, (c_K, ..., c_0)): Euler's coefficients of (w;q)_inf for |w| <= s = (1-q)/8.
 
     c_k = (-1)^k q^(k(k-1)/2) / (q;q)_k, each rounded once from its exact
-    value: with q = n/d, c_k = c_(k-1) (-n^(k-1) d) / (d^k - n^k) in integers.  For |w| <= s the term ratio |c_(k+1) w^(k+1)| / |c_k w^k|
+    value: with q = n/d, c_k = c_(k-1) (-n^(k-1) d) / (d^k - n^k) in
+    integers.  For |w| <= s the term ratio |c_(k+1) w^(k+1)| / |c_k w^k|
     is at most q^k/8 and |(w;q)_inf| >= 1 - s/(1-q) = 7/8, so the terms
     after c_K w^K sum to at most (8/7)^2 |c_(K+1)| s^(K+1) relative to the
     product; K is the least degree that puts this below 2^-56.
@@ -229,7 +230,7 @@ def _euler_tail(q: float) -> tuple:
     for k in itertools.count(1):
         num *= -(n ** (k - 1)) * d
         den *= d**k - n**k
-        c = num / den  # int / int rounds once
+        c = num / den
         if (64.0 / 49.0) * abs(c) * s**k <= 2.0**-56:
             return s, tuple(reversed(coeffs))
         coeffs.append(c)
