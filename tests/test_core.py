@@ -26,7 +26,7 @@ from qkit import (
     theta4,
 )
 from qkit.core import _certified_sum, ensure_finite, geometric_tail
-from qkit.errors import NumericOverflowError, QKitError, TruncationError
+from qkit.errors import NumericOverflowError, TruncationError
 
 TR = Truncation(tol=1e-14)
 
@@ -242,11 +242,12 @@ class TestQpochInfEulerTail:
         _check_against_mp(cmath.rect(10**log_mag, phase), qv, DEFAULT_TRUNCATION)
 
     def test_edges(self):
-        q = QParam(0.5)
-        assert qpoch_inf(5e-324, q, TR) == 1
-        for a in (math.inf, math.nan, complex(math.inf, math.nan), complex(math.nan, 1.0)):
-            with pytest.raises(TruncationError):
-                qpoch_inf(a, q, TR)
+        for qv, max_terms in itertools.product((0.05, 0.3, 0.5, 0.9, 0.99), (8, 100, 10000)):
+            q, tr = QParam(qv), Truncation(max_terms=max_terms)
+            assert qpoch_inf(5e-324, q, tr) == 1 and qpoch_inf(-5e-324, q, tr) == 1
+            for a in (math.inf, -math.inf, math.nan, complex(math.inf, math.nan), complex(math.nan, 1.0)):
+                with pytest.raises(TruncationError):
+                    qpoch_inf(a, q, tr)
         with pytest.raises(TruncationError) as info:
             qpoch_inf(0.99, QParam(0.99), Truncation(max_terms=8))
         assert info.value.achieved_bound > 1

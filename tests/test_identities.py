@@ -98,12 +98,12 @@ class TestEvaluate:
         assert rep.passed, rep.status
 
     def test_b3_x_3_products_at_the_double_floor(self):
-        # the integrand's mass is about 1e3 times the integral, so products
-        # truncated at the engine tol put this draw at 1.5e-8 against tol 1e-8
+        # the integrand's mass is about 1e3 times the integral, so the
+        # products inside it must be accurate far below the engine tol
         rep = evaluate_identity("fourier_b3_x_3", sample_params("fourier_b3_x_3", 100, 0))
         assert rep.passed, (rep.status, rep.rel_err)
 
-    def test_qsquare_contour_needs_untruncated_euler_tail(self):
+    def test_qsquare_contour_needs_euler_tail_at_the_floor(self):
         # circle_contour extracts one Laurent mode of a large-mass integrand;
         # an Euler tail cut at the engine tol is a polynomial whose error
         # lands in that mode
