@@ -242,6 +242,7 @@ def _qpoch_inf(a: complex, q: QParam, tr: Truncation) -> complex:
     mag = abs(a)
     if not mag < math.inf:  # nan fails every comparison, so it is caught here
         raise TruncationError(f"(a;q)_inf of a non-finite a = {a!r}", achieved_bound=math.inf)
+    a0 = a
     prod = 1.0 + 0.0j
     for _ in range(tr.max_terms):
         if mag <= s:
@@ -259,7 +260,36 @@ def _qpoch_inf(a: complex, q: QParam, tr: Truncation) -> complex:
     tail = 0.0
     for c in coeffs:
         tail = tail * a + c
-    return ensure_finite(prod * tail, "qpoch_inf")
+    val = prod * tail
+    if cmath.isfinite(val):
+        return val
+    return _rescaled_product(a0, qq, s, tail)
+
+
+def _rescaled_product(a: complex, qq: float, s: float, tail: complex) -> complex:
+    """The leading product of :func:`_qpoch_inf` again, times tail, with a power of two carried apart.
+
+    A partial product may overflow although the product is finite: it rises
+    while |1 - a q^k| > 1, then falls.  Scaling by 2^e is exact, so the
+    digits are those of the plain loop in a wider exponent range.
+    """
+    prod, e = 1.0 + 0.0j, 0
+    while abs(a) > s:
+        m, f = _split(1.0 - a)
+        prod, g = _split(prod * m)
+        e += f + g
+        a *= qq
+    val = prod * tail
+    try:
+        return complex(math.ldexp(val.real, e), math.ldexp(val.imag, e))
+    except OverflowError:
+        raise NumericOverflowError(f"(a;q)_inf overflows: {val!r} * 2^{e}") from None
+
+
+def _split(z: complex) -> tuple:
+    """(m, e) with z = m 2^e exactly and the larger part of m in [0.5, 1)."""
+    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e
 
 
 def qpoch_multi(avals, q: QParam, n=None, tr: Truncation = DEFAULT_TRUNCATION) -> complex:

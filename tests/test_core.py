@@ -184,14 +184,22 @@ def _qpoch_inf_mp(a, qv):
 
 
 def _leading_product(a, qv):
-    """The factors 1 - a q^k with |a q^k| > (1-q)/8, multiplied in floats as qpoch_inf does; and the rest w."""
+    """The factors 1 - a q^k with |a q^k| > (1-q)/8, multiplied in floats as qpoch_inf does; and the rest w.
+
+    The float product is kept as prod 2^e, rescaled by exact powers of two,
+    so a partial product beyond the double range keeps its digits; the
+    product is returned as an mpmath number.
+    """
+    mp = pytest.importorskip("mpmath")
     s = (1.0 - qv) / 8.0
-    prod, w, n = 1.0 + 0.0j, complex(a), 0
+    prod, e, w, n = 1.0 + 0.0j, 0, complex(a), 0
     while abs(w) > s:
         prod *= 1.0 - w
+        f = math.frexp(max(abs(prod.real), abs(prod.imag)))[1]
+        prod, e = complex(math.ldexp(prod.real, -f), math.ldexp(prod.imag, -f)), e + f
         w *= qv
         n += 1
-    return prod, w, n
+    return mp.mpc(prod) * mp.mpf(2) ** e, w, n
 
 
 def _check_against_mp(a, qv, tr):
@@ -240,6 +248,11 @@ class TestQpochInfEulerTail:
     @given(st.floats(0.05, 0.99), st.floats(-20.0, 4.0), st.floats(-math.pi, math.pi))
     def test_property_matches_40_digit_product(self, qv, log_mag, phase):
         _check_against_mp(cmath.rect(10**log_mag, phase), qv, DEFAULT_TRUNCATION)
+
+    def test_finite_product_past_an_overflowing_partial_product(self):
+        # the partial products of 1 - 1000 q^k pass 1e308 before falling to 1.46e283
+        assert _check_against_mp(1000.0, 0.96875, DEFAULT_TRUNCATION) == "value"
+        assert _check_against_mp(1e4, 0.99, DEFAULT_TRUNCATION) == "overflow"
 
     def test_edges(self):
         for qv, max_terms in itertools.product((0.05, 0.3, 0.5, 0.9, 0.99), (8, 100, 10000)):
