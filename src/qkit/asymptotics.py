@@ -9,7 +9,7 @@ against the band [0.8 q, 1.25 q].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import DEFAULT_TRUNCATION, QParam, Truncation, qpoch_multi, qpoch_inf
 from .errors import DomainError, QKitError

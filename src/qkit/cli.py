@@ -8,13 +8,11 @@ timing summaries go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
 from fractions import Fraction
 
-from .core import DEFAULT_TRUNCATION, QParam, Truncation
+from .core import QParam, Truncation
 from .errors import QKitError
 from . import asymptotics, exactq, identities
 from .polys import confluent_poly, qhermite, qhermite_inv, qlaguerre, stieltjes_wigert

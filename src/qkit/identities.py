@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Truncation
 from .errors import DomainError, QKitError

@@ -94,25 +94,6 @@ def qhermite_inv_exp(n: int, e_xi, q: QParam) -> complex:
     return ensure_finite(total, "qhermite_inv_exp")
 
 
-def qhermite_inv_weighted(n: int, e_xi, q: QParam, wexp: float) -> complex:
-    """q^(wexp) h_n(sinh(xi)|q) with the damping folded into every term.
-
-    The bare polynomial peaks near q^(-n^2/4), which overflows long before
-    weighted sums like the Poisson kernel stop needing terms; folding the
-    weight keeps each term representable.
-    """
-    if n < 0:
-        raise DomainError("polynomial degree must be >= 0")
-    e_xi = complex(e_xi)
-    if e_xi == 0:
-        raise DomainError("e^(xi) must be nonzero")
-    total = 0.0 + 0.0j
-    for k in range(n + 1):
-        coeff = qpoch_finite(q.q, q, n) / (qpoch_finite(q.q, q, k) * qpoch_finite(q.q, q, n - k))
-        total += coeff * (-1.0) ** k * q.power(k * (k - n) + wexp) * e_xi ** (n - 2 * k)
-    return ensure_finite(total, "qhermite_inv_weighted")
-
-
 def qhermite_inv(n: int, x, q: QParam) -> complex:
     """q^(-1)-Hermite polynomial h_n(x|q) with xi = arcsinh(x) (principal)."""
     x = complex(x)

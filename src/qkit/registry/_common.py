@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ..core import QParam, qpoch_finite, qpoch_inf, qpoch_multi
+from ..core import _certified_sum, geometric_tail, qpoch_finite, qpoch_inf, qpoch_multi
 from ..identities import IdentityRecord, register
 from ..quad import LineIntegrand, gaussian_line
 
@@ -30,6 +30,21 @@ def qfac(q, n):
 
 def exp_i(x):
     return cmath.exp(1j * x)
+
+
+def exp_bound(x):
+    """exp(x) for a majorant: inf past the double range, never an OverflowError."""
+    return math.exp(x) if x < 709.0 else math.inf
+
+
+def majorized_sum(values, major, ratio, tr, context):
+    """Sum the terms t_n of an iterable, given |t_j| <= m_j with m_n = major(n).
+
+    ratio(n) bounds m_(j+1)/m_j for every j >= n, so the tail after t_n is at
+    most geometric_tail(major(n), ratio(n)).  Neither may read a term.
+    """
+    terms = ((t, geometric_tail(major(n), ratio(n))) for n, t in enumerate(values))
+    return _certified_sum(terms, tr, context)
 
 
 def runif(rng, a, b):

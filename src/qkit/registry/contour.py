@@ -7,9 +7,10 @@ import math
 
 from ..core import QParam, partial_theta
 from ..polys import qhermite_inv, stieltjes_wigert
-from ..series import PhiSpec, PsiSpec, jackson_bessel, phi, psi_bilateral, ramanujan_a
+from ..series import (MFunctionSpec, PhiSpec, PsiSpec, jackson_bessel, m_weighted,
+                      m_weighted_bilateral, phi, psi_bilateral, ramanujan_a)
 from ..quad import ContourSpec, circle_contour
-from ._common import cring, exp_i, ident, qdraw, qfac, qp, qpm, qpn, resample, rint, runif
+from ._common import cring, ident, qdraw, qfac, qp, qpm, qpn, resample, rint, runif
 
 
 def _contour(r, f, tr):
@@ -415,18 +416,8 @@ def _cw_sample(rng):
 def _cw_lhs(p, tr):
     q = QParam(p["q"])
     nu, al, be, x = p["nu"], p["alpha"], p["beta"], p["x"]
-    total = 0.0j
-    term = 1.0 + 0.0j
-    k = 0
-    while k < 600:
-        total += term
-        ratio = (1.0 - al * q.power(k)) / ((1.0 - q.power(k + 1)) * (1.0 - be * q.power(k)))
-        ratio *= -x * q.power(nu * (2 * k + 1)) * q.power(k)  # q^(nu k^2) and binom(k,2) weights
-        term *= ratio
-        k += 1
-        if abs(term) < tr.tol * max(abs(total), 1.0) and k > 5:
-            break
-    return total
+    # the q^(nu k^2) and binom(k,2) weights together are q^((nu+1/2)k^2) q^(-k/2)
+    return m_weighted(MFunctionSpec([al], [be], q, nu + 0.5, x * q.power(-0.5)), tr)
 
 
 def _cw_rhs(p, tr):
@@ -460,28 +451,27 @@ def _cwb_sample(rng):
 
 
 def _bilateral_weighted(p, tr, use_b, binom_weight):
+    """sum_(k in Z) (a;q)_k x^k q^(nu k^2) / (b;q)_k, times q^(k(k-+1)/2) for a binomial weight.
+
+    The two wings are m_weighted series in k >= 0: the positive one with an
+    upper parameter q that cancels its (q;q)_k, the negative one through
+    (a;q)_(-k) = (-q/a)^k q^(k(k-1)/2) / (q/a;q)_k.
+    """
     q = QParam(p["q"])
+    qq = q.q
     a, x = p["a"], p["x"]
-    b = p["b"] if use_b else None
     nu = p.get("nu", 0.0)
-    total = 0.0j
-    for k in range(0, 400):
-        wing_mag = 0.0
-        for kk in ((0,) if k == 0 else (k, -k)):
-            term = qpn(a, q, kk) * x**kk
-            if b is not None:
-                term /= qpn(b, q, kk)
-            if nu:
-                term *= q.power(nu * kk * kk)
-            if binom_weight == "half":
-                term *= q.power(kk * (kk - 1) / 2.0)
-            elif binom_weight == "half-up":
-                term *= q.power(kk * (kk + 1) / 2.0)
-            total += term
-            wing_mag = max(wing_mag, abs(term))
-        if k > 4 and wing_mag < tr.tol * max(abs(total), 1.0):
-            break
-    return total
+    # the binomial weight q^(k(k+s)/2) is q^(k^2/2) (q^(s/2))^k
+    s = {None: 0.0, "half": -1.0, "half-up": 1.0}[binom_weight]
+    ell = nu + (0.0 if binom_weight is None else 0.5)
+    if use_b:
+        b = p["b"]
+        pos = MFunctionSpec([a, qq], [b], q, ell, -x * q.power(s / 2.0))
+        neg = MFunctionSpec([qq / b, qq], [qq / a], q, ell, -b / (a * x) * q.power(-s / 2.0))
+    else:
+        pos = MFunctionSpec([a, qq], [], q, ell, -x * q.power(s / 2.0))
+        neg = MFunctionSpec([qq], [qq / a], q, ell + 0.5, qq / (a * x) * q.power(-(1.0 + s) / 2.0))
+    return m_weighted_bilateral(pos, neg, tr)
 
 
 def _cwb_lhs(p, tr):

@@ -18,9 +18,10 @@ from __future__ import annotations
 import cmath
 import math
 
-from ..core import QParam, qpoch_inf
+from ..core import QParam
 from ..polys import qhermite_inv_exp, qlaguerre, stieltjes_wigert
 from ..series import (
+    MFunctionSpec,
     PhiSpec,
     bessel1_normalized,
     bessel2_normalized_gauss,
@@ -35,6 +36,8 @@ from ..series import (
     bessel3_normalized_native,
     cal_e,
     cal_e_raw,
+    m_expansion,
+    m_weighted,
     modified_bessel_i,
     phi,
     q_exp_big,
@@ -1064,17 +1067,8 @@ def _s_gf1(rng):
 
 def _gf1_lhs(p, tr):
     q = QParam(p["q"])
-    q2 = QParam(q.q * q.q)
     t = p["t"]
-    total = 0.0j
-    term = 1.0 + 0.0j
-    for m in range(400):
-        if m:
-            term *= t * t * q.power(2 * m - 2) / (1.0 - q2.power(m))
-        total += term
-        if m > 5 and abs(term) < tr.tol * max(abs(total), 1.0):
-            break
-    return total
+    return m_weighted(MFunctionSpec([], [], QParam(q.q * q.q), 0.5, -t * t / q.q), tr)
 
 
 def _gf1_rhs(p, tr):
@@ -2115,18 +2109,10 @@ def _pl6_lhs(p, tr):
 
 def _pl6_rhs(p, tr):
     q = QParam(p["q"])
-    q2 = QParam(q.q * q.q)
     L = _L(p)
     z = p["z"]
-    total = 0.0j
-    term = 1.0 + 0.0j
-    for k in range(500):
-        if k:
-            term *= q.power(k - 0.5) * z / (1.0 - q2.power(k))
-        total += term
-        if k > 5 and abs(term) < tr.tol * max(abs(total), 1.0):
-            break
-    return math.sqrt(math.pi / (2 * L)) * total
+    return math.sqrt(math.pi / (2 * L)) * m_weighted(
+        MFunctionSpec([], [], QParam(q.q * q.q), 0.25, -z), tr)
 
 
 ident("plancherel_6", "FOURIER",
@@ -2151,15 +2137,7 @@ def _pl7_rhs(p, tr):
     q = QParam(p["q"])
     L = _L(p)
     z = p["z"]
-    total = 0.0j
-    term = 1.0 + 0.0j
-    for k in range(500):
-        if k:
-            term *= -z * q.power((2 * k - 1) / 4.0) / (1.0 - q.power(k))
-        total += term
-        if k > 5 and abs(term) < tr.tol * max(abs(total), 1.0):
-            break
-    return math.sqrt(math.pi / L) * total
+    return math.sqrt(math.pi / L) * m_weighted(MFunctionSpec([], [], q, 0.25, z), tr)
 
 
 ident("plancherel_7", "FOURIER",
@@ -2190,16 +2168,9 @@ def _pl8_rhs(p, tr):
     q2 = QParam(q.q * q.q)
     L = _L(p)
     t, th = p["t"], p["theta"]
-    total = 0.0j
-    term = 1.0 + 0.0j
-    for k in range(400):
-        if k:
-            term *= ((1.0 + exp_i(-2 * th) * q.power(k - 1)) * t * exp_i(th)
-                     * q.power(0.5 + (2 * k - 1) / 4.0) / (1.0 - q.power(k)))
-        total += term
-        if k > 5 and abs(term) < tr.tol * max(abs(total), 1.0):
-            break
-    return math.sqrt(math.pi / L) * total / qp(t * t * q.q * q.q, q2, tr)
+    body = m_weighted(MFunctionSpec([-exp_i(-2 * th)], [], q, 0.25,
+                                    -t * exp_i(th) * q.power(0.5)), tr)
+    return math.sqrt(math.pi / L) * body / qp(t * t * q.q * q.q, q2, tr)
 
 
 ident("plancherel_8", "FOURIER",
@@ -2223,7 +2194,6 @@ def _s_pl9(rng):
 def _pl9_lhs(p, tr):
     q = QParam(p["q"])
     q2 = QParam(q.q * q.q)
-    L = _L(p)
     t, th = p["t"], p["theta"]
 
     def f(a):
@@ -2237,18 +2207,20 @@ def _pl9_lhs(p, tr):
 def _pl9_rhs(p, tr):
     q = QParam(p["q"])
     q2 = QParam(q.q * q.q)
-    q4 = QParam(q.q ** 4)
     L = _L(p)
     t, th = p["t"], p["theta"]
     x = math.cos(th)
-    total = 0.0j
-    for k in range(200):
-        coeff = (t * exp_i(th)) ** k * q.power(k * k / 2.0) / qpn(q2.q, q2, k)
-        term = coeff * cal_e_raw(x, t * q.power(k - 1), q2, tr)
-        total += term
-        if k > 4 and abs(term) < tr.tol * max(abs(total), 1.0):
-            break
-    return math.sqrt(math.pi / (2 * L)) * total
+    fac2 = qp(q2.q, q2, tr).real ** 2
+
+    def bound(k):
+        # |cal_e_raw(x, s; q^2)| <= sum_n (n+1)|s|^n/(q^2;q^2)_inf^2 = 1/((q^2;q^2)_inf (1-|s|))^2,
+        # as |H_n(x|q^2)| <= (n+1)(q^2;q^2)_n/(q^2;q^2)_inf^2 for real |x| <= 1
+        s = abs(t) * q.q ** (k - 1)
+        return 1.0 / (fac2 * (1.0 - s) ** 2) if s < 1.0 else math.inf
+
+    body = m_expansion(MFunctionSpec([], [], q2, 0.25, -t * exp_i(th)),
+                       lambda k: cal_e_raw(x, t * q.power(k - 1), q2, tr), bound, tr)
+    return math.sqrt(math.pi / (2 * L)) * body
 
 
 ident("plancherel_9", "FOURIER",
@@ -2263,7 +2235,6 @@ def _s_pl10(rng):
 def _pl10_lhs(p, tr):
     q = QParam(p["q"])
     q2 = QParam(q.q * q.q)
-    q4 = QParam(q.q ** 4)
     L = _L(p)
     t, th = p["t"], p["theta"]
     x = math.cos(th)
@@ -2277,17 +2248,11 @@ def _pl10_lhs(p, tr):
 
 def _pl10_rhs(p, tr):
     q = QParam(p["q"])
-    q2 = QParam(q.q * q.q)
     L = _L(p)
     t, th = p["t"], p["theta"]
-    total = 0.0j
-    for k in range(300):
-        term = (q.power(k * k / 4.0) * t ** k * qpn(q.q * exp_i(2 * th), q2, k)
-                * exp_i(-k * th) / qpn(q2.q, q2, k))
-        total += term
-        if k > 5 and abs(term) < tr.tol * max(abs(total), 1.0):
-            break
-    return math.sqrt(math.pi / L) * total
+    body = m_weighted(MFunctionSpec([q.q * exp_i(2 * th)], [], QParam(q.q * q.q), 0.125,
+                                    -t * exp_i(-th)), tr)
+    return math.sqrt(math.pi / L) * body
 
 
 ident("plancherel_10", "FOURIER",
@@ -2414,7 +2379,6 @@ def _s_pl15(rng):
 
 def _pl15_lhs(p, tr):
     q = QParam(p["q"])
-    L = _L(p)
     n1, n2 = p["nu1"], p["nu2"]
     z1 = 2j * q.power((n2 - n1) / 2.0)
     z2 = 2j * q.power((n1 - n2) / 2.0)
@@ -2452,7 +2416,6 @@ def _s_ab(rng):
 
 def _ab_lhs(p, tr):
     q = QParam(p["q"])
-    L = _L(p)
     u, v = p["u"], p["v"]
 
     def f(a):

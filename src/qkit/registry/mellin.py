@@ -9,7 +9,7 @@ from ..core import QParam
 from ..polys import confluent_poly, qhermite_inv, qlaguerre, stieltjes_wigert
 from ..quad import VerticalLineSpec, vertical_line
 from ..series import MFunctionSpec, m_weighted, ramanujan_a
-from ._common import cring, ident, qdraw, qfac, qp, qpm, qpn, rint, runif
+from ._common import cring, ident, qdraw, qfac, qp, qpm, rint, runif
 
 
 def _vline(rho, f, tr):

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 from ..core import QParam, theta4
-from ..polys import qhermite, qhermite_inv, qhermite_inv_weighted, qlaguerre, stieltjes_wigert
+from ..polys import qhermite, qhermite_inv, qlaguerre, stieltjes_wigert
 from ..quad import ContourSpec, circle_contour, finite_interval, halfline_log
 from ..series import PhiSpec, PsiSpec, cal_e, jackson_bessel, phi, psi_bilateral
-from ._common import TWO_PI, cring, exp_i, gline, ident, qdraw, qfac, qp, qpm, qpn, resample, rint, runif
+from ._common import (TWO_PI, cring, exp_bound, exp_i, gline, ident, majorized_sum, qdraw, qfac,
+                      qp, qpm, qpn, resample, rint, runif)
 
 
 # --- Chu-Vandermonde sum -------------------------------------------------
@@ -123,24 +125,45 @@ ident("bessel1_bessel2_relation", "PRELIM",
 
 # --- q-Hermite generating function ----------------------------------------
 
+def _exp_weights(t, q):
+    """Yield t^n/(q;q)_n for n = 0, 1, ..., the weights of the generating functions below."""
+    w, qn = 1.0, 1.0
+    while True:
+        yield w
+        qn *= q.q
+        w *= t / (1.0 - qn)
+
+
+def _recurrence(x2, s, q):
+    """Yield y_0 = 1, y_1 = x2, ... with y_(n+1) = x2 s^n y_n - (1 - q^n) y_(n-1) / s.
+
+    s = 1 and x2 = 2x give H_n(x|q).  s = sqrt(q) and x2 = 2 sinh(u) give
+    q^(n(n-1)/4) h_n(sinh u|q) from h_(n+1) = 2 sinh(u) h_n - q^(-n)(1 - q^n) h_(n-1):
+    the half-weight keeps the bare polynomial peak q^(-n^2/4) in range.
+    """
+    prev, cur, sn, qn = 0.0, 1.0, 1.0, 1.0  # y_(n-1), y_n, s^n, q^n
+    while True:
+        yield cur
+        prev, cur = cur, x2 * sn * cur - (1.0 - qn) / s * prev
+        sn *= s
+        qn *= q.q
+
+
+
 def _hgen_sample(rng):
     return {"q": qdraw(rng), "theta": runif(rng, 0.2, 2.9), "t": cring(rng, 0.05, 0.5)}
 
 
 def _hgen_lhs(p, tr):
     q = QParam(p["q"])
-    x = math.cos(p["theta"])
-    total = 0.0j
-    term_scale = 1.0 + 0.0j
-    n = 0
     t = p["t"]
-    while n < 400:
-        term = qhermite(n, x, q) * t**n / qfac(q, n)
-        total += term
-        if n > 8 and abs(term) < tr.tol * max(abs(total), 1.0):
-            break
-        n += 1
-    return total
+    at = abs(t)
+    values = (h * w for h, w in zip(_recurrence(2.0 * math.cos(p["theta"]), 1.0, q),
+                                    _exp_weights(t, q)))
+    # |H_n(cos theta|q)| <= sum_k [n k]_q <= (n+1)(q;q)_n/(q;q)_inf^2
+    scale = 1.0 / qp(q.q, q, tr).real ** 2
+    return majorized_sum(values, lambda n: (n + 1) * at ** n * scale,
+                         lambda n: at * (n + 2) / (n + 1), tr, "qhermite_genfun")
 
 
 def _hgen_rhs(p, tr):
@@ -261,13 +284,16 @@ def _hinv_gen_lhs(p, tr):
 def _hinv_gen_rhs(p, tr):
     q = QParam(p["q"])
     t, xi = p["t"], p["xi"]
-    total = 0.0j
-    for n in range(200):
-        term = q.power(n * (n - 1) / 2.0) * t**n * qhermite_inv(n, math.sinh(xi), q) / qfac(q, n)
-        total += term
-        if n > 8 and abs(term) < tr.tol * max(abs(total), 1.0):
-            return total
-    return total
+    halves = _recurrence(2.0 * math.sinh(xi), math.sqrt(q.q), q)
+    values = (q.q ** (n * (n - 1) / 4) * g * w
+              for n, (g, w) in enumerate(zip(halves, _exp_weights(t, q))))
+    m = abs(t) * math.exp(abs(xi))
+    # q^(n(n-1)/2)|h_n(sinh xi)| <= sum_(j+k=n) [n k] q^(C(j,2)+C(k,2)) e^(n|xi|), and
+    # C(j,2)+C(k,2) >= n^2/4 - n/2, so |t_n| <= (n+1) q^(n^2/4-n/2) m^n/(q;q)_inf^2
+    scale = 1.0 / qp(q.q, q, tr).real ** 2
+    return majorized_sum(values, lambda n: (n + 1) * q.q ** (n * n / 4 - n / 2) * m ** n * scale,
+                         lambda n: (n + 2) / (n + 1) * q.q ** ((2 * n - 1) / 4) * m, tr,
+                         "qinvhermite_genfun")
 
 
 ident("qinvhermite_genfun", "PRELIM",
@@ -297,22 +323,18 @@ def _pk_sample(rng):
 def _pk_lhs(p, tr):
     q = QParam(p["q"])
     t, xi, eta = p["t"], p["xi"], p["eta"]
-    total = 0.0j
-    quiet = 0
-    for n in range(400):
-        # the binomial half-weight is folded into each factor so the bare
-        # polynomial peak q^(-n^2/4) never materializes
-        hw1 = qhermite_inv_weighted(n, math.exp(xi), q, n * (n - 1) / 4.0)
-        hw2 = qhermite_inv_weighted(n, math.exp(eta), q, n * (n - 1) / 4.0)
-        term = hw1 * hw2 / qfac(q, n) * t**n
-        total += term
-        if abs(term) < tr.tol * max(abs(total), 1.0):
-            quiet += 1
-            if quiet >= 2 and n > 8:
-                break
-        else:
-            quiet = 0
-    return total
+    rq = math.sqrt(q.q)
+    values = (gx * gy * w for gx, gy, w in zip(_recurrence(2.0 * math.sinh(xi), rq, q),
+                                                _recurrence(2.0 * math.sinh(eta), rq, q),
+                                                _exp_weights(t, q)))
+    # |g_n(u)| <= q^(-n/4) (q;q)_n theta(u)/(q;q)_inf^2 with theta(u) = sum_m q^(m^2/4) e^(m|u|)
+    # and g_n(u) = q^(n(n-1)/4) h_n(sinh u), so |t_n| <= M (|t|/sqrt(q))^n
+    q4 = QParam(q.q ** 0.25)
+    theta = theta4(-math.exp(abs(xi)), q4, tr).real * theta4(-math.exp(abs(eta)), q4, tr).real
+    major = theta / qp(q.q, q, tr).real ** 4
+    rho = abs(t) / rq
+    return majorized_sum(values, lambda n: major * rho ** n, lambda n: rho, tr,
+                         "poisson_kernel_qinvhermite")
 
 
 def _pk_rhs(p, tr):
@@ -583,13 +605,12 @@ def _lgen_sample(rng):
 def _lgen_lhs(p, tr):
     q = QParam(p["q"])
     t, al, x = p["t"], p["alpha"], p["x"]
-    total = 0.0j
-    for n in range(400):
-        term = qlaguerre(n, al, x, q) * t**n * q.power(-al * n)
-        total += term
-        if n > 8 and abs(term) < tr.tol * max(abs(total), 1.0):
-            return total
-    return total
+    values = (qlaguerre(n, al, x, q) * t**n * q.power(-al * n) for n in itertools.count())
+    # |L_n^(alpha)(x)| <= (-q^(1+alpha)|x|;q)_inf/(q;q)_inf, so |t_n| <= M (|t| q^-alpha)^n
+    major = exp_bound(q.power(1.0 + al).real * abs(x) / (1.0 - q.q)) / qp(q.q, q, tr).real
+    rho = abs(t) * q.q ** -al
+    return majorized_sum(values, lambda n: major * rho ** n, lambda n: rho, tr,
+                         "qlaguerre_genfun")
 
 
 def _lgen_rhs(p, tr):

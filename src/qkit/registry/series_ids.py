@@ -7,39 +7,61 @@ over a different function family).
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import math
 
 from ..core import QParam
-from ..polys import qhermite_inv_exp, qlaguerre, stieltjes_wigert
+from ..polys import qlaguerre, stieltjes_wigert
 from ..series import (
+    MFunctionSpec,
     PhiSpec,
-    bessel2_normalized,
     bessel2_normalized_native,
     bessel3_normalized_native,
     cal_e,
+    m_expansion,
+    m_weighted,
     modified_bessel_i,
     phi,
-    q_exp_small,
     ramanujan_a,
 )
-from ._common import cring, exp_i, ident, qdraw, qfac, qp, qpm, qpn, resample, rint, runif
+from ._common import (cring, exp_bound, exp_i, ident, majorized_sum, qdraw, qfac, qp, qpn,
+                      resample, rint, runif)
 
 
-def _sum(terms, tr, start=0, guard=6):
-    """Sum terms(k) until two consecutive terms fall below tolerance."""
-    total = 0.0j
-    quiet = 0
-    for k in range(start, 100000):
-        t = terms(k)
-        total += t
-        if abs(t) < tr.tol * max(abs(total), 1.0):
-            quiet += 1
-            if quiet >= 2 and k - start > guard:
-                return total
-        else:
-            quiet = 0
-    return total
+# Closed-form majorants of the functions that the expansions below sum over,
+# for real orders > -1.  Each falls as its argument's modulus or its order
+# grows, so its value at term k bounds the inner function of every later term.
+
+def _airy_bound(r, q):
+    # |A_q(w)| <= (-q|w|;q)_inf <= exp(q|w|/(1-q)) for |w| <= r
+    return exp_bound(q.q * r / (1.0 - q.q))
+
+
+def _poch_bound(r, q):
+    # |(w;q)_inf| <= (-|w|;q)_inf <= exp(|w|/(1-q)) for |w| <= r
+    return exp_bound(r / (1.0 - q.q))
+
+
+def _bessel2_bound(nu, r, q, tr):
+    # |N2(nu, u)| <= (-q^(1+nu)|u|;q)_inf/(q;q)_inf: each term has (q^(nu+n+1);q)_inf <= 1
+    return _airy_bound(q.q ** nu * abs(r), q) / qp(q.q, q, tr).real
+
+
+def _bessel3_bound(r, q, tr):
+    # |N3(nu, u)| <= (-q|u|;q)_inf/(q;q)_inf: each term has (q^(nu+n+1);q)_inf <= 1
+    return _airy_bound(r, q) / qp(q.q, q, tr).real
+
+
+def _laguerre_bound(fac_n, beta, r, q):
+    # |L_n^(beta)(x)| <= (-q^(1+beta)|x|;q)_inf/(q;q)_n, fac_n = (q;q)_n; S_n(x) is beta = 0
+    return _airy_bound(q.q ** beta * abs(r), q) / fac_n
+
+
+def _phi11_bound(a, b, z, q):
+    # |1phi1(a; b; q, z)| <= (-|a|;q)_inf (-|z|;q)_inf/(|b|;q)_inf, -log(1-b q^j) <= b q^j/(1-b)
+    if b >= 1.0:
+        return math.inf
+    return exp_bound((a + z + b / (1.0 - b)) / (1.0 - q.q))
 
 
 # --- the two-variable q-exponential as a theta-type series ---------------------
@@ -57,12 +79,10 @@ def _se1_rhs(p, tr):
     q2 = QParam(q.q * q.q)
     t, th = p["t"], p["theta"]
     e2 = exp_i(2 * th)
-
-    def term(k):
-        return (q.power(k * k / 4.0) * qp(-t * t * e2 * q.power(k + 1), q2, tr)
-                * qpn(-e2, q, k) * (t * exp_i(-th)) ** k / qfac(q, k))
-
-    return _sum(term, tr) / qp(t * t * q.q, q2, tr)
+    spec = MFunctionSpec([-e2], [], q, 0.25, -t * exp_i(-th))
+    body = m_expansion(spec, lambda k: qp(-t * t * e2 * q.power(k + 1), q2, tr),
+                       lambda k: _poch_bound(t * t * q.q ** (k + 1), q2), tr)
+    return body / qp(t * t * q.q, q2, tr)
 
 
 ident("series_cal_e_theta", "SERIES",
@@ -79,12 +99,9 @@ def _sa1_sample(rng):
 def _sa1_rhs(p, tr):
     q = QParam(p["q"])
     a, b = p["a"], p["b"]
-
-    def term(k):
-        return (qpn(b, q, k) / qfac(q, k) * q.power(k * (k + 1) / 2.0) * a ** k
-                * ramanujan_a(a * q.power(k), q, tr))
-
-    return _sum(term, tr)
+    return m_expansion(MFunctionSpec([b], [], q, 0.5, -a * q.power(0.5)),
+                       lambda k: ramanujan_a(a * q.power(k), q, tr),
+                       lambda k: _airy_bound(abs(a) * q.q ** k, q), tr)
 
 
 ident("airy_mult", "SERIES",
@@ -100,11 +117,9 @@ def _sa2_sample(rng):
 def _sa2_rhs(p, tr):
     q = QParam(p["q"])
     a = p["a"]
-
-    def term(k):
-        return q.power(k * (k + 1) / 2.0) / qfac(q, k) * a ** k * ramanujan_a(a * q.power(k), q, tr)
-
-    return _sum(term, tr)
+    return m_expansion(MFunctionSpec([], [], q, 0.5, -a * q.power(0.5)),
+                       lambda k: ramanujan_a(a * q.power(k), q, tr),
+                       lambda k: _airy_bound(abs(a) * q.q ** k, q), tr)
 
 
 ident("airy_unit_expansion", "SERIES",
@@ -126,12 +141,9 @@ def _sa3_sample(rng):
 def _sa3_rhs(p, tr):
     q = QParam(p["q"])
     z, w = p["z"], p["w"]
-
-    def term(k):
-        return (q.power(k * k) / qfac(q, k) * (-z) ** k * qpn(w, q, k)
-                * ramanujan_a(w * z * q.power(2 * k), q, tr))
-
-    return _sum(term, tr)
+    return m_expansion(MFunctionSpec([w], [], q, 1.0, z),
+                       lambda k: ramanujan_a(w * z * q.power(2 * k), q, tr),
+                       lambda k: _airy_bound(abs(w * z) * q.q ** (2 * k), q), tr)
 
 
 ident("airy_two_param", "SERIES",
@@ -161,11 +173,7 @@ def _sa4_rhs(p, tr):
     q = QParam(p["q"])
     q2 = QParam(q.q * q.q)
     z = p["z"]
-
-    def term(k):
-        return q.power(k * k) * (-z) ** k / (qpn(q2.q, q2, k) * qpn(z * q2.q, q2, k))
-
-    return _sum(term, tr)
+    return m_weighted(MFunctionSpec([], [z * q2.q], q2, 0.5, z), tr)
 
 
 ident("airy_base_shift", "SERIES",
@@ -188,12 +196,7 @@ def _ssw1_lhs(p, tr):
 def _ssw1_rhs(p, tr):
     q = QParam(p["q"])
     n, x = p["n"], p["x"]
-    w = -x * q.power(n + 1)
-
-    def term(k):
-        return q.power(k * k) * (-x) ** k / (qfac(q, k) * qpn(w, q, k))
-
-    return _sum(term, tr)
+    return m_weighted(MFunctionSpec([], [-x * q.power(n + 1)], q, 1.0, x), tr)
 
 
 ident("sw_aq_ratio", "SERIES",
@@ -204,12 +207,10 @@ ident("sw_aq_ratio", "SERIES",
 def _ssw3_rhs(p, tr):
     q = QParam(p["q"])
     n, x = p["n"], p["x"]
-
-    def term(k):
-        return ((x * q.power(n)) ** k / qfac(q, k) * q.power(k * (k + 1) / 2.0)
-                * ramanujan_a(q.power(k) * x, q, tr))
-
-    return _sum(term, tr) / qfac(q, n)
+    body = m_expansion(MFunctionSpec([], [], q, 0.5, -x * q.power(n + 0.5)),
+                       lambda k: ramanujan_a(q.power(k) * x, q, tr),
+                       lambda k: _airy_bound(abs(x) * q.q ** k, q), tr)
+    return body / qfac(q, n)
 
 
 ident("sw_from_aq", "SERIES",
@@ -225,11 +226,11 @@ def _ssw4_sample(rng):
 def _ssw4_lhs(p, tr):
     q = QParam(p["q"])
     x, w = p["x"], p["w"]
-
-    def term(n):
-        return stieltjes_wigert(n, x, q) * w ** n
-
-    return _sum(term, tr, guard=10)
+    aw = abs(w)
+    # |S_n(x)| <= (-q|x|;q)_inf/(q;q)_inf for every n, so |t_n| <= that times |w|^n
+    major = _airy_bound(abs(x), q) / qp(q.q, q, tr).real
+    values = (stieltjes_wigert(n, x, q) * w ** n for n in itertools.count())
+    return majorized_sum(values, lambda n: major * aw ** n, lambda n: aw, tr, "sw_genfun")
 
 
 def _ssw4_rhs(p, tr):
@@ -286,12 +287,7 @@ def _sl1_rhs(p, tr):
     q = QParam(p["q"])
     n, al, x = p["n"], p["alpha"], p["x"]
     w = -x * q.power(al + n + 1)
-
-    def term(k):
-        return (q.power(k * (k - 1) / 2.0 + k * (al + 1)) / qfac(q, k) * (-1.0) ** k
-                * qpn(-x, q, k) / qpn(w, q, k))
-
-    return _sum(term, tr)
+    return m_weighted(MFunctionSpec([-x], [w], q, 0.5, q.power(al + 0.5)), tr)
 
 
 ident("laguerre_ratio_series", "SERIES",
@@ -307,13 +303,10 @@ def _sl2_lhs(p, tr):
 def _sl2_rhs(p, tr):
     q = QParam(p["q"])
     n, al, x = p["n"], p["alpha"], p["x"]
-
-    def term(k):
-        return (qpn(q.power(n), q, k) * q.power(k * (k - 1) / 2.0) * (x * q.power(al + 1)) ** k
-                / (qfac(q, k) * qpn(q.power(al + n + 1), q, k))
-                * qlaguerre(n, al + k, x, q))
-
-    return _sum(term, tr)
+    fac_n = qfac(q, n).real
+    spec = MFunctionSpec([q.power(n)], [q.power(al + n + 1)], q, 0.5, -x * q.power(al + 0.5))
+    return m_expansion(spec, lambda k: qlaguerre(n, al + k, x, q),
+                       lambda k: _laguerre_bound(fac_n, al + k, abs(x), q), tr)
 
 
 ident("laguerre_unit_series", "SERIES",
@@ -335,13 +328,11 @@ def _sl3_lhs(p, tr):
 def _sl3_rhs(p, tr):
     q = QParam(p["q"])
     n, al, be, x = p["n"], p["alpha"], p["beta"], p["x"]
-
-    def term(k):
-        return (qpn(q.power(be - al), q, k) * q.power(k * (k - 1) / 2.0)
-                * (-q.power(al + 1)) ** k / (qfac(q, k) * qpn(q.power(be + n + 1), q, k))
-                * qlaguerre(n, be + k, x * q.power(al - be), q))
-
-    return _sum(term, tr)
+    fac_n = qfac(q, n).real
+    y = x * q.power(al - be)
+    spec = MFunctionSpec([q.power(be - al)], [q.power(be + n + 1)], q, 0.5, q.power(al + 0.5))
+    return m_expansion(spec, lambda k: qlaguerre(n, be + k, y, q),
+                       lambda k: _laguerre_bound(fac_n, be + k, abs(y), q), tr)
 
 
 ident("laguerre_shift_series", "SERIES",
@@ -353,12 +344,11 @@ ident("laguerre_shift_series", "SERIES",
 def _sl4_rhs(p, tr):
     q = QParam(p["q"])
     n, al, x = p["n"], p["alpha"], p["x"]
-
-    def term(k):
-        return (q.power(k * (k - 1) / 2.0) / qfac(q, k) * (-q.power(al + 1)) ** k
-                * stieltjes_wigert(n, x * q.power(k + al), q))
-
-    return _sum(term, tr) / qp(q.power(al + n + 1), q, tr)
+    fac_n = qfac(q, n).real
+    body = m_expansion(MFunctionSpec([], [], q, 0.5, q.power(al + 0.5)),
+                       lambda k: stieltjes_wigert(n, x * q.power(k + al), q),
+                       lambda k: _laguerre_bound(fac_n, 0.0, abs(x) * q.q ** (k + al), q), tr)
+    return body / qp(q.power(al + n + 1), q, tr)
 
 
 ident("laguerre_from_sw", "SERIES",
@@ -376,12 +366,10 @@ def _sl5_lhs(p, tr):
 def _sl5_rhs(p, tr):
     q = QParam(p["q"])
     n, al, x = p["n"], p["alpha"], p["x"]
-
-    def term(k):
-        return (q.power(k * k + k * al) / (qfac(q, k) * qpn(q.power(al + n + 1), q, k))
-                * qlaguerre(n, al + k, x, q))
-
-    return _sum(term, tr)
+    fac_n = qfac(q, n).real
+    return m_expansion(MFunctionSpec([], [q.power(al + n + 1)], q, 1.0, -q.power(al)),
+                       lambda k: qlaguerre(n, al + k, x, q),
+                       lambda k: _laguerre_bound(fac_n, al + k, abs(x), q), tr)
 
 
 ident("sw_from_laguerre", "SERIES",
@@ -454,13 +442,11 @@ def _sb2_lhs(p, tr):
 def _sb2_rhs(p, tr):
     q = QParam(p["q"])
     nu, w, z = p["nu"], p["w"], p["z"]
-
-    def term(k):
-        return (qpn(z * z, q, k) / qfac(q, k) * q.power(k * (k + 1) / 2.0)
-                * (q.power(nu) * w / 2.0) ** k
-                * (w / 2.0) ** (nu + k) * bessel2_normalized_native(nu + k, w * w / 4.0, q, tr))
-
-    return z ** nu * _sum(term, tr)
+    u = w * w / 4.0
+    body = m_expansion(MFunctionSpec([z * z], [], q, 0.5, -q.power(nu + 0.5) * u),
+                       lambda k: bessel2_normalized_native(nu + k, u, q, tr),
+                       lambda k: _bessel2_bound(nu + k, u, q, tr), tr)
+    return z ** nu * (w / 2.0) ** nu * body
 
 
 ident("bessel_mult", "SERIES",
@@ -482,12 +468,22 @@ def _sb3a_lhs(p, tr):
 def _sb3a_rhs(p, tr):
     q = QParam(p["q"])
     nu, w, z = p["nu"], p["w"], p["z"]
+    w2 = w * w
+    qnu1 = q.power(nu + 1)
 
-    def term(n):
-        return qlaguerre(n, nu, z * z, q) * w ** (2 * n) / qpn(q.power(nu + 1), q, n)
+    def values():
+        den = 1.0 + 0.0j  # (q^(nu+1);q)_n
+        a = qnu1  # q^(nu+1+n)
+        for n in itertools.count():
+            yield qlaguerre(n, nu, z * z, q) * w ** (2 * n) / den
+            den *= 1.0 - a
+            a *= q.q
 
-    body = _sum(term, tr, guard=10)
-    return qp(w * w, q, tr) * qp(q.power(nu + 1), q, tr) / qp(q.q, q, tr) * body
+    # |L_n^(nu)(x)/(q^(nu+1);q)_n| <= (-q^(1+nu)|x|;q)_inf / ((q;q)_inf (q^(nu+1);q)_inf)
+    major = _laguerre_bound(qp(q.q, q, tr).real, nu, z * z, q) / qp(qnu1, q, tr).real
+    body = majorized_sum(values(), lambda n: major * w2 ** n, lambda n: w2, tr,
+                         "bessel_laguerre_genfun")
+    return qp(w * w, q, tr) * qp(qnu1, q, tr) / qp(q.q, q, tr) * body
 
 
 ident("bessel_laguerre_genfun", "SERIES",
@@ -511,12 +507,11 @@ def _sb3b_lhs(p, tr):
 def _sb3b_rhs(p, tr):
     q = QParam(p["q"])
     n, al, z = p["n"], p["alpha"], p["z"]
-
-    def term(k):
-        return (q.power(k * (k + 1) / 2.0) / qfac(q, k) * (z * q.power(al + n) / 2.0) ** k
-                * (z / 2.0) ** (k + al) * bessel2_normalized_native(k + al, z * z / 4.0, q, tr))
-
-    return qp(q.power(n + 1), q, tr) / qp(q.power(al + n + 1), q, tr) * _sum(term, tr)
+    u = z * z / 4.0
+    body = m_expansion(MFunctionSpec([], [], q, 0.5, -q.power(al + n + 0.5) * u),
+                       lambda k: bessel2_normalized_native(k + al, u, q, tr),
+                       lambda k: _bessel2_bound(al + k, u, q, tr), tr)
+    return qp(q.power(n + 1), q, tr) / qp(q.power(al + n + 1), q, tr) * (z / 2.0) ** al * body
 
 
 ident("bessel_laguerre_inverse", "SERIES",
@@ -531,12 +526,8 @@ def _sb4a_sample(rng):
 def _sb4a_rhs(p, tr):
     q = QParam(p["q"])
     nu, z = p["nu"], p["z"]
-
-    def term(k):
-        return (qpn(-z * z / 4.0, q, k) / qfac(q, k) * q.power(k * (k + 1) / 2.0)
-                * (-q.power(nu)) ** k)
-
-    return (z / 2.0) ** nu / qp(q.q, q, tr) * _sum(term, tr)
+    body = m_weighted(MFunctionSpec([-z * z / 4.0], [], q, 0.5, q.power(nu + 0.5)), tr)
+    return (z / 2.0) ** nu / qp(q.q, q, tr) * body
 
 
 ident("bessel_poch_series", "SERIES",
@@ -549,12 +540,11 @@ ident("bessel_poch_series", "SERIES",
 def _sb4b_rhs(p, tr):
     q = QParam(p["q"])
     nu, z = p["nu"], p["z"]
-
-    def term(k):
-        return (q.power(k * (k + 1) / 2.0) / qfac(q, k) * (q.power(nu) * z / 2.0) ** k
-                * (z / 2.0) ** (k + nu) * bessel2_normalized_native(k + nu, z * z / 4.0, q, tr))
-
-    return _sum(term, tr)
+    u = z * z / 4.0
+    body = m_expansion(MFunctionSpec([], [], q, 0.5, -q.power(nu + 0.5) * u),
+                       lambda k: bessel2_normalized_native(k + nu, u, q, tr),
+                       lambda k: _bessel2_bound(nu + k, u, q, tr), tr)
+    return (z / 2.0) ** nu * body
 
 
 ident("bessel_unit_series", "SERIES",
@@ -567,12 +557,10 @@ ident("bessel_unit_series", "SERIES",
 def _sb5a_rhs(p, tr):
     q = QParam(p["q"])
     nu, z = p["nu"], p["z"]
-
-    def term(k):
-        return ((-q.power(nu)) ** k / qfac(q, k) * q.power(k * (k + 1) / 2.0)
-                * ramanujan_a(q.power(nu + k) * z * z, q, tr))
-
-    return z ** nu / qp(q.q, q, tr) * _sum(term, tr)
+    body = m_expansion(MFunctionSpec([], [], q, 0.5, q.power(nu + 0.5)),
+                       lambda k: ramanujan_a(q.power(nu + k) * z * z, q, tr),
+                       lambda k: _airy_bound(q.q ** (nu + k) * z * z, q), tr)
+    return z ** nu / qp(q.q, q, tr) * body
 
 
 ident("bessel_airy_pair_a", "SERIES",
@@ -591,12 +579,10 @@ def _sb5b_lhs(p, tr):
 def _sb5b_rhs(p, tr):
     q = QParam(p["q"])
     nu, z = p["nu"], p["z"]
-
-    def term(k):
-        return (q.power(k * k) / qfac(q, k) * (q.power(nu) / z) ** k
-                * z ** (k + nu) * bessel2_normalized_native(k + nu, z * z, q, tr))
-
-    return _sum(term, tr)
+    body = m_expansion(MFunctionSpec([], [], q, 1.0, -q.power(nu)),
+                       lambda k: bessel2_normalized_native(k + nu, z * z, q, tr),
+                       lambda k: _bessel2_bound(nu + k, z * z, q, tr), tr)
+    return z ** nu * body
 
 
 ident("bessel_airy_pair_b", "SERIES",
@@ -620,14 +606,11 @@ def _sb313_lhs(p, tr):
 def _sb313_rhs(p, tr):
     q = QParam(p["q"])
     nu, mu, z = p["nu"], p["mu"], p["z"]
-
-    def term(n):
-        zz = q.power(n / 2.0).real * z
-        return (qpn(q.power(mu - nu), q, n) / qfac(q, n) * (-q.power(nu + 0.5) / z) ** n
-                * q.power(-n * mu / 2.0)
-                * zz ** (mu + n) * bessel3_normalized_native(mu + n, zz * zz, q, tr))
-
-    return _sum(term, tr)
+    body = m_expansion(MFunctionSpec([q.power(mu - nu)], [], q, 0.5, q.power(nu + 0.5)),
+                       lambda n: bessel3_normalized_native(mu + n, (q.power(n / 2.0).real * z) ** 2,
+                                                           q, tr),
+                       lambda n: _bessel3_bound(q.q ** n * z * z, q, tr), tr)
+    return z ** mu * body
 
 
 ident("bessel3_order_conn", "SERIES",
@@ -652,13 +635,12 @@ def _sb314_lhs(p, tr):
 def _sb314_rhs(p, tr):
     q = QParam(p["q"])
     nu, w, z = p["nu"], p["w"], p["z"]
-
-    def term(n):
-        zz = q.power(n / 2.0).real * z
-        return (qpn(w * w, q, n) / qfac(q, n) * (-q.power((1 - nu) / 2.0) * z / (w * w)) ** n
-                * zz ** (nu + n) * bessel3_normalized_native(nu + n, zz * zz, q, tr))
-
-    return w ** (-nu) * _sum(term, tr)
+    spec = MFunctionSpec([w * w], [], q, 0.5, q.power(0.5) * z * z / (w * w))
+    body = m_expansion(spec,
+                       lambda n: bessel3_normalized_native(nu + n, (q.power(n / 2.0).real * z) ** 2,
+                                                           q, tr),
+                       lambda n: _bessel3_bound(q.q ** n * z * z, q, tr), tr)
+    return w ** (-nu) * z ** nu * body
 
 
 ident("bessel3_arg_conn", "SERIES",
@@ -678,13 +660,10 @@ def _sb315_lhs(p, tr):
 def _sb315_rhs(p, tr):
     q = QParam(p["q"])
     nu, z = p["nu"], p["z"]
-
-    def term(n):
-        zz = q.power(n / 2.0).real * z
-        return (q.power(n * (n + nu) / 2.0) / qfac(q, n) * z ** (-nu - n)
-                * zz ** (nu + n) * bessel3_normalized_native(nu + n, zz * zz, q, tr))
-
-    return _sum(term, tr)
+    return m_expansion(MFunctionSpec([], [], q, 1.0, -q.power(nu)),
+                       lambda n: bessel3_normalized_native(nu + n, (q.power(n / 2.0).real * z) ** 2,
+                                                           q, tr),
+                       lambda n: _bessel3_bound(q.q ** n * z * z, q, tr), tr)
 
 
 ident("bessel3_product_series", "SERIES",
@@ -705,14 +684,11 @@ def _sb318_lhs(p, tr):
 def _sb318_rhs(p, tr):
     q = QParam(p["q"])
     nu, z, n = p["nu"], p["z"], p["n"]
-
-    def term(k):
-        zz = z * q.power((n + k) / 2.0).real
-        return (q.power(k * (k - nu - n) / 2.0) / qfac(q, k) * z ** k
-                * (zz ** (k + nu) / (z * q.power(n / 2.0).real) ** nu)
-                * bessel3_normalized_native(k + nu, zz * zz, q, tr))
-
-    return qp(q.power(n + 1), q, tr) / qp(q.power(nu + n + 1), q, tr) * _sum(term, tr)
+    body = m_expansion(MFunctionSpec([], [], q, 1.0, -z * z),
+                       lambda k: bessel3_normalized_native(
+                           k + nu, (z * q.power((n + k) / 2.0).real) ** 2, q, tr),
+                       lambda k: _bessel3_bound(q.q ** (n + k) * z * z, q, tr), tr)
+    return qp(q.power(n + 1), q, tr) / qp(q.power(nu + n + 1), q, tr) * body
 
 
 ident("bessel3_laguerre_a", "SERIES",
@@ -732,13 +708,12 @@ def _sb319_lhs(p, tr):
 def _sb319_rhs(p, tr):
     q = QParam(p["q"])
     nu, z, n = p["nu"], p["z"], p["n"]
-
-    def term(k):
-        return (q.power(k * (k + 1) / 2.0) * (-z * z) ** k
-                / (qfac(q, k) * qpn(q.power(nu + n + 1), q, k))
-                * qlaguerre(n, nu + k, -z * z * q.power(-nu), q))
-
-    return qp(q.power(nu + n + 1), q, tr) / qp(q.power(n + 1), q, tr) * _sum(term, tr)
+    fac_n = qfac(q, n).real
+    y = -z * z * q.power(-nu)
+    body = m_expansion(MFunctionSpec([], [q.power(nu + n + 1)], q, 0.5, z * z * q.power(0.5)),
+                       lambda k: qlaguerre(n, nu + k, y, q),
+                       lambda k: _laguerre_bound(fac_n, nu + k, abs(y), q), tr)
+    return qp(q.power(nu + n + 1), q, tr) / qp(q.power(n + 1), q, tr) * body
 
 
 ident("bessel3_laguerre_b", "SERIES",
@@ -764,12 +739,10 @@ def _sc2_lhs(p, tr):
 def _sc2_rhs(p, tr):
     q = QParam(p["q"])
     nu, a, z = p["nu"], p["a"], p["z"]
-
-    def term(k):
-        return (q.power(k * (k - 1) / 2.0) * (-z) ** k / qfac(q, k)
-                * bessel2_normalized_native(nu + k, a * z, q, tr))
-
-    return qp(q.q, q, tr) / qp(q.power(nu + 1), q, tr) * _sum(term, tr)
+    body = m_expansion(MFunctionSpec([], [], q, 0.5, z * q.power(-0.5)),
+                       lambda k: bessel2_normalized_native(nu + k, a * z, q, tr),
+                       lambda k: _bessel2_bound(nu + k, a * z, q, tr), tr)
+    return qp(q.q, q, tr) / qp(q.power(nu + 1), q, tr) * body
 
 
 ident("confluent_bessel_series", "SERIES",
@@ -790,12 +763,9 @@ def _sc4_lhs(p, tr):
 def _sc4_rhs(p, tr):
     q = QParam(p["q"])
     a, z = p["a"], p["z"]
-
-    def term(k):
-        return (z ** (2 * k) * q.power(2 * k * k - k) / qpn(q.q * q.q, QParam(q.q * q.q), k)
-                * ramanujan_a(q.power(2 * k - 1) * a * z, q, tr))
-
-    return _sum(term, tr)
+    return m_expansion(MFunctionSpec([], [], QParam(q.q * q.q), 1.0, -z * z / q.q),
+                       lambda k: ramanujan_a(q.power(2 * k - 1) * a * z, q, tr),
+                       lambda k: _airy_bound(q.q ** (2 * k - 1) * abs(a * z), q), tr)
 
 
 ident("confluent_airy_series", "SERIES",
@@ -822,13 +792,11 @@ def _sc5_lhs(p, tr):
 def _sc5_rhs(p, tr):
     q = QParam(p["q"])
     a, b, z = p["a"], p["b"], p["z"]
-
-    def term(k):
-        return (qpn(b / (a * z), q, k) * (-a * z) ** k * q.power(k * (k - 1) / 2.0)
-                / (qfac(q, k) * qpn(b, q, k))
-                * phi(PhiSpec([a], [b * q.power(k)], q, z * q.power(k)), tr))
-
-    return _sum(term, tr)
+    spec = MFunctionSpec([b / (a * z)], [b], q, 0.5, a * z * q.power(-0.5))
+    return m_expansion(spec,
+                       lambda k: phi(PhiSpec([a], [b * q.power(k)], q, z * q.power(k)), tr),
+                       lambda k: _phi11_bound(abs(a), abs(b) * q.q ** k, abs(z) * q.q ** k, q),
+                       tr)
 
 
 ident("confluent_ratio_series", "SERIES",
@@ -850,13 +818,13 @@ def _sc6_lhs(p, tr):
 def _sc6_rhs(p, tr):
     q = QParam(p["q"])
     nu, z = p["nu"], p["z"]
-
-    def term(k):
-        return (z ** k * q.power(k * k) / (qfac(q, k) * qpn(q.power(nu + 1), q, k))
-                * phi(PhiSpec([-q.power(nu + 1) * z / 4.0], [q.power(nu + k + 1)], q,
-                              z * q.power(k + 1)), tr))
-
-    return qp(q.power(nu + 1), q, tr) / qp(q.q, q, tr) * _sum(term, tr)
+    a = -q.power(nu + 1) * z / 4.0
+    body = m_expansion(MFunctionSpec([], [q.power(nu + 1)], q, 1.0, -z),
+                       lambda k: phi(PhiSpec([a], [q.power(nu + k + 1)], q,
+                                             z * q.power(k + 1)), tr),
+                       lambda k: _phi11_bound(abs(a), q.q ** (nu + k + 1), abs(z) * q.q ** (k + 1),
+                                              q), tr)
+    return qp(q.power(nu + 1), q, tr) / qp(q.q, q, tr) * body
 
 
 ident("confluent_bessel_sqrt", "SERIES",
@@ -878,13 +846,12 @@ def _sc9_lhs(p, tr):
 def _sc9_rhs(p, tr):
     q = QParam(p["q"])
     a, b, d, z = p["a"], p["b"], p["d"], p["z"]
-
-    def term(k):
-        return (qpn(d, q, k) * (-b) ** k * q.power(k * (k - 1) / 2.0)
-                / (qfac(q, k) * qpn(b * d, q, k))
-                * phi(PhiSpec([a], [b * d * q.power(k)], q, z * q.power(k)), tr))
-
-    return qp(b * d, q, tr) / qp(b, q, tr) * _sum(term, tr)
+    spec = MFunctionSpec([d], [b * d], q, 0.5, b * q.power(-0.5))
+    body = m_expansion(spec,
+                       lambda k: phi(PhiSpec([a], [b * d * q.power(k)], q, z * q.power(k)), tr),
+                       lambda k: _phi11_bound(abs(a), abs(b * d) * q.q ** k, abs(z) * q.q ** k, q),
+                       tr)
+    return qp(b * d, q, tr) / qp(b, q, tr) * body
 
 
 ident("confluent_param_shift", "SERIES",
@@ -906,13 +873,11 @@ def _sc10_lhs(p, tr):
 def _sc10_rhs(p, tr):
     q = QParam(p["q"])
     a, b, w, z = p["a"], p["b"], p["w"], p["z"]
-
-    def term(k):
-        return (qpn(w, q, k) * (-z) ** k * q.power(k * (k - 1) / 2.0)
-                / (qfac(q, k) * qpn(b, q, k))
-                * phi(PhiSpec([a], [b * q.power(k)], q, w * z * q.power(k)), tr))
-
-    return _sum(term, tr)
+    spec = MFunctionSpec([w], [b], q, 0.5, z * q.power(-0.5))
+    return m_expansion(spec,
+                       lambda k: phi(PhiSpec([a], [b * q.power(k)], q, w * z * q.power(k)), tr),
+                       lambda k: _phi11_bound(abs(a), abs(b) * q.q ** k, abs(w * z) * q.q ** k, q),
+                       tr)
 
 
 ident("confluent_arg_shift", "SERIES",
@@ -934,15 +899,14 @@ def _sc7_lhs(p, tr):
 def _sc7_rhs(p, tr):
     q = QParam(p["q"])
     n, al, x = p["n"], p["alpha"], p["x"]
-
-    def term(k):
-        return (qpn(-q.power(-al - n - 0.5), q, k) * x ** k
-                * q.power((k + 2 * al + 2 * n + 1) * k / 2.0)
-                / (qfac(q, k) * qpn(q.power(al + 1), q, k))
-                * phi(PhiSpec([-q.power(al + 0.5)], [q.power(al + k + 1)], q,
-                              x * q.power(k + 0.5)), tr))
-
-    return _sum(term, tr)
+    a = -q.power(al + 0.5)
+    spec = MFunctionSpec([-q.power(-al - n - 0.5)], [q.power(al + 1)], q, 0.5,
+                         -x * q.power(al + n + 0.5))
+    return m_expansion(spec,
+                       lambda k: phi(PhiSpec([a], [q.power(al + k + 1)], q,
+                                             x * q.power(k + 0.5)), tr),
+                       lambda k: _phi11_bound(abs(a), q.q ** (al + k + 1),
+                                              abs(x) * q.q ** (k + 0.5), q), tr)
 
 
 ident("laguerre_phi11_series", "SERIES",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     DEFAULT_TRUNCATION,
@@ -32,6 +32,8 @@ __all__ = [
     "phi",
     "psi_bilateral",
     "m_weighted",
+    "m_weighted_bilateral",
+    "m_expansion",
     "q_exp_small",
     "q_exp_big",
     "ramanujan_a",
@@ -249,68 +251,115 @@ def psi_bilateral(spec: PsiSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex
             val /= a - x
         return val
 
-    # sup_{i>=n} |term(i+1)/term(i)| <= |z| prod(1 + |a| q^n) / prod(1 - |b| q^n).  Each step
-    # extends the wing whose tail bound is larger, so the sum is certified as a whole without
-    # summing the faster wing far past need.
-    def terms():
+    # sup_{i>=n} |term(i+1)/term(i)| <= |z| prod(1 + |a| q^n) / prod(1 - |b| q^n)
+    def pos_terms():
         pos, qn = 1.0 + 0.0j, 1.0  # term(n), q^n
-        neg, x = neg_ratio(qq), qq  # term(-m-1), q^(m+1)
-        pos_tail = geometric_tail(1.0, _ratio_bound(az, c, 1.0))
-        neg_tail = geometric_tail(abs(neg), neg_bound(x * qq))
-        yield pos + neg, pos_tail + neg_tail
+        yield pos, geometric_tail(1.0, _ratio_bound(az, c, 1.0))
         while True:
-            if pos_tail >= neg_tail:
-                ratio = spec.z
-                for a in spec.upper:
-                    ratio *= 1.0 - a * qn
-                for b in spec.lower:
-                    den = 1.0 - b * qn
-                    if abs(den) < 1e-290:
-                        raise PoleError("lower parameter pole in bilateral term")
-                    ratio /= den
-                pos *= ratio
-                qn *= qq
-                pos_tail = geometric_tail(abs(pos), _ratio_bound(az, c, qn))
-                yield pos, pos_tail + neg_tail
-            else:
-                x *= qq
-                neg *= neg_ratio(x)
-                neg_tail = geometric_tail(abs(neg), neg_bound(x * qq))
-                yield neg, pos_tail + neg_tail
+            ratio = spec.z
+            for a in spec.upper:
+                ratio *= 1.0 - a * qn
+            for b in spec.lower:
+                den = 1.0 - b * qn
+                if abs(den) < 1e-290:
+                    raise PoleError("lower parameter pole in bilateral term")
+                ratio /= den
+            pos *= ratio
+            qn *= qq
+            yield pos, geometric_tail(abs(pos), _ratio_bound(az, c, qn))
 
-    return _certified_sum(terms(), tr, "psi_bilateral")
+    def neg_terms():
+        neg, x = neg_ratio(qq), qq  # term(-m-1), q^(m+1)
+        while True:
+            yield neg, geometric_tail(abs(neg), neg_bound(x * qq))
+            x *= qq
+            neg *= neg_ratio(x)
+
+    return _certified_sum(_two_wings(pos_terms(), neg_terms()), tr, "psi_bilateral")
+
+
+def _two_wings(pos, neg):
+    """One (t, tail) stream from the streams of two wings, each tail_k >= sum_(j>k) |t_j|.
+
+    Each step extends the wing whose tail bound is larger, so the sum is certified as a
+    whole without summing the faster wing far past need; the tail of the whole is the sum
+    of the two wings' tails.
+    """
+    p, pos_tail = next(pos)
+    n, neg_tail = next(neg)
+    yield p + n, pos_tail + neg_tail
+    while True:
+        if pos_tail >= neg_tail:
+            p, pos_tail = next(pos)
+            yield p, pos_tail + neg_tail
+        else:
+            n, neg_tail = next(neg)
+            yield n, pos_tail + neg_tail
+
+
+def _m_terms(spec: MFunctionSpec):
+    """Yield (c_k, tail_k) for k = 0, 1, ...: the terms of :func:`m_weighted` and their tails.
+
+    c_k = prod(alpha;q)_k q^(l k^2) (-z)^k / [(q;q)_k prod(beta;q)_k] is built by its term
+    ratio, and tail_k >= sum_(j>k) |c_j|.
+    """
+    q = spec.q
+    qq = q.q
+    w = q.power(spec.ell).real  # q^l; weight ratio q^(l(2k+1))
+    az = abs(spec.z)
+    c = sum(abs(a) for a in spec.alphas + spec.betas) + qq
+    term = 1.0 + 0.0j
+    qk = 1.0
+    wpow = w  # q^(l(2k+1)) at current k
+    w2 = w * w
+    # for every i >= k:
+    # |t_(i+1)/t_i| <= |z| q^(l(2k+1)) prod(1 + |alpha| q^k) / [(1 - q^(k+1)) prod(1 - |beta| q^k)]
+    while True:
+        yield term, geometric_tail(abs(term), _ratio_bound(az * wpow, c, qk))
+        ratio = -spec.z * wpow
+        for a in spec.alphas:
+            ratio *= 1.0 - a * qk
+        den = 1.0 - qq * qk
+        for b in spec.betas:
+            den *= 1.0 - b * qk
+        if abs(den) < 1e-290:
+            raise PoleError("lower parameter pole in weighted series")
+        term *= ratio / den
+        qk *= qq
+        wpow *= w2
 
 
 def m_weighted(spec: MFunctionSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Evaluate sum_k prod(alpha;q)_k q^(l k^2) (-z)^k / [(q;q)_k prod(beta;q)_k]."""
-    q = spec.q
-    qq = q.q
-    w = q.power(spec.ell)  # q^l; weight ratio q^{l(2k+1)}
-    az = abs(spec.z)
-    c = sum(abs(a) for a in spec.alphas + spec.betas) + qq
+    return _certified_sum(_m_terms(spec), tr, "m_weighted")
 
-    # for every i >= k:
-    # |t_(i+1)/t_i| <= |z| q^(l(2k+1)) prod(1 + |alpha| q^k) / [(1 - q^(k+1)) prod(1 - |beta| q^k)]
+
+def m_weighted_bilateral(pos: MFunctionSpec, neg: MFunctionSpec,
+                         tr: Truncation = DEFAULT_TRUNCATION) -> complex:
+    """A bilateral sum whose two wings are :func:`m_weighted` series, certified together.
+
+    The terms at k >= 0 are those of pos, the terms at -k for k >= 1 those of neg
+    (its k = 0 term, 1, is not summed).
+    """
+    neg_terms = _m_terms(neg)
+    next(neg_terms)
+    return _certified_sum(_two_wings(_m_terms(pos), neg_terms), tr, "m_weighted_bilateral")
+
+
+def m_expansion(spec: MFunctionSpec, inner, bound, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
+    """sum_k c_k F_k over the terms c_k of :func:`m_weighted`.
+
+    inner(k) returns F_k, typically a q-function at an argument or order
+    that moves with k.  bound(k) is a closed-form majorant of |F_j| for
+    every j >= k; it must never be taken from a computed F_j, so that a
+    term that happens to be small (a zero of F) cannot stop the sum.  The
+    tail after term k is then at most bound(k) sum_(j>k) |c_j|.
+    """
     def terms():
-        term = 1.0 + 0.0j
-        qk = 1.0
-        wpow = w  # q^{l(2k+1)} at current k
-        w2 = w * w
-        for k in itertools.count():
-            yield term, geometric_tail(abs(term), _ratio_bound(az * wpow.real, c, qk))
-            ratio = -spec.z * wpow
-            for a in spec.alphas:
-                ratio *= 1.0 - a * qk
-            den = 1.0 - qq * qk
-            for b in spec.betas:
-                den *= 1.0 - b * qk
-            if abs(den) < 1e-290:
-                raise PoleError("lower parameter pole in weighted series")
-            term *= ratio / den
-            qk *= qq
-            wpow *= w2
+        for k, (c, tail) in enumerate(_m_terms(spec)):
+            yield c * inner(k), bound(k) * tail
 
-    return _certified_sum(terms(), tr, "m_weighted")
+    return _certified_sum(terms(), tr, "m_expansion")
 
 
 def q_exp_small(z, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:

@@ -7,12 +7,15 @@ import random
 import pytest
 
 from qkit import QParam, Truncation, qgamma, qpoch_inf, theta2, theta3, theta4
+from qkit.identities import get_identity, sample_params
 from qkit.series import (
+    MFunctionSpec,
     PhiSpec,
     bessel2_normalized_gauss,
     bessel3_normalized_gauss,
     cal_e_raw_shifted,
     confluent_phi_weighted,
+    m_weighted,
     phi,
     poch_gauss,
     ramanujan_a_shifted,
@@ -274,3 +277,73 @@ def test_phi21_matches_qhyper():
             relative += 1
             assert err < 1e-12, (qv, a, b, c, z, err)
     assert relative >= 20  # 31 of the 40 points are checked relative
+
+
+# --- m_weighted and the expansions over its coefficients ------------------------------
+
+def _m_weighted(alphas, betas, q, ell, z):
+    """Direct sum of prod(alpha;q)_k q^(l k^2) (-z)^k / ((q;q)_k prod(beta;q)_k), sum |t_k|."""
+    alphas, betas = [mp.mpc(a) for a in alphas], [mp.mpc(b) for b in betas]
+    q, ell, z = mp.mpf(q), mp.mpf(ell), mp.mpc(z)
+
+    def term(k):
+        t = q ** (ell * k * k) * (-z) ** k / mp.qp(q, q, k)
+        for a in alphas:
+            t *= mp.qp(a, q, k)
+        for b in betas:
+            t /= mp.qp(b, q, k)
+        return t
+
+    return _direct(term, 0)
+
+
+def _check_spread(cases):
+    """The bounds of the damped series on (value, exact, sum |t_k|) triples; the relative count."""
+    relative = 0
+    for label, value, exact, absum in cases:
+        err, spread = rel(value, exact), float(absum / abs(exact))
+        assert err < 1e-13 * spread, (label, err, spread)
+        if spread < 10.0:
+            relative += 1
+            assert err < 1e-12, (label, err)
+    return relative
+
+
+@pytest.mark.parametrize("ell", [0.125, 0.25, 0.5])
+@pytest.mark.parametrize("with_beta", [False, True])
+def test_m_weighted_matches_direct_sum(ell, with_beta):
+    # the doubled bases and weights of the registry's pure sides (fourier_h_kernel_int_1,
+    # plancherel_6/_10, airy_base_shift), with one upper and an optional lower parameter
+    rng = random.Random(f"m_weighted:{ell}:{with_beta}")
+    cases = []
+    for _ in range(8):
+        q2 = rng.uniform(0.3, 0.7) ** 2
+        alphas = [_cring(rng, 0.1, 1.5)]
+        betas = [_cring(rng, 0.05, 0.9)] if with_beta else []
+        z = _cring(rng, 0.1, 2.0)
+        value = m_weighted(MFunctionSpec(alphas, betas, QParam(q2), ell, z), TR)
+        exact, absum = _m_weighted(alphas, betas, q2, ell, z)
+        cases.append(((q2, alphas, betas, z), value, exact, absum))
+    assert _check_spread(cases) >= 4
+
+
+def _airy_mult_rhs(a, b, q):
+    """Direct sum of (b;q)_k q^(k(k+1)/2) a^k A_q(a q^k)/(q;q)_k, each A_q summed directly."""
+    a, b, q = mp.mpc(a), mp.mpc(b), mp.mpf(q)
+
+    def airy(w):
+        return _direct(lambda n: q ** (n * n) * (-w) ** n / mp.qp(q, q, n), 0)[0]
+
+    return _direct(lambda k: mp.qp(b, q, k) * q ** (k * (k + 1) / 2) * a**k
+                   * airy(a * q**k) / mp.qp(q, q, k), 0)
+
+
+def test_airy_mult_expansion_matches_direct_sum():
+    # m_expansion with A_q as the inner function, through the registry side itself
+    rhs = get_identity("airy_mult").rhs
+    cases = []
+    for i in range(8):
+        p = sample_params("airy_mult", 2024, i)
+        exact, absum = _airy_mult_rhs(p["a"], p["b"], p["q"])
+        cases.append((p, rhs(p, TR), exact, absum))
+    assert _check_spread(cases) >= 4

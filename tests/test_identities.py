@@ -1,3 +1,6 @@
+import ast
+import math
+import pathlib
 import random
 
 import pytest
@@ -110,12 +113,35 @@ class TestEvaluate:
         rep = evaluate_identity("qsquare_contour_rep", sample_params("qsquare_contour_rep", 56, 0))
         assert rep.passed, (rep.status, rep.rel_err)
 
+    def test_qhermite_genfun_sums_past_a_vanishing_term(self):
+        # at theta = pi/2 every odd H_n(0|q) is 0, and a rule that stops on small
+        # terms stopped at n = 9 with rel_err 5.3e-4
+        rep = evaluate_identity("qhermite_genfun", {"q": 0.5, "theta": math.pi / 2, "t": 0.45})
+        assert rep.passed, (rep.status, rep.rel_err)
+
+    def test_qinvhermite_genfun_sums_past_vanishing_terms(self):
+        # every odd h_n(0|q) is 0; stopping on small terms gave 1.08e-10 against tol 1e-10
+        params = dict(sample_params("qinvhermite_genfun", 0, 0), xi=0.0)
+        rep = evaluate_identity("qinvhermite_genfun", params)
+        assert rep.passed, (rep.status, rep.rel_err)
+
     def test_reports_are_data_not_exceptions(self):
         # an out-of-domain parameter point must come back as a skip
         rep = evaluate_identity("ramanujan_1psi1",
                                 {"q": 0.4, "a": 2.0, "b": 0.3, "z": 1.4})
         assert rep.status.startswith("skipped")
         assert rep.reason.startswith("lhs: ConvergenceError: |z| = 1.4 outside")
+
+
+def test_registry_reads_no_truncation_budget():
+    # registry sides sum through the certified engines; a read of tr.tol or
+    # tr.max_terms there is a hand-rolled stopping rule
+    registry = pathlib.Path(identities.__file__).parent / "registry"
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted(registry.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in ("tol", "max_terms")]
+    assert not reads, reads
 
 
 class TestFailureClassification:
