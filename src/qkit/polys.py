@@ -81,16 +81,24 @@ def qhermite_inv_exp(n: int, e_xi, q: QParam) -> complex:
     h_n(sinh xi|q) = sum_k [n k]_q (-1)^k q^(k(k-n)) e^((n-2k) xi).
     Taking the exponential parameter avoids branch ambiguity for the
     complex arguments that arise in modulus-transformation identities.
+    Each term follows from the last by its ratio
+    -(1 - q^(n-k)) q^(2k+1-n) e^(-2 xi) / (1 - q^(k+1)), so a value costs O(n).
     """
     if n < 0:
         raise DomainError("polynomial degree must be >= 0")
     e_xi = complex(e_xi)
     if e_xi == 0:
         raise DomainError("e^(xi) must be nonzero")
-    total = 0.0 + 0.0j
-    for k in range(n + 1):
-        coeff = qpoch_finite(q.q, q, n) / (qpoch_finite(q.q, q, k) * qpoch_finite(q.q, q, n - k))
-        total += coeff * (-1.0) ** k * q.power(k * (k - n)) * e_xi ** (n - 2 * k)
+    pw = _powers(q, n)
+    step = -1.0 / (e_xi * e_xi)  # -e^(-2 xi)
+    qstep = q.power(1 - n).real  # q^(2k+1-n) at current k
+    q2 = q.q * q.q
+    term = e_xi ** n  # [n k]_q (-1)^k q^(k(k-n)) e^((n-2k) xi)
+    total = term
+    for k in range(n):
+        term *= step * qstep * (1.0 - pw[n - k]) / (1.0 - pw[k + 1])
+        qstep *= q2
+        total += term
     return ensure_finite(total, "qhermite_inv_exp")
 
 
@@ -176,23 +184,33 @@ def confluent_poly(n: int, alphas, betas, x, q: QParam) -> complex:
 
     p_n = sum_{k=0}^n prod(alpha;q)_k q^(k^2) (-x)^k /
     [(q;q)_k prod(beta;q)_k (q;q)_{n-k}].  With empty parameter lists
-    this reduces exactly to the Stieltjes-Wigert polynomial.
+    this reduces exactly to the Stieltjes-Wigert polynomial.  Terms are
+    accumulated incrementally, as in :func:`qlaguerre`.
     """
     if n < 0:
         raise DomainError("polynomial degree must be >= 0")
     alphas = [complex(a) for a in alphas]
     betas = [complex(b) for b in betas]
-    x = complex(x)
+    step = -complex(x)
+    pw = _powers(q, n)
+    # term_k = prod(alpha;q)_k q^(k^2) (-x)^k / [(q;q)_k prod(beta;q)_k]; the
+    # 1/(q;q)_{n-k} factor is restored via the ratio (q;q)_n/(q;q)_{n-k}
     total = 0.0 + 0.0j
+    term = 1.0 + 0.0j
+    ratio_fac = 1.0 + 0.0j  # (q;q)_n / (q;q)_{n-k}, so (q;q)_n after the loop
     for k in range(n + 1):
-        num = q.power(k * k) * (-x) ** k
-        for a in alphas:
-            num *= qpoch_finite(a, q, k)
-        den = qpoch_finite(q.q, q, k) * qpoch_finite(q.q, q, n - k)
-        for b in betas:
-            den *= qpoch_finite(b, q, k)
-        total += num / den
-    return ensure_finite(total, "confluent_poly")
+        if k:
+            qk1 = pw[k - 1]
+            num = step * qk1 * pw[k]
+            for a in alphas:
+                num *= 1.0 - a * qk1
+            den = 1.0 - pw[k]
+            for b in betas:
+                den *= 1.0 - b * qk1
+            term *= num / den
+            ratio_fac *= 1.0 - pw[n - k + 1]
+        total += term * ratio_fac
+    return ensure_finite(total / ratio_fac, "confluent_poly")
 
 
 @dataclass(frozen=True)

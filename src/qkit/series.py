@@ -5,6 +5,16 @@ Implements the unilateral r_phi_s series (with the standard extra
 the bilateral m_psi_m series, the q^(l k^2)-weighted series, the three
 q-exponentials e_q, E_q and the two-variable cal-E, the Ramanujan
 function A_q, Jackson's three q-Bessel functions and the modified I^(k).
+
+The weighted series share three term generators, each with one tail
+bound: ``_m_terms`` (weight q^(l k^2), J^(1) at l = 0 and the native
+J^(2) and J^(3)), ``_m_damped`` (Gaussian weight q^(l (n+s)^2): the
+shifted A_q and the damped J^(2)) and the one of
+:func:`confluent_phi_weighted` (the product-weighted 1phi1, the damped
+J^(3)).  ``_m_terms`` carries its weight as a running product, which keeps
+the terms finite at large |z|; ``_m_damped`` takes each weight as one
+exponential, since a running weight would stay 0 after it underflows at a
+large negative shift s while the terms near n = -s are of ordinary size.
 """
 
 from __future__ import annotations
@@ -297,30 +307,30 @@ def _two_wings(pos, neg):
             yield n, pos_tail + neg_tail
 
 
-def _m_terms(spec: MFunctionSpec):
+def _m_terms(alphas, betas, q: QParam, w: float, z):
     """Yield (c_k, tail_k) for k = 0, 1, ...: the terms of :func:`m_weighted` and their tails.
 
-    c_k = prod(alpha;q)_k q^(l k^2) (-z)^k / [(q;q)_k prod(beta;q)_k] is built by its term
-    ratio, and tail_k >= sum_(j>k) |c_j|.
+    c_k = prod(alpha;q)_k w^(k^2) (-z)^k / [(q;q)_k prod(beta;q)_k], w = q^l in (0, 1], is
+    built by its term ratio, weight included, and tail_k >= sum_(j>k) |c_j|.
     """
-    q = spec.q
     qq = q.q
-    w = q.power(spec.ell).real  # q^l; weight ratio q^(l(2k+1))
-    az = abs(spec.z)
-    c = sum(abs(a) for a in spec.alphas + spec.betas) + qq
+    mz = -complex(z)
+    az = abs(mz)
+    c = sum(abs(a) for a in (*alphas, *betas)) + qq
     term = 1.0 + 0.0j
     qk = 1.0
-    wpow = w  # q^(l(2k+1)) at current k
+    wpow = w  # w^(2k+1) at current k
     w2 = w * w
     # for every i >= k:
-    # |t_(i+1)/t_i| <= |z| q^(l(2k+1)) prod(1 + |alpha| q^k) / [(1 - q^(k+1)) prod(1 - |beta| q^k)]
+    # |t_(i+1)/t_i| <= |z| w^(2k+1) prod(1 + |alpha| q^k) / [(1 - q^(k+1)) prod(1 - |beta| q^k)]
     while True:
-        yield term, geometric_tail(abs(term), _ratio_bound(az * wpow, c, qk))
-        ratio = -spec.z * wpow
-        for a in spec.alphas:
+        cx = c * qk
+        yield term, geometric_tail(abs(term), az * wpow / (1.0 - cx) if cx < 1.0 else math.inf)
+        ratio = mz * wpow
+        for a in alphas:
             ratio *= 1.0 - a * qk
         den = 1.0 - qq * qk
-        for b in spec.betas:
+        for b in betas:
             den *= 1.0 - b * qk
         if abs(den) < 1e-290:
             raise PoleError("lower parameter pole in weighted series")
@@ -329,9 +339,45 @@ def _m_terms(spec: MFunctionSpec):
         wpow *= w2
 
 
+def _m_damped(alphas, betas, q: QParam, ell: float, z, shift: float):
+    """Yield (c_n, tail_n): the :func:`_m_terms` terms under the Gaussian weight q^(l (n+s)^2).
+
+    Each weight is one math.exp of its exponent, so it regrows after underflowing at a
+    negative shift s.
+    """
+    qq, lw = q.q, ell * q.ln_q
+    mz = -complex(z)
+    az = abs(mz)
+    c = sum(abs(a) for a in (*alphas, *betas)) + qq
+    term = 1.0 + 0.0j  # prod(alpha;q)_n (-z)^n / [(q;q)_n prod(beta;q)_n]
+    qn = 1.0  # q^n
+    # for every i >= n:
+    # |t_(i+1)/t_i| <= |z| q^(l(2n+2s+1)) prod(1 + |alpha| q^n) / [(1 - q^(n+1)) prod(1 - |beta| q^n)]
+    for n in itertools.count():
+        piece = term * math.exp((n + shift) ** 2 * lw)
+        cx = c * qn
+        r = az * _qpow(q, ell * (2 * n + 2 * shift + 1)) / (1.0 - cx) if cx < 1.0 else math.inf
+        yield piece, geometric_tail(abs(piece), r)
+        ratio = mz
+        for a in alphas:
+            ratio *= 1.0 - a * qn
+        den = 1.0 - qq * qn
+        for b in betas:
+            den *= 1.0 - b * qn
+        if abs(den) < 1e-290:
+            raise PoleError("lower parameter pole in damped weighted series")
+        term *= ratio / den
+        qn *= qq
+
+
+def _spec_terms(spec: MFunctionSpec):
+    """:func:`_m_terms` of a spec, at w = q^l."""
+    return _m_terms(spec.alphas, spec.betas, spec.q, spec.q.power(spec.ell).real, spec.z)
+
+
 def m_weighted(spec: MFunctionSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Evaluate sum_k prod(alpha;q)_k q^(l k^2) (-z)^k / [(q;q)_k prod(beta;q)_k]."""
-    return _certified_sum(_m_terms(spec), tr, "m_weighted")
+    return _certified_sum(_spec_terms(spec), tr, "m_weighted")
 
 
 def m_weighted_bilateral(pos: MFunctionSpec, neg: MFunctionSpec,
@@ -341,9 +387,9 @@ def m_weighted_bilateral(pos: MFunctionSpec, neg: MFunctionSpec,
     The terms at k >= 0 are those of pos, the terms at -k for k >= 1 those of neg
     (its k = 0 term, 1, is not summed).
     """
-    neg_terms = _m_terms(neg)
+    neg_terms = _spec_terms(neg)
     next(neg_terms)
-    return _certified_sum(_two_wings(_m_terms(pos), neg_terms), tr, "m_weighted_bilateral")
+    return _certified_sum(_two_wings(_spec_terms(pos), neg_terms), tr, "m_weighted_bilateral")
 
 
 def m_expansion(spec: MFunctionSpec, inner, bound, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -356,7 +402,7 @@ def m_expansion(spec: MFunctionSpec, inner, bound, tr: Truncation = DEFAULT_TRUN
     tail after term k is then at most bound(k) sum_(j>k) |c_j|.
     """
     def terms():
-        for k, (c, tail) in enumerate(_m_terms(spec)):
+        for k, (c, tail) in enumerate(_spec_terms(spec)):
             yield c * inner(k), bound(k) * tail
 
     return _certified_sum(terms(), tr, "m_expansion")
@@ -444,15 +490,12 @@ def _principal_pow(base, expo) -> complex:
     return cmath.exp(expo * cmath.log(base))
 
 
-def jackson_bessel(kind: int, nu, z, q: QParam, tr: Truncation = DEFAULT_TRUNCATION,
-                   route: str = "native") -> complex:
+def jackson_bessel(kind: int, nu, z, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Jackson q-Bessel function of the given kind (1, 2 or 3).
 
     Kind 1 uses its native series for |z| < 2 and the analytic
     continuation J2(z)/(-z^2/4;q)_inf otherwise; kinds 2 and 3 are
-    entire.  Principal branch for (z/2)^nu.  For kind 2,
-    route='alternative' evaluates the equivalent expansion in powers of
-    q^(n(n+1)/2 + nu n), used as a cross-check route.
+    entire.  Principal branch for (z/2)^nu.
     """
     nu = complex(nu)
     z = complex(z)
@@ -464,19 +507,13 @@ def jackson_bessel(kind: int, nu, z, q: QParam, tr: Truncation = DEFAULT_TRUNCAT
         if nu.real > 0:
             return 0.0 + 0.0j
         raise DomainError("q-Bessel at z = 0 needs Re nu >= 0")
-    u = z * z / 4.0
-    if kind == 2 and route == "alternative":
-        body = bessel2_normalized(nu, u, q, tr)
-    elif route != "native":
-        raise DomainError(f"unknown q-Bessel route {route!r}")
-    elif kind == 1 and abs(z) >= 2.0:
+    if kind == 1 and abs(z) >= 2.0:
         den = qpoch_inf(-z * z / 4.0, q, tr)
         if abs(den) < 1e-280:
             raise PoleError("kind-1 q-Bessel pole: (-z^2/4;q)_inf vanished")
         return jackson_bessel(2, nu, z, q, tr) / den
-    else:
-        normalized = (bessel1_normalized, bessel2_normalized_native, bessel3_normalized_native)
-        body = normalized[kind - 1](nu, u, q, tr)
+    normalized = (bessel1_normalized, bessel2_normalized_native, bessel3_normalized_native)
+    body = normalized[kind - 1](nu, z * z / 4.0, q, tr)
     return ensure_finite(_principal_pow(z / 2.0, nu) * body, "jackson_bessel")
 
 
@@ -491,27 +528,12 @@ def modified_bessel_i(kind: int, nu, z, q: QParam, tr: Truncation = DEFAULT_TRUN
 def ramanujan_a_shifted(z, shift, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Gaussian-damped Ramanujan function q^(shift^2) A_q(q^(2 shift) z).
 
-    Computed as sum_n q^((n+shift)^2) (-z)^n/(q;q)_n, whose terms stay
-    bounded by |z|^n for any real shift; the naive route overflows once
-    the scaled argument q^(2 shift) z leaves the double range.
+    Computed as sum_n q^((n+shift)^2) (-z)^n/(q;q)_n, the damped series
+    :func:`_m_damped` at l = 1, whose terms stay bounded by |z|^n for any
+    real shift; the naive route overflows once the scaled argument
+    q^(2 shift) z leaves the double range.
     """
-    mz = -complex(z)
-    shift = float(shift)
-    qq, ln_q = q.q, q.ln_q
-    az = abs(mz)
-
-    # |t_(n+1)/t_n| = |z| q^(2n+2 shift+1) / (1 - q^(n+1)), decreasing in n
-    def terms():
-        term = 1.0 + 0.0j  # (-z)^n / (q;q)_n
-        qn1 = qq  # q^(n+1)
-        for n in itertools.count():
-            piece = term * math.exp((n + shift) ** 2 * ln_q)
-            r = az * _qpow(q, 2 * n + 2 * shift + 1) / (1.0 - qn1)
-            yield piece, geometric_tail(abs(piece), r)
-            term *= mz / (1.0 - qn1)
-            qn1 *= qq
-
-    return _certified_sum(terms(), tr, "ramanujan_a_shifted")
+    return _certified_sum(_m_damped((), (), q, 1.0, z, float(shift)), tr, "ramanujan_a_shifted")
 
 
 def _leading_logs(w, beta: float, q: QParam, tr: Truncation):
@@ -672,23 +694,13 @@ def cal_e_raw(x, t, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
 
 
 def bessel1_normalized(nu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
-    """(2/z)^nu J1_nu(z;q) as a function of u = (z/2)^2, single-valued in u."""
-    nu = complex(nu)
-    u = complex(u)
-    qnu = q.power(nu)
-    u_mag, c = abs(u), 1.0 + abs(qnu)
+    """(2/z)^nu J1_nu(z;q) as a function of u = (z/2)^2, single-valued in u.
 
-    # |t_(i+1)/t_i| = |u| / |(1 - q^(i+1))(1 - q^nu q^(i+1))|, at most its value with |q^nu|
-    # at i = k
-    def terms():
-        term = 1.0 + 0.0j
-        for k in itertools.count():
-            qk1 = q.q ** (k + 1)
-            yield term, geometric_tail(abs(term), _ratio_bound(u_mag, c, qk1))
-            term *= -u / ((1.0 - qk1) * (1.0 - qnu * qk1))
-
-    body = _certified_sum(terms(), tr, "bessel1_normalized")
-    return qpoch_inf(q.q * qnu, q, tr) / qpoch_inf(q.q, q, tr) * body
+    Its series sum_k (-u)^k / [(q;q)_k (q^(nu+1);q)_k] is :func:`_m_terms` at w = 1.
+    """
+    b = q.power(complex(nu) + 1)
+    body = _certified_sum(_m_terms((), (b,), q, 1.0, u), tr, "bessel1_normalized")
+    return qpoch_inf(b, q, tr) / qpoch_inf(q.q, q, tr) * body
 
 
 def bessel2_normalized(nu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -697,74 +709,36 @@ def bessel2_normalized(nu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) ->
     Uses the expansion in q^(n(n+1)/2 + nu n), which has no
     (q^(nu+1);q)_inf prefactor and therefore stays meaningful when the
     order sweeps through negative integers (as it does inside transform
-    integrands with complex-shifted orders).
+    integrands with complex-shifted orders).  It is the undamped case
+    alpha = 0 of :func:`bessel2_normalized_gauss`.
     """
-    nu = complex(nu)
-    u = complex(u)
-    qnu = q.power(nu)
-    qnu_mag, c = abs(qnu), abs(u) + q.q
-
-    # |t_(i+1)/t_i| = |(1 + u q^i) q^nu q^(i+1) / (1 - q^(i+1))|, at most its value with |u|
-    # at i = k
-    def terms():
-        term = 1.0 + 0.0j
-        for k in itertools.count():
-            qk = q.q ** k
-            yield term, geometric_tail(abs(term), _ratio_bound(qnu_mag * q.q * qk, c, qk))
-            term *= -(1.0 + u * qk) * q.q * qk * qnu / (1.0 - q.q * qk)
-
-    body = _certified_sum(terms(), tr, "bessel2_normalized")
-    return body / qpoch_inf(q.q, q, tr)
+    return bessel2_normalized_gauss(nu, u, 0.0, q, tr)
 
 
 def bessel2_normalized_native(nu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
-    """(2/z)^nu J2_nu(z;q) from the defining series, for orders away from poles."""
-    nu = complex(nu)
-    u = complex(u)
-    qnu = q.power(nu)
-    uqnu_mag, c = abs(u * qnu), 1.0 + abs(qnu)
+    """(2/z)^nu J2_nu(z;q) from the defining series, for orders away from poles.
 
-    # |t_(i+1)/t_i| = |u q^nu| q^(2i+1) / |(1 - q^(i+1))(1 - q^nu q^(i+1))|, at most its value
-    # with |q^nu| at i = k
-    def terms():
-        term = 1.0 + 0.0j
-        for k in itertools.count():
-            qk1 = q.q ** (k + 1)
-            yield term, geometric_tail(abs(term), _ratio_bound(uqnu_mag * qk1 * qk1 / q.q, c, qk1))
-            term *= -u * qk1 * qk1 / q.q * qnu / ((1.0 - qk1) * (1.0 - qnu * qk1))
-
-    body = _certified_sum(terms(), tr, "bessel2_normalized_native")
-    return qpoch_inf(q.q * qnu, q, tr) / qpoch_inf(q.q, q, tr) * body
+    Its series sum_k q^(k^2) (-u q^nu)^k / [(q;q)_k (q^(nu+1);q)_k] is :func:`_m_terms` at w = q.
+    """
+    qnu = q.power(complex(nu))
+    b = q.q * qnu
+    body = _certified_sum(_m_terms((), (b,), q, q.q, complex(u) * qnu), tr,
+                          "bessel2_normalized_native")
+    return qpoch_inf(b, q, tr) / qpoch_inf(q.q, q, tr) * body
 
 
 def bessel2_normalized_gauss(nu, u, alpha, q: QParam,
                              tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Gaussian-damped normalized kind-2 function q^(alpha^2/2) N2(alpha+nu, u).
 
-    Expanded with the weight absorbed into q^((alpha+n)^2/2) so terms stay
-    bounded for any real alpha.
+    Its series sum_n (-u;q)_n q^((alpha+n)^2/2) (-q^(nu+1/2))^n / (q;q)_n, divided by
+    (q;q)_inf, is :func:`_m_damped` at l = 1/2 and shift alpha, so terms stay bounded for
+    any real alpha.
     """
-    nu = complex(nu)
-    u = complex(u)
-    alpha = float(alpha)
-    qq, ln_q = q.q, q.ln_q
-    qnu = q.power(nu)
-    step = -q.power(0.5) * qnu  # -q^(1/2) q^nu
-    qnu_mag, c = abs(qnu), abs(u) + qq
-
-    # t_(n+1)/t_n = -(1 + u q^n) q^nu q^(alpha+n+1) / (1 - q^(n+1)), bounded for i >= n as below
-    def terms():
-        term = 1.0 + 0.0j  # (-u;q)_n (-1)^n q^(n/2 + nu n) / (q;q)_n
-        qn = 1.0  # q^n
-        for n in itertools.count():
-            if n:
-                term *= (1.0 + u * qn) * step / (1.0 - qn * qq)
-                qn *= qq
-            piece = term * math.exp((alpha + n) ** 2 / 2.0 * ln_q)
-            r = _ratio_bound(qnu_mag * _qpow(q, alpha + n + 1), c, qn)
-            yield piece, geometric_tail(abs(piece), r)
-
-    return _certified_sum(terms(), tr, "bessel2_normalized_gauss") / qpoch_inf(q.q, q, tr)
+    z = q.power(complex(nu) + 0.5)
+    body = _certified_sum(_m_damped((-complex(u),), (), q, 0.5, z, float(alpha)), tr,
+                          "bessel2_normalized_gauss")
+    return body / qpoch_inf(q.q, q, tr)
 
 
 def bessel3_normalized_gauss(nu, z2, alpha, q: QParam,
@@ -773,32 +747,13 @@ def bessel3_normalized_gauss(nu, z2, alpha, q: QParam,
 
     Both the order and the argument carry the sweep variable; absorbing
     the weight term by term gives
-    sum_n (-z2 q^(1/2))^n poch_gauss(q^(nu+1), alpha+n)/(q;q)_n, with
+    sum_n (-z2 q^(1/2))^n poch_gauss(q^(nu+1), alpha+n)/(q;q)_n, which is
+    :func:`confluent_phi_weighted` with a = 0 divided by (q;q)_inf, with
     bounded terms whenever |z2| sqrt(q) < 1.
     """
-    nu = complex(nu)
-    z2 = complex(z2)
-    alpha = float(alpha)
-    qq = q.q
-    w = q.power(nu + 1)
-    step = -z2 * q.power(0.5)  # -z2 q^(1/2)
-    z2_mag, c = abs(z2), qq + abs(w) * _qpow(q, alpha)
-
-    # t_(n+1)/t_n = -z2 q^(alpha+n+1) / ((1 - q^(n+1))(1 - w q^(alpha+n))), w = q^(nu+1); once
-    # |w| q^(alpha+n) < 1 no product factor can vanish and the bound below holds for every i >= n
-    def terms():
-        term = 1.0 + 0.0j  # (-z2 q^(1/2))^n / (q;q)_n
-        qn = 1.0  # q^n
-        ladder = _poch_gauss_ladder(w, alpha, q, tr)
-        for n in itertools.count():
-            if n:
-                qn *= qq
-                term *= step / (1.0 - qn)
-            piece = term * next(ladder)
-            r = _ratio_bound(z2_mag * _qpow(q, alpha + n + 1), c, qn)
-            yield piece, geometric_tail(abs(piece), r)
-
-    return _certified_sum(terms(), tr, "bessel3_normalized_gauss") / qpoch_inf(q.q, q, tr)
+    w = q.power(complex(nu) + 1)
+    return (confluent_phi_weighted(0.0, w, complex(z2) * q.power(0.5), alpha, q, tr)
+            / qpoch_inf(q.q, q, tr))
 
 
 def bessel3_normalized(mu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -812,20 +767,13 @@ def bessel3_normalized(mu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) ->
 
 
 def bessel3_normalized_native(nu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
-    """(2/z)^nu J3_nu(z;q) from the defining series, for orders away from poles."""
-    nu = complex(nu)
-    u = complex(u)
-    qnu = q.power(nu)
-    u_mag, c = abs(u), 1.0 + abs(qnu)
+    """(2/z)^nu J3_nu(z;q) from the defining series, for orders away from poles.
 
-    # |t_(i+1)/t_i| = |u| q^(i+1) / |(1 - q^(i+1))(1 - q^nu q^(i+1))|, at most its value with
-    # |q^nu| at i = k
-    def terms():
-        term = 1.0 + 0.0j
-        for k in itertools.count():
-            qk1 = q.q ** (k + 1)
-            yield term, geometric_tail(abs(term), _ratio_bound(u_mag * qk1, c, qk1))
-            term *= -u * qk1 / ((1.0 - qk1) * (1.0 - qnu * qk1))
-
-    body = _certified_sum(terms(), tr, "bessel3_normalized_native")
-    return qpoch_inf(q.q * qnu, q, tr) / qpoch_inf(q.q, q, tr) * body
+    Its series sum_k q^(k^2/2) (-u q^(1/2))^k / [(q;q)_k (q^(nu+1);q)_k] is :func:`_m_terms`
+    at w = q^(1/2).
+    """
+    b = q.power(complex(nu) + 1)
+    sq = math.sqrt(q.q)
+    body = _certified_sum(_m_terms((), (b,), q, sq, complex(u) * sq), tr,
+                          "bessel3_normalized_native")
+    return qpoch_inf(b, q, tr) / qpoch_inf(q.q, q, tr) * body

@@ -1,7 +1,10 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
+
+import qkit.polys
 
 from qkit import (
     DomainError,
@@ -20,6 +23,7 @@ from qkit import (
     stieltjes_wigert,
     weight,
 )
+from qkit.exactq import qbinom_row, qfac_r, qhermite_inv_r, qpoch_r
 
 TR = Truncation(tol=1e-14)
 
@@ -98,6 +102,33 @@ class TestQInvHermite:
                    * stieltjes_wigert(n, math.exp(-2 * xi) * q.power(-n), q))
             assert rel(lhs, rhs) < 1e-12
 
+    def test_matches_exact_rational_values(self):
+        # against the Fraction sum of exactq at rational q and e^(xi); the error is bounded
+        # by sum |t_k| (measured worst 1.9e-15 of it), and relative where the terms barely
+        # cancel (measured worst 1.1e-14)
+        for q in (Fraction(1, 2), Fraction(3, 5), Fraction(1, 3), Fraction(4, 5)):
+            for e in (Fraction(3, 2), Fraction(2, 3), Fraction(-5, 4), Fraction(7, 10)):
+                for n in range(16):
+                    exact = qhermite_inv_r(n, e, q)
+                    absum = sum(b * q ** (k * k) / q ** (k * n) * abs(e) ** (n - 2 * k)
+                                for k, b in enumerate(qbinom_row(n, q)))
+                    err = abs(qhermite_inv_exp(n, float(e), QParam(float(q))) - float(exact))
+                    assert err <= 1e-14 * float(absum), (n, e, q, err)
+                    if absum < 10 * abs(exact):
+                        assert err <= 1e-13 * abs(float(exact)), (n, e, q, err)
+
+    def test_terms_are_running_products(self, monkeypatch):
+        """A value costs O(n): no q-binomial is rebuilt from q-shifted factorials."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return qpoch_finite(*args)
+
+        monkeypatch.setattr(qkit.polys, "qpoch_finite", counting)
+        qhermite_inv_exp(12, 1.3 - 0.2j, QParam(0.5))
+        assert calls == []
+
 
 class TestQLaguerre:
     def test_low_degrees(self):
@@ -151,6 +182,27 @@ class TestConfluentFamily:
             a = confluent_poly(n, [], [], 0.8, q)
             b = stieltjes_wigert(n, 0.8, q)
             assert rel(a, b) < 1e-13
+
+    def test_matches_exact_rational_values(self):
+        # the defining sum in Fractions; measured worst error 6.3e-16 of sum |t_k|
+        for q in (Fraction(1, 2), Fraction(3, 5), Fraction(1, 3)):
+            for alphas, betas in (([], []), ([Fraction(1, 3)], [Fraction(-1, 2)]),
+                                  ([Fraction(2), Fraction(-3, 4)], [Fraction(1, 5)])):
+                for x in (Fraction(3, 2), Fraction(-2, 3)):
+                    for n in range(13):
+                        terms = []
+                        for k in range(n + 1):
+                            t = q ** (k * k) * (-x) ** k / (qfac_r(q, k) * qfac_r(q, n - k))
+                            for a in alphas:
+                                t *= qpoch_r(a, q, k)
+                            for b in betas:
+                                t /= qpoch_r(b, q, k)
+                            terms.append(t)
+                        value = confluent_poly(n, [float(a) for a in alphas],
+                                               [float(b) for b in betas], float(x),
+                                               QParam(float(q)))
+                        err = abs(value - float(sum(terms)))
+                        assert err <= 1e-14 * float(sum(map(abs, terms))), (n, alphas, x, q)
 
 
 class TestGeneratingFunctions:
