@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DEFAULT_TRUNCATION, QParam, Truncation, ensure_finite, qpoch_finite, qpoch_inf
-from .errors import DomainError
+from .errors import DomainError, NumericOverflowError
 
 __all__ = [
     "qhermite",
@@ -89,11 +89,18 @@ def qhermite_inv_exp(n: int, e_xi, q: QParam) -> complex:
     e_xi = complex(e_xi)
     if e_xi == 0:
         raise DomainError("e^(xi) must be nonzero")
+    if abs(e_xi) < 1.0:
+        # sinh(xi) is unchanged by e^xi -> -e^(-xi); from the larger root the first term
+        # overflows when the value does, where the smaller one would underflow to a silent 0
+        e_xi = -1.0 / e_xi
+    try:
+        term = e_xi ** n  # [n k]_q (-1)^k q^(k(k-n)) e^((n-2k) xi)
+    except OverflowError:
+        raise NumericOverflowError(f"qhermite_inv_exp: e^(n xi) overflows at n = {n}") from None
     pw = _powers(q, n)
     step = -1.0 / (e_xi * e_xi)  # -e^(-2 xi)
     qstep = q.power(1 - n).real  # q^(2k+1-n) at current k
     q2 = q.q * q.q
-    term = e_xi ** n  # [n k]_q (-1)^k q^(k(k-n)) e^((n-2k) xi)
     total = term
     for k in range(n):
         term *= step * qstep * (1.0 - pw[n - k]) / (1.0 - pw[k + 1])

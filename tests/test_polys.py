@@ -23,6 +23,7 @@ from qkit import (
     stieltjes_wigert,
     weight,
 )
+from qkit.errors import NumericOverflowError
 from qkit.exactq import qbinom_row, qfac_r, qhermite_inv_r, qpoch_r
 
 TR = Truncation(tol=1e-14)
@@ -116,6 +117,12 @@ class TestQInvHermite:
                     assert err <= 1e-14 * float(absum), (n, e, q, err)
                     if absum < 10 * abs(exact):
                         assert err <= 1e-13 * abs(float(exact)), (n, e, q, err)
+
+    def test_overflow_is_numeric_overflow_error(self):
+        # e^(-20 xi) = 1e400 is a term of h_20 at e^xi = 1e-20, and e^(20 xi) one at 1e20
+        for e_xi in (1e-20, 1e20, -1e-20j):
+            with pytest.raises(NumericOverflowError):
+                qhermite_inv_exp(20, e_xi, QParam(0.5))
 
     def test_terms_are_running_products(self, monkeypatch):
         """A value costs O(n): no q-binomial is rebuilt from q-shifted factorials."""
