@@ -4,7 +4,9 @@ Every in-scope formula is registered as an (lhs, rhs, sampler) record in
 one of the groups PRELIM, CONTOUR, MELLIN, FOURIER, SERIES.  Both sides
 of a record are evaluated with independent machinery (a quadrature side
 never reuses the series side's intermediates) and compared as a relative
-residual.  Suite runs are deterministic given a seed.
+residual.  That independence is checked from the engines each side
+reaches when it runs, not from declared tags.  Suite runs are
+deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ class IdentityRecord:
 
     lhs/rhs take (params: dict, tr: Truncation) and return a complex
     value.  sampler takes a random.Random and returns a params dict that
-    satisfies every domain constraint of the identity.  route tags
-    document the evaluation machinery of each side so the structural
-    independence of the two routes can be asserted.
+    satisfies every domain constraint of the identity.  The independence
+    of the two sides is not declared here: the tests derive it from the
+    qkit functions (and their route arguments) each side reaches.
     """
 
     id: str
@@ -59,8 +61,6 @@ class IdentityRecord:
     lhs: object
     rhs: object
     sampler: object
-    lhs_route: str
-    rhs_route: str
     default_tol: float = 0.0
     corrected: bool = False
 

@@ -3,6 +3,10 @@
 Continuous q-Hermite H_n, q^(-1)-Hermite h_n, q-Laguerre L_n^(alpha),
 Stieltjes-Wigert S_n, the general confluent family p_n, and the
 pointwise densities for the orthogonality relations in scope.
+
+S_n and L_n^(alpha) are cases of the confluent family (Koekoek, Lesky &
+Swarttouw, Hypergeometric Orthogonal Polynomials and Their q-Analogues,
+Springer 2010, sections 14.21 and 14.27), so one body sums all three.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DEFAULT_TRUNCATION, QParam, Truncation, ensure_finite, qpoch_finite, qpoch_inf
-from .errors import DomainError, NumericOverflowError
+from .errors import DomainError, NumericOverflowError, PoleError
 
 __all__ = [
     "qhermite",
@@ -119,71 +123,24 @@ def qhermite_inv(n: int, x, q: QParam) -> complex:
 def qlaguerre(n: int, alpha, x, q: QParam) -> complex:
     """q-Laguerre polynomial L_n^(alpha)(x;q).
 
-    (q^(alpha+1);q)_n sum_k q^(alpha k + k^2) (-x)^k /
-    [(q;q)_k (q;q)_{n-k} (q^(alpha+1);q)_k].  Terms are accumulated
-    incrementally so scaled arguments near the double-range edge stay
-    representable.
+    (b;q)_n sum_k q^(alpha k + k^2) (-x)^k / [(q;q)_k (q;q)_{n-k} (b;q)_k]
+    with b = q^(alpha+1), that is (b;q)_n times the confluent polynomial
+    with the one lower parameter b at x q^alpha.
     """
-    if n < 0:
-        raise DomainError("polynomial degree must be >= 0")
     alpha = complex(alpha)
-    x = complex(x)
     qa = q.power(alpha)
-    pref = qpoch_finite(q.q * qa, q, n)
-    pw = _powers(q, n)
-    step = -qa * x
-    # term_k = q^(alpha k + k^2) (-x)^k / [(q;q)_k (q^(alpha+1);q)_k]; the
-    # 1/(q;q)_{n-k} factor is restored via the ratio (q;q)_n/(q;q)_{n-k}
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    ratio_fac = 1.0 + 0.0j  # (q;q)_n / (q;q)_{n-k}
-    for k in range(n + 1):
-        if k:
-            qk = pw[k]
-            term *= step * pw[k - 1] * qk / ((1.0 - qk) * (1.0 - qa * qk))
-            ratio_fac *= 1.0 - pw[n - k + 1]
-        total += term * ratio_fac
-    total /= qpoch_finite(q.q, q, n)
-    return ensure_finite(pref * total, "qlaguerre")
+    b = q.q * qa
+    body = confluent_poly(n, (), (b,), complex(x) * qa, q)
+    return ensure_finite(qpoch_finite(b, q, n) * body, "qlaguerre")
 
 
-def stieltjes_wigert(n: int, x, q: QParam, route: str = "qbinom") -> complex:
+def stieltjes_wigert(n: int, x, q: QParam) -> complex:
     """Stieltjes-Wigert polynomial S_n(x;q).
 
-    route='qbinom' uses (1/(q;q)_n) sum_k [n k]_q q^(k^2) (-x)^k; the
-    equivalent route='shifted' uses the (q^(-n);q)_k form.  Both routes
-    must agree and are cross-checked in the tests.
+    (1/(q;q)_n) sum_k [n k]_q q^(k^2) (-x)^k, the confluent polynomial
+    with no parameters.
     """
-    if n < 0:
-        raise DomainError("polynomial degree must be >= 0")
-    x = complex(x)
-    qfac_n = qpoch_finite(q.q, q, n)
-    total = 0.0 + 0.0j
-    if route == "qbinom":
-        # incremental terms keep scaled arguments inside the double range
-        pw = _powers(q, n)
-        term = 1.0 + 0.0j  # q^(k^2) (-x)^k / (q;q)_k
-        ratio_fac = 1.0 + 0.0j  # (q;q)_n / (q;q)_{n-k}
-        for k in range(n + 1):
-            if k:
-                qk = pw[k]
-                term *= pw[k - 1] * qk * -x / (1.0 - qk)
-                ratio_fac *= 1.0 - pw[n - k + 1]
-            total += term * ratio_fac
-        return ensure_finite(total / qfac_n, "stieltjes_wigert")
-    if route != "shifted":
-        raise DomainError(f"unknown stieltjes_wigert route {route!r}")
-    qminus_n = q.power(-n)
-    xqn = x * q.power(n)
-    term = 1.0 + 0.0j
-    qk = 1.0  # q^(k-1)
-    for k in range(n + 1):
-        if k:
-            qk1 = qk * q.q
-            term *= (1.0 - qminus_n * qk) * qk1 * xqn / (1.0 - qk1)
-            qk = qk1
-        total += term
-    return ensure_finite(total / qfac_n, "stieltjes_wigert")
+    return confluent_poly(n, (), (), x, q)
 
 
 def confluent_poly(n: int, alphas, betas, x, q: QParam) -> complex:
@@ -191,8 +148,10 @@ def confluent_poly(n: int, alphas, betas, x, q: QParam) -> complex:
 
     p_n = sum_{k=0}^n prod(alpha;q)_k q^(k^2) (-x)^k /
     [(q;q)_k prod(beta;q)_k (q;q)_{n-k}].  With empty parameter lists
-    this reduces exactly to the Stieltjes-Wigert polynomial.  Terms are
-    accumulated incrementally, as in :func:`qlaguerre`.
+    this is the Stieltjes-Wigert polynomial.  Each term follows from the
+    last by its ratio, so scaled arguments near the double-range edge stay
+    representable; a lower parameter q^(-m) with m < n is a pole and
+    raises PoleError.
     """
     if n < 0:
         raise DomainError("polynomial degree must be >= 0")
@@ -214,6 +173,8 @@ def confluent_poly(n: int, alphas, betas, x, q: QParam) -> complex:
             den = 1.0 - pw[k]
             for b in betas:
                 den *= 1.0 - b * qk1
+            if abs(den) < 1e-290:
+                raise PoleError(f"zero denominator factor at term {k} (lower parameter pole)")
             term *= num / den
             ratio_fac *= 1.0 - pw[n - k + 1]
         total += term * ratio_fac

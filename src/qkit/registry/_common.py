@@ -79,7 +79,5 @@ def gline(f, q, tr, hint=0.0, sigma2=0.0):
     return gaussian_line(LineIntegrand(f, q, oscillation_hint=hint, sigma2=sigma2), tr)
 
 
-def ident(id, group, anchor, lhs, rhs, sampler, lhs_route, rhs_route,
-          default_tol=0.0, corrected=False):
-    register(IdentityRecord(id, group, anchor, lhs, rhs, sampler,
-                            lhs_route, rhs_route, default_tol, corrected))
+def ident(id, group, anchor, lhs, rhs, sampler, default_tol=0.0, corrected=False):
+    register(IdentityRecord(id, group, anchor, lhs, rhs, sampler, default_tol, corrected))

@@ -47,7 +47,7 @@ def _chn_rhs(p, tr):
 ident("contour_qinvhermite", "CONTOUR",
       "inverse-base Hermite polynomial as a circle integral of a theta-type product "
       "(measure corrected to dz/z^(n+1), as the derivation requires)",
-      _chn_lhs, _chn_rhs, _chn_sample, "finite-sum", "quadrature-contour", corrected=True)
+      _chn_lhs, _chn_rhs, _chn_sample, corrected=True)
 
 
 def _csn_sample(rng):
@@ -68,7 +68,7 @@ def _csn_rhs(p, tr):
 ident("contour_sw", "CONTOUR",
       "Stieltjes-Wigert polynomial as a circle integral of a theta-type product",
       lambda p, tr: stieltjes_wigert(p["n"], p["x"], QParam(p["q"])),
-      _csn_rhs, _csn_sample, "finite-sum", "quadrature-contour")
+      _csn_rhs, _csn_sample)
 
 
 # --- Pochhammer ratio --------------------------------------------------------
@@ -103,7 +103,7 @@ def _cab_rhs(p, tr):
 
 ident("contour_poch_ratio", "CONTOUR",
       "ratio of finite Pochhammers extracted from the bilateral-sum kernel",
-      _cab_lhs, _cab_rhs, _cab_sample, "finite-product", "quadrature-contour")
+      _cab_lhs, _cab_rhs, _cab_sample)
 
 
 # --- phi and psi contour lifts ----------------------------------------------
@@ -140,7 +140,7 @@ def _cphi_rhs(p, tr):
 
 ident("contour_phi_r1s1", "CONTOUR",
       "2phi2 as a contour integral over a 1phi1 kernel",
-      _cphi_lhs, _cphi_rhs, _cphi_sample, "series", "quadrature-contour")
+      _cphi_lhs, _cphi_rhs, _cphi_sample)
 
 
 def _cphi21_sample(rng):
@@ -175,7 +175,7 @@ def _cphi21_rhs(p, tr):
 
 ident("contour_phi21", "CONTOUR",
       "2phi1 as a contour integral with the binomial-theorem kernel",
-      _cphi21_lhs, _cphi21_rhs, _cphi21_sample, "series", "quadrature-contour")
+      _cphi21_lhs, _cphi21_rhs, _cphi21_sample)
 
 
 def _cpsi_sample(rng):
@@ -215,7 +215,7 @@ def _cpsi_rhs(p, tr):
 
 ident("contour_psi_m1", "CONTOUR",
       "2psi2 as a contour integral over a 1psi1 kernel",
-      _cpsi_lhs, _cpsi_rhs, _cpsi_sample, "series-bilateral", "quadrature-contour")
+      _cpsi_lhs, _cpsi_rhs, _cpsi_sample)
 
 
 def _cpsi22_rhs(p, tr):
@@ -233,7 +233,7 @@ def _cpsi22_rhs(p, tr):
 
 ident("contour_psi22", "CONTOUR",
       "2psi2 as a closed-kernel contour integral (inner bilateral series summed)",
-      _cpsi_lhs, _cpsi22_rhs, _cpsi_sample, "series-bilateral", "quadrature-contour")
+      _cpsi_lhs, _cpsi22_rhs, _cpsi_sample)
 
 
 def _cphi11_sample(rng):
@@ -268,7 +268,7 @@ def _cphi11_rhs(p, tr):
 
 ident("contour_phi11", "CONTOUR",
       "1phi1 as a contour integral with a five-product kernel",
-      _cphi11_lhs, _cphi11_rhs, _cphi11_sample, "series", "quadrature-contour")
+      _cphi11_lhs, _cphi11_rhs, _cphi11_sample)
 
 
 def _caq_sample(rng):
@@ -295,7 +295,7 @@ def _caq_rhs(p, tr):
 ident("contour_poch_aq", "CONTOUR",
       "(aq;q)_inf as a contour integral of a theta product over an e_q kernel",
       lambda p, tr: qp(p["a"] * p["q"], QParam(p["q"]), tr),
-      _caq_rhs, _caq_sample, "product", "quadrature-contour")
+      _caq_rhs, _caq_sample)
 
 
 def _com_sample(rng):
@@ -316,7 +316,7 @@ def _com_rhs(p, tr):
 ident("contour_partial_theta", "CONTOUR",
       "partial theta as a contour integral against 1/(z-1) over radius > 1",
       lambda p, tr: partial_theta(p["x"], QParam(p["q"]), tr),
-      _com_rhs, _com_sample, "series", "quadrature-contour")
+      _com_rhs, _com_sample)
 
 
 # --- Bessel and Ramanujan-function contour representations -------------------
@@ -342,7 +342,7 @@ def _cj2_rhs(p, tr):
 ident("contour_bessel2", "CONTOUR",
       "kind-2 q-Bessel function as a theta-kernel contour integral",
       lambda p, tr: jackson_bessel(2, p["nu"], p["w"], QParam(p["q"]), tr),
-      _cj2_rhs, _cj2_sample, "series", "quadrature-contour")
+      _cj2_rhs, _cj2_sample)
 
 
 def _cA_sample(rng):
@@ -363,7 +363,7 @@ def _cA_rhs(p, tr):
 ident("contour_airy", "CONTOUR",
       "Ramanujan function as a contour integral of a four-factor product",
       lambda p, tr: ramanujan_a(p["w"], QParam(p["q"]), tr),
-      _cA_rhs, _cA_sample, "series", "quadrature-contour", default_tol=1e-10)
+      _cA_rhs, _cA_sample, default_tol=1e-10)
 
 
 def _cj22_sample(rng):
@@ -402,7 +402,7 @@ def _cj22_rhs(p, tr):
 
 ident("contour_bessel2_alt", "CONTOUR",
       "normalized kind-2 q-Bessel as a contour integral with a half-weight kernel",
-      _cj22_lhs, _cj22_rhs, _cj22_sample, "series", "quadrature-contour")
+      _cj22_lhs, _cj22_rhs, _cj22_sample)
 
 
 # --- weighted series and bilateral contour lifts ------------------------------
@@ -435,7 +435,7 @@ def _cw_rhs(p, tr):
 
 ident("contour_weighted_series", "CONTOUR",
       "q^(nu k^2)-weighted 1phi1-type sum as a contour integral over its kernel",
-      _cw_lhs, _cw_rhs, _cw_sample, "series", "quadrature-contour")
+      _cw_lhs, _cw_rhs, _cw_sample)
 
 
 def _cwb_sample(rng):
@@ -493,7 +493,7 @@ def _cwb_rhs(p, tr):
 
 ident("contour_weighted_bilateral", "CONTOUR",
       "bilateral q^(nu k^2)-weighted sum as a contour integral over a 1psi1 kernel",
-      _cwb_lhs, _cwb_rhs, _cwb_sample, "series-bilateral", "quadrature-contour")
+      _cwb_lhs, _cwb_rhs, _cwb_sample)
 
 
 def _c313_lhs(p, tr):
@@ -526,7 +526,7 @@ def _c313_sample(rng):
 
 ident("contour_bilateral_binom", "CONTOUR",
       "binomial-weighted bilateral Pochhammer-ratio sum as a contour integral",
-      _c313_lhs, _c313_rhs, _c313_sample, "series-bilateral", "quadrature-contour")
+      _c313_lhs, _c313_rhs, _c313_sample)
 
 
 def _c314_lhs(p, tr):
@@ -552,7 +552,7 @@ def _c314_sample(rng):
 
 ident("contour_bilateral_noparam", "CONTOUR",
       "binomial-weighted bilateral Pochhammer sum as a contour integral",
-      _c314_lhs, _c314_rhs, _c314_sample, "series-bilateral", "quadrature-contour")
+      _c314_lhs, _c314_rhs, _c314_sample)
 
 
 def _c315_lhs(p, tr):
@@ -578,4 +578,4 @@ def _c315_sample(rng):
 
 ident("contour_alternating_sum", "CONTOUR",
       "alternating bilateral Pochhammer sum as a three-product contour integral",
-      _c315_lhs, _c315_rhs, _c315_sample, "series-bilateral", "quadrature-contour")
+      _c315_lhs, _c315_rhs, _c315_sample)

@@ -84,7 +84,7 @@ def _f2_rhs(p, tr):
 
 ident("fourier_eq_pair_1", "FOURIER",
       "scaled big q-exponential as the transform of the small one",
-      _f2_lhs, _f2_rhs, _s_eq, "product", "quadrature-line")
+      _f2_lhs, _f2_rhs, _s_eq)
 
 
 def _s_eq_y(rng):
@@ -109,7 +109,7 @@ def _f3_rhs(p, tr):
 
 ident("fourier_eq_pair_2", "FOURIER",
       "small q-exponential recovered from the scaled big one (inverse direction)",
-      _f3_lhs, _f3_rhs, _s_eq_y, "product", "quadrature-line")
+      _f3_lhs, _f3_rhs, _s_eq_y)
 
 
 def _s_eq_z(rng):
@@ -130,7 +130,7 @@ def _f4_rhs(p, tr):
 ident("fourier_eq_double", "FOURIER",
       "modulus-doubling formula for the big q-exponential",
       lambda p, tr: q_exp_big(p["q"] * p["z"] ** 2, QParam(p["q"] ** 2), tr),
-      _f4_rhs, _s_eq_z, "product", "quadrature-line")
+      _f4_rhs, _s_eq_z)
 
 
 def _f5_rhs(p, tr):
@@ -148,7 +148,7 @@ def _f5_rhs(p, tr):
 ident("fourier_eq_half", "FOURIER",
       "modulus-halving formula for the big q-exponential",
       lambda p, tr: q_exp_big(-p["z"] * math.sqrt(p["q"]), QParam(p["q"]), tr),
-      _f5_rhs, _s_eq_z, "product", "quadrature-line")
+      _f5_rhs, _s_eq_z)
 
 
 def _f6_rhs(p, tr):
@@ -166,7 +166,7 @@ def _f6_rhs(p, tr):
 ident("fourier_eq_small_double", "FOURIER",
       "modulus-doubling formula for the small q-exponential",
       lambda p, tr: q_exp_small(-p["z"] ** 2, QParam(p["q"] ** 2), tr),
-      _f6_rhs, _s_eq_z, "product", "quadrature-line")
+      _f6_rhs, _s_eq_z)
 
 
 def _s_eq_small(rng):
@@ -191,7 +191,7 @@ def _f7_rhs(p, tr):
 ident("fourier_eq_small_half", "FOURIER",
       "modulus-halving formula for the small q-exponential",
       lambda p, tr: q_exp_small(p["z"], QParam(p["q"]), tr),
-      _f7_rhs, _s_eq_small, "product", "quadrature-line")
+      _f7_rhs, _s_eq_small)
 
 
 def _f11_lhs(p, tr):
@@ -212,7 +212,7 @@ def _f11_rhs(p, tr):
 
 ident("fourier_eq_x_form", "FOURIER",
       "big q-exponential pair written with unit-frequency phases",
-      _f11_lhs, _f11_rhs, _s_eq, "product", "quadrature-line")
+      _f11_lhs, _f11_rhs, _s_eq)
 
 
 def _s_eq_x(rng):
@@ -238,7 +238,7 @@ def _f12_rhs(p, tr):
 
 ident("fourier_eq_x_inverse", "FOURIER",
       "weighted e_q reciprocal recovered from the big q-exponential",
-      _f12_lhs, _f12_rhs, _s_eq_x, "product", "quadrature-line")
+      _f12_lhs, _f12_rhs, _s_eq_x)
 
 
 def _f13_rhs(p, tr):
@@ -254,7 +254,7 @@ def _f13_rhs(p, tr):
 
 ident("fourier_eq_sym", "FOURIER",
       "symmetric form of the big/small q-exponential pair",
-      _f11_lhs, _f13_rhs, _s_eq, "product", "quadrature-line")
+      _f11_lhs, _f13_rhs, _s_eq)
 
 
 def _f14_lhs(p, tr):
@@ -276,7 +276,7 @@ def _f14_rhs(p, tr):
 
 ident("fourier_eq_sym_inverse", "FOURIER",
       "inverse of the symmetric q-exponential pair",
-      _f14_lhs, _f14_rhs, _s_eq_y, "product", "quadrature-line")
+      _f14_lhs, _f14_rhs, _s_eq_y)
 
 
 def _f25_lhs(p, tr):
@@ -304,7 +304,7 @@ def _f25_rhs(p, tr):
 
 ident("fourier_eq_parseval", "FOURIER",
       "two integral routes to the same half-shifted infinite product",
-      _f25_lhs, _f25_rhs, _s_eq_z, "quadrature-line-alpha", "quadrature-line-x")
+      _f25_lhs, _f25_rhs, _s_eq_z)
 
 
 def _f26_rhs(p, tr):
@@ -322,7 +322,7 @@ def _f26_rhs(p, tr):
 ident("fourier_eq_half_product", "FOURIER",
       "(z q^(1/2);q)_inf as a doubled-base Gaussian integral",
       lambda p, tr: qp(p["z"] * math.sqrt(p["q"]), QParam(p["q"]), tr),
-      _f26_rhs, _s_eq_z, "product", "quadrature-line")
+      _f26_rhs, _s_eq_z)
 
 
 # ===========================================================================
@@ -355,7 +355,7 @@ def _f39_rhs(p, tr):
 
 ident("fourier_cal_e_1", "FOURIER",
       "normalized two-variable q-exponential as a transform of an e_q pair",
-      _f39_lhs, _f39_rhs, _s_cal, "series", "quadrature-line")
+      _f39_lhs, _f39_rhs, _s_cal)
 
 
 def _s_cal_y(rng):
@@ -385,7 +385,7 @@ def _f40_rhs(p, tr):
 
 ident("fourier_cal_e_2", "FOURIER",
       "e_q pair recovered from the two-variable q-exponential (inverse direction)",
-      _f40_lhs, _f40_rhs, _s_cal_y, "product", "quadrature-line")
+      _f40_lhs, _f40_rhs, _s_cal_y)
 
 
 def _s_cal_t(rng):
@@ -414,7 +414,7 @@ def _f41_rhs(p, tr):
 
 ident("fourier_cal_e_double", "FOURIER",
       "modulus-doubling formula for the two-variable q-exponential",
-      _f41_lhs, _f41_rhs, _s_cal_t, "series", "quadrature-line")
+      _f41_lhs, _f41_rhs, _s_cal_t)
 
 
 def _f42_lhs(p, tr):
@@ -438,7 +438,7 @@ def _f42_rhs(p, tr):
 
 ident("fourier_cal_e_half", "FOURIER",
       "modulus-halving formula for the two-variable q-exponential",
-      _f42_lhs, _f42_rhs, _s_cal_t, "series", "quadrature-line")
+      _f42_lhs, _f42_rhs, _s_cal_t)
 
 
 def _f232_rhs(p, tr):
@@ -454,7 +454,7 @@ def _f232_rhs(p, tr):
 
 ident("fourier_cal_e_x_form", "FOURIER",
       "two-variable q-exponential pair with unit-frequency phases",
-      _f39_lhs, _f232_rhs, _s_cal, "series", "quadrature-line")
+      _f39_lhs, _f232_rhs, _s_cal)
 
 
 def _s_cal_x(rng):
@@ -482,7 +482,7 @@ def _f233_rhs(p, tr):
 
 ident("fourier_cal_e_x_inverse", "FOURIER",
       "inverse of the unit-frequency two-variable q-exponential pair",
-      _f233_lhs, _f233_rhs, _s_cal_x, "product", "quadrature-line")
+      _f233_lhs, _f233_rhs, _s_cal_x)
 
 
 # ===========================================================================
@@ -511,7 +511,7 @@ def _fa1_rhs(p, tr):
 
 ident("fourier_airy_1", "FOURIER",
       "scaled Ramanujan function as a transform of the big q-exponential",
-      _fa1_lhs, _fa1_rhs, _s_airy, "series", "quadrature-line")
+      _fa1_lhs, _fa1_rhs, _s_airy)
 
 
 def _s_airy_y(rng):
@@ -538,7 +538,7 @@ def _fa2_rhs(p, tr):
 
 ident("fourier_airy_2", "FOURIER",
       "big q-exponential recovered from the scaled Ramanujan function",
-      _fa2_lhs, _fa2_rhs, _s_airy_y, "product", "quadrature-line")
+      _fa2_lhs, _fa2_rhs, _s_airy_y)
 
 
 def _s_airy_z(rng):
@@ -559,7 +559,7 @@ def _fa3_rhs(p, tr):
 ident("fourier_airy_3", "FOURIER",
       "modulus-doubling formula for the Ramanujan function",
       lambda p, tr: ramanujan_a(p["z"] ** 2, QParam(p["q"] ** 2), tr),
-      _fa3_rhs, _s_airy_z, "series", "quadrature-line")
+      _fa3_rhs, _s_airy_z)
 
 
 def _fa4_rhs(p, tr):
@@ -578,7 +578,7 @@ def _fa4_rhs(p, tr):
 ident("fourier_airy_4", "FOURIER",
       "modulus-halving formula for the Ramanujan function",
       lambda p, tr: ramanujan_a(p["z"], QParam(p["q"]), tr),
-      _fa4_rhs, _s_airy_z, "series", "quadrature-line")
+      _fa4_rhs, _s_airy_z)
 
 
 def _fa5_lhs(p, tr):
@@ -599,7 +599,7 @@ def _fa5_rhs(p, tr):
 
 ident("fourier_airy_5", "FOURIER",
       "double-scaled Ramanujan function as a transform of the small q-exponential",
-      _fa5_lhs, _fa5_rhs, _s_airy, "series", "quadrature-line")
+      _fa5_lhs, _fa5_rhs, _s_airy)
 
 
 def _fa6_lhs(p, tr):
@@ -621,7 +621,7 @@ def _fa6_rhs(p, tr):
 
 ident("fourier_airy_6", "FOURIER",
       "small q-exponential recovered from the double-scaled Ramanujan function",
-      _fa6_lhs, _fa6_rhs, _s_airy_y, "product", "quadrature-line")
+      _fa6_lhs, _fa6_rhs, _s_airy_y)
 
 
 def _fa7_rhs(p, tr):
@@ -638,7 +638,7 @@ def _fa7_rhs(p, tr):
 ident("fourier_airy_7", "FOURIER",
       "second modulus-doubling formula for the Ramanujan function",
       lambda p, tr: ramanujan_a(-p["z"] ** 2, QParam(p["q"] ** 2), tr),
-      _fa7_rhs, _s_airy_z, "series", "quadrature-line")
+      _fa7_rhs, _s_airy_z)
 
 
 def _fa8_rhs(p, tr):
@@ -657,7 +657,7 @@ def _fa8_rhs(p, tr):
 ident("fourier_airy_8", "FOURIER",
       "second modulus-halving formula for the Ramanujan function",
       lambda p, tr: ramanujan_a(p["z"], QParam(p["q"]), tr),
-      _fa8_rhs, _s_airy_z, "series", "quadrature-line")
+      _fa8_rhs, _s_airy_z)
 
 
 def _fa9_rhs(p, tr):
@@ -673,7 +673,7 @@ def _fa9_rhs(p, tr):
 
 ident("fourier_airy_9", "FOURIER",
       "scaled Ramanujan function with unit-frequency phases",
-      _fa1_lhs, _fa9_rhs, _s_airy, "series", "quadrature-line")
+      _fa1_lhs, _fa9_rhs, _s_airy)
 
 
 def _s_airy_x(rng):
@@ -699,7 +699,7 @@ def _fa10_rhs(p, tr):
 
 ident("fourier_airy_10", "FOURIER",
       "inverse of the unit-frequency Ramanujan pair",
-      _fa10_lhs, _fa10_rhs, _s_airy_x, "product", "quadrature-line")
+      _fa10_lhs, _fa10_rhs, _s_airy_x)
 
 
 def _fa11_rhs(p, tr):
@@ -715,7 +715,7 @@ def _fa11_rhs(p, tr):
 
 ident("fourier_airy_11", "FOURIER",
       "double-scaled Ramanujan function with unit-frequency phases",
-      _fa5_lhs, _fa11_rhs, _s_airy, "series", "quadrature-line")
+      _fa5_lhs, _fa11_rhs, _s_airy)
 
 
 def _fa12_lhs(p, tr):
@@ -737,7 +737,7 @@ def _fa12_rhs(p, tr):
 
 ident("fourier_airy_12", "FOURIER",
       "inverse of the unit-frequency double-scaled Ramanujan pair",
-      _fa12_lhs, _fa12_rhs, _s_airy_x, "product", "quadrature-line")
+      _fa12_lhs, _fa12_rhs, _s_airy_x)
 
 
 # ===========================================================================
@@ -768,7 +768,7 @@ def _fsw1_rhs(p, tr):
 
 ident("fourier_sw_1", "FOURIER",
       "scaled Stieltjes-Wigert polynomial as a finite-product transform",
-      _fsw1_lhs, _fsw1_rhs, _s_sw, "finite-sum", "quadrature-line")
+      _fsw1_lhs, _fsw1_rhs, _s_sw)
 
 
 def _s_sw_y(rng):
@@ -795,7 +795,7 @@ def _fsw2_rhs(p, tr):
 
 ident("fourier_sw_2", "FOURIER",
       "finite product recovered from the scaled Stieltjes-Wigert polynomial",
-      _fsw2_lhs, _fsw2_rhs, _s_sw_y, "finite-product", "quadrature-line")
+      _fsw2_lhs, _fsw2_rhs, _s_sw_y)
 
 
 def _s_sw_x(rng):
@@ -817,7 +817,7 @@ def _fsw3_rhs(p, tr):
 ident("fourier_sw_3", "FOURIER",
       "modulus-doubling formula for Stieltjes-Wigert polynomials",
       lambda p, tr: stieltjes_wigert(p["n"], p["x"] ** 2, QParam(p["q"] ** 2)),
-      _fsw3_rhs, _s_sw_x, "finite-sum", "quadrature-line")
+      _fsw3_rhs, _s_sw_x)
 
 
 def _fsw4_rhs(p, tr):
@@ -837,7 +837,7 @@ def _fsw4_rhs(p, tr):
 ident("fourier_sw_4", "FOURIER",
       "modulus-halving formula for Stieltjes-Wigert polynomials",
       lambda p, tr: stieltjes_wigert(2 * p["n"], p["x"], QParam(p["q"])),
-      _fsw4_rhs, _s_sw_x, "finite-sum", "quadrature-line")
+      _fsw4_rhs, _s_sw_x)
 
 
 def _fsw5_rhs(p, tr):
@@ -853,7 +853,7 @@ def _fsw5_rhs(p, tr):
 
 ident("fourier_sw_5", "FOURIER",
       "scaled Stieltjes-Wigert polynomial with unit-frequency phases",
-      _fsw1_lhs, _fsw5_rhs, _s_sw, "finite-sum", "quadrature-line")
+      _fsw1_lhs, _fsw5_rhs, _s_sw)
 
 
 def _s_sw_x0(rng):
@@ -880,7 +880,7 @@ def _fsw6_rhs(p, tr):
 
 ident("fourier_sw_6", "FOURIER",
       "inverse of the unit-frequency Stieltjes-Wigert pair",
-      _fsw6_lhs, _fsw6_rhs, _s_sw_x0, "finite-product", "quadrature-line")
+      _fsw6_lhs, _fsw6_rhs, _s_sw_x0)
 
 
 # ===========================================================================
@@ -914,7 +914,7 @@ def _fh1_rhs(p, tr):
 
 ident("fourier_h_1", "FOURIER",
       "shifted inverse-base Hermite polynomial as a finite-product transform",
-      _fh1_lhs, _fh1_rhs, _s_h, "finite-sum", "quadrature-line")
+      _fh1_lhs, _fh1_rhs, _s_h)
 
 
 def _s_h_x(rng):
@@ -943,7 +943,7 @@ def _fh2_rhs(p, tr):
 
 ident("fourier_h_2", "FOURIER",
       "finite product recovered from the shifted inverse-base Hermite polynomial",
-      _fh2_lhs, _fh2_rhs, _s_h_x, "finite-product", "quadrature-line")
+      _fh2_lhs, _fh2_rhs, _s_h_x)
 
 
 def _s_h_xi(rng):
@@ -974,7 +974,7 @@ ident("fourier_h_3", "FOURIER",
       "modulus-doubling formula for inverse-base Hermite polynomials "
       "(imaginary-argument factor weighted by (-i)^n; the printed i^n "
       "flips the sign for odd degrees)",
-      _fh3_lhs, _fh3_rhs, _s_h_xi, "finite-sum", "quadrature-line", corrected=True)
+      _fh3_lhs, _fh3_rhs, _s_h_xi, corrected=True)
 
 
 def _fh4_lhs(p, tr):
@@ -999,7 +999,7 @@ def _fh4_rhs(p, tr):
 ident("fourier_h_4", "FOURIER",
       "modulus-halving formula for inverse-base Hermite polynomials "
       "(shifts read symmetrically as +-(alpha+1/4), no leftover quarter power)",
-      _fh4_lhs, _fh4_rhs, _s_h_xi, "finite-sum", "quadrature-line", corrected=True)
+      _fh4_lhs, _fh4_rhs, _s_h_xi, corrected=True)
 
 
 def _fh5_lhs(p, tr):
@@ -1023,7 +1023,7 @@ def _fh5_rhs(p, tr):
 
 ident("fourier_h_5", "FOURIER",
       "shifted inverse-base Hermite pair with unit-frequency phases",
-      _fh5_lhs, _fh5_rhs, _s_h, "finite-sum", "quadrature-line")
+      _fh5_lhs, _fh5_rhs, _s_h)
 
 
 def _s_h_y(rng):
@@ -1052,7 +1052,7 @@ def _fh6_rhs(p, tr):
 
 ident("fourier_h_6", "FOURIER",
       "inverse of the unit-frequency inverse-base Hermite pair",
-      _fh6_lhs, _fh6_rhs, _s_h_y, "finite-product", "quadrature-line")
+      _fh6_lhs, _fh6_rhs, _s_h_y)
 
 
 def _s_gf1(rng):
@@ -1086,7 +1086,7 @@ ident("fourier_h_kernel_int_1", "FOURIER",
       "oppositely scaled product pair under a Gaussian equals an even "
       "doubled-base series (closed form rebuilt; the printed mixed-base "
       "Hermite sum diverges under the stated interchange)",
-      _gf1_lhs, _gf1_rhs, _s_gf1, "series", "quadrature-line", corrected=True)
+      _gf1_lhs, _gf1_rhs, _s_gf1, corrected=True)
 
 
 def _s_gf2(rng):
@@ -1124,7 +1124,7 @@ def _gf2_rhs(p, tr):
 ident("fourier_h_kernel_int_2", "FOURIER",
       "quarter-shifted product pair under a Gaussian in closed product form "
       "(closed form rebuilt via the binomial theorem; printed version garbled)",
-      _gf2_lhs, _gf2_rhs, _s_gf2, "series", "quadrature-line", corrected=True)
+      _gf2_lhs, _gf2_rhs, _s_gf2, corrected=True)
 
 
 # ===========================================================================
@@ -1158,7 +1158,7 @@ def _fl1_rhs(p, tr):
 
 ident("fourier_laguerre_1", "FOURIER",
       "order-shifted q-Laguerre polynomial as a weighted finite-product transform",
-      _fl1_lhs, _fl1_rhs, _s_lag, "finite-sum", "quadrature-line")
+      _fl1_lhs, _fl1_rhs, _s_lag)
 
 
 def _s_lag_y(rng):
@@ -1187,7 +1187,7 @@ def _fl2_rhs(p, tr):
 
 ident("fourier_laguerre_2", "FOURIER",
       "weighted finite product recovered from order-shifted q-Laguerre polynomials",
-      _fl2_lhs, _fl2_rhs, _s_lag_y, "finite-product", "quadrature-line")
+      _fl2_lhs, _fl2_rhs, _s_lag_y)
 
 
 def _s_lag_d(rng):
@@ -1218,7 +1218,7 @@ def _fl3_rhs(p, tr):
 
 ident("fourier_laguerre_3", "FOURIER",
       "modulus-halving (order-doubling) formula for q-Laguerre polynomials",
-      _fl3_lhs, _fl3_rhs, _s_lag_d, "finite-sum", "quadrature-line")
+      _fl3_lhs, _fl3_rhs, _s_lag_d)
 
 
 def _fl4_lhs(p, tr):
@@ -1244,7 +1244,7 @@ def _fl4_rhs(p, tr):
 ident("fourier_laguerre_4", "FOURIER",
       "modulus-doubling formula with conjugate imaginary order shifts "
       "(normalization exponent corrected to 2a+2n+2)",
-      _fl4_lhs, _fl4_rhs, _s_lag_d, "finite-sum", "quadrature-line", corrected=True)
+      _fl4_lhs, _fl4_rhs, _s_lag_d, corrected=True)
 
 
 def _fl5_lhs(p, tr):
@@ -1268,7 +1268,7 @@ def _fl5_rhs(p, tr):
 
 ident("fourier_laguerre_5", "FOURIER",
       "q-Laguerre pair with unit-frequency phases",
-      _fl5_lhs, _fl5_rhs, _s_lag, "finite-sum", "quadrature-line")
+      _fl5_lhs, _fl5_rhs, _s_lag)
 
 
 def _s_lag_x0(rng):
@@ -1297,7 +1297,7 @@ def _fl6_rhs(p, tr):
 
 ident("fourier_laguerre_6", "FOURIER",
       "inverse of the unit-frequency q-Laguerre pair",
-      _fl6_lhs, _fl6_rhs, _s_lag_x0, "finite-product", "quadrature-line")
+      _fl6_lhs, _fl6_rhs, _s_lag_x0)
 
 
 # ===========================================================================
@@ -1315,7 +1315,7 @@ ident("bessel2_alt_series", "FOURIER",
           p["nu"], p["z"] ** 2 / 4.0, QParam(p["q"]), tr),
       lambda p, tr: (p["z"] / 2.0) ** p["nu"] * bessel2_normalized(
           p["nu"], p["z"] ** 2 / 4.0, QParam(p["q"]), tr),
-      _s_b, "series-native", "series-alternative", default_tol=1e-11)
+      _s_b, default_tol=1e-11)
 
 
 def _fb1_lhs(p, tr):
@@ -1341,7 +1341,7 @@ def _fb1_rhs(p, tr):
 
 ident("fourier_bessel_1", "FOURIER",
       "argument-scaled kind-2 q-Bessel as a transform of the kind-1 function",
-      _fb1_lhs, _fb1_rhs, _s_b, "series", "quadrature-line")
+      _fb1_lhs, _fb1_rhs, _s_b)
 
 
 def _s_b_y(rng):
@@ -1372,7 +1372,7 @@ def _fb2_rhs(p, tr):
 
 ident("fourier_bessel_2", "FOURIER",
       "kind-1 q-Bessel recovered from the argument-scaled kind-2 function",
-      _fb2_lhs, _fb2_rhs, _s_b_y, "series", "quadrature-line")
+      _fb2_lhs, _fb2_rhs, _s_b_y)
 
 
 def _fb3_lhs(p, tr):
@@ -1395,7 +1395,7 @@ def _fb3_rhs(p, tr):
 
 ident("fourier_bessel_3", "FOURIER",
       "order-shifted normalized kind-2 q-Bessel as a product-ratio transform",
-      _fb3_lhs, _fb3_rhs, _s_b, "series", "quadrature-line")
+      _fb3_lhs, _fb3_rhs, _s_b)
 
 
 def _fb4_lhs(p, tr):
@@ -1418,7 +1418,7 @@ def _fb4_rhs(p, tr):
 
 ident("fourier_bessel_4", "FOURIER",
       "product ratio recovered from order-shifted kind-2 q-Bessel functions",
-      _fb4_lhs, _fb4_rhs, _s_b_y, "product", "quadrature-line")
+      _fb4_lhs, _fb4_rhs, _s_b_y)
 
 
 def _s_b_z(rng):
@@ -1448,7 +1448,7 @@ def _fb5_rhs(p, tr):
 
 ident("fourier_bessel_5", "FOURIER",
       "modulus doubling for the kind-2 q-Bessel via opposite order shifts",
-      _fb5_lhs, _fb5_rhs, _s_b_z, "series", "quadrature-line")
+      _fb5_lhs, _fb5_rhs, _s_b_z)
 
 
 def _fb6_lhs(p, tr):
@@ -1475,7 +1475,7 @@ def _fb6_rhs(p, tr):
 ident("fourier_bessel_6", "FOURIER",
       "modified kind-2 function at doubled base from conjugate imaginary order "
       "shifts (overall constant corrected by a factor of two)",
-      _fb6_lhs, _fb6_rhs, _s_b_z, "series", "quadrature-line", corrected=True)
+      _fb6_lhs, _fb6_rhs, _s_b_z, corrected=True)
 
 
 def _fb8_rhs(p, tr):
@@ -1493,7 +1493,7 @@ def _fb8_rhs(p, tr):
 
 ident("fourier_bessel_8", "FOURIER",
       "argument-scaled kind-2 q-Bessel pair with unit-frequency phases",
-      _fb1_lhs, _fb8_rhs, _s_b, "series", "quadrature-line")
+      _fb1_lhs, _fb8_rhs, _s_b)
 
 
 def _s_b_x(rng):
@@ -1524,7 +1524,7 @@ def _fb9_rhs(p, tr):
 
 ident("fourier_bessel_9", "FOURIER",
       "kind-1 q-Bessel at a rotated argument recovered from the kind-2 side",
-      _fb9_lhs, _fb9_rhs, _s_b_x, "series", "quadrature-line")
+      _fb9_lhs, _fb9_rhs, _s_b_x)
 
 
 def _fb10_rhs(p, tr):
@@ -1541,7 +1541,7 @@ def _fb10_rhs(p, tr):
 
 ident("fourier_bessel_10", "FOURIER",
       "order-shifted kind-2 pair with unit-frequency phases",
-      _fb3_lhs, _fb10_rhs, _s_b, "series", "quadrature-line")
+      _fb3_lhs, _fb10_rhs, _s_b)
 
 
 def _fb11_lhs(p, tr):
@@ -1564,7 +1564,7 @@ def _fb11_rhs(p, tr):
 
 ident("fourier_bessel_11", "FOURIER",
       "inverse of the unit-frequency order-shifted kind-2 pair",
-      _fb11_lhs, _fb11_rhs, _s_b_x, "product", "quadrature-line")
+      _fb11_lhs, _fb11_rhs, _s_b_x)
 
 
 # ===========================================================================
@@ -1599,7 +1599,7 @@ def _b13_rhs(p, tr):
 ident("fourier_b1_b3", "FOURIER",
       "kind-3 q-Bessel as a quarter-weight transform of the kind-1 function "
       "(rotated argument read with a fixed modulus power)",
-      _b13_lhs, _b13_rhs, _s_b3, "series", "quadrature-line", corrected=True)
+      _b13_lhs, _b13_rhs, _s_b3, corrected=True)
 
 
 def _b32_lhs(p, tr):
@@ -1626,7 +1626,7 @@ def _b32_rhs(p, tr):
 ident("fourier_b3_b2", "FOURIER",
       "kind-2 q-Bessel as a quarter-weight transform of the kind-3 function "
       "(rotated argument read with a fixed modulus power)",
-      _b32_lhs, _b32_rhs, _s_b3, "series", "quadrature-line", corrected=True)
+      _b32_lhs, _b32_rhs, _s_b3, corrected=True)
 
 
 def _s_b33(rng):
@@ -1655,7 +1655,7 @@ def _b33_rhs(p, tr):
 
 ident("fourier_b3_mellin_1", "FOURIER",
       "normalized kind-3 q-Bessel as a reciprocal-product transform",
-      _b33_lhs, _b33_rhs, _s_b33, "series", "quadrature-line")
+      _b33_lhs, _b33_rhs, _s_b33)
 
 
 def _s_b34(rng):
@@ -1684,7 +1684,7 @@ def _b34_rhs(p, tr):
 
 ident("fourier_b3_mellin_2", "FOURIER",
       "reciprocal product recovered from normalized kind-3 q-Bessel functions",
-      _b34_lhs, _b34_rhs, _s_b34, "product", "quadrature-line")
+      _b34_lhs, _b34_rhs, _s_b34)
 
 
 def _b36_rhs(p, tr):
@@ -1702,7 +1702,7 @@ def _b36_rhs(p, tr):
 
 ident("fourier_b3_x_1", "FOURIER",
       "kind-3 from kind-1 with unit-frequency phases (fixed modulus power)",
-      _b13_lhs, _b36_rhs, _s_b3, "series", "quadrature-line", corrected=True)
+      _b13_lhs, _b36_rhs, _s_b3, corrected=True)
 
 
 def _b37_rhs(p, tr):
@@ -1720,7 +1720,7 @@ def _b37_rhs(p, tr):
 
 ident("fourier_b3_x_2", "FOURIER",
       "kind-2 from kind-3 with unit-frequency phases (fixed modulus power)",
-      _b32_lhs, _b37_rhs, _s_b3, "series", "quadrature-line", corrected=True)
+      _b32_lhs, _b37_rhs, _s_b3, corrected=True)
 
 
 def _b38_rhs(p, tr):
@@ -1737,7 +1737,7 @@ def _b38_rhs(p, tr):
 
 ident("fourier_b3_x_3", "FOURIER",
       "normalized kind-3 q-Bessel pair with unit-frequency phases",
-      _b33_lhs, _b38_rhs, _s_b33, "series", "quadrature-line")
+      _b33_lhs, _b38_rhs, _s_b33)
 
 
 # ===========================================================================
@@ -1771,7 +1771,7 @@ def _fc1_rhs(p, tr):
 
 ident("fourier_confluent_1", "FOURIER",
       "parameter-shifted basic confluent series as a three-product transform",
-      _fc1_lhs, _fc1_rhs, _s_c, "series", "quadrature-line")
+      _fc1_lhs, _fc1_rhs, _s_c)
 
 
 def _s_c_y(rng):
@@ -1801,7 +1801,7 @@ def _fc2_rhs(p, tr):
 
 ident("fourier_confluent_2", "FOURIER",
       "three-product ratio recovered from parameter-shifted confluent series",
-      _fc2_lhs, _fc2_rhs, _s_c_y, "product", "quadrature-line")
+      _fc2_lhs, _fc2_rhs, _s_c_y)
 
 
 def _s_c_z(rng):
@@ -1834,7 +1834,7 @@ def _fc3_rhs(p, tr):
 
 ident("fourier_confluent_3", "FOURIER",
       "modulus-doubling formula for the basic confluent series",
-      _fc3_lhs, _fc3_rhs, _s_c_z, "series", "quadrature-line")
+      _fc3_lhs, _fc3_rhs, _s_c_z)
 
 
 def _fc4_lhs(p, tr):
@@ -1861,7 +1861,7 @@ def _fc4_rhs(p, tr):
 
 ident("fourier_confluent_4", "FOURIER",
       "modulus-halving formula for the basic confluent series",
-      _fc4_lhs, _fc4_rhs, _s_c_z, "series", "quadrature-line")
+      _fc4_lhs, _fc4_rhs, _s_c_z)
 
 
 def _fc5_lhs(p, tr):
@@ -1892,7 +1892,7 @@ def _s_c5(rng):
 
 ident("fourier_confluent_5", "FOURIER",
       "confluent pair with unit-frequency phases",
-      _fc5_lhs, _fc5_rhs, _s_c5, "series", "quadrature-line")
+      _fc5_lhs, _fc5_rhs, _s_c5)
 
 
 def _s_c6(rng):
@@ -1922,7 +1922,7 @@ def _fc6_rhs(p, tr):
 
 ident("fourier_confluent_6", "FOURIER",
       "inverse of the unit-frequency confluent pair",
-      _fc6_lhs, _fc6_rhs, _s_c6, "product", "quadrature-line")
+      _fc6_lhs, _fc6_rhs, _s_c6)
 
 
 def _s_cl(rng):
@@ -1940,7 +1940,7 @@ def _fcl_rhs(p, tr):
 ident("fourier_confluent_laguerre", "FOURIER",
       "q-Laguerre polynomial as a prefactored basic confluent series",
       lambda p, tr: qlaguerre(p["n"], p["alpha"], p["x"], QParam(p["q"])),
-      _fcl_rhs, _s_cl, "finite-sum", "series-phi", default_tol=1e-10)
+      _fcl_rhs, _s_cl, default_tol=1e-10)
 
 
 # ===========================================================================
@@ -1979,7 +1979,7 @@ def _pl1_rhs(p, tr):
 
 ident("plancherel_1", "FOURIER",
       "Parseval pairing of two big q-exponentials at independent bases",
-      _pl1_lhs, _pl1_rhs, _s_pl2q, "quadrature-line-alpha", "quadrature-line-y")
+      _pl1_lhs, _pl1_rhs, _s_pl2q)
 
 
 def _pl2_lhs(p, tr):
@@ -2008,7 +2008,7 @@ def _pl2_rhs(p, tr):
 
 ident("plancherel_2", "FOURIER",
       "Parseval pairing with opposite shift orientations",
-      _pl2_lhs, _pl2_rhs, _s_pl2q, "quadrature-line-alpha", "quadrature-line-y")
+      _pl2_lhs, _pl2_rhs, _s_pl2q)
 
 
 def _pl3_lhs(p, tr):
@@ -2039,7 +2039,7 @@ def _pl3_rhs(p, tr):
 ident("plancherel_3", "FOURIER",
       "mixed transform/untransformed Parseval pairing across two bases "
       "(exponent of the small-exponential argument read as e^(i a) q1^(-1/2))",
-      _pl3_lhs, _pl3_rhs, _s_pl2q, "quadrature-line-x", "quadrature-line-alpha",
+      _pl3_lhs, _pl3_rhs, _s_pl2q,
       corrected=True)
 
 
@@ -2070,7 +2070,7 @@ def _pl4_rhs(p, tr):
 ident("plancherel_4", "FOURIER",
       "normalized two-variable q-exponential from two big q-exponentials "
       "(overall constant corrected to sqrt(log(1/q)/pi))",
-      _pl4_lhs, _pl4_rhs, _s_pl4, "series", "quadrature-line", corrected=True)
+      _pl4_lhs, _pl4_rhs, _s_pl4, corrected=True)
 
 
 def _s_pl5(rng):
@@ -2092,7 +2092,7 @@ ident("plancherel_5", "FOURIER",
       "argument-independent Gaussian pairing of E and the Ramanujan function",
       _pl5_lhs,
       lambda p, tr: math.sqrt(math.pi / _L(p)),
-      _s_pl5, "quadrature-line", "closed-form")
+      _s_pl5)
 
 
 def _pl6_lhs(p, tr):
@@ -2117,7 +2117,7 @@ def _pl6_rhs(p, tr):
 
 ident("plancherel_6", "FOURIER",
       "mixed-base Ramanujan pairing summed as a half-power series",
-      _pl6_lhs, _pl6_rhs, _s_pl5, "quadrature-line", "series")
+      _pl6_lhs, _pl6_rhs, _s_pl5)
 
 
 def _pl7_lhs(p, tr):
@@ -2143,7 +2143,7 @@ def _pl7_rhs(p, tr):
 ident("plancherel_7", "FOURIER",
       "quarter-power series from a doubled-argument Ramanujan pairing "
       "(inner scale corrected from q^(-2a-1) to q^(-2a))",
-      _pl7_lhs, _pl7_rhs, _s_pl5, "quadrature-line", "series", corrected=True)
+      _pl7_lhs, _pl7_rhs, _s_pl5, corrected=True)
 
 
 def _s_pl8(rng):
@@ -2177,7 +2177,7 @@ ident("plancherel_8", "FOURIER",
       "E-Ramanujan pairing resummed by the binomial theorem into a single "
       "quarter-power series (the printed two-variable expansion does not "
       "match its own integral)",
-      _pl8_lhs, _pl8_rhs, _s_pl8, "quadrature-line", "series", corrected=True)
+      _pl8_lhs, _pl8_rhs, _s_pl8, corrected=True)
 
 
 def _s_pl9(rng):
@@ -2225,7 +2225,7 @@ def _pl9_rhs(p, tr):
 
 ident("plancherel_9", "FOURIER",
       "doubled-base pairing expanded in two-variable q-exponentials",
-      _pl9_lhs, _pl9_rhs, _s_pl9, "quadrature-line", "series")
+      _pl9_lhs, _pl9_rhs, _s_pl9)
 
 
 def _s_pl10(rng):
@@ -2257,7 +2257,7 @@ def _pl10_rhs(p, tr):
 
 ident("plancherel_10", "FOURIER",
       "mixed-base cal-E/Ramanujan pairing with a quarter-power series value",
-      _pl10_lhs, _pl10_rhs, _s_pl10, "quadrature-line", "series")
+      _pl10_lhs, _pl10_rhs, _s_pl10)
 
 
 def _s_pl11(rng):
@@ -2288,7 +2288,7 @@ def _pl11_rhs(p, tr):
 
 ident("plancherel_11", "FOURIER",
       "cal-E from a one-sided confluent pairing with a free parameter",
-      _pl11_lhs, _pl11_rhs, _s_pl11, "series", "quadrature-line", default_tol=1e-7)
+      _pl11_lhs, _pl11_rhs, _s_pl11, default_tol=1e-7)
 
 
 def _s_pl12(rng):
@@ -2310,7 +2310,7 @@ def _pl12_rhs(p, tr):
 
 ident("plancherel_12", "FOURIER",
       "cal-E from a two-sided confluent pairing with two free parameters",
-      _pl11_lhs, _pl12_rhs, _s_pl12, "series", "quadrature-line", default_tol=1e-7)
+      _pl11_lhs, _pl12_rhs, _s_pl12, default_tol=1e-7)
 
 
 def _s_pl13(rng):
@@ -2334,7 +2334,7 @@ def _pl13_rhs(p, tr):
 
 ident("plancherel_13", "FOURIER",
       "cal-E from a symmetric confluent pairing with two free parameters",
-      _pl11_lhs, _pl13_rhs, _s_pl13, "series", "quadrature-line", default_tol=1e-7)
+      _pl11_lhs, _pl13_rhs, _s_pl13, default_tol=1e-7)
 
 
 def _s_pl14(rng):
@@ -2369,7 +2369,7 @@ ident("plancherel_14", "FOURIER",
       "modified doubled-base kind-2 function from a Ramanujan/confluent pairing "
       "(equality inserted, the free parameter tied to the argument, and the "
       "left side read as the modified function over the doubled-base factorial)",
-      _pl14_lhs, _pl14_rhs, _s_pl14, "series", "quadrature-line",
+      _pl14_lhs, _pl14_rhs, _s_pl14,
       default_tol=1e-7, corrected=True)
 
 
@@ -2403,7 +2403,7 @@ def _pl15_rhs(p, tr):
 
 ident("plancherel_15", "FOURIER",
       "closed-form pairing of two kind-2 q-Bessel functions at imaginary arguments",
-      _pl15_lhs, _pl15_rhs, _s_pl15, "quadrature-line", "closed-form")
+      _pl15_lhs, _pl15_rhs, _s_pl15)
 
 
 # ===========================================================================
@@ -2434,4 +2434,4 @@ def _ab_rhs(p, tr):
 
 ident("airy_beta_integral", "FOURIER",
       "beta-type Gaussian integral of two Ramanujan functions in product form",
-      _ab_lhs, _ab_rhs, _s_ab, "quadrature-line", "product")
+      _ab_lhs, _ab_rhs, _s_ab)

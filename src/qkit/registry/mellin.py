@@ -45,7 +45,7 @@ def _ma_rhs(p, tr):
 
 ident("mellin_airy", "MELLIN",
       "Ramanujan function over a triple product as a vertical-line integral",
-      _ma_lhs, _ma_rhs, _ma_sample, "series", "quadrature-vertical")
+      _ma_lhs, _ma_rhs, _ma_sample)
 
 
 # --- Stieltjes-Wigert ------------------------------------------------------------
@@ -75,7 +75,7 @@ def _msw_rhs(p, tr):
 
 ident("mellin_sw", "MELLIN",
       "Stieltjes-Wigert polynomial as a vertical-line integral",
-      _msw_lhs, _msw_rhs, _msw_sample, "finite-sum", "quadrature-vertical")
+      _msw_lhs, _msw_rhs, _msw_sample)
 
 
 # --- q-Laguerre --------------------------------------------------------------------
@@ -108,7 +108,7 @@ def _mql_rhs(p, tr):
 
 ident("mellin_qlaguerre", "MELLIN",
       "q-Laguerre polynomial (shifted argument) as a vertical-line integral",
-      _mql_lhs, _mql_rhs, _mql_sample, "finite-sum", "quadrature-vertical")
+      _mql_lhs, _mql_rhs, _mql_sample)
 
 
 # --- inverse-base Hermite ------------------------------------------------------------
@@ -140,7 +140,7 @@ def _mim_rhs(p, tr):
 
 ident("mellin_qinvhermite", "MELLIN",
       "inverse-base Hermite polynomial as a vertical-line integral",
-      _mim_lhs, _mim_rhs, _mim_sample, "finite-sum", "quadrature-vertical")
+      _mim_lhs, _mim_rhs, _mim_sample)
 
 
 # --- weighted confluent series: half and unit weights ----------------------------------
@@ -170,7 +170,7 @@ def _mch_rhs(p, tr):
 
 ident("mellin_confluent_half", "MELLIN",
       "half-weight confluent series as a single-base vertical-line integral",
-      _mch_lhs, _mch_rhs, _mch_sample, "series", "quadrature-vertical")
+      _mch_lhs, _mch_rhs, _mch_sample)
 
 
 def _mc1_lhs(p, tr):
@@ -196,7 +196,7 @@ def _mc1_rhs(p, tr):
 
 ident("mellin_confluent_one", "MELLIN",
       "unit-weight confluent series as a double-base vertical-line integral",
-      _mc1_lhs, _mc1_rhs, _mch_sample, "series", "quadrature-vertical")
+      _mc1_lhs, _mc1_rhs, _mch_sample)
 
 
 # --- confluent polynomial family ----------------------------------------------------------
@@ -229,4 +229,4 @@ def _mcp_rhs(p, tr):
 
 ident("mellin_confluent_poly", "MELLIN",
       "confluent polynomial family as a vertical-line integral",
-      _mcp_lhs, _mcp_rhs, _mcp_sample, "finite-sum", "quadrature-vertical")
+      _mcp_lhs, _mcp_rhs, _mcp_sample)

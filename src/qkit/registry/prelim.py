@@ -38,7 +38,7 @@ def _cv_rhs(p, tr):
 
 ident("chu_vandermonde", "PRELIM",
       "terminating 2phi1(q^-n, a; c; q, q) equals (c/a;q)_n a^n/(c;q)_n",
-      _cv_lhs, _cv_rhs, _cv_sample, "series", "finite-product")
+      _cv_lhs, _cv_rhs, _cv_sample)
 
 
 # --- bilateral 1psi1 summation -------------------------------------------
@@ -75,7 +75,7 @@ def _r1_rhs(p, tr):
 
 ident("ramanujan_1psi1", "PRELIM",
       "bilateral 1psi1 sum equals a ratio of four infinite products",
-      _r1_lhs, _r1_rhs, _r1_sample, "series", "product")
+      _r1_lhs, _r1_rhs, _r1_sample)
 
 
 # --- triple product -------------------------------------------------------
@@ -102,7 +102,7 @@ ident("triple_product", "PRELIM",
       "bilateral theta sum equals the (q^2, qz, q/z; q^2) infinite product",
       lambda p, tr: theta4(p["z"], QParam(p["q"]), tr, route="series"),
       lambda p, tr: theta4(p["z"], QParam(p["q"]), tr, route="product"),
-      _tp_sample, "series", "product", default_tol=1e-11)
+      _tp_sample, default_tol=1e-11)
 
 
 # --- first/second q-Bessel relation ---------------------------------------
@@ -120,7 +120,7 @@ ident("bessel1_bessel2_relation", "PRELIM",
       "kind-1 q-Bessel times (-z^2/4;q)_inf equals the kind-2 function",
       _j12_lhs,
       lambda p, tr: jackson_bessel(2, p["nu"], p["z"], QParam(p["q"]), tr),
-      _j12_sample, "series-kind1", "series-kind2", default_tol=1e-11)
+      _j12_sample, default_tol=1e-11)
 
 
 # --- q-Hermite generating function ----------------------------------------
@@ -174,7 +174,7 @@ def _hgen_rhs(p, tr):
 
 ident("qhermite_genfun", "PRELIM",
       "continuous q-Hermite generating function equals a product reciprocal",
-      _hgen_lhs, _hgen_rhs, _hgen_sample, "series", "product")
+      _hgen_lhs, _hgen_rhs, _hgen_sample)
 
 
 # --- two routes to the two-variable q-exponential ---------------------------
@@ -187,7 +187,7 @@ ident("cal_e_two_routes", "PRELIM",
       "q-Hermite series route and shifted-product route for cal-E agree",
       lambda p, tr: cal_e(math.cos(p["theta"]), p["t"], QParam(p["q"]), tr, route="hermite"),
       lambda p, tr: cal_e(math.cos(p["theta"]), p["t"], QParam(p["q"]), tr, route="shifted"),
-      _cal2_sample, "series-hermite", "series-shifted", default_tol=1e-10)
+      _cal2_sample, default_tol=1e-10)
 
 
 # --- q-Hermite orthogonality (Gram entries, shifted by 1) -------------------
@@ -216,7 +216,7 @@ ident("qhermite_orthogonality", "PRELIM",
       "q-Hermite Gram entry over (-1,1) with the product weight, normalized",
       _qh_gram,
       lambda p, tr: 2.0 if p["m"] == p["n"] else 1.0,
-      _qh_sample, "quadrature", "closed-form", default_tol=1e-8)
+      _qh_sample, default_tol=1e-8)
 
 
 # --- cal-E inner products ---------------------------------------------------
@@ -250,7 +250,7 @@ def _cal14_rhs(p, tr):
 ident("cal_e_inner_product", "PRELIM",
       "weighted inner product of two cal-E factors in closed product form",
       lambda p, tr: _cal_ip(p, tr, p["v"]), _cal14_rhs,
-      _cal14_sample, "quadrature", "product", default_tol=1e-7)
+      _cal14_sample, default_tol=1e-7)
 
 
 def _cal16_sample(rng):
@@ -266,7 +266,7 @@ def _cal16_rhs(p, tr):
 ident("cal_e_inner_product_half", "PRELIM",
       "cal-E inner product at v = u sqrt(q) in single-base product form",
       lambda p, tr: _cal_ip(p, tr, p["u"] * math.sqrt(p["q"])), _cal16_rhs,
-      _cal16_sample, "quadrature", "product", default_tol=1e-7)
+      _cal16_sample, default_tol=1e-7)
 
 
 # --- inverse-base Hermite generating function -------------------------------
@@ -298,7 +298,7 @@ def _hinv_gen_rhs(p, tr):
 
 ident("qinvhermite_genfun", "PRELIM",
       "generating function of the inverse-base Hermite polynomials",
-      _hinv_gen_lhs, _hinv_gen_rhs, _hinv_gen_sample, "product", "series")
+      _hinv_gen_lhs, _hinv_gen_rhs, _hinv_gen_sample)
 
 
 # --- Poisson kernel ---------------------------------------------------------
@@ -348,7 +348,7 @@ def _pk_rhs(p, tr):
 ident("poisson_kernel_qinvhermite", "PRELIM",
       "Poisson kernel for the inverse-base Hermite family "
       "(third and fourth product arguments read t e^(xi-eta), t e^(eta-xi))",
-      _pk_lhs, _pk_rhs, _pk_sample, "series", "product", corrected=True)
+      _pk_lhs, _pk_rhs, _pk_sample, corrected=True)
 
 
 # --- h_n vs Stieltjes-Wigert ------------------------------------------------
@@ -379,7 +379,7 @@ def _hsw_rhs(p, tr):
 
 ident("qinvhermite_sw_relation", "PRELIM",
       "inverse-base Hermite equals a rescaled Stieltjes-Wigert polynomial",
-      _hsw_lhs, _hsw_rhs, _hsw_sample, "finite-sum-h", "finite-sum-sw", default_tol=1e-12)
+      _hsw_lhs, _hsw_rhs, _hsw_sample, default_tol=1e-12)
 
 
 # --- Stieltjes-Wigert symmetry ----------------------------------------------
@@ -398,7 +398,7 @@ ident("sw_symmetry", "PRELIM",
       "argument-inversion symmetry of the Stieltjes-Wigert polynomials",
       _sws_lhs,
       lambda p, tr: stieltjes_wigert(p["n"], p["t"], QParam(p["q"])),
-      _sws_sample, "finite-sum-reflected", "finite-sum", default_tol=1e-12)
+      _sws_sample, default_tol=1e-12)
 
 
 # --- Heine transformations and the 2phi1 -> 2phi2 transformation -------------
@@ -458,13 +458,13 @@ def _phi22_rhs(p, tr):
 
 
 ident("heine1", "PRELIM", "first Heine transformation of 2phi1",
-      _phi21, _heine1_rhs, _heine_sample(1), "series-direct", "series-transformed")
+      _phi21, _heine1_rhs, _heine_sample(1))
 ident("heine2", "PRELIM", "second Heine transformation of 2phi1",
-      _phi21, _heine2_rhs, _heine_sample(2), "series-direct", "series-transformed")
+      _phi21, _heine2_rhs, _heine_sample(2))
 ident("heine3", "PRELIM", "third (q-Euler) Heine transformation of 2phi1",
-      _phi21, _heine3_rhs, _heine_sample(3), "series-direct", "series-transformed")
+      _phi21, _heine3_rhs, _heine_sample(3))
 ident("phi21_phi22_transform", "PRELIM", "2phi1 as a prefactored 2phi2",
-      _phi21, _phi22_rhs, _heine_sample(4), "series-direct", "series-transformed")
+      _phi21, _phi22_rhs, _heine_sample(4))
 
 
 # --- three quadratic binomial-type evaluations -------------------------------
@@ -491,7 +491,7 @@ ident("qbinom_alternating", "PRELIM",
       "alternating Gaussian-binomial row sum: zero for odd n, closed form for even n",
       lambda p, tr: _qb1_pair(p, tr)[0],
       lambda p, tr: _qb1_pair(p, tr)[1],
-      _qb1_sample, "finite-sum", "closed-form")
+      _qb1_sample)
 
 
 def _qb2_pair(p, tr):
@@ -513,7 +513,7 @@ ident("qbinom_qinvhermite_zero", "PRELIM",
       "summation variable's total count s)",
       lambda p, tr: _qb2_pair(p, tr)[0],
       lambda p, tr: _qb2_pair(p, tr)[1],
-      _qb1_sample, "finite-sum", "closed-form", corrected=True)
+      _qb1_sample, corrected=True)
 
 
 def _qb3_lhs(p, tr):
@@ -530,7 +530,7 @@ def _qb3_rhs(p, tr):
 
 ident("qbinom_half_base", "PRELIM",
       "q^(k/2)-weighted binomial row sum collapses to a half-base factorial",
-      _qb3_lhs, _qb3_rhs, _qb1_sample, "finite-sum", "closed-form")
+      _qb3_lhs, _qb3_rhs, _qb1_sample)
 
 
 # --- q-Laguerre orthogonality ------------------------------------------------
@@ -556,7 +556,7 @@ ident("qlaguerre_orthogonality", "PRELIM",
       "q-Laguerre Gram entry against x^alpha/(-x;q)_inf on the half line",
       _ql_gram,
       lambda p, tr: 2.0 if p["m"] == p["n"] else 1.0,
-      _ql_sample, "quadrature", "closed-form", default_tol=1e-5)
+      _ql_sample, default_tol=1e-5)
 
 
 # --- Stieltjes-Wigert orthogonality -------------------------------------------
@@ -585,7 +585,7 @@ ident("sw_orthogonality", "PRELIM",
       "(validated norm sqrt(pi) q^(-n)/(c (q;q)_n))",
       _sw_gram,
       lambda p, tr: 2.0 if p["m"] == p["n"] else 1.0,
-      _sw_sample, "quadrature", "closed-form", default_tol=1e-6, corrected=True)
+      _sw_sample, default_tol=1e-6, corrected=True)
 
 
 # --- q-Laguerre generating function -------------------------------------------
@@ -621,7 +621,7 @@ def _lgen_rhs(p, tr):
 
 ident("qlaguerre_genfun", "PRELIM",
       "q-Laguerre generating function via a lower-parameter-free 1phi1",
-      _lgen_lhs, _lgen_rhs, _lgen_sample, "series-polynomials", "series-phi")
+      _lgen_lhs, _lgen_rhs, _lgen_sample)
 
 
 # --- the two master representations of q^(k^2) ---------------------------------
@@ -650,7 +650,7 @@ def _qck_rhs(p, tr):
 
 ident("qsquare_contour_rep", "PRELIM",
       "q^(c k^2) u^k as a circle contour integral of a theta product",
-      _qck_lhs, _qck_rhs, _qck_sample, "closed-form", "quadrature-contour", default_tol=1e-10)
+      _qck_lhs, _qck_rhs, _qck_sample, default_tol=1e-10)
 
 
 def _qal_sample(rng):
@@ -672,4 +672,4 @@ def _qal_rhs(p, tr):
 ident("qsquare_gaussian_rep", "PRELIM",
       "q^(alpha^2/2) as a normalized Gaussian integral of e^(i alpha y)",
       lambda p, tr: QParam(p["q"]).power(p["alpha"] ** 2 / 2.0),
-      _qal_rhs, _qal_sample, "closed-form", "quadrature-line", default_tol=1e-10)
+      _qal_rhs, _qal_sample, default_tol=1e-10)

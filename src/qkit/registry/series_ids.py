@@ -87,7 +87,7 @@ def _se1_rhs(p, tr):
 
 ident("series_cal_e_theta", "SERIES",
       "two-variable q-exponential as a quarter-power series with product tails",
-      _se1_lhs, _se1_rhs, _se1_sample, "series-hermite", "series-theta")
+      _se1_lhs, _se1_rhs, _se1_sample)
 
 
 # --- Ramanujan function expansions ---------------------------------------------
@@ -107,7 +107,7 @@ def _sa1_rhs(p, tr):
 ident("airy_mult", "SERIES",
       "multiplication formula for the Ramanujan function",
       lambda p, tr: ramanujan_a(p["a"] * p["b"], QParam(p["q"]), tr),
-      _sa1_rhs, _sa1_sample, "series-direct", "series-expansion")
+      _sa1_rhs, _sa1_sample)
 
 
 def _sa2_sample(rng):
@@ -125,7 +125,7 @@ def _sa2_rhs(p, tr):
 ident("airy_unit_expansion", "SERIES",
       "unit value of the alternating Ramanujan-function expansion",
       lambda p, tr: 1.0 + 0.0j,
-      _sa2_rhs, _sa2_sample, "closed-form", "series-expansion")
+      _sa2_rhs, _sa2_sample)
 
 
 def _sa3_sample(rng):
@@ -149,7 +149,7 @@ def _sa3_rhs(p, tr):
 ident("airy_two_param", "SERIES",
       "two-parameter expansion of the Ramanujan function over itself",
       lambda p, tr: ramanujan_a(p["z"], QParam(p["q"]), tr),
-      _sa3_rhs, _sa3_sample, "series-direct", "series-expansion")
+      _sa3_rhs, _sa3_sample)
 
 
 def _sa4_sample(rng):
@@ -178,7 +178,7 @@ def _sa4_rhs(p, tr):
 
 ident("airy_base_shift", "SERIES",
       "normalized Ramanujan function as a doubled-base inverse-product series",
-      _sa4_lhs, _sa4_rhs, _sa4_sample, "series-direct", "series-shifted")
+      _sa4_lhs, _sa4_rhs, _sa4_sample)
 
 
 # --- Stieltjes-Wigert expansions -------------------------------------------------
@@ -201,7 +201,7 @@ def _ssw1_rhs(p, tr):
 
 ident("sw_aq_ratio", "SERIES",
       "Stieltjes-Wigert polynomial over a product tail as an inverse-product series",
-      _ssw1_lhs, _ssw1_rhs, _ssw_sample, "finite-sum", "series-expansion")
+      _ssw1_lhs, _ssw1_rhs, _ssw_sample)
 
 
 def _ssw3_rhs(p, tr):
@@ -216,7 +216,7 @@ def _ssw3_rhs(p, tr):
 ident("sw_from_aq", "SERIES",
       "Stieltjes-Wigert polynomial expanded over scaled Ramanujan functions",
       lambda p, tr: stieltjes_wigert(p["n"], p["x"], QParam(p["q"])),
-      _ssw3_rhs, _ssw_sample, "finite-sum", "series-expansion")
+      _ssw3_rhs, _ssw_sample)
 
 
 def _ssw4_sample(rng):
@@ -240,7 +240,7 @@ def _ssw4_rhs(p, tr):
 
 ident("sw_genfun", "SERIES",
       "Stieltjes-Wigert generating function in Ramanujan-function form",
-      _ssw4_lhs, _ssw4_rhs, _ssw4_sample, "series-polynomials", "series-closed")
+      _ssw4_lhs, _ssw4_rhs, _ssw4_sample)
 
 
 # --- q-Laguerre connection and expansion relations -------------------------------
@@ -268,7 +268,7 @@ def _lc_rhs(p, tr):
 ident("laguerre_conn_alpha_beta", "SERIES",
       "connection between q-Laguerre families of different orders "
       "(with the q^(-alpha(n-k)) factor the generating function forces)",
-      _lc_lhs, _lc_rhs, _lc_sample, "finite-sum", "finite-connection", corrected=True)
+      _lc_lhs, _lc_rhs, _lc_sample, corrected=True)
 
 
 def _sl1_sample(rng):
@@ -292,7 +292,7 @@ def _sl1_rhs(p, tr):
 
 ident("laguerre_ratio_series", "SERIES",
       "normalized q-Laguerre polynomial as a ratio-of-products series",
-      _sl1_lhs, _sl1_rhs, _sl1_sample, "finite-sum", "series-expansion")
+      _sl1_lhs, _sl1_rhs, _sl1_sample)
 
 
 def _sl2_lhs(p, tr):
@@ -311,7 +311,7 @@ def _sl2_rhs(p, tr):
 
 ident("laguerre_unit_series", "SERIES",
       "argument-free product ratio as an order-shifted q-Laguerre series",
-      _sl2_lhs, _sl2_rhs, _sl1_sample, "finite-product", "series-expansion")
+      _sl2_lhs, _sl2_rhs, _sl1_sample)
 
 
 def _sl3_sample(rng):
@@ -338,7 +338,7 @@ def _sl3_rhs(p, tr):
 ident("laguerre_shift_series", "SERIES",
       "q-Laguerre polynomial re-expanded over a shifted order family "
       "(prefactor exponents carry the degree, as the derivation requires)",
-      _sl3_lhs, _sl3_rhs, _sl3_sample, "finite-sum", "series-expansion", corrected=True)
+      _sl3_lhs, _sl3_rhs, _sl3_sample, corrected=True)
 
 
 def _sl4_rhs(p, tr):
@@ -354,7 +354,7 @@ def _sl4_rhs(p, tr):
 ident("laguerre_from_sw", "SERIES",
       "q-Laguerre polynomial expanded over scaled Stieltjes-Wigert polynomials",
       lambda p, tr: qlaguerre(p["n"], p["alpha"], p["x"], QParam(p["q"])),
-      _sl4_rhs, _sl1_sample, "finite-sum", "series-expansion")
+      _sl4_rhs, _sl1_sample)
 
 
 def _sl5_lhs(p, tr):
@@ -374,7 +374,7 @@ def _sl5_rhs(p, tr):
 
 ident("sw_from_laguerre", "SERIES",
       "scaled Stieltjes-Wigert polynomial expanded over order-shifted q-Laguerre",
-      _sl5_lhs, _sl5_rhs, _sl1_sample, "finite-sum", "series-expansion")
+      _sl5_lhs, _sl5_rhs, _sl1_sample)
 
 
 # --- modified kind-2 function as a basic confluent series -------------------------
@@ -393,7 +393,7 @@ def _mb_rhs(p, tr):
 ident("modified_bessel_phi11", "SERIES",
       "modified kind-2 q-Bessel at doubled argument as a basic confluent value",
       lambda p, tr: modified_bessel_i(2, p["nu"], 2 * p["z"], QParam(p["q"]), tr),
-      _mb_rhs, _mb_sample, "series-bessel", "series-phi", default_tol=1e-10)
+      _mb_rhs, _mb_sample, default_tol=1e-10)
 
 
 # --- kind-2 q-Bessel expansions -----------------------------------------------------
@@ -425,7 +425,7 @@ def _sb1_rhs(p, tr):
 
 ident("bessel_order_shift", "SERIES",
       "order-shifted kind-2 q-Bessel as a terminating sum over shifted orders",
-      _sb1_lhs, _sb1_rhs, _sb1_sample, "series-direct", "series-expansion")
+      _sb1_lhs, _sb1_rhs, _sb1_sample)
 
 
 def _sb2_sample(rng):
@@ -451,7 +451,7 @@ def _sb2_rhs(p, tr):
 
 ident("bessel_mult", "SERIES",
       "multiplication formula for the kind-2 q-Bessel function",
-      _sb2_lhs, _sb2_rhs, _sb2_sample, "series-direct", "series-expansion")
+      _sb2_lhs, _sb2_rhs, _sb2_sample)
 
 
 def _sb3a_sample(rng):
@@ -489,7 +489,7 @@ def _sb3a_rhs(p, tr):
 ident("bessel_laguerre_genfun", "SERIES",
       "normalized kind-2 q-Bessel as the q-Laguerre generating function "
       "(single base factorial in the denominator)",
-      _sb3a_lhs, _sb3a_rhs, _sb3a_sample, "series-direct", "series-expansion",
+      _sb3a_lhs, _sb3a_rhs, _sb3a_sample,
       corrected=True)
 
 
@@ -516,7 +516,7 @@ def _sb3b_rhs(p, tr):
 
 ident("bessel_laguerre_inverse", "SERIES",
       "q-Laguerre polynomial as a series over order-shifted kind-2 functions",
-      _sb3b_lhs, _sb3b_rhs, _sb3b_sample, "finite-sum", "series-expansion")
+      _sb3b_lhs, _sb3b_rhs, _sb3b_sample)
 
 
 def _sb4a_sample(rng):
@@ -534,7 +534,7 @@ ident("bessel_poch_series", "SERIES",
       "kind-2 q-Bessel from the alternating shifted-factorial expansion",
       lambda p, tr: (p["z"] / 2.0) ** p["nu"] * bessel2_normalized_native(
           p["nu"], p["z"] ** 2 / 4.0, QParam(p["q"]), tr),
-      _sb4a_rhs, _sb4a_sample, "series-direct", "series-expansion")
+      _sb4a_rhs, _sb4a_sample)
 
 
 def _sb4b_rhs(p, tr):
@@ -551,7 +551,7 @@ ident("bessel_unit_series", "SERIES",
       "product ratio as a weighted series of order-shifted kind-2 functions",
       lambda p, tr: (qp(QParam(p["q"]).power(p["nu"] + 1), QParam(p["q"]), tr)
                      * (p["z"] / 2.0) ** p["nu"] / qp(p["q"], QParam(p["q"]), tr)),
-      _sb4b_rhs, _sb4a_sample, "product", "series-expansion")
+      _sb4b_rhs, _sb4a_sample)
 
 
 def _sb5a_rhs(p, tr):
@@ -567,7 +567,7 @@ ident("bessel_airy_pair_a", "SERIES",
       "kind-2 q-Bessel at doubled argument from scaled Ramanujan functions",
       lambda p, tr: p["z"] ** p["nu"] * bessel2_normalized_native(
           p["nu"], p["z"] ** 2, QParam(p["q"]), tr),
-      _sb5a_rhs, _sb4a_sample, "series-direct", "series-expansion")
+      _sb5a_rhs, _sb4a_sample)
 
 
 def _sb5b_lhs(p, tr):
@@ -587,7 +587,7 @@ def _sb5b_rhs(p, tr):
 
 ident("bessel_airy_pair_b", "SERIES",
       "scaled Ramanujan function from order-shifted kind-2 functions (inverse pair)",
-      _sb5b_lhs, _sb5b_rhs, _sb4a_sample, "series-direct", "series-expansion")
+      _sb5b_lhs, _sb5b_rhs, _sb4a_sample)
 
 
 # --- kind-3 q-Bessel expansions ------------------------------------------------------
@@ -616,7 +616,7 @@ def _sb313_rhs(p, tr):
 ident("bessel3_order_conn", "SERIES",
       "kind-3 q-Bessel connected to a family of shifted orders and arguments "
       "(terms carry the q^(-n mu/2) normalization of the shifted pair)",
-      _sb313_lhs, _sb313_rhs, _sb313_sample, "series-direct", "series-expansion",
+      _sb313_lhs, _sb313_rhs, _sb313_sample,
       corrected=True)
 
 
@@ -645,7 +645,7 @@ def _sb314_rhs(p, tr):
 
 ident("bessel3_arg_conn", "SERIES",
       "kind-3 q-Bessel at a scaled argument as a shifted-order expansion",
-      _sb314_lhs, _sb314_rhs, _sb314_sample, "series-direct", "series-expansion")
+      _sb314_lhs, _sb314_rhs, _sb314_sample)
 
 
 def _sb315_sample(rng):
@@ -668,7 +668,7 @@ def _sb315_rhs(p, tr):
 
 ident("bessel3_product_series", "SERIES",
       "shifted product as an order-sum of kind-3 q-Bessel values",
-      _sb315_lhs, _sb315_rhs, _sb315_sample, "product", "series-expansion")
+      _sb315_lhs, _sb315_rhs, _sb315_sample)
 
 
 def _sb318_sample(rng):
@@ -694,7 +694,7 @@ def _sb318_rhs(p, tr):
 ident("bessel3_laguerre_a", "SERIES",
       "q-Laguerre value at a negative scaled argument from kind-3 functions "
       "(argument scale matches the integrand, not the printed half power)",
-      _sb318_lhs, _sb318_rhs, _sb318_sample, "finite-sum", "series-expansion",
+      _sb318_lhs, _sb318_rhs, _sb318_sample,
       corrected=True)
 
 
@@ -719,7 +719,7 @@ def _sb319_rhs(p, tr):
 ident("bessel3_laguerre_b", "SERIES",
       "kind-3 q-Bessel from order-shifted q-Laguerre values (inverse pair, "
       "normalized by the full scaled argument power)",
-      _sb319_lhs, _sb319_rhs, _sb318_sample, "series-direct", "series-expansion",
+      _sb319_lhs, _sb319_rhs, _sb318_sample,
       corrected=True)
 
 
@@ -747,7 +747,7 @@ def _sc2_rhs(p, tr):
 
 ident("confluent_bessel_series", "SERIES",
       "basic confluent series expanded over normalized kind-2 functions",
-      _sc2_lhs, _sc2_rhs, _sc2_sample, "series-phi", "series-expansion")
+      _sc2_lhs, _sc2_rhs, _sc2_sample)
 
 
 def _sc4_sample(rng):
@@ -770,7 +770,7 @@ def _sc4_rhs(p, tr):
 
 ident("confluent_airy_series", "SERIES",
       "product-weighted confluent value as an even series of Ramanujan functions",
-      _sc4_lhs, _sc4_rhs, _sc4_sample, "series-phi", "series-expansion")
+      _sc4_lhs, _sc4_rhs, _sc4_sample)
 
 
 def _sc5_sample(rng):
@@ -801,7 +801,7 @@ def _sc5_rhs(p, tr):
 
 ident("confluent_ratio_series", "SERIES",
       "product ratio as a parameter-shifted basic confluent expansion",
-      _sc5_lhs, _sc5_rhs, _sc5_sample, "product", "series-expansion")
+      _sc5_lhs, _sc5_rhs, _sc5_sample)
 
 
 def _sc6_sample(rng):
@@ -829,7 +829,7 @@ def _sc6_rhs(p, tr):
 
 ident("confluent_bessel_sqrt", "SERIES",
       "kind-2 q-Bessel at a half-shifted argument from confluent values",
-      _sc6_lhs, _sc6_rhs, _sc6_sample, "series-direct", "series-expansion")
+      _sc6_lhs, _sc6_rhs, _sc6_sample)
 
 
 def _sc9_sample(rng):
@@ -856,7 +856,7 @@ def _sc9_rhs(p, tr):
 
 ident("confluent_param_shift", "SERIES",
       "basic confluent series re-expanded with a stretched lower parameter",
-      _sc9_lhs, _sc9_rhs, _sc9_sample, "series-phi", "series-expansion")
+      _sc9_lhs, _sc9_rhs, _sc9_sample)
 
 
 def _sc10_sample(rng):
@@ -882,7 +882,7 @@ def _sc10_rhs(p, tr):
 
 ident("confluent_arg_shift", "SERIES",
       "basic confluent series with a split upper parameter and argument",
-      _sc10_lhs, _sc10_rhs, _sc10_sample, "series-phi", "series-expansion")
+      _sc10_lhs, _sc10_rhs, _sc10_sample)
 
 
 def _sc7_sample(rng):
@@ -911,4 +911,4 @@ def _sc7_rhs(p, tr):
 
 ident("laguerre_phi11_series", "SERIES",
       "normalized q-Laguerre polynomial as a confluent-value expansion",
-      _sc7_lhs, _sc7_rhs, _sc7_sample, "finite-sum", "series-expansion")
+      _sc7_lhs, _sc7_rhs, _sc7_sample)

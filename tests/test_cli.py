@@ -70,6 +70,12 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "eq", "--q", "0.5", "--z", "4")
         assert code == 3
 
+    def test_lower_parameter_pole_is_named(self, capsys):
+        # the lower parameter 2 = q^(-1) is a pole of the degree-3 polynomial
+        code, _, err = run_cli(capsys, "eval", "p", "--q", "0.5", "--n", "3", "--lower", "2",
+                               "--x", "1")
+        assert code == 3 and "PoleError" in err
+
 
 class TestVerify:
     def test_exit_zero_and_determinism(self, capsys):

@@ -1,7 +1,11 @@
 import ast
+import functools
+import importlib
+import inspect
 import math
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -50,18 +54,96 @@ class TestCatalog:
             get_identity("no_such_identity")
 
 
+# the seed of each group's suite test in test_acceptance
+SUITE_SEEDS = {"FOURIER": 55, "PRELIM": 42, "CONTOUR": 777, "MELLIN": 101, "SERIES": 99}
+
+
+def _reached_routes():
+    """{id: (lhs names, rhs names)}: the qkit engines each side reaches at sample 0.
+
+    Every public function of qkit.core, qkit.series, qkit.polys and qkit.quad
+    is wrapped in each loaded qkit namespace that binds it, so calls between
+    engines are seen too.  A name is "module.function", with "[route]" added
+    for a function that takes a route argument (its default when not passed).
+    """
+    engines = {}
+    for name in ("core", "series", "polys", "quad"):
+        module = importlib.import_module(f"qkit.{name}")
+        for attr, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__ \
+                    and not attr.startswith("_"):
+                engines[fn] = f"{name}.{attr}"
+    reached = []  # the set of the side being evaluated, if any
+
+    def spy(fn, label):
+        sig = inspect.signature(fn)
+        takes_route = "route" in sig.parameters
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if reached:
+                if takes_route:
+                    bound = sig.bind(*args, **kwargs)
+                    bound.apply_defaults()
+                    reached[-1].add(f"{label}[{bound.arguments['route']}]")
+                else:
+                    reached[-1].add(label)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    spies = {fn: spy(fn, label) for fn, label in engines.items()}
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name == "qkit" or mod_name.startswith("qkit."):
+                for attr, value in list(vars(module).items()):
+                    if inspect.isfunction(value) and value in spies:
+                        mp.setattr(module, attr, spies[value])
+        for rec in all_identities():
+            params = sample_params(rec.id, SUITE_SEEDS[rec.group], 0)
+            tr = identities._truncation_for(rec.tol())
+            sides = []
+            for side in (rec.lhs, rec.rhs):
+                reached.append(set())
+                side(params, tr)
+                sides.append(reached.pop())
+            out[rec.id] = tuple(sides)
+    return out
+
+
 class TestRouteIndependence:
     # two catalogued entries are series lemmas living inside the transform
     # theorems; everything else in the quadrature groups pits an integral
     # against a series/product evaluation
     SERIES_LEMMAS = {"bessel2_alt_series", "fourier_confluent_laguerre"}
 
-    def test_quadrature_groups_use_disjoint_routes(self):
+    # the only ids whose sides reach the same engines: each sets one engine
+    # against itself at different arguments
+    SAME_ENGINE = {
+        "fourier_eq_parseval": "gaussian_line over products in alpha vs over products in x",
+        "plancherel_3": "gaussian_line over the q1-side exponentials vs the q2-side ones",
+        "laguerre_conn_alpha_beta": "qlaguerre at order alpha vs a sum of it at order beta",
+        "qbinom_alternating": "a row sum of (q;q)_k vs a ratio of (q;q)_n and (q^2;q^2)_(n/2)",
+        "qbinom_half_base": "a row sum of (q;q)_k vs one factorial in base q^(1/2)",
+        "qbinom_qinvhermite_zero": "a row sum of (q;q)_k vs one factorial in base q^2",
+        "sw_symmetry": "stieltjes_wigert at t vs at q^(-2n)/t",
+    }
+
+    @pytest.fixture(scope="class")
+    def routes(self):
+        return _reached_routes()
+
+    def test_sides_differ_in_the_engines_they_reach(self, routes):
+        same = {i for i, (lhs, rhs) in routes.items() if lhs == rhs}
+        assert same == set(self.SAME_ENGINE), sorted(same ^ set(self.SAME_ENGINE))
+
+    def test_transform_groups_have_a_quadrature_side(self, routes):
         for rec in all_identities():
-            assert rec.lhs_route != rec.rhs_route
-            if rec.group in ("FOURIER", "MELLIN", "CONTOUR") \
-                    and rec.id not in self.SERIES_LEMMAS:
-                assert ("quadrature" in rec.lhs_route) or ("quadrature" in rec.rhs_route)
+            quad = [any(name.startswith("quad.") for name in side) for side in routes[rec.id]]
+            if rec.id in self.SERIES_LEMMAS:
+                assert not any(quad), rec.id
+            elif rec.group in ("FOURIER", "MELLIN", "CONTOUR"):
+                assert any(quad), rec.id
 
 
 class TestSamplers:
@@ -146,7 +228,7 @@ def test_registry_reads_no_truncation_budget():
 
 class TestFailureClassification:
     def _forced(self, monkeypatch, lhs, rhs):
-        rec = IdentityRecord("raiser", "PRELIM", "test", lhs, rhs, None, "a", "b")
+        rec = IdentityRecord("raiser", "PRELIM", "test", lhs, rhs, None)
         monkeypatch.setattr(identities, "get_identity", lambda identity_id: rec)
         return evaluate_identity("raiser", {})
 
