@@ -155,28 +155,26 @@ def confluent_poly(n: int, alphas, betas, x, q: QParam) -> complex:
     """
     if n < 0:
         raise DomainError("polynomial degree must be >= 0")
-    alphas = [complex(a) for a in alphas]
-    betas = [complex(b) for b in betas]
+    alphas = list(map(complex, alphas))
+    betas = list(map(complex, betas))
     step = -complex(x)
     pw = _powers(q, n)
     # term_k = prod(alpha;q)_k q^(k^2) (-x)^k / [(q;q)_k prod(beta;q)_k]; the
     # 1/(q;q)_{n-k} factor is restored via the ratio (q;q)_n/(q;q)_{n-k}
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    ratio_fac = 1.0 + 0.0j  # (q;q)_n / (q;q)_{n-k}, so (q;q)_n after the loop
-    for k in range(n + 1):
-        if k:
-            qk1 = pw[k - 1]
-            num = step * qk1 * pw[k]
-            for a in alphas:
-                num *= 1.0 - a * qk1
-            den = 1.0 - pw[k]
-            for b in betas:
-                den *= 1.0 - b * qk1
-            if abs(den) < 1e-290:
-                raise PoleError(f"zero denominator factor at term {k} (lower parameter pole)")
-            term *= num / den
-            ratio_fac *= 1.0 - pw[n - k + 1]
+    total = term = 1.0 + 0.0j  # the k = 0 term
+    ratio_fac = 1.0  # (q;q)_n / (q;q)_{n-k}, so (q;q)_n after the loop
+    for k in range(1, n + 1):
+        qk1 = pw[k - 1]
+        num = step * qk1 * pw[k]
+        for a in alphas:
+            num *= 1.0 - a * qk1
+        den = 1.0 - pw[k]
+        for b in betas:
+            den *= 1.0 - b * qk1
+        if abs(den) < 1e-290:
+            raise PoleError(f"zero denominator factor at term {k} (lower parameter pole)")
+        term *= num / den
+        ratio_fac *= 1.0 - pw[n - k + 1]
         total += term * ratio_fac
     return ensure_finite(total / ratio_fac, "confluent_poly")
 
