@@ -25,7 +25,6 @@ from .errors import (
     UnsupportedIdentityError,
 )
 from .polys import (
-    WeightSpec,
     confluent_poly,
     qhermite,
     qhermite_inv,
@@ -36,9 +35,6 @@ from .polys import (
     weight,
 )
 from .series import (
-    MFunctionSpec,
-    PhiSpec,
-    PsiSpec,
     bessel1_normalized,
     bessel2_normalized,
     bessel2_normalized_native,

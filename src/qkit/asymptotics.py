@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .core import DEFAULT_TRUNCATION, QParam, Truncation, qpoch_multi, qpoch_inf
 from .errors import DomainError, QKitError
 from .polys import qhermite_inv_exp, qlaguerre, stieltjes_wigert
-from .series import PhiSpec, bessel2_normalized_native, phi, ramanujan_a
+from .series import bessel2_normalized_native, phi, ramanujan_a
 
 __all__ = ["AsympFamily", "RateReport", "FAMILIES", "asymp_error", "asymp_rate"]
 
@@ -31,7 +31,6 @@ class AsympFamily:
     limit: object  # (params) -> complex
     canonical: dict
     n_range: tuple = (4, 10)
-    param_names: tuple = ()
 
 
 @dataclass
@@ -195,7 +194,7 @@ def _phi1_lhs(n, p, tr):
     # keeps no b-dependence (settled numerically)
     q = QParam(p["q"])
     a, b, z = p["a"], p["b"], p["z"]
-    return phi(PhiSpec([a * q.power(-n)], [b * q.power(n)], q, -z * q.power(n + 1)), tr)
+    return phi([a * q.power(-n)], [b * q.power(n)], q, -z * q.power(n + 1), tr)
 
 
 def _phi1_limit(p, tr):
@@ -206,7 +205,7 @@ def _phi1_limit(p, tr):
 def _phi2_lhs(n, p, tr):
     q = QParam(p["q"])
     a, b, z = p["a"], p["b"], p["z"]
-    val = phi(PhiSpec([a * q.power(-2 * n)], [b * q.power(n)], q, -z * q.q), tr)
+    val = phi([a * q.power(-2 * n)], [b * q.power(n)], q, -z * q.q, tr)
     return val * q.power(n * n) / (-a * z) ** n
 
 
@@ -220,35 +219,35 @@ FAMILIES = {
     f.id: f
     for f in [
         AsympFamily("SwFixed", _sw_fixed_lhs, _sw_fixed_limit,
-                    {"q": 0.5, "x": 0.3}, (6, 14), ("q", "x")),
+                    {"q": 0.5, "x": 0.3}, (6, 14)),
         AsympFamily("SwEven", _sw_even_lhs, _theta_over_qfac2,
-                    {"q": 0.5, "x": 0.7}, (3, 9), ("q", "x")),
+                    {"q": 0.5, "x": 0.7}, (3, 9)),
         AsympFamily("SwOdd", _sw_odd_lhs, _theta_over_qfac2,
-                    {"q": 0.5, "x": 0.7}, (3, 9), ("q", "x")),
+                    {"q": 0.5, "x": 0.7}, (3, 9)),
         AsympFamily("QinvHermiteScaled", _hinv_scaled_lhs, _hinv_scaled_limit,
-                    {"q": 0.5, "xi": 0.2}, (4, 12), ("q", "xi")),
+                    {"q": 0.5, "xi": 0.2}, (4, 12)),
         AsympFamily("QinvHermiteEven", _hinv_even_lhs, _hinv_theta_limit,
-                    {"q": 0.5, "xi": 0.2}, (3, 8), ("q", "xi")),
+                    {"q": 0.5, "xi": 0.2}, (3, 8)),
         AsympFamily("QinvHermiteOdd", _hinv_odd_lhs, _hinv_theta_limit,
-                    {"q": 0.5, "xi": 0.2}, (3, 8), ("q", "xi")),
+                    {"q": 0.5, "xi": 0.2}, (3, 8)),
         AsympFamily("QLaguerreFixed", _lag_fixed_lhs, _lag_fixed_limit,
-                    {"q": 0.5, "alpha": 0.5, "x": 0.4}, (5, 13), ("q", "alpha", "x")),
+                    {"q": 0.5, "alpha": 0.5, "x": 0.4}, (5, 13)),
         AsympFamily("QLaguerreScaled", _lag_scaled_lhs, _lag_scaled_limit,
-                    {"q": 0.5, "alpha": 0.5, "x": 1.4}, (3, 9), ("q", "alpha", "x")),
+                    {"q": 0.5, "alpha": 0.5, "x": 1.4}, (3, 9)),
         AsympFamily("QLaguerreEven", _lag_even_lhs, _theta_over_qfac2,
-                    {"q": 0.5, "alpha": 0.5, "x": 0.7}, (3, 8), ("q", "alpha", "x")),
+                    {"q": 0.5, "alpha": 0.5, "x": 0.7}, (3, 8)),
         AsympFamily("QLaguerreOdd", _lag_odd_lhs, _theta_over_qfac2,
-                    {"q": 0.5, "alpha": 0.5, "x": 0.7}, (3, 8), ("q", "alpha", "x")),
+                    {"q": 0.5, "alpha": 0.5, "x": 0.7}, (3, 8)),
         AsympFamily("AqScaled", _aq_scaled_lhs, _aq_scaled_limit,
-                    {"q": 0.4, "z": 0.7}, (4, 10), ("q", "z")),
+                    {"q": 0.4, "z": 0.7}, (4, 10)),
         AsympFamily("BesselOrderScaled", _bessel_order_lhs, _bessel_order_limit,
-                    {"q": 0.5, "nu": 0.6, "w": 0.5}, (4, 12), ("q", "nu", "w")),
+                    {"q": 0.5, "nu": 0.6, "w": 0.5}, (4, 12)),
         AsympFamily("BesselArgScaled", _bessel_arg_lhs, _bessel_arg_limit,
-                    {"q": 0.5, "nu": 0.6, "w": 0.7}, (3, 9), ("q", "nu", "w")),
+                    {"q": 0.5, "nu": 0.6, "w": 0.7}, (3, 9)),
         AsympFamily("Phi11First", _phi1_lhs, _phi1_limit,
-                    {"q": 0.5, "a": 0.7, "b": 0.2, "z": 0.5}, (3, 9), ("q", "a", "b", "z")),
+                    {"q": 0.5, "a": 0.7, "b": 0.2, "z": 0.5}, (3, 9)),
         AsympFamily("Phi11Second", _phi2_lhs, _phi2_limit,
-                    {"q": 0.5, "a": 0.7, "b": 0.2, "z": 0.5}, (3, 8), ("q", "a", "b", "z")),
+                    {"q": 0.5, "a": 0.7, "b": 0.2, "z": 0.5}, (3, 8)),
     ]
 }
 

@@ -17,9 +17,6 @@ from .errors import QKitError
 from . import asymptotics, exactq, identities
 from .polys import confluent_poly, qhermite, qhermite_inv, qlaguerre, stieltjes_wigert
 from .series import (
-    MFunctionSpec,
-    PhiSpec,
-    PsiSpec,
     cal_e,
     jackson_bessel,
     m_weighted,
@@ -96,16 +93,15 @@ def _cmd_eval(args) -> int:
     elif fn == "phi":
         upper = _parse_complex_list(args.upper or "")
         lower = _parse_complex_list(args.lower or "")
-        val = phi(PhiSpec(upper, lower, q, _get(args, "z", complex)), tr)
+        val = phi(upper, lower, q, _get(args, "z", complex), tr)
     elif fn == "psi":
         upper = _parse_complex_list(args.upper or "")
         lower = _parse_complex_list(args.lower or "")
-        val = psi_bilateral(PsiSpec(upper, lower, q, _get(args, "z", complex)), tr)
+        val = psi_bilateral(upper, lower, q, _get(args, "z", complex), tr)
     elif fn == "m":
         upper = _parse_complex_list(args.upper or "")
         lower = _parse_complex_list(args.lower or "")
-        val = m_weighted(MFunctionSpec(upper, lower, q, _get(args, "ell"),
-                                       _get(args, "z", complex)), tr)
+        val = m_weighted(upper, lower, q, _get(args, "ell"), _get(args, "z", complex), tr)
     elif fn in ("bessel1", "bessel2", "bessel3"):
         val = jackson_bessel(int(fn[-1]), _get(args, "nu", complex),
                              _get(args, "z", complex), q, tr)
@@ -172,7 +168,7 @@ def _cmd_asymp(args) -> int:
         raise UsageError(f"unknown family {args.family!r}; choices: "
                          + ", ".join(sorted(asymptotics.FAMILIES)))
     params = dict(fam.canonical)
-    for name in fam.param_names:
+    for name in fam.canonical:
         val = getattr(args, name, None)
         if val is not None:
             params[name] = val

@@ -231,7 +231,7 @@ def _param_value_to_json(v):
     return v
 
 
-def report_to_dict(rep: ResidualReport, deterministic: bool = True) -> dict:
+def report_to_dict(rep: ResidualReport) -> dict:
     """Schema: {id, group, params, lhs:[re,im], rhs:[re,im], abs_err, rel_err,
     status, corrected, wall_ms}, plus reason on a report whose evaluation
     raised and achieved_bound or estimates:[[re,im], [re,im]] when the
@@ -250,7 +250,7 @@ def report_to_dict(rep: ResidualReport, deterministic: bool = True) -> dict:
         "rel_err": rep.rel_err,
         "status": rep.status,
         "corrected": rep.corrected,
-        "wall_ms": 0.0 if deterministic else rep.wall_ms,
+        "wall_ms": 0.0,
     }
     if rep.reason is not None:
         out["reason"] = rep.reason
@@ -261,12 +261,12 @@ def report_to_dict(rep: ResidualReport, deterministic: bool = True) -> dict:
     return out
 
 
-def reports_to_json(reports, deterministic: bool = True) -> str:
-    return json.dumps([report_to_dict(r, deterministic) for r in reports], indent=2,
+def reports_to_json(reports) -> str:
+    return json.dumps([report_to_dict(r) for r in reports], indent=2,
                       allow_nan=True, sort_keys=False)
 
 
-def reports_to_csv(reports, deterministic: bool = True) -> str:
+def reports_to_csv(reports) -> str:
     import csv
     import io
 
@@ -276,7 +276,7 @@ def reports_to_csv(reports, deterministic: bool = True) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cols)
     for rep in reports:
-        d = report_to_dict(rep, deterministic)
+        d = report_to_dict(rep)
         writer.writerow([
             d["id"], d["group"], json.dumps(d["params"], sort_keys=True),
             json.dumps(d["lhs"]), json.dumps(d["rhs"]),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .core import DEFAULT_TRUNCATION, QParam, Truncation, ensure_finite, qpoch_finite, qpoch_inf
 from .errors import DomainError, NumericOverflowError, PoleError
@@ -26,7 +25,6 @@ __all__ = [
     "qlaguerre",
     "stieltjes_wigert",
     "confluent_poly",
-    "WeightSpec",
     "weight",
 ]
 
@@ -179,53 +177,33 @@ def confluent_poly(n: int, alphas, betas, x, q: QParam) -> complex:
     return ensure_finite(total / ratio_fac, "confluent_poly")
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Pointwise orthogonality weight selector.
+def weight(kind: str, x: float, q: QParam, tr: Truncation = DEFAULT_TRUNCATION,
+           alpha: float = 0.0) -> float:
+    """Evaluate an orthogonality density at a point of its support.
 
-    kind is one of 'qhermite', 'sw_lognormal', 'laguerre',
-    'ismail_masson_w2'.  alpha is used by the laguerre kind only.  The
-    lognormal constant follows c^2 = -1/(2 ln q) for the Stieltjes-Wigert
-    weight and c^2 = -(ln q)/2 for the w2 weight; both are derived fields.
+    kind is one of 'qhermite', 'sw_lognormal', 'laguerre' and
+    'ismail_masson_w2'; alpha is read by the laguerre kind only.  The two
+    lognormal kinds take c^2 = -1/(2 ln q) (Stieltjes-Wigert) and
+    c^2 = -(ln q)/2 (the w2 weight).
     """
-
-    kind: str
-    q: QParam
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("qhermite", "sw_lognormal", "laguerre", "ismail_masson_w2"):
-            raise DomainError(f"unknown weight kind {self.kind!r}")
-
-    @property
-    def c(self) -> float:
-        if self.kind == "sw_lognormal":
-            return math.sqrt(-1.0 / (2.0 * self.q.ln_q))
-        if self.kind == "ismail_masson_w2":
-            return math.sqrt(-self.q.ln_q / 2.0)
-        raise DomainError(f"weight kind {self.kind!r} has no lognormal constant")
-
-
-def weight(spec: WeightSpec, x: float, tr: Truncation = DEFAULT_TRUNCATION) -> float:
-    """Evaluate the selected orthogonality density at a point of its support."""
-    q = spec.q
-    if spec.kind == "qhermite":
+    if kind == "qhermite":
         if not -1.0 < x < 1.0:
             raise DomainError(f"q-Hermite weight needs |x| < 1, got {x}")
         theta = math.acos(x)
         p = qpoch_inf(cmath.exp(2j * theta), q, tr)
         return (p * p.conjugate()).real / math.sqrt(1.0 - x * x)
-    if spec.kind == "sw_lognormal":
+    if kind == "sw_lognormal":
         if not x > 0.0:
             raise DomainError(f"Stieltjes-Wigert weight needs x > 0, got {x}")
         c2 = -1.0 / (2.0 * q.ln_q)
         u = math.log(x) - 0.5 * q.ln_q
         return math.exp(-c2 * u * u)
-    if spec.kind == "laguerre":
+    if kind == "laguerre":
         if not x > 0.0:
             raise DomainError(f"q-Laguerre weight needs x > 0, got {x}")
-        return x**spec.alpha / qpoch_inf(-x, q, tr).real
-    # ismail_masson_w2
+        return x**alpha / qpoch_inf(-x, q, tr).real
+    if kind != "ismail_masson_w2":
+        raise DomainError(f"unknown weight kind {kind!r}")
     c2 = -0.5 * q.ln_q
     c = math.sqrt(c2)
     xi = math.asinh(x)

@@ -22,15 +22,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .core import DEFAULT_TRUNCATION, QParam, Truncation, ensure_finite
 from .errors import QuadratureError
 
 __all__ = [
-    "LineIntegrand",
-    "ContourSpec",
-    "VerticalLineSpec",
     "gaussian_line",
     "circle_contour",
     "vertical_line",
@@ -122,33 +118,14 @@ def _trapezoid(integrand, lo: float, hi: float, h0: float, tr: Truncation, name:
     raise QuadratureError(f"{name} domain extension did not terminate")
 
 
-@dataclass(frozen=True)
-class LineIntegrand:
-    """Analytic factor of a Gaussian-weighted line integral.
+def gaussian_line(f, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, *, sigma2: float,
+                  hint: float = 0.0) -> complex:
+    """Integrate f(y) exp(-y^2/(2 sigma2)) over the real line.
 
-    The engine computes integral of  f(y) * exp(-y^2/(2*sigma2))  over R.
-    With sigma2 = ln(1/q) the weight equals exp(y^2/log(q^2)), the form
-    the lognormal-moment representation uses.  oscillation_hint is the
-    largest |frequency| (radians per unit y) among the e^(i a y)-type
-    factors of f, used only to pick the initial step.
-    """
-
-    f: object
-    q: QParam
-    oscillation_hint: float = 0.0
-    sigma2: float = 0.0  # 0 means "use ln(1/q)"; negative means f carries its own decay
-
-    def variance(self) -> float:
-        if self.sigma2 < 0.0:
-            return self.q.log_inv
-        return self.sigma2 if self.sigma2 > 0.0 else self.q.log_inv
-
-    def self_weighted(self) -> bool:
-        return self.sigma2 < 0.0
-
-
-def gaussian_line(gi: LineIntegrand, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
-    """Integrate f(y) exp(-y^2/(2 sigma^2)) over the real line.
+    A negative sigma2 means that f carries its own decay: f is integrated
+    as it is, with the window and start step of sigma2 = ln(1/q).  hint is
+    the largest |frequency| (radians per unit y) among the e^(i a y)-type
+    factors of f, used only to pick the start step.
 
     The window starts where the Gaussian falls below tolerance and is
     probed and widened while the integrand is not negligible at its ends.
@@ -159,44 +136,33 @@ def gaussian_line(gi: LineIntegrand, tr: Truncation = DEFAULT_TRUNCATION) -> com
     evaluations for a final step h on a window of length W, while one that
     it does resolve stops at the first comparison, T(h0) against T(h0/2).
     """
-    f = gi.f
-    sigma2 = gi.variance()
-    sigma = math.sqrt(sigma2)
-    L_inv = 1.0 / max(abs(gi.q.ln_q), 1e-12)
-
-    if gi.self_weighted():
+    if sigma2 < 0.0:
+        sigma2 = q.log_inv
         integrand = f
-    else:
+    elif sigma2 > 0.0:
         def integrand(y: float) -> complex:
             return complex(f(y)) * math.exp(-y * y / (2.0 * sigma2))
+    else:
+        raise QuadratureError(f"gaussian_line needs a nonzero sigma2, got {sigma2}")
+    sigma = math.sqrt(sigma2)
+    L_inv = 1.0 / max(abs(q.ln_q), 1e-12)
 
     scale0 = max(1.0, abs(complex(f(0.0))))
     ymax = sigma * math.sqrt(2.0 * max(math.log(scale0 / tr.tol), 1.0))
-    h0 = min(sigma / 4.0, math.pi / (2.0 * (gi.oscillation_hint + L_inv)))
+    h0 = min(sigma / 4.0, math.pi / (2.0 * (hint + L_inv)))
     return _trapezoid(integrand, -ymax, ymax, h0, tr, "gaussian_line", probe=sigma)
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """A positively oriented circle |z| = r and an analytic integrand."""
+def circle_contour(f, r: float, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
+    """(1/(2 pi i)) closed contour integral of f over the circle |z| = r > 0.
 
-    r: float
-    f: object
-
-    def __post_init__(self):
-        if not self.r > 0:
-            raise QuadratureError(f"contour radius must be positive, got {self.r}")
-
-
-def circle_contour(cs: ContourSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
-    """(1/(2 pi i)) closed contour integral of f over the circle |z| = r.
-
-    Equals the mean of f(z) z over the angle; the trapezoid rule in the
-    angle is exact for trigonometric polynomials and converges
-    exponentially for analytic f.  It starts from 64 panels.
+    The circle is positively oriented.  The integral equals the mean of
+    f(z) z over the angle; the trapezoid rule in the angle is exact for
+    trigonometric polynomials and converges exponentially for analytic f.
+    It starts from 64 panels.
     """
-    f = cs.f
-    r = cs.r
+    if not r > 0:
+        raise QuadratureError(f"contour radius must be positive, got {r}")
 
     def g(theta: float) -> complex:
         z = r * cmath.exp(1j * theta)
@@ -206,29 +172,18 @@ def circle_contour(cs: ContourSpec, tr: Truncation = DEFAULT_TRUNCATION) -> comp
     return _trapezoid(g, 0.0, two_pi, two_pi / 64, tr, "circle_contour") / two_pi
 
 
-@dataclass(frozen=True)
-class VerticalLineSpec:
-    """Bromwich-type line Re(z) = rho, 0 < rho < 1, with integrand f."""
-
-    rho: float
-    f: object
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise QuadratureError(f"vertical line needs 0 < rho < 1, got {self.rho}")
-
-
-def vertical_line(vs: VerticalLineSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
+def vertical_line(f, rho: float, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """(1/(2 pi i)) integral of f over the vertical line rho - i*inf .. rho + i*inf.
 
-    With y = sinh(u) the line integral becomes the integral over R of
-    f(rho + i sinh u) cosh u, which the trapezoid core integrates from the
-    window +-2 under its relative target.  Integrands decaying like
-    exp(-c ln^2 |y|) or like a power of |y| decay like a Gaussian or an
-    exponential in u, which the window probe and widening certify.
+    The Bromwich-type line needs 0 < rho < 1.  With y = sinh(u) the line
+    integral becomes the integral over R of f(rho + i sinh u) cosh u, which
+    the trapezoid core integrates from the window +-2 under its relative
+    target.  Integrands decaying like exp(-c ln^2 |y|) or like a power of
+    |y| decay like a Gaussian or an exponential in u, which the window
+    probe and widening certify.
     """
-    f = vs.f
-    rho = vs.rho
+    if not 0.0 < rho < 1.0:
+        raise QuadratureError(f"vertical line needs 0 < rho < 1, got {rho}")
 
     def g(u: float) -> complex:
         return complex(f(complex(rho, math.sinh(u)))) * math.cosh(u)

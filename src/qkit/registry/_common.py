@@ -7,7 +7,6 @@ import math
 
 from ..core import _certified_sum, geometric_tail, qpoch_finite, qpoch_inf, qpoch_multi
 from ..identities import IdentityRecord, register
-from ..quad import LineIntegrand, gaussian_line
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,11 +71,6 @@ def resample(rng, draw, ok, tries=200):
         if ok(params):
             return params
     raise RuntimeError("sampler could not satisfy its constraints")
-
-
-def gline(f, q, tr, hint=0.0, sigma2=0.0):
-    """Gaussian-weighted line integral of f against exp(-y^2/(2 sigma2))."""
-    return gaussian_line(LineIntegrand(f, q, oscillation_hint=hint, sigma2=sigma2), tr)
 
 
 def ident(id, group, anchor, lhs, rhs, sampler, default_tol=0.0, corrected=False):

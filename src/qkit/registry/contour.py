@@ -7,14 +7,10 @@ import math
 
 from ..core import QParam, partial_theta
 from ..polys import qhermite_inv, stieltjes_wigert
-from ..series import (MFunctionSpec, PhiSpec, PsiSpec, jackson_bessel, m_weighted,
-                      m_weighted_bilateral, phi, psi_bilateral, ramanujan_a)
-from ..quad import ContourSpec, circle_contour
+from ..series import (jackson_bessel, m_weighted, m_weighted_bilateral, phi, psi_bilateral,
+                      ramanujan_a)
+from ..quad import circle_contour
 from ._common import cring, ident, qdraw, qfac, qp, qpm, qpn, resample, rint, runif
-
-
-def _contour(r, f, tr):
-    return circle_contour(ContourSpec(r, f), tr)
 
 
 # --- inverse-base Hermite and Stieltjes-Wigert -------------------------------
@@ -40,7 +36,7 @@ def _chn_rhs(p, tr):
     def f(z):
         return qpm([q.q, -q.q * z, -1.0 / z], q, tr) * qpn(q.q * z * e2, q, n) / z ** (n + 1)
 
-    val = _contour(p["r"], f, tr)
+    val = circle_contour(f, p["r"], tr)
     return (-1.0) ** n * math.exp(-n * xi) * q.power(-n * (n + 1) / 2.0) * val
 
 
@@ -62,7 +58,7 @@ def _csn_rhs(p, tr):
     def f(z):
         return qpm([q.q, -q.q * z, -1.0 / z], q, tr) * qpn(x / z, q, n) / z
 
-    return _contour(p["r"], f, tr) / qfac(q, n)
+    return circle_contour(f, p["r"], tr) / qfac(q, n)
 
 
 ident("contour_sw", "CONTOUR",
@@ -98,7 +94,7 @@ def _cab_rhs(p, tr):
         den = qpm([b, q.q / a, z, b / (a * z)], q, tr)
         return num / den / z ** (n + 1)
 
-    return _contour(p["rho"], f, tr)
+    return circle_contour(f, p["rho"], tr)
 
 
 ident("contour_poch_ratio", "CONTOUR",
@@ -123,7 +119,7 @@ def _cphi_sample(rng):
 
 def _cphi_lhs(p, tr):
     q = QParam(p["q"])
-    return phi(PhiSpec([p["a1"], p["a2"]], [p["b1"], p["b2"]], q, p["x"]), tr)
+    return phi([p["a1"], p["a2"]], [p["b1"], p["b2"]], q, p["x"], tr)
 
 
 def _cphi_rhs(p, tr):
@@ -132,10 +128,10 @@ def _cphi_rhs(p, tr):
     pref = qpm([q.q, b2 / a2], q, tr) / qpm([b2, q.q / a2], q, tr)
 
     def f(z):
-        inner = phi(PhiSpec([a1], [b1], q, x / z), tr)
+        inner = phi([a1], [b1], q, x / z, tr)
         return inner * qpm([a2 * z, q.q / (a2 * z)], q, tr) / qpm([z, b2 / (a2 * z)], q, tr) / z
 
-    return pref * _contour(p["rho"], f, tr)
+    return pref * circle_contour(f, p["rho"], tr)
 
 
 ident("contour_phi_r1s1", "CONTOUR",
@@ -157,7 +153,7 @@ def _cphi21_sample(rng):
 
 def _cphi21_lhs(p, tr):
     q = QParam(p["q"])
-    return phi(PhiSpec([p["a"], p["b"]], [p["c"]], q, p["x"]), tr)
+    return phi([p["a"], p["b"]], [p["c"]], q, p["x"], tr)
 
 
 def _cphi21_rhs(p, tr):
@@ -170,7 +166,7 @@ def _cphi21_rhs(p, tr):
         den = qpm([x / z, z, c / (b * z)], q, tr)
         return num / den / z
 
-    return pref * _contour(p["rho"], f, tr)
+    return pref * circle_contour(f, p["rho"], tr)
 
 
 ident("contour_phi21", "CONTOUR",
@@ -198,7 +194,7 @@ def _cpsi_sample(rng):
 
 def _cpsi_lhs(p, tr):
     q = QParam(p["q"])
-    return psi_bilateral(PsiSpec([p["a1"], p["a2"]], [p["b1"], p["b2"]], q, p["x"]), tr)
+    return psi_bilateral([p["a1"], p["a2"]], [p["b1"], p["b2"]], q, p["x"], tr)
 
 
 def _cpsi_rhs(p, tr):
@@ -207,10 +203,10 @@ def _cpsi_rhs(p, tr):
     pref = qpm([q.q, b2 / a2], q, tr) / qpm([b2, q.q / a2], q, tr)
 
     def f(z):
-        inner = psi_bilateral(PsiSpec([a1], [b1], q, x / z), tr)
+        inner = psi_bilateral([a1], [b1], q, x / z, tr)
         return inner * qpm([a2 * z, q.q / (a2 * z)], q, tr) / qpm([z, b2 / (a2 * z)], q, tr) / z
 
-    return pref * _contour(p["rho"], f, tr)
+    return pref * circle_contour(f, p["rho"], tr)
 
 
 ident("contour_psi_m1", "CONTOUR",
@@ -228,7 +224,7 @@ def _cpsi22_rhs(p, tr):
         den = qpm([z, x / z, b2 / (a2 * z), b1 * z / (a1 * x)], q, tr)
         return num / den / z
 
-    return pref * _contour(p["rho"], f, tr)
+    return pref * circle_contour(f, p["rho"], tr)
 
 
 ident("contour_psi22", "CONTOUR",
@@ -251,7 +247,7 @@ def _cphi11_sample(rng):
 
 def _cphi11_lhs(p, tr):
     q = QParam(p["q"])
-    return phi(PhiSpec([p["a"]], [p["b"]], q, p["x"]), tr)
+    return phi([p["a"]], [p["b"]], q, p["x"], tr)
 
 
 def _cphi11_rhs(p, tr):
@@ -263,7 +259,7 @@ def _cphi11_rhs(p, tr):
         den = qpm([b, q.q / a, x / z, b * z / (a * x)], q, tr)
         return num / den / z
 
-    return _contour(p["r"], f, tr)
+    return circle_contour(f, p["r"], tr)
 
 
 ident("contour_phi11", "CONTOUR",
@@ -289,7 +285,7 @@ def _caq_rhs(p, tr):
     def f(z):
         return qpm([q.q, sq / z, sq * z], q, tr) / qp(a * sq / z, q, tr) / z
 
-    return _contour(p["r"], f, tr)
+    return circle_contour(f, p["r"], tr)
 
 
 ident("contour_poch_aq", "CONTOUR",
@@ -310,7 +306,7 @@ def _com_rhs(p, tr):
     def f(z):
         return qpm([q2.q, -q.q * x * z, -q.q / (x * z)], q2, tr) / (z - 1.0)
 
-    return _contour(p["r"], f, tr)
+    return circle_contour(f, p["r"], tr)
 
 
 ident("contour_partial_theta", "CONTOUR",
@@ -336,7 +332,7 @@ def _cj2_rhs(p, tr):
         num = qpm([z, -q.q * qnu * w * w / (4.0 * z), -4.0 * z / (w * w * qnu)], q, tr)
         return num / qp(-4.0 * z / (w * w), q, tr) / z
 
-    return (w / 2.0) ** nu * _contour(r, f, tr)
+    return (w / 2.0) ** nu * circle_contour(f, r, tr)
 
 
 ident("contour_bessel2", "CONTOUR",
@@ -357,7 +353,7 @@ def _cA_rhs(p, tr):
     def f(z):
         return qpm([q.q, -sq * z, -sq / z, sq * w / z], q, tr) / z
 
-    return _contour(p["r"], f, tr)
+    return circle_contour(f, p["r"], tr)
 
 
 ident("contour_airy", "CONTOUR",
@@ -397,7 +393,7 @@ def _cj22_rhs(p, tr):
         return num / den / z
 
     # kernel carries 1/(4 pi i): half of the engine's 1/(2 pi i)
-    return 0.5 * _contour(r, f, tr)
+    return 0.5 * circle_contour(f, r, tr)
 
 
 ident("contour_bessel2_alt", "CONTOUR",
@@ -417,7 +413,7 @@ def _cw_lhs(p, tr):
     q = QParam(p["q"])
     nu, al, be, x = p["nu"], p["alpha"], p["beta"], p["x"]
     # the q^(nu k^2) and binom(k,2) weights together are q^((nu+1/2)k^2) q^(-k/2)
-    return m_weighted(MFunctionSpec([al], [be], q, nu + 0.5, x * q.power(-0.5)), tr)
+    return m_weighted([al], [be], q, nu + 0.5, x * q.power(-0.5), tr)
 
 
 def _cw_rhs(p, tr):
@@ -427,10 +423,10 @@ def _cw_rhs(p, tr):
     qnu = q.power(nu)
 
     def f(z):
-        inner = phi(PhiSpec([al], [be], q, 1.0 / z), tr)
+        inner = phi([al], [be], q, 1.0 / z, tr)
         return inner * qpm([q2nu.q, -qnu * x * z, -qnu / (x * z)], q2nu, tr) / z
 
-    return _contour(p["r"], f, tr)
+    return circle_contour(f, p["r"], tr)
 
 
 ident("contour_weighted_series", "CONTOUR",
@@ -466,12 +462,12 @@ def _bilateral_weighted(p, tr, use_b, binom_weight):
     ell = nu + (0.0 if binom_weight is None else 0.5)
     if use_b:
         b = p["b"]
-        pos = MFunctionSpec([a, qq], [b], q, ell, -x * q.power(s / 2.0))
-        neg = MFunctionSpec([qq / b, qq], [qq / a], q, ell, -b / (a * x) * q.power(-s / 2.0))
+        pos = ([a, qq], [b], ell, -x * q.power(s / 2.0))
+        neg = ([qq / b, qq], [qq / a], ell, -b / (a * x) * q.power(-s / 2.0))
     else:
-        pos = MFunctionSpec([a, qq], [], q, ell, -x * q.power(s / 2.0))
-        neg = MFunctionSpec([qq], [qq / a], q, ell + 0.5, qq / (a * x) * q.power(-(1.0 + s) / 2.0))
-    return m_weighted_bilateral(pos, neg, tr)
+        pos = ([a, qq], [], ell, -x * q.power(s / 2.0))
+        neg = ([qq], [qq / a], ell + 0.5, qq / (a * x) * q.power(-(1.0 + s) / 2.0))
+    return m_weighted_bilateral(q, pos, neg, tr)
 
 
 def _cwb_lhs(p, tr):
@@ -485,10 +481,10 @@ def _cwb_rhs(p, tr):
     qnu = q.power(nu)
 
     def f(z):
-        inner = psi_bilateral(PsiSpec([a], [b], q, 1.0 / z), tr)
+        inner = psi_bilateral([a], [b], q, 1.0 / z, tr)
         return inner * qpm([q2nu.q, -qnu * x * z, -qnu / (x * z)], q2nu, tr) / z
 
-    return _contour(p["r"], f, tr)
+    return circle_contour(f, p["r"], tr)
 
 
 ident("contour_weighted_bilateral", "CONTOUR",
@@ -509,7 +505,7 @@ def _c313_rhs(p, tr):
         den = qpm([b, q.q / a, 1.0 / z, b * z / a], q, tr)
         return num / den / z
 
-    return _contour(p["r"], f, tr)
+    return circle_contour(f, p["r"], tr)
 
 
 def _c313_sample(rng):
@@ -542,7 +538,7 @@ def _c314_rhs(p, tr):
         den = qpm([q.q / a, 1.0 / z], q, tr)
         return num / den / z
 
-    return _contour(p["r"], f, tr)
+    return circle_contour(f, p["r"], tr)
 
 
 def _c314_sample(rng):
@@ -569,7 +565,7 @@ def _c315_rhs(p, tr):
         return qpm([a / z, q.q * z / a, q.q * z], q, tr) / z
 
     pref = qp(q.q, q, tr) ** 2 / qp(q.q / a, q, tr)
-    return pref * _contour(p["r"], f, tr)
+    return pref * circle_contour(f, p["r"], tr)
 
 
 def _c315_sample(rng):

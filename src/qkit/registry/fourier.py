@@ -21,8 +21,6 @@ import math
 from ..core import QParam
 from ..polys import qhermite_inv_exp, qlaguerre, stieltjes_wigert
 from ..series import (
-    MFunctionSpec,
-    PhiSpec,
     bessel1_normalized,
     bessel2_normalized_gauss,
     bessel3_normalized_gauss,
@@ -44,7 +42,8 @@ from ..series import (
     q_exp_small,
     ramanujan_a,
 )
-from ._common import cring, exp_i, gline, ident, qdraw, qfac, qp, qpm, qpn, resample, rint, runif
+from ..quad import gaussian_line
+from ._common import cring, exp_i, ident, qdraw, qfac, qp, qpm, qpn, resample, rint, runif
 
 SQ2PI = math.sqrt(2.0 * math.pi)
 
@@ -79,7 +78,8 @@ def _f2_rhs(p, tr):
     def f(y):
         return q_exp_small(z * _qiy(q, y), q, tr) * _qiy(q, al * y)
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=(abs(al) + 4) * L, sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(al) + 4) * L,
+                                                        sigma2=1 / L)
 
 
 ident("fourier_eq_pair_1", "FOURIER",
@@ -104,7 +104,8 @@ def _f3_rhs(p, tr):
     def f(a):
         return poch_gauss(-z * q.power(0.5), a, q, tr) * _qiy(q, -a * y0)
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=(abs(y0) + 1) * L, sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
+                                                        sigma2=-1.0)
 
 
 ident("fourier_eq_pair_2", "FOURIER",
@@ -124,7 +125,7 @@ def _f4_rhs(p, tr):
     def f(a):
         return q_exp_big(-z * q.power(0.5 + a), q, tr) * q_exp_big(z * q.power(0.5 - a), q, tr)
 
-    return math.sqrt(L / math.pi) * gline(f, q, tr, sigma2=1 / (2 * L))
+    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
 
 
 ident("fourier_eq_double", "FOURIER",
@@ -142,7 +143,7 @@ def _f5_rhs(p, tr):
     def f(a):
         return q_exp_big(-z * q.power(1 - 2 * a), q2, tr) * q_exp_big(-z * q.power(2 + 2 * a), q2, tr)
 
-    return math.sqrt(2 * L / math.pi) * gline(f, q, tr, sigma2=1 / (4 * L))
+    return math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (4 * L))
 
 
 ident("fourier_eq_half", "FOURIER",
@@ -160,7 +161,7 @@ def _f6_rhs(p, tr):
         w = _qiy(q, y)
         return q_exp_small(z * w, q, tr) * q_exp_small(-z / w, q, tr)
 
-    return math.sqrt(L / math.pi) * gline(f, q, tr, hint=4 * L, sigma2=1 / (2 * L))
+    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, hint=4 * L, sigma2=1 / (2 * L))
 
 
 ident("fourier_eq_small_double", "FOURIER",
@@ -185,7 +186,7 @@ def _f7_rhs(p, tr):
         w = _qiy(q, y)
         return q_exp_small(z * w / rq, q2, tr) * q_exp_small(z * rq / w, q2, tr)
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=4 * L, sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=4 * L, sigma2=1 / L)
 
 
 ident("fourier_eq_small_half", "FOURIER",
@@ -207,7 +208,7 @@ def _f11_rhs(p, tr):
     def f(x):
         return exp_i(al * x) / qp(z * exp_i(x), q, tr)
 
-    return gline(f, q, tr, hint=abs(al) + 4, sigma2=L) / math.sqrt(2 * math.pi * L)
+    return gaussian_line(f, q, tr, hint=abs(al) + 4, sigma2=L) / math.sqrt(2 * math.pi * L)
 
 
 ident("fourier_eq_x_form", "FOURIER",
@@ -233,7 +234,7 @@ def _f12_rhs(p, tr):
     def f(a):
         return poch_gauss(-z * q.power(0.5), a, q, tr) * exp_i(-a * x0)
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0)
 
 
 ident("fourier_eq_x_inverse", "FOURIER",
@@ -249,7 +250,8 @@ def _f13_rhs(p, tr):
     def f(y):
         return _qiy(q, al * y) / qp(z * _qiy(q, y), q, tr)
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=(abs(al) + 4) * L, sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(al) + 4) * L,
+                                                        sigma2=1 / L)
 
 
 ident("fourier_eq_sym", "FOURIER",
@@ -271,7 +273,8 @@ def _f14_rhs(p, tr):
     def f(a):
         return _qiy(q, -a * y0) * poch_gauss(-z * q.power(0.5), a, q, tr)
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=(abs(y0) + 1) * L, sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
+                                                        sigma2=-1.0)
 
 
 ident("fourier_eq_sym_inverse", "FOURIER",
@@ -288,7 +291,7 @@ def _f25_lhs(p, tr):
     def f(a):
         return qp(z * q.power(1 - 2 * a), q2, tr) * qp(z * q.power(2 + 2 * a), q2, tr)
 
-    return gline(f, q, tr, sigma2=1 / (4 * L))
+    return gaussian_line(f, q, tr, sigma2=1 / (4 * L))
 
 
 def _f25_rhs(p, tr):
@@ -299,7 +302,7 @@ def _f25_rhs(p, tr):
     def f(x):
         return 1.0 / qp(-z * exp_i(x), q, tr)
 
-    return gline(f, q, tr, hint=4, sigma2=L) / (2 * L)
+    return gaussian_line(f, q, tr, hint=4, sigma2=L) / (2 * L)
 
 
 ident("fourier_eq_parseval", "FOURIER",
@@ -316,7 +319,7 @@ def _f26_rhs(p, tr):
     def f(a):
         return qp(z * q.power(1 - 2 * a), q2, tr) * qp(z * q.power(2 + 2 * a), q2, tr)
 
-    return math.sqrt(2 * L / math.pi) * gline(f, q, tr, sigma2=1 / (4 * L))
+    return math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (4 * L))
 
 
 ident("fourier_eq_half_product", "FOURIER",
@@ -350,7 +353,8 @@ def _f39_rhs(p, tr):
         return (q_exp_small(w * exp_i(th), q, tr) * q_exp_small(w * exp_i(-th), q, tr)
                 * _qiy(q, al * y))
 
-    return math.sqrt(L / math.pi) * gline(f, q, tr, hint=(abs(al) + 4) * L, sigma2=1 / (2 * L))
+    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, hint=(abs(al) + 4) * L,
+                                                  sigma2=1 / (2 * L))
 
 
 ident("fourier_cal_e_1", "FOURIER",
@@ -380,7 +384,8 @@ def _f40_rhs(p, tr):
     def f(a):
         return cal_e_raw_shifted(x, t, a, q, tr) * _qiy(q, -a * y0)
 
-    return math.sqrt(L / (4 * math.pi)) * gline(f, q, tr, hint=(abs(y0) + 1) * L, sigma2=-1.0)
+    return math.sqrt(L / (4 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
+                                                        sigma2=-1.0)
 
 
 ident("fourier_cal_e_2", "FOURIER",
@@ -408,7 +413,7 @@ def _f41_rhs(p, tr):
         return (cal_e_raw(x, -t * q.power(-a / 2.0), q, tr)
                 * cal_e_raw(x, t * q.power(a / 2.0), q, tr))
 
-    val = math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, sigma2=1 / L)
+    val = math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, sigma2=1 / L)
     return val / qp(t ** 4 * q.q ** 2, q4, tr)
 
 
@@ -432,7 +437,7 @@ def _f42_rhs(p, tr):
         return (cal_e_raw(x, t * q.power(a), q2, tr)
                 * cal_e_raw(x, t * q.power(1 - a), q2, tr))
 
-    val = math.sqrt(L / math.pi) * gline(f, q, tr, sigma2=1 / (2 * L))
+    val = math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
     return val / qp(t * t * q.q, q2, tr)
 
 
@@ -449,7 +454,7 @@ def _f232_rhs(p, tr):
     def f(y):
         return exp_i(al * y) / (qp(t * exp_i(y + th), q, tr) * qp(t * exp_i(y - th), q, tr))
 
-    return gline(f, q, tr, hint=abs(al) + 4, sigma2=L / 2) / math.sqrt(math.pi * L)
+    return gaussian_line(f, q, tr, hint=abs(al) + 4, sigma2=L / 2) / math.sqrt(math.pi * L)
 
 
 ident("fourier_cal_e_x_form", "FOURIER",
@@ -477,7 +482,7 @@ def _f233_rhs(p, tr):
     def f(a):
         return cal_e_raw_shifted(x, t, a, q, tr) * exp_i(-a * x0)
 
-    return math.sqrt(L / (4 * math.pi)) * gline(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0)
+    return math.sqrt(L / (4 * math.pi)) * gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0)
 
 
 ident("fourier_cal_e_x_inverse", "FOURIER",
@@ -506,7 +511,8 @@ def _fa1_rhs(p, tr):
     def f(y):
         return q_exp_big(-z * q.power(0.5) * _qiy(q, y), q, tr) * _qiy(q, al * y)
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=(abs(al) + 4) * L, sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(al) + 4) * L,
+                                                        sigma2=1 / L)
 
 
 ident("fourier_airy_1", "FOURIER",
@@ -533,7 +539,8 @@ def _fa2_rhs(p, tr):
         # q^(a^2/4) folded in for stability; engine supplies the other half
         return q.power(1j * a * (-y0)) * ramanujan_a_shifted(z, a / 2.0, q, tr)
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=(abs(y0) + 1) * L, sigma2=2 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
+                                                        sigma2=2 / L)
 
 
 ident("fourier_airy_2", "FOURIER",
@@ -553,7 +560,7 @@ def _fa3_rhs(p, tr):
     def f(a):
         return ramanujan_a_shifted(z, a / 2.0, q, tr) * ramanujan_a_shifted(-z, -a / 2.0, q, tr)
 
-    return math.sqrt(L / math.pi) * gline(f, q, tr, sigma2=1 / L)
+    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / L)
 
 
 ident("fourier_airy_3", "FOURIER",
@@ -572,7 +579,7 @@ def _fa4_rhs(p, tr):
         return (ramanujan_a(q.power(a + 0.5) * z, q2, tr)
                 * ramanujan_a(q.power(-a - 0.5) * z, q2, tr))
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, sigma2=1 / L)
 
 
 ident("fourier_airy_4", "FOURIER",
@@ -594,7 +601,8 @@ def _fa5_rhs(p, tr):
     def f(y):
         return q_exp_small(-z * _qiy(q, y), q, tr) * _qiy(q, al * y)
 
-    return math.sqrt(L / (4 * math.pi)) * gline(f, q, tr, hint=(abs(al) + 4) * L, sigma2=2 / L)
+    return math.sqrt(L / (4 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(al) + 4) * L,
+                                                        sigma2=2 / L)
 
 
 ident("fourier_airy_5", "FOURIER",
@@ -616,7 +624,7 @@ def _fa6_rhs(p, tr):
     def f(a):
         return _qiy(q, -a * y0) * ramanujan_a_shifted(z, a, q, tr)
 
-    return math.sqrt(L / math.pi) * gline(f, q, tr, hint=(abs(y0) + 1) * L, sigma2=-1.0)
+    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L, sigma2=-1.0)
 
 
 ident("fourier_airy_6", "FOURIER",
@@ -632,7 +640,7 @@ def _fa7_rhs(p, tr):
     def f(a):
         return ramanujan_a_shifted(z, -a / 2.0, q, tr) * ramanujan_a_shifted(-z, a / 2.0, q, tr)
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, sigma2=-1.0)
 
 
 ident("fourier_airy_7", "FOURIER",
@@ -651,7 +659,7 @@ def _fa8_rhs(p, tr):
         return (ramanujan_a(q.power(2 * a) * z, q2, tr)
                 * ramanujan_a(q.power(1 - 2 * a) * z, q2, tr))
 
-    return math.sqrt(L / math.pi) * gline(f, q, tr, sigma2=1 / (2 * L))
+    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
 
 
 ident("fourier_airy_8", "FOURIER",
@@ -668,7 +676,7 @@ def _fa9_rhs(p, tr):
     def f(x):
         return qp(z * math.sqrt(q.q) * exp_i(x), q, tr) * exp_i(al * x)
 
-    return gline(f, q, tr, hint=abs(al) + 4, sigma2=L) / math.sqrt(2 * math.pi * L)
+    return gaussian_line(f, q, tr, hint=abs(al) + 4, sigma2=L) / math.sqrt(2 * math.pi * L)
 
 
 ident("fourier_airy_9", "FOURIER",
@@ -694,7 +702,7 @@ def _fa10_rhs(p, tr):
     def f(a):
         return ramanujan_a_shifted(z, a / 2.0, q, tr) * exp_i(-a * x0)
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=abs(x0) + 1, sigma2=2 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=2 / L)
 
 
 ident("fourier_airy_10", "FOURIER",
@@ -710,7 +718,7 @@ def _fa11_rhs(p, tr):
     def f(x):
         return exp_i(al * x) / qp(-z * exp_i(x), q, tr)
 
-    return gline(f, q, tr, hint=abs(al) + 4, sigma2=2 * L) / math.sqrt(2 * math.pi * 2 * L)
+    return gaussian_line(f, q, tr, hint=abs(al) + 4, sigma2=2 * L) / math.sqrt(2 * math.pi * 2 * L)
 
 
 ident("fourier_airy_11", "FOURIER",
@@ -732,7 +740,7 @@ def _fa12_rhs(p, tr):
     def f(a):
         return ramanujan_a_shifted(-z, a, q, tr) * exp_i(-a * x0)
 
-    return gline(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0) / SQ2PI
+    return gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0) / SQ2PI
 
 
 ident("fourier_airy_12", "FOURIER",
@@ -762,7 +770,8 @@ def _fsw1_rhs(p, tr):
     def f(y):
         return qpn(x * _qiy(q, y), q, n) * _qiy(q, al * y)
 
-    return (math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=(abs(al) + n + 1) * L, sigma2=1 / L)
+    return (math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(al) + n + 1) * L,
+                                                         sigma2=1 / L)
             / qfac(q, n))
 
 
@@ -790,7 +799,8 @@ def _fsw2_rhs(p, tr):
     def f(a):
         return stieltjes_wigert(n, x * q.power(a), q) * _qiy(q, -a * y0)
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=(abs(y0) + 1) * L, sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
+                                                        sigma2=1 / L)
 
 
 ident("fourier_sw_2", "FOURIER",
@@ -811,7 +821,7 @@ def _fsw3_rhs(p, tr):
         return stieltjes_wigert(n, -x * q.power(-a), q) * stieltjes_wigert(n, x * q.power(a), q)
 
     pref = qfac(q, n) / qpn(-q.q, q, n)
-    return pref * math.sqrt(L / math.pi) * gline(f, q, tr, sigma2=1 / (2 * L))
+    return pref * math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
 
 
 ident("fourier_sw_3", "FOURIER",
@@ -831,7 +841,7 @@ def _fsw4_rhs(p, tr):
                 * stieltjes_wigert(n, x * q.power(2 * a - 0.5), q2))
 
     pref = qpn(q2.q, q2, n) / qpn(q.q, q2, n)
-    return pref * math.sqrt(2 * L / math.pi) * gline(f, q, tr, sigma2=1 / (4 * L))
+    return pref * math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (4 * L))
 
 
 ident("fourier_sw_4", "FOURIER",
@@ -848,7 +858,8 @@ def _fsw5_rhs(p, tr):
     def f(y):
         return qpn(x * exp_i(y), q, n) * exp_i(al * y)
 
-    return gline(f, q, tr, hint=abs(al) + n + 1, sigma2=L) / (math.sqrt(math.pi * 2 * L) * qfac(q, n))
+    return (gaussian_line(f, q, tr, hint=abs(al) + n + 1, sigma2=L)
+            / (math.sqrt(math.pi * 2 * L) * qfac(q, n)))
 
 
 ident("fourier_sw_5", "FOURIER",
@@ -875,7 +886,7 @@ def _fsw6_rhs(p, tr):
     def f(a):
         return stieltjes_wigert(n, x * q.power(a - 0.5), q) * exp_i(-a * x0)
 
-    return gline(f, q, tr, hint=abs(x0) + 1, sigma2=1 / _L(p)) / SQ2PI
+    return gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=1 / _L(p)) / SQ2PI
 
 
 ident("fourier_sw_6", "FOURIER",
@@ -909,7 +920,7 @@ def _fh1_rhs(p, tr):
     def f(x):
         return q.power(1j * al * x) * qpn(math.exp(xi) * q.power(0.5) / _qiy(q, x), q, n)
 
-    return gline(f, q, tr, hint=(abs(al) + n + 1) * L, sigma2=1 / L) / SQ2PI
+    return gaussian_line(f, q, tr, hint=(abs(al) + n + 1) * L, sigma2=1 / L) / SQ2PI
 
 
 ident("fourier_h_1", "FOURIER",
@@ -938,7 +949,7 @@ def _fh2_rhs(p, tr):
         arg_exp = cmath.exp(xi / 2.0 - (a - n) / 2.0 * q.ln_q)
         return q.power(-n * a / 2.0 - 1j * a * x0) * qhermite_inv_exp(n, arg_exp, q)
 
-    return gline(f, q, tr, hint=(abs(x0) + 1) * L, sigma2=1 / L) / SQ2PI
+    return gaussian_line(f, q, tr, hint=(abs(x0) + 1) * L, sigma2=1 / L) / SQ2PI
 
 
 ident("fourier_h_2", "FOURIER",
@@ -967,7 +978,7 @@ def _fh3_rhs(p, tr):
         h2 = qhermite_inv_exp(n, 1j * math.exp(u2), q)
         return h1 * ((-1j) ** n) * h2
 
-    return math.sqrt(L / math.pi) * gline(f, q, tr, sigma2=1 / (2 * L))
+    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
 
 
 ident("fourier_h_3", "FOURIER",
@@ -993,7 +1004,7 @@ def _fh4_rhs(p, tr):
         u2 = xi + (a + 0.25) * q.ln_q
         return qhermite_inv_exp(n, math.exp(u1), q2) * qhermite_inv_exp(n, math.exp(u2), q2)
 
-    return math.sqrt(2 * L / math.pi) * gline(f, q, tr, sigma2=1 / (4 * L))
+    return math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (4 * L))
 
 
 ident("fourier_h_4", "FOURIER",
@@ -1018,7 +1029,7 @@ def _fh5_rhs(p, tr):
         return exp_i(al * y) * qpn(math.exp(xi) * math.sqrt(q.q) * exp_i(-y), q, n)
 
     pref = (-math.exp(-xi / 2.0)) ** n / math.sqrt(math.pi * 2 * L)
-    return pref * gline(f, q, tr, hint=abs(al) + n + 1, sigma2=L)
+    return pref * gaussian_line(f, q, tr, hint=abs(al) + n + 1, sigma2=L)
 
 
 ident("fourier_h_5", "FOURIER",
@@ -1047,7 +1058,7 @@ def _fh6_rhs(p, tr):
         return (q.power((-n * a + n * n) / 2.0) * qhermite_inv_exp(n, arg_exp, q)
                 * exp_i(-a * y0))
 
-    return gline(f, q, tr, hint=abs(y0) + 1, sigma2=1 / _L(p)) / SQ2PI
+    return gaussian_line(f, q, tr, hint=abs(y0) + 1, sigma2=1 / _L(p)) / SQ2PI
 
 
 ident("fourier_h_6", "FOURIER",
@@ -1068,7 +1079,7 @@ def _s_gf1(rng):
 def _gf1_lhs(p, tr):
     q = QParam(p["q"])
     t = p["t"]
-    return m_weighted(MFunctionSpec([], [], QParam(q.q * q.q), 0.5, -t * t / q.q), tr)
+    return m_weighted([], [], QParam(q.q * q.q), 0.5, -t * t / q.q, tr)
 
 
 def _gf1_rhs(p, tr):
@@ -1079,7 +1090,7 @@ def _gf1_rhs(p, tr):
     def f(a):
         return qp(t * q.power(-a), q, tr) * qp(-t * q.power(a), q, tr)
 
-    return math.sqrt(L / math.pi) * gline(f, q, tr, sigma2=1 / (2 * L))
+    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
 
 
 ident("fourier_h_kernel_int_1", "FOURIER",
@@ -1118,7 +1129,7 @@ def _gf2_rhs(p, tr):
         return (qp(t * q.power(2 * a + 0.25), q, tr) * poch_gauss(t, -2 * a - 0.25, q, tr)
                 * math.exp(L * a / 2 + L / 32))
 
-    return math.sqrt(2 * L / math.pi) * gline(f, q, tr, sigma2=-1.0)
+    return math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, sigma2=-1.0)
 
 
 ident("fourier_h_kernel_int_2", "FOURIER",
@@ -1152,7 +1163,8 @@ def _fl1_rhs(p, tr):
         w = q.power(al) * _qiy(q, y)
         return qpn(x * w, q, n) * _qiy(q, be * y) / qp(-w, q, tr)
 
-    return (math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=(abs(be) + n + 4) * L, sigma2=1 / L)
+    return (math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(be) + n + 4) * L,
+                                                         sigma2=1 / L)
             / qfac(q, n))
 
 
@@ -1182,7 +1194,8 @@ def _fl2_rhs(p, tr):
         return (poch_gauss(q.power(al + n + 0.5), b, q, tr) * qlaguerre(n, al + b - 0.5, x, q)
                 * _qiy(q, -b * y0))
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=(abs(y0) + 1) * L, sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
+                                                        sigma2=-1.0)
 
 
 ident("fourier_laguerre_2", "FOURIER",
@@ -1213,7 +1226,7 @@ def _fl3_rhs(p, tr):
                 * qlaguerre(n, al - b + 0.25, x, q2))
 
     pref = qpn(q2.q, q2, n) / (qpn(q.q, q2, n) * qp(q.power(2 * al + 2 * n + 1), q, tr))
-    return pref * math.sqrt(2 * L / math.pi) * gline(f, q, tr, sigma2=1 / (4 * L))
+    return pref * math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (4 * L))
 
 
 ident("fourier_laguerre_3", "FOURIER",
@@ -1238,7 +1251,7 @@ def _fl4_rhs(p, tr):
                 * qlaguerre(n, al + b + shift, x, q))
 
     pref = qfac(q, n) / (qpn(-q.q, q, n) * qp(q.power(2 * al + 2 * n + 2), QParam(q.q * q.q), tr))
-    return pref * math.sqrt(L / math.pi) * gline(f, q, tr, sigma2=1 / (2 * L))
+    return pref * math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
 
 
 ident("fourier_laguerre_4", "FOURIER",
@@ -1263,7 +1276,8 @@ def _fl5_rhs(p, tr):
         w = q.power(al + 0.5) * exp_i(y)
         return qpn(x * w, q, n) * exp_i(be * y) / qp(-w, q, tr)
 
-    return gline(f, q, tr, hint=abs(be) + n + 4, sigma2=L) / (math.sqrt(2 * math.pi * L) * qfac(q, n))
+    return (gaussian_line(f, q, tr, hint=abs(be) + n + 4, sigma2=L)
+            / (math.sqrt(2 * math.pi * L) * qfac(q, n)))
 
 
 ident("fourier_laguerre_5", "FOURIER",
@@ -1292,7 +1306,7 @@ def _fl6_rhs(p, tr):
         return (poch_gauss(q.power(al + n + 1), b, q, tr)
                 * qlaguerre(n, al + b, x, q) * exp_i(-b * x0))
 
-    return gline(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0) / SQ2PI
+    return gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0) / SQ2PI
 
 
 ident("fourier_laguerre_6", "FOURIER",
@@ -1336,7 +1350,8 @@ def _fb1_rhs(p, tr):
         return ((z / 2.0) ** nu * _qiy(q, nu * y)
                 * bessel1_normalized(nu, z * z * w2 / 4.0, q, tr) * _qiy(q, al * y))
 
-    return math.sqrt(L / math.pi) * gline(f, q, tr, hint=(abs(al) + nu + 4) * L, sigma2=1 / (2 * L))
+    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, hint=(abs(al) + nu + 4) * L,
+                                                  sigma2=1 / (2 * L))
 
 
 ident("fourier_bessel_1", "FOURIER",
@@ -1367,7 +1382,8 @@ def _fb2_rhs(p, tr):
         return (q.power(nu * nu / 4.0 - 1j * a * y0) * pref
                 * bessel2_normalized_native(nu, z * z * q.power(a).real / 4.0, q, tr))
 
-    return math.sqrt(L / (4 * math.pi)) * gline(f, q, tr, hint=(abs(y0) + 1) * L, sigma2=2 / L)
+    return math.sqrt(L / (4 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
+                                                        sigma2=2 / L)
 
 
 ident("fourier_bessel_2", "FOURIER",
@@ -1390,7 +1406,8 @@ def _fb3_rhs(p, tr):
         w = q.power(nu + 0.5) * _qiy(q, y)
         return qp(w * z * z / 4.0, q, tr) * _qiy(q, al * y) / (qp(q.q, q, tr) * qp(-w, q, tr))
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=(abs(al) + 4) * L, sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(al) + 4) * L,
+                                                        sigma2=1 / L)
 
 
 ident("fourier_bessel_3", "FOURIER",
@@ -1413,7 +1430,8 @@ def _fb4_rhs(p, tr):
     def f(a):
         return q.power(-1j * a * y0) * bessel2_normalized_gauss(nu, z * z / 4.0, a, q, tr)
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=(abs(y0) + 1) * L, sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
+                                                        sigma2=-1.0)
 
 
 ident("fourier_bessel_4", "FOURIER",
@@ -1443,7 +1461,7 @@ def _fb5_rhs(p, tr):
         return ((z / 2.0) ** (2 * nu) * bessel2_normalized_gauss(nu - 0.25, u, a, q2, tr)
                 * bessel2_normalized_gauss(nu + 0.25, u, -a, q2, tr))
 
-    return math.sqrt(2 * L / math.pi) * gline(f, q, tr, sigma2=-1.0)
+    return math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, sigma2=-1.0)
 
 
 ident("fourier_bessel_5", "FOURIER",
@@ -1469,7 +1487,7 @@ def _fb6_rhs(p, tr):
         return ((z / 2.0) ** (2 * nu) * bessel2_normalized_gauss(nu + shift, u, a, q, tr)
                 * bessel2_normalized_gauss(nu - shift, u, -a, q, tr))
 
-    return math.sqrt(L / math.pi) * gline(f, q, tr, sigma2=-1.0)
+    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=-1.0)
 
 
 ident("fourier_bessel_6", "FOURIER",
@@ -1488,7 +1506,7 @@ def _fb8_rhs(p, tr):
         return ((z / 2.0) ** nu * exp_i(nu * x) * bessel1_normalized(nu, z * z * w2 / 4.0, q, tr)
                 * exp_i(al * x))
 
-    return gline(f, q, tr, hint=abs(al) + nu + 4, sigma2=L / 2) / math.sqrt(math.pi * L)
+    return gaussian_line(f, q, tr, hint=abs(al) + nu + 4, sigma2=L / 2) / math.sqrt(math.pi * L)
 
 
 ident("fourier_bessel_8", "FOURIER",
@@ -1519,7 +1537,7 @@ def _fb9_rhs(p, tr):
         return (q.power(nu * nu / 4.0) * pref * exp_i(-a * x0)
                 * bessel2_normalized_native(nu, z * z * q.power(a).real / 4.0, q, tr))
 
-    return math.sqrt(L / (4 * math.pi)) * gline(f, q, tr, hint=abs(x0) + 1, sigma2=2 / L)
+    return math.sqrt(L / (4 * math.pi)) * gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=2 / L)
 
 
 ident("fourier_bessel_9", "FOURIER",
@@ -1536,7 +1554,7 @@ def _fb10_rhs(p, tr):
         w = q.power(nu + 0.5) * exp_i(x)
         return qp(w * z * z / 4.0, q, tr) * exp_i(al * x) / (qp(q.q, q, tr) * qp(-w, q, tr))
 
-    return gline(f, q, tr, hint=abs(al) + 4, sigma2=L) / math.sqrt(2 * math.pi * L)
+    return gaussian_line(f, q, tr, hint=abs(al) + 4, sigma2=L) / math.sqrt(2 * math.pi * L)
 
 
 ident("fourier_bessel_10", "FOURIER",
@@ -1559,7 +1577,7 @@ def _fb11_rhs(p, tr):
     def f(a):
         return bessel2_normalized_gauss(nu, z * z / 4.0, a, q, tr) * exp_i(-a * x0)
 
-    return gline(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0) / SQ2PI
+    return gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0) / SQ2PI
 
 
 ident("fourier_bessel_11", "FOURIER",
@@ -1593,7 +1611,8 @@ def _b13_rhs(p, tr):
         return ((z / 2.0) ** al * bessel1_normalized(al, z * z * w2 / 4.0, q, tr)
                 * _qiy(q, -al * x))
 
-    return math.sqrt(2 * L / math.pi) * gline(f, q, tr, hint=(al + 4) * L, sigma2=1 / (4 * L))
+    return math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, hint=(al + 4) * L,
+                                                      sigma2=1 / (4 * L))
 
 
 ident("fourier_b1_b3", "FOURIER",
@@ -1620,7 +1639,8 @@ def _b32_rhs(p, tr):
         return ((z / 2.0) ** al * bessel3_normalized_native(al, z * z * w2 / 4.0, q, tr)
                 * _qiy(q, -al * x))
 
-    return math.sqrt(2 * L / math.pi) * gline(f, q, tr, hint=(al + 4) * L, sigma2=1 / (4 * L))
+    return math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, hint=(al + 4) * L,
+                                                      sigma2=1 / (4 * L))
 
 
 ident("fourier_b3_b2", "FOURIER",
@@ -1650,7 +1670,8 @@ def _b33_rhs(p, tr):
         w = _qiy(q, x)
         return _qiy(q, al * x) / qpm([q.q, -q.power(nu + 0.5) * w, -z * z * q.power(0.5) * w], q, tr)
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=(abs(al) + 4) * L, sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(al) + 4) * L,
+                                                        sigma2=1 / L)
 
 
 ident("fourier_b3_mellin_1", "FOURIER",
@@ -1679,7 +1700,8 @@ def _b34_rhs(p, tr):
     def f(a):
         return bessel3_normalized_gauss(nu, z * z, a, q, tr) * _qiy(q, -a * x0)
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=(abs(x0) + 1) * L, sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(x0) + 1) * L,
+                                                        sigma2=-1.0)
 
 
 ident("fourier_b3_mellin_2", "FOURIER",
@@ -1697,7 +1719,7 @@ def _b36_rhs(p, tr):
         return ((z / 2.0) ** al * bessel1_normalized(al, z * z * w2 / 4.0, q, tr)
                 * exp_i(-al * x))
 
-    return math.sqrt(2.0 / (math.pi * L)) * gline(f, q, tr, hint=al + 4, sigma2=L / 4)
+    return math.sqrt(2.0 / (math.pi * L)) * gaussian_line(f, q, tr, hint=al + 4, sigma2=L / 4)
 
 
 ident("fourier_b3_x_1", "FOURIER",
@@ -1715,7 +1737,7 @@ def _b37_rhs(p, tr):
         return ((z / 2.0) ** al * bessel3_normalized_native(al, z * z * w2 / 4.0, q, tr)
                 * exp_i(-al * x))
 
-    return math.sqrt(2.0 / (math.pi * L)) * gline(f, q, tr, hint=al + 4, sigma2=L / 4)
+    return math.sqrt(2.0 / (math.pi * L)) * gaussian_line(f, q, tr, hint=al + 4, sigma2=L / 4)
 
 
 ident("fourier_b3_x_2", "FOURIER",
@@ -1732,7 +1754,7 @@ def _b38_rhs(p, tr):
         w = exp_i(x)
         return exp_i(al * x) / qpm([q.q, -q.power(nu + 0.5) * w, -z * z * q.power(0.5) * w], q, tr)
 
-    return gline(f, q, tr, hint=abs(al) + 4, sigma2=L) / math.sqrt(2 * math.pi * L)
+    return gaussian_line(f, q, tr, hint=abs(al) + 4, sigma2=L) / math.sqrt(2 * math.pi * L)
 
 
 ident("fourier_b3_x_3", "FOURIER",
@@ -1754,7 +1776,7 @@ def _fc1_lhs(p, tr):
     q = QParam(p["q"])
     a, b, z, al = p["a"], p["b"], p["z"], p["alpha"]
     return (qp(b * q.power(al), q, tr) * q.power(al * al / 2.0)
-            * phi(PhiSpec([a], [b * q.power(al)], q, z * q.power(al)), tr))
+            * phi([a], [b * q.power(al)], q, z * q.power(al), tr))
 
 
 def _fc1_rhs(p, tr):
@@ -1766,7 +1788,8 @@ def _fc1_rhs(p, tr):
         w = _qiy(q, y) * q.power(-0.5)
         return qp(-a * z * w, q, tr) * _qiy(q, al * y) / (qp(-b * w, q, tr) * qp(-z * w, q, tr))
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=(abs(al) + 4) * L, sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(al) + 4) * L,
+                                                        sigma2=1 / L)
 
 
 ident("fourier_confluent_1", "FOURIER",
@@ -1796,7 +1819,8 @@ def _fc2_rhs(p, tr):
         return (confluent_phi_weighted(a, b, z * q.power(-0.5), al, q, tr)
                 * _qiy(q, -al * y0))
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=(abs(y0) + 1) * L, sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
+                                                        sigma2=-1.0)
 
 
 ident("fourier_confluent_2", "FOURIER",
@@ -1814,7 +1838,7 @@ def _fc3_lhs(p, tr):
     q = QParam(p["q"])
     q2 = QParam(q.q * q.q)
     a, b, z = p["a"], p["b"], p["z"]
-    return phi(PhiSpec([a * a], [-b * b], q2, -z * z * q.q), tr)
+    return phi([a * a], [-b * b], q2, -z * z * q.q, tr)
 
 
 def _fc3_rhs(p, tr):
@@ -1824,11 +1848,11 @@ def _fc3_rhs(p, tr):
     a, b, z = p["a"], p["b"], p["z"]
 
     def f(al):
-        p1 = phi(PhiSpec([a], [b * q.power(al)], q, z * q.power(0.5 + al)), tr)
-        p2 = phi(PhiSpec([a], [-b * q.power(-al)], q, -z * q.power(0.5 - al)), tr)
+        p1 = phi([a], [b * q.power(al)], q, z * q.power(0.5 + al), tr)
+        p2 = phi([a], [-b * q.power(-al)], q, -z * q.power(0.5 - al), tr)
         return qp(b * q.power(al), q, tr) * qp(-b * q.power(-al), q, tr) * p1 * p2
 
-    val = math.sqrt(L / math.pi) * gline(f, q, tr, sigma2=1 / (2 * L))
+    val = math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
     return val / qp(-b * b, q2, tr)
 
 
@@ -1839,7 +1863,7 @@ ident("fourier_confluent_3", "FOURIER",
 
 def _fc4_lhs(p, tr):
     q = QParam(p["q"])
-    return phi(PhiSpec([p["a"]], [p["b"]], q, p["z"]), tr)
+    return phi([p["a"]], [p["b"]], q, p["z"], tr)
 
 
 def _fc4_rhs(p, tr):
@@ -1851,11 +1875,11 @@ def _fc4_rhs(p, tr):
     def f(al):
         b1 = b * q.power(2 * al + 0.5)
         b2 = b * q.power(1.5 - 2 * al)
-        p1 = phi(PhiSpec([a], [b1], q2, z * q.power(0.5 + 2 * al)), tr)
-        p2 = phi(PhiSpec([a], [b2], q2, z * q.power(1.5 - 2 * al)), tr)
+        p1 = phi([a], [b1], q2, z * q.power(0.5 + 2 * al), tr)
+        p2 = phi([a], [b2], q2, z * q.power(1.5 - 2 * al), tr)
         return qp(b1, q2, tr) * qp(b2, q2, tr) * p1 * p2
 
-    val = math.sqrt(2 * L / math.pi) * gline(f, q, tr, sigma2=1 / (4 * L))
+    val = math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (4 * L))
     return val / qp(b, q, tr)
 
 
@@ -1868,7 +1892,7 @@ def _fc5_lhs(p, tr):
     q = QParam(p["q"])
     a, b, z, al = p["a"], p["b"], p["z"], p["alpha"]
     return (qp(b * q.power(al), q, tr) * q.power(al * al / 2.0)
-            * phi(PhiSpec([a], [b * q.power(al)], q, z * q.power(al + 0.5)), tr))
+            * phi([a], [b * q.power(al)], q, z * q.power(al + 0.5), tr))
 
 
 def _fc5_rhs(p, tr):
@@ -1881,7 +1905,7 @@ def _fc5_rhs(p, tr):
         return (qp(-a * z * w, q, tr) * exp_i(al * x)
                 / (qp(-b * q.power(-0.5) * w, q, tr) * qp(-z * w, q, tr)))
 
-    return gline(f, q, tr, hint=abs(al) + 4, sigma2=L) / math.sqrt(math.pi * 2 * L)
+    return gaussian_line(f, q, tr, hint=abs(al) + 4, sigma2=L) / math.sqrt(math.pi * 2 * L)
 
 
 def _s_c5(rng):
@@ -1917,7 +1941,7 @@ def _fc6_rhs(p, tr):
     def f(al):
         return confluent_phi_weighted(a, b, z, al, q, tr) * exp_i(-al * x0)
 
-    return math.sqrt(L / (2 * math.pi)) * gline(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0)
 
 
 ident("fourier_confluent_6", "FOURIER",
@@ -1934,7 +1958,7 @@ def _fcl_rhs(p, tr):
     q = QParam(p["q"])
     n, al, x = p["n"], p["alpha"], p["x"]
     pref = qp(-x * q.power(n + al + 1), q, tr) / (qp(q.power(al + n + 1), q, tr) * qfac(q, n))
-    return pref * phi(PhiSpec([-x], [-x * q.power(n + al + 1)], q, q.power(al + 1)), tr)
+    return pref * phi([-x], [-x * q.power(n + al + 1)], q, q.power(al + 1), tr)
 
 
 ident("fourier_confluent_laguerre", "FOURIER",
@@ -1961,7 +1985,7 @@ def _pl1_lhs(p, tr):
         return (q_exp_big(z * q1.power(a + 0.5), q1, tr)
                 * q_exp_big(w * q2.power(a + 0.5), q2, tr))
 
-    return gline(f, q1, tr, sigma2=1.0 / (L1 + L2))
+    return gaussian_line(f, q1, tr, sigma2=1.0 / (L1 + L2))
 
 
 def _pl1_rhs(p, tr):
@@ -1974,7 +1998,7 @@ def _pl1_rhs(p, tr):
         return (q_exp_small(z * exp_i(lam * y), q1, tr)
                 * q_exp_small(w * exp_i(-lam * y), q2, tr))
 
-    return gline(f, q1, tr, hint=4 * lam, sigma2=1.0 / (L1 + L2))
+    return gaussian_line(f, q1, tr, hint=4 * lam, sigma2=1.0 / (L1 + L2))
 
 
 ident("plancherel_1", "FOURIER",
@@ -1990,7 +2014,7 @@ def _pl2_lhs(p, tr):
     def f(a):
         return (qp(-z * q1.power(0.5 + a), q1, tr) * qp(-w * q2.power(0.5 - a), q2, tr))
 
-    return gline(f, q1, tr, sigma2=1.0 / (L1 + L2))
+    return gaussian_line(f, q1, tr, sigma2=1.0 / (L1 + L2))
 
 
 def _pl2_rhs(p, tr):
@@ -2003,7 +2027,7 @@ def _pl2_rhs(p, tr):
         e = exp_i(lam * y)
         return q_exp_small(z * e, q1, tr) * q_exp_small(w * e, q2, tr)
 
-    return gline(f, q1, tr, hint=4 * lam, sigma2=1.0 / (L1 + L2))
+    return gaussian_line(f, q1, tr, hint=4 * lam, sigma2=1.0 / (L1 + L2))
 
 
 ident("plancherel_2", "FOURIER",
@@ -2020,7 +2044,7 @@ def _pl3_lhs(p, tr):
     def f(x):
         return q_exp_big(z * q1.power(x), q1, tr) * q_exp_small(w * exp_i(x), q2, tr)
 
-    return gline(f, q1, tr, hint=4, sigma2=s2) / math.sqrt(L2)
+    return gaussian_line(f, q1, tr, hint=4, sigma2=s2) / math.sqrt(L2)
 
 
 def _pl3_rhs(p, tr):
@@ -2033,7 +2057,7 @@ def _pl3_rhs(p, tr):
         return (q_exp_big(w * q2.power(a + 0.5), q2, tr)
                 * q_exp_small(z * q1.power(-0.5) * exp_i(a), q1, tr))
 
-    return gline(f, q1, tr, hint=4, sigma2=s2) / math.sqrt(L1)
+    return gaussian_line(f, q1, tr, hint=4, sigma2=s2) / math.sqrt(L1)
 
 
 ident("plancherel_3", "FOURIER",
@@ -2064,7 +2088,7 @@ def _pl4_rhs(p, tr):
         return (q_exp_big(t * rq * exp_i(th) * q.power(a), q, tr)
                 * q_exp_big(t * rq * exp_i(-th) * q.power(-a), q, tr))
 
-    return math.sqrt(L / math.pi) * gline(f, q, tr, sigma2=1 / (2 * L))
+    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
 
 
 ident("plancherel_4", "FOURIER",
@@ -2085,7 +2109,7 @@ def _pl5_lhs(p, tr):
     def f(a):
         return poch_gauss(-z * q.q, a, q, tr) * ramanujan_a_shifted(z, -a / 2.0, q, tr)
 
-    return gline(f, q, tr, sigma2=2 / L)
+    return gaussian_line(f, q, tr, sigma2=2 / L)
 
 
 ident("plancherel_5", "FOURIER",
@@ -2104,15 +2128,14 @@ def _pl6_lhs(p, tr):
     def f(a):
         return ramanujan_a(q.power(2 * a) * z, q2, tr) * ramanujan_a(-q.power(-2 * a) * z, q, tr)
 
-    return gline(f, q, tr, sigma2=1 / (4 * L))
+    return gaussian_line(f, q, tr, sigma2=1 / (4 * L))
 
 
 def _pl6_rhs(p, tr):
     q = QParam(p["q"])
     L = _L(p)
     z = p["z"]
-    return math.sqrt(math.pi / (2 * L)) * m_weighted(
-        MFunctionSpec([], [], QParam(q.q * q.q), 0.25, -z), tr)
+    return math.sqrt(math.pi / (2 * L)) * m_weighted([], [], QParam(q.q * q.q), 0.25, -z, tr)
 
 
 ident("plancherel_6", "FOURIER",
@@ -2130,14 +2153,14 @@ def _pl7_lhs(p, tr):
         return (ramanujan_a(q.power(a - 0.5) * z, q, tr)
                 * ramanujan_a(-q.power(-2 * a) * z * z, q2, tr))
 
-    return gline(f, q, tr, sigma2=1 / (2 * L))
+    return gaussian_line(f, q, tr, sigma2=1 / (2 * L))
 
 
 def _pl7_rhs(p, tr):
     q = QParam(p["q"])
     L = _L(p)
     z = p["z"]
-    return math.sqrt(math.pi / L) * m_weighted(MFunctionSpec([], [], q, 0.25, z), tr)
+    return math.sqrt(math.pi / L) * m_weighted([], [], q, 0.25, z, tr)
 
 
 ident("plancherel_7", "FOURIER",
@@ -2160,7 +2183,7 @@ def _pl8_lhs(p, tr):
         return (poch_gauss(-t * exp_i(th) * q.q, a, q, tr)
                 * ramanujan_a_shifted(-t * exp_i(-th), -a / 2.0, q, tr))
 
-    return gline(f, q, tr, sigma2=2 / L) / qp(t * t * q.q * q.q, q2, tr)
+    return gaussian_line(f, q, tr, sigma2=2 / L) / qp(t * t * q.q * q.q, q2, tr)
 
 
 def _pl8_rhs(p, tr):
@@ -2168,8 +2191,7 @@ def _pl8_rhs(p, tr):
     q2 = QParam(q.q * q.q)
     L = _L(p)
     t, th = p["t"], p["theta"]
-    body = m_weighted(MFunctionSpec([-exp_i(-2 * th)], [], q, 0.25,
-                                    -t * exp_i(th) * q.power(0.5)), tr)
+    body = m_weighted([-exp_i(-2 * th)], [], q, 0.25, -t * exp_i(th) * q.power(0.5), tr)
     return math.sqrt(math.pi / L) * body / qp(t * t * q.q * q.q, q2, tr)
 
 
@@ -2201,7 +2223,7 @@ def _pl9_lhs(p, tr):
         return (ramanujan_a_shifted(-t * exp_i(th) / q.q, a, q, tr)
                 * poch_gauss(-t * exp_i(-th), -a, q2, tr))
 
-    return gline(f, q, tr, sigma2=-1.0)
+    return gaussian_line(f, q, tr, sigma2=-1.0)
 
 
 def _pl9_rhs(p, tr):
@@ -2218,7 +2240,7 @@ def _pl9_rhs(p, tr):
         s = abs(t) * q.q ** (k - 1)
         return 1.0 / (fac2 * (1.0 - s) ** 2) if s < 1.0 else math.inf
 
-    body = m_expansion(MFunctionSpec([], [], q2, 0.25, -t * exp_i(th)),
+    body = m_expansion([], [], q2, 0.25, -t * exp_i(th),
                        lambda k: cal_e_raw(x, t * q.power(k - 1), q2, tr), bound, tr)
     return math.sqrt(math.pi / (2 * L)) * body
 
@@ -2243,15 +2265,14 @@ def _pl10_lhs(p, tr):
         return (cal_e_raw(x, t * q.power(a), q2, tr)
                 * ramanujan_a(q.power(-a - 0.5) * t * exp_i(th), q, tr))
 
-    return gline(f, q, tr, sigma2=1 / (2 * L))
+    return gaussian_line(f, q, tr, sigma2=1 / (2 * L))
 
 
 def _pl10_rhs(p, tr):
     q = QParam(p["q"])
     L = _L(p)
     t, th = p["t"], p["theta"]
-    body = m_weighted(MFunctionSpec([q.q * exp_i(2 * th)], [], QParam(q.q * q.q), 0.125,
-                                    -t * exp_i(-th)), tr)
+    body = m_weighted([q.q * exp_i(2 * th)], [], QParam(q.q * q.q), 0.125, -t * exp_i(-th), tr)
     return math.sqrt(math.pi / L) * body
 
 
@@ -2283,7 +2304,7 @@ def _pl11_rhs(p, tr):
                                        -t * exp_i(th), -al, q, tr)
         return left * right
 
-    return gline(f, q, tr, sigma2=-1.0)
+    return gaussian_line(f, q, tr, sigma2=-1.0)
 
 
 ident("plancherel_11", "FOURIER",
@@ -2305,7 +2326,7 @@ def _pl12_rhs(p, tr):
         right = confluent_phi_weighted(z / w, -t * exp_i(-th) * q.power(0.5), w, -al, q, tr)
         return left * right
 
-    return gline(f, q, tr, sigma2=-1.0)
+    return gaussian_line(f, q, tr, sigma2=-1.0)
 
 
 ident("plancherel_12", "FOURIER",
@@ -2329,7 +2350,7 @@ def _pl13_rhs(p, tr):
                                        -t * exp_i(-th), -al, q, tr)
         return left * right
 
-    return gline(f, q, tr, sigma2=-1.0)
+    return gaussian_line(f, q, tr, sigma2=-1.0)
 
 
 ident("plancherel_13", "FOURIER",
@@ -2362,7 +2383,7 @@ def _pl14_rhs(p, tr):
 
     # the two factors absorb q^(3 al^2/4); the engine supplies the rest
     return (math.sqrt(L / math.pi) * w ** nu / qp(q2.q, q2, tr)
-            * gline(f, q, tr, sigma2=2 / L))
+            * gaussian_line(f, q, tr, sigma2=2 / L))
 
 
 ident("plancherel_14", "FOURIER",
@@ -2390,7 +2411,7 @@ def _pl15_lhs(p, tr):
         val2 = pref2 * bessel2_normalized_gauss(n2, (z2 / 2.0) ** 2, -a, q, tr)
         return q.power(a * (n1 - n2)) * val1 * val2
 
-    return gline(f, q, tr, sigma2=-1.0)
+    return gaussian_line(f, q, tr, sigma2=-1.0)
 
 
 def _pl15_rhs(p, tr):
@@ -2421,7 +2442,7 @@ def _ab_lhs(p, tr):
     def f(a):
         return ramanujan_a_shifted(u, a, q, tr) * ramanujan_a_shifted(v, a, q, tr)
 
-    return gline(f, q, tr, sigma2=-1.0)
+    return gaussian_line(f, q, tr, sigma2=-1.0)
 
 
 def _ab_rhs(p, tr):

@@ -7,13 +7,9 @@ import math
 
 from ..core import QParam
 from ..polys import confluent_poly, qhermite_inv, qlaguerre, stieltjes_wigert
-from ..quad import VerticalLineSpec, vertical_line
-from ..series import MFunctionSpec, m_weighted, ramanujan_a
+from ..quad import vertical_line
+from ..series import m_weighted, ramanujan_a
 from ._common import cring, ident, qdraw, qfac, qp, qpm, rint, runif
-
-
-def _vline(rho, f, tr):
-    return vertical_line(VerticalLineSpec(rho, f), tr)
 
 
 def _zpow(z, e):
@@ -40,7 +36,7 @@ def _ma_rhs(p, tr):
     def f(z):
         return _zpow(z, -s) / (qp(z, q2, tr) * qp(-q.q / cmath.sqrt(z), q, tr))
 
-    return _vline(p["rho"], f, tr)
+    return vertical_line(f, p["rho"], tr)
 
 
 ident("mellin_airy", "MELLIN",
@@ -70,7 +66,7 @@ def _msw_rhs(p, tr):
         zh = cmath.sqrt(z)
         return qp(q.power(n + 1) * zh, q, tr) * _zpow(z, -s) / (qp(z, q2, tr) * qp(-q.q / zh, q, tr))
 
-    return _vline(p["rho"], f, tr)
+    return vertical_line(f, p["rho"], tr)
 
 
 ident("mellin_sw", "MELLIN",
@@ -103,7 +99,7 @@ def _mql_rhs(p, tr):
         num = qp(q.power(n + 1) * zh, q, tr) * qp(q.power(nu + 1) / zh, q, tr)
         return num * _zpow(z, -s) / (qp(z, q2, tr) * qp(-q.q / zh, q, tr))
 
-    return _vline(p["rho"], f, tr)
+    return vertical_line(f, p["rho"], tr)
 
 
 ident("mellin_qlaguerre", "MELLIN",
@@ -135,7 +131,7 @@ def _mim_rhs(p, tr):
         zh = cmath.sqrt(z)
         return qp(q.power(n + 1) * zh, q, tr) * _zpow(z, expo) / (qp(z, q2, tr) * qp(-q.q / zh, q, tr))
 
-    return _vline(p["rho"], f, tr)
+    return vertical_line(f, p["rho"], tr)
 
 
 ident("mellin_qinvhermite", "MELLIN",
@@ -154,7 +150,7 @@ def _mch_lhs(p, tr):
     q = QParam(p["q"])
     als, bes = [p["alpha"]], [p["beta"]]
     pref = qpm(bes, q, tr) / (qp(q.q, q, tr) * qpm(als, q, tr))
-    return pref * m_weighted(MFunctionSpec(als, bes, q, 0.5, p["x"]), tr)
+    return pref * m_weighted(als, bes, q, 0.5, p["x"], tr)
 
 
 def _mch_rhs(p, tr):
@@ -165,7 +161,7 @@ def _mch_rhs(p, tr):
     def f(z):
         return qp(be / z, q, tr) * _zpow(z, -s) / (qp(z, q, tr) * qp(al / z, q, tr))
 
-    return _vline(p["rho"], f, tr)
+    return vertical_line(f, p["rho"], tr)
 
 
 ident("mellin_confluent_half", "MELLIN",
@@ -177,7 +173,7 @@ def _mc1_lhs(p, tr):
     q = QParam(p["q"])
     als, bes = [p["alpha"]], [p["beta"]]
     pref = qpm(bes, q, tr) / qpm([q.q, -q.q, -q.q] + als, q, tr)
-    return pref * m_weighted(MFunctionSpec(als, bes, q, 1.0, p["x"]), tr)
+    return pref * m_weighted(als, bes, q, 1.0, p["x"], tr)
 
 
 def _mc1_rhs(p, tr):
@@ -191,7 +187,7 @@ def _mc1_rhs(p, tr):
         return (qp(be / zh, q, tr) * _zpow(z, -s)
                 / (qp(z, q2, tr) * qp(-q.q / zh, q, tr) * qp(al / zh, q, tr)))
 
-    return _vline(p["rho"], f, tr)
+    return vertical_line(f, p["rho"], tr)
 
 
 ident("mellin_confluent_one", "MELLIN",
@@ -224,7 +220,7 @@ def _mcp_rhs(p, tr):
         num = qp(q.power(n + 1) * zh, q, tr) * qp(be / zh, q, tr)
         return num * _zpow(z, -s) / (qp(z, q2, tr) * qp(-q.q / zh, q, tr) * qp(al / zh, q, tr))
 
-    return _vline(p["rho"], f, tr)
+    return vertical_line(f, p["rho"], tr)
 
 
 ident("mellin_confluent_poly", "MELLIN",

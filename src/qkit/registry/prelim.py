@@ -8,10 +8,10 @@ import math
 
 from ..core import QParam, theta4
 from ..polys import qhermite, qhermite_inv, qlaguerre, stieltjes_wigert
-from ..quad import ContourSpec, circle_contour, finite_interval, halfline_log
-from ..series import PhiSpec, PsiSpec, cal_e, jackson_bessel, phi, psi_bilateral
-from ._common import (TWO_PI, cring, exp_bound, exp_i, gline, ident, majorized_sum, qdraw, qfac,
-                      qp, qpm, qpn, resample, rint, runif)
+from ..quad import circle_contour, finite_interval, gaussian_line, halfline_log
+from ..series import cal_e, jackson_bessel, phi, psi_bilateral
+from ._common import (TWO_PI, cring, exp_bound, exp_i, ident, majorized_sum, qdraw, qfac, qp, qpm,
+                      qpn, resample, rint, runif)
 
 
 # --- Chu-Vandermonde sum -------------------------------------------------
@@ -28,7 +28,7 @@ def _cv_sample(rng):
 
 def _cv_lhs(p, tr):
     q = QParam(p["q"])
-    return phi(PhiSpec([q.power(-p["n"]), p["a"]], [p["c"]], q, q.q), tr)
+    return phi([q.power(-p["n"]), p["a"]], [p["c"]], q, q.q, tr)
 
 
 def _cv_rhs(p, tr):
@@ -64,7 +64,7 @@ def _r1_sample(rng):
 
 def _r1_lhs(p, tr):
     q = QParam(p["q"])
-    return psi_bilateral(PsiSpec([p["a"]], [p["b"]], q, p["z"]), tr)
+    return psi_bilateral([p["a"]], [p["b"]], q, p["z"], tr)
 
 
 def _r1_rhs(p, tr):
@@ -405,7 +405,7 @@ ident("sw_symmetry", "PRELIM",
 
 def _phi21(p, tr):
     q = QParam(p["q"])
-    return phi(PhiSpec([p["a"], p["b"]], [p["c"]], q, p["z"]), tr)
+    return phi([p["a"], p["b"]], [p["c"]], q, p["z"], tr)
 
 
 def _heine_sample(which):
@@ -433,28 +433,28 @@ def _heine1_rhs(p, tr):
     q = QParam(p["q"])
     a, b, c, z = p["a"], p["b"], p["c"], p["z"]
     pref = qpm([b, a * z], q, tr) / qpm([c, z], q, tr)
-    return pref * phi(PhiSpec([c / b, z], [a * z], q, b), tr)
+    return pref * phi([c / b, z], [a * z], q, b, tr)
 
 
 def _heine2_rhs(p, tr):
     q = QParam(p["q"])
     a, b, c, z = p["a"], p["b"], p["c"], p["z"]
     pref = qpm([c / b, b * z], q, tr) / qpm([c, z], q, tr)
-    return pref * phi(PhiSpec([a * b * z / c, b], [b * z], q, c / b), tr)
+    return pref * phi([a * b * z / c, b], [b * z], q, c / b, tr)
 
 
 def _heine3_rhs(p, tr):
     q = QParam(p["q"])
     a, b, c, z = p["a"], p["b"], p["c"], p["z"]
     pref = qp(a * b * z / c, q, tr) / qp(z, q, tr)
-    return pref * phi(PhiSpec([c / a, c / b], [c], q, a * b * z / c), tr)
+    return pref * phi([c / a, c / b], [c], q, a * b * z / c, tr)
 
 
 def _phi22_rhs(p, tr):
     q = QParam(p["q"])
     a, b, c, z = p["a"], p["b"], p["c"], p["z"]
     pref = qp(a * z, q, tr) / qp(z, q, tr)
-    return pref * phi(PhiSpec([a, c / b], [c, a * z], q, b * z), tr)
+    return pref * phi([a, c / b], [c, a * z], q, b * z, tr)
 
 
 ident("heine1", "PRELIM", "first Heine transformation of 2phi1",
@@ -616,7 +616,7 @@ def _lgen_lhs(p, tr):
 def _lgen_rhs(p, tr):
     q = QParam(p["q"])
     t, al, x = p["t"], p["alpha"], p["x"]
-    return phi(PhiSpec([-x], [0.0], q, q.q * t), tr) / qp(t * q.power(-al), q, tr)
+    return phi([-x], [0.0], q, q.q * t, tr) / qp(t * q.power(-al), q, tr)
 
 
 ident("qlaguerre_genfun", "PRELIM",
@@ -645,7 +645,7 @@ def _qck_rhs(p, tr):
     def f(z):
         return qpm([q2c.q, -qc * z * u, -qc / (z * u)], q2c, tr) / z ** (k + 1)
 
-    return circle_contour(ContourSpec(p["r"], f), tr)
+    return circle_contour(f, p["r"], tr)
 
 
 ident("qsquare_contour_rep", "PRELIM",
@@ -665,7 +665,7 @@ def _qal_rhs(p, tr):
     def f(y):
         return exp_i(al * y)
 
-    val = gline(f, q, tr, hint=abs(al), sigma2=L)
+    val = gaussian_line(f, q, tr, hint=abs(al), sigma2=L)
     return val / math.sqrt(math.pi * 2.0 * L)
 
 

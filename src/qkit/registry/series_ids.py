@@ -13,8 +13,6 @@ import math
 from ..core import QParam
 from ..polys import qlaguerre, stieltjes_wigert
 from ..series import (
-    MFunctionSpec,
-    PhiSpec,
     bessel2_normalized_native,
     bessel3_normalized_native,
     cal_e,
@@ -79,8 +77,8 @@ def _se1_rhs(p, tr):
     q2 = QParam(q.q * q.q)
     t, th = p["t"], p["theta"]
     e2 = exp_i(2 * th)
-    spec = MFunctionSpec([-e2], [], q, 0.25, -t * exp_i(-th))
-    body = m_expansion(spec, lambda k: qp(-t * t * e2 * q.power(k + 1), q2, tr),
+    body = m_expansion([-e2], [], q, 0.25, -t * exp_i(-th),
+                       lambda k: qp(-t * t * e2 * q.power(k + 1), q2, tr),
                        lambda k: _poch_bound(t * t * q.q ** (k + 1), q2), tr)
     return body / qp(t * t * q.q, q2, tr)
 
@@ -99,7 +97,7 @@ def _sa1_sample(rng):
 def _sa1_rhs(p, tr):
     q = QParam(p["q"])
     a, b = p["a"], p["b"]
-    return m_expansion(MFunctionSpec([b], [], q, 0.5, -a * q.power(0.5)),
+    return m_expansion([b], [], q, 0.5, -a * q.power(0.5),
                        lambda k: ramanujan_a(a * q.power(k), q, tr),
                        lambda k: _airy_bound(abs(a) * q.q ** k, q), tr)
 
@@ -117,7 +115,7 @@ def _sa2_sample(rng):
 def _sa2_rhs(p, tr):
     q = QParam(p["q"])
     a = p["a"]
-    return m_expansion(MFunctionSpec([], [], q, 0.5, -a * q.power(0.5)),
+    return m_expansion([], [], q, 0.5, -a * q.power(0.5),
                        lambda k: ramanujan_a(a * q.power(k), q, tr),
                        lambda k: _airy_bound(abs(a) * q.q ** k, q), tr)
 
@@ -141,7 +139,7 @@ def _sa3_sample(rng):
 def _sa3_rhs(p, tr):
     q = QParam(p["q"])
     z, w = p["z"], p["w"]
-    return m_expansion(MFunctionSpec([w], [], q, 1.0, z),
+    return m_expansion([w], [], q, 1.0, z,
                        lambda k: ramanujan_a(w * z * q.power(2 * k), q, tr),
                        lambda k: _airy_bound(abs(w * z) * q.q ** (2 * k), q), tr)
 
@@ -173,7 +171,7 @@ def _sa4_rhs(p, tr):
     q = QParam(p["q"])
     q2 = QParam(q.q * q.q)
     z = p["z"]
-    return m_weighted(MFunctionSpec([], [z * q2.q], q2, 0.5, z), tr)
+    return m_weighted([], [z * q2.q], q2, 0.5, z, tr)
 
 
 ident("airy_base_shift", "SERIES",
@@ -196,7 +194,7 @@ def _ssw1_lhs(p, tr):
 def _ssw1_rhs(p, tr):
     q = QParam(p["q"])
     n, x = p["n"], p["x"]
-    return m_weighted(MFunctionSpec([], [-x * q.power(n + 1)], q, 1.0, x), tr)
+    return m_weighted([], [-x * q.power(n + 1)], q, 1.0, x, tr)
 
 
 ident("sw_aq_ratio", "SERIES",
@@ -207,7 +205,7 @@ ident("sw_aq_ratio", "SERIES",
 def _ssw3_rhs(p, tr):
     q = QParam(p["q"])
     n, x = p["n"], p["x"]
-    body = m_expansion(MFunctionSpec([], [], q, 0.5, -x * q.power(n + 0.5)),
+    body = m_expansion([], [], q, 0.5, -x * q.power(n + 0.5),
                        lambda k: ramanujan_a(q.power(k) * x, q, tr),
                        lambda k: _airy_bound(abs(x) * q.q ** k, q), tr)
     return body / qfac(q, n)
@@ -287,7 +285,7 @@ def _sl1_rhs(p, tr):
     q = QParam(p["q"])
     n, al, x = p["n"], p["alpha"], p["x"]
     w = -x * q.power(al + n + 1)
-    return m_weighted(MFunctionSpec([-x], [w], q, 0.5, q.power(al + 0.5)), tr)
+    return m_weighted([-x], [w], q, 0.5, q.power(al + 0.5), tr)
 
 
 ident("laguerre_ratio_series", "SERIES",
@@ -304,8 +302,8 @@ def _sl2_rhs(p, tr):
     q = QParam(p["q"])
     n, al, x = p["n"], p["alpha"], p["x"]
     fac_n = qfac(q, n).real
-    spec = MFunctionSpec([q.power(n)], [q.power(al + n + 1)], q, 0.5, -x * q.power(al + 0.5))
-    return m_expansion(spec, lambda k: qlaguerre(n, al + k, x, q),
+    return m_expansion([q.power(n)], [q.power(al + n + 1)], q, 0.5, -x * q.power(al + 0.5),
+                       lambda k: qlaguerre(n, al + k, x, q),
                        lambda k: _laguerre_bound(fac_n, al + k, abs(x), q), tr)
 
 
@@ -330,8 +328,8 @@ def _sl3_rhs(p, tr):
     n, al, be, x = p["n"], p["alpha"], p["beta"], p["x"]
     fac_n = qfac(q, n).real
     y = x * q.power(al - be)
-    spec = MFunctionSpec([q.power(be - al)], [q.power(be + n + 1)], q, 0.5, q.power(al + 0.5))
-    return m_expansion(spec, lambda k: qlaguerre(n, be + k, y, q),
+    return m_expansion([q.power(be - al)], [q.power(be + n + 1)], q, 0.5, q.power(al + 0.5),
+                       lambda k: qlaguerre(n, be + k, y, q),
                        lambda k: _laguerre_bound(fac_n, be + k, abs(y), q), tr)
 
 
@@ -345,7 +343,7 @@ def _sl4_rhs(p, tr):
     q = QParam(p["q"])
     n, al, x = p["n"], p["alpha"], p["x"]
     fac_n = qfac(q, n).real
-    body = m_expansion(MFunctionSpec([], [], q, 0.5, q.power(al + 0.5)),
+    body = m_expansion([], [], q, 0.5, q.power(al + 0.5),
                        lambda k: stieltjes_wigert(n, x * q.power(k + al), q),
                        lambda k: _laguerre_bound(fac_n, 0.0, abs(x) * q.q ** (k + al), q), tr)
     return body / qp(q.power(al + n + 1), q, tr)
@@ -367,7 +365,7 @@ def _sl5_rhs(p, tr):
     q = QParam(p["q"])
     n, al, x = p["n"], p["alpha"], p["x"]
     fac_n = qfac(q, n).real
-    return m_expansion(MFunctionSpec([], [q.power(al + n + 1)], q, 1.0, -q.power(al)),
+    return m_expansion([], [q.power(al + n + 1)], q, 1.0, -q.power(al),
                        lambda k: qlaguerre(n, al + k, x, q),
                        lambda k: _laguerre_bound(fac_n, al + k, abs(x), q), tr)
 
@@ -387,7 +385,7 @@ def _mb_rhs(p, tr):
     q = QParam(p["q"])
     nu, z = p["nu"], p["z"]
     return (z ** nu / qp(q.q, q, tr)
-            * phi(PhiSpec([z * z], [0.0], q, q.power(nu + 1)), tr))
+            * phi([z * z], [0.0], q, q.power(nu + 1), tr))
 
 
 ident("modified_bessel_phi11", "SERIES",
@@ -443,7 +441,7 @@ def _sb2_rhs(p, tr):
     q = QParam(p["q"])
     nu, w, z = p["nu"], p["w"], p["z"]
     u = w * w / 4.0
-    body = m_expansion(MFunctionSpec([z * z], [], q, 0.5, -q.power(nu + 0.5) * u),
+    body = m_expansion([z * z], [], q, 0.5, -q.power(nu + 0.5) * u,
                        lambda k: bessel2_normalized_native(nu + k, u, q, tr),
                        lambda k: _bessel2_bound(nu + k, u, q, tr), tr)
     return z ** nu * (w / 2.0) ** nu * body
@@ -508,7 +506,7 @@ def _sb3b_rhs(p, tr):
     q = QParam(p["q"])
     n, al, z = p["n"], p["alpha"], p["z"]
     u = z * z / 4.0
-    body = m_expansion(MFunctionSpec([], [], q, 0.5, -q.power(al + n + 0.5) * u),
+    body = m_expansion([], [], q, 0.5, -q.power(al + n + 0.5) * u,
                        lambda k: bessel2_normalized_native(k + al, u, q, tr),
                        lambda k: _bessel2_bound(al + k, u, q, tr), tr)
     return qp(q.power(n + 1), q, tr) / qp(q.power(al + n + 1), q, tr) * (z / 2.0) ** al * body
@@ -526,7 +524,7 @@ def _sb4a_sample(rng):
 def _sb4a_rhs(p, tr):
     q = QParam(p["q"])
     nu, z = p["nu"], p["z"]
-    body = m_weighted(MFunctionSpec([-z * z / 4.0], [], q, 0.5, q.power(nu + 0.5)), tr)
+    body = m_weighted([-z * z / 4.0], [], q, 0.5, q.power(nu + 0.5), tr)
     return (z / 2.0) ** nu / qp(q.q, q, tr) * body
 
 
@@ -541,7 +539,7 @@ def _sb4b_rhs(p, tr):
     q = QParam(p["q"])
     nu, z = p["nu"], p["z"]
     u = z * z / 4.0
-    body = m_expansion(MFunctionSpec([], [], q, 0.5, -q.power(nu + 0.5) * u),
+    body = m_expansion([], [], q, 0.5, -q.power(nu + 0.5) * u,
                        lambda k: bessel2_normalized_native(k + nu, u, q, tr),
                        lambda k: _bessel2_bound(nu + k, u, q, tr), tr)
     return (z / 2.0) ** nu * body
@@ -557,7 +555,7 @@ ident("bessel_unit_series", "SERIES",
 def _sb5a_rhs(p, tr):
     q = QParam(p["q"])
     nu, z = p["nu"], p["z"]
-    body = m_expansion(MFunctionSpec([], [], q, 0.5, q.power(nu + 0.5)),
+    body = m_expansion([], [], q, 0.5, q.power(nu + 0.5),
                        lambda k: ramanujan_a(q.power(nu + k) * z * z, q, tr),
                        lambda k: _airy_bound(q.q ** (nu + k) * z * z, q), tr)
     return z ** nu / qp(q.q, q, tr) * body
@@ -579,7 +577,7 @@ def _sb5b_lhs(p, tr):
 def _sb5b_rhs(p, tr):
     q = QParam(p["q"])
     nu, z = p["nu"], p["z"]
-    body = m_expansion(MFunctionSpec([], [], q, 1.0, -q.power(nu)),
+    body = m_expansion([], [], q, 1.0, -q.power(nu),
                        lambda k: bessel2_normalized_native(k + nu, z * z, q, tr),
                        lambda k: _bessel2_bound(nu + k, z * z, q, tr), tr)
     return z ** nu * body
@@ -606,7 +604,7 @@ def _sb313_lhs(p, tr):
 def _sb313_rhs(p, tr):
     q = QParam(p["q"])
     nu, mu, z = p["nu"], p["mu"], p["z"]
-    body = m_expansion(MFunctionSpec([q.power(mu - nu)], [], q, 0.5, q.power(nu + 0.5)),
+    body = m_expansion([q.power(mu - nu)], [], q, 0.5, q.power(nu + 0.5),
                        lambda n: bessel3_normalized_native(mu + n, (q.power(n / 2.0).real * z) ** 2,
                                                            q, tr),
                        lambda n: _bessel3_bound(q.q ** n * z * z, q, tr), tr)
@@ -635,8 +633,7 @@ def _sb314_lhs(p, tr):
 def _sb314_rhs(p, tr):
     q = QParam(p["q"])
     nu, w, z = p["nu"], p["w"], p["z"]
-    spec = MFunctionSpec([w * w], [], q, 0.5, q.power(0.5) * z * z / (w * w))
-    body = m_expansion(spec,
+    body = m_expansion([w * w], [], q, 0.5, q.power(0.5) * z * z / (w * w),
                        lambda n: bessel3_normalized_native(nu + n, (q.power(n / 2.0).real * z) ** 2,
                                                            q, tr),
                        lambda n: _bessel3_bound(q.q ** n * z * z, q, tr), tr)
@@ -660,7 +657,7 @@ def _sb315_lhs(p, tr):
 def _sb315_rhs(p, tr):
     q = QParam(p["q"])
     nu, z = p["nu"], p["z"]
-    return m_expansion(MFunctionSpec([], [], q, 1.0, -q.power(nu)),
+    return m_expansion([], [], q, 1.0, -q.power(nu),
                        lambda n: bessel3_normalized_native(nu + n, (q.power(n / 2.0).real * z) ** 2,
                                                            q, tr),
                        lambda n: _bessel3_bound(q.q ** n * z * z, q, tr), tr)
@@ -684,7 +681,7 @@ def _sb318_lhs(p, tr):
 def _sb318_rhs(p, tr):
     q = QParam(p["q"])
     nu, z, n = p["nu"], p["z"], p["n"]
-    body = m_expansion(MFunctionSpec([], [], q, 1.0, -z * z),
+    body = m_expansion([], [], q, 1.0, -z * z,
                        lambda k: bessel3_normalized_native(
                            k + nu, (z * q.power((n + k) / 2.0).real) ** 2, q, tr),
                        lambda k: _bessel3_bound(q.q ** (n + k) * z * z, q, tr), tr)
@@ -710,7 +707,7 @@ def _sb319_rhs(p, tr):
     nu, z, n = p["nu"], p["z"], p["n"]
     fac_n = qfac(q, n).real
     y = -z * z * q.power(-nu)
-    body = m_expansion(MFunctionSpec([], [q.power(nu + n + 1)], q, 0.5, z * z * q.power(0.5)),
+    body = m_expansion([], [q.power(nu + n + 1)], q, 0.5, z * z * q.power(0.5),
                        lambda k: qlaguerre(n, nu + k, y, q),
                        lambda k: _laguerre_bound(fac_n, nu + k, abs(y), q), tr)
     return qp(q.power(nu + n + 1), q, tr) / qp(q.power(n + 1), q, tr) * body
@@ -733,13 +730,13 @@ def _sc2_sample(rng):
 def _sc2_lhs(p, tr):
     q = QParam(p["q"])
     nu, a, z = p["nu"], p["a"], p["z"]
-    return phi(PhiSpec([-a * q.power(nu + 1)], [q.power(nu + 1)], q, z), tr)
+    return phi([-a * q.power(nu + 1)], [q.power(nu + 1)], q, z, tr)
 
 
 def _sc2_rhs(p, tr):
     q = QParam(p["q"])
     nu, a, z = p["nu"], p["a"], p["z"]
-    body = m_expansion(MFunctionSpec([], [], q, 0.5, z * q.power(-0.5)),
+    body = m_expansion([], [], q, 0.5, z * q.power(-0.5),
                        lambda k: bessel2_normalized_native(nu + k, a * z, q, tr),
                        lambda k: _bessel2_bound(nu + k, a * z, q, tr), tr)
     return qp(q.q, q, tr) / qp(q.power(nu + 1), q, tr) * body
@@ -757,13 +754,13 @@ def _sc4_sample(rng):
 def _sc4_lhs(p, tr):
     q = QParam(p["q"])
     a, z = p["a"], p["z"]
-    return qp(z, q, tr) * phi(PhiSpec([a], [z], q, -z), tr)
+    return qp(z, q, tr) * phi([a], [z], q, -z, tr)
 
 
 def _sc4_rhs(p, tr):
     q = QParam(p["q"])
     a, z = p["a"], p["z"]
-    return m_expansion(MFunctionSpec([], [], QParam(q.q * q.q), 1.0, -z * z / q.q),
+    return m_expansion([], [], QParam(q.q * q.q), 1.0, -z * z / q.q,
                        lambda k: ramanujan_a(q.power(2 * k - 1) * a * z, q, tr),
                        lambda k: _airy_bound(q.q ** (2 * k - 1) * abs(a * z), q), tr)
 
@@ -792,9 +789,8 @@ def _sc5_lhs(p, tr):
 def _sc5_rhs(p, tr):
     q = QParam(p["q"])
     a, b, z = p["a"], p["b"], p["z"]
-    spec = MFunctionSpec([b / (a * z)], [b], q, 0.5, a * z * q.power(-0.5))
-    return m_expansion(spec,
-                       lambda k: phi(PhiSpec([a], [b * q.power(k)], q, z * q.power(k)), tr),
+    return m_expansion([b / (a * z)], [b], q, 0.5, a * z * q.power(-0.5),
+                       lambda k: phi([a], [b * q.power(k)], q, z * q.power(k), tr),
                        lambda k: _phi11_bound(abs(a), abs(b) * q.q ** k, abs(z) * q.q ** k, q),
                        tr)
 
@@ -819,9 +815,8 @@ def _sc6_rhs(p, tr):
     q = QParam(p["q"])
     nu, z = p["nu"], p["z"]
     a = -q.power(nu + 1) * z / 4.0
-    body = m_expansion(MFunctionSpec([], [q.power(nu + 1)], q, 1.0, -z),
-                       lambda k: phi(PhiSpec([a], [q.power(nu + k + 1)], q,
-                                             z * q.power(k + 1)), tr),
+    body = m_expansion([], [q.power(nu + 1)], q, 1.0, -z,
+                       lambda k: phi([a], [q.power(nu + k + 1)], q, z * q.power(k + 1), tr),
                        lambda k: _phi11_bound(abs(a), q.q ** (nu + k + 1), abs(z) * q.q ** (k + 1),
                                               q), tr)
     return qp(q.power(nu + 1), q, tr) / qp(q.q, q, tr) * body
@@ -840,15 +835,14 @@ def _sc9_sample(rng):
 
 def _sc9_lhs(p, tr):
     q = QParam(p["q"])
-    return phi(PhiSpec([p["a"]], [p["b"]], q, p["z"]), tr)
+    return phi([p["a"]], [p["b"]], q, p["z"], tr)
 
 
 def _sc9_rhs(p, tr):
     q = QParam(p["q"])
     a, b, d, z = p["a"], p["b"], p["d"], p["z"]
-    spec = MFunctionSpec([d], [b * d], q, 0.5, b * q.power(-0.5))
-    body = m_expansion(spec,
-                       lambda k: phi(PhiSpec([a], [b * d * q.power(k)], q, z * q.power(k)), tr),
+    body = m_expansion([d], [b * d], q, 0.5, b * q.power(-0.5),
+                       lambda k: phi([a], [b * d * q.power(k)], q, z * q.power(k), tr),
                        lambda k: _phi11_bound(abs(a), abs(b * d) * q.q ** k, abs(z) * q.q ** k, q),
                        tr)
     return qp(b * d, q, tr) / qp(b, q, tr) * body
@@ -867,15 +861,14 @@ def _sc10_sample(rng):
 
 def _sc10_lhs(p, tr):
     q = QParam(p["q"])
-    return phi(PhiSpec([p["a"] * p["w"]], [p["b"]], q, p["z"]), tr)
+    return phi([p["a"] * p["w"]], [p["b"]], q, p["z"], tr)
 
 
 def _sc10_rhs(p, tr):
     q = QParam(p["q"])
     a, b, w, z = p["a"], p["b"], p["w"], p["z"]
-    spec = MFunctionSpec([w], [b], q, 0.5, z * q.power(-0.5))
-    return m_expansion(spec,
-                       lambda k: phi(PhiSpec([a], [b * q.power(k)], q, w * z * q.power(k)), tr),
+    return m_expansion([w], [b], q, 0.5, z * q.power(-0.5),
+                       lambda k: phi([a], [b * q.power(k)], q, w * z * q.power(k), tr),
                        lambda k: _phi11_bound(abs(a), abs(b) * q.q ** k, abs(w * z) * q.q ** k, q),
                        tr)
 
@@ -900,11 +893,9 @@ def _sc7_rhs(p, tr):
     q = QParam(p["q"])
     n, al, x = p["n"], p["alpha"], p["x"]
     a = -q.power(al + 0.5)
-    spec = MFunctionSpec([-q.power(-al - n - 0.5)], [q.power(al + 1)], q, 0.5,
-                         -x * q.power(al + n + 0.5))
-    return m_expansion(spec,
-                       lambda k: phi(PhiSpec([a], [q.power(al + k + 1)], q,
-                                             x * q.power(k + 0.5)), tr),
+    return m_expansion([-q.power(-al - n - 0.5)], [q.power(al + 1)], q, 0.5,
+                       -x * q.power(al + n + 0.5),
+                       lambda k: phi([a], [q.power(al + k + 1)], q, x * q.power(k + 0.5), tr),
                        lambda k: _phi11_bound(abs(a), q.q ** (al + k + 1),
                                               abs(x) * q.q ** (k + 0.5), q), tr)
 

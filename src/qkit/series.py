@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 
 from .core import (
     DEFAULT_TRUNCATION,
@@ -36,9 +35,6 @@ from .core import (
 from .errors import ConvergenceError, DomainError, NumericOverflowError, PoleError, TruncationError
 
 __all__ = [
-    "PhiSpec",
-    "PsiSpec",
-    "MFunctionSpec",
     "phi",
     "psi_bilateral",
     "m_weighted",
@@ -68,79 +64,6 @@ def _as_exact_negative_qpower(a, q: QParam, limit: int = 500):
     return None
 
 
-@dataclass(frozen=True)
-class PhiSpec:
-    """Parameters of a unilateral basic hypergeometric series.
-
-    upper = (a_1..a_r), lower = (b_1..b_s), base q, argument z.  A lower
-    parameter of the form q^(-m) is a pole of the term unless an upper
-    parameter terminates the series first; this is checked at evaluation.
-    """
-
-    upper: tuple
-    lower: tuple
-    q: QParam
-    z: complex
-
-    def __init__(self, upper, lower, q, z):
-        object.__setattr__(self, "upper", tuple(complex(a) for a in upper))
-        object.__setattr__(self, "lower", tuple(complex(b) for b in lower))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "z", complex(z))
-
-
-@dataclass(frozen=True)
-class PsiSpec:
-    """Parameters of a bilateral series with equally many upper/lower entries."""
-
-    upper: tuple
-    lower: tuple
-    q: QParam
-    z: complex
-
-    def __init__(self, upper, lower, q, z):
-        upper = tuple(complex(a) for a in upper)
-        lower = tuple(complex(b) for b in lower)
-        if len(upper) != len(lower):
-            raise DomainError("bilateral series needs equally long parameter lists")
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "z", complex(z))
-
-    def annulus(self):
-        """(inner, outer) radii of the convergence annulus."""
-        num = 1.0
-        for b in self.lower:
-            num *= abs(b)
-        den = 1.0
-        for a in self.upper:
-            den *= abs(a)
-        if den == 0.0:
-            return math.inf, 1.0
-        return num / den, 1.0
-
-
-@dataclass(frozen=True)
-class MFunctionSpec:
-    """Parameters of the q^(l k^2)-weighted series with weight l > 0."""
-
-    alphas: tuple
-    betas: tuple
-    q: QParam
-    ell: float
-    z: complex
-
-    def __init__(self, alphas, betas, q, ell, z):
-        if not ell > 0:
-            raise DomainError(f"weight ell must be positive, got {ell}")
-        object.__setattr__(self, "alphas", tuple(complex(a) for a in alphas))
-        object.__setattr__(self, "betas", tuple(complex(b) for b in betas))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "ell", float(ell))
-        object.__setattr__(self, "z", complex(z))
-
-
 def _qpow(q: QParam, e: float) -> float:
     """q^e for real e, inf where it leaves the double range."""
     x = e * q.ln_q
@@ -159,19 +82,22 @@ def _ratio_bound(num: float, c: float, x: float) -> float:
     return num / (1.0 - cx) if cx < 1.0 else math.inf
 
 
-def phi(spec: PhiSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
+def phi(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Evaluate the unilateral series r_phi_s.
 
-    Term k is  prod(a_i;q)_k / [(q;q)_k prod(b_j;q)_k] *
-    ((-1)^k q^(k(k-1)/2))^(1+s-r) * z^k.  Terminating series (an upper
-    parameter equal to q^(-m)) stop exactly at k = m.
+    upper = (a_1..a_r), lower = (b_1..b_s), base q, argument z.  Term k is
+    prod(a_i;q)_k / [(q;q)_k prod(b_j;q)_k] * ((-1)^k q^(k(k-1)/2))^(1+s-r) * z^k.
+    Terminating series (an upper parameter equal to q^(-m)) stop exactly
+    at k = m; a lower parameter q^(-m) is a pole of the term otherwise.
     """
-    q = spec.q
-    r, s = len(spec.upper), len(spec.lower)
+    upper = tuple(complex(a) for a in upper)
+    lower = tuple(complex(b) for b in lower)
+    z = complex(z)
+    r, s = len(upper), len(lower)
     excess = 1 + s - r
 
     stop = None
-    for a in spec.upper:
+    for a in upper:
         m = _as_exact_negative_qpower(a, q)
         if m is not None:
             stop = m if stop is None else min(stop, m)
@@ -180,16 +106,16 @@ def phi(spec: PhiSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
             raise DomainError(
                 "divergent series: more upper than lower parameters and no termination"
             )
-        if excess == 0 and abs(spec.z) >= 1.0:
-            raise ConvergenceError(f"series needs |z| < 1, got |z| = {abs(spec.z)}")
-        for b in spec.lower:
+        if excess == 0 and abs(z) >= 1.0:
+            raise ConvergenceError(f"series needs |z| < 1, got |z| = {abs(z)}")
+        for b in lower:
             m = _as_exact_negative_qpower(b, q)
             if m is not None:
                 raise PoleError(f"lower parameter equals q^(-{m}): term pole")
 
     qq = q.q
-    az = abs(spec.z)
-    c = sum(abs(a) for a in spec.upper + spec.lower) + qq
+    az = abs(z)
+    c = sum(abs(a) for a in upper + lower) + qq
 
     # for every i >= k:
     # |t_(i+1)/t_i| <= |z| q^(k excess) prod(1 + |a| q^k) / [(1 - q^(k+1)) prod(1 - |b| q^k)]
@@ -199,11 +125,11 @@ def phi(spec: PhiSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
         for k in itertools.count():
             r = _ratio_bound(az * qk ** excess, c, qk) if excess >= 0 else math.inf
             yield term, geometric_tail(abs(term), r)
-            ratio = spec.z
-            for a in spec.upper:
+            ratio = z
+            for a in upper:
                 ratio *= 1.0 - a * qk
             den = 1.0 - qq * qk
-            for b in spec.lower:
+            for b in lower:
                 den *= 1.0 - b * qk
             if abs(den) < 1e-290:
                 raise PoleError(f"zero denominator factor at term {k + 1} (lower parameter pole)")
@@ -218,31 +144,36 @@ def phi(spec: PhiSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     return _certified_sum(itertools.islice(terms(), stop + 1), tr, "phi")
 
 
-def psi_bilateral(spec: PsiSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
+def psi_bilateral(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Evaluate the bilateral series m_psi_m wing by wing.
 
-    z must lie strictly inside the convergence annulus
-    |b_1...b_m/(a_1...a_m)| < |z| < 1.
+    upper and lower hold equally many parameters, and z must lie strictly
+    inside the convergence annulus |b_1...b_m/(a_1...a_m)| < |z| < 1.
     """
-    q = spec.q
-    inner, outer = spec.annulus()
-    az = abs(spec.z)
-    if not (inner < az < outer):
+    upper = tuple(complex(a) for a in upper)
+    lower = tuple(complex(b) for b in lower)
+    z = complex(z)
+    if len(upper) != len(lower):
+        raise DomainError("bilateral series needs equally long parameter lists")
+    upper_mags = [abs(a) for a in upper]
+    lower_mags = [abs(b) for b in lower]
+    upper_prod = math.prod(upper_mags)
+    inner = math.prod(lower_mags) / upper_prod if upper_prod else math.inf
+    az = abs(z)
+    if not inner < az < 1.0:
         raise ConvergenceError(
-            f"|z| = {az:.6g} outside convergence annulus ({inner:.6g}, {outer:.6g})"
+            f"|z| = {az:.6g} outside convergence annulus ({inner:.6g}, 1)"
         )
     qq = q.q
-    upper_mags = [abs(a) for a in spec.upper]
-    lower_mags = [abs(b) for b in spec.lower]
     c = sum(upper_mags) + sum(lower_mags)
 
     # term(-m-1)/term(-m) = prod(1 - b q^(-m-1))/prod(1 - a q^(-m-1))/z
     #                     = prod(x - b)/prod(x - a)/z with x = q^(m+1)
     def neg_ratio(x):
-        val = 1.0 / spec.z
-        for b in spec.lower:
+        val = 1.0 / z
+        for b in lower:
             val *= x - b
-        for a in spec.upper:
+        for a in upper:
             den = x - a
             if abs(den) < 1e-290 * x:
                 raise PoleError("upper parameter pole in bilateral term (negative wing)")
@@ -266,10 +197,10 @@ def psi_bilateral(spec: PsiSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex
         pos, qn = 1.0 + 0.0j, 1.0  # term(n), q^n
         yield pos, geometric_tail(1.0, _ratio_bound(az, c, 1.0))
         while True:
-            ratio = spec.z
-            for a in spec.upper:
+            ratio = z
+            for a in upper:
                 ratio *= 1.0 - a * qn
-            for b in spec.lower:
+            for b in lower:
                 den = 1.0 - b * qn
                 if abs(den) < 1e-290:
                     raise PoleError("lower parameter pole in bilateral term")
@@ -370,29 +301,34 @@ def _m_damped(alphas, betas, q: QParam, ell: float, z, shift: float):
         qn *= qq
 
 
-def _spec_terms(spec: MFunctionSpec):
-    """:func:`_m_terms` of a spec, at w = q^l."""
-    return _m_terms(spec.alphas, spec.betas, spec.q, spec.q.power(spec.ell).real, spec.z)
+def _weighted_terms(q: QParam, alphas, betas, ell, z):
+    """:func:`_m_terms` at w = q^l for the parameters of :func:`m_weighted`, ell > 0."""
+    if not ell > 0:
+        raise DomainError(f"weight ell must be positive, got {ell}")
+    return _m_terms(tuple(complex(a) for a in alphas), tuple(complex(b) for b in betas), q,
+                    q.power(float(ell)).real, complex(z))
 
 
-def m_weighted(spec: MFunctionSpec, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
-    """Evaluate sum_k prod(alpha;q)_k q^(l k^2) (-z)^k / [(q;q)_k prod(beta;q)_k]."""
-    return _certified_sum(_spec_terms(spec), tr, "m_weighted")
+def m_weighted(alphas, betas, q: QParam, ell, z, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
+    """Evaluate sum_k prod(alpha;q)_k q^(l k^2) (-z)^k / [(q;q)_k prod(beta;q)_k], l > 0."""
+    return _certified_sum(_weighted_terms(q, alphas, betas, ell, z), tr, "m_weighted")
 
 
-def m_weighted_bilateral(pos: MFunctionSpec, neg: MFunctionSpec,
-                         tr: Truncation = DEFAULT_TRUNCATION) -> complex:
+def m_weighted_bilateral(q: QParam, pos, neg, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """A bilateral sum whose two wings are :func:`m_weighted` series, certified together.
 
-    The terms at k >= 0 are those of pos, the terms at -k for k >= 1 those of neg
-    (its k = 0 term, 1, is not summed).
+    pos and neg are the (alphas, betas, ell, z) of the two wings.  The terms at k >= 0
+    are those of pos, the terms at -k for k >= 1 those of neg (its k = 0 term, 1, is
+    not summed).
     """
-    neg_terms = _spec_terms(neg)
+    pos_terms = _weighted_terms(q, *pos)
+    neg_terms = _weighted_terms(q, *neg)
     next(neg_terms)
-    return _certified_sum(_two_wings(_spec_terms(pos), neg_terms), tr, "m_weighted_bilateral")
+    return _certified_sum(_two_wings(pos_terms, neg_terms), tr, "m_weighted_bilateral")
 
 
-def m_expansion(spec: MFunctionSpec, inner, bound, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
+def m_expansion(alphas, betas, q: QParam, ell, z, inner, bound,
+                tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """sum_k c_k F_k over the terms c_k of :func:`m_weighted`.
 
     inner(k) returns F_k, typically a q-function at an argument or order
@@ -401,11 +337,9 @@ def m_expansion(spec: MFunctionSpec, inner, bound, tr: Truncation = DEFAULT_TRUN
     term that happens to be small (a zero of F) cannot stop the sum.  The
     tail after term k is then at most bound(k) sum_(j>k) |c_j|.
     """
-    def terms():
-        for k, (c, tail) in enumerate(_spec_terms(spec)):
-            yield c * inner(k), bound(k) * tail
-
-    return _certified_sum(terms(), tr, "m_expansion")
+    terms = ((c * inner(k), bound(k) * tail)
+             for k, (c, tail) in enumerate(_weighted_terms(q, alphas, betas, ell, z)))
+    return _certified_sum(terms, tr, "m_expansion")
 
 
 def q_exp_small(z, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:

@@ -9,8 +9,6 @@ import pytest
 from qkit import QParam, Truncation, qgamma, qpoch_inf, theta2, theta3, theta4
 from qkit.identities import get_identity, sample_params
 from qkit.series import (
-    MFunctionSpec,
-    PhiSpec,
     bessel1_normalized,
     bessel2_normalized_gauss,
     bessel2_normalized_native,
@@ -270,7 +268,7 @@ def test_phi21_matches_qhyper():
         qv = rng.uniform(0.05, 0.9)
         a, b, c = _cring(rng, 0.1, 2.0), _cring(rng, 0.1, 2.0), _cring(rng, 0.1, 0.9)
         z = _cring(rng, 0.05, 0.8)
-        value = phi(PhiSpec((a, b), (c,), QParam(qv), z), TR)
+        value = phi((a, b), (c,), QParam(qv), z, TR)
         exact = mp.qhyper([mp.mpc(a), mp.mpc(b)], [mp.mpc(c)], mp.mpf(qv), mp.mpc(z))
         err = rel(value, exact)
         spread = float(_phi21_absum(a, b, c, z, qv) / abs(exact))
@@ -324,7 +322,7 @@ def test_m_weighted_matches_direct_sum(ell, with_beta):
         alphas = [_cring(rng, 0.1, 1.5)]
         betas = [_cring(rng, 0.05, 0.9)] if with_beta else []
         z = _cring(rng, 0.1, 2.0)
-        value = m_weighted(MFunctionSpec(alphas, betas, QParam(q2), ell, z), TR)
+        value = m_weighted(alphas, betas, QParam(q2), ell, z, TR)
         exact, absum = _m_weighted(alphas, betas, q2, ell, z)
         cases.append(((q2, alphas, betas, z), value, exact, absum))
     assert _check_spread(cases) >= 4

@@ -10,7 +10,6 @@ from qkit import (
     DomainError,
     QParam,
     Truncation,
-    WeightSpec,
     confluent_poly,
     qhermite,
     qhermite_inv,
@@ -272,35 +271,34 @@ class TestGeneratingFunctions:
 
 
 class TestWeights:
+    def test_unknown_kind(self):
+        with pytest.raises(DomainError):
+            weight("hermite", 0.0, QParam(0.5), TR)
+
     def test_qhermite_weight(self):
         q = QParam(0.5)
-        spec = WeightSpec("qhermite", q)
-        val = weight(spec, 0.0, TR)
+        val = weight("qhermite", 0.0, q, TR)
         direct = (qpoch_inf(-1.0, q, TR) ** 2).real  # e^(2 i pi/2) = -1 at x = 0
         assert rel(val, direct) < 1e-12
         with pytest.raises(DomainError):
-            weight(spec, 1.2, TR)
+            weight("qhermite", 1.2, q, TR)
 
     def test_sw_weight(self):
         q = QParam(0.5)
-        spec = WeightSpec("sw_lognormal", q)
-        assert abs(weight(spec, math.sqrt(q.q), TR) - 1.0) < 1e-14
+        assert abs(weight("sw_lognormal", math.sqrt(q.q), q, TR) - 1.0) < 1e-14
         with pytest.raises(DomainError):
-            weight(spec, -0.1, TR)
+            weight("sw_lognormal", -0.1, q, TR)
 
     def test_laguerre_weight_vanishes_at_origin(self):
         q = QParam(0.5)
-        spec = WeightSpec("laguerre", q, alpha=0.7)
-        assert weight(spec, 1e-9, TR) < 1e-6
+        assert weight("laguerre", 1e-9, q, TR, alpha=0.7) < 1e-6
 
     def test_w2_is_normalized_density(self):
         from qkit.quad import real_line
 
         q = QParam(0.5)
-        spec = WeightSpec("ismail_masson_w2", q)
-
         def f(x):
-            return weight(spec, x, TR)
+            return weight("ismail_masson_w2", x, q, TR)
 
         total = real_line(f, Truncation(tol=1e-11), width=2.0)
         assert abs(total.real - 1.0) < 1e-9

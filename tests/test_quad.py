@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 
 import pytest
@@ -9,10 +10,8 @@ from qkit import (QParam, QuadratureError, Truncation, q_exp_small, qpoch_finite
 from qkit.identities import _truncation_for
 from qkit.polys import qhermite
 from qkit.registry import prelim
+from qkit import quad
 from qkit.quad import (
-    ContourSpec,
-    LineIntegrand,
-    VerticalLineSpec,
     circle_contour,
     finite_interval,
     gaussian_line,
@@ -43,15 +42,14 @@ class TestGaussianLine:
     def test_constant(self):
         q = QParam(0.5)
         L = q.log_inv
-        val = gaussian_line(LineIntegrand(lambda y: 1.0, q), TR)
+        val = gaussian_line(lambda y: 1.0, q, TR, sigma2=L)
         assert rel(val, math.sqrt(2 * math.pi * L)) < 1e-11
 
     def test_pure_phase(self):
         q = QParam(0.5)
         L = q.log_inv
         alpha = 2.0
-        val = gaussian_line(LineIntegrand(lambda y: cmath.exp(1j * alpha * y), q,
-                                          oscillation_hint=alpha), TR)
+        val = gaussian_line(lambda y: cmath.exp(1j * alpha * y), q, TR, sigma2=L, hint=alpha)
         expected = math.sqrt(2 * math.pi * L) * q.power(alpha * alpha / 2)
         assert rel(val, expected) < 1e-11
 
@@ -65,8 +63,8 @@ class TestGaussianLine:
             return cmath.exp(1j * alpha * y * q.ln_q) / qpoch_inf(
                 z * cmath.exp(1j * y * q.ln_q), q, TR)
 
-        val = math.sqrt(L / (2 * math.pi)) * gaussian_line(
-            LineIntegrand(f, q, oscillation_hint=(alpha + 3) * L, sigma2=1 / L), TR)
+        val = math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, TR, sigma2=1 / L,
+                                                           hint=(alpha + 3) * L)
         expected = q.power(alpha * alpha / 2) * qpoch_inf(-z * q.power(alpha + 0.5), q, TR)
         assert rel(val, expected) < 1e-9
 
@@ -76,7 +74,7 @@ class TestGaussianLine:
         q = QParam(0.5)
         L = q.log_inv
         f, calls = counted(lambda y: cmath.exp(2j * y))
-        val = gaussian_line(LineIntegrand(f, q, oscillation_hint=2.0), TR)
+        val = gaussian_line(f, q, TR, sigma2=L, hint=2.0)
         assert rel(val, math.sqrt(2 * math.pi * L) * q.power(2.0)) < 1e-11
         assert calls[0] <= 200
 
@@ -88,8 +86,8 @@ class TestGaussianLine:
         # the mass, so the error is measured against the mass
         q = QParam(qv)
         mass = math.sqrt(2 * math.pi * q.log_inv)
-        val = gaussian_line(LineIntegrand(lambda y: cmath.exp(1j * a * y), q,
-                                          oscillation_hint=a if hinted else 0.0), TR)
+        val = gaussian_line(lambda y: cmath.exp(1j * a * y), q, TR, sigma2=q.log_inv,
+                            hint=a if hinted else 0.0)
         assert abs(val - mass * q.power(a * a / 2)) <= 1e-11 * mass
 
     def test_near_pole_refines(self):
@@ -100,7 +98,7 @@ class TestGaussianLine:
         work = {}
         for d in (0.5, 0.05, 0.02):
             f, calls = counted(lambda y, d=d: 1.0 / (y * y + d * d))
-            val = gaussian_line(LineIntegrand(f, q), TR)
+            val = gaussian_line(f, q, TR, sigma2=s2)
             expected = (math.pi / d) * math.exp(d * d / (2 * s2)) * math.erfc(
                 d / math.sqrt(2 * s2))
             assert rel(val, expected) < 1e-12, d
@@ -110,16 +108,25 @@ class TestGaussianLine:
         # case almost nothing
         assert work[0.02] <= 8800
 
+    def test_zero_variance(self):
+        with pytest.raises(QuadratureError):
+            gaussian_line(lambda y: 1.0, QParam(0.5), TR, sigma2=0.0)
+
     def test_budget_guard(self):
         q = QParam(0.5)
         with pytest.raises(QuadratureError):
-            gaussian_line(LineIntegrand(lambda y: cmath.exp(0.49 * y * y / q.log_inv), q),
-                          Truncation(tol=1e-13))
+            gaussian_line(lambda y: cmath.exp(0.49 * y * y / q.log_inv), q, Truncation(tol=1e-13),
+                          sigma2=q.log_inv)
 
 
 class TestCircleContour:
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_radius_validation(self, r):
+        with pytest.raises(QuadratureError):
+            circle_contour(lambda z: 1 / z, r, TR)
+
     def test_cauchy(self):
-        val = circle_contour(ContourSpec(1.0, lambda z: 1 / z), TR)
+        val = circle_contour(lambda z: 1 / z, 1.0, TR)
         assert abs(val - 1) < 1e-14
 
     def test_theta_kernel_moments(self):
@@ -129,13 +136,13 @@ class TestCircleContour:
             def f(z):
                 return qpoch_multi([0.25, -0.5 * z * u, -0.5 / (z * u)], q2, None, TR) / z ** (k + 1)
 
-            val = circle_contour(ContourSpec(1.0, f), TR)
+            val = circle_contour(f, 1.0, TR)
             assert rel(val, 0.5 ** (k * k) * u**k) < 1e-11
 
     def test_cauchy_work(self):
         # the first comparison is at N = 128 and every earlier angle is reused
         f, calls = counted(lambda z: 1 / z)
-        circle_contour(ContourSpec(1.0, f), TR)
+        circle_contour(f, 1.0, TR)
         assert calls[0] < 192
 
     def test_radius_independence(self):
@@ -146,8 +153,8 @@ class TestCircleContour:
         def f(z):
             return qpoch_multi([q.q, -sq * z, -sq / z, sq * w / z], q, None, TR) / z
 
-        a = circle_contour(ContourSpec(1.0, f), TR)
-        b = circle_contour(ContourSpec(1.3, f), TR)
+        a = circle_contour(f, 1.0, TR)
+        b = circle_contour(f, 1.3, TR)
         assert abs(a - b) < 1e-9
         assert rel(a, ramanujan_a(w, q, TR)) < 1e-10
 
@@ -164,7 +171,7 @@ class TestVerticalLine:
                     / (qpoch_inf(z, q2, TR) * qpoch_inf(-q.q / cmath.sqrt(z), q, TR)))
 
         f, calls = counted(f)
-        val = vertical_line(VerticalLineSpec(0.5, f), Truncation(tol=1e-9))
+        val = vertical_line(f, 0.5, Truncation(tol=1e-9))
         ref = ramanujan_a(x, q, TR) / qpoch_multi([q.q, -q.q, -q.q], q, None, TR)
         assert rel(val, ref) < 1e-11
         assert calls[0] <= 500
@@ -179,12 +186,12 @@ class TestVerticalLine:
         # residue 1 (1e-6) at z = 0; the Gaussian is entire, so rho does not
         # move its value.  The target is relative, so a small integral keeps
         # its digits.
-        val = vertical_line(VerticalLineSpec(rho, f), Truncation(tol=1e-9))
+        val = vertical_line(f, rho, Truncation(tol=1e-9))
         assert abs(val - exact) < err * abs(exact)
 
     def test_rho_validation(self):
         with pytest.raises(QuadratureError):
-            VerticalLineSpec(1.2, lambda z: 1.0)
+            vertical_line(lambda z: 1.0, 1.2)
 
 
 class TestRealLineFamily:
@@ -309,16 +316,25 @@ class TestParsevalRoundtrip:
             def f(a):
                 return poch_gauss(-z * q.power(0.5), a, q, tr) * cmath.exp(-1j * a * x0)
 
-            val = math.sqrt(L / (2 * math.pi)) * gaussian_line(
-                LineIntegrand(f, q, oscillation_hint=abs(x0) + 1, sigma2=-1.0), tr)
+            val = math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, sigma2=-1.0,
+                                                               hint=abs(x0) + 1)
             expected = math.exp(x0 * x0 / (2 * q.ln_q)) / qpoch_inf(z * cmath.exp(1j * x0), q, tr)
             assert rel(val, expected) < 1e-7
 
 
+def test_engines_take_the_integrand_first():
+    # the benchmark tracer counts integrand evaluations by wrapping the first
+    # positional argument of every quad engine
+    for name in quad.__all__:
+        params = list(inspect.signature(getattr(quad, name)).parameters.values())
+        assert params[0].name == "f", name
+        assert params[0].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, name
+
+
 @pytest.mark.parametrize("integrate", [
-    lambda: vertical_line(VerticalLineSpec(0.5, lambda z: 1.0), TR),
+    lambda: vertical_line(lambda z: 1.0, 0.5, TR),
     lambda: halfline_log(lambda x: 1.0, TR),
-    lambda: gaussian_line(LineIntegrand(lambda y: math.exp(y * y), QParam(0.5), sigma2=-1.0), TR),
+    lambda: gaussian_line(lambda y: math.exp(y * y), QParam(0.5), TR, sigma2=-1.0),
 ], ids=["vertical_line", "halfline_log", "gaussian_line"])
 def test_non_decaying_integrand_raises(integrate):
     # the window probe walks out until the map or the integrand overflows: a

@@ -8,10 +8,7 @@ import pytest
 from qkit import (
     ConvergenceError,
     DomainError,
-    MFunctionSpec,
-    PhiSpec,
     PoleError,
-    PsiSpec,
     QParam,
     Truncation,
     cal_e,
@@ -51,30 +48,30 @@ class TestPhi:
     def test_chu_vandermonde(self):
         q = QParam(0.5)
         n, a, c = 4, 0.3 + 0.1j, 0.7
-        lhs = phi(PhiSpec([q.power(-n), a], [c], q, q.q), TR)
+        lhs = phi([q.power(-n), a], [c], q, q.q, TR)
         rhs = qpoch_finite(c / a, q, n) * a**n / qpoch_finite(c, q, n)
         assert rel(lhs, rhs) < 1e-11
 
     def test_empty_at_zero(self):
-        assert phi(PhiSpec([], [], QParam(0.5), 0.0), TR) == 1
+        assert phi([], [], QParam(0.5), 0.0, TR) == 1
 
     def test_divergence_guard(self):
         with pytest.raises(ConvergenceError):
-            phi(PhiSpec([0.3, 0.4], [0.5], QParam(0.5), 1.2), TR)
+            phi([0.3, 0.4], [0.5], QParam(0.5), 1.2, TR)
         with pytest.raises(DomainError):
-            phi(PhiSpec([0.3, 0.4, 0.5], [0.6], QParam(0.5), 0.2), TR)
+            phi([0.3, 0.4, 0.5], [0.6], QParam(0.5), 0.2, TR)
 
     def test_lower_pole_detected(self):
         q = QParam(0.5)
         with pytest.raises(PoleError):
-            phi(PhiSpec([0.3], [q.power(-2)], q, 0.2), TR)
+            phi([0.3], [q.power(-2)], q, 0.2, TR)
 
     def test_slow_geometric_tail_is_certified(self):
         # q-binomial theorem: 1phi0(a; -; q, z) = (az;q)_inf/(z;q)_inf; at z = 0.99 the
         # terms shrink by only ~0.99 per step, so stopping on one small term under-sums
         q = QParam(0.5)
         exact = qpoch_inf(0.495, q) / qpoch_inf(0.99, q)
-        assert rel(phi(PhiSpec((0.5,), (), q, 0.99)), exact) < 1e-12
+        assert rel(phi((0.5,), (), q, 0.99), exact) < 1e-12
 
     def test_heine_chain(self):
         rng = random.Random(19)
@@ -89,15 +86,15 @@ class TestPhi:
                     and abs(a * z) < 0.9 and abs(b * z) < 0.9):
                 continue
             hits += 1
-            base = phi(PhiSpec([a, b], [c], q, z), TR)
+            base = phi([a, b], [c], q, z, TR)
             h1 = (qpoch_multi([b, a * z], q, None, TR) / qpoch_multi([c, z], q, None, TR)
-                  * phi(PhiSpec([c / b, z], [a * z], q, b), TR))
+                  * phi([c / b, z], [a * z], q, b, TR))
             h2 = (qpoch_multi([c / b, b * z], q, None, TR) / qpoch_multi([c, z], q, None, TR)
-                  * phi(PhiSpec([a * b * z / c, b], [b * z], q, c / b), TR))
+                  * phi([a * b * z / c, b], [b * z], q, c / b, TR))
             h3 = (qpoch_inf(a * b * z / c, q, TR) / qpoch_inf(z, q, TR)
-                  * phi(PhiSpec([c / a, c / b], [c], q, a * b * z / c), TR))
+                  * phi([c / a, c / b], [c], q, a * b * z / c, TR))
             t4 = (qpoch_inf(a * z, q, TR) / qpoch_inf(z, q, TR)
-                  * phi(PhiSpec([a, c / b], [c, a * z], q, b * z), TR))
+                  * phi([a, c / b], [c, a * z], q, b * z, TR))
             for other in (h1, h2, h3, t4):
                 assert rel(base, other) < 1e-10
 
@@ -116,7 +113,7 @@ class TestPsi:
             if any(abs(a * z - q.q ** (-k)) < 0.05 for k in range(4)):
                 continue
             hits += 1
-            lhs = psi_bilateral(PsiSpec([a], [b], q, z), TR)
+            lhs = psi_bilateral([a], [b], q, z, TR)
             rhs = (qpoch_multi([q.q, b / a, a * z, q.q / (a * z)], q, None, TR)
                    / qpoch_multi([b, q.q / a, z, b / (a * z)], q, None, TR))
             assert rel(lhs, rhs) < 1e-10
@@ -124,39 +121,41 @@ class TestPsi:
     def test_ramanujan_spec_point_is_zero(self):
         # a z = 1 makes both sides vanish
         q = QParam(0.4)
-        lhs = psi_bilateral(PsiSpec([2.0], [0.3], q, 0.5), TR)
+        lhs = psi_bilateral([2.0], [0.3], q, 0.5, TR)
         rhs = (qpoch_multi([q.q, 0.15, 1.0, q.q], q, None, TR)
                / qpoch_multi([0.3, 0.2, 0.5, 0.3], q, None, TR))
         assert abs(lhs - rhs) < 1e-12
 
     def test_reduces_to_unilateral_at_b_equals_q(self):
         q = QParam(0.4)
-        lhs = psi_bilateral(PsiSpec([2.5], [q.q], q, 0.5), TR)
-        rhs = phi(PhiSpec([2.5], [], q, 0.5), TR)
+        lhs = psi_bilateral([2.5], [q.q], q, 0.5, TR)
+        rhs = phi([2.5], [], q, 0.5, TR)
         assert rel(lhs, rhs) < 1e-13
 
     def test_annulus_enforced(self):
         q = QParam(0.4)
         with pytest.raises(ConvergenceError):
-            psi_bilateral(PsiSpec([2.0], [0.3], q, 0.05), TR)
+            psi_bilateral([2.0], [0.3], q, 0.05, TR)
         with pytest.raises(ConvergenceError):
-            psi_bilateral(PsiSpec([2.0], [0.3], q, 1.1), TR)
+            psi_bilateral([2.0], [0.3], q, 1.1, TR)
+
+    def test_unequal_parameter_lists(self):
+        with pytest.raises(DomainError):
+            psi_bilateral([2.0, 3.0], [0.3], QParam(0.4), 0.5, TR)
 
 
 class TestWeightedSeries:
     def test_zero_argument(self):
-        spec = MFunctionSpec([0.3], [0.2], QParam(0.5), 0.7, 0.0)
-        assert m_weighted(spec, TR) == 1
+        assert m_weighted([0.3], [0.2], QParam(0.5), 0.7, 0.0, TR) == 1
 
     def test_reduces_to_ramanujan(self):
         q = QParam(0.5)
         z = 0.37 + 0.2j
-        spec = MFunctionSpec([], [], q, 1.0, z)
-        assert rel(m_weighted(spec, TR), ramanujan_a(z, q, TR)) < 1e-12
+        assert rel(m_weighted([], [], q, 1.0, z, TR), ramanujan_a(z, q, TR)) < 1e-12
 
     def test_weight_positivity_enforced(self):
         with pytest.raises(DomainError):
-            MFunctionSpec([], [], QParam(0.5), 0.0, 0.2)
+            m_weighted([], [], QParam(0.5), 0.0, 0.2, TR)
 
 
 class TestQExponentials:
@@ -363,5 +362,5 @@ class TestBessel:
         q = QParam(0.5)
         z, nu = 0.6, 0.5
         lhs = modified_bessel_i(2, nu, 2 * z, q, TR)
-        rhs = z**nu / qpoch_inf(q.q, q, TR) * phi(PhiSpec([z * z], [0], q, q.power(nu + 1)), TR)
+        rhs = z**nu / qpoch_inf(q.q, q, TR) * phi([z * z], [0], q, q.power(nu + 1), TR)
         assert rel(lhs, rhs) < 1e-10

@@ -13,9 +13,7 @@ one line per pair, sorted, so the output of two revisions compares with
 ``diff``.  It is the exact-oracle counterpart of ``residual_diff.py``: a
 refactor that keeps every digest builds the same series on both sides.
 ``--src`` names the directory that holds the ``qkit`` package (default:
-this repository's ``src``).  Revisions whose scalar families reported only
-a verdict through ``_check_scalar_family`` are read too: their rows are
-captured from that call.
+this repository's ``src``).
 
 Exit status: 0 on success, 2 on a usage error.
 """
@@ -34,13 +32,7 @@ POOL = sorted({Fraction(p, d) for d in range(2, 8) for p in range(1, d)})
 
 def sides(exactq, ident, order, base):
     """(lhs coefficients, rhs coefficients) of one handler."""
-    entry = exactq._EXACT_HANDLERS[ident]
-    handler = entry[-2]
-    if entry[0] == "scalar":
-        rows = []
-        exactq._check_scalar_family = rows.extend
-        handler(order, base)
-        return [a for a, _ in rows], [b for _, b in rows]
+    handler, _note = exactq._EXACT_HANDLERS[ident]
     lhs, rhs = handler(order, base)
     return lhs.coeffs, rhs.coeffs
 
