@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DEFAULT_TRUNCATION, QParam, Truncation, qpoch_multi, qpoch_inf
+from .core import QParam, qpoch_inf, theta4
 from .errors import DomainError, QKitError
 from .polys import qhermite_inv_exp, qlaguerre, stieltjes_wigert
 from .series import bessel2_normalized_native, phi, ramanujan_a
@@ -30,7 +30,7 @@ class AsympFamily:
     lhs: object  # (n, params) -> complex
     limit: object  # (params) -> complex
     canonical: dict
-    n_range: tuple = (4, 10)
+    n_range: tuple
 
 
 @dataclass
@@ -47,68 +47,59 @@ class RateReport:
         return self.status == "pass"
 
 
-def _theta_product(q: QParam, x, tr) -> complex:
-    q2 = QParam(q.q * q.q)
-    return qpoch_multi([q.q * q.q, q.q * x, q.q / x], q2, None, tr)
-
-
-def _qfac_inf(q: QParam, tr) -> complex:
-    return qpoch_inf(q.q, q, tr)
-
-
 # --- the fifteen families ---------------------------------------------------
 
-def _sw_fixed_lhs(n, p, tr):
+def _sw_fixed_lhs(n, p):
     q = QParam(p["q"])
     return stieltjes_wigert(n, p["x"], q)
 
 
-def _sw_fixed_limit(p, tr):
+def _sw_fixed_limit(p):
     q = QParam(p["q"])
-    return ramanujan_a(p["x"], q, tr) / _qfac_inf(q, tr)
+    return ramanujan_a(p["x"], q) / qpoch_inf(q.q, q)
 
 
-def _sw_even_lhs(n, p, tr):
+def _sw_even_lhs(n, p):
     q = QParam(p["q"])
     x = p["x"]
     return stieltjes_wigert(2 * n, x * q.power(-2 * n), q) * q.power(n * n) / (-x) ** n
 
 
-def _sw_odd_lhs(n, p, tr):
+def _sw_odd_lhs(n, p):
     q = QParam(p["q"])
     x = p["x"]
     return stieltjes_wigert(2 * n + 1, x * q.power(-2 * n), q) * q.power(n * n) / (-x) ** n
 
 
-def _theta_over_qfac2(p, tr):
+def _theta_over_qfac2(p):
     q = QParam(p["q"])
-    return _theta_product(q, p["x"], tr) / _qfac_inf(q, tr) ** 2
+    return theta4(p["x"], q) / qpoch_inf(q.q, q) ** 2
 
 
-def _hinv_scaled_lhs(n, p, tr):
+def _hinv_scaled_lhs(n, p):
     q = QParam(p["q"])
     xi = p["xi"]
     e = math.exp(xi) * q.power(n / 2.0).real
     return q.power(n * n / 2.0) * (-math.exp(xi)) ** n * qhermite_inv_exp(n, e, q)
 
 
-def _hinv_scaled_limit(p, tr):
+def _hinv_scaled_limit(p):
     q = QParam(p["q"])
-    return ramanujan_a(math.exp(2 * p["xi"]), q, tr)
+    return ramanujan_a(math.exp(2 * p["xi"]), q)
 
 
-def _hinv_even_lhs(n, p, tr):
+def _hinv_even_lhs(n, p):
     q = QParam(p["q"])
     return q.power(n * n) * (-1.0) ** n * qhermite_inv_exp(2 * n, math.exp(p["xi"]), q)
 
 
-def _hinv_theta_limit(p, tr):
+def _hinv_theta_limit(p):
     # the doubled-degree limits carry a single base factorial (settled numerically)
     q = QParam(p["q"])
-    return _theta_product(q, math.exp(2 * p["xi"]), tr) / _qfac_inf(q, tr)
+    return theta4(math.exp(2 * p["xi"]), q) / qpoch_inf(q.q, q)
 
 
-def _hinv_odd_lhs(n, p, tr):
+def _hinv_odd_lhs(n, p):
     q = QParam(p["q"])
     xi = p["xi"]
     e = math.exp(xi) * q.power(0.5).real
@@ -116,103 +107,103 @@ def _hinv_odd_lhs(n, p, tr):
             * qhermite_inv_exp(2 * n + 1, e, q))
 
 
-def _lag_fixed_lhs(n, p, tr):
+def _lag_fixed_lhs(n, p):
     q = QParam(p["q"])
     return qlaguerre(n, p["alpha"], p["x"], q)
 
 
-def _lag_fixed_limit(p, tr):
+def _lag_fixed_limit(p):
     q = QParam(p["q"])
-    return bessel2_normalized_native(p["alpha"], p["x"], q, tr)
+    return bessel2_normalized_native(p["alpha"], p["x"], q)
 
 
-def _lag_scaled_lhs(n, p, tr):
+def _lag_scaled_lhs(n, p):
     q = QParam(p["q"])
     x, al = p["x"], p["alpha"]
     return q.power(n * n) * qlaguerre(n, al, x * q.power(-2 * n - al), q) / (-x) ** n
 
 
-def _lag_scaled_limit(p, tr):
+def _lag_scaled_limit(p):
     q = QParam(p["q"])
-    return ramanujan_a(1.0 / p["x"], q, tr) / _qfac_inf(q, tr)
+    return ramanujan_a(1.0 / p["x"], q) / qpoch_inf(q.q, q)
 
 
-def _lag_even_lhs(n, p, tr):
+def _lag_even_lhs(n, p):
     q = QParam(p["q"])
     x, al = p["x"], p["alpha"]
     return q.power(n * n) * qlaguerre(2 * n, al, x * q.power(-2 * n - al), q) / (-x) ** n
 
 
-def _lag_odd_lhs(n, p, tr):
+def _lag_odd_lhs(n, p):
     q = QParam(p["q"])
     x, al = p["x"], p["alpha"]
     return q.power(n * n) * qlaguerre(2 * n + 1, al, x * q.power(-2 * n - al), q) / (-x) ** n
 
 
-def _aq_scaled_lhs(n, p, tr):
+def _aq_scaled_lhs(n, p):
     q = QParam(p["q"])
     z = p["z"]
-    return q.power(n * n) * ramanujan_a(z * q.power(-2 * n), q, tr) / (-z) ** n
+    return q.power(n * n) * ramanujan_a(z * q.power(-2 * n), q) / (-z) ** n
 
 
-def _aq_scaled_limit(p, tr):
+def _aq_scaled_limit(p):
     q = QParam(p["q"])
-    return _theta_product(q, p["z"], tr) / _qfac_inf(q, tr)
+    return theta4(p["z"], q) / qpoch_inf(q.q, q)
 
 
-def _bessel_order_lhs(n, p, tr):
+def _bessel_order_lhs(n, p):
     # fully normalized form J2_mu(2 sqrt(w) q^(-mu/2)) (sqrt(w) q^(-mu/2))^(-mu),
     # which keeps every intermediate bounded
     q = QParam(p["q"])
     w, nu = p["w"], p["nu"]
     mu = n + nu
-    return bessel2_normalized_native(mu, w * q.power(-mu).real, q, tr)
+    return bessel2_normalized_native(mu, w * q.power(-mu).real, q)
 
 
-def _bessel_order_limit(p, tr):
+def _bessel_order_limit(p):
     q = QParam(p["q"])
-    return ramanujan_a(p["w"], q, tr) / _qfac_inf(q, tr)
+    return ramanujan_a(p["w"], q) / qpoch_inf(q.q, q)
 
 
-def _bessel_arg_lhs(n, p, tr):
+def _bessel_arg_lhs(n, p):
     q = QParam(p["q"])
     w, nu = p["w"], p["nu"]
     # (arg/2)^nu = w^(nu/2) q^(-nu(n+nu/2)): the w^(nu/2) cancels against the
     # w^(n+nu/2) denominator, leaving 1/w^n
     return (q.power(n * n + n * nu + nu * nu / 2.0) * q.power(-nu * (n + nu / 2.0))
-            * bessel2_normalized_native(nu, w * q.power(-2 * n - nu).real, q, tr)
+            * bessel2_normalized_native(nu, w * q.power(-2 * n - nu).real, q)
             / ((-1.0) ** n * w ** n))
 
 
-def _bessel_arg_limit(p, tr):
+def _bessel_arg_limit(p):
     q = QParam(p["q"])
-    return _theta_product(q, p["w"], tr) / _qfac_inf(q, tr) ** 2
+    return theta4(p["w"], q) / qpoch_inf(q.q, q) ** 2
 
 
-def _phi1_lhs(n, p, tr):
+def _phi1_lhs(n, p):
     # argument read as -z q^(n+1); with the lower parameter b q^n the limit
     # keeps no b-dependence (settled numerically)
     q = QParam(p["q"])
     a, b, z = p["a"], p["b"], p["z"]
-    return phi([a * q.power(-n)], [b * q.power(n)], q, -z * q.power(n + 1), tr)
+    return phi([a * q.power(-n)], [b * q.power(n)], q, -z * q.power(n + 1))
 
 
-def _phi1_limit(p, tr):
+def _phi1_limit(p):
     q = QParam(p["q"])
-    return ramanujan_a(p["a"] * p["z"], q, tr)
+    return ramanujan_a(p["a"] * p["z"], q)
 
 
-def _phi2_lhs(n, p, tr):
+def _phi2_lhs(n, p):
     q = QParam(p["q"])
     a, b, z = p["a"], p["b"], p["z"]
-    val = phi([a * q.power(-2 * n)], [b * q.power(n)], q, -z * q.q, tr)
+    val = phi([a * q.power(-2 * n)], [b * q.power(n)], q, -z * q.q)
     return val * q.power(n * n) / (-a * z) ** n
 
 
-def _phi2_limit(p, tr):
+def _phi2_limit(p):
     # like the first family, the b q^n lower parameter leaves no b-dependence
     q = QParam(p["q"])
-    return _theta_product(q, p["a"] * p["z"], tr) / _qfac_inf(q, tr)
+    return theta4(p["a"] * p["z"], q) / qpoch_inf(q.q, q)
 
 
 FAMILIES = {
@@ -259,21 +250,19 @@ def _family(family_id: str) -> AsympFamily:
         raise QKitError(f"unknown asymptotic family {family_id!r}") from None
 
 
-def asymp_error(family_id: str, n: int, params: dict,
-                tr: Truncation = DEFAULT_TRUNCATION) -> float:
+def asymp_error(family_id: str, n: int, params: dict) -> float:
     """Relative deviation e_n = |lhs(n)/limit - 1| of one family member."""
     if n < 1:
         raise DomainError("asymptotic error needs n >= 1")
     fam = _family(family_id)
-    limit = complex(fam.limit(params, tr))
+    limit = complex(fam.limit(params))
     if abs(limit) < 1e-250:
         raise DomainError(f"degenerate limit for {family_id} at {params}")
-    lhs = complex(fam.lhs(n, params, tr))
+    lhs = complex(fam.lhs(n, params))
     return abs(lhs / limit - 1.0)
 
 
-def asymp_rate(family_id: str, params: dict = None, n_range: tuple = None,
-               tr: Truncation = DEFAULT_TRUNCATION) -> RateReport:
+def asymp_rate(family_id: str, params: dict = None, n_range: tuple = None) -> RateReport:
     """Fit the geometric decay rate of the error sequence over a window.
 
     The usable window drops errors at the binary64 noise floor; the fit is
@@ -286,7 +275,7 @@ def asymp_rate(family_id: str, params: dict = None, n_range: tuple = None,
     if hi - lo + 1 < 4:
         raise DomainError("rate fit needs an n-range of length >= 4")
     q = params["q"]
-    errors = [(n, asymp_error(family_id, n, params, tr)) for n in range(lo, hi + 1)]
+    errors = [(n, asymp_error(family_id, n, params)) for n in range(lo, hi + 1)]
     usable = [(n, e) for n, e in errors if e > _NOISE_FLOOR]
     band = (0.8 * q, 1.25 * q)
     if len(usable) < 3:

@@ -7,8 +7,9 @@ q-exponentials e_q, E_q and the two-variable cal-E, the Ramanujan
 function A_q, Jackson's three q-Bessel functions and the modified I^(k).
 
 The weighted series share three term generators, each with one tail
-bound: ``_m_terms`` (weight q^(l k^2), J^(1) at l = 0 and the native
-J^(2) and J^(3)), ``_m_damped`` (Gaussian weight q^(l (n+s)^2): the
+bound: ``_m_terms`` (weight w^(k^2): the q^(l k^2)-weighted series, r_phi_s
+at w = q^((1+s-r)/2), the wing k >= 0 of m_psi_m and J^(1) at w = 1, and
+the native J^(2) and J^(3)), ``_m_damped`` (Gaussian weight q^(l (n+s)^2): the
 shifted A_q and the damped J^(2)) and the one of
 :func:`confluent_phi_weighted` (the product-weighted 1phi1, the damped
 J^(3)).  ``_m_terms`` carries its weight as a running product, which keeps
@@ -49,15 +50,15 @@ __all__ = [
 ]
 
 
-def _as_exact_negative_qpower(a, q: QParam, limit: int = 500):
-    """If a is (numerically) q^(-m) for an integer m >= 0, return m, else None."""
+def _as_exact_negative_qpower(a, q: QParam):
+    """If a is (numerically) q^(-m) for an integer 0 <= m <= 500, return m, else None."""
     if a == 0:
         return None
     mag = abs(a)
     if mag < 1.0 - 1e-12:
         return None
     m = round(math.log(mag) / q.log_inv)
-    if m < 0 or m > limit:
+    if m < 0 or m > 500:
         return None
     if abs(a * q.power(m) - 1.0) < 1e-9:
         return m
@@ -74,9 +75,11 @@ def _ratio_bound(num: float, c: float, x: float) -> float:
     """num / (1 - c x), or inf once c x >= 1.
 
     With x = q^k and c = sum|a| + sum|b| this bounds
-    |c_i prod(1 - a q^i) / prod(1 - b q^i)| for every i >= k wherever
-    |c_i| <= num: prod(1 + |a| x) <= exp(x sum|a|) <= 1/(1 - x sum|a|) and
-    prod(1 - |b| x) >= 1 - x sum|b|.
+    |r_i prod(1 - a q^i) / prod(1 - b q^i)| for every i >= k wherever
+    |r_i| <= num: prod(1 + |a| x) <= exp(x sum|a|) <= 1/(1 - x sum|a|),
+    prod(1 - |b| x) >= 1 - x sum|b|, and the product of the two reciprocals
+    is at most 1/(1 - c x).  A factor 1 - q^(i+1) of (q;q) is the lower
+    factor b = q, so c then holds q as well.
     """
     cx = c * x
     return num / (1.0 - cx) if cx < 1.0 else math.inf
@@ -86,9 +89,10 @@ def phi(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATION) -> comp
     """Evaluate the unilateral series r_phi_s.
 
     upper = (a_1..a_r), lower = (b_1..b_s), base q, argument z.  Term k is
-    prod(a_i;q)_k / [(q;q)_k prod(b_j;q)_k] * ((-1)^k q^(k(k-1)/2))^(1+s-r) * z^k.
-    Terminating series (an upper parameter equal to q^(-m)) stop exactly
-    at k = m; a lower parameter q^(-m) is a pole of the term otherwise.
+    prod(a_i;q)_k / [(q;q)_k prod(b_j;q)_k] * ((-1)^k q^(k(k-1)/2))^(1+s-r) * z^k,
+    the term of :func:`_m_terms` at w = q^((1+s-r)/2).  Terminating series
+    (an upper parameter equal to q^(-m)) stop exactly at k = m; a lower
+    parameter q^(-m) is a pole of the term otherwise.
     """
     upper = tuple(complex(a) for a in upper)
     lower = tuple(complex(b) for b in lower)
@@ -113,35 +117,15 @@ def phi(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATION) -> comp
             if m is not None:
                 raise PoleError(f"lower parameter equals q^(-{m}): term pole")
 
-    qq = q.q
-    az = abs(z)
-    c = sum(abs(a) for a in upper + lower) + qq
-
-    # for every i >= k:
-    # |t_(i+1)/t_i| <= |z| q^(k excess) prod(1 + |a| q^k) / [(1 - q^(k+1)) prod(1 - |b| q^k)]
-    def terms():
-        term = 1.0 + 0.0j
-        qk = 1.0  # q^k
-        for k in itertools.count():
-            r = _ratio_bound(az * qk ** excess, c, qk) if excess >= 0 else math.inf
-            yield term, geometric_tail(abs(term), r)
-            ratio = z
-            for a in upper:
-                ratio *= 1.0 - a * qk
-            den = 1.0 - qq * qk
-            for b in lower:
-                den *= 1.0 - b * qk
-            if abs(den) < 1e-290:
-                raise PoleError(f"zero denominator factor at term {k + 1} (lower parameter pole)")
-            ratio /= den
-            if excess:
-                ratio *= (-qk) ** excess if excess > 0 else 1.0 / ((-qk) ** (-excess))
-            term *= ratio
-            qk *= qq
-
+    # the extra factor ((-1)^k q^(k(k-1)/2))^e is w^(k^2) ((-1)^e / w)^k at w = q^(e/2):
+    # the weight of _m_terms, and a power that goes into its argument -z
+    w = q.q ** (excess / 2)
+    terms = _m_terms(upper, lower, q, w, -(-1) ** excess * z / w)
     if stop is None:
-        return _certified_sum(terms(), tr, "phi")
-    return _certified_sum(itertools.islice(terms(), stop + 1), tr, "phi")
+        return _certified_sum(terms, tr, "phi")
+    if excess < 0:  # w > 1, where the tail bounds of _m_terms do not hold
+        terms = ((t, math.inf) for t, _ in terms)
+    return _certified_sum(itertools.islice(terms, stop + 1), tr, "phi")
 
 
 def psi_bilateral(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -165,7 +149,6 @@ def psi_bilateral(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATIO
             f"|z| = {az:.6g} outside convergence annulus ({inner:.6g}, 1)"
         )
     qq = q.q
-    c = sum(upper_mags) + sum(lower_mags)
 
     # term(-m-1)/term(-m) = prod(1 - b q^(-m-1))/prod(1 - a q^(-m-1))/z
     #                     = prod(x - b)/prod(x - a)/z with x = q^(m+1)
@@ -192,23 +175,6 @@ def psi_bilateral(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATIO
             val /= a - x
         return val
 
-    # sup_{i>=n} |term(i+1)/term(i)| <= |z| prod(1 + |a| q^n) / prod(1 - |b| q^n)
-    def pos_terms():
-        pos, qn = 1.0 + 0.0j, 1.0  # term(n), q^n
-        yield pos, geometric_tail(1.0, _ratio_bound(az, c, 1.0))
-        while True:
-            ratio = z
-            for a in upper:
-                ratio *= 1.0 - a * qn
-            for b in lower:
-                den = 1.0 - b * qn
-                if abs(den) < 1e-290:
-                    raise PoleError("lower parameter pole in bilateral term")
-                ratio /= den
-            pos *= ratio
-            qn *= qq
-            yield pos, geometric_tail(abs(pos), _ratio_bound(az, c, qn))
-
     def neg_terms():
         neg, x = neg_ratio(qq), qq  # term(-m-1), q^(m+1)
         while True:
@@ -216,7 +182,9 @@ def psi_bilateral(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATIO
             x *= qq
             neg *= neg_ratio(x)
 
-    return _certified_sum(_two_wings(pos_terms(), neg_terms()), tr, "psi_bilateral")
+    # the wing k >= 0 is _m_terms at w = 1, its extra upper parameter q cancelling (q;q)_k
+    pos_terms = _m_terms((*upper, qq), lower, q, 1.0, -z)
+    return _certified_sum(_two_wings(pos_terms, neg_terms()), tr, "psi_bilateral")
 
 
 def _two_wings(pos, neg):
@@ -241,8 +209,9 @@ def _two_wings(pos, neg):
 def _m_terms(alphas, betas, q: QParam, w: float, z):
     """Yield (c_k, tail_k) for k = 0, 1, ...: the terms of :func:`m_weighted` and their tails.
 
-    c_k = prod(alpha;q)_k w^(k^2) (-z)^k / [(q;q)_k prod(beta;q)_k], w = q^l in (0, 1], is
-    built by its term ratio, weight included, and tail_k >= sum_(j>k) |c_j|.
+    c_k = prod(alpha;q)_k w^(k^2) (-z)^k / [(q;q)_k prod(beta;q)_k] is built by its term
+    ratio, weight included.  For w in (0, 1], tail_k >= sum_(j>k) |c_j|; at w > 1 (a
+    terminating :func:`phi`) the tails do not hold.
     """
     qq = q.q
     mz = -complex(z)
@@ -270,20 +239,20 @@ def _m_terms(alphas, betas, q: QParam, w: float, z):
         wpow *= w2
 
 
-def _m_damped(alphas, betas, q: QParam, ell: float, z, shift: float):
+def _m_damped(alphas, q: QParam, ell: float, z, shift: float):
     """Yield (c_n, tail_n): the :func:`_m_terms` terms under the Gaussian weight q^(l (n+s)^2).
 
-    Each weight is one math.exp of its exponent, so it regrows after underflowing at a
-    negative shift s.
+    The terms have no lower parameters.  Each weight is one math.exp of its exponent, so it
+    regrows after underflowing at a negative shift s.
     """
     qq, lw = q.q, ell * q.ln_q
     mz = -complex(z)
     az = abs(mz)
-    c = sum(abs(a) for a in (*alphas, *betas)) + qq
-    term = 1.0 + 0.0j  # prod(alpha;q)_n (-z)^n / [(q;q)_n prod(beta;q)_n]
+    c = sum(abs(a) for a in alphas) + qq
+    term = 1.0 + 0.0j  # prod(alpha;q)_n (-z)^n / (q;q)_n
     qn = 1.0  # q^n
     # for every i >= n:
-    # |t_(i+1)/t_i| <= |z| q^(l(2n+2s+1)) prod(1 + |alpha| q^n) / [(1 - q^(n+1)) prod(1 - |beta| q^n)]
+    # |t_(i+1)/t_i| <= |z| q^(l(2n+2s+1)) prod(1 + |alpha| q^n) / (1 - q^(n+1))
     for n in itertools.count():
         piece = term * math.exp((n + shift) ** 2 * lw)
         cx = c * qn
@@ -292,12 +261,7 @@ def _m_damped(alphas, betas, q: QParam, ell: float, z, shift: float):
         ratio = mz
         for a in alphas:
             ratio *= 1.0 - a * qn
-        den = 1.0 - qq * qn
-        for b in betas:
-            den *= 1.0 - b * qn
-        if abs(den) < 1e-290:
-            raise PoleError("lower parameter pole in damped weighted series")
-        term *= ratio / den
+        term *= ratio / (1.0 - qq * qn)
         qn *= qq
 
 
@@ -467,7 +431,7 @@ def ramanujan_a_shifted(z, shift, q: QParam, tr: Truncation = DEFAULT_TRUNCATION
     real shift; the naive route overflows once the scaled argument
     q^(2 shift) z leaves the double range.
     """
-    return _certified_sum(_m_damped((), (), q, 1.0, z, float(shift)), tr, "ramanujan_a_shifted")
+    return _certified_sum(_m_damped((), q, 1.0, z, float(shift)), tr, "ramanujan_a_shifted")
 
 
 def _leading_logs(w, beta: float, q: QParam, tr: Truncation):
@@ -670,7 +634,7 @@ def bessel2_normalized_gauss(nu, u, alpha, q: QParam,
     any real alpha.
     """
     z = q.power(complex(nu) + 0.5)
-    body = _certified_sum(_m_damped((-complex(u),), (), q, 0.5, z, float(alpha)), tr,
+    body = _certified_sum(_m_damped((-complex(u),), q, 0.5, z, float(alpha)), tr,
                           "bessel2_normalized_gauss")
     return body / qpoch_inf(q.q, q, tr)
 

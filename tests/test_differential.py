@@ -19,6 +19,7 @@ from qkit.series import (
     m_weighted,
     phi,
     poch_gauss,
+    psi_bilateral,
     ramanujan_a_shifted,
 )
 
@@ -278,6 +279,112 @@ def test_phi21_matches_qhyper():
             relative += 1
             assert err < 1e-12, (qv, a, b, c, z, err)
     assert relative >= 20  # 31 of the 40 points are checked relative
+
+
+def _phi_terms(upper, lower, q, z):
+    """term(k) of r_phi_s in mpmath, the extra factor ((-1)^k q^(k(k-1)/2))^(1+s-r) included."""
+    upper, lower = [mp.mpc(a) for a in upper], [mp.mpc(b) for b in lower]
+    q, z = mp.mpf(q), mp.mpc(z)
+    excess = 1 + len(lower) - len(upper)
+
+    def term(k):
+        t = ((-1) ** k * q ** (k * (k - 1) // 2)) ** excess * z ** k / mp.qp(q, q, k)
+        for a in upper:
+            t *= mp.qp(a, q, k)
+        for b in lower:
+            t /= mp.qp(b, q, k)
+        return t
+
+    return term
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (1, 2), (0, 1)])
+def test_phi_with_extra_factor_matches_qhyper(shape):
+    # excess 1 + s - r = 1 (1phi1, 2phi2) and 2 (1phi2, 0phi1): the weight w = q^(e/2) of
+    # the shared term walker, at complex parameters and arguments past |z| = 1
+    r, s = shape
+    rng = random.Random(f"phi:{r}:{s}")
+    cases = []
+    for _ in range(10):
+        qv = rng.uniform(0.05, 0.9)
+        upper = [_cring(rng, 0.1, 2.0) for _ in range(r)]
+        lower = [_cring(rng, 0.1, 0.9) for _ in range(s)]
+        z = _cring(rng, 0.05, 3.0)
+        value = phi(upper, lower, QParam(qv), z, TR)
+        exact = mp.qhyper([mp.mpc(a) for a in upper], [mp.mpc(b) for b in lower],
+                          mp.mpf(qv), mp.mpc(z))
+        absum = _direct(_phi_terms(upper, lower, qv, z), 0)[1]
+        cases.append(((qv, upper, lower, z), value, exact, absum))
+    assert _check_spread(cases) >= 5
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (3, 1)])
+def test_terminating_phi_with_more_upper_parameters(shape):
+    # excess -1: w = q^(-1/2) > 1, so every term up to the terminating one is summed;
+    # mpmath's qhyper does not stop on a terminating series, so the reference is the
+    # finite sum to k = n in mpmath
+    r, s = shape
+    rng = random.Random(f"phi-terminating:{r}:{s}")
+    cases = []
+    for _ in range(10):
+        qv = rng.uniform(0.2, 0.8)
+        n = rng.randrange(1, 9)
+        q = QParam(qv)
+        upper = [q.power(-n).real] + [_cring(rng, 0.1, 2.0) for _ in range(r - 1)]
+        lower = [_cring(rng, 0.1, 0.9) for _ in range(s)]
+        z = _cring(rng, 0.05, 1.0)
+        value = phi(upper, lower, q, z, TR)
+        term = _phi_terms(upper, lower, qv, z)
+        terms = [term(k) for k in range(n + 1)]
+        cases.append(((qv, n, upper, lower, z), value, mp.fsum(terms),
+                      mp.fsum(abs(t) for t in terms)))
+    assert _check_spread(cases) >= 5
+
+
+def _psi_direct(upper, lower, q, z):
+    """sum_(n in Z) prod(a;q)_n / prod(b;q)_n z^n and sum |t_n|, both wings to 1e-40 of the peak."""
+    upper, lower = [mp.mpc(a) for a in upper], [mp.mpc(b) for b in lower]
+    q, z = mp.mpf(q), mp.mpc(z)
+
+    def wing(ratio):
+        total, absum, peak, t, n = 0, 0, 0, mp.mpc(1), 0
+        while True:
+            t *= ratio(n)
+            total += t
+            absum += abs(t)
+            peak = max(peak, abs(t))
+            if n > 5 and abs(t) < mp.mpf(10) ** -40 * peak:
+                return total, absum
+            n += 1
+
+    # t_(n+1) / t_n = z prod(1 - a q^n) / prod(1 - b q^n), and
+    # t_(-n-1) / t_(-n) = prod(1 - b q^(-n-1)) / (z prod(1 - a q^(-n-1)))
+    pos = wing(lambda n: z * mp.fprod(1 - a * q ** n for a in upper)
+               / mp.fprod(1 - b * q ** n for b in lower))
+    neg = wing(lambda n: mp.fprod(1 - b * q ** (-n - 1) for b in lower)
+               / (z * mp.fprod(1 - a * q ** (-n - 1) for a in upper)))
+    return 1 + pos[0] + neg[0], 1 + pos[1] + neg[1]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_psi_bilateral_matches_direct_sum(m):
+    # 1psi1 and 2psi2 inside the annulus |b_1...b_m / (a_1...a_m)| < |z| < 1, against both
+    # wings summed in 40-digit mpmath
+    rng = random.Random(f"psi:{m}")
+    cases = []
+    with mp.workdps(40):
+        while len(cases) < 10:
+            qv = rng.uniform(0.1, 0.8)
+            upper = [_cring(rng, 1.2, 3.0) for _ in range(m)]
+            lower = [_cring(rng, 0.05, 0.6) for _ in range(m)]
+            z = _cring(rng, 0.3, 0.9)
+            inner = math.prod(map(abs, lower)) / math.prod(map(abs, upper))
+            if not inner < 0.8 * abs(z):
+                continue
+            value = psi_bilateral(upper, lower, QParam(qv), z, TR)
+            exact, absum = _psi_direct(upper, lower, qv, z)
+            cases.append(((qv, upper, lower, z), value, exact, absum))
+    assert _check_spread(cases) >= 5
 
 
 # --- m_weighted and the expansions over its coefficients ------------------------------

@@ -241,6 +241,20 @@ class TestConfluentFamily:
         with pytest.raises(PoleError):
             confluent_poly(3, [], [2.0], 1.0, QParam(0.5))
 
+    def test_pole_only_below_the_degree(self):
+        # b = q^(-m) zeroes (b;q)_k for k > m, so it is a pole of p_n exactly when m < n,
+        # also as the second of two lower parameters; at q = 1/2 each q^(-m) is exact
+        q = QParam(0.5)
+        for n in range(6):
+            for m in range(8):
+                b = 2.0 ** m
+                for betas in ([b], [0.3 - 0.2j, b]):
+                    if m < n:
+                        with pytest.raises(PoleError):
+                            confluent_poly(n, [0.4], betas, 0.7, q)
+                    else:
+                        assert cmath.isfinite(confluent_poly(n, [0.4], betas, 0.7, q))
+
 
 class TestGeneratingFunctions:
     def test_qhermite_generating_function(self):

@@ -81,5 +81,54 @@ def test_nan_residual_compared_by_status_only(tmp_path, capsys):
     assert "max 0.00 median 0.00, 0 grew >10x" in out
 
 
-def test_usage_error():
+def test_usage_error(tmp_path):
     assert tool.main(["only-one.json"]) == 2
+    # a directory against a file
+    assert tool.main([str(tmp_path), str(tmp_path / "report.json")]) == 2
+
+
+def _run_dirs(tmp_path, capsys, parent, change):
+    """main() on two directories, each a {file name: reports} dict."""
+    dirs = []
+    for side, files in (("parent", parent), ("change", change)):
+        path = tmp_path / side
+        path.mkdir()
+        for name, reports in files.items():
+            (path / name).write_text(json.dumps(reports))
+        dirs.append(str(path))
+    code = tool.main(dirs)
+    return code, capsys.readouterr().out
+
+
+def test_directories_compare_same_named_reports(tmp_path, capsys):
+    files = {"prelim_0.json": [_point("a"), _point("b")], "prelim_1.json": [_point("c")]}
+    code, out = _run_dirs(tmp_path, capsys, files, files)
+    assert code == 0
+    assert "prelim_0.json:\nPRELIM: 2 points, 2 identical, 0 status changes" in out
+    assert "prelim_1.json:\nPRELIM: 1 points, 1 identical, 0 status changes" in out
+
+
+def test_directories_status_change_in_one_report(tmp_path, capsys):
+    parent = {"prelim_0.json": [_point("a")], "prelim_1.json": [_point("c")]}
+    change = {"prelim_0.json": [_point("a")], "prelim_1.json": [_point("c", 2e-9, "fail")]}
+    code, out = _run_dirs(tmp_path, capsys, parent, change)
+    assert code == 1
+    assert "status c#0: pass -> fail" in out
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_directories_report_on_one_side_only(tmp_path, capsys, side):
+    full = {"prelim_0.json": [_point("a")], "prelim_1.json": [_point("c")]}
+    short = {"prelim_0.json": [_point("a")]}
+    parent, change = (short, full) if side == "parent" else (full, short)
+    code, out = _run_dirs(tmp_path, capsys, parent, change)
+    assert code == 1
+    other = "change" if side == "parent" else "parent"
+    assert f"prelim_1.json: only in {tmp_path / other}" in out
+
+
+def test_directories_point_on_one_side_only(tmp_path, capsys):
+    code, out = _run_dirs(tmp_path, capsys, {"prelim_0.json": [_point("a"), _point("b")]},
+                          {"prelim_0.json": [_point("a")]})
+    assert code == 1
+    assert "status b#0: pass -> missing" in out

@@ -2,8 +2,11 @@
 
 Usage:
     python tools/residual_diff.py PARENT.json CHANGE.json
+    python tools/residual_diff.py PARENT_DIR CHANGE_DIR
 
-Points are matched by identity id and their order within that id, so both
+Given two directories, the script compares each pair of same-named ``*.json``
+reports in them, and a report present in one directory only counts as a
+difference.  Points are matched by identity id and their order within that id, so both
 reports should come from the same ``--group/--samples/--seed`` arguments.
 For each group the script prints how many points are identical in both
 reports (the same rel_err, lhs and rhs), the status changes, the largest
@@ -15,13 +18,14 @@ finite residual in either report (one that raised) enters only the status
 comparison.
 
 Exit status: 0 when every point keeps its status, 1 when any status changed
-or a point is missing from one report, 2 on a usage error.
+or a point or report is missing from one side, 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import statistics
 import sys
 
@@ -89,12 +93,32 @@ def compare(parent, change):
     return changed
 
 
+def compare_dirs(parent_dir, change_dir):
+    """Compare the same-named reports of two directories; return the number of differences."""
+    parent_names = {n for n in os.listdir(parent_dir) if n.endswith(".json")}
+    change_names = {n for n in os.listdir(change_dir) if n.endswith(".json")}
+    changed = 0
+    for name in sorted(parent_names | change_names):
+        if name not in change_names or name not in parent_names:
+            print(f"{name}: only in {parent_dir if name in parent_names else change_dir}")
+            changed += 1
+            continue
+        print(f"{name}:")
+        changed += compare(_points(os.path.join(parent_dir, name)),
+                           _points(os.path.join(change_dir, name)))
+    return changed
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        print("usage: python tools/residual_diff.py PARENT.json CHANGE.json", file=sys.stderr)
+    if len(argv) != 2 or os.path.isdir(argv[0]) != os.path.isdir(argv[1]):
+        print("usage: python tools/residual_diff.py PARENT.json CHANGE.json\n"
+              "       python tools/residual_diff.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
         return 2
-    changed = compare(_points(argv[0]), _points(argv[1]))
+    if os.path.isdir(argv[0]):
+        changed = compare_dirs(*argv)
+    else:
+        changed = compare(_points(argv[0]), _points(argv[1]))
     return 1 if changed else 0
 
 
