@@ -6,8 +6,9 @@ Usage:
 
 Given two directories, the script compares each pair of same-named ``*.json``
 reports in them, and a report present in one directory only counts as a
-difference.  Points are matched by identity id and their order within that id, so both
-reports should come from the same ``--group/--samples/--seed`` arguments.
+difference.  Points are matched by identity id and their order within that
+id, so both reports should come from the same ``--group/--samples/--seed``
+arguments.
 For each group the script prints how many points are identical in both
 reports (the same rel_err, lhs and rhs), the status changes, the largest
 and the median |log10(new rel_err / old rel_err)|, and every point whose
