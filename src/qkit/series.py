@@ -7,12 +7,12 @@ q-exponentials e_q, E_q and the two-variable cal-E, the Ramanujan
 function A_q, Jackson's three q-Bessel functions and the modified I^(k).
 
 The weighted series share three term generators, each with one tail
-bound: ``_m_terms`` (weight w^(k^2): the q^(l k^2)-weighted series, r_phi_s
-at w = q^((1+s-r)/2), the wing k >= 0 of m_psi_m and J^(1) at w = 1, and
+bound: ``_m_terms`` (weight q^(l k(k-1)): the q^(l k^2)-weighted series, r_phi_s
+at l = (1+s-r)/2, the wing k >= 0 of m_psi_m and J^(1) at l = 0, and
 the native J^(2) and J^(3)), ``_m_damped`` (Gaussian weight q^(l (n+s)^2): the
 shifted A_q and the damped J^(2)) and the one of
 :func:`confluent_phi_weighted` (the product-weighted 1phi1, the damped
-J^(3)).  ``_m_terms`` carries its weight as a running product, which keeps
+J^(3)).  ``_m_terms`` carries its weight in the term ratio, which keeps
 the terms finite at large |z|; ``_m_damped`` takes each weight as one
 exponential, since a running weight would stay 0 after it underflows at a
 large negative shift s while the terms near n = -s are of ordinary size.
@@ -90,7 +90,7 @@ def phi(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATION) -> comp
 
     upper = (a_1..a_r), lower = (b_1..b_s), base q, argument z.  Term k is
     prod(a_i;q)_k / [(q;q)_k prod(b_j;q)_k] * ((-1)^k q^(k(k-1)/2))^(1+s-r) * z^k,
-    the term of :func:`_m_terms` at w = q^((1+s-r)/2).  Terminating series
+    the term of :func:`_m_terms` at l = (1+s-r)/2.  Terminating series
     (an upper parameter equal to q^(-m)) stop exactly at k = m; a lower
     parameter q^(-m) is a pole of the term otherwise.
     """
@@ -117,13 +117,12 @@ def phi(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATION) -> comp
             if m is not None:
                 raise PoleError(f"lower parameter equals q^(-{m}): term pole")
 
-    # the extra factor ((-1)^k q^(k(k-1)/2))^e is w^(k^2) ((-1)^e / w)^k at w = q^(e/2):
-    # the weight of _m_terms, and a power that goes into its argument -z
-    w = q.q ** (excess / 2)
-    terms = _m_terms(upper, lower, q, w, -(-1) ** excess * z / w)
+    # the extra factor ((-1)^k q^(k(k-1)/2))^e is the weight of _m_terms at l = e/2
+    # times (-1)^(e k), which goes into its argument -z
+    terms = _m_terms(upper, lower, q, excess / 2, -(-1) ** excess * z)
     if stop is None:
         return _certified_sum(terms, tr, "phi")
-    if excess < 0:  # w > 1, where the tail bounds of _m_terms do not hold
+    if excess < 0:  # l < 0, where the tail bounds of _m_terms do not hold
         terms = ((t, math.inf) for t, _ in terms)
     return _certified_sum(itertools.islice(terms, stop + 1), tr, "phi")
 
@@ -182,8 +181,8 @@ def psi_bilateral(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATIO
             x *= qq
             neg *= neg_ratio(x)
 
-    # the wing k >= 0 is _m_terms at w = 1, its extra upper parameter q cancelling (q;q)_k
-    pos_terms = _m_terms((*upper, qq), lower, q, 1.0, -z)
+    # the wing k >= 0 is _m_terms at l = 0, its extra upper parameter q cancelling (q;q)_k
+    pos_terms = _m_terms((*upper, qq), lower, q, 0.0, -z)
     return _certified_sum(_two_wings(pos_terms, neg_terms()), tr, "psi_bilateral")
 
 
@@ -206,27 +205,28 @@ def _two_wings(pos, neg):
             yield n, pos_tail + neg_tail
 
 
-def _m_terms(alphas, betas, q: QParam, w: float, z):
+def _m_terms(alphas, betas, q: QParam, ell: float, z):
     """Yield (c_k, tail_k) for k = 0, 1, ...: the terms of :func:`m_weighted` and their tails.
 
-    c_k = prod(alpha;q)_k w^(k^2) (-z)^k / [(q;q)_k prod(beta;q)_k] is built by its term
-    ratio, weight included.  For w in (0, 1], tail_k >= sum_(j>k) |c_j|; at w > 1 (a
-    terminating :func:`phi`) the tails do not hold.
+    c_k = prod(alpha;q)_k q^(l k(k-1)) (-z)^k / [(q;q)_k prod(beta;q)_k] is built by its
+    term ratio, whose weight q^(2 l k) is a power of the running q^k: a constant step
+    factor would miss q^(2 l) by a rounding that compounds in c_k as k^2.  For l >= 0,
+    tail_k >= sum_(j>k) |c_j|; at l < 0 (a terminating :func:`phi`) the tails do not hold.
     """
     qq = q.q
     mz = -complex(z)
     az = abs(mz)
     c = sum(abs(a) for a in (*alphas, *betas)) + qq
+    two_l = 2.0 * ell
     term = 1.0 + 0.0j
     qk = 1.0
-    wpow = w  # w^(2k+1) at current k
-    w2 = w * w
     # for every i >= k:
-    # |t_(i+1)/t_i| <= |z| w^(2k+1) prod(1 + |alpha| q^k) / [(1 - q^(k+1)) prod(1 - |beta| q^k)]
+    # |t_(i+1)/t_i| <= |z| q^(2lk) prod(1 + |alpha| q^k) / [(1 - q^(k+1)) prod(1 - |beta| q^k)]
     while True:
         cx = c * qk
-        yield term, geometric_tail(abs(term), az * wpow / (1.0 - cx) if cx < 1.0 else math.inf)
-        ratio = mz * wpow
+        weight = qk ** two_l
+        yield term, geometric_tail(abs(term), az * weight / (1.0 - cx) if cx < 1.0 else math.inf)
+        ratio = mz * weight
         for a in alphas:
             ratio *= 1.0 - a * qk
         den = 1.0 - qq * qk
@@ -236,7 +236,6 @@ def _m_terms(alphas, betas, q: QParam, w: float, z):
             raise PoleError("lower parameter pole in weighted series")
         term *= ratio / den
         qk *= qq
-        wpow *= w2
 
 
 def _m_damped(alphas, q: QParam, ell: float, z, shift: float):
@@ -266,11 +265,15 @@ def _m_damped(alphas, q: QParam, ell: float, z, shift: float):
 
 
 def _weighted_terms(q: QParam, alphas, betas, ell, z):
-    """:func:`_m_terms` at w = q^l for the parameters of :func:`m_weighted`, ell > 0."""
+    """:func:`_m_terms` for the parameters of :func:`m_weighted`, ell > 0.
+
+    q^(l k^2) (-z)^k = q^(l k(k-1)) (-z q^l)^k.
+    """
     if not ell > 0:
         raise DomainError(f"weight ell must be positive, got {ell}")
+    ell = float(ell)
     return _m_terms(tuple(complex(a) for a in alphas), tuple(complex(b) for b in betas), q,
-                    q.power(float(ell)).real, complex(z))
+                    ell, complex(z) * q.power(ell).real)
 
 
 def m_weighted(alphas, betas, q: QParam, ell, z, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -594,10 +597,10 @@ def cal_e_raw(x, t, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
 def bessel1_normalized(nu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """(2/z)^nu J1_nu(z;q) as a function of u = (z/2)^2, single-valued in u.
 
-    Its series sum_k (-u)^k / [(q;q)_k (q^(nu+1);q)_k] is :func:`_m_terms` at w = 1.
+    Its series sum_k (-u)^k / [(q;q)_k (q^(nu+1);q)_k] is :func:`_m_terms` at l = 0.
     """
     b = q.power(complex(nu) + 1)
-    body = _certified_sum(_m_terms((), (b,), q, 1.0, u), tr, "bessel1_normalized")
+    body = _certified_sum(_m_terms((), (b,), q, 0.0, u), tr, "bessel1_normalized")
     return qpoch_inf(b, q, tr) / qpoch_inf(q.q, q, tr) * body
 
 
@@ -616,11 +619,12 @@ def bessel2_normalized(nu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) ->
 def bessel2_normalized_native(nu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """(2/z)^nu J2_nu(z;q) from the defining series, for orders away from poles.
 
-    Its series sum_k q^(k^2) (-u q^nu)^k / [(q;q)_k (q^(nu+1);q)_k] is :func:`_m_terms` at w = q.
+    Its series sum_k q^(k^2) (-u q^nu)^k / [(q;q)_k (q^(nu+1);q)_k], with
+    q^(k^2) = q^(k(k-1)) q^k, is :func:`_m_terms` at l = 1 and argument u q^(nu+1).
     """
     qnu = q.power(complex(nu))
     b = q.q * qnu
-    body = _certified_sum(_m_terms((), (b,), q, q.q, complex(u) * qnu), tr,
+    body = _certified_sum(_m_terms((), (b,), q, 1.0, complex(u) * b), tr,
                           "bessel2_normalized_native")
     return qpoch_inf(b, q, tr) / qpoch_inf(q.q, q, tr) * body
 
@@ -667,11 +671,10 @@ def bessel3_normalized(mu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) ->
 def bessel3_normalized_native(nu, u, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """(2/z)^nu J3_nu(z;q) from the defining series, for orders away from poles.
 
-    Its series sum_k q^(k^2/2) (-u q^(1/2))^k / [(q;q)_k (q^(nu+1);q)_k] is :func:`_m_terms`
-    at w = q^(1/2).
+    Its series sum_k q^(k^2/2) (-u q^(1/2))^k / [(q;q)_k (q^(nu+1);q)_k], with
+    q^(k^2/2) = q^(k(k-1)/2) q^(k/2), is :func:`_m_terms` at l = 1/2 and argument u q.
     """
     b = q.power(complex(nu) + 1)
-    sq = math.sqrt(q.q)
-    body = _certified_sum(_m_terms((), (b,), q, sq, complex(u) * sq), tr,
+    body = _certified_sum(_m_terms((), (b,), q, 0.5, complex(u) * q.q), tr,
                           "bessel3_normalized_native")
     return qpoch_inf(b, q, tr) / qpoch_inf(q.q, q, tr) * body

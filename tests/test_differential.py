@@ -300,7 +300,7 @@ def _phi_terms(upper, lower, q, z):
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (1, 2), (0, 1)])
 def test_phi_with_extra_factor_matches_qhyper(shape):
-    # excess 1 + s - r = 1 (1phi1, 2phi2) and 2 (1phi2, 0phi1): the weight w = q^(e/2) of
+    # excess 1 + s - r = 1 (1phi1, 2phi2) and 2 (1phi2, 0phi1): the weight at l = e/2 of
     # the shared term walker, at complex parameters and arguments past |z| = 1
     r, s = shape
     rng = random.Random(f"phi:{r}:{s}")
@@ -320,17 +320,17 @@ def test_phi_with_extra_factor_matches_qhyper(shape):
 
 @pytest.mark.parametrize("shape", [(2, 0), (3, 1)])
 def test_terminating_phi_with_more_upper_parameters(shape):
-    # excess -1: w = q^(-1/2) > 1, so every term up to the terminating one is summed;
+    # excess -1: l = -1/2 < 0, so every term up to the terminating one is summed;
     # mpmath's qhyper does not stop on a terminating series, so the reference is the
-    # finite sum to k = n in mpmath.  The degree stays at n <= 8: the step factor w^2
-    # misses q^(-1) by a rounding that compounds to an error growing as n^2, measured
-    # up to 1.3e-13 of sum |t_k| at n <= 60, past this bound (a known defect)
+    # finite sum to k = n in mpmath.  Degrees up to 60 check that the weight q^(-k) of
+    # each term ratio does not compound a rounding as k^2; q is drawn where the terms,
+    # of size up to about q^(-n^2), stay inside the double range
     r, s = shape
     rng = random.Random(f"phi-terminating:{r}:{s}")
     cases = []
     for _ in range(10):
-        qv = rng.uniform(0.2, 0.8)
-        n = rng.randrange(1, 9)
+        n = rng.randrange(1, 61)
+        qv = rng.uniform(max(0.2, 10.0 ** (-250 / n**2)), 0.9)
         q = QParam(qv)
         upper = [q.power(-n).real] + [_cring(rng, 0.1, 2.0) for _ in range(r - 1)]
         lower = [_cring(rng, 0.1, 0.9) for _ in range(s)]
