@@ -4,6 +4,12 @@ q-shifted factorials (finite, infinite, negative index, multi-argument),
 q-binomial coefficients, the q-gamma function, the four Jacobi theta
 functions and the partial theta function.
 
+Every series sums through :func:`_certified_sum`.  The q^(l k^2)-weighted
+shape has one term walker with one tail bound, :func:`_m_terms`, and
+:func:`_two_wings` merges the two wings of a bilateral sum; the theta
+series routes and the partial theta function are its case l = 1 with the
+upper parameter q, and ``series`` builds its weighted series on both.
+
 All functions take the base through a :class:`QParam` and control every
 infinite sum/product through a :class:`Truncation`.  Complex values are
 plain Python ``complex``; any non-finite result raises
@@ -153,6 +159,59 @@ def _certified_sum(terms, tr: Truncation, context: str) -> complex:
             achieved_bound=tail,
         )
     return ensure_finite(total, context)
+
+
+def _m_terms(alphas, betas, q: QParam, ell: float, z):
+    """Yield (c_k, tail_k) for k = 0, 1, ...: the terms of a q^(l k^2)-weighted series and their tails.
+
+    c_k = prod(alpha;q)_k q^(l k(k-1)) (-z)^k / [(q;q)_k prod(beta;q)_k] is built by its
+    term ratio, whose weight q^(2 l k) is a power of the running q^k: a constant step
+    factor would miss q^(2 l) by a rounding that compounds in c_k as k^2.  For l >= 0,
+    tail_k >= sum_(j>k) |c_j|; at l < 0 (a terminating ``series.phi``) the tails do not
+    hold.  An upper parameter q cancels (q;q)_k, which gives the theta series.
+    """
+    qq = q.q
+    mz = -complex(z)
+    az = abs(mz)
+    c = sum(abs(a) for a in (*alphas, *betas)) + qq
+    two_l = 2.0 * ell
+    term = 1.0 + 0.0j
+    qk = 1.0
+    # for every i >= k:
+    # |t_(i+1)/t_i| <= |z| q^(2lk) prod(1 + |alpha| q^k) / [(1 - q^(k+1)) prod(1 - |beta| q^k)]
+    while True:
+        cx = c * qk
+        weight = qk ** two_l
+        yield term, geometric_tail(abs(term), az * weight / (1.0 - cx) if cx < 1.0 else math.inf)
+        ratio = mz * weight
+        for a in alphas:
+            ratio *= 1.0 - a * qk
+        den = 1.0 - qq * qk
+        for b in betas:
+            den *= 1.0 - b * qk
+        if abs(den) < 1e-290:
+            raise PoleError("lower parameter pole in weighted series")
+        term *= ratio / den
+        qk *= qq
+
+
+def _two_wings(pos, neg):
+    """One (t, tail) stream from the streams of two wings, each tail_k >= sum_(j>k) |t_j|.
+
+    Each step extends the wing whose tail bound is larger, so the sum is certified as a
+    whole without summing the faster wing far past need; the tail of the whole is the sum
+    of the two wings' tails.
+    """
+    p, pos_tail = next(pos)
+    n, neg_tail = next(neg)
+    yield p + n, pos_tail + neg_tail
+    while True:
+        if pos_tail >= neg_tail:
+            p, pos_tail = next(pos)
+            yield p, pos_tail + neg_tail
+        else:
+            n, neg_tail = next(neg)
+            yield n, pos_tail + neg_tail
 
 
 def qpoch_finite(a, q: QParam, n: int) -> complex:
@@ -348,8 +407,11 @@ def theta4(z, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "prod
         return qpoch_multi([q.q * q.q, q.q * z, q.q / z], q2, None, tr)
     if route != "series":
         raise DomainError(f"unknown theta4 route {route!r}")
-    # wing n <= -1 as q^((m+1)^2) (-1/z)^(m+1) = (-q/z) q^(m^2) (-q^2/z)^m, m >= 0
-    return _theta_sum(1.0, -z, -q.q / z, -q.q * q.q / z, q, tr, "theta4")
+    # wing n >= 0 as q^(k(k-1)) (-q z)^k, wing n = -k <= -1 likewise with z -> 1/z
+    pos = _m_terms((q.q,), (), q, 1.0, q.q * z)
+    neg = _m_terms((q.q,), (), q, 1.0, q.q / z)
+    next(neg)
+    return _certified_sum(_two_wings(pos, neg), tr, "theta4")
 
 
 def theta3(v, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "product") -> complex:
@@ -375,30 +437,10 @@ def theta2(v, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "prod
         q2 = QParam(q.q * q.q)
         pref = 2.0 * q.power(0.25) * cmath.cos(math.pi * v)
         return pref * qpoch_multi([q.q * q.q, -q.q * q.q * w, -q.q * q.q / w], q2, None, tr)
-    # wing k >= 0 as q^((k+1/2)^2) e^((2k+1) pi i v) = q^(1/4) e^(pi i v) q^(k^2) (q w)^k,
-    # and wing k <= -1 likewise with w -> 1/w
-    e = cmath.exp(1j * math.pi * v)
-    return q.power(0.25) * _theta_sum(e, q.q * w, 1.0 / e, q.q / w, q, tr, "theta2")
-
-
-def _theta_sum(c1, y1, c2, y2, q: QParam, tr: Truncation, context: str) -> complex:
-    """sum_{n>=0} q^(n^2) (c1 y1^n + c2 y2^n), certified on the whole sum."""
-    qq = q.q
-    m1, m2 = abs(y1), abs(y2)
-
-    # each wing: |q^((n+1)^2) y^(n+1)| / |q^(n^2) y^n| = q^(2n+1)|y|, decreasing in n
-    def terms():
-        t1, t2 = complex(c1), complex(c2)
-        r = qq  # q^(2n+1)
-        while True:
-            yield t1 + t2, geometric_tail(abs(t1), r * m1) + geometric_tail(abs(t2), r * m2)
-            t1 *= r * y1
-            t2 *= r * y2
-            r *= qq * qq
-
-    return _certified_sum(terms(), tr, context)
+    # q^((k+1/2)^2) e^((2k+1) pi i v) = q^(1/4) e^(pi i v) q^(k^2) (q w)^k
+    return q.power(0.25) * cmath.exp(1j * math.pi * v) * theta4(-q.q * w, q, tr, route="series")
 
 
 def partial_theta(v, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """One-sided theta sum omega(v;q) = sum_{n>=0} q^(n^2) v^n (entire)."""
-    return _theta_sum(1.0, complex(v), 0.0, 0.0, q, tr, "partial_theta")
+    return _certified_sum(_m_terms((q.q,), (), q, 1.0, -q.q * complex(v)), tr, "partial_theta")

@@ -38,7 +38,7 @@ GROUPS = ("PRELIM", "CONTOUR", "MELLIN", "FOURIER", "SERIES")
 GROUP_TOL = {
     "PRELIM": 1e-10,
     "CONTOUR": 1e-8,
-    "MELLIN": 1e-5,
+    "MELLIN": 1e-6,
     "FOURIER": 1e-8,
     "SERIES": 1e-10,
 }
@@ -136,11 +136,7 @@ def _truncation_for(tol: float) -> Truncation:
     # engines get a thin slice of the identity tolerance: integrals with
     # internal cancellation amplify the integrand's own evaluation error
     # by the mass-to-value ratio, so the slice must leave a wide reserve.
-    # It is never looser than 1e-9.  The products inside integrands no
-    # longer read it (they are accurate to the double floor), so the cap
-    # now guards only series and quadrature; removing it, and tightening
-    # the group tolerances to what the engines achieve, are open steps.
-    return Truncation(tol=max(1e-14, min(tol * 1e-3, 1e-9)), max_terms=100000)
+    return Truncation(tol=max(1e-14, tol * 1e-3), max_terms=100000)
 
 
 def evaluate_identity(identity_id: str, params: dict, tol: float = 0.0) -> ResidualReport:

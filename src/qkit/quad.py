@@ -192,16 +192,15 @@ def vertical_line(f, rho: float, tr: Truncation = DEFAULT_TRUNCATION) -> complex
     return _trapezoid(g, -2.0, 2.0, 0.5, tr, "vertical_line", probe=2.0) / (2.0 * math.pi)
 
 
-def real_line(f, tr: Truncation = DEFAULT_TRUNCATION, width: float = 1.0) -> complex:
-    """Integral of f over R from the window +-width, probed and widened.
+def real_line(f, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
+    """Integral of f over R from the window +-2, probed and widened.
 
     Suitable for integrands with (at least) exponential two-sided decay,
     e.g. lognormal weights after the x = e^u substitution.  The accuracy
     target has an absolute floor of tol, so integrals that vanish (odd
     Gram entries) still certify.
     """
-    return _trapezoid(f, -width, width, width / 4.0, tr, "real_line",
-                      probe=width, atol=tr.tol)
+    return _trapezoid(f, -2.0, 2.0, 0.5, tr, "real_line", probe=2.0, atol=tr.tol)
 
 
 def halfline_log(f, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -211,7 +210,7 @@ def halfline_log(f, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
         x = math.exp(u)
         return complex(f(x)) * x
 
-    return real_line(g, tr, width=2.0)
+    return real_line(g, tr)
 
 
 def finite_interval(f, a: float, b: float, tr: Truncation = DEFAULT_TRUNCATION) -> complex:

@@ -187,7 +187,7 @@ ident("cal_e_two_routes", "PRELIM",
       "q-Hermite series route and shifted-product route for cal-E agree",
       lambda p, tr: cal_e(math.cos(p["theta"]), p["t"], QParam(p["q"]), tr, route="hermite"),
       lambda p, tr: cal_e(math.cos(p["theta"]), p["t"], QParam(p["q"]), tr, route="shifted"),
-      _cal2_sample, default_tol=1e-10)
+      _cal2_sample)
 
 
 # --- q-Hermite orthogonality (Gram entries, shifted by 1) -------------------
@@ -556,7 +556,7 @@ ident("qlaguerre_orthogonality", "PRELIM",
       "q-Laguerre Gram entry against x^alpha/(-x;q)_inf on the half line",
       _ql_gram,
       lambda p, tr: 2.0 if p["m"] == p["n"] else 1.0,
-      _ql_sample, default_tol=1e-5)
+      _ql_sample, default_tol=1e-6)
 
 
 # --- Stieltjes-Wigert orthogonality -------------------------------------------
@@ -650,7 +650,7 @@ def _qck_rhs(p, tr):
 
 ident("qsquare_contour_rep", "PRELIM",
       "q^(c k^2) u^k as a circle contour integral of a theta product",
-      _qck_lhs, _qck_rhs, _qck_sample, default_tol=1e-10)
+      _qck_lhs, _qck_rhs, _qck_sample)
 
 
 def _qal_sample(rng):
@@ -672,4 +672,4 @@ def _qal_rhs(p, tr):
 ident("qsquare_gaussian_rep", "PRELIM",
       "q^(alpha^2/2) as a normalized Gaussian integral of e^(i alpha y)",
       lambda p, tr: QParam(p["q"]).power(p["alpha"] ** 2 / 2.0),
-      _qal_rhs, _qal_sample, default_tol=1e-10)
+      _qal_rhs, _qal_sample)

@@ -391,7 +391,7 @@ def _mb_rhs(p, tr):
 ident("modified_bessel_phi11", "SERIES",
       "modified kind-2 q-Bessel at doubled argument as a basic confluent value",
       lambda p, tr: modified_bessel_i(2, p["nu"], 2 * p["z"], QParam(p["q"]), tr),
-      _mb_rhs, _mb_sample, default_tol=1e-10)
+      _mb_rhs, _mb_sample)
 
 
 # --- kind-2 q-Bessel expansions -----------------------------------------------------

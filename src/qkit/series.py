@@ -7,15 +7,17 @@ q-exponentials e_q, E_q and the two-variable cal-E, the Ramanujan
 function A_q, Jackson's three q-Bessel functions and the modified I^(k).
 
 The weighted series share three term generators, each with one tail
-bound: ``_m_terms`` (weight q^(l k(k-1)): the q^(l k^2)-weighted series, r_phi_s
-at l = (1+s-r)/2, the wing k >= 0 of m_psi_m and J^(1) at l = 0, and
-the native J^(2) and J^(3)), ``_m_damped`` (Gaussian weight q^(l (n+s)^2): the
+bound: ``core._m_terms`` (weight q^(l k(k-1)): the q^(l k^2)-weighted series,
+r_phi_s at l = (1+s-r)/2, the wing k >= 0 of m_psi_m and J^(1) at l = 0,
+and the native J^(2) and J^(3); the theta series of ``core`` also sum
+through it), ``_m_damped`` (Gaussian weight q^(l (n+s)^2): the
 shifted A_q and the damped J^(2)) and the one of
 :func:`confluent_phi_weighted` (the product-weighted 1phi1, the damped
 J^(3)).  ``_m_terms`` carries its weight in the term ratio, which keeps
 the terms finite at large |z|; ``_m_damped`` takes each weight as one
 exponential, since a running weight would stay 0 after it underflows at a
 large negative shift s while the terms near n = -s are of ordinary size.
+The bilateral sums merge their two wings with ``core._two_wings``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .core import (
     QParam,
     Truncation,
     _certified_sum,
+    _m_terms,
+    _two_wings,
     ensure_finite,
     geometric_tail,
     qpoch_inf,
@@ -184,58 +188,6 @@ def psi_bilateral(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATIO
     # the wing k >= 0 is _m_terms at l = 0, its extra upper parameter q cancelling (q;q)_k
     pos_terms = _m_terms((*upper, qq), lower, q, 0.0, -z)
     return _certified_sum(_two_wings(pos_terms, neg_terms()), tr, "psi_bilateral")
-
-
-def _two_wings(pos, neg):
-    """One (t, tail) stream from the streams of two wings, each tail_k >= sum_(j>k) |t_j|.
-
-    Each step extends the wing whose tail bound is larger, so the sum is certified as a
-    whole without summing the faster wing far past need; the tail of the whole is the sum
-    of the two wings' tails.
-    """
-    p, pos_tail = next(pos)
-    n, neg_tail = next(neg)
-    yield p + n, pos_tail + neg_tail
-    while True:
-        if pos_tail >= neg_tail:
-            p, pos_tail = next(pos)
-            yield p, pos_tail + neg_tail
-        else:
-            n, neg_tail = next(neg)
-            yield n, pos_tail + neg_tail
-
-
-def _m_terms(alphas, betas, q: QParam, ell: float, z):
-    """Yield (c_k, tail_k) for k = 0, 1, ...: the terms of :func:`m_weighted` and their tails.
-
-    c_k = prod(alpha;q)_k q^(l k(k-1)) (-z)^k / [(q;q)_k prod(beta;q)_k] is built by its
-    term ratio, whose weight q^(2 l k) is a power of the running q^k: a constant step
-    factor would miss q^(2 l) by a rounding that compounds in c_k as k^2.  For l >= 0,
-    tail_k >= sum_(j>k) |c_j|; at l < 0 (a terminating :func:`phi`) the tails do not hold.
-    """
-    qq = q.q
-    mz = -complex(z)
-    az = abs(mz)
-    c = sum(abs(a) for a in (*alphas, *betas)) + qq
-    two_l = 2.0 * ell
-    term = 1.0 + 0.0j
-    qk = 1.0
-    # for every i >= k:
-    # |t_(i+1)/t_i| <= |z| q^(2lk) prod(1 + |alpha| q^k) / [(1 - q^(k+1)) prod(1 - |beta| q^k)]
-    while True:
-        cx = c * qk
-        weight = qk ** two_l
-        yield term, geometric_tail(abs(term), az * weight / (1.0 - cx) if cx < 1.0 else math.inf)
-        ratio = mz * weight
-        for a in alphas:
-            ratio *= 1.0 - a * qk
-        den = 1.0 - qq * qk
-        for b in betas:
-            den *= 1.0 - b * qk
-        if abs(den) < 1e-290:
-            raise PoleError("lower parameter pole in weighted series")
-        term *= ratio / den
-        qk *= qq
 
 
 def _m_damped(alphas, q: QParam, ell: float, z, shift: float):

@@ -404,3 +404,38 @@ class TestPartialTheta:
         for v in (1.0, -1.0):
             direct = sum(0.5 ** (n * n) * v**n for n in range(60))
             assert rel(partial_theta(v, q, TR), direct) < 1e-13
+
+
+class TestThetaNearQOne:
+    # the theta tests above stop at q = 0.9; near q -> 1 a wing sums tens of
+    # terms, and their rounding is bounded by the mass sum q^(n^2) |z|^n
+    FLOOR = Truncation(tol=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(0.05, 0.97), st.floats(0.2, 5.0), st.floats(-math.pi, math.pi))
+    def test_theta4_series_matches_product(self, qv, r, phase):
+        q = QParam(qv)
+        z = cmath.rect(r, phase)
+        mass = theta4(-r, q, self.FLOOR).real  # sum_n q^(n^2) r^n
+        s = theta4(z, q, self.FLOOR, route="series")
+        p = theta4(z, q, self.FLOOR, route="product")
+        assert abs(s - p) <= 1e-14 * mass
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.05, 0.97), st.floats(0.2, 5.0), st.floats(-math.pi, math.pi))
+    def test_partial_theta_matches_30_digit_sum(self, qv, r, phase):
+        mp = pytest.importorskip("mpmath")
+        v = cmath.rect(r, phase)
+        with mp.workdps(30):
+            qm, vm = mp.mpf(qv), mp.mpc(v)
+            exact, mass, prev, n = mp.mpc(0), mp.mpf(0), mp.mpf(0), 0
+            while True:
+                weight = qm ** (n * n)
+                exact += weight * vm**n
+                mag = weight * mp.mpf(r) ** n
+                mass += mag
+                if mag < prev and mag < 1e-35 * mass:  # past the peak, terms fall superexponentially
+                    break
+                prev, n = mag, n + 1
+            exact, mass = complex(exact), float(mass)
+        assert abs(partial_theta(v, QParam(qv), self.FLOOR) - exact) <= 1e-14 * mass

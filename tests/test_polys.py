@@ -314,5 +314,5 @@ class TestWeights:
         def f(x):
             return weight("ismail_masson_w2", x, q, TR)
 
-        total = real_line(f, Truncation(tol=1e-11), width=2.0)
+        total = real_line(f, Truncation(tol=1e-11))
         assert abs(total.real - 1.0) < 1e-9

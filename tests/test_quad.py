@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qkit import (QParam, QuadratureError, Truncation, q_exp_small, qpoch_finite, qpoch_inf,
                   qpoch_multi, ramanujan_a)
-from qkit.identities import _truncation_for
+from qkit.identities import _truncation_for, get_identity
 from qkit.polys import qhermite
 from qkit.registry import prelim
 from qkit import quad
@@ -295,7 +295,8 @@ class TestRealLineFamily:
             return halfline_log(f, tr)
 
         monkeypatch.setattr(prelim, "halfline_log", counting_halfline)
-        val = prelim._ql_gram({"alpha": 0.5, "m": 1, "n": 2, "q": 0.335676}, _truncation_for(1e-5))
+        tr = _truncation_for(get_identity("qlaguerre_orthogonality").tol())
+        val = prelim._ql_gram({"alpha": 0.5, "m": 1, "n": 2, "q": 0.335676}, tr)
         assert abs(val - 1.0) < 1e-9
         assert calls[0][0] <= 2000
 

@@ -22,8 +22,13 @@ from qkit import (
     qpoch_finite,
     qpoch_inf,
     qpoch_multi,
+    partial_theta,
     ramanujan_a,
+    theta2,
+    theta3,
+    theta4,
 )
+import qkit.core
 import qkit.series
 from qkit.errors import NumericOverflowError, QKitError
 from qkit.series import (
@@ -33,6 +38,7 @@ from qkit.series import (
     bessel3_normalized,
     bessel3_normalized_gauss,
     confluent_phi_weighted,
+    m_weighted_bilateral,
     poch_gauss,
     ramanujan_a_shifted,
 )
@@ -156,6 +162,36 @@ class TestWeightedSeries:
     def test_weight_positivity_enforced(self):
         with pytest.raises(DomainError):
             m_weighted([], [], QParam(0.5), 0.0, 0.2, TR)
+
+
+class TestOneWeightedWalker:
+    # every q^(k^2)-weighted sum takes its terms from core._m_terms, the
+    # walker with the one tail bound for that shape
+    CALLS = {
+        "theta2": lambda q: theta2(0.2 + 0.1j, q, TR, route="series"),
+        "theta3": lambda q: theta3(0.2 + 0.1j, q, TR, route="series"),
+        "theta4": lambda q: theta4(0.7 - 0.4j, q, TR, route="series"),
+        "partial_theta": lambda q: partial_theta(1.5 - 0.5j, q, TR),
+        "phi": lambda q: phi([0.3, 0.2j], [0.6], q, 0.4, TR),
+        "psi_bilateral": lambda q: psi_bilateral([0.8], [0.3], q, 0.6, TR),
+        "m_weighted": lambda q: m_weighted([0.3], [0.2], q, 0.5, 1.2, TR),
+        "m_weighted_bilateral": lambda q: m_weighted_bilateral(
+            q, ((0.3,), (), 0.5, 1.2), ((), (0.2,), 1.0, 0.7), TR),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_sums_through_m_terms(self, name, monkeypatch):
+        calls = []
+        walker = qkit.core._m_terms
+
+        def counted(*args):
+            calls.append(args)
+            return walker(*args)
+
+        monkeypatch.setattr(qkit.core, "_m_terms", counted)
+        monkeypatch.setattr(qkit.series, "_m_terms", counted)
+        self.CALLS[name](QParam(0.5))
+        assert calls
 
 
 class TestQExponentials:
