@@ -168,12 +168,19 @@ def _m_terms(alphas, betas, q: QParam, ell: float, z):
     term ratio, whose weight q^(2 l k) is a power of the running q^k: a constant step
     factor would miss q^(2 l) by a rounding that compounds in c_k as k^2.  For l >= 0,
     tail_k >= sum_(j>k) |c_j|; at l < 0 (a terminating ``series.phi``) the tails do not
-    hold.  An upper parameter q cancels (q;q)_k, which gives the theta series.
+    hold.  An upper parameter q cancels (q;q)_k, in the ratio and in its bound, which
+    gives the theta series: left in, it would hold the bound at inf until 2 q^(k+1) < 1.
     """
     qq = q.q
+    if qq in alphas:
+        alphas = list(alphas)
+        alphas.remove(qq)
+        q_low = 0.0
+    else:
+        q_low = qq  # the q of (q;q)_k
     mz = -complex(z)
     az = abs(mz)
-    c = sum(abs(a) for a in (*alphas, *betas)) + qq
+    c = sum(abs(a) for a in (*alphas, *betas)) + q_low
     two_l = 2.0 * ell
     term = 1.0 + 0.0j
     qk = 1.0
@@ -186,7 +193,7 @@ def _m_terms(alphas, betas, q: QParam, ell: float, z):
         ratio = mz * weight
         for a in alphas:
             ratio *= 1.0 - a * qk
-        den = 1.0 - qq * qk
+        den = 1.0 - q_low * qk
         for b in betas:
             den *= 1.0 - b * qk
         if abs(den) < 1e-290:

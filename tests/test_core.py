@@ -406,6 +406,22 @@ class TestPartialTheta:
             assert rel(partial_theta(v, q, TR), direct) < 1e-13
 
 
+def _partial_theta_mp(qv, v):
+    """(sum_(n>=0) q^(n^2) v^n, sum_(n>=0) q^(n^2) |v|^n) to 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        qm, vm, r = mp.mpf(qv), mp.mpc(v), mp.mpf(abs(v))
+        exact, mass, prev, n = mp.mpc(0), mp.mpf(0), mp.mpf(0), 0
+        while True:
+            weight = qm ** (n * n)
+            exact += weight * vm**n
+            mag = weight * r**n
+            mass += mag
+            if mag < prev and mag < 1e-35 * mass:  # past the peak, terms fall superexponentially
+                return complex(exact), float(mass)
+            prev, n = mag, n + 1
+
+
 class TestThetaNearQOne:
     # the theta tests above stop at q = 0.9; near q -> 1 a wing sums tens of
     # terms, and their rounding is bounded by the mass sum q^(n^2) |z|^n
@@ -424,18 +440,41 @@ class TestThetaNearQOne:
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.05, 0.97), st.floats(0.2, 5.0), st.floats(-math.pi, math.pi))
     def test_partial_theta_matches_30_digit_sum(self, qv, r, phase):
-        mp = pytest.importorskip("mpmath")
         v = cmath.rect(r, phase)
-        with mp.workdps(30):
-            qm, vm = mp.mpf(qv), mp.mpc(v)
-            exact, mass, prev, n = mp.mpc(0), mp.mpf(0), mp.mpf(0), 0
-            while True:
-                weight = qm ** (n * n)
-                exact += weight * vm**n
-                mag = weight * mp.mpf(r) ** n
-                mass += mag
-                if mag < prev and mag < 1e-35 * mass:  # past the peak, terms fall superexponentially
-                    break
-                prev, n = mag, n + 1
-            exact, mass = complex(exact), float(mass)
+        exact, mass = _partial_theta_mp(qv, v)
         assert abs(partial_theta(v, QParam(qv), self.FLOOR) - exact) <= 1e-14 * mass
+
+    @pytest.mark.parametrize("qv", [0.999, 0.9999, 0.99995])
+    def test_default_truncation_very_close_to_one(self, qv, monkeypatch):
+        # at the default Truncation a wing at |z| = 1 is certified once its
+        # tail is under 1e-29 of the peak term 1, a few terms past
+        # q^(n^2) = 1e-30: some 1,200 terms at q = 0.99995.  The upper
+        # parameter q must cancel (q;q)_k in the ratio bound too; left in,
+        # it holds the bound at inf up to n ~ ln 2 / (1 - q), which runs
+        # past max_terms at q = 0.9999
+        q = QParam(qv)
+        cap = math.sqrt(math.log(1e32) / -math.log(qv))  # q^(cap^2) = 1e-32
+        walked = []
+        walker = qkit.core._m_terms
+
+        def counted(*args):  # the terms each walk yields
+            slot = len(walked)
+            walked.append(0)
+            for pair in walker(*args):
+                walked[slot] += 1
+                yield pair
+
+        monkeypatch.setattr(qkit.core, "_m_terms", counted)
+        z = cmath.exp(1j)
+        pos, pos_mass = _partial_theta_mp(qv, -z)
+        neg, neg_mass = _partial_theta_mp(qv, -1 / z)
+        assert abs(theta4(z, q, route="series") - (pos + neg - 1)) <= 1e-14 * (pos_mass + neg_mass)
+        assert len(walked) == 2 and max(walked) <= cap
+        walked.clear()
+        exact, mass = _partial_theta_mp(qv, 1.0)
+        value = partial_theta(1.0, q)
+        assert len(walked) == 1 and walked[0] <= cap
+        # the tail is cut at the default tol of the sum; the rounding of n
+        # positive terms, each a product of up to n ratios, grows with n
+        err = abs(value - exact)
+        assert err <= DEFAULT_TRUNCATION.tol * abs(exact) + walked[0] * 2.0**-53 * mass
