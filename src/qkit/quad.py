@@ -5,13 +5,14 @@ halves the step (reusing the points it has) until two successive
 estimates agree.  For integrands analytic in a strip the trapezoid rule
 converges exponentially on the real line and over a period (Trefethen &
 Weideman, SIAM Review 56, 2014), so each engine only chooses the map: a
-Gaussian-weighted line (gaussian_line), a line with two-sided exponential
+Gaussian-weighted line (gaussian_line), a line where f carries its own
 decay (real_line, halfline_log after x = e^u, and vertical_line after
 y = sinh u), the tanh-sinh map of a finite interval (finite_interval;
 Takahasi & Mori 1974), and the angle over one period (circle_contour).
-gaussian_line starts from four nodes per sigma and per period of its
-oscillation hint, where its first comparison usually confirms
-convergence; a harder integrand keeps halving under the same stop rule.
+Each engine takes only its geometry and the truncation.  gaussian_line
+starts from four nodes per sigma, where its first comparison usually
+confirms convergence; a harder integrand keeps halving under the same
+stop rule.
 The windows of gaussian_line and finite_interval start where their
 weight falls below tolerance, and like real_line's they are probed
 outward while the integrand is not negligible near their ends.  All
@@ -23,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .core import DEFAULT_TRUNCATION, QParam, Truncation, ensure_finite
+from .core import DEFAULT_TRUNCATION, Truncation, ensure_finite
 from .errors import QuadratureError
 
 __all__ = [
@@ -118,39 +119,29 @@ def _trapezoid(integrand, lo: float, hi: float, h0: float, tr: Truncation, name:
     raise QuadratureError(f"{name} domain extension did not terminate")
 
 
-def gaussian_line(f, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, *, sigma2: float,
-                  hint: float = 0.0) -> complex:
-    """Integrate f(y) exp(-y^2/(2 sigma2)) over the real line.
-
-    A negative sigma2 means that f carries its own decay: f is integrated
-    as it is, with the window and start step of sigma2 = ln(1/q).  hint is
-    the largest |frequency| (radians per unit y) among the e^(i a y)-type
-    factors of f, used only to pick the start step.
+def gaussian_line(f, sigma2: float, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
+    """Integrate f(y) exp(-y^2/(2 sigma2)) over the real line, sigma2 > 0.
 
     The window starts where the Gaussian falls below tolerance and is
     probed and widened while the integrand is not negligible at its ends.
-    The trapezoid starts from h0 = min(sigma/4, pi/(2 (hint + 1/L))), four
-    nodes per sigma and per period of the hinted frequency.  The start step
-    is free: the core halves it reusing every point, so an integrand that
-    h0 does not resolve pays only for the levels it needs, about 2W/h
-    evaluations for a final step h on a window of length W, while one that
-    it does resolve stops at the first comparison, T(h0) against T(h0/2).
+    The trapezoid starts from h0 = sigma/4, four nodes per sigma.  The
+    start step is free: the core halves it reusing every point, so an
+    integrand that h0 does not resolve pays only for the levels it needs,
+    about 2W/h evaluations for a final step h on a window of length W,
+    while one that it does resolve stops at the first comparison, T(h0)
+    against T(h0/2).  An integrand that carries its own decay belongs to
+    real_line.
     """
-    if sigma2 < 0.0:
-        sigma2 = q.log_inv
-        integrand = f
-    elif sigma2 > 0.0:
-        def integrand(y: float) -> complex:
-            return complex(f(y)) * math.exp(-y * y / (2.0 * sigma2))
-    else:
-        raise QuadratureError(f"gaussian_line needs a nonzero sigma2, got {sigma2}")
-    sigma = math.sqrt(sigma2)
-    L_inv = 1.0 / max(abs(q.ln_q), 1e-12)
+    if not 0.0 < sigma2 < math.inf:
+        raise QuadratureError(f"gaussian_line needs sigma2 > 0, got {sigma2}")
 
+    def integrand(y: float) -> complex:
+        return complex(f(y)) * math.exp(-y * y / (2.0 * sigma2))
+
+    sigma = math.sqrt(sigma2)
     scale0 = max(1.0, abs(complex(f(0.0))))
     ymax = sigma * math.sqrt(2.0 * max(math.log(scale0 / tr.tol), 1.0))
-    h0 = min(sigma / 4.0, math.pi / (2.0 * (hint + L_inv)))
-    return _trapezoid(integrand, -ymax, ymax, h0, tr, "gaussian_line", probe=sigma)
+    return _trapezoid(integrand, -ymax, ymax, sigma / 4.0, tr, "gaussian_line", probe=sigma)
 
 
 def circle_contour(f, r: float, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -196,7 +187,9 @@ def real_line(f, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Integral of f over R from the window +-2, probed and widened.
 
     Suitable for integrands with (at least) exponential two-sided decay,
-    e.g. lognormal weights after the x = e^u substitution.  The accuracy
+    e.g. lognormal weights after the x = e^u substitution, or the FOURIER
+    sides whose f carries its own decay, a Gaussian on one side and an
+    exponential on the other.  The accuracy
     target has an absolute floor of tol, so integrals that vanish (odd
     Gram entries) still certify.
     """

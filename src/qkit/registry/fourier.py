@@ -11,6 +11,11 @@ exp(-y^2/(2 sigma^2)):
     exp(y^2/log q)     -> sigma^2 = L/2        q^(y^2)   -> sigma^2 = 1/(2L)
     exp(y^2/log q^4)   -> sigma^2 = 2L         q^(2y^2)  -> sigma^2 = 1/(4L)
     exp(y^2/log q^1/2) -> sigma^2 = L/4        q^(y^2/4) -> sigma^2 = 2/L
+
+A side whose integrand carries its own decay (a poch_gauss factor or a
+product of confluent_phi_weighted factors, which falls off as a Gaussian
+on one side and exponentially on the other) takes no engine weight and
+is integrated with real_line instead.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from ..series import (
     q_exp_small,
     ramanujan_a,
 )
-from ..quad import gaussian_line
+from ..quad import gaussian_line, real_line
 from ._common import cring, exp_i, ident, qdraw, qfac, qp, qpm, qpn, resample, rint, runif
 
 SQ2PI = math.sqrt(2.0 * math.pi)
@@ -78,8 +83,7 @@ def _f2_rhs(p, tr):
     def f(y):
         return q_exp_small(z * _qiy(q, y), q, tr) * _qiy(q, al * y)
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(al) + 4) * L,
-                                                        sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, tr)
 
 
 ident("fourier_eq_pair_1", "FOURIER",
@@ -104,8 +108,7 @@ def _f3_rhs(p, tr):
     def f(a):
         return poch_gauss(-z * q.power(0.5), a, q, tr) * _qiy(q, -a * y0)
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
-                                                        sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * real_line(f, tr)
 
 
 ident("fourier_eq_pair_2", "FOURIER",
@@ -125,7 +128,7 @@ def _f4_rhs(p, tr):
     def f(a):
         return q_exp_big(-z * q.power(0.5 + a), q, tr) * q_exp_big(z * q.power(0.5 - a), q, tr)
 
-    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
+    return math.sqrt(L / math.pi) * gaussian_line(f, 1 / (2 * L), tr)
 
 
 ident("fourier_eq_double", "FOURIER",
@@ -143,7 +146,7 @@ def _f5_rhs(p, tr):
     def f(a):
         return q_exp_big(-z * q.power(1 - 2 * a), q2, tr) * q_exp_big(-z * q.power(2 + 2 * a), q2, tr)
 
-    return math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (4 * L))
+    return math.sqrt(2 * L / math.pi) * gaussian_line(f, 1 / (4 * L), tr)
 
 
 ident("fourier_eq_half", "FOURIER",
@@ -161,7 +164,7 @@ def _f6_rhs(p, tr):
         w = _qiy(q, y)
         return q_exp_small(z * w, q, tr) * q_exp_small(-z / w, q, tr)
 
-    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, hint=4 * L, sigma2=1 / (2 * L))
+    return math.sqrt(L / math.pi) * gaussian_line(f, 1 / (2 * L), tr)
 
 
 ident("fourier_eq_small_double", "FOURIER",
@@ -186,7 +189,7 @@ def _f7_rhs(p, tr):
         w = _qiy(q, y)
         return q_exp_small(z * w / rq, q2, tr) * q_exp_small(z * rq / w, q2, tr)
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=4 * L, sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, tr)
 
 
 ident("fourier_eq_small_half", "FOURIER",
@@ -208,7 +211,7 @@ def _f11_rhs(p, tr):
     def f(x):
         return exp_i(al * x) / qp(z * exp_i(x), q, tr)
 
-    return gaussian_line(f, q, tr, hint=abs(al) + 4, sigma2=L) / math.sqrt(2 * math.pi * L)
+    return gaussian_line(f, L, tr) / math.sqrt(2 * math.pi * L)
 
 
 ident("fourier_eq_x_form", "FOURIER",
@@ -234,7 +237,7 @@ def _f12_rhs(p, tr):
     def f(a):
         return poch_gauss(-z * q.power(0.5), a, q, tr) * exp_i(-a * x0)
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * real_line(f, tr)
 
 
 ident("fourier_eq_x_inverse", "FOURIER",
@@ -250,8 +253,7 @@ def _f13_rhs(p, tr):
     def f(y):
         return _qiy(q, al * y) / qp(z * _qiy(q, y), q, tr)
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(al) + 4) * L,
-                                                        sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, tr)
 
 
 ident("fourier_eq_sym", "FOURIER",
@@ -273,8 +275,7 @@ def _f14_rhs(p, tr):
     def f(a):
         return _qiy(q, -a * y0) * poch_gauss(-z * q.power(0.5), a, q, tr)
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
-                                                        sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * real_line(f, tr)
 
 
 ident("fourier_eq_sym_inverse", "FOURIER",
@@ -291,7 +292,7 @@ def _f25_lhs(p, tr):
     def f(a):
         return qp(z * q.power(1 - 2 * a), q2, tr) * qp(z * q.power(2 + 2 * a), q2, tr)
 
-    return gaussian_line(f, q, tr, sigma2=1 / (4 * L))
+    return gaussian_line(f, 1 / (4 * L), tr)
 
 
 def _f25_rhs(p, tr):
@@ -302,7 +303,7 @@ def _f25_rhs(p, tr):
     def f(x):
         return 1.0 / qp(-z * exp_i(x), q, tr)
 
-    return gaussian_line(f, q, tr, hint=4, sigma2=L) / (2 * L)
+    return gaussian_line(f, L, tr) / (2 * L)
 
 
 ident("fourier_eq_parseval", "FOURIER",
@@ -319,7 +320,7 @@ def _f26_rhs(p, tr):
     def f(a):
         return qp(z * q.power(1 - 2 * a), q2, tr) * qp(z * q.power(2 + 2 * a), q2, tr)
 
-    return math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (4 * L))
+    return math.sqrt(2 * L / math.pi) * gaussian_line(f, 1 / (4 * L), tr)
 
 
 ident("fourier_eq_half_product", "FOURIER",
@@ -353,8 +354,7 @@ def _f39_rhs(p, tr):
         return (q_exp_small(w * exp_i(th), q, tr) * q_exp_small(w * exp_i(-th), q, tr)
                 * _qiy(q, al * y))
 
-    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, hint=(abs(al) + 4) * L,
-                                                  sigma2=1 / (2 * L))
+    return math.sqrt(L / math.pi) * gaussian_line(f, 1 / (2 * L), tr)
 
 
 ident("fourier_cal_e_1", "FOURIER",
@@ -384,8 +384,7 @@ def _f40_rhs(p, tr):
     def f(a):
         return cal_e_raw_shifted(x, t, a, q, tr) * _qiy(q, -a * y0)
 
-    return math.sqrt(L / (4 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
-                                                        sigma2=-1.0)
+    return math.sqrt(L / (4 * math.pi)) * real_line(f, tr)
 
 
 ident("fourier_cal_e_2", "FOURIER",
@@ -413,7 +412,7 @@ def _f41_rhs(p, tr):
         return (cal_e_raw(x, -t * q.power(-a / 2.0), q, tr)
                 * cal_e_raw(x, t * q.power(a / 2.0), q, tr))
 
-    val = math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, sigma2=1 / L)
+    val = math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, tr)
     return val / qp(t ** 4 * q.q ** 2, q4, tr)
 
 
@@ -437,7 +436,7 @@ def _f42_rhs(p, tr):
         return (cal_e_raw(x, t * q.power(a), q2, tr)
                 * cal_e_raw(x, t * q.power(1 - a), q2, tr))
 
-    val = math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
+    val = math.sqrt(L / math.pi) * gaussian_line(f, 1 / (2 * L), tr)
     return val / qp(t * t * q.q, q2, tr)
 
 
@@ -454,7 +453,7 @@ def _f232_rhs(p, tr):
     def f(y):
         return exp_i(al * y) / (qp(t * exp_i(y + th), q, tr) * qp(t * exp_i(y - th), q, tr))
 
-    return gaussian_line(f, q, tr, hint=abs(al) + 4, sigma2=L / 2) / math.sqrt(math.pi * L)
+    return gaussian_line(f, L / 2, tr) / math.sqrt(math.pi * L)
 
 
 ident("fourier_cal_e_x_form", "FOURIER",
@@ -482,7 +481,7 @@ def _f233_rhs(p, tr):
     def f(a):
         return cal_e_raw_shifted(x, t, a, q, tr) * exp_i(-a * x0)
 
-    return math.sqrt(L / (4 * math.pi)) * gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0)
+    return math.sqrt(L / (4 * math.pi)) * real_line(f, tr)
 
 
 ident("fourier_cal_e_x_inverse", "FOURIER",
@@ -511,8 +510,7 @@ def _fa1_rhs(p, tr):
     def f(y):
         return q_exp_big(-z * q.power(0.5) * _qiy(q, y), q, tr) * _qiy(q, al * y)
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(al) + 4) * L,
-                                                        sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, tr)
 
 
 ident("fourier_airy_1", "FOURIER",
@@ -539,8 +537,7 @@ def _fa2_rhs(p, tr):
         # q^(a^2/4) folded in for stability; engine supplies the other half
         return q.power(1j * a * (-y0)) * ramanujan_a_shifted(z, a / 2.0, q, tr)
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
-                                                        sigma2=2 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 2 / L, tr)
 
 
 ident("fourier_airy_2", "FOURIER",
@@ -560,7 +557,7 @@ def _fa3_rhs(p, tr):
     def f(a):
         return ramanujan_a_shifted(z, a / 2.0, q, tr) * ramanujan_a_shifted(-z, -a / 2.0, q, tr)
 
-    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / L)
+    return math.sqrt(L / math.pi) * gaussian_line(f, 1 / L, tr)
 
 
 ident("fourier_airy_3", "FOURIER",
@@ -579,7 +576,7 @@ def _fa4_rhs(p, tr):
         return (ramanujan_a(q.power(a + 0.5) * z, q2, tr)
                 * ramanujan_a(q.power(-a - 0.5) * z, q2, tr))
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, tr)
 
 
 ident("fourier_airy_4", "FOURIER",
@@ -601,8 +598,7 @@ def _fa5_rhs(p, tr):
     def f(y):
         return q_exp_small(-z * _qiy(q, y), q, tr) * _qiy(q, al * y)
 
-    return math.sqrt(L / (4 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(al) + 4) * L,
-                                                        sigma2=2 / L)
+    return math.sqrt(L / (4 * math.pi)) * gaussian_line(f, 2 / L, tr)
 
 
 ident("fourier_airy_5", "FOURIER",
@@ -624,7 +620,7 @@ def _fa6_rhs(p, tr):
     def f(a):
         return _qiy(q, -a * y0) * ramanujan_a_shifted(z, a, q, tr)
 
-    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L, sigma2=-1.0)
+    return math.sqrt(L / math.pi) * real_line(f, tr)
 
 
 ident("fourier_airy_6", "FOURIER",
@@ -640,7 +636,7 @@ def _fa7_rhs(p, tr):
     def f(a):
         return ramanujan_a_shifted(z, -a / 2.0, q, tr) * ramanujan_a_shifted(-z, a / 2.0, q, tr)
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * real_line(f, tr)
 
 
 ident("fourier_airy_7", "FOURIER",
@@ -659,7 +655,7 @@ def _fa8_rhs(p, tr):
         return (ramanujan_a(q.power(2 * a) * z, q2, tr)
                 * ramanujan_a(q.power(1 - 2 * a) * z, q2, tr))
 
-    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
+    return math.sqrt(L / math.pi) * gaussian_line(f, 1 / (2 * L), tr)
 
 
 ident("fourier_airy_8", "FOURIER",
@@ -676,7 +672,7 @@ def _fa9_rhs(p, tr):
     def f(x):
         return qp(z * math.sqrt(q.q) * exp_i(x), q, tr) * exp_i(al * x)
 
-    return gaussian_line(f, q, tr, hint=abs(al) + 4, sigma2=L) / math.sqrt(2 * math.pi * L)
+    return gaussian_line(f, L, tr) / math.sqrt(2 * math.pi * L)
 
 
 ident("fourier_airy_9", "FOURIER",
@@ -702,7 +698,7 @@ def _fa10_rhs(p, tr):
     def f(a):
         return ramanujan_a_shifted(z, a / 2.0, q, tr) * exp_i(-a * x0)
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=2 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 2 / L, tr)
 
 
 ident("fourier_airy_10", "FOURIER",
@@ -718,7 +714,7 @@ def _fa11_rhs(p, tr):
     def f(x):
         return exp_i(al * x) / qp(-z * exp_i(x), q, tr)
 
-    return gaussian_line(f, q, tr, hint=abs(al) + 4, sigma2=2 * L) / math.sqrt(2 * math.pi * 2 * L)
+    return gaussian_line(f, 2 * L, tr) / math.sqrt(2 * math.pi * 2 * L)
 
 
 ident("fourier_airy_11", "FOURIER",
@@ -740,7 +736,7 @@ def _fa12_rhs(p, tr):
     def f(a):
         return ramanujan_a_shifted(-z, a, q, tr) * exp_i(-a * x0)
 
-    return gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0) / SQ2PI
+    return real_line(f, tr) / SQ2PI
 
 
 ident("fourier_airy_12", "FOURIER",
@@ -770,8 +766,7 @@ def _fsw1_rhs(p, tr):
     def f(y):
         return qpn(x * _qiy(q, y), q, n) * _qiy(q, al * y)
 
-    return (math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(al) + n + 1) * L,
-                                                         sigma2=1 / L)
+    return (math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, tr)
             / qfac(q, n))
 
 
@@ -799,8 +794,7 @@ def _fsw2_rhs(p, tr):
     def f(a):
         return stieltjes_wigert(n, x * q.power(a), q) * _qiy(q, -a * y0)
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
-                                                        sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, tr)
 
 
 ident("fourier_sw_2", "FOURIER",
@@ -821,7 +815,7 @@ def _fsw3_rhs(p, tr):
         return stieltjes_wigert(n, -x * q.power(-a), q) * stieltjes_wigert(n, x * q.power(a), q)
 
     pref = qfac(q, n) / qpn(-q.q, q, n)
-    return pref * math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
+    return pref * math.sqrt(L / math.pi) * gaussian_line(f, 1 / (2 * L), tr)
 
 
 ident("fourier_sw_3", "FOURIER",
@@ -841,7 +835,7 @@ def _fsw4_rhs(p, tr):
                 * stieltjes_wigert(n, x * q.power(2 * a - 0.5), q2))
 
     pref = qpn(q2.q, q2, n) / qpn(q.q, q2, n)
-    return pref * math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (4 * L))
+    return pref * math.sqrt(2 * L / math.pi) * gaussian_line(f, 1 / (4 * L), tr)
 
 
 ident("fourier_sw_4", "FOURIER",
@@ -858,7 +852,7 @@ def _fsw5_rhs(p, tr):
     def f(y):
         return qpn(x * exp_i(y), q, n) * exp_i(al * y)
 
-    return (gaussian_line(f, q, tr, hint=abs(al) + n + 1, sigma2=L)
+    return (gaussian_line(f, L, tr)
             / (math.sqrt(math.pi * 2 * L) * qfac(q, n)))
 
 
@@ -886,7 +880,7 @@ def _fsw6_rhs(p, tr):
     def f(a):
         return stieltjes_wigert(n, x * q.power(a - 0.5), q) * exp_i(-a * x0)
 
-    return gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=1 / _L(p)) / SQ2PI
+    return gaussian_line(f, 1 / _L(p), tr) / SQ2PI
 
 
 ident("fourier_sw_6", "FOURIER",
@@ -920,7 +914,7 @@ def _fh1_rhs(p, tr):
     def f(x):
         return q.power(1j * al * x) * qpn(math.exp(xi) * q.power(0.5) / _qiy(q, x), q, n)
 
-    return gaussian_line(f, q, tr, hint=(abs(al) + n + 1) * L, sigma2=1 / L) / SQ2PI
+    return gaussian_line(f, 1 / L, tr) / SQ2PI
 
 
 ident("fourier_h_1", "FOURIER",
@@ -949,7 +943,7 @@ def _fh2_rhs(p, tr):
         arg_exp = cmath.exp(xi / 2.0 - (a - n) / 2.0 * q.ln_q)
         return q.power(-n * a / 2.0 - 1j * a * x0) * qhermite_inv_exp(n, arg_exp, q)
 
-    return gaussian_line(f, q, tr, hint=(abs(x0) + 1) * L, sigma2=1 / L) / SQ2PI
+    return gaussian_line(f, 1 / L, tr) / SQ2PI
 
 
 ident("fourier_h_2", "FOURIER",
@@ -978,7 +972,7 @@ def _fh3_rhs(p, tr):
         h2 = qhermite_inv_exp(n, 1j * math.exp(u2), q)
         return h1 * ((-1j) ** n) * h2
 
-    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
+    return math.sqrt(L / math.pi) * gaussian_line(f, 1 / (2 * L), tr)
 
 
 ident("fourier_h_3", "FOURIER",
@@ -1004,7 +998,7 @@ def _fh4_rhs(p, tr):
         u2 = xi + (a + 0.25) * q.ln_q
         return qhermite_inv_exp(n, math.exp(u1), q2) * qhermite_inv_exp(n, math.exp(u2), q2)
 
-    return math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (4 * L))
+    return math.sqrt(2 * L / math.pi) * gaussian_line(f, 1 / (4 * L), tr)
 
 
 ident("fourier_h_4", "FOURIER",
@@ -1029,7 +1023,7 @@ def _fh5_rhs(p, tr):
         return exp_i(al * y) * qpn(math.exp(xi) * math.sqrt(q.q) * exp_i(-y), q, n)
 
     pref = (-math.exp(-xi / 2.0)) ** n / math.sqrt(math.pi * 2 * L)
-    return pref * gaussian_line(f, q, tr, hint=abs(al) + n + 1, sigma2=L)
+    return pref * gaussian_line(f, L, tr)
 
 
 ident("fourier_h_5", "FOURIER",
@@ -1058,7 +1052,7 @@ def _fh6_rhs(p, tr):
         return (q.power((-n * a + n * n) / 2.0) * qhermite_inv_exp(n, arg_exp, q)
                 * exp_i(-a * y0))
 
-    return gaussian_line(f, q, tr, hint=abs(y0) + 1, sigma2=1 / _L(p)) / SQ2PI
+    return gaussian_line(f, 1 / _L(p), tr) / SQ2PI
 
 
 ident("fourier_h_6", "FOURIER",
@@ -1090,7 +1084,7 @@ def _gf1_rhs(p, tr):
     def f(a):
         return qp(t * q.power(-a), q, tr) * qp(-t * q.power(a), q, tr)
 
-    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
+    return math.sqrt(L / math.pi) * gaussian_line(f, 1 / (2 * L), tr)
 
 
 ident("fourier_h_kernel_int_1", "FOURIER",
@@ -1129,7 +1123,7 @@ def _gf2_rhs(p, tr):
         return (qp(t * q.power(2 * a + 0.25), q, tr) * poch_gauss(t, -2 * a - 0.25, q, tr)
                 * math.exp(L * a / 2 + L / 32))
 
-    return math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, sigma2=-1.0)
+    return math.sqrt(2 * L / math.pi) * real_line(f, tr)
 
 
 ident("fourier_h_kernel_int_2", "FOURIER",
@@ -1163,8 +1157,7 @@ def _fl1_rhs(p, tr):
         w = q.power(al) * _qiy(q, y)
         return qpn(x * w, q, n) * _qiy(q, be * y) / qp(-w, q, tr)
 
-    return (math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(be) + n + 4) * L,
-                                                         sigma2=1 / L)
+    return (math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, tr)
             / qfac(q, n))
 
 
@@ -1194,8 +1187,7 @@ def _fl2_rhs(p, tr):
         return (poch_gauss(q.power(al + n + 0.5), b, q, tr) * qlaguerre(n, al + b - 0.5, x, q)
                 * _qiy(q, -b * y0))
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
-                                                        sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * real_line(f, tr)
 
 
 ident("fourier_laguerre_2", "FOURIER",
@@ -1226,7 +1218,7 @@ def _fl3_rhs(p, tr):
                 * qlaguerre(n, al - b + 0.25, x, q2))
 
     pref = qpn(q2.q, q2, n) / (qpn(q.q, q2, n) * qp(q.power(2 * al + 2 * n + 1), q, tr))
-    return pref * math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (4 * L))
+    return pref * math.sqrt(2 * L / math.pi) * gaussian_line(f, 1 / (4 * L), tr)
 
 
 ident("fourier_laguerre_3", "FOURIER",
@@ -1251,7 +1243,7 @@ def _fl4_rhs(p, tr):
                 * qlaguerre(n, al + b + shift, x, q))
 
     pref = qfac(q, n) / (qpn(-q.q, q, n) * qp(q.power(2 * al + 2 * n + 2), QParam(q.q * q.q), tr))
-    return pref * math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
+    return pref * math.sqrt(L / math.pi) * gaussian_line(f, 1 / (2 * L), tr)
 
 
 ident("fourier_laguerre_4", "FOURIER",
@@ -1276,7 +1268,7 @@ def _fl5_rhs(p, tr):
         w = q.power(al + 0.5) * exp_i(y)
         return qpn(x * w, q, n) * exp_i(be * y) / qp(-w, q, tr)
 
-    return (gaussian_line(f, q, tr, hint=abs(be) + n + 4, sigma2=L)
+    return (gaussian_line(f, L, tr)
             / (math.sqrt(2 * math.pi * L) * qfac(q, n)))
 
 
@@ -1306,7 +1298,7 @@ def _fl6_rhs(p, tr):
         return (poch_gauss(q.power(al + n + 1), b, q, tr)
                 * qlaguerre(n, al + b, x, q) * exp_i(-b * x0))
 
-    return gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0) / SQ2PI
+    return real_line(f, tr) / SQ2PI
 
 
 ident("fourier_laguerre_6", "FOURIER",
@@ -1350,8 +1342,7 @@ def _fb1_rhs(p, tr):
         return ((z / 2.0) ** nu * _qiy(q, nu * y)
                 * bessel1_normalized(nu, z * z * w2 / 4.0, q, tr) * _qiy(q, al * y))
 
-    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, hint=(abs(al) + nu + 4) * L,
-                                                  sigma2=1 / (2 * L))
+    return math.sqrt(L / math.pi) * gaussian_line(f, 1 / (2 * L), tr)
 
 
 ident("fourier_bessel_1", "FOURIER",
@@ -1382,8 +1373,7 @@ def _fb2_rhs(p, tr):
         return (q.power(nu * nu / 4.0 - 1j * a * y0) * pref
                 * bessel2_normalized_native(nu, z * z * q.power(a).real / 4.0, q, tr))
 
-    return math.sqrt(L / (4 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
-                                                        sigma2=2 / L)
+    return math.sqrt(L / (4 * math.pi)) * gaussian_line(f, 2 / L, tr)
 
 
 ident("fourier_bessel_2", "FOURIER",
@@ -1406,8 +1396,7 @@ def _fb3_rhs(p, tr):
         w = q.power(nu + 0.5) * _qiy(q, y)
         return qp(w * z * z / 4.0, q, tr) * _qiy(q, al * y) / (qp(q.q, q, tr) * qp(-w, q, tr))
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(al) + 4) * L,
-                                                        sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, tr)
 
 
 ident("fourier_bessel_3", "FOURIER",
@@ -1430,8 +1419,7 @@ def _fb4_rhs(p, tr):
     def f(a):
         return q.power(-1j * a * y0) * bessel2_normalized_gauss(nu, z * z / 4.0, a, q, tr)
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
-                                                        sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * real_line(f, tr)
 
 
 ident("fourier_bessel_4", "FOURIER",
@@ -1461,7 +1449,7 @@ def _fb5_rhs(p, tr):
         return ((z / 2.0) ** (2 * nu) * bessel2_normalized_gauss(nu - 0.25, u, a, q2, tr)
                 * bessel2_normalized_gauss(nu + 0.25, u, -a, q2, tr))
 
-    return math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, sigma2=-1.0)
+    return math.sqrt(2 * L / math.pi) * real_line(f, tr)
 
 
 ident("fourier_bessel_5", "FOURIER",
@@ -1487,7 +1475,7 @@ def _fb6_rhs(p, tr):
         return ((z / 2.0) ** (2 * nu) * bessel2_normalized_gauss(nu + shift, u, a, q, tr)
                 * bessel2_normalized_gauss(nu - shift, u, -a, q, tr))
 
-    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=-1.0)
+    return math.sqrt(L / math.pi) * real_line(f, tr)
 
 
 ident("fourier_bessel_6", "FOURIER",
@@ -1506,7 +1494,7 @@ def _fb8_rhs(p, tr):
         return ((z / 2.0) ** nu * exp_i(nu * x) * bessel1_normalized(nu, z * z * w2 / 4.0, q, tr)
                 * exp_i(al * x))
 
-    return gaussian_line(f, q, tr, hint=abs(al) + nu + 4, sigma2=L / 2) / math.sqrt(math.pi * L)
+    return gaussian_line(f, L / 2, tr) / math.sqrt(math.pi * L)
 
 
 ident("fourier_bessel_8", "FOURIER",
@@ -1537,7 +1525,7 @@ def _fb9_rhs(p, tr):
         return (q.power(nu * nu / 4.0) * pref * exp_i(-a * x0)
                 * bessel2_normalized_native(nu, z * z * q.power(a).real / 4.0, q, tr))
 
-    return math.sqrt(L / (4 * math.pi)) * gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=2 / L)
+    return math.sqrt(L / (4 * math.pi)) * gaussian_line(f, 2 / L, tr)
 
 
 ident("fourier_bessel_9", "FOURIER",
@@ -1554,7 +1542,7 @@ def _fb10_rhs(p, tr):
         w = q.power(nu + 0.5) * exp_i(x)
         return qp(w * z * z / 4.0, q, tr) * exp_i(al * x) / (qp(q.q, q, tr) * qp(-w, q, tr))
 
-    return gaussian_line(f, q, tr, hint=abs(al) + 4, sigma2=L) / math.sqrt(2 * math.pi * L)
+    return gaussian_line(f, L, tr) / math.sqrt(2 * math.pi * L)
 
 
 ident("fourier_bessel_10", "FOURIER",
@@ -1577,7 +1565,7 @@ def _fb11_rhs(p, tr):
     def f(a):
         return bessel2_normalized_gauss(nu, z * z / 4.0, a, q, tr) * exp_i(-a * x0)
 
-    return gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0) / SQ2PI
+    return real_line(f, tr) / SQ2PI
 
 
 ident("fourier_bessel_11", "FOURIER",
@@ -1611,8 +1599,7 @@ def _b13_rhs(p, tr):
         return ((z / 2.0) ** al * bessel1_normalized(al, z * z * w2 / 4.0, q, tr)
                 * _qiy(q, -al * x))
 
-    return math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, hint=(al + 4) * L,
-                                                      sigma2=1 / (4 * L))
+    return math.sqrt(2 * L / math.pi) * gaussian_line(f, 1 / (4 * L), tr)
 
 
 ident("fourier_b1_b3", "FOURIER",
@@ -1639,8 +1626,7 @@ def _b32_rhs(p, tr):
         return ((z / 2.0) ** al * bessel3_normalized_native(al, z * z * w2 / 4.0, q, tr)
                 * _qiy(q, -al * x))
 
-    return math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, hint=(al + 4) * L,
-                                                      sigma2=1 / (4 * L))
+    return math.sqrt(2 * L / math.pi) * gaussian_line(f, 1 / (4 * L), tr)
 
 
 ident("fourier_b3_b2", "FOURIER",
@@ -1670,8 +1656,7 @@ def _b33_rhs(p, tr):
         w = _qiy(q, x)
         return _qiy(q, al * x) / qpm([q.q, -q.power(nu + 0.5) * w, -z * z * q.power(0.5) * w], q, tr)
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(al) + 4) * L,
-                                                        sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, tr)
 
 
 ident("fourier_b3_mellin_1", "FOURIER",
@@ -1700,8 +1685,7 @@ def _b34_rhs(p, tr):
     def f(a):
         return bessel3_normalized_gauss(nu, z * z, a, q, tr) * _qiy(q, -a * x0)
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(x0) + 1) * L,
-                                                        sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * real_line(f, tr)
 
 
 ident("fourier_b3_mellin_2", "FOURIER",
@@ -1719,7 +1703,7 @@ def _b36_rhs(p, tr):
         return ((z / 2.0) ** al * bessel1_normalized(al, z * z * w2 / 4.0, q, tr)
                 * exp_i(-al * x))
 
-    return math.sqrt(2.0 / (math.pi * L)) * gaussian_line(f, q, tr, hint=al + 4, sigma2=L / 4)
+    return math.sqrt(2.0 / (math.pi * L)) * gaussian_line(f, L / 4, tr)
 
 
 ident("fourier_b3_x_1", "FOURIER",
@@ -1737,7 +1721,7 @@ def _b37_rhs(p, tr):
         return ((z / 2.0) ** al * bessel3_normalized_native(al, z * z * w2 / 4.0, q, tr)
                 * exp_i(-al * x))
 
-    return math.sqrt(2.0 / (math.pi * L)) * gaussian_line(f, q, tr, hint=al + 4, sigma2=L / 4)
+    return math.sqrt(2.0 / (math.pi * L)) * gaussian_line(f, L / 4, tr)
 
 
 ident("fourier_b3_x_2", "FOURIER",
@@ -1754,7 +1738,7 @@ def _b38_rhs(p, tr):
         w = exp_i(x)
         return exp_i(al * x) / qpm([q.q, -q.power(nu + 0.5) * w, -z * z * q.power(0.5) * w], q, tr)
 
-    return gaussian_line(f, q, tr, hint=abs(al) + 4, sigma2=L) / math.sqrt(2 * math.pi * L)
+    return gaussian_line(f, L, tr) / math.sqrt(2 * math.pi * L)
 
 
 ident("fourier_b3_x_3", "FOURIER",
@@ -1788,8 +1772,7 @@ def _fc1_rhs(p, tr):
         w = _qiy(q, y) * q.power(-0.5)
         return qp(-a * z * w, q, tr) * _qiy(q, al * y) / (qp(-b * w, q, tr) * qp(-z * w, q, tr))
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(al) + 4) * L,
-                                                        sigma2=1 / L)
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, tr)
 
 
 ident("fourier_confluent_1", "FOURIER",
@@ -1819,8 +1802,7 @@ def _fc2_rhs(p, tr):
         return (confluent_phi_weighted(a, b, z * q.power(-0.5), al, q, tr)
                 * _qiy(q, -al * y0))
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=(abs(y0) + 1) * L,
-                                                        sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * real_line(f, tr)
 
 
 ident("fourier_confluent_2", "FOURIER",
@@ -1852,7 +1834,7 @@ def _fc3_rhs(p, tr):
         p2 = phi([a], [-b * q.power(-al)], q, -z * q.power(0.5 - al), tr)
         return qp(b * q.power(al), q, tr) * qp(-b * q.power(-al), q, tr) * p1 * p2
 
-    val = math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
+    val = math.sqrt(L / math.pi) * gaussian_line(f, 1 / (2 * L), tr)
     return val / qp(-b * b, q2, tr)
 
 
@@ -1879,7 +1861,7 @@ def _fc4_rhs(p, tr):
         p2 = phi([a], [b2], q2, z * q.power(1.5 - 2 * al), tr)
         return qp(b1, q2, tr) * qp(b2, q2, tr) * p1 * p2
 
-    val = math.sqrt(2 * L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (4 * L))
+    val = math.sqrt(2 * L / math.pi) * gaussian_line(f, 1 / (4 * L), tr)
     return val / qp(b, q, tr)
 
 
@@ -1905,7 +1887,7 @@ def _fc5_rhs(p, tr):
         return (qp(-a * z * w, q, tr) * exp_i(al * x)
                 / (qp(-b * q.power(-0.5) * w, q, tr) * qp(-z * w, q, tr)))
 
-    return gaussian_line(f, q, tr, hint=abs(al) + 4, sigma2=L) / math.sqrt(math.pi * 2 * L)
+    return gaussian_line(f, L, tr) / math.sqrt(math.pi * 2 * L)
 
 
 def _s_c5(rng):
@@ -1941,7 +1923,7 @@ def _fc6_rhs(p, tr):
     def f(al):
         return confluent_phi_weighted(a, b, z, al, q, tr) * exp_i(-al * x0)
 
-    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, hint=abs(x0) + 1, sigma2=-1.0)
+    return math.sqrt(L / (2 * math.pi)) * real_line(f, tr)
 
 
 ident("fourier_confluent_6", "FOURIER",
@@ -1985,7 +1967,7 @@ def _pl1_lhs(p, tr):
         return (q_exp_big(z * q1.power(a + 0.5), q1, tr)
                 * q_exp_big(w * q2.power(a + 0.5), q2, tr))
 
-    return gaussian_line(f, q1, tr, sigma2=1.0 / (L1 + L2))
+    return gaussian_line(f, 1.0 / (L1 + L2), tr)
 
 
 def _pl1_rhs(p, tr):
@@ -1998,7 +1980,7 @@ def _pl1_rhs(p, tr):
         return (q_exp_small(z * exp_i(lam * y), q1, tr)
                 * q_exp_small(w * exp_i(-lam * y), q2, tr))
 
-    return gaussian_line(f, q1, tr, hint=4 * lam, sigma2=1.0 / (L1 + L2))
+    return gaussian_line(f, 1.0 / (L1 + L2), tr)
 
 
 ident("plancherel_1", "FOURIER",
@@ -2014,7 +1996,7 @@ def _pl2_lhs(p, tr):
     def f(a):
         return (qp(-z * q1.power(0.5 + a), q1, tr) * qp(-w * q2.power(0.5 - a), q2, tr))
 
-    return gaussian_line(f, q1, tr, sigma2=1.0 / (L1 + L2))
+    return gaussian_line(f, 1.0 / (L1 + L2), tr)
 
 
 def _pl2_rhs(p, tr):
@@ -2027,7 +2009,7 @@ def _pl2_rhs(p, tr):
         e = exp_i(lam * y)
         return q_exp_small(z * e, q1, tr) * q_exp_small(w * e, q2, tr)
 
-    return gaussian_line(f, q1, tr, hint=4 * lam, sigma2=1.0 / (L1 + L2))
+    return gaussian_line(f, 1.0 / (L1 + L2), tr)
 
 
 ident("plancherel_2", "FOURIER",
@@ -2044,7 +2026,7 @@ def _pl3_lhs(p, tr):
     def f(x):
         return q_exp_big(z * q1.power(x), q1, tr) * q_exp_small(w * exp_i(x), q2, tr)
 
-    return gaussian_line(f, q1, tr, hint=4, sigma2=s2) / math.sqrt(L2)
+    return gaussian_line(f, s2, tr) / math.sqrt(L2)
 
 
 def _pl3_rhs(p, tr):
@@ -2057,7 +2039,7 @@ def _pl3_rhs(p, tr):
         return (q_exp_big(w * q2.power(a + 0.5), q2, tr)
                 * q_exp_small(z * q1.power(-0.5) * exp_i(a), q1, tr))
 
-    return gaussian_line(f, q1, tr, hint=4, sigma2=s2) / math.sqrt(L1)
+    return gaussian_line(f, s2, tr) / math.sqrt(L1)
 
 
 ident("plancherel_3", "FOURIER",
@@ -2088,7 +2070,7 @@ def _pl4_rhs(p, tr):
         return (q_exp_big(t * rq * exp_i(th) * q.power(a), q, tr)
                 * q_exp_big(t * rq * exp_i(-th) * q.power(-a), q, tr))
 
-    return math.sqrt(L / math.pi) * gaussian_line(f, q, tr, sigma2=1 / (2 * L))
+    return math.sqrt(L / math.pi) * gaussian_line(f, 1 / (2 * L), tr)
 
 
 ident("plancherel_4", "FOURIER",
@@ -2109,7 +2091,7 @@ def _pl5_lhs(p, tr):
     def f(a):
         return poch_gauss(-z * q.q, a, q, tr) * ramanujan_a_shifted(z, -a / 2.0, q, tr)
 
-    return gaussian_line(f, q, tr, sigma2=2 / L)
+    return gaussian_line(f, 2 / L, tr)
 
 
 ident("plancherel_5", "FOURIER",
@@ -2128,7 +2110,7 @@ def _pl6_lhs(p, tr):
     def f(a):
         return ramanujan_a(q.power(2 * a) * z, q2, tr) * ramanujan_a(-q.power(-2 * a) * z, q, tr)
 
-    return gaussian_line(f, q, tr, sigma2=1 / (4 * L))
+    return gaussian_line(f, 1 / (4 * L), tr)
 
 
 def _pl6_rhs(p, tr):
@@ -2153,7 +2135,7 @@ def _pl7_lhs(p, tr):
         return (ramanujan_a(q.power(a - 0.5) * z, q, tr)
                 * ramanujan_a(-q.power(-2 * a) * z * z, q2, tr))
 
-    return gaussian_line(f, q, tr, sigma2=1 / (2 * L))
+    return gaussian_line(f, 1 / (2 * L), tr)
 
 
 def _pl7_rhs(p, tr):
@@ -2183,7 +2165,7 @@ def _pl8_lhs(p, tr):
         return (poch_gauss(-t * exp_i(th) * q.q, a, q, tr)
                 * ramanujan_a_shifted(-t * exp_i(-th), -a / 2.0, q, tr))
 
-    return gaussian_line(f, q, tr, sigma2=2 / L) / qp(t * t * q.q * q.q, q2, tr)
+    return gaussian_line(f, 2 / L, tr) / qp(t * t * q.q * q.q, q2, tr)
 
 
 def _pl8_rhs(p, tr):
@@ -2223,7 +2205,7 @@ def _pl9_lhs(p, tr):
         return (ramanujan_a_shifted(-t * exp_i(th) / q.q, a, q, tr)
                 * poch_gauss(-t * exp_i(-th), -a, q2, tr))
 
-    return gaussian_line(f, q, tr, sigma2=-1.0)
+    return real_line(f, tr)
 
 
 def _pl9_rhs(p, tr):
@@ -2265,7 +2247,7 @@ def _pl10_lhs(p, tr):
         return (cal_e_raw(x, t * q.power(a), q2, tr)
                 * ramanujan_a(q.power(-a - 0.5) * t * exp_i(th), q, tr))
 
-    return gaussian_line(f, q, tr, sigma2=1 / (2 * L))
+    return gaussian_line(f, 1 / (2 * L), tr)
 
 
 def _pl10_rhs(p, tr):
@@ -2304,7 +2286,7 @@ def _pl11_rhs(p, tr):
                                        -t * exp_i(th), -al, q, tr)
         return left * right
 
-    return gaussian_line(f, q, tr, sigma2=-1.0)
+    return real_line(f, tr)
 
 
 ident("plancherel_11", "FOURIER",
@@ -2326,7 +2308,7 @@ def _pl12_rhs(p, tr):
         right = confluent_phi_weighted(z / w, -t * exp_i(-th) * q.power(0.5), w, -al, q, tr)
         return left * right
 
-    return gaussian_line(f, q, tr, sigma2=-1.0)
+    return real_line(f, tr)
 
 
 ident("plancherel_12", "FOURIER",
@@ -2350,7 +2332,7 @@ def _pl13_rhs(p, tr):
                                        -t * exp_i(-th), -al, q, tr)
         return left * right
 
-    return gaussian_line(f, q, tr, sigma2=-1.0)
+    return real_line(f, tr)
 
 
 ident("plancherel_13", "FOURIER",
@@ -2383,7 +2365,7 @@ def _pl14_rhs(p, tr):
 
     # the two factors absorb q^(3 al^2/4); the engine supplies the rest
     return (math.sqrt(L / math.pi) * w ** nu / qp(q2.q, q2, tr)
-            * gaussian_line(f, q, tr, sigma2=2 / L))
+            * gaussian_line(f, 2 / L, tr))
 
 
 ident("plancherel_14", "FOURIER",
@@ -2411,7 +2393,7 @@ def _pl15_lhs(p, tr):
         val2 = pref2 * bessel2_normalized_gauss(n2, (z2 / 2.0) ** 2, -a, q, tr)
         return q.power(a * (n1 - n2)) * val1 * val2
 
-    return gaussian_line(f, q, tr, sigma2=-1.0)
+    return real_line(f, tr)
 
 
 def _pl15_rhs(p, tr):
@@ -2442,7 +2424,7 @@ def _ab_lhs(p, tr):
     def f(a):
         return ramanujan_a_shifted(u, a, q, tr) * ramanujan_a_shifted(v, a, q, tr)
 
-    return gaussian_line(f, q, tr, sigma2=-1.0)
+    return real_line(f, tr)
 
 
 def _ab_rhs(p, tr):

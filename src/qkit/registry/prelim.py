@@ -665,7 +665,7 @@ def _qal_rhs(p, tr):
     def f(y):
         return exp_i(al * y)
 
-    val = gaussian_line(f, q, tr, hint=abs(al), sigma2=L)
+    val = gaussian_line(f, L, tr)
     return val / math.sqrt(math.pi * 2.0 * L)
 
 

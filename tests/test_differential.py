@@ -281,6 +281,37 @@ def test_phi21_matches_qhyper():
     assert relative >= 20  # 31 of the 40 points are checked relative
 
 
+def _phi21_direct(a, b, c, z, q):
+    """2phi1 and sum |t_k| by the term ratios, until the geometric tail is below 1e-33 of the sum."""
+    a, b, c, z, q = mp.mpc(a), mp.mpc(b), mp.mpc(c), mp.mpc(z), mp.mpf(q)
+    total, absum, term, qk = mp.mpc(0), mp.mpf(0), mp.mpc(1), mp.mpf(1)
+    # the ratio tends to z, so the tail after a term t is about |t| / (1 - |z|)
+    stop = mp.mpf(10) ** -33 * (1 - abs(z))
+    for k in range(100000):
+        total += term
+        absum += abs(term)
+        term *= (1 - a * qk) * (1 - b * qk) * z / ((1 - qk * q) * (1 - c * qk))
+        qk *= q
+        if k > 10 and abs(term) < stop * absum:
+            return total, absum
+    raise AssertionError("direct 2phi1 sum did not converge")
+
+
+def test_phi21_near_the_radius_of_convergence():
+    # |z| in [0.9, 0.97], where the terms fall only like |z|^k; mpmath's qhyper raises
+    # NoConvergence there, so the reference is the direct sum at 30 digits
+    rng = random.Random("phi21-edge")
+    cases = []
+    for _ in range(10):
+        qv = rng.uniform(0.05, 0.9)
+        a, b, c = _cring(rng, 0.1, 2.0), _cring(rng, 0.1, 2.0), _cring(rng, 0.1, 0.9)
+        z = _cring(rng, 0.9, 0.97)
+        value = phi((a, b), (c,), QParam(qv), z, TR)
+        exact, absum = _phi21_direct(a, b, c, z, qv)
+        cases.append(((qv, a, b, c, z), value, exact, absum))
+    assert _check_spread(cases) >= 3  # 3 of the 10 points are checked relative
+
+
 def _phi_terms(upper, lower, q, z):
     """term(k) of r_phi_s in mpmath, the extra factor ((-1)^k q^(k(k-1)/2))^(1+s-r) included."""
     upper, lower = [mp.mpc(a) for a in upper], [mp.mpc(b) for b in lower]

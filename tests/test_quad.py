@@ -42,14 +42,14 @@ class TestGaussianLine:
     def test_constant(self):
         q = QParam(0.5)
         L = q.log_inv
-        val = gaussian_line(lambda y: 1.0, q, TR, sigma2=L)
+        val = gaussian_line(lambda y: 1.0, L, TR)
         assert rel(val, math.sqrt(2 * math.pi * L)) < 1e-11
 
     def test_pure_phase(self):
         q = QParam(0.5)
         L = q.log_inv
         alpha = 2.0
-        val = gaussian_line(lambda y: cmath.exp(1j * alpha * y), q, TR, sigma2=L, hint=alpha)
+        val = gaussian_line(lambda y: cmath.exp(1j * alpha * y), L, TR)
         expected = math.sqrt(2 * math.pi * L) * q.power(alpha * alpha / 2)
         assert rel(val, expected) < 1e-11
 
@@ -63,31 +63,29 @@ class TestGaussianLine:
             return cmath.exp(1j * alpha * y * q.ln_q) / qpoch_inf(
                 z * cmath.exp(1j * y * q.ln_q), q, TR)
 
-        val = math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, TR, sigma2=1 / L,
-                                                           hint=(alpha + 3) * L)
+        val = math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, TR)
         expected = q.power(alpha * alpha / 2) * qpoch_inf(-z * q.power(alpha + 0.5), q, TR)
         assert rel(val, expected) < 1e-9
 
     def test_pure_phase_work(self):
-        # four nodes per period of the hint resolve e^(2iy), so the first
-        # comparison stops
+        # four nodes per sigma = 0.83 put 15 per period of e^(2iy), so the
+        # first comparison stops
         q = QParam(0.5)
         L = q.log_inv
         f, calls = counted(lambda y: cmath.exp(2j * y))
-        val = gaussian_line(f, q, TR, sigma2=L, hint=2.0)
+        val = gaussian_line(f, L, TR)
         assert rel(val, math.sqrt(2 * math.pi * L) * q.power(2.0)) < 1e-11
         assert calls[0] <= 200
 
     @settings(max_examples=150, deadline=None)
-    @given(st.floats(0.2, 0.8), st.floats(0.0, 6.0), st.booleans())
-    def test_pure_phase_property(self, qv, a, hinted):
-        # the coarse start grid must not converge falsely, also when a hint
-        # of 0 understates the frequency; the value q^(a^2/2) falls far below
+    @given(st.floats(0.2, 0.8), st.floats(0.0, 6.0))
+    def test_pure_phase_property(self, qv, a):
+        # the coarse start grid must not converge falsely when four nodes per
+        # sigma understate the frequency; the value q^(a^2/2) falls far below
         # the mass, so the error is measured against the mass
         q = QParam(qv)
         mass = math.sqrt(2 * math.pi * q.log_inv)
-        val = gaussian_line(lambda y: cmath.exp(1j * a * y), q, TR, sigma2=q.log_inv,
-                            hint=a if hinted else 0.0)
+        val = gaussian_line(lambda y: cmath.exp(1j * a * y), q.log_inv, TR)
         assert abs(val - mass * q.power(a * a / 2)) <= 1e-11 * mass
 
     def test_near_pole_refines(self):
@@ -98,7 +96,7 @@ class TestGaussianLine:
         work = {}
         for d in (0.5, 0.05, 0.02):
             f, calls = counted(lambda y, d=d: 1.0 / (y * y + d * d))
-            val = gaussian_line(f, q, TR, sigma2=s2)
+            val = gaussian_line(f, s2, TR)
             expected = (math.pi / d) * math.exp(d * d / (2 * s2)) * math.erfc(
                 d / math.sqrt(2 * s2))
             assert rel(val, expected) < 1e-12, d
@@ -110,13 +108,19 @@ class TestGaussianLine:
 
     def test_zero_variance(self):
         with pytest.raises(QuadratureError):
-            gaussian_line(lambda y: 1.0, QParam(0.5), TR, sigma2=0.0)
+            gaussian_line(lambda y: 1.0, 0.0, TR)
+
+    @pytest.mark.parametrize("sigma2", [-1.0, math.nan, math.inf])
+    def test_invalid_variance(self, sigma2):
+        # a negative sigma2 no longer means "f carries its own decay"
+        with pytest.raises(QuadratureError, match="sigma2 > 0"):
+            gaussian_line(lambda y: 1.0, sigma2, TR)
 
     def test_budget_guard(self):
         q = QParam(0.5)
         with pytest.raises(QuadratureError):
-            gaussian_line(lambda y: cmath.exp(0.49 * y * y / q.log_inv), q, Truncation(tol=1e-13),
-                          sigma2=q.log_inv)
+            gaussian_line(lambda y: cmath.exp(0.49 * y * y / q.log_inv), q.log_inv,
+                          Truncation(tol=1e-13))
 
 
 class TestCircleContour:
@@ -215,6 +219,15 @@ class TestRealLineFamily:
     def test_real_line_gaussian(self):
         val = real_line(lambda u: math.exp(-u * u), TR)
         assert rel(val, math.sqrt(math.pi)) < 1e-11
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(0.0, 6.0))
+    def test_real_line_phase_property(self, a):
+        # the FOURIER sides that carry their own decay oscillate on real_line:
+        # its coarse start must not converge falsely on sech(y) e^(iay), whose
+        # integral pi sech(pi a/2) falls far below the mass pi
+        val = real_line(lambda y: cmath.exp(1j * a * y) / math.cosh(y), Truncation(tol=1e-13))
+        assert abs(val - math.pi / math.cosh(math.pi * a / 2)) <= 1e-11 * math.pi
 
     def test_finite_interval_between_nodes(self):
         # sin^2(4t) vanishes at every node of a 5-point Simpson rule on [0, pi]
@@ -317,26 +330,30 @@ class TestParsevalRoundtrip:
             def f(a):
                 return poch_gauss(-z * q.power(0.5), a, q, tr) * cmath.exp(-1j * a * x0)
 
-            val = math.sqrt(L / (2 * math.pi)) * gaussian_line(f, q, tr, sigma2=-1.0,
-                                                               hint=abs(x0) + 1)
+            val = math.sqrt(L / (2 * math.pi)) * real_line(f, tr)
             expected = math.exp(x0 * x0 / (2 * q.ln_q)) / qpoch_inf(z * cmath.exp(1j * x0), q, tr)
-            assert rel(val, expected) < 1e-7
+            assert rel(val, expected) < 1e-11
 
 
 def test_engines_take_the_integrand_first():
     # the benchmark tracer counts integrand evaluations by wrapping the first
-    # positional argument of every quad engine
+    # positional argument of every quad engine; the rest is the geometry and
+    # the truncation, with no keyword-only option and no q or hint
     for name in quad.__all__:
         params = list(inspect.signature(getattr(quad, name)).parameters.values())
         assert params[0].name == "f", name
-        assert params[0].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, name
+        assert params[-1].name == "tr", name
+        for p in params:
+            assert p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, (name, p.name)
+            assert p.name not in ("q", "hint"), (name, p.name)
 
 
 @pytest.mark.parametrize("integrate", [
     lambda: vertical_line(lambda z: 1.0, 0.5, TR),
     lambda: halfline_log(lambda x: 1.0, TR),
-    lambda: gaussian_line(lambda y: math.exp(y * y), QParam(0.5), TR, sigma2=-1.0),
-], ids=["vertical_line", "halfline_log", "gaussian_line"])
+    lambda: gaussian_line(lambda y: math.exp(y * y), 1.0, TR),
+    lambda: real_line(lambda y: math.exp(y * y), TR),
+], ids=["vertical_line", "halfline_log", "gaussian_line", "real_line"])
 def test_non_decaying_integrand_raises(integrate):
     # the window probe walks out until the map or the integrand overflows: a
     # quadrature failure, which the suite reports as skipped(budget), not error
