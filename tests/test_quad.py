@@ -112,7 +112,6 @@ class TestGaussianLine:
 
     @pytest.mark.parametrize("sigma2", [-1.0, math.nan, math.inf])
     def test_invalid_variance(self, sigma2):
-        # a negative sigma2 no longer means "f carries its own decay"
         with pytest.raises(QuadratureError, match="sigma2 > 0"):
             gaussian_line(lambda y: 1.0, sigma2, TR)
 
