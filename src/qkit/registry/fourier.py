@@ -766,8 +766,7 @@ def _fsw1_rhs(p, tr):
     def f(y):
         return qpn(x * _qiy(q, y), q, n) * _qiy(q, al * y)
 
-    return (math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, tr)
-            / qfac(q, n))
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, tr) / qfac(q, n)
 
 
 ident("fourier_sw_1", "FOURIER",
@@ -852,8 +851,7 @@ def _fsw5_rhs(p, tr):
     def f(y):
         return qpn(x * exp_i(y), q, n) * exp_i(al * y)
 
-    return (gaussian_line(f, L, tr)
-            / (math.sqrt(math.pi * 2 * L) * qfac(q, n)))
+    return gaussian_line(f, L, tr) / (math.sqrt(math.pi * 2 * L) * qfac(q, n))
 
 
 ident("fourier_sw_5", "FOURIER",
@@ -1157,8 +1155,7 @@ def _fl1_rhs(p, tr):
         w = q.power(al) * _qiy(q, y)
         return qpn(x * w, q, n) * _qiy(q, be * y) / qp(-w, q, tr)
 
-    return (math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, tr)
-            / qfac(q, n))
+    return math.sqrt(L / (2 * math.pi)) * gaussian_line(f, 1 / L, tr) / qfac(q, n)
 
 
 ident("fourier_laguerre_1", "FOURIER",
@@ -1268,8 +1265,7 @@ def _fl5_rhs(p, tr):
         w = q.power(al + 0.5) * exp_i(y)
         return qpn(x * w, q, n) * exp_i(be * y) / qp(-w, q, tr)
 
-    return (gaussian_line(f, L, tr)
-            / (math.sqrt(2 * math.pi * L) * qfac(q, n)))
+    return gaussian_line(f, L, tr) / (math.sqrt(2 * math.pi * L) * qfac(q, n))
 
 
 ident("fourier_laguerre_5", "FOURIER",
