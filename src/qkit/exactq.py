@@ -14,11 +14,18 @@ convention fixes which quantity the series runs in:
 - root of the base: the base is (1, 2), so the series runs in p with
   q = p^2 and half-integer powers of q stay integral.
 
-One builder per q-object (qpoch_series, airy_series, phi11_series,
-laguerre_series, sw_series, bessel2_body, bessel3_body) serves all three.
-A Pochhammer symbol in which neither a nor q carries t stays a Fraction.
-Every handler returns its two sides as series; the scalar families return
-their rows 0..order as the coefficients.
+Every q-series is summed by one walker, _walk, the exact twin of
+core._m_terms: it sums
+prod(a;q)_k q^(e binom(k,2)) (-z)^k inner(k, m) / [(q;q)_k prod(b;q)_k]
+with the parameters, the argument z and the base as monomials, so the
+t-power of every term is stated there and only there.  It forms each term
+from the last by multiplying by the upper binomials 1 - c t^j and dividing
+by the lower ones, an O(order) step each; a factor free of t stays a
+Fraction.  The builders (airy_series, phi11_series, laguerre_series,
+sw_series, bessel2_body, bessel3_body, and qpoch_series's Euler sum) and
+every handler's expansion are walks, in all three conventions.  Every
+handler returns its two sides as series; the scalar families return their
+rows 0..order as the coefficients.
 
 The arithmetic is fraction-free: an FPS holds integer numerators over one
 positive denominator, reduced once per operation, and the scalar
@@ -30,6 +37,7 @@ rational polynomial values stay Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 from operator import mul
 
@@ -260,142 +268,188 @@ def _pow(mono, e):
     return (mono[0] ** e, mono[1] * e)
 
 
-def _recip(x):
-    return x.reciprocal() if isinstance(x, FPS) else 1 / x
+def _times(a, b):
+    """The product of two monomials."""
+    return (a[0] * b[0], a[1] + b[1])
 
 
-def _sum(order, power, piece, n=None):
-    """sum_k t^power(k) piece(k, order - power(k)), exact to the order.
+def _mul_binomial(s, c, j):
+    """s times 1 - c t^j: with c = cn/cd, num[i] cd - cn num[i-j] over den cd."""
+    a, cn, cd = s.num, c.numerator, c.denominator
+    return _fps([x * cd - cn * a[i - j] if i >= j else x * cd for i, x in enumerate(a)],
+                s.den * cd)
 
-    piece(k, m) is a series built to order m, or a constant.  k runs over
-    range(n); with n=None the sum is infinite and power must be
-    nondecreasing with power(k) >= k - 1, so it ends once a term passes
-    the order.  The terms are added over the lcm of their denominators.
+
+def _div_binomial(s, c, j):
+    """s over 1 - c t^j (j > 0) by y_i = x_i + c y_(i-j).
+
+    With c = cn/cd the numerators are first scaled by cd^K, K = (len - 1) // j, the
+    most factors c that reach one coefficient, so that every y_(i-j) the step reads
+    is divisible by cd and the recurrence stays in integers.
     """
+    cn, cd = c.numerator, c.denominator
+    scale = cd ** ((len(s.num) - 1) // j)
+    y = [x * scale for x in s.num]
+    for i in range(j, len(y)):
+        y[i] += cn * (y[i - j] // cd)
+    return _fps(y, s.den * scale)
+
+
+def _walk(alphas, betas, q, e, z, order, inner=None, n=None):
+    """sum_k prod(a;q)_k q^(e binom(k,2)) (-z)^k inner(k, m) / [(q;q)_k prod(b;q)_k].
+
+    The exact twin of ``core._m_terms``, over monomials, exact to the order.  Term k
+    is t^p(k) with p(k) = zj k + e qj binom(k,2), the one place its power is stated,
+    times a rational s_k, a series P_k of constant term 1 and inner(k, m): a series
+    to the order m = order - p(k) or a constant (None is 1).  Term k follows from
+    term k-1 by its ratio: each factor 1 - c t^j, multiplied for an upper parameter
+    and divided for a lower one or for 1 - q^k, is an O(m) step on P_k, and a factor
+    with j = 0 multiplies or divides s_k instead.  An upper q cancels (q;q)_k.
+
+    With n=None the walk is infinite, p(k) must grow, and it ends once p(k) passes
+    the order.  With n it ends at k = n and term k also carries 1/(q;q)_(n-k), the
+    upper parameter q^(-n) of a terminating series: the factors 1 - q^(n-k+1) of
+    (q;q)_n/(q;q)_(n-k) are walked and the sum is divided by (q;q)_n at the end.  A
+    term of negative power raises DomainError, as does a lower parameter at a pole.
+    """
+    (zc, zj), (qc, qj) = z, q
+    qc = Fraction(qc)
+    alphas = list(alphas)
+    lower_q = q not in alphas
+    if not lower_q:
+        alphas.remove(q)
     out, den = [0] * (order + 1), 1
-    for k in range(order + 2 if n is None else n):
-        p = power(k)
-        if p > order:
-            if n is None:
+    s, qk, p = Fraction(1), Fraction(1), 0
+    P = _fps([1] + [0] * order, 1)
+    if n is None and not (zj or e * qj):
+        raise DomainError("the terms of an infinite sum must gain powers of t")
+    for k in count() if n is None else range(n + 1):
+        if k:  # the ratio of term k to term k-1, with qk = q^(k-1)
+            s *= -zc * qk**e
+            p += zj + e * qj * (k - 1)
+            if p < 0:
+                raise DomainError("a term would leave the series ring")
+            if p > order:
                 break
-            continue
-        if p < 0:
-            raise DomainError("a term would leave the series ring")
-        term = piece(k, order - p)
-        if isinstance(term, FPS):
-            tnum, tden = term.num, term.den
-        else:
-            term = _rational(term)
-            tnum, tden = (term.numerator,), term.denominator
-        grow = tden // gcd(den, tden)
+            P = _fps(P.num[: order - p + 1], P.den)
+            ups = [(ac * qk, aj + qj * (k - 1)) for ac, aj in alphas]
+            downs = [(bc * qk, bj + qj * (k - 1)) for bc, bj in betas]
+            if n is not None:
+                ups.append((qc ** (n - k + 1), qj * (n - k + 1)))
+            if lower_q:
+                downs.append((qk * qc, qj * k))
+            for c, j in ups:
+                if j:
+                    P = _mul_binomial(P, c, j)
+                else:
+                    s *= 1 - c
+            for c, j in downs:
+                if j:
+                    P = _div_binomial(P, c, j)
+                elif c == 1:
+                    raise DomainError("a lower parameter meets a pole")
+                else:
+                    s /= 1 - c
+            if not s:
+                break  # every later term vanishes too
+            qk *= qc
+        term, f = P, s
+        if inner is not None:
+            x = inner(k, order - p)
+            if isinstance(x, FPS):
+                term = P * x
+            else:
+                f *= x
+        fd = f.denominator * term.den
+        grow = fd // gcd(den, fd)
         if grow != 1:
             out = [c * grow for c in out]
             den *= grow
-        scale = den // tden
-        for i, c in zip(range(p, order + 1), tnum):
+        scale = den // fd * f.numerator
+        for i, c in zip(range(p, order + 1), term.num):
             out[i] += c * scale
-    else:
-        if n is None:
-            raise DomainError("the terms of an infinite sum must gain powers of t")
-    return _fps(out, den)
+    total = _fps(out, den)
+    if n is None:
+        return total
+    if not qj:
+        return total * (1 / qfac_r(qc, n))
+    for i in range(1, n + 1):
+        total = _div_binomial(total, qc**i, qj * i)
+    return total
 
 
 def qpoch_series(a, q, n, order):
     """(a;q)_n for monomials a and q; n=None means the infinite product.
 
-    A constant symbol (neither a nor q carries t) is a Fraction.  With q
-    constant the infinite product is Euler's sum_k (-a)^k q^binom(k,2)/(q;q)_k;
-    otherwise it is the product of its factors, the ones past the order
-    being 1 there.  A factor 1 - c t^j with c = cn/cd multiplies the
-    numerators as num[i] <- num[i] cd - cn num[i-j] and the denominator by cd;
-    c = a q^k is walked as a running product.
+    A constant symbol (neither a nor q carries t) is a Fraction.  The
+    infinite product is Euler's sum_k (-a)^k q^binom(k,2)/(q;q)_k, a walk; a
+    finite one is the product of its factors 1 - a q^k, the ones past the
+    order being 1 there.
     """
     (ac, aj), (qc, qj) = a, q
     if aj == qj == 0:
         if n is None:
             raise DomainError("infinite product needs the variable in its argument")
         return qpoch_r(ac, qc, n)
-    if n is None and qj == 0:
-        return _sum(order, lambda k: aj * k,
-                    lambda k, m: (-ac) ** k * qc ** (k * (k - 1) // 2) / qfac_r(qc, k))
-    out, den = [1] + [0] * order, 1
-    c, qc = Fraction(ac), Fraction(qc)
-    k = 0
-    while (n is None or k < n) and aj + qj * k <= order:
-        j, cn, cd = aj + qj * k, c.numerator, c.denominator
-        for i in range(order, j - 1, -1):
-            out[i] = out[i] * cd - cn * out[i - j]
-        if cd != 1:
-            for i in range(j):
-                out[i] *= cd
-            den *= cd
-        c *= qc
-        k += 1
-    return _fps(out, den)
+    if n is None:
+        return _walk((), (), q, 1, a, order)
+    out = _fps([1] + [0] * order, 1)
+    for k in range(n):
+        if aj + qj * k > order:
+            break
+        out = _mul_binomial(out, ac * Fraction(qc) ** k, aj + qj * k)
+    return out
+
+
+def _qpoch_inv(a, q, order):
+    """1/(a;q)_inf = sum_k a^k/(q;q)_k."""
+    return _walk((), (), q, 0, (-a[0], a[1]), order)
 
 
 def airy_series(c, q, order):
-    """A_q(c) = sum_k q^(k^2) (-c)^k / (q;q)_k."""
-    (cc, cj), (qc, qj) = c, q
-    return _sum(order, lambda k: cj * k + qj * k * k,
-                lambda k, m: (-cc) ** k * qc ** (k * k) * _recip(qpoch_series(q, q, k, m)))
+    """A_q(c) = sum_k q^(k^2) (-c)^k / (q;q)_k, a walk with argument c q."""
+    return _walk((), (), q, 2, _times(c, q), order)
 
 
 def phi11_series(a, b, z, q, order):
     """1phi1(a; b; q, z) = sum_n (a;q)_n (-1)^n q^binom(n,2) z^n / ((q;q)_n (b;q)_n)."""
-    (zc, zj), (qc, qj) = z, q
-
-    def piece(n, m):
-        den = qpoch_series(q, q, n, m) * qpoch_series(b, q, n, m)
-        return qpoch_series(a, q, n, m) * _recip(den) * ((-zc) ** n * qc ** (n * (n - 1) // 2))
-
-    return _sum(order, lambda n: zj * n + qj * (n * (n - 1) // 2), piece)
+    return _walk((a,), (b,), q, 1, z, order)
 
 
 def laguerre_series(n, al, x, q, order):
     """L_n^(al)(x;q) as (q^(al+1);q)_n sum_k q^(al k + k^2) (-x)^k / den_k.
 
-    den_k = (q;q)_k (q;q)_(n-k) (q^(al+1);q)_k.
+    den_k = (q;q)_k (q;q)_(n-k) (q^(al+1);q)_k: a terminating walk with argument
+    x q^(al+1).
     """
-    (xc, xj), (qc, qj) = x, q
     qa = _pow(q, al + 1)
-
-    def piece(k, m):
-        den = qpoch_series(q, q, k, m) * qpoch_series(q, q, n - k, m) * qpoch_series(qa, q, k, m)
-        return (-xc) ** k * qc ** (al * k + k * k) * _recip(den)
-
-    total = _sum(order, lambda k: xj * k + qj * (al * k + k * k), piece, n + 1)
-    return qpoch_series(qa, q, n, order) * total
+    return qpoch_series(qa, q, n, order) * _walk((), (qa,), q, 2, _times(x, qa), order, n=n)
 
 
 def sw_series(n, x, q, order):
     """S_n(x;q) = sum_k q^(k^2) (-x)^k / ((q;q)_k (q;q)_(n-k))."""
-    (xc, xj), (qc, qj) = x, q
-    return _sum(order, lambda k: xj * k + qj * k * k,
-                lambda k, m: (-xc) ** k * qc ** (k * k)
-                * _recip(qpoch_series(q, q, k, m) * qpoch_series(q, q, n - k, m)), n + 1)
+    return _walk((), (), q, 2, _times(x, q), order, n=n)
 
 
 def bessel2_body(mu, c, q, order):
     """sum_n (-c)^n q^(n(n+mu)) (q^(mu+n+1);q)_inf / (q;q)_n.
 
-    Equals (q;q)_inf (2/z)^mu J2_mu(z;q) with (z/2)^2 = c.
+    Equals (q;q)_inf (2/z)^mu J2_mu(z;q) with (z/2)^2 = c.  It is
+    (q^(mu+1);q)_inf times a walk with lower parameter q^(mu+1) and argument
+    c q^(mu+1).
     """
-    (cc, cj), (qc, qj) = c, q
-    return _sum(order, lambda n: cj * n + qj * n * (n + mu),
-                lambda n, m: (-cc) ** n * qc ** (n * (n + mu))
-                * qpoch_series(_pow(q, mu + n + 1), q, None, m) * _recip(qpoch_series(q, q, n, m)))
+    qm = _pow(q, mu + 1)
+    return qpoch_series(qm, q, None, order) * _walk((), (qm,), q, 2, _times(c, qm), order)
 
 
 def bessel3_body(mu, c, q, order):
     """sum_n q^binom(n+1,2) (-c)^n (q^(mu+n+1);q)_inf / (q;q)_n.
 
-    Equals (q;q)_inf (2/w)^mu J3_mu(w;q) with (w/2)^2 = c.
+    Equals (q;q)_inf (2/w)^mu J3_mu(w;q) with (w/2)^2 = c.  It is
+    (q^(mu+1);q)_inf times a walk with lower parameter q^(mu+1) and argument c q.
     """
-    (cc, cj), (qc, qj) = c, q
-    return _sum(order, lambda n: cj * n + qj * (n * (n + 1) // 2),
-                lambda n, m: (-cc) ** n * qc ** (n * (n + 1) // 2)
-                * qpoch_series(_pow(q, mu + n + 1), q, None, m) * _recip(qpoch_series(q, q, n, m)))
+    qm = _pow(q, mu + 1)
+    return qpoch_series(qm, q, None, order) * _walk((), (qm,), q, 1, _times(c, q), order)
 
 
 # --- identity handlers: (order, rational) -> (lhs, rhs) ------------------------
@@ -427,8 +481,10 @@ def _h_qbinom3(order, p):
 
 
 def _h_triple_product(order, z):
+    # the n < 0 half as the n > 0 half at 1/z; an upper q cancels (q;q)_n
     q2 = (1, 2)
-    lhs = _sum(order, lambda n: n * n, lambda n, m: z**n + z**-n if n else 1)
+    lhs = (_walk((q2,), (), q2, 1, (-z, 1), order) + _walk((q2,), (), q2, 1, (-1 / z, 1), order)
+           - 1)
     rhs = (qpoch_series(q2, q2, None, order) * qpoch_series((-z, 1), q2, None, order)
            * qpoch_series((-1 / z, 1), q2, None, order))
     return lhs, rhs
@@ -436,105 +492,92 @@ def _h_triple_product(order, z):
 
 def _h_qhermite_genfun(order, q):
     # x = 1 (theta = 0)
-    lhs = _sum(order, lambda n: n, lambda n, m: qhermite_r(n, 1, q) / qfac_r(q, n))
-    r = qpoch_series((1, 1), (q, 0), None, order).reciprocal()
+    Q = (q, 0)
+    lhs = _walk((), (), Q, 0, (-1, 1), order, lambda n, m: qhermite_r(n, 1, q))
+    r = _qpoch_inv((1, 1), Q, order)
     return lhs, r * r
 
 
 def _h_qinvhermite_genfun(order, q):
     rho, Q = Fraction(3, 2), (q, 0)  # e^xi
     lhs = qpoch_series((-rho, 1), Q, None, order) * qpoch_series((1 / rho, 1), Q, None, order)
-    rhs = _sum(order, lambda n: n,
-               lambda n, m: q ** (n * (n - 1) // 2) * qhermite_inv_r(n, rho, q) / qfac_r(q, n))
+    rhs = _walk((), (), Q, 1, (-1, 1), order, lambda n, m: qhermite_inv_r(n, rho, q))
     return lhs, rhs
 
 
 def _h_poisson_kernel(order, q):
     rho, sig, Q = Fraction(3, 2), Fraction(2, 3), (q, 0)  # e^xi, e^eta
-    lhs = _sum(order, lambda n: n,
-               lambda n, m: qhermite_inv_r(n, rho, q) * qhermite_inv_r(n, sig, q)
-               * q ** (n * (n - 1) // 2) / qfac_r(q, n))
+    lhs = _walk((), (), Q, 1, (-1, 1), order,
+                lambda n, m: qhermite_inv_r(n, rho, q) * qhermite_inv_r(n, sig, q))
     num = (qpoch_series((-rho * sig, 1), Q, None, order)
            * qpoch_series((-1 / (rho * sig), 1), Q, None, order)
            * qpoch_series((rho / sig, 1), Q, None, order)
            * qpoch_series((sig / rho, 1), Q, None, order))
-    return lhs, num * qpoch_series((1 / q, 2), Q, None, order).reciprocal()
+    return lhs, num * _qpoch_inv((1 / q, 2), Q, order)
 
 
 def _h_qlaguerre_genfun(order, q):
     al, x, Q = 1, Fraction(2, 3), (q, 0)
-    lhs = _sum(order, lambda n: n, lambda n, m: qlaguerre_r(n, al, x, q) / q**n)
-    rhs = (qpoch_series((1 / q, 1), Q, None, order).reciprocal()
-           * phi11_series((-x, 0), (0, 0), (q, 1), Q, order))
+    lhs = _walk((Q,), (), Q, 0, (-1 / q, 1), order, lambda n, m: qlaguerre_r(n, al, x, q))
+    rhs = _qpoch_inv((1 / q, 1), Q, order) * phi11_series((-x, 0), (0, 0), (q, 1), Q, order)
     return lhs, rhs
 
 
 def _h_series_cal_e_theta(order, p):
     # the rational is q^(1/4); x = 1 (theta = 0)
     q = p**4
-    q2 = (q * q, 0)
-    damp = qpoch_series((q, 2), q2, None, order).reciprocal()
-    lhs = _sum(order, lambda n: n,
-               lambda n, m: p ** (n * n) * qhermite_r(n, 1, q) / qfac_r(q, n))
-    rhs = _sum(order, lambda k: k,
-               lambda k, m: qpoch_series((-(q ** (k + 1)), 2), q2, None, m)
-               * (p ** (k * k) * qpoch_r(-1, q, k) / qfac_r(q, k)))
+    Q, q2 = (q, 0), (q * q, 0)
+    damp = _qpoch_inv((q, 2), q2, order)
+    lhs = _walk((), (), Q, 0, (-1, 1), order, lambda n, m: p ** (n * n) * qhermite_r(n, 1, q))
+    rhs = _walk(((-1, 0),), (), Q, 0, (-1, 1), order,
+                lambda k, m: qpoch_series((-(q ** (k + 1)), 2), q2, None, m) * p ** (k * k))
     return lhs * damp, rhs * damp
 
 
 def _h_airy_mult(order, q):
     b, Q = Fraction(2, 3), (q, 0)
-    rhs = _sum(order, lambda k: k,
-               lambda k, m: airy_series((q**k, 1), Q, m)
-               * (qpoch_r(b, q, k) * q ** (k * (k + 1) // 2) / qfac_r(q, k)))
+    rhs = _walk(((b, 0),), (), Q, 1, (-q, 1), order,
+                lambda k, m: airy_series((q**k, 1), Q, m))
     return airy_series((b, 1), Q, order), rhs
 
 
 def _h_airy_unit(order, q):
     Q = (q, 0)
-    rhs = _sum(order, lambda k: k,
-               lambda k, m: airy_series((q**k, 1), Q, m)
-               * (q ** (k * (k + 1) // 2) / qfac_r(q, k)))
+    rhs = _walk((), (), Q, 1, (-q, 1), order, lambda k, m: airy_series((q**k, 1), Q, m))
     return FPS.const(1, order), rhs
 
 
 def _h_airy_two_param(order, q):
     w, Q = Fraction(1, 3), (q, 0)
-    rhs = _sum(order, lambda k: k,
-               lambda k, m: airy_series((w * q ** (2 * k), 1), Q, m)
-               * (q ** (k * k) * (-1) ** k * qpoch_r(w, q, k) / qfac_r(q, k)))
+    rhs = _walk(((w, 0),), (), Q, 2, (q, 1), order,
+                lambda k, m: airy_series((w * q ** (2 * k), 1), Q, m))
     return airy_series((1, 1), Q, order), rhs
 
 
 def _h_airy_base_shift(order, q):
     Q, q2 = (q, 0), (q * q, 0)
-    lhs = airy_series((1, 1), Q, order) * qpoch_series((q * q, 1), q2, None, order).reciprocal()
+    lhs = airy_series((1, 1), Q, order) * _qpoch_inv((q * q, 1), q2, order)
     return lhs, phi11_series((0, 0), (q * q, 1), (q, 1), q2, order)
 
 
 def _h_sw_aq_ratio(order, q):
     n, Q = 3, (q, 0)
     b = (-(q ** (n + 1)), 1)
-    lhs = (sw_series(n, (1, 1), Q, order) * qfac_r(q, n)
-           * qpoch_series(b, Q, None, order).reciprocal())
-    rhs = _sum(order, lambda k: k,
-               lambda k, m: q ** (k * k) * (-1) ** k / qfac_r(q, k)
-               * qpoch_series(b, Q, k, m).reciprocal())
-    return lhs, rhs
+    lhs = sw_series(n, (1, 1), Q, order) * qfac_r(q, n) * _qpoch_inv(b, Q, order)
+    return lhs, _walk((), (b,), Q, 2, (q, 1), order)
 
 
 def _h_sw_from_aq(order, q):
     n, Q = 3, (q, 0)
-    rhs = _sum(order, lambda k: k,
-               lambda k, m: airy_series((q**k, 1), Q, m)
-               * (q ** (n * k) * q ** (k * (k + 1) // 2) / qfac_r(q, k)))
+    rhs = _walk((), (), Q, 1, (-(q ** (n + 1)), 1), order,
+                lambda k, m: airy_series((q**k, 1), Q, m))
     return sw_series(n, (1, 1), Q, order) * qfac_r(q, n), rhs
 
 
 def _h_sw_genfun(order, q):
     x, Q = Fraction(2, 3), (q, 0)
-    lhs = _sum(order, lambda n: n, lambda n, m: stieltjes_wigert_r(n, x, q))
-    return lhs, airy_series((x, 1), Q, order) * qpoch_series((1, 1), Q, None, order).reciprocal()
+    lhs = _walk((Q,), (), Q, 0, (-1, 1), order, lambda n, m: stieltjes_wigert_r(n, x, q))
+    return lhs, airy_series((x, 1), Q, order) * _qpoch_inv((1, 1), Q, order)
 
 
 def _h_laguerre_conn(order, q):
@@ -553,122 +596,99 @@ def _h_laguerre_1(order, x):
     top = (-x, al + n + 1)
     lhs = (qpoch_series((1, al + n + 1), q, None, order) * qpoch_series(q, q, n, order)
            * laguerre_series(n, al, (x, 0), q, order)
-           * qpoch_series(top, q, None, order).reciprocal())
-    rhs = _sum(order, lambda k: k * (k - 1) // 2 + k * (al + 1),
-               lambda k, m: (-1) ** k * qpoch_series((-x, 0), q, k, m)
-               * (qpoch_series(q, q, k, m) * qpoch_series(top, q, k, m)).reciprocal())
-    return lhs, rhs
+           * _qpoch_inv(top, q, order))
+    return lhs, _walk(((-x, 0),), (top,), q, 1, (1, al + 1), order)
 
 
 def _h_laguerre_2(order, x):
     al, n, q = 1, 2, _BASE
     lhs = qpoch_series((1, al + 1), q, n, order) * qpoch_series(q, q, n, order).reciprocal()
-    rhs = _sum(order, lambda k: k * (k - 1) // 2 + k * (al + 1),
-               lambda k, m: x**k * qpoch_series((1, n), q, k, m)
-               * (qpoch_series(q, q, k, m) * qpoch_series((1, al + n + 1), q, k, m)).reciprocal()
-               * laguerre_series(n, al + k, (x, 0), q, m))
+    rhs = _walk(((1, n),), ((1, al + n + 1),), q, 1, (-x, al + 1), order,
+                lambda k, m: laguerre_series(n, al + k, (x, 0), q, m))
     return lhs, rhs
 
 
 def _h_laguerre_3(order, x):
     al, be, n, q = 1, 2, 2, _BASE
     lhs = (qpoch_series((1, al + n + 1), q, None, order)
-           * qpoch_series((1, be + n + 1), q, None, order).reciprocal()
+           * _qpoch_inv((1, be + n + 1), q, order)
            * laguerre_series(n, al, (x, 0), q, order))
     # x q^(al-be): the shifted order be+k >= 2 keeps every power nonnegative
-    rhs = _sum(order, lambda k: k * (k - 1) // 2 + k * (al + 1),
-               lambda k, m: (-1) ** k * qpoch_series((1, be - al), q, k, m)
-               * (qpoch_series(q, q, k, m) * qpoch_series((1, be + n + 1), q, k, m)).reciprocal()
-               * laguerre_series(n, be + k, (x, al - be), q, m))
+    rhs = _walk(((1, be - al),), ((1, be + n + 1),), q, 1, (1, al + 1), order,
+                lambda k, m: laguerre_series(n, be + k, (x, al - be), q, m))
     return lhs, rhs
 
 
 def _h_laguerre_4(order, x):
     al, n, q = 1, 2, _BASE
-    rhs = _sum(order, lambda k: k * (k - 1) // 2 + k * (al + 1),
-               lambda k, m: (-1) ** k * qpoch_series(q, q, k, m).reciprocal()
-               * sw_series(n, (x, k + al), q, m))
-    rhs = rhs * qpoch_series((1, al + n + 1), q, None, order).reciprocal()
+    rhs = _walk((), (), q, 1, (1, al + 1), order, lambda k, m: sw_series(n, (x, k + al), q, m))
+    rhs = rhs * _qpoch_inv((1, al + n + 1), q, order)
     return laguerre_series(n, al, (x, 0), q, order), rhs
 
 
 def _h_laguerre_5(order, x):
     al, n, q = 1, 2, _BASE
     lhs = (sw_series(n, (x, al), q, order)
-           * qpoch_series((1, al + n + 1), q, None, order).reciprocal())
-    rhs = _sum(order, lambda k: k * k + k * al,
-               lambda k, m: (qpoch_series(q, q, k, m)
-                             * qpoch_series((1, al + n + 1), q, k, m)).reciprocal()
-               * laguerre_series(n, al + k, (x, 0), q, m))
+           * _qpoch_inv((1, al + n + 1), q, order))
+    rhs = _walk((), ((1, al + n + 1),), q, 2, (-1, al + 1), order,
+                lambda k, m: laguerre_series(n, al + k, (x, 0), q, m))
     return lhs, rhs
 
 
 def _h_specialvalue(order, z):
     nu, q = 1, _BASE
-    rhs = _sum(order, lambda k: k * (k - 1) // 2 + k * (nu + 1),
-               lambda k, m: (-1) ** k * qpoch_series((z * z, 0), q, k, m)
-               * qpoch_series(q, q, k, m).reciprocal())
+    rhs = _walk(((z * z, 0),), (), q, 1, (1, nu + 1), order)
     return bessel2_body(nu, (-z * z, 0), q, order), rhs
 
 
 def _h_bessel_airy_a(order, z):
     nu, q = 1, _BASE
-    rhs = _sum(order, lambda k: k * (k + 1) // 2 + nu * k,
-               lambda k, m: (-1) ** k * qpoch_series(q, q, k, m).reciprocal()
-               * airy_series((z * z, nu + k), q, m))
+    rhs = _walk((), (), q, 1, (1, nu + 1), order,
+                lambda k, m: airy_series((z * z, nu + k), q, m))
     return bessel2_body(nu, (z * z, 0), q, order), rhs
 
 
 def _h_bessel_airy_b(order, z):
     nu, q = 1, _BASE
-    rhs = _sum(order, lambda k: k * k + nu * k,
-               lambda k, m: qpoch_series(q, q, k, m).reciprocal()
-               * bessel2_body(k + nu, (z * z, 0), q, m))
+    rhs = _walk((), (), q, 2, (-1, nu + 1), order,
+                lambda k, m: bessel2_body(k + nu, (z * z, 0), q, m))
     return airy_series((z * z, nu), q, order), rhs
 
 
 def _h_bessel_poch_series(order, z):
     nu, q, c = 1, _BASE, z * z / 4
-    rhs = _sum(order, lambda k: k * (k + 1) // 2 + nu * k,
-               lambda k, m: (-1) ** k * qpoch_series((-c, 0), q, k, m)
-               * qpoch_series(q, q, k, m).reciprocal())
+    rhs = _walk(((-c, 0),), (), q, 1, (1, nu + 1), order)
     return bessel2_body(nu, (c, 0), q, order), rhs
 
 
 def _h_bessel_unit_series(order, z):
     nu, q, c = 1, _BASE, z * z / 4
-    rhs = _sum(order, lambda k: k * (k + 1) // 2 + nu * k,
-               lambda k, m: c**k * qpoch_series(q, q, k, m).reciprocal()
-               * bessel2_body(k + nu, (c, 0), q, m))
+    rhs = _walk((), (), q, 1, (-c, nu + 1), order,
+                lambda k, m: bessel2_body(k + nu, (c, 0), q, m))
     return qpoch_series((1, nu + 1), q, None, order), rhs
 
 
 def _h_confluent_airy(order, q):
-    a, Q = Fraction(1, 2), (q, 0)
+    a, Q, q2 = Fraction(1, 2), (q, 0), (q * q, 0)
     lhs = qpoch_series((1, 1), Q, None, order) * phi11_series((a, 0), (1, 1), (-1, 1), Q, order)
-    rhs = _sum(order, lambda k: 2 * k,
-               lambda k, m: airy_series((q ** (2 * k - 1) * a, 1), Q, m)
-               * (q ** (2 * k * k - k) / qfac_r(q * q, k)))
+    rhs = _walk((), (), q2, 2, (-q, 2), order,
+                lambda k, m: airy_series((q ** (2 * k - 1) * a, 1), Q, m))
     return lhs, rhs
 
 
 def _h_confluent_param_shift(order, z):
     # d = q^2, so every sum truncates in the order
     a, b, q = Fraction(1, 2), Fraction(1, 3), _BASE
-    rhs = _sum(order, lambda k: k * (k - 1) // 2,
-               lambda k, m: (-b) ** k * qpoch_series((1, 2), q, k, m)
-               * (qpoch_series(q, q, k, m) * qpoch_series((b, 2), q, k, m)).reciprocal()
-               * phi11_series((a, 0), (b, k + 2), (z, k), q, m))
+    rhs = _walk(((1, 2),), ((b, 2),), q, 1, (b, 0), order,
+                lambda k, m: phi11_series((a, 0), (b, k + 2), (z, k), q, m))
     rhs = rhs * qpoch_series((b, 0), q, 2, order).reciprocal()
     return phi11_series((a, 0), (b, 0), (z, 0), q, order), rhs
 
 
 def _h_confluent_arg_shift(order, q):
     a, b, w, Q = Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), (q, 0)
-    rhs = _sum(order, lambda k: k,
-               lambda k, m: phi11_series((a, 0), (b * q**k, 0), (w * q**k, 1), Q, m)
-               * (qpoch_r(w, q, k) * (-1) ** k * q ** (k * (k - 1) // 2)
-                  / (qfac_r(q, k) * qpoch_r(b, q, k))))
+    rhs = _walk(((w, 0),), ((b, 0),), Q, 1, (1, 1), order,
+                lambda k, m: phi11_series((a, 0), (b * q**k, 0), (w * q**k, 1), Q, m))
     return phi11_series((a * w, 0), (b, 0), (1, 1), Q, order), rhs
 
 
@@ -676,30 +696,25 @@ def _h_confluent_bessel(order, z):
     a, nu, q = Fraction(1, 2), 1, _BASE
     lhs = (qpoch_series((1, nu + 1), q, None, order)
            * phi11_series((-a, nu + 1), (1, nu + 1), (z, 0), q, order))
-    rhs = _sum(order, lambda k: k * (k - 1) // 2,
-               lambda k, m: (-z) ** k * qpoch_series(q, q, k, m).reciprocal()
-               * bessel2_body(nu + k, (a * z, 0), q, m))
+    rhs = _walk((), (), q, 1, (z, 0), order,
+                lambda k, m: bessel2_body(nu + k, (a * z, 0), q, m))
     return lhs, rhs
 
 
 def _h_bessel_mult(order, z):
     w, nu, q = Fraction(1, 2), 1, _BASE
-    rhs = _sum(order, lambda k: k * (k + 1) // 2 + nu * k,
-               lambda k, m: (w * w / 4) ** k * qpoch_series((z * z, 0), q, k, m)
-               * qpoch_series(q, q, k, m).reciprocal()
-               * bessel2_body(nu + k, (w * w / 4, 0), q, m))
+    rhs = _walk(((z * z, 0),), (), q, 1, (-w * w / 4, nu + 1), order,
+                lambda k, m: bessel2_body(nu + k, (w * w / 4, 0), q, m))
     return bessel2_body(nu, (w * w * z * z / 4, 0), q, order), rhs
 
 
 def _h_bessel_laguerre_genfun(order, q):
     # S((wz)^2) = (w^2;q)_inf sum_n L_n w^(2n)/(q^(nu+1);q)_n in the variable w
-    z, nu = Fraction(2, 3), 1
-    lhs = _sum(order, lambda n: 2 * n,
-               lambda n, m: (-1) ** n * (z * z) ** n * q ** (n * (n + nu))
-               / (qfac_r(q, n) * qpoch_r(q ** (nu + 1), q, n)))
-    rhs = _sum(order, lambda n: 2 * n,
-               lambda n, m: qlaguerre_r(n, nu, z * z, q) / qpoch_r(q ** (nu + 1), q, n))
-    return lhs, qpoch_series((1, 2), (q, 0), None, order) * rhs
+    z, nu, Q = Fraction(2, 3), 1, (q, 0)
+    b = (q ** (nu + 1), 0)
+    lhs = _walk((), (b,), Q, 2, (z * z * q ** (nu + 1), 2), order)
+    rhs = _walk((Q,), (b,), Q, 0, (-1, 2), order, lambda n, m: qlaguerre_r(n, nu, z * z, q))
+    return lhs, qpoch_series((1, 2), Q, None, order) * rhs
 
 
 def _h_bessel_laguerre_inverse(order, z):
@@ -708,33 +723,29 @@ def _h_bessel_laguerre_inverse(order, z):
     al, n, q, c = 1, 2, _BASE, z * z / 4
     lhs = (laguerre_series(n, al, (c, 0), q, order) * (z / 2) ** al
            * qpoch_series((1, al + n + 1), q, None, order))
-    rhs = _sum(order, lambda k: k * (k + 1) // 2 + k * (al + n),
-               lambda k, m: (z / 2) ** (2 * k) * (z / 2) ** al
-               * qpoch_series(q, q, k, m).reciprocal() * bessel2_body(k + al, (c, 0), q, m))
-    rhs = (rhs * qpoch_series((1, n + 1), q, None, order)
-           * qpoch_series(q, q, None, order).reciprocal())
+    rhs = _walk((), (), q, 1, (-c, al + n + 1), order,
+                lambda k, m: bessel2_body(k + al, (c, 0), q, m))
+    rhs = (rhs * (z / 2) ** al * qpoch_series((1, n + 1), q, None, order)
+           * _qpoch_inv(q, q, order))
     return lhs, rhs
 
 
 def _h_bessel3_product_series(order, z):
     nu, q = 1, _ROOT
-    rhs = _sum(order, lambda n: 2 * n * (n + nu),
-               lambda n, m: qpoch_series(q, q, n, m).reciprocal()
-               * bessel3_body(nu + n, (z * z, 2 * n), q, m))
+    rhs = _walk((), (), q, 2, (-1, 2 * nu + 2), order,
+                lambda n, m: bessel3_body(nu + n, (z * z, 2 * n), q, m))
     return qpoch_series((z * z, 2), q, None, order), rhs
 
 
 def _h_confluent_bessel_sqrt(order, p):
     # variable z; the rational is q^(1/2)
     q, nu, Q = p * p, 1, (p * p, 0)
-    lhs = _sum(order, lambda n: 2 * n,
-               lambda n, m: (-1) ** n * p ** (2 * n * (n + nu) + 2 * n) / Fraction(4) ** n
-               / (qfac_r(q, n) * qpoch_r(q ** (nu + 1), q, n)))
+    b = (q ** (nu + 1), 0)
+    lhs = _walk((), (b,), Q, 2, (q ** (nu + 2) / 4, 2), order)
     # the upper parameter -q^(nu+1) z/4 carries the variable
-    rhs = _sum(order, lambda k: k,
-               lambda k, m: phi11_series((-(q ** (nu + 1)) / 4, 1), (q ** (nu + k + 1), 0),
-                                         (q ** (k + 1), 1), Q, m)
-               * (q ** (k * k) / (qfac_r(q, k) * qpoch_r(q ** (nu + 1), q, k))))
+    rhs = _walk((), (b,), Q, 2, (-q, 1), order,
+                lambda k, m: phi11_series((-(q ** (nu + 1)) / 4, 1), (q ** (nu + k + 1), 0),
+                                          (q ** (k + 1), 1), Q, m))
     return lhs, rhs
 
 
@@ -742,45 +753,38 @@ def _h_laguerre_phi11_series(order, p):
     # variable x; the rational is q^(1/2), so (-q^(-al-n-1/2);q)_k is rational
     q, al, n, Q = p * p, 1, 2, (p * p, 0)
     lhs = laguerre_series(n, al, (1, 1), Q, order) * (qfac_r(q, n) / qpoch_r(q ** (al + 1), q, n))
-    rhs = _sum(order, lambda k: k,
-               lambda k, m: phi11_series((-(p ** (2 * al + 1)), 0), (q ** (al + k + 1), 0),
-                                         (p ** (2 * k + 1), 1), Q, m)
-               * (qpoch_r(-(p ** (-2 * al - 2 * n - 1)), q, k)
-                  * p ** ((k + 2 * al + 2 * n + 1) * k)
-                  / (qfac_r(q, k) * qpoch_r(q ** (al + 1), q, k))))
+    rhs = _walk(((-(p ** (-2 * al - 2 * n - 1)), 0),), ((q ** (al + 1), 0),), Q, 1,
+                (-(p ** (2 * al + 2 * n + 2)), 1), order,
+                lambda k, m: phi11_series((-(p ** (2 * al + 1)), 0), (q ** (al + k + 1), 0),
+                                          (p ** (2 * k + 1), 1), Q, m))
     return lhs, rhs
 
 
 def _h_bessel_order_shift(order, z):
     # the terminating factor is rewritten as
     # (q^-nu;q)_k = (-1)^k q^(binom(k,2)-nu k) (q^(nu-k+1);q)_k so that all
-    # exponents stay nonnegative; both sides carry a common p^(nu alpha)
+    # exponents stay nonnegative, and (q^(nu-k+1);q)_k = (q;q)_nu/(q;q)_(nu-k)
+    # is the walk to k = nu times (q;q)_nu; both sides carry a common p^(nu alpha)
     nu, al, q, c = 2, 1, _ROOT, z * z / 4
     lhs = bessel2_body(nu + al, (c, 0), q, order).shift(nu * al)
-    rhs = _sum(order, lambda k: 2 * (k * k + k * al) + nu * al,
-               lambda k, m: qpoch_series((1, 2 * (nu - k + 1)), q, k, m)
-               * qpoch_series(q, q, k, m).reciprocal() * bessel2_body(al + k, (c, 2 * nu), q, m),
-               nu + 1)
-    return lhs, rhs
+    rhs = _walk((), (), q, 2, (-1, 2 * al + 2), order,
+                lambda k, m: bessel2_body(al + k, (c, 2 * nu), q, m), nu)
+    return lhs, (rhs * qpoch_series(q, q, nu, order)).shift(nu * al)
 
 
 def _h_bessel3_order_conn(order, z):
     # mu >= nu integers so the connection coefficients stay polynomial
     nu, mu, q = 1, 2, _ROOT
-    rhs = _sum(order, lambda n: n * (2 * nu + 1) + n * n,
-               lambda n, m: (-1) ** n * qpoch_series((1, 2 * (mu - nu)), q, n, m)
-               * qpoch_series(q, q, n, m).reciprocal()
-               * bessel3_body(mu + n, (z * z, 2 * n), q, m))
+    rhs = _walk(((1, 2 * (mu - nu)),), (), q, 1, (1, 2 * nu + 2), order,
+                lambda n, m: bessel3_body(mu + n, (z * z, 2 * n), q, m))
     return bessel3_body(nu, (z * z, 0), q, order), rhs
 
 
 def _h_bessel3_arg_conn(order, z):
     w, nu, q = Fraction(5, 4), 1, _ROOT
     u = z / w
-    rhs = _sum(order, lambda n: n + n * n,
-               lambda n, m: (-z * z / (w * w)) ** n * qpoch_series((w * w, 0), q, n, m)
-               * qpoch_series(q, q, n, m).reciprocal()
-               * bessel3_body(nu + n, (z * z, 2 * n), q, m))
+    rhs = _walk(((w * w, 0),), (), q, 1, (z * z / (w * w), 2), order,
+                lambda n, m: bessel3_body(nu + n, (z * z, 2 * n), q, m))
     return bessel3_body(nu, (u * u, 0), q, order), rhs
 
 
@@ -791,11 +795,9 @@ def _h_bessel3_laguerre_a(order, z):
            * qpoch_series((1, 2 * (nu + n + 1)), q, None, order))
     # q^(k(k-nu-n)/2) z^k and the (zz/ (z q^(n/2)))^nu prefactor combine to
     # z^(2k) q^(k^2) with every p-exponent integral
-    rhs = _sum(order, lambda k: 2 * k * k,
-               lambda k, m: (z * z) ** k * qpoch_series(q, q, k, m).reciprocal()
-               * bessel3_body(k + nu, (z * z, 2 * (n + k)), q, m))
-    rhs = (rhs * qpoch_series((1, 2 * (n + 1)), q, None, order)
-           * qpoch_series(q, q, None, order).reciprocal())
+    rhs = _walk((), (), q, 2, (-z * z, 2), order,
+                lambda k, m: bessel3_body(k + nu, (z * z, 2 * (n + k)), q, m))
+    rhs = rhs * qpoch_series((1, 2 * (n + 1)), q, None, order) * _qpoch_inv(q, q, order)
     return lhs, rhs
 
 
@@ -803,11 +805,8 @@ def _h_bessel3_laguerre_b(order, z):
     nu, n, q = 1, 2, _ROOT
     lhs = (bessel3_body(nu, (z * z, 2 * n), q, order)
            * qpoch_series((1, 2 * (n + 1)), q, None, order))
-    rhs = _sum(order, lambda k: k * (k + 1),
-               lambda k, m: (-z * z) ** k
-               * (qpoch_series(q, q, k, m)
-                  * qpoch_series((1, 2 * (nu + n + 1)), q, k, m)).reciprocal()
-               * laguerre_series(n, nu + k, (-z * z, -2 * nu), q, m))
+    rhs = _walk((), ((1, 2 * (nu + n + 1)),), q, 1, (z * z, 2), order,
+                lambda k, m: laguerre_series(n, nu + k, (-z * z, -2 * nu), q, m))
     rhs = (rhs * qpoch_series((1, 2 * (nu + n + 1)), q, None, order)
            * qpoch_series(q, q, None, order))
     return lhs, rhs

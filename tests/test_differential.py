@@ -420,6 +420,32 @@ def test_psi_bilateral_matches_direct_sum(m):
     assert _check_spread(cases) >= 5
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("edge", ["outer", "inner"])
+def test_psi_bilateral_at_the_edges_of_its_annulus(m, edge):
+    # |z| in [0.9, 0.97] below the outer radius 1, where the k >= 0 wing falls like |z|^k,
+    # and |z| 3-10% above the inner radius |b_1...b_m / (a_1...a_m)|, where the k < 0
+    # wing falls only like (inner / |z|)^k; against both wings in 40-digit mpmath
+    rng = random.Random(f"psi-edge:{m}:{edge}")
+    cases = []
+    with mp.workdps(40):
+        while len(cases) < 10:
+            qv = rng.uniform(0.1, 0.8)
+            upper = [_cring(rng, 1.2, 3.0) for _ in range(m)]
+            lower = [_cring(rng, 0.05, 0.6) for _ in range(m)]
+            inner = math.prod(map(abs, lower)) / math.prod(map(abs, upper))
+            if edge == "outer":
+                z = _cring(rng, 0.9, 0.97)
+                if not inner < 0.8 * abs(z):
+                    continue
+            else:
+                z = _cring(rng, 1.03 * inner, 1.10 * inner)
+            value = psi_bilateral(upper, lower, QParam(qv), z, TR)
+            exact, absum = _psi_direct(upper, lower, qv, z)
+            cases.append(((qv, upper, lower, z), value, exact, absum))
+    assert _check_spread(cases) >= 3
+
+
 # --- m_weighted and the expansions over its coefficients ------------------------------
 
 def _m_weighted(alphas, betas, q, ell, z):
@@ -466,6 +492,31 @@ def test_m_weighted_matches_direct_sum(ell, with_beta):
         exact, absum = _m_weighted(alphas, betas, q2, ell, z)
         cases.append(((q2, alphas, betas, z), value, exact, absum))
     assert _check_spread(cases) >= 4
+
+
+@pytest.mark.parametrize("ell", [0.25, 0.5])
+def test_m_weighted_near_a_lower_parameter_pole(ell):
+    # beta = (1 - d) q^(-k) with |d| = |1 - beta q^k| in [1e-4, 1e-2] for some k <= 5: the
+    # terms from k + 1 on carry 1/(1 - beta q^k).  Its double rounding, about eps |beta q^k|,
+    # reaches every such term magnified by cond = |beta q^k / (1 - beta q^k)| (about 1/|d|),
+    # which no double evaluation avoids (measured: up to 1.3 eps cond), so the magnitude
+    # the bound scales with is sum |t_k| times 1 + cond
+    rng = random.Random(f"m_weighted-pole:{ell}")
+    cases = []
+    for _ in range(10):
+        q2 = rng.uniform(0.3, 0.7) ** 2
+        k = rng.randrange(6)
+        d = cmath.rect(10 ** rng.uniform(-4, -2), rng.uniform(-math.pi, math.pi))
+        beta = (1 - d) / q2**k
+        alphas = [_cring(rng, 0.1, 1.5)]
+        z = _cring(rng, 0.1, 2.0)
+        value = m_weighted(alphas, [beta], QParam(q2), ell, z, TR)
+        exact, absum = _m_weighted(alphas, [beta], q2, ell, z)
+        pole = mp.mpc(beta) * mp.mpf(q2) ** k
+        cond = abs(pole) / abs(1 - pole)
+        assert 50 < cond < 2e4
+        cases.append(((q2, k, d, alphas, z), value, exact, absum * (1 + cond)))
+    _check_spread(cases)  # every spread is at least 1 + cond > 50, so none counts as relative
 
 
 def _airy_mult_rhs(a, b, q):
