@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qkit import DomainError
-from qkit.exactq import FPS, _walk, qpoch_series
+from qkit.exactq import FPS, _walk, exact_identity_ids, qpoch_series, verify_exact
 
 
 def _recip(x):
@@ -118,3 +118,11 @@ class TestWalkAgainstTermByTerm:
         got = _walk(((q**-2, 0),), (), (q, 0), 1, (-1, 1), 6).coeffs
         assert got[3:] == [0, 0, 0, 0]
         assert got == _ref_walk(((q**-2, 0),), (), (q, 0), 1, (-1, 1), 6)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_every_identity_at_the_smallest_orders(order):
+    # an infinite walk ends once its power passes the order: at order 1 a walk whose
+    # powers grow as binom(k,2) reaches that only after order + 2 terms
+    for ident in exact_identity_ids():
+        assert verify_exact(ident, order, Fraction(1, 2))["equal"], ident
