@@ -27,11 +27,22 @@ every handler's expansion are walks, in all three conventions.  Every
 handler returns its two sides as series; the scalar families return their
 rows 0..order as the coefficients.
 
+The scalar families a handler sums over its degrees are built as rows
+0..N in one pass, never one degree at a time: the q-Hermite and
+q^(-1)-Hermite polynomials by their three-term recurrences, the q-binomial
+rows by the q-Pascal rule, and the Stieltjes-Wigert and q-Laguerre
+polynomials and the q-binomial sums as Cauchy products of one row of
+1/(q;q)_k with a row of weighted terms.  The handler's expansion then
+reads degree n as rows[n].  The per-degree sums that define them
+(qhermite_inv_r, qlaguerre_r, qbinom_row) stay as the references the tests
+compare the rows with.
+
 The arithmetic is fraction-free: an FPS holds integer numerators over one
 positive denominator, reduced once per operation, and the scalar
 Pochhammers multiply integers and form one Fraction at the end.  The
 constants the handlers pass in (parameters, powers of the base) and the
-rational polynomial values stay Fractions.
+rational polynomial values stay Fractions; a Cauchy product of two rows
+sums their integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -60,11 +71,8 @@ class FPS:
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs):
-        fracs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        # the lcm of reduced denominators leaves no common factor to divide out
-        den = lcm(*(c.denominator for c in fracs))
-        self.num = [c.numerator * (den // c.denominator) for c in fracs]
-        self.den = den
+        self.num, self.den = _over_lcm([c if type(c) is Fraction else Fraction(c)
+                                        for c in coeffs])
 
     @classmethod
     def zero(cls, order):
@@ -187,6 +195,15 @@ def _fps(num, den):
     return out
 
 
+def _over_lcm(fracs):
+    """Fractions as integer numerators over the lcm of their reduced denominators.
+
+    That lcm leaves no common factor to divide out.
+    """
+    den = lcm(*(c.denominator for c in fracs))
+    return [c.numerator * (den // c.denominator) for c in fracs], den
+
+
 def _rational(x):
     """An int or Fraction as it is, anything else as a Fraction."""
     return x if type(x) is int or type(x) is Fraction else Fraction(x)
@@ -222,16 +239,7 @@ def qbinom_row(n: int, q: Fraction) -> list:
     return row
 
 
-# --- rational polynomial values ----------------------------------------------
-
-def qhermite_r(n: int, x: Fraction, q: Fraction) -> Fraction:
-    hprev, hcur = Fraction(1), 2 * Fraction(x)
-    if n == 0:
-        return hprev
-    for k in range(1, n):
-        hprev, hcur = hcur, 2 * x * hcur - (1 - q**k) * hprev
-    return hcur
-
+# --- rational polynomial values: the defining sums, one degree at a time ------
 
 def qhermite_inv_r(n: int, e_xi: Fraction, q: Fraction) -> Fraction:
     """h_n at sinh(xi) with e^(xi) rational; q^(k(k-n)) stays rational."""
@@ -250,11 +258,77 @@ def qlaguerre_r(n: int, alpha: int, x: Fraction, q: Fraction) -> Fraction:
     return pref * total
 
 
-def stieltjes_wigert_r(n: int, x: Fraction, q: Fraction) -> Fraction:
-    total = Fraction(0)
-    for k, binom in enumerate(qbinom_row(n, q)):
-        total += binom * q ** (k * k) * (-x) ** k
-    return total / qfac_r(q, n)
+# --- scalar families: rows 0..n in one pass ----------------------------------
+
+def _qpoch_rows(a, q, n: int) -> list:
+    """(a;q)_k for k = 0..n, each from the last by its factor 1 - a q^(k-1)."""
+    rows = [Fraction(1)]
+    for _ in range(n):
+        rows.append(rows[-1] * (1 - a))
+        a *= q
+    return rows
+
+
+def _qinv_rows(q, n: int) -> list:
+    """1/(q;q)_k for k = 0..n."""
+    return [1 / f for f in _qpoch_rows(q, q, n)]
+
+
+def _cauchy(a, b) -> list:
+    """sum_(k <= n) a_k b_(n-k) for n < min(len(a), len(b)), summed in integers."""
+    (an, ad), (bn, bd) = _over_lcm(a), _over_lcm(b)
+    den = ad * bd
+    return [Fraction(sum(map(mul, an[: n + 1], bn[n::-1])), den)
+            for n in range(min(len(a), len(b)))]
+
+
+def _qbinom_rows(q, n: int) -> list:
+    """The rows [m choose k]_q, m = 0..n, by [m,k] = [m-1,k-1] + q^k [m-1,k]."""
+    qk = [q**k for k in range(n + 1)]
+    rows = [[Fraction(1)]]
+    for _ in range(n):
+        last = rows[-1]
+        rows.append([last[0]] + [last[k - 1] + qk[k] * last[k] for k in range(1, len(last))]
+                    + [last[0]])
+    return rows
+
+
+def _qhermite_rows(x, q, n: int) -> list:
+    """H_k(x|q) for k = 0..n by H_(k+1) = 2x H_k - (1 - q^k) H_(k-1)."""
+    rows, qk = [Fraction(1), 2 * Fraction(x)], 1
+    for _ in range(1, n):
+        qk *= q
+        rows.append(2 * x * rows[-1] - (1 - qk) * rows[-2])
+    return rows[: n + 1]
+
+
+def _qhermite_inv_rows(e_xi, q, n: int) -> list:
+    """h_k(sinh xi|q) for k = 0..n by h_(k+1) = 2 sinh(xi) h_k - (q^(-k) - 1) h_(k-1).
+
+    Ismail and Masson's recurrence; 2 sinh(xi) = e^xi - e^(-xi) is rational with e^xi.
+    """
+    two_x = e_xi - 1 / e_xi
+    rows, qk = [Fraction(1), two_x], Fraction(1)
+    for _ in range(1, n):
+        qk /= q
+        rows.append(two_x * rows[-1] - (qk - 1) * rows[-2])
+    return rows[: n + 1]
+
+
+def _sw_rows(x, q, n: int) -> list:
+    """S_k(x;q) = sum_j q^(j^2) (-x)^j / ((q;q)_j (q;q)_(k-j)) for k = 0..n."""
+    inv = _qinv_rows(q, n)
+    return _cauchy([q ** (j * j) * (-x) ** j * c for j, c in enumerate(inv)], inv)
+
+
+def _qlaguerre_rows(alpha, x, q, n: int) -> list:
+    """L_k^(alpha)(x;q) for k = 0..n as (q^(alpha+1);q)_k times one Cauchy product.
+
+    The sum is sum_j q^(alpha j + j^2) (-x)^j / ((q;q)_j (q^(alpha+1);q)_j (q;q)_(k-j)).
+    """
+    inv, top = _qinv_rows(q, n), _qpoch_rows(q ** (alpha + 1), q, n)
+    w = [q ** (alpha * j + j * j) * (-x) ** j * c / a for j, (c, a) in enumerate(zip(inv, top))]
+    return [a * s for a, s in zip(top, _cauchy(w, inv))]
 
 
 # --- series builders over monomials (c, j) = c t^j ---------------------------
@@ -455,29 +529,32 @@ def bessel3_body(mu, c, q, order):
 # --- identity handlers: (order, rational) -> (lhs, rhs) ------------------------
 
 def _h_qbinom1(order, q):
-    rows = range(order + 1)
-    lhs = [sum(b * (-1) ** k for k, b in enumerate(qbinom_row(n, q))) for n in rows]
-    rhs = [0 if n % 2 else qfac_r(q, n) / qfac_r(q * q, n // 2) for n in rows]
+    lhs = [sum(row[::2]) - sum(row[1::2]) for row in _qbinom_rows(q, order)]
+    fac, fac2 = _qpoch_rows(q, q, order), _qpoch_rows(q * q, q * q, order // 2)
+    rhs = [0 if n % 2 else f / fac2[n // 2] for n, f in enumerate(fac)]
     return FPS(lhs), FPS(rhs)
 
 
 def _h_qbinom2(order, p):
     # the rational is q^(1/4), so q^(n(n-s)) and q^(-s^2/4) are rational
+    # q^(n(n-s)) = q^(n^2/2) q^((s-n)^2/2) / q^(s^2/2) makes row s a Cauchy product
     q = p**4
-    rows = range(order + 1)
-    lhs = [sum(Fraction(-1) ** n * q ** (n * n) / q ** (n * s) / (qfac_r(q, n) * qfac_r(q, s - n))
-               for n in range(s + 1)) for s in rows]
-    rhs = [0 if s % 2 else Fraction(-1) ** (s // 2) / p ** (s * s) / qfac_r(q * q, s // 2)
-           for s in rows]
+    inv = _qinv_rows(q, order)
+    half = [p ** (2 * n * n) * c for n, c in enumerate(inv)]
+    conv = _cauchy([(-1) ** n * c for n, c in enumerate(half)], half)
+    lhs = [c / p ** (2 * s * s) for s, c in enumerate(conv)]
+    inv2 = _qinv_rows(q * q, order // 2)
+    rhs = [0 if s % 2 else (-1) ** (s // 2) * inv2[s // 2] / p ** (s * s)
+           for s in range(order + 1)]
     return FPS(lhs), FPS(rhs)
 
 
 def _h_qbinom3(order, p):
     # the rational is q^(1/2)
     q = p * p
-    rows = range(order + 1)
-    lhs = [sum(p**k / (qfac_r(q, k) * qfac_r(q, n - k)) for k in range(n + 1)) for n in rows]
-    return FPS(lhs), FPS([1 / qfac_r(p, n) for n in rows])
+    inv = _qinv_rows(q, order)
+    lhs = _cauchy([p**k * c for k, c in enumerate(inv)], inv)
+    return FPS(lhs), FPS(_qinv_rows(p, order))
 
 
 def _h_triple_product(order, z):
@@ -492,8 +569,8 @@ def _h_triple_product(order, z):
 
 def _h_qhermite_genfun(order, q):
     # x = 1 (theta = 0)
-    Q = (q, 0)
-    lhs = _walk((), (), Q, 0, (-1, 1), order, lambda n, m: qhermite_r(n, 1, q))
+    Q, rows = (q, 0), _qhermite_rows(1, q, order)
+    lhs = _walk((), (), Q, 0, (-1, 1), order, lambda n, m: rows[n])
     r = _qpoch_inv((1, 1), Q, order)
     return lhs, r * r
 
@@ -501,14 +578,16 @@ def _h_qhermite_genfun(order, q):
 def _h_qinvhermite_genfun(order, q):
     rho, Q = Fraction(3, 2), (q, 0)  # e^xi
     lhs = qpoch_series((-rho, 1), Q, None, order) * qpoch_series((1 / rho, 1), Q, None, order)
-    rhs = _walk((), (), Q, 1, (-1, 1), order, lambda n, m: qhermite_inv_r(n, rho, q))
+    rows = _qhermite_inv_rows(rho, q, order)
+    rhs = _walk((), (), Q, 1, (-1, 1), order, lambda n, m: rows[n])
     return lhs, rhs
 
 
 def _h_poisson_kernel(order, q):
     rho, sig, Q = Fraction(3, 2), Fraction(2, 3), (q, 0)  # e^xi, e^eta
-    lhs = _walk((), (), Q, 1, (-1, 1), order,
-                lambda n, m: qhermite_inv_r(n, rho, q) * qhermite_inv_r(n, sig, q))
+    rows = [a * b for a, b in zip(_qhermite_inv_rows(rho, q, order),
+                                  _qhermite_inv_rows(sig, q, order))]
+    lhs = _walk((), (), Q, 1, (-1, 1), order, lambda n, m: rows[n])
     num = (qpoch_series((-rho * sig, 1), Q, None, order)
            * qpoch_series((-1 / (rho * sig), 1), Q, None, order)
            * qpoch_series((rho / sig, 1), Q, None, order)
@@ -518,7 +597,8 @@ def _h_poisson_kernel(order, q):
 
 def _h_qlaguerre_genfun(order, q):
     al, x, Q = 1, Fraction(2, 3), (q, 0)
-    lhs = _walk((Q,), (), Q, 0, (-1 / q, 1), order, lambda n, m: qlaguerre_r(n, al, x, q))
+    rows = _qlaguerre_rows(al, x, q, order)
+    lhs = _walk((Q,), (), Q, 0, (-1 / q, 1), order, lambda n, m: rows[n])
     rhs = _qpoch_inv((1 / q, 1), Q, order) * phi11_series((-x, 0), (0, 0), (q, 1), Q, order)
     return lhs, rhs
 
@@ -528,7 +608,8 @@ def _h_series_cal_e_theta(order, p):
     q = p**4
     Q, q2 = (q, 0), (q * q, 0)
     damp = _qpoch_inv((q, 2), q2, order)
-    lhs = _walk((), (), Q, 0, (-1, 1), order, lambda n, m: p ** (n * n) * qhermite_r(n, 1, q))
+    rows = [p ** (n * n) * h for n, h in enumerate(_qhermite_rows(1, q, order))]
+    lhs = _walk((), (), Q, 0, (-1, 1), order, lambda n, m: rows[n])
     rhs = _walk(((-1, 0),), (), Q, 0, (-1, 1), order,
                 lambda k, m: qpoch_series((-(q ** (k + 1)), 2), q2, None, m) * p ** (k * k))
     return lhs * damp, rhs * damp
@@ -576,7 +657,8 @@ def _h_sw_from_aq(order, q):
 
 def _h_sw_genfun(order, q):
     x, Q = Fraction(2, 3), (q, 0)
-    lhs = _walk((Q,), (), Q, 0, (-1, 1), order, lambda n, m: stieltjes_wigert_r(n, x, q))
+    rows = _sw_rows(x, q, order)
+    lhs = _walk((Q,), (), Q, 0, (-1, 1), order, lambda n, m: rows[n])
     return lhs, airy_series((x, 1), Q, order) * _qpoch_inv((1, 1), Q, order)
 
 
@@ -602,7 +684,9 @@ def _h_laguerre_1(order, x):
 
 def _h_laguerre_2(order, x):
     al, n, q = 1, 2, _BASE
-    lhs = qpoch_series((1, al + 1), q, n, order) * qpoch_series(q, q, n, order).reciprocal()
+    lhs = qpoch_series((1, al + 1), q, n, order)
+    for i in range(1, n + 1):  # over (q;q)_n, as a terminating walk ends
+        lhs = _div_binomial(lhs, 1, i)
     rhs = _walk(((1, n),), ((1, al + n + 1),), q, 1, (-x, al + 1), order,
                 lambda k, m: laguerre_series(n, al + k, (x, 0), q, m))
     return lhs, rhs
@@ -713,7 +797,8 @@ def _h_bessel_laguerre_genfun(order, q):
     z, nu, Q = Fraction(2, 3), 1, (q, 0)
     b = (q ** (nu + 1), 0)
     lhs = _walk((), (b,), Q, 2, (z * z * q ** (nu + 1), 2), order)
-    rhs = _walk((Q,), (b,), Q, 0, (-1, 2), order, lambda n, m: qlaguerre_r(n, nu, z * z, q))
+    rows = _qlaguerre_rows(nu, z * z, q, order // 2)  # degree n carries w^(2n)
+    rhs = _walk((Q,), (b,), Q, 0, (-1, 2), order, lambda n, m: rows[n])
     return lhs, qpoch_series((1, 2), Q, None, order) * rhs
 
 

@@ -312,6 +312,30 @@ def test_phi21_near_the_radius_of_convergence():
     assert _check_spread(cases) >= 3  # 3 of the 10 points are checked relative
 
 
+def test_phi_near_a_lower_parameter_pole():
+    # c = (1 - d) q^(-k) with |d| = |1 - c q^k| in [1e-4, 1e-2] for some k <= 5: as for
+    # m_weighted near such a pole, the double rounding of 1 - c q^k reaches every term
+    # from k + 1 on magnified by cond = |c q^k / (1 - c q^k)|, so the bound scales with
+    # sum |t_k| times 1 + cond
+    rng = random.Random("phi21-pole")
+    cases = []
+    with mp.workdps(40):
+        for _ in range(10):
+            qv = rng.uniform(0.05, 0.9)
+            k = rng.randrange(6)
+            d = cmath.rect(10 ** rng.uniform(-4, -2), rng.uniform(-math.pi, math.pi))
+            c = (1 - d) / qv**k
+            a, b = _cring(rng, 0.1, 2.0), _cring(rng, 0.1, 2.0)
+            z = _cring(rng, 0.05, 0.8)
+            value = phi((a, b), (c,), QParam(qv), z, TR)
+            exact, absum = _phi21_direct(a, b, c, z, qv)
+            pole = mp.mpc(c) * mp.mpf(qv) ** k
+            cond = abs(pole) / abs(1 - pole)
+            assert 50 < cond < 2e4
+            cases.append(((qv, k, d, a, b, z), value, exact, absum * (1 + cond)))
+    _check_spread(cases)  # every spread is at least 1 + cond > 50, so none counts as relative
+
+
 def _phi_terms(upper, lower, q, z):
     """term(k) of r_phi_s in mpmath, the extra factor ((-1)^k q^(k(k-1)/2))^(1+s-r) included."""
     upper, lower = [mp.mpc(a) for a in upper], [mp.mpc(b) for b in lower]

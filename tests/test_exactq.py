@@ -123,12 +123,21 @@ def _load_exact_sides():
 
 
 # tools/exact_sides.py digests of both sides at order 20, base 5/7, as the all-Fraction
-# arithmetic built them; one id per convention: scalar rows, argument variable, base
-# variable, root of the base
+# arithmetic built them: one id per convention (scalar rows, argument variable, base
+# variable, root of the base), and every handler that sums a scalar family's rows as
+# the per-degree sums built them
 PINNED_SIDES = {
+    "qbinom_alternating": "6cc0dc1c67e72c6a56e833a6229f26040f6af61db1907eab909f3ae9d7e54c60",
     "qbinom_qinvhermite_zero": "a443fb80fd59202f521b440b883bf3214501dab6e66c2bf86c3974f4eafbf2f4",
+    "qbinom_half_base": "6d9fd1f7d9cbb0f34ec9ff8e3a0d2efb5c6fbfe3ca6a8896c7233702b23a0087",
+    "qhermite_genfun": "b79c26fdb4e45a422ea1e99a587626399e578e1808e0285bb5b65d1254ce0545",
+    "qinvhermite_genfun": "60e4a11bd82a182cf6220e2173abac2c7f01ab1cf4226605348d4eb8de56df4b",
     "poisson_kernel_qinvhermite":
         "a7dc33a46b947343101c9eb3f95c87860505223c6e1f660cc859dddb30029e01",
+    "qlaguerre_genfun": "e82d90b7708165f4b47ce9fea05aae8f1a864ece94eef49d54e83306d53afd27",
+    "series_cal_e_theta": "33272009c0f81fc36b945c134c79c20289d2c6cdb2a9b92a4528bd3ae3d64c0d",
+    "sw_genfun": "e3aac8053375c881906107a247a0188ffc5e432639a6feff47bc641442d2cbdf",
+    "bessel_laguerre_genfun": "0d96e590de7856a1dd7bcdc2bafd47ea0ab099790e051249d454a4e8152b02e0",
     "laguerre_shift_series": "e6a4f3500620b4847a4b04b74e2ccc06a71db91afdfc40a68e80a626313d47d1",
     "bessel3_laguerre_b": "b41a8296b9a7fc86639ddcf430e15961e909b3ca1bd428de1f6110e4c8ec4774",
 }
@@ -138,6 +147,55 @@ PINNED_SIDES = {
 def test_pinned_sides(ident):
     tool = _load_exact_sides()
     assert tool.digest(*tool.sides(exactq, ident, 20, Fraction(5, 7))) == PINNED_SIDES[ident]
+
+
+# --- the scalar families' rows against their defining per-degree sums -------------
+
+_bases = st.integers(min_value=2, max_value=9).flatmap(
+    lambda d: st.integers(min_value=1, max_value=d - 1).map(lambda p: Fraction(p, d)))
+_signed = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+_degrees = st.integers(min_value=0, max_value=24)
+
+
+def _ref_qfac(q, n):
+    return math.prod((1 - q**i for i in range(1, n + 1)), start=Fraction(1))
+
+
+class TestScalarRows:
+    @settings(max_examples=100, deadline=None)
+    @given(_bases, _degrees)
+    def test_qbinom_and_qpoch_rows(self, q, n):
+        assert exactq._qbinom_rows(q, n) == [exactq.qbinom_row(m, q) for m in range(n + 1)]
+        assert exactq._qpoch_rows(q, q, n) == [exactq.qfac_r(q, m) for m in range(n + 1)]
+        assert exactq._qinv_rows(q, n) == [1 / exactq.qfac_r(q, m) for m in range(n + 1)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_bases, _signed.filter(bool), _degrees)
+    def test_qhermite_rows(self, q, rho, n):
+        # at x = (rho + 1/rho)/2 the q-Hermite polynomial is sum_k [n,k]_q rho^(n-2k)
+        x = (rho + 1 / rho) / 2
+        ref = [sum(b * rho ** (m - 2 * k) for k, b in enumerate(exactq.qbinom_row(m, q)))
+               for m in range(n + 1)]
+        assert exactq._qhermite_rows(x, q, n) == ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(_bases, _signed.filter(bool), _degrees)
+    def test_qhermite_inv_rows(self, q, e_xi, n):
+        ref = [exactq.qhermite_inv_r(m, e_xi, q) for m in range(n + 1)]
+        assert exactq._qhermite_inv_rows(e_xi, q, n) == ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(_bases, _signed, _degrees)
+    def test_sw_rows(self, q, x, n):
+        ref = [sum((q ** (k * k) * (-x) ** k / (_ref_qfac(q, k) * _ref_qfac(q, m - k))
+                    for k in range(m + 1)), Fraction(0)) for m in range(n + 1)]
+        assert exactq._sw_rows(x, q, n) == ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(_bases, st.integers(min_value=0, max_value=3), _signed, _degrees)
+    def test_qlaguerre_rows(self, q, alpha, x, n):
+        ref = [exactq.qlaguerre_r(m, alpha, x, q) for m in range(n + 1)]
+        assert exactq._qlaguerre_rows(alpha, x, q, n) == ref
 
 
 class TestQPochSeries:
