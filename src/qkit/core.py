@@ -6,9 +6,11 @@ functions and the partial theta function.
 
 Every series sums through :func:`_certified_sum`.  The q^(l k^2)-weighted
 shape has one term walker with one tail bound, :func:`_m_terms`, and
-:func:`_two_wings` merges the two wings of a bilateral sum; the theta
-series routes and the partial theta function are its case l = 1 with the
-upper parameter q, and ``series`` builds its weighted series on both.
+:func:`_bilateral` sums a bilateral series of that shape as two of its
+walks, the wing k < 0 reflected to one in j = -k.  The partial theta
+function is the case l = 1 of :func:`_m_terms` with the upper parameter q,
+the theta series routes that of :func:`_bilateral` without parameters, and
+``series`` builds its weighted and bilateral series on both.
 
 All functions take the base through a :class:`QParam` and control every
 infinite sum/product through a :class:`Truncation`.  Complex values are
@@ -202,13 +204,50 @@ def _m_terms(alphas, betas, q: QParam, ell: float, z):
         qk *= qq
 
 
-def _two_wings(pos, neg):
-    """One (t, tail) stream from the streams of two wings, each tail_k >= sum_(j>k) |t_j|.
+def _as_exact_negative_qpower(a, q: QParam):
+    """If a is (numerically) q^(-m) for an integer 0 <= m <= 500, return m, else None."""
+    if a == 0:
+        return None
+    mag = abs(a)
+    if mag < 1.0 - 1e-12:
+        return None
+    m = round(math.log(mag) / q.log_inv)
+    if m < 0 or m > 500:
+        return None
+    if abs(a * q.power(m) - 1.0) < 1e-9:
+        return m
+    return None
 
-    Each step extends the wing whose tail bound is larger, so the sum is certified as a
-    whole without summing the faster wing far past need; the tail of the whole is the sum
-    of the two wings' tails.
+
+def _bilateral(upper, lower, q: QParam, ell: float, z):
+    """Yield the (t, tail) stream of sum_(k in Z) prod(a;q)_k q^(l k(k-1)) (-z)^k / prod(b;q)_k.
+
+    Both wings are :func:`_m_terms` walks.  The wing k >= 0 takes an extra upper parameter
+    q, which cancels its (q;q)_k.  The wing k = -j <= -1 is reflected by
+    (a;q)_(-j) = (-q/a)^j q^(j(j-1)/2) / (q/a;q)_j (Gasper & Rahman, section 1.2): upper
+    q/b and q, lower q/a, weight l + d/2 and argument (-q)^d q^(2l) prod(b) / (prod(a) z),
+    where d = #upper - #lower and a lower 0, (0;q)_k = 1, is left out.  An upper parameter
+    q^(m+1), a pole of every term at k <= -m-1, is recognised by its value, since the
+    reflected factor 1 - (q/a) q^m need not round to 0.  Each step extends the wing whose
+    tail bound is larger, so the sum is certified as a whole without summing the faster
+    wing far past need; the tail of the whole is the sum of the two wings' tails.
     """
+    z = complex(z)
+    lower = [b for b in lower if b != 0]
+    if z == 0 or 0 in upper:
+        raise DomainError("bilateral series needs z != 0 and nonzero upper parameters")
+    d = len(upper) - len(lower)
+    if ell + d / 2 < 0:
+        raise DomainError(f"wing k < 0 diverges: weight {ell} + {d}/2 < 0")
+    qq = q.q
+    for a in upper:
+        m = _as_exact_negative_qpower(qq / a, q)
+        if m is not None:
+            raise PoleError(f"upper parameter equals q^{m + 1}: term pole of the wing k < 0")
+    neg_z = (-qq) ** d * qq ** (2.0 * ell) * math.prod(lower) / (math.prod(upper) * z)
+    pos = _m_terms((*upper, qq), lower, q, ell, z)
+    neg = _m_terms((*(qq / b for b in lower), qq), [qq / a for a in upper], q, ell + d / 2, neg_z)
+    next(neg)  # the k = 0 term, 1, is pos's
     p, pos_tail = next(pos)
     n, neg_tail = next(neg)
     yield p + n, pos_tail + neg_tail
@@ -414,11 +453,8 @@ def theta4(z, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "prod
         return qpoch_multi([q.q * q.q, q.q * z, q.q / z], q2, None, tr)
     if route != "series":
         raise DomainError(f"unknown theta4 route {route!r}")
-    # wing n >= 0 as q^(k(k-1)) (-q z)^k, wing n = -k <= -1 likewise with z -> 1/z
-    pos = _m_terms((q.q,), (), q, 1.0, q.q * z)
-    neg = _m_terms((q.q,), (), q, 1.0, q.q / z)
-    next(neg)
-    return _certified_sum(_two_wings(pos, neg), tr, "theta4")
+    # q^(n^2) (-z)^n = q^(n(n-1)) (-q z)^n
+    return _certified_sum(_bilateral((), (), q, 1.0, q.q * z), tr, "theta4")
 
 
 def theta3(v, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "product") -> complex:

@@ -447,27 +447,16 @@ def _cwb_sample(rng):
 
 
 def _bilateral_weighted(p, tr, use_b, binom_weight):
-    """sum_(k in Z) (a;q)_k x^k q^(nu k^2) / (b;q)_k, times q^(k(k-+1)/2) for a binomial weight.
+    """sum_(k in Z) (a;q)_k x^k q^(nu k^2) / (b;q)_k, times q^(k(k+s)/2) for a binomial weight.
 
-    The two wings are m_weighted series in k >= 0: the positive one with an
-    upper parameter q that cancels its (q;q)_k, the negative one through
-    (a;q)_(-k) = (-q/a)^k q^(k(k-1)/2) / (q/a;q)_k.
+    It is m_weighted_bilateral with the weight nu, or nu + 1/2 for the binomial weight
+    q^(k(k+s)/2) = q^(k^2/2) (q^(s/2))^k, and argument -x q^(s/2).
     """
     q = QParam(p["q"])
-    qq = q.q
-    a, x = p["a"], p["x"]
-    nu = p.get("nu", 0.0)
-    # the binomial weight q^(k(k+s)/2) is q^(k^2/2) (q^(s/2))^k
     s = {None: 0.0, "half": -1.0, "half-up": 1.0}[binom_weight]
-    ell = nu + (0.0 if binom_weight is None else 0.5)
-    if use_b:
-        b = p["b"]
-        pos = ([a, qq], [b], ell, -x * q.power(s / 2.0))
-        neg = ([qq / b, qq], [qq / a], ell, -b / (a * x) * q.power(-s / 2.0))
-    else:
-        pos = ([a, qq], [], ell, -x * q.power(s / 2.0))
-        neg = ([qq], [qq / a], ell + 0.5, qq / (a * x) * q.power(-(1.0 + s) / 2.0))
-    return m_weighted_bilateral(q, pos, neg, tr)
+    ell = p.get("nu", 0.0) + (0.0 if binom_weight is None else 0.5)
+    betas = [p["b"]] if use_b else []
+    return m_weighted_bilateral([p["a"]], betas, q, ell, -p["x"] * q.power(s / 2.0), tr)
 
 
 def _cwb_lhs(p, tr):

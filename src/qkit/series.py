@@ -8,16 +8,16 @@ function A_q, Jackson's three q-Bessel functions and the modified I^(k).
 
 The weighted series share three term generators, each with one tail
 bound: ``core._m_terms`` (weight q^(l k(k-1)): the q^(l k^2)-weighted series,
-r_phi_s at l = (1+s-r)/2, the wing k >= 0 of m_psi_m and J^(1) at l = 0,
-and the native J^(2) and J^(3); the theta series of ``core`` also sum
-through it), ``_m_damped`` (Gaussian weight q^(l (n+s)^2): the
-shifted A_q and the damped J^(2)) and the one of
+r_phi_s at l = (1+s-r)/2, J^(1) at l = 0, and the native J^(2) and J^(3);
+the bilateral m_psi_m and weighted sums, like the theta series of
+``core``, sum both wings as two of its walks through ``core._bilateral``),
+``_m_damped`` (Gaussian weight q^(l (n+s)^2): the shifted A_q and the
+damped J^(2)) and the one of
 :func:`confluent_phi_weighted` (the product-weighted 1phi1, the damped
 J^(3)).  ``_m_terms`` carries its weight in the term ratio, which keeps
 the terms finite at large |z|; ``_m_damped`` takes each weight as one
 exponential, since a running weight would stay 0 after it underflows at a
 large negative shift s while the terms near n = -s are of ordinary size.
-The bilateral sums merge their two wings with ``core._two_wings``.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ from .core import (
     DEFAULT_TRUNCATION,
     QParam,
     Truncation,
+    _as_exact_negative_qpower,
+    _bilateral,
     _certified_sum,
     _m_terms,
-    _two_wings,
     ensure_finite,
     geometric_tail,
     qpoch_inf,
@@ -52,21 +53,6 @@ __all__ = [
     "jackson_bessel",
     "modified_bessel_i",
 ]
-
-
-def _as_exact_negative_qpower(a, q: QParam):
-    """If a is (numerically) q^(-m) for an integer 0 <= m <= 500, return m, else None."""
-    if a == 0:
-        return None
-    mag = abs(a)
-    if mag < 1.0 - 1e-12:
-        return None
-    m = round(math.log(mag) / q.log_inv)
-    if m < 0 or m > 500:
-        return None
-    if abs(a * q.power(m) - 1.0) < 1e-9:
-        return m
-    return None
 
 
 def _qpow(q: QParam, e: float) -> float:
@@ -132,7 +118,7 @@ def phi(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATION) -> comp
 
 
 def psi_bilateral(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
-    """Evaluate the bilateral series m_psi_m wing by wing.
+    """Evaluate the bilateral series m_psi_m, both wings through ``core._bilateral``.
 
     upper and lower hold equally many parameters, and z must lie strictly
     inside the convergence annulus |b_1...b_m/(a_1...a_m)| < |z| < 1.
@@ -142,52 +128,14 @@ def psi_bilateral(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATIO
     z = complex(z)
     if len(upper) != len(lower):
         raise DomainError("bilateral series needs equally long parameter lists")
-    upper_mags = [abs(a) for a in upper]
-    lower_mags = [abs(b) for b in lower]
-    upper_prod = math.prod(upper_mags)
-    inner = math.prod(lower_mags) / upper_prod if upper_prod else math.inf
+    upper_prod = math.prod(map(abs, upper))
+    inner = math.prod(map(abs, lower)) / upper_prod if upper_prod else math.inf
     az = abs(z)
     if not inner < az < 1.0:
         raise ConvergenceError(
             f"|z| = {az:.6g} outside convergence annulus ({inner:.6g}, 1)"
         )
-    qq = q.q
-
-    # term(-m-1)/term(-m) = prod(1 - b q^(-m-1))/prod(1 - a q^(-m-1))/z
-    #                     = prod(x - b)/prod(x - a)/z with x = q^(m+1)
-    def neg_ratio(x):
-        val = 1.0 / z
-        for b in lower:
-            val *= x - b
-        for a in upper:
-            den = x - a
-            if abs(den) < 1e-290 * x:
-                raise PoleError("upper parameter pole in bilateral term (negative wing)")
-            val /= den
-        return val
-
-    # sup_{i>=m} |term(-i-1)/term(-i)| <= prod(|b| + x) / (|z| prod(|a| - x)), x = q^(m+1),
-    # while every |a| > x
-    def neg_bound(x):
-        val = 1.0 / az
-        for b in lower_mags:
-            val *= b + x
-        for a in upper_mags:
-            if a <= x:
-                return math.inf
-            val /= a - x
-        return val
-
-    def neg_terms():
-        neg, x = neg_ratio(qq), qq  # term(-m-1), q^(m+1)
-        while True:
-            yield neg, geometric_tail(abs(neg), neg_bound(x * qq))
-            x *= qq
-            neg *= neg_ratio(x)
-
-    # the wing k >= 0 is _m_terms at l = 0, its extra upper parameter q cancelling (q;q)_k
-    pos_terms = _m_terms((*upper, qq), lower, q, 0.0, -z)
-    return _certified_sum(_two_wings(pos_terms, neg_terms()), tr, "psi_bilateral")
+    return _certified_sum(_bilateral(upper, lower, q, 0.0, -z), tr, "psi_bilateral")
 
 
 def _m_damped(alphas, q: QParam, ell: float, z, shift: float):
@@ -216,34 +164,32 @@ def _m_damped(alphas, q: QParam, ell: float, z, shift: float):
         qn *= qq
 
 
-def _weighted_terms(q: QParam, alphas, betas, ell, z):
-    """:func:`_m_terms` for the parameters of :func:`m_weighted`, ell > 0.
+def _weighted_args(alphas, betas, q: QParam, ell, z):
+    """The :func:`_m_terms` arguments of the series of :func:`m_weighted`, ell > 0.
 
     q^(l k^2) (-z)^k = q^(l k(k-1)) (-z q^l)^k.
     """
     if not ell > 0:
         raise DomainError(f"weight ell must be positive, got {ell}")
     ell = float(ell)
-    return _m_terms(tuple(complex(a) for a in alphas), tuple(complex(b) for b in betas), q,
-                    ell, complex(z) * q.power(ell).real)
+    return (tuple(complex(a) for a in alphas), tuple(complex(b) for b in betas), q,
+            ell, complex(z) * q.power(ell).real)
 
 
 def m_weighted(alphas, betas, q: QParam, ell, z, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Evaluate sum_k prod(alpha;q)_k q^(l k^2) (-z)^k / [(q;q)_k prod(beta;q)_k], l > 0."""
-    return _certified_sum(_weighted_terms(q, alphas, betas, ell, z), tr, "m_weighted")
+    return _certified_sum(_m_terms(*_weighted_args(alphas, betas, q, ell, z)), tr, "m_weighted")
 
 
-def m_weighted_bilateral(q: QParam, pos, neg, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
-    """A bilateral sum whose two wings are :func:`m_weighted` series, certified together.
+def m_weighted_bilateral(alphas, betas, q: QParam, ell, z,
+                         tr: Truncation = DEFAULT_TRUNCATION) -> complex:
+    """Evaluate sum_(k in Z) prod(alpha;q)_k q^(l k^2) (-z)^k / prod(beta;q)_k, l > 0.
 
-    pos and neg are the (alphas, betas, ell, z) of the two wings.  The terms at k >= 0
-    are those of pos, the terms at -k for k >= 1 those of neg (its k = 0 term, 1, is
-    not summed).
+    Both wings are summed and certified together by ``core._bilateral``; the alphas and z
+    must be nonzero.
     """
-    pos_terms = _weighted_terms(q, *pos)
-    neg_terms = _weighted_terms(q, *neg)
-    next(neg_terms)
-    return _certified_sum(_two_wings(pos_terms, neg_terms), tr, "m_weighted_bilateral")
+    return _certified_sum(_bilateral(*_weighted_args(alphas, betas, q, ell, z)), tr,
+                          "m_weighted_bilateral")
 
 
 def m_expansion(alphas, betas, q: QParam, ell, z, inner, bound,
@@ -257,7 +203,7 @@ def m_expansion(alphas, betas, q: QParam, ell, z, inner, bound,
     tail after term k is then at most bound(k) sum_(j>k) |c_j|.
     """
     terms = ((c * inner(k), bound(k) * tail)
-             for k, (c, tail) in enumerate(_weighted_terms(q, alphas, betas, ell, z)))
+             for k, (c, tail) in enumerate(_m_terms(*_weighted_args(alphas, betas, q, ell, z))))
     return _certified_sum(terms, tr, "m_expansion")
 
 

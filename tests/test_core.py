@@ -439,6 +439,16 @@ class TestThetaNearQOne:
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.05, 0.97), st.floats(0.2, 5.0), st.floats(-math.pi, math.pi))
+    def test_theta4_series_matches_30_digit_sum(self, qv, r, phase):
+        # the wings n >= 0 and n <= -1 are partial theta sums at -z and -1/z
+        z = cmath.rect(r, phase)
+        pos, pos_mass = _partial_theta_mp(qv, -z)
+        neg, neg_mass = _partial_theta_mp(qv, -1 / z)
+        s = theta4(z, QParam(qv), self.FLOOR, route="series")
+        assert abs(s - (pos + neg - 1)) <= 1e-14 * (pos_mass + neg_mass - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.05, 0.97), st.floats(0.2, 5.0), st.floats(-math.pi, math.pi))
     def test_partial_theta_matches_30_digit_sum(self, qv, r, phase):
         v = cmath.rect(r, phase)
         exact, mass = _partial_theta_mp(qv, v)

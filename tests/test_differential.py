@@ -17,6 +17,7 @@ from qkit.series import (
     cal_e_raw_shifted,
     confluent_phi_weighted,
     m_weighted,
+    m_weighted_bilateral,
     phi,
     poch_gauss,
     psi_bilateral,
@@ -398,10 +399,13 @@ def test_terminating_phi_with_more_upper_parameters(shape):
     assert _check_spread(cases) >= 5
 
 
-def _psi_direct(upper, lower, q, z):
-    """sum_(n in Z) prod(a;q)_n / prod(b;q)_n z^n and sum |t_n|, both wings to 1e-40 of the peak."""
+def _psi_direct(upper, lower, q, z, ell=0):
+    """sum_(n in Z) prod(a;q)_n q^(l n^2) z^n / prod(b;q)_n and sum |t_n|.
+
+    Both wings are summed to 1e-40 of their peak term.
+    """
     upper, lower = [mp.mpc(a) for a in upper], [mp.mpc(b) for b in lower]
-    q, z = mp.mpf(q), mp.mpc(z)
+    q, z, ell = mp.mpf(q), mp.mpc(z), mp.mpf(ell)
 
     def wing(ratio):
         total, absum, peak, t, n = 0, 0, 0, mp.mpc(1), 0
@@ -414,11 +418,11 @@ def _psi_direct(upper, lower, q, z):
                 return total, absum
             n += 1
 
-    # t_(n+1) / t_n = z prod(1 - a q^n) / prod(1 - b q^n), and
-    # t_(-n-1) / t_(-n) = prod(1 - b q^(-n-1)) / (z prod(1 - a q^(-n-1)))
-    pos = wing(lambda n: z * mp.fprod(1 - a * q ** n for a in upper)
+    # t_(n+1) / t_n = z q^(l(2n+1)) prod(1 - a q^n) / prod(1 - b q^n), and
+    # t_(-n-1) / t_(-n) = q^(l(2n+1)) prod(1 - b q^(-n-1)) / (z prod(1 - a q^(-n-1)))
+    pos = wing(lambda n: z * q ** (ell * (2 * n + 1)) * mp.fprod(1 - a * q ** n for a in upper)
                / mp.fprod(1 - b * q ** n for b in lower))
-    neg = wing(lambda n: mp.fprod(1 - b * q ** (-n - 1) for b in lower)
+    neg = wing(lambda n: q ** (ell * (2 * n + 1)) * mp.fprod(1 - b * q ** (-n - 1) for b in lower)
                / (z * mp.fprod(1 - a * q ** (-n - 1) for a in upper)))
     return 1 + pos[0] + neg[0], 1 + pos[1] + neg[1]
 
@@ -426,7 +430,8 @@ def _psi_direct(upper, lower, q, z):
 @pytest.mark.parametrize("m", [1, 2])
 def test_psi_bilateral_matches_direct_sum(m):
     # 1psi1 and 2psi2 inside the annulus |b_1...b_m / (a_1...a_m)| < |z| < 1, against both
-    # wings summed in 40-digit mpmath
+    # wings summed in 40-digit mpmath.  Every third case puts a lower parameter at 0, which
+    # raises the weight of the reflected wing k < 0 to q^(k(k-1)/2)
     rng = random.Random(f"psi:{m}")
     cases = []
     with mp.workdps(40):
@@ -434,6 +439,8 @@ def test_psi_bilateral_matches_direct_sum(m):
             qv = rng.uniform(0.1, 0.8)
             upper = [_cring(rng, 1.2, 3.0) for _ in range(m)]
             lower = [_cring(rng, 0.05, 0.6) for _ in range(m)]
+            if len(cases) % 3 == 2:
+                lower[-1] = 0
             z = _cring(rng, 0.3, 0.9)
             inner = math.prod(map(abs, lower)) / math.prod(map(abs, upper))
             if not inner < 0.8 * abs(z):
@@ -468,6 +475,25 @@ def test_psi_bilateral_at_the_edges_of_its_annulus(m, edge):
             exact, absum = _psi_direct(upper, lower, qv, z)
             cases.append(((qv, upper, lower, z), value, exact, absum))
     assert _check_spread(cases) >= 3
+
+
+@pytest.mark.parametrize("ell", [0.25, 0.5, 1.3])
+@pytest.mark.parametrize("betas", ["none", "b", "zero"])
+def test_m_weighted_bilateral_matches_direct_sum(ell, betas):
+    # sum_(k in Z) prod(alpha;q)_k q^(l k^2) (-z)^k / prod(beta;q)_k with one or two alphas
+    # and no beta, one beta or a beta 0, against both wings summed in 40-digit mpmath
+    rng = random.Random(f"m_weighted_bilateral:{ell}:{betas}")
+    cases = []
+    with mp.workdps(40):
+        for _ in range(8):
+            qv = rng.uniform(0.1, 0.8)
+            alphas = [_cring(rng, 1.2, 3.0) for _ in range(rng.randrange(1, 3))]
+            beta = {"none": [], "b": [_cring(rng, 0.05, 0.6)], "zero": [0]}[betas]
+            z = _cring(rng, 0.3, 2.0)
+            value = m_weighted_bilateral(alphas, beta, QParam(qv), ell, z, TR)
+            exact, absum = _psi_direct(alphas, beta, qv, -z, ell)
+            cases.append(((qv, alphas, beta, z), value, exact, absum))
+    assert _check_spread(cases) >= 4
 
 
 # --- m_weighted and the expansions over its coefficients ------------------------------

@@ -149,6 +149,23 @@ class TestPsi:
         with pytest.raises(DomainError):
             psi_bilateral([2.0, 3.0], [0.3], QParam(0.4), 0.5, TR)
 
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_upper_parameter_pole_of_the_negative_wing(self, j):
+        # (a;q)_k at a = q^j has the factor 1 - a q^(-j) for every k <= -j; |z| = 0.5
+        # lies inside the annulus (0.1, 1), and the weighted sum converges for any z.  At
+        # j = 2 the reflected factor 1 - (q/a) q rounds to a few ulps rather than 0 at some
+        # of the drawn q
+        rng = random.Random(f"psi-pole:{j}")
+        for _ in range(20):
+            qv = rng.uniform(0.2, 0.8)
+            a = qv**j
+            with pytest.raises(PoleError):
+                psi_bilateral([a], [0.1 * a], QParam(qv), 0.5j, TR)
+            with pytest.raises(PoleError):
+                psi_bilateral([2.0, a], [0.3, 0.1 * a], QParam(qv), 0.5, TR)
+            with pytest.raises(PoleError):
+                m_weighted_bilateral([a], [0.1 * a], QParam(qv), 0.5, 0.7, TR)
+
 
 class TestWeightedSeries:
     def test_zero_argument(self):
@@ -163,6 +180,12 @@ class TestWeightedSeries:
         with pytest.raises(DomainError):
             m_weighted([], [], QParam(0.5), 0.0, 0.2, TR)
 
+    def test_bilateral_domain(self):
+        # ell > 0, and an alpha 0 has no reflection (q/alpha;q)_j for the wing k < 0
+        for alphas, ell in (([2.0], 0.0), ([2.0], -0.5), ([2.0, 0.0], 0.5)):
+            with pytest.raises(DomainError):
+                m_weighted_bilateral(alphas, [0.3], QParam(0.5), ell, 0.7, TR)
+
 
 class TestOneWeightedWalker:
     # every q^(k^2)-weighted sum takes its terms from core._m_terms, the
@@ -175,8 +198,7 @@ class TestOneWeightedWalker:
         "phi": lambda q: phi([0.3, 0.2j], [0.6], q, 0.4, TR),
         "psi_bilateral": lambda q: psi_bilateral([0.8], [0.3], q, 0.6, TR),
         "m_weighted": lambda q: m_weighted([0.3], [0.2], q, 0.5, 1.2, TR),
-        "m_weighted_bilateral": lambda q: m_weighted_bilateral(
-            q, ((0.3,), (), 0.5, 1.2), ((), (0.2,), 1.0, 0.7), TR),
+        "m_weighted_bilateral": lambda q: m_weighted_bilateral((0.3,), (0.2,), q, 0.5, 1.2, TR),
     }
 
     @pytest.mark.parametrize("name", sorted(CALLS))
