@@ -26,12 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import (
-    DomainError,
-    NumericOverflowError,
-    PoleError,
-    TruncationError,
-)
+from .errors import ConvergenceError, DomainError, NumericOverflowError, PoleError, TruncationError
 
 __all__ = [
     "QParam",
@@ -48,9 +43,6 @@ __all__ = [
     "theta2",
     "partial_theta",
 ]
-
-# Factors this close to zero are treated as exact poles/zeros.
-_POLE_EPS = 1e-290
 
 
 @dataclass(frozen=True)
@@ -163,15 +155,15 @@ def _certified_sum(terms, tr: Truncation, context: str) -> complex:
     return ensure_finite(total, context)
 
 
-def _m_terms(alphas, betas, q: QParam, ell: float, z):
+def _walk(alphas, betas, q: QParam, ell: float, z):
     """Yield (c_k, tail_k) for k = 0, 1, ...: the terms of a q^(l k^2)-weighted series and their tails.
 
     c_k = prod(alpha;q)_k q^(l k(k-1)) (-z)^k / [(q;q)_k prod(beta;q)_k] is built by its
     term ratio, whose weight q^(2 l k) is a power of the running q^k: a constant step
     factor would miss q^(2 l) by a rounding that compounds in c_k as k^2.  For l >= 0,
-    tail_k >= sum_(j>k) |c_j|; at l < 0 (a terminating ``series.phi``) the tails do not
-    hold.  An upper parameter q cancels (q;q)_k, in the ratio and in its bound, which
-    gives the theta series: left in, it would hold the bound at inf until 2 q^(k+1) < 1.
+    tail_k >= sum_(j>k) |c_j|.  An upper parameter q cancels (q;q)_k, in the ratio and in
+    its bound, which gives the theta series: left in, it would hold the bound at inf until
+    2 q^(k+1) < 1.
     """
     qq = q.q
     if qq in alphas:
@@ -204,19 +196,58 @@ def _m_terms(alphas, betas, q: QParam, ell: float, z):
         qk *= qq
 
 
+def _m_terms(alphas, betas, q: QParam, ell: float, z):
+    """The (c_k, tail_k) stream of :func:`_walk`, ended where :func:`_lattice_end` ends it.
+
+    A series that ends at term m has tail_m = 0 and yields (0, 0) after it, so a finished
+    wing of :func:`_bilateral` adds nothing; at l < 0 its tails before term m are inf.  A
+    series without end raises ``DomainError`` at l < 0 and ``ConvergenceError`` at l = 0
+    with |z| >= 1, where it diverges.
+    """
+    end = _lattice_end(alphas, betas, q)
+    walk = _walk(alphas, betas, q, ell, z)
+    if end is not None:
+        head = itertools.islice(walk, end)
+        if ell < 0:
+            head = ((t, math.inf) for t, _ in head)
+        last = ((t, 0.0) for t, _ in itertools.islice(walk, 1))
+        return itertools.chain(head, last, itertools.repeat((0.0, 0.0)))
+    if ell < 0:
+        raise DomainError(f"divergent series: weight {ell} < 0 and no upper parameter q^(-m)")
+    if ell == 0 and abs(z) >= 1.0:
+        raise ConvergenceError(f"series needs |z| < 1, got |z| = {abs(z)}")
+    return walk
+
+
 def _as_exact_negative_qpower(a, q: QParam):
     """If a is (numerically) q^(-m) for an integer 0 <= m <= 500, return m, else None."""
-    if a == 0:
-        return None
     mag = abs(a)
-    if mag < 1.0 - 1e-12:
+    if not 1.0 - 1e-12 <= mag < math.inf:  # nan fails every comparison
         return None
     m = round(math.log(mag) / q.log_inv)
-    if m < 0 or m > 500:
+    if m > 500:
         return None
     if abs(a * q.power(m) - 1.0) < 1e-9:
         return m
     return None
+
+
+def _lattice_end(upper, lower, q: QParam, end=None):
+    """Return the last term of a series: end, or the least upper parameter q^(-m) below it.
+
+    None means no end.  A lower parameter q^(-n) with n below the end is a pole of every
+    term after term n and raises ``PoleError``.  Both are recognised by value, since a
+    double q^(-m) makes 1 - a q^m round to a few ulps rather than to 0.
+    """
+    for a in upper:
+        m = _as_exact_negative_qpower(a, q)
+        if m is not None and (end is None or m < end):
+            end = m
+    for b in lower:
+        n = _as_exact_negative_qpower(b, q)
+        if n is not None and (end is None or n < end):
+            raise PoleError(f"lower parameter equals q^(-{n}): a pole of every term after term {n}")
+    return end
 
 
 def _bilateral(upper, lower, q: QParam, ell: float, z):
@@ -226,24 +257,17 @@ def _bilateral(upper, lower, q: QParam, ell: float, z):
     q, which cancels its (q;q)_k.  The wing k = -j <= -1 is reflected by
     (a;q)_(-j) = (-q/a)^j q^(j(j-1)/2) / (q/a;q)_j (Gasper & Rahman, section 1.2): upper
     q/b and q, lower q/a, weight l + d/2 and argument (-q)^d q^(2l) prod(b) / (prod(a) z),
-    where d = #upper - #lower and a lower 0, (0;q)_k = 1, is left out.  An upper parameter
-    q^(m+1), a pole of every term at k <= -m-1, is recognised by its value, since the
-    reflected factor 1 - (q/a) q^m need not round to 0.  Each step extends the wing whose
-    tail bound is larger, so the sum is certified as a whole without summing the faster
-    wing far past need; the tail of the whole is the sum of the two wings' tails.
+    where d = #upper - #lower and a lower 0, (0;q)_k = 1, is left out; the walks end a
+    wing at a lower q^(m+1) and raise at an upper q^(m+1) or l + d/2 < 0.  Each step extends
+    the wing whose tail bound is larger, so the sum is certified as a whole without summing
+    the faster wing far past need; the tail of the whole is the sum of the two wings' tails.
     """
     z = complex(z)
     lower = [b for b in lower if b != 0]
     if z == 0 or 0 in upper:
         raise DomainError("bilateral series needs z != 0 and nonzero upper parameters")
     d = len(upper) - len(lower)
-    if ell + d / 2 < 0:
-        raise DomainError(f"wing k < 0 diverges: weight {ell} + {d}/2 < 0")
     qq = q.q
-    for a in upper:
-        m = _as_exact_negative_qpower(qq / a, q)
-        if m is not None:
-            raise PoleError(f"upper parameter equals q^{m + 1}: term pole of the wing k < 0")
     neg_z = (-qq) ** d * qq ** (2.0 * ell) * math.prod(lower) / (math.prod(upper) * z)
     pos = _m_terms((*upper, qq), lower, q, ell, z)
     neg = _m_terms((*(qq / b for b in lower), qq), [qq / a for a in upper], q, ell + d / 2, neg_z)
@@ -278,14 +302,13 @@ def qpoch_finite(a, q: QParam, n: int) -> complex:
             aq *= qq
         return ensure_finite(prod, "qpoch_finite")
     m = -n
+    _lattice_end((), (a * q.power(n),), q, m)
     prod = 1.0 + 0.0j
     for j in range(1, m + 1):
         aq = a * q.power(-j)
         factor = 1.0 - aq
-        if abs(factor) < _POLE_EPS:
-            raise PoleError(
-                f"(a;q)_{n} has a zero factor 1 - a*q^(-{j}) (a = q^{j}); division by zero"
-            )
+        if abs(factor) < 1e-290:
+            raise PoleError(f"(a;q)_{n} has a zero factor 1 - a*q^(-{j}) (a = q^{j})")
         prod /= factor
     return ensure_finite(prod, "qpoch_finite")
 

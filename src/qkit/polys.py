@@ -14,7 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .core import DEFAULT_TRUNCATION, QParam, Truncation, ensure_finite, qpoch_finite, qpoch_inf
+from .core import (DEFAULT_TRUNCATION, QParam, Truncation, _lattice_end, ensure_finite, qpoch_finite,
+                   qpoch_inf)
 from .errors import DomainError, NumericOverflowError, PoleError
 
 __all__ = [
@@ -148,13 +149,14 @@ def confluent_poly(n: int, alphas, betas, x, q: QParam) -> complex:
     [(q;q)_k prod(beta;q)_k (q;q)_{n-k}].  With empty parameter lists
     this is the Stieltjes-Wigert polynomial.  Each term follows from the
     last by its ratio, so scaled arguments near the double-range edge stay
-    representable; a lower parameter q^(-m) with m < n is a pole and
-    raises PoleError.
+    representable; ``core._lattice_end`` raises PoleError at a lower parameter
+    q^(-m) with m < n (and m below any upper parameter's q^(-m')).
     """
     if n < 0:
         raise DomainError("polynomial degree must be >= 0")
     alphas = list(map(complex, alphas))
     betas = list(map(complex, betas))
+    _lattice_end(alphas, betas, q, n)
     step = -complex(x)
     pw = _powers(q, n)
     # term_k = prod(alpha;q)_k q^(k^2) (-x)^k / [(q;q)_k prod(beta;q)_k]; the

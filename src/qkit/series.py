@@ -30,7 +30,6 @@ from .core import (
     DEFAULT_TRUNCATION,
     QParam,
     Truncation,
-    _as_exact_negative_qpower,
     _bilateral,
     _certified_sum,
     _m_terms,
@@ -80,41 +79,16 @@ def phi(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATION) -> comp
 
     upper = (a_1..a_r), lower = (b_1..b_s), base q, argument z.  Term k is
     prod(a_i;q)_k / [(q;q)_k prod(b_j;q)_k] * ((-1)^k q^(k(k-1)/2))^(1+s-r) * z^k,
-    the term of :func:`_m_terms` at l = (1+s-r)/2.  Terminating series
-    (an upper parameter equal to q^(-m)) stop exactly at k = m; a lower
-    parameter q^(-m) is a pole of the term otherwise.
+    the term of :func:`_m_terms` at l = (1+s-r)/2, which also ends a terminating
+    series (an upper parameter q^(-m)) at k = m and raises at a lower parameter
+    q^(-n) with n < m or without end.
     """
-    upper = tuple(complex(a) for a in upper)
-    lower = tuple(complex(b) for b in lower)
-    z = complex(z)
-    r, s = len(upper), len(lower)
-    excess = 1 + s - r
-
-    stop = None
-    for a in upper:
-        m = _as_exact_negative_qpower(a, q)
-        if m is not None:
-            stop = m if stop is None else min(stop, m)
-    if stop is None:
-        if excess < 0:
-            raise DomainError(
-                "divergent series: more upper than lower parameters and no termination"
-            )
-        if excess == 0 and abs(z) >= 1.0:
-            raise ConvergenceError(f"series needs |z| < 1, got |z| = {abs(z)}")
-        for b in lower:
-            m = _as_exact_negative_qpower(b, q)
-            if m is not None:
-                raise PoleError(f"lower parameter equals q^(-{m}): term pole")
-
+    excess = 1 + len(lower) - len(upper)
     # the extra factor ((-1)^k q^(k(k-1)/2))^e is the weight of _m_terms at l = e/2
     # times (-1)^(e k), which goes into its argument -z
-    terms = _m_terms(upper, lower, q, excess / 2, -(-1) ** excess * z)
-    if stop is None:
-        return _certified_sum(terms, tr, "phi")
-    if excess < 0:  # l < 0, where the tail bounds of _m_terms do not hold
-        terms = ((t, math.inf) for t, _ in terms)
-    return _certified_sum(itertools.islice(terms, stop + 1), tr, "phi")
+    terms = _m_terms(tuple(map(complex, upper)), tuple(map(complex, lower)), q, excess / 2,
+                     -(-1) ** excess * complex(z))
+    return _certified_sum(terms, tr, "phi")
 
 
 def psi_bilateral(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATION) -> complex:

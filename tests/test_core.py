@@ -114,9 +114,16 @@ class TestQPochhammer:
         assert rel(val, alt) < 1e-13
 
     def test_negative_index_pole(self):
+        # (a;q)_(-3) = 1/(a q^(-3);q)_3 has the factor 1 - a q^(-2), which rounds to a few ulps
+        # rather than 0 at most drawn q
         q = QParam(0.5)
         with pytest.raises(PoleError):
             qpoch_finite(q.q**2, q, -3)
+        rng = random.Random("negative-index-pole")
+        for _ in range(200):
+            q = QParam(rng.uniform(0.2, 0.8))
+            with pytest.raises(PoleError):
+                qpoch_finite(q.q**2, q, -3)
 
     def test_infinite_vs_long_product(self):
         q = QParam(0.5)

@@ -451,6 +451,26 @@ def test_psi_bilateral_matches_direct_sum(m):
     assert _check_spread(cases) >= 5
 
 
+@pytest.mark.parametrize("j", [2, 3])
+def test_psi_bilateral_with_a_wing_that_ends(j):
+    # a lower parameter b = q^j zeroes 1/(b;q)_k for k <= -j, so the wing k < 0 ends at
+    # k = 1 - j: its reflected walk has the upper parameter q/b = q^(1-j).  1psi1 and 2psi2,
+    # against both wings in 40-digit mpmath with b = q^j to 40 digits, where the wing ends
+    rng = random.Random(f"psi-end:{j}")
+    cases = []
+    with mp.workdps(40):
+        for i in range(10):
+            qv = rng.uniform(0.1, 0.8)
+            m = 1 + i % 2
+            upper = [_cring(rng, 1.2, 3.0) for _ in range(m)]
+            lower = [_cring(rng, 0.05, 0.6) for _ in range(m - 1)]
+            z = _cring(rng, 0.3, 0.9)
+            value = psi_bilateral(upper, lower + [qv**j], QParam(qv), z, TR)
+            exact, absum = _psi_direct(upper, lower + [mp.mpf(qv) ** j], qv, z)
+            cases.append(((qv, upper, lower, z), value, exact, absum))
+    assert _check_spread(cases) >= 4
+
+
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("edge", ["outer", "inner"])
 def test_psi_bilateral_at_the_edges_of_its_annulus(m, edge):

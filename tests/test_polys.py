@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -170,9 +171,14 @@ class TestQLaguerre:
                         assert err <= 1e-14 * float(absum), (n, alpha, x, q, err)
 
     def test_lower_parameter_pole(self):
-        # alpha = -2 makes (q^(alpha+1);q)_k vanish at k = 2
+        # alpha = -2 makes (q^(alpha+1);q)_k vanish at k = 2; at q other than 1/2 the factor
+        # 1 - q^(-1) q rounds to a few ulps rather than 0
         with pytest.raises(PoleError):
             qlaguerre(3, -2, 1.0, QParam(0.5))
+        rng = random.Random("qlaguerre-pole")
+        for _ in range(200):
+            with pytest.raises(PoleError):
+                qlaguerre(3, -2, 1.0, QParam(rng.uniform(0.2, 0.8)))
 
 
 class TestStieltjesWigert:
@@ -243,17 +249,20 @@ class TestConfluentFamily:
 
     def test_pole_only_below_the_degree(self):
         # b = q^(-m) zeroes (b;q)_k for k > m, so it is a pole of p_n exactly when m < n,
-        # also as the second of two lower parameters; at q = 1/2 each q^(-m) is exact
-        q = QParam(0.5)
-        for n in range(6):
-            for m in range(8):
-                b = 2.0 ** m
-                for betas in ([b], [0.3 - 0.2j, b]):
-                    if m < n:
-                        with pytest.raises(PoleError):
-                            confluent_poly(n, [0.4], betas, 0.7, q)
-                    else:
-                        assert cmath.isfinite(confluent_poly(n, [0.4], betas, 0.7, q))
+        # also as the second of two lower parameters; at q = 1/2 each q^(-m) is exact, at
+        # the 200 drawn q it is a double
+        rng = random.Random("confluent-pole")
+        for qv in [0.5] + [rng.uniform(0.2, 0.8) for _ in range(200)]:
+            q = QParam(qv)
+            for n in range(6):
+                for m in range(8):
+                    b = qv ** -m
+                    for betas in ([b], [0.3 - 0.2j, b]):
+                        if m < n:
+                            with pytest.raises(PoleError):
+                                confluent_poly(n, [0.4], betas, 0.7, q)
+                        else:
+                            assert cmath.isfinite(confluent_poly(n, [0.4], betas, 0.7, q))
 
 
 class TestGeneratingFunctions:

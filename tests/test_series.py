@@ -33,11 +33,13 @@ import qkit.series
 from qkit.errors import NumericOverflowError, QKitError
 from qkit.series import (
     _poch_gauss_ladder,
+    bessel1_normalized,
     bessel2_normalized,
     bessel2_normalized_native,
     bessel3_normalized,
     bessel3_normalized_gauss,
     confluent_phi_weighted,
+    m_expansion,
     m_weighted_bilateral,
     poch_gauss,
     ramanujan_a_shifted,
@@ -71,6 +73,36 @@ class TestPhi:
         q = QParam(0.5)
         with pytest.raises(PoleError):
             phi([0.3], [q.power(-2)], q, 0.2, TR)
+        # given as a double, q^(-2) makes 1 - b q^2 round to a few ulps rather than 0 at
+        # most q, so every walker must recognise the pole by value; the native J^(2) at
+        # nu = -3 has the lower parameter q^(nu+1) = q^(-2)
+        rng = random.Random("lower-pole")
+        for _ in range(200):
+            q = QParam(rng.uniform(0.2, 0.8))
+            b = q.q**-2
+            for call in (lambda: phi([0.3], [b], q, 0.2, TR),
+                         lambda: m_weighted([0.3], [b], q, 0.5, 0.7, TR),
+                         lambda: m_expansion([0.3], [b], q, 0.5, 0.7, lambda k: 1.0,
+                                             lambda k: 1.0, TR),
+                         lambda: m_weighted_bilateral([0.3], [b], q, 0.5, 0.7, TR),
+                         lambda: bessel2_normalized_native(-3, 0.7, q, TR)):
+                with pytest.raises(PoleError):
+                    call()
+
+    def test_pole_only_below_the_end(self):
+        # an upper parameter q^(-m) ends the series at k = m, and a lower q^(-n) zeroes
+        # (b;q)_k for k > n: a pole of the terminating series exactly when n < m
+        rng = random.Random("phi-lattice")
+        for _ in range(200):
+            q = QParam(rng.uniform(0.2, 0.8))
+            for m in range(5):
+                for n in range(7):
+                    args = ([q.q**-m, 0.3], [q.q**-n], q, 0.5, TR)
+                    if n < m:
+                        with pytest.raises(PoleError):
+                            phi(*args)
+                    else:
+                        assert cmath.isfinite(phi(*args))
 
     def test_slow_geometric_tail_is_certified(self):
         # q-binomial theorem: 1phi0(a; -; q, z) = (az;q)_inf/(z;q)_inf; at z = 0.99 the
@@ -390,6 +422,11 @@ class TestBessel:
         lhs = jackson_bessel(1, nu, z, q, TR)
         rhs = jackson_bessel(2, nu, z, q, TR) / qpoch_inf(-z * z / 4, q, TR)
         assert rel(lhs, rhs) < 1e-12
+
+    def test_kind1_series_outside_its_disk(self):
+        # sum_k (-u)^k / [(q;q)_k (q^(nu+1);q)_k] has term ratio -> -u, so it diverges at |u| >= 1
+        with pytest.raises(ConvergenceError):
+            bessel1_normalized(0.7, 1.5, QParam(0.5), TR)
 
     def test_kind2_cross_route(self):
         # the defining series against the expansion in q^(n(n+1)/2 + nu n)
