@@ -20,12 +20,15 @@ prod(a;q)_k q^(e binom(k,2)) (-z)^k inner(k, m) / [(q;q)_k prod(b;q)_k]
 with the parameters, the argument z and the base as monomials, so the
 t-power of every term is stated there and only there.  It forms each term
 from the last by multiplying by the upper binomials 1 - c t^j and dividing
-by the lower ones, an O(order) step each; a factor free of t stays a
-Fraction.  The builders (airy_series, phi11_series, laguerre_series,
-sw_series, bessel2_body, bessel3_body, and qpoch_series's Euler sum) and
-every handler's expansion are walks, in all three conventions.  Every
-handler returns its two sides as series; the scalar families return their
-rows 0..order as the coefficients.
+by the lower ones, an O(order) step each; a factor free of t multiplies the
+term's scalar, a pair of integers.  The builders (airy_series,
+phi11_series, laguerre_series, sw_series, bessel2_body, bessel3_body, and
+qpoch_series's Euler sum) and every handler's expansion are walks, in all
+three conventions.  Every handler returns its two sides as series; the
+scalar families return their rows 0..order as the coefficients.  Where a
+handler's inner series at degree k is one series at a shifted argument
+(and lower parameter), _shifted builds it once and gives each degree from
+it in O(order) steps.
 
 The scalar families a handler sums over its degrees are built as rows
 0..N in one pass, never one degree at a time: the q-Hermite and
@@ -38,17 +41,18 @@ reads degree n as rows[n].  The per-degree sums that define them
 compare the rows with.
 
 The arithmetic is fraction-free: an FPS holds integer numerators over one
-positive denominator, reduced once per operation, and the scalar
-Pochhammers multiply integers and form one Fraction at the end.  The
-constants the handlers pass in (parameters, powers of the base) and the
-rational polynomial values stay Fractions; a Cauchy product of two rows
-sums their integer numerators over one denominator.
+positive denominator, reduced once per operation, the scalar Pochhammers
+multiply integers and form one Fraction at the end, and _walk keeps its
+scalars as integer pairs.  The constants the handlers pass in
+(parameters, powers of the base) and the rational polynomial values stay
+Fractions; a Cauchy product of two rows sums their integer numerators
+over one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import accumulate, count
 from math import gcd, lcm
 from operator import mul
 
@@ -347,21 +351,20 @@ def _times(a, b):
     return (a[0] * b[0], a[1] + b[1])
 
 
-def _mul_binomial(s, c, j):
-    """s times 1 - c t^j: with c = cn/cd, num[i] cd - cn num[i-j] over den cd."""
-    a, cn, cd = s.num, c.numerator, c.denominator
+def _mul_binomial(s, cn, cd, j):
+    """s times 1 - c t^j, c = cn/cd (cd > 0): num[i] cd - cn num[i-j] over den cd."""
+    a = s.num
     return _fps([x * cd - cn * a[i - j] if i >= j else x * cd for i, x in enumerate(a)],
                 s.den * cd)
 
 
-def _div_binomial(s, c, j):
-    """s over 1 - c t^j (j > 0) by y_i = x_i + c y_(i-j).
+def _div_binomial(s, cn, cd, j):
+    """s over 1 - c t^j (j > 0), c = cn/cd (cd > 0), by y_i = x_i + c y_(i-j).
 
-    With c = cn/cd the numerators are first scaled by cd^K, K = (len - 1) // j, the
-    most factors c that reach one coefficient, so that every y_(i-j) the step reads
-    is divisible by cd and the recurrence stays in integers.
+    The numerators are first scaled by cd^K, K = (len - 1) // j, the most factors c
+    that reach one coefficient, so that every y_(i-j) the step reads is divisible by
+    cd and the recurrence stays in integers.
     """
-    cn, cd = c.numerator, c.denominator
     scale = cd ** ((len(s.num) - 1) // j)
     y = [x * scale for x in s.num]
     for i in range(j, len(y)):
@@ -380,6 +383,10 @@ def _walk(alphas, betas, q, e, z, order, inner=None, n=None):
     and divided for a lower one or for 1 - q^k, is an O(m) step on P_k, and a factor
     with j = 0 multiplies or divides s_k instead.  An upper q cancels (q;q)_k.
 
+    Every scalar of the loop is a pair of integers: s_k = sn/sd, q^(k-1), each
+    parameter times q^(k-1) and each j = 0 factor 1 - c.  The ratio's factors are
+    multiplied into sn and sd and the pair is reduced by one gcd per term.
+
     With n=None the walk is infinite, p(k) must grow, and it ends once p(k) passes
     the order.  With n it ends at k = n and term k also carries 1/(q;q)_(n-k), the
     upper parameter q^(-n) of a terminating series: the factors 1 - q^(n-k+1) of
@@ -387,59 +394,77 @@ def _walk(alphas, betas, q, e, z, order, inner=None, n=None):
     term of negative power raises DomainError, as does a lower parameter at a pole.
     """
     (zc, zj), (qc, qj) = z, q
-    qc = Fraction(qc)
     alphas = list(alphas)
     lower_q = q not in alphas
     if not lower_q:
         alphas.remove(q)
+    ups = [(c.numerator, c.denominator, j) for c, j in alphas]
+    downs = [(c.numerator, c.denominator, j) for c, j in betas]
+    if lower_q:
+        downs.append((qc.numerator, qc.denominator, qj))  # q^k = q q^(k-1)
+    qn, qd, zn, zd = qc.numerator, qc.denominator, -zc.numerator, zc.denominator
     out, den = [0] * (order + 1), 1
-    s, qk, p = Fraction(1), Fraction(1), 0
+    sn = sd = kn = kd = 1  # s_k and q^(k-1)
+    p = 0
     P = _fps([1] + [0] * order, 1)
     if n is None and not (zj or e * qj):
         raise DomainError("the terms of an infinite sum must gain powers of t")
     for k in count() if n is None else range(n + 1):
-        if k:  # the ratio of term k to term k-1, with qk = q^(k-1)
-            s *= -zc * qk**e
+        if k:  # the ratio of term k to term k-1, with kn/kd = q^(k-1)
+            sn *= zn * kn**e
+            sd *= zd * kd**e
             p += zj + e * qj * (k - 1)
             if p < 0:
                 raise DomainError("a term would leave the series ring")
             if p > order:
                 break
             P = _fps(P.num[: order - p + 1], P.den)
-            ups = [(ac * qk, aj + qj * (k - 1)) for ac, aj in alphas]
-            downs = [(bc * qk, bj + qj * (k - 1)) for bc, bj in betas]
-            if n is not None:
-                ups.append((qc ** (n - k + 1), qj * (n - k + 1)))
-            if lower_q:
-                downs.append((qk * qc, qj * k))
-            for c, j in ups:
-                if j:
-                    P = _mul_binomial(P, c, j)
+            shift = qj * (k - 1)
+            for cn, cd, j in ups:
+                cn, cd = cn * kn, cd * kd
+                if j + shift:
+                    P = _mul_binomial(P, cn, cd, j + shift)
                 else:
-                    s *= 1 - c
-            for c, j in downs:
-                if j:
-                    P = _div_binomial(P, c, j)
-                elif c == 1:
+                    sn *= cd - cn
+                    sd *= cd
+            if n is not None:  # the factor 1 - q^(n-k+1)
+                cn, cd = qn ** (n - k + 1), qd ** (n - k + 1)
+                if qj:
+                    P = _mul_binomial(P, cn, cd, qj * (n - k + 1))
+                else:
+                    sn *= cd - cn
+                    sd *= cd
+            for cn, cd, j in downs:
+                cn, cd = cn * kn, cd * kd
+                if j + shift:
+                    P = _div_binomial(P, cn, cd, j + shift)
+                elif cn == cd:
                     raise DomainError("a lower parameter meets a pole")
                 else:
-                    s /= 1 - c
-            if not s:
+                    sn *= cd
+                    sd *= cd - cn
+            if not sn:
                 break  # every later term vanishes too
-            qk *= qc
-        term, f = P, s
+            g = gcd(sn, sd)
+            if sd < 0:
+                g = -g
+            sn //= g
+            sd //= g
+            kn *= qn
+            kd *= qd
+        term, fn, fd = P, sn, sd
         if inner is not None:
             x = inner(k, order - p)
             if isinstance(x, FPS):
                 term = P * x
             else:
-                f *= x
-        fd = f.denominator * term.den
+                fn, fd = fn * x.numerator, fd * x.denominator
+        fd *= term.den
         grow = fd // gcd(den, fd)
         if grow != 1:
             out = [c * grow for c in out]
             den *= grow
-        scale = den // fd * f.numerator
+        scale = den // fd * fn
         for i, c in zip(range(p, order + 1), term.num):
             out[i] += c * scale
     total = _fps(out, den)
@@ -448,8 +473,41 @@ def _walk(alphas, betas, q, e, z, order, inner=None, n=None):
     if not qj:
         return total * (1 / qfac_r(qc, n))
     for i in range(1, n + 1):
-        total = _div_binomial(total, qc**i, qj * i)
+        total = _div_binomial(total, qn**i, qd**i, qj * i)
     return total
+
+
+def _shifted(base, r, b=None):
+    """inner(k, m) for _walk: base with its argument times r^k, to the order m.
+
+    base is a series whose coefficient j carries its argument to the power j, so
+    coefficient j at shift k is coefficient j times r^(kj).  With b, base is a phi11
+    whose t is all in its argument and whose lower parameter b shifts to b r^k with
+    it; since (b r^k;r)_j = (b;r)_(k+j)/(b;r)_k, coefficient j also gains
+    (b;r)_j/(b r^k;r)_j.  In integers, with r = rn/rd, b = bn/bd and
+    w_l = bd rd^l - bn rn^l, that is rn^(kj) prod_(l<j) w_l / prod_(k<=l<k+j) w_l:
+    O(m) integer steps per degree against the O(m^2) of a fresh walk.
+    """
+    rn, rd = r.numerator, r.denominator
+    if b is not None:
+        bn, bd = b.numerator, b.denominator
+        base = _fps([c * f for c, f in zip(base.num, accumulate(
+            (bd * rd**l - bn * rn**l for l in range(base.order)), mul, initial=1))], base.den)
+    num, den = base.num, base.den
+
+    def inner(k, m):
+        # coefficient j is num[j] rk^j / (den w[0] ... w[j-1]); all over den w[0] ... w[m-1]
+        w = [rd**k] * m if b is None else [bd * rd**l - bn * rn**l for l in range(k, k + m)]
+        rk, tail, out = rn**k, 1, [0] * (m + 1)
+        for j in range(m, -1, -1):
+            out[j] = num[j] * rk**j * tail
+            if j:
+                tail *= w[j - 1]
+        if tail < 0:
+            out, tail = [-c for c in out], -tail
+        return _fps(out, den * tail)
+
+    return inner
 
 
 def qpoch_series(a, q, n, order):
@@ -467,11 +525,12 @@ def qpoch_series(a, q, n, order):
         return qpoch_r(ac, qc, n)
     if n is None:
         return _walk((), (), q, 1, a, order)
+    an, ad, qn, qd = ac.numerator, ac.denominator, qc.numerator, qc.denominator
     out = _fps([1] + [0] * order, 1)
     for k in range(n):
         if aj + qj * k > order:
             break
-        out = _mul_binomial(out, ac * Fraction(qc) ** k, aj + qj * k)
+        out = _mul_binomial(out, an * qn**k, ad * qd**k, aj + qj * k)
     return out
 
 
@@ -610,28 +669,26 @@ def _h_series_cal_e_theta(order, p):
     damp = _qpoch_inv((q, 2), q2, order)
     rows = [p ** (n * n) * h for n, h in enumerate(_qhermite_rows(1, q, order))]
     lhs = _walk((), (), Q, 0, (-1, 1), order, lambda n, m: rows[n])
-    rhs = _walk(((-1, 0),), (), Q, 0, (-1, 1), order,
-                lambda k, m: qpoch_series((-(q ** (k + 1)), 2), q2, None, m) * p ** (k * k))
+    euler = _shifted(qpoch_series((-q, 2), q2, None, order), p * p)  # t^(2j) gains q^(kj)
+    rhs = _walk(((-1, 0),), (), Q, 0, (-1, 1), order, lambda k, m: euler(k, m) * p ** (k * k))
     return lhs * damp, rhs * damp
 
 
 def _h_airy_mult(order, q):
     b, Q = Fraction(2, 3), (q, 0)
-    rhs = _walk(((b, 0),), (), Q, 1, (-q, 1), order,
-                lambda k, m: airy_series((q**k, 1), Q, m))
+    rhs = _walk(((b, 0),), (), Q, 1, (-q, 1), order, _shifted(airy_series((1, 1), Q, order), q))
     return airy_series((b, 1), Q, order), rhs
 
 
 def _h_airy_unit(order, q):
     Q = (q, 0)
-    rhs = _walk((), (), Q, 1, (-q, 1), order, lambda k, m: airy_series((q**k, 1), Q, m))
+    rhs = _walk((), (), Q, 1, (-q, 1), order, _shifted(airy_series((1, 1), Q, order), q))
     return FPS.const(1, order), rhs
 
 
 def _h_airy_two_param(order, q):
     w, Q = Fraction(1, 3), (q, 0)
-    rhs = _walk(((w, 0),), (), Q, 2, (q, 1), order,
-                lambda k, m: airy_series((w * q ** (2 * k), 1), Q, m))
+    rhs = _walk(((w, 0),), (), Q, 2, (q, 1), order, _shifted(airy_series((w, 1), Q, order), q * q))
     return airy_series((1, 1), Q, order), rhs
 
 
@@ -651,7 +708,7 @@ def _h_sw_aq_ratio(order, q):
 def _h_sw_from_aq(order, q):
     n, Q = 3, (q, 0)
     rhs = _walk((), (), Q, 1, (-(q ** (n + 1)), 1), order,
-                lambda k, m: airy_series((q**k, 1), Q, m))
+                _shifted(airy_series((1, 1), Q, order), q))
     return sw_series(n, (1, 1), Q, order) * qfac_r(q, n), rhs
 
 
@@ -686,7 +743,7 @@ def _h_laguerre_2(order, x):
     al, n, q = 1, 2, _BASE
     lhs = qpoch_series((1, al + 1), q, n, order)
     for i in range(1, n + 1):  # over (q;q)_n, as a terminating walk ends
-        lhs = _div_binomial(lhs, 1, i)
+        lhs = _div_binomial(lhs, 1, 1, i)
     rhs = _walk(((1, n),), ((1, al + n + 1),), q, 1, (-x, al + 1), order,
                 lambda k, m: laguerre_series(n, al + k, (x, 0), q, m))
     return lhs, rhs
@@ -755,8 +812,7 @@ def _h_bessel_unit_series(order, z):
 def _h_confluent_airy(order, q):
     a, Q, q2 = Fraction(1, 2), (q, 0), (q * q, 0)
     lhs = qpoch_series((1, 1), Q, None, order) * phi11_series((a, 0), (1, 1), (-1, 1), Q, order)
-    rhs = _walk((), (), q2, 2, (-q, 2), order,
-                lambda k, m: airy_series((q ** (2 * k - 1) * a, 1), Q, m))
+    rhs = _walk((), (), q2, 2, (-q, 2), order, _shifted(airy_series((a / q, 1), Q, order), q * q))
     return lhs, rhs
 
 
@@ -772,7 +828,7 @@ def _h_confluent_param_shift(order, z):
 def _h_confluent_arg_shift(order, q):
     a, b, w, Q = Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), (q, 0)
     rhs = _walk(((w, 0),), ((b, 0),), Q, 1, (1, 1), order,
-                lambda k, m: phi11_series((a, 0), (b * q**k, 0), (w * q**k, 1), Q, m))
+                _shifted(phi11_series((a, 0), (b, 0), (w, 1), Q, order), q, b))
     return phi11_series((a * w, 0), (b, 0), (1, 1), Q, order), rhs
 
 
@@ -840,8 +896,8 @@ def _h_laguerre_phi11_series(order, p):
     lhs = laguerre_series(n, al, (1, 1), Q, order) * (qfac_r(q, n) / qpoch_r(q ** (al + 1), q, n))
     rhs = _walk(((-(p ** (-2 * al - 2 * n - 1)), 0),), ((q ** (al + 1), 0),), Q, 1,
                 (-(p ** (2 * al + 2 * n + 2)), 1), order,
-                lambda k, m: phi11_series((-(p ** (2 * al + 1)), 0), (q ** (al + k + 1), 0),
-                                          (p ** (2 * k + 1), 1), Q, m))
+                _shifted(phi11_series((-(p ** (2 * al + 1)), 0), (q ** (al + 1), 0), (p, 1), Q,
+                                      order), q, q ** (al + 1)))
     return lhs, rhs
 
 

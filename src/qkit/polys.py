@@ -149,21 +149,22 @@ def confluent_poly(n: int, alphas, betas, x, q: QParam) -> complex:
     [(q;q)_k prod(beta;q)_k (q;q)_{n-k}].  With empty parameter lists
     this is the Stieltjes-Wigert polynomial.  Each term follows from the
     last by its ratio, so scaled arguments near the double-range edge stay
-    representable; ``core._lattice_end`` raises PoleError at a lower parameter
-    q^(-m) with m < n (and m below any upper parameter's q^(-m')).
+    representable.  ``core._lattice_end`` ends the sum at an upper parameter q^(-m')
+    with m' < n, whose terms past m' vanish, and raises PoleError at a lower
+    parameter q^(-m) with m below that end.
     """
     if n < 0:
         raise DomainError("polynomial degree must be >= 0")
     alphas = list(map(complex, alphas))
     betas = list(map(complex, betas))
-    _lattice_end(alphas, betas, q, n)
+    end = _lattice_end(alphas, betas, q, n)
     step = -complex(x)
     pw = _powers(q, n)
     # term_k = prod(alpha;q)_k q^(k^2) (-x)^k / [(q;q)_k prod(beta;q)_k]; the
     # 1/(q;q)_{n-k} factor is restored via the ratio (q;q)_n/(q;q)_{n-k}
     total = term = 1.0 + 0.0j  # the k = 0 term
-    ratio_fac = 1.0  # (q;q)_n / (q;q)_{n-k}, so (q;q)_n after the loop
-    for k in range(1, n + 1):
+    ratio_fac = 1.0  # (q;q)_n / (q;q)_{n-k}, so (q;q)_n after both loops
+    for k in range(1, end + 1):
         qk1 = pw[k - 1]
         num = step * qk1 * pw[k]
         for a in alphas:
@@ -176,6 +177,8 @@ def confluent_poly(n: int, alphas, betas, x, q: QParam) -> complex:
         term *= num / den
         ratio_fac *= 1.0 - pw[n - k + 1]
         total += term * ratio_fac
+    for k in range(end + 1, n + 1):
+        ratio_fac *= 1.0 - pw[n - k + 1]
     return ensure_finite(total / ratio_fac, "confluent_poly")
 
 

@@ -140,6 +140,17 @@ PINNED_SIDES = {
     "bessel_laguerre_genfun": "0d96e590de7856a1dd7bcdc2bafd47ea0ab099790e051249d454a4e8152b02e0",
     "laguerre_shift_series": "e6a4f3500620b4847a4b04b74e2ccc06a71db91afdfc40a68e80a626313d47d1",
     "bessel3_laguerre_b": "b41a8296b9a7fc86639ddcf430e15961e909b3ca1bd428de1f6110e4c8ec4774",
+    # as the rational-scalar walk built them, each inner series walked afresh per degree
+    "airy_mult": "c37d94304e83db86c7b39cf676c1b0d4e3aa824bf0546188747574d5160bdf63",
+    "airy_unit_expansion": "a8c4c3500e66c8fdf7509a38a601816ccf784cf5fa7e75916c78c191847a433c",
+    "airy_two_param": "0c6ef72ee3f2824ebce3c269130cb93160c57f96c8349577e3c9dc45465cdec6",
+    "sw_from_aq": "8379e709a54bc46ed435a27b13511eba005642af579d1d1637c1b7d427c09630",
+    "confluent_airy_series": "9203ebda95379f118b0a70429e802057faf77b46508d47f0f8947b82e5c3f628",
+    "confluent_arg_shift": "bc49f0e818b7ec19afaea5b31cb29a742734524d015769745a800e42956b7c8c",
+    "confluent_bessel_sqrt": "24a51b120eee90a46aff72d0687fea689e258b32c76048133d6ad6945740d889",
+    "laguerre_phi11_series": "4b335777d1ffb47898e7791f03985d7d3548912722c2dc152d37b049c5f09cd2",
+    "laguerre_unit_series": "716f48473cebaed208e930b82cd30bc0fbf55bdefc851883f4e5a203a1729d5c",
+    "confluent_param_shift": "f5a2db2d512c3bf3cafb0d7a8e78ecbe92aa9c50fd422c601aa4e79ca09f25c7",
 }
 
 

@@ -264,6 +264,31 @@ class TestConfluentFamily:
                         else:
                             assert cmath.isfinite(confluent_poly(n, [0.4], betas, 0.7, q))
 
+    def test_upper_lattice_point_ends_the_sum(self):
+        # an upper q^(-m') ends the sum at term m' before a lower q^(-n'), m' <= n' < n, is
+        # reached; past m' the double 1 - q^(-m') q^(m') and 1 - q^(-n') q^(n') round to a
+        # few ulps, so a sum run to n divides one by the other.  The reference sums terms
+        # 0..m' at the exact powers, 40 digits; measured worst error 4.7e-16 of sum |t_k|
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random("confluent-upper-end")
+        for i in range(200):
+            qv = rng.uniform(0.2, 0.8)
+            if i == 0:
+                n, mu, nu = 5, 1, 3
+            else:
+                n = rng.randint(1, 6)
+                mu = rng.randint(0, n - 1)
+                nu = rng.randint(mu, n - 1)
+            got = confluent_poly(n, [qv**-mu], [qv**-nu], 0.7, QParam(qv))
+            with mpmath.workdps(40):
+                mq = mpmath.mpf(qv)
+                terms = [mq ** (k * k) * mpmath.mpf(-0.7) ** k
+                         * mpmath.qp(mq**-mu, mq, k) / mpmath.qp(mq**-nu, mq, k)
+                         / (mpmath.qp(mq, mq, k) * mpmath.qp(mq, mq, n - k))
+                         for k in range(mu + 1)]
+                ref, mass = complex(mpmath.fsum(terms)), float(mpmath.fsum(map(abs, terms)))
+            assert abs(got - ref) <= 1e-14 * mass, (qv, n, mu, nu, got, ref)
+
 
 class TestGeneratingFunctions:
     def test_qhermite_generating_function(self):
