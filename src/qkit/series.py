@@ -6,18 +6,19 @@ the bilateral m_psi_m series, the q^(l k^2)-weighted series, the three
 q-exponentials e_q, E_q and the two-variable cal-E, the Ramanujan
 function A_q, Jackson's three q-Bessel functions and the modified I^(k).
 
-The weighted series share three term generators, each with one tail
-bound: ``core._m_terms`` (weight q^(l k(k-1)): the q^(l k^2)-weighted series,
+The weighted series share two term generators, each with one tail bound:
+``core._m_terms`` (weight q^(l k(k-1)): the q^(l k^2)-weighted series,
 r_phi_s at l = (1+s-r)/2, J^(1) at l = 0, and the native J^(2) and J^(3);
 the bilateral m_psi_m and weighted sums, like the theta series of
-``core``, sum both wings as two of its walks through ``core._bilateral``),
-``_m_damped`` (Gaussian weight q^(l (n+s)^2): the shifted A_q and the
-damped J^(2)) and the one of
-:func:`confluent_phi_weighted` (the product-weighted 1phi1, the damped
-J^(3)).  ``_m_terms`` carries its weight in the term ratio, which keeps
-the terms finite at large |z|; ``_m_damped`` takes each weight as one
-exponential, since a running weight would stay 0 after it underflows at a
-large negative shift s while the terms near n = -s are of ordinary size.
+``core``, sum both wings as two of its walks through ``core._bilateral``)
+and ``_m_damped`` (Gaussian weight q^(l (n+s)^2), at l = 1/2 optionally
+times (b0 q^(s+n);q)_inf: the shifted A_q, the damped J^(2) and J^(3) and
+the product-weighted 1phi1 of :func:`confluent_phi_weighted`).
+``_m_terms`` carries its weight in the term ratio, which keeps the terms
+finite at large |z|; ``_m_damped`` takes each weight afresh, as one
+exponential or from ``_poch_gauss_ladder``, since a running weight would
+stay 0 after it underflows at a large negative shift s while the terms
+near n = -s are of ordinary size.
 """
 
 from __future__ import annotations
@@ -60,20 +61,6 @@ def _qpow(q: QParam, e: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf
 
 
-def _ratio_bound(num: float, c: float, x: float) -> float:
-    """num / (1 - c x), or inf once c x >= 1.
-
-    With x = q^k and c = sum|a| + sum|b| this bounds
-    |r_i prod(1 - a q^i) / prod(1 - b q^i)| for every i >= k wherever
-    |r_i| <= num: prod(1 + |a| x) <= exp(x sum|a|) <= 1/(1 - x sum|a|),
-    prod(1 - |b| x) >= 1 - x sum|b|, and the product of the two reciprocals
-    is at most 1/(1 - c x).  A factor 1 - q^(i+1) of (q;q) is the lower
-    factor b = q, so c then holds q as well.
-    """
-    cx = c * x
-    return num / (1.0 - cx) if cx < 1.0 else math.inf
-
-
 def phi(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Evaluate the unilateral series r_phi_s.
 
@@ -112,22 +99,33 @@ def psi_bilateral(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATIO
     return _certified_sum(_bilateral(upper, lower, q, 0.0, -z), tr, "psi_bilateral")
 
 
-def _m_damped(alphas, q: QParam, ell: float, z, shift: float):
+def _m_damped(alphas, q: QParam, ell: float, z, shift: float, b0=0,
+              tr: Truncation = DEFAULT_TRUNCATION):
     """Yield (c_n, tail_n): the :func:`_m_terms` terms under the Gaussian weight q^(l (n+s)^2).
 
-    The terms have no lower parameters.  Each weight is one math.exp of its exponent, so it
-    regrows after underflowing at a negative shift s.
+    The terms have no lower parameters of their own.  Each weight is one math.exp of its
+    exponent, so it regrows after underflowing at a negative shift s.  A nonzero b0 multiplies
+    term n by the lower product (b0 q^(s+n);q)_inf; its weight is then poch_gauss(b0, s + n) from
+    ``_poch_gauss_ladder``, whose Gaussian is the one of l = 1/2.
     """
     qq, lw = q.q, ell * q.ln_q
     mz = -complex(z)
     az = abs(mz)
     c = sum(abs(a) for a in alphas) + qq
+    ladder = None
+    if b0:
+        c += abs(b0) * _qpow(q, shift)
+        ladder = _poch_gauss_ladder(b0, shift, q, tr)
     term = 1.0 + 0.0j  # prod(alpha;q)_n (-z)^n / (q;q)_n
     qn = 1.0  # q^n
-    # for every i >= n:
-    # |t_(i+1)/t_i| <= |z| q^(l(2n+2s+1)) prod(1 + |alpha| q^n) / (1 - q^(n+1))
+    # for every i >= n, with x = q^n:
+    # |t_(i+1)/t_i| <= |z| q^(l(2n+2s+1)) prod(1 + |alpha| x) / ((1 - q x)(1 - |b0| q^s x)),
+    # and prod(1 + |alpha| x) <= exp(x sum|alpha|) <= 1/(1 - x sum|alpha|) while
+    # (1 - q x)(1 - |b0| q^s x) >= 1 - (q + |b0| q^s) x, so the product of the two
+    # reciprocals is at most 1/(1 - c x), c = sum|alpha| + q + |b0| q^s.  The bound is taken
+    # only where c x < 1, so there no lower factor 1 - b0 q^(s+i) of the ratio vanishes
     for n in itertools.count():
-        piece = term * math.exp((n + shift) ** 2 * lw)
+        piece = term * (next(ladder) if ladder else math.exp((n + shift) ** 2 * lw))
         cx = c * qn
         r = az * _qpow(q, ell * (2 * n + 2 * shift + 1)) / (1.0 - cx) if cx < 1.0 else math.inf
         yield piece, geometric_tail(abs(piece), r)
@@ -232,15 +230,17 @@ def cal_e(x, t, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "he
     # Q_n = prod_(e = e^(+-i theta)) (-i e q^((1-n)/2);q)_n, x = cos(theta).  With y = q^(m+1),
     # q^((m+2)^2/4) Q_(m+2) = -q^(m^2/4) Q_m ((1-y)^2 + 4x^2 y), so from t_0 = 1 and
     # t_1 = 2 x t q^(1/4)/(1-q) each term is t_(m+2) = t_m t^2 ((1-y)^2 + 4x^2 y)/((1-y)(1-q y)),
-    # and |t_(m+2)/t_m| <= |t|^2 (1 + c y) / ((1 - y)(1 - q y)), decreasing in m: the tail after
-    # t_n is bounded along the two chains that start at t_(n-1) and t_n.
+    # and |t_(m+2)/t_m| <= |t|^2 (1 + c y) / ((1 - y)(1 - q y)) <= |t|^2 / (1 - (c + 1 + q) y),
+    # decreasing in m: the tail after t_n is bounded along the two chains that start at t_(n-1)
+    # and t_n, with y <= q^n.
     def terms():
         cur, nxt = 1.0 + 0.0j, 2.0 * x * t * q.power(0.25) / (1.0 - qq)  # t_n, t_(n+1)
         prev = 0.0
         qn = 1.0  # q^n
         while True:
             mag = abs(cur)
-            yield cur, geometric_tail(prev + mag, _ratio_bound(at2, c + 1.0 + qq, qn))
+            cy = (c + 1.0 + qq) * qn
+            yield cur, geometric_tail(prev + mag, at2 / (1.0 - cy) if cy < 1.0 else math.inf)
             y = qn * qq
             cur, nxt = nxt, cur * t2 * ((1.0 - y) ** 2 + x4 * y) / ((1.0 - y) * (1.0 - qq * y))
             prev = mag
@@ -344,8 +344,9 @@ def poch_gauss(w, beta, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> compl
     Gaussian exponent, so the value stays representable (and free of
     cancellation) even where the bare product overflows; a value beyond
     the double range raises NumericOverflowError.  It is the first value of
-    ``_poch_gauss_ladder``, which the damped series that need
-    poch_gauss(w, beta + k) for k = 0, 1, 2, ... walk on.
+    ``_poch_gauss_ladder``, on which ``_m_damped`` walks
+    poch_gauss(b0, s + n) for n = 0, 1, 2, ... as the weight of its lower
+    product.
     """
     return next(_poch_gauss_ladder(w, float(beta), q, tr))
 
@@ -397,30 +398,12 @@ def confluent_phi_weighted(a, b0, z0, beta, q: QParam,
     Distributing the infinite product over the series gives
     sum_k (a;q)_k (-z0)^k poch_gauss(b0, beta+k)/(q;q)_k, which stays
     bounded for any real beta and crosses the lower parameter's poles
-    smoothly (the product zero cancels them).
+    smoothly (the product zero cancels them).  It is :func:`_m_damped` at
+    l = 1/2, shift beta and lower product b0; at b0 = 0 the product is 1
+    and the weight is the bare Gaussian.
     """
-    a = complex(a)
-    mz0 = -complex(z0)
-    beta = float(beta)
-    qq = q.q
-    z0_mag = abs(mz0)
-    c = abs(a) + qq + abs(b0) * _qpow(q, beta)
-
-    # t_(k+1)/t_k = (1 - a q^k)(-z0) q^(beta+k+1/2) / ((1 - q^(k+1))(1 - b0 q^(beta+k))); once
-    # |b0| q^(beta+k) < 1 no product factor can vanish and the bound below holds for every i >= k
-    def terms():
-        term = 1.0 + 0.0j  # (a;q)_k (-z0)^k/(q;q)_k
-        qk = 1.0  # q^k
-        ladder = _poch_gauss_ladder(b0, beta, q, tr)
-        for k in itertools.count():
-            if k:
-                term *= (1.0 - a * qk) * mz0 / (1.0 - qk * qq)
-                qk *= qq
-            piece = term * next(ladder)
-            r = _ratio_bound(z0_mag * _qpow(q, beta + k + 0.5), c, qk)
-            yield piece, geometric_tail(abs(piece), r)
-
-    return _certified_sum(terms(), tr, "confluent_phi_weighted")
+    return _certified_sum(_m_damped((complex(a),), q, 0.5, z0, float(beta), b0, tr), tr,
+                          "confluent_phi_weighted")
 
 
 def cal_e_raw_shifted(x, t, shift, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:

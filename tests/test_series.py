@@ -35,6 +35,7 @@ from qkit.series import (
     _poch_gauss_ladder,
     bessel1_normalized,
     bessel2_normalized,
+    bessel2_normalized_gauss,
     bessel2_normalized_native,
     bessel3_normalized,
     bessel3_normalized_gauss,
@@ -359,6 +360,16 @@ class TestPochGaussLadder:
         calls.clear()
         bessel3_normalized(0.4, 0.5 + 0.3j, q, TR)
         assert len(calls) <= 2
+        # the walker builds a ladder, and with it a tail product, only for a nonzero lower
+        # product; bessel2_normalized_gauss calls qpoch_inf once, for its (q;q)_inf
+        for call, expected in (
+            (lambda: confluent_phi_weighted(0.3 + 0.1j, 0.0, 0.4 - 0.2j, -3.5, q, TR), 0),
+            (lambda: ramanujan_a_shifted(0.4 - 0.2j, -3.5, q, TR), 0),
+            (lambda: bessel2_normalized_gauss(0.4, 0.5 + 0.3j, -2.0, q, TR), 1),
+        ):
+            calls.clear()
+            call()
+            assert len(calls) == expected, calls
 
 
 class TestCalE:
