@@ -10,7 +10,7 @@ decay (real_line, halfline_log after x = e^u, and vertical_line after
 y = sinh u), the tanh-sinh map of a finite interval (finite_interval;
 Takahasi & Mori 1974), and the angle over one period (circle_contour).
 Each engine takes only its geometry and the truncation.  gaussian_line
-starts from four nodes per sigma, where its first comparison usually
+starts from two nodes per sigma, where its first comparison usually
 confirms convergence; a harder integrand keeps halving under the same
 stop rule.
 The windows of gaussian_line and finite_interval start where their
@@ -124,13 +124,22 @@ def gaussian_line(f, sigma2: float, tr: Truncation = DEFAULT_TRUNCATION) -> comp
 
     The window starts where the Gaussian falls below tolerance and is
     probed and widened while the integrand is not negligible at its ends.
-    The trapezoid starts from h0 = sigma/4, four nodes per sigma.  The
-    start step is free: the core halves it reusing every point, so an
-    integrand that h0 does not resolve pays only for the levels it needs,
-    about 2W/h evaluations for a final step h on a window of length W,
-    while one that it does resolve stops at the first comparison, T(h0)
-    against T(h0/2).  An integrand that carries its own decay belongs to
-    real_line.
+    The trapezoid starts from h0 = sigma/2, two nodes per sigma.  The
+    weight alone leaves a trapezoid error of 2 exp(-2 pi^2 sigma^2/h^2)
+    of its mass, about 1e-34 at h = sigma/2 and below 2^-53 down to
+    h = 0.72 sigma, so h0 resolves the Gaussian and only f can ask for
+    more.  The start step is otherwise free: the grids sigma/2, sigma/4,
+    sigma/8, ... are nested and the core halves the step reusing every
+    point, so an integrand that h0 does not resolve pays only for the
+    levels it needs, about 2W/h evaluations for a final step h on a window
+    of length W, while one that it does resolve stops at the first
+    comparison, T(h0) against T(h0/2).  The agreement rule cannot see a
+    frequency that aliases onto both compared grids alike: e^(iay) near
+    a = 8 pi/sigma, one period per step h0/2, is the first, where both
+    estimates are near a unit phase times the mass.  e^(iay) near
+    a = 4 pi/sigma aliases onto h0 alone, so the comparison fails there
+    and the step halves.  An integrand that carries its own decay belongs
+    to real_line.
     """
     if not 0.0 < sigma2 < math.inf:
         raise QuadratureError(f"gaussian_line needs sigma2 > 0, got {sigma2}")
@@ -141,7 +150,7 @@ def gaussian_line(f, sigma2: float, tr: Truncation = DEFAULT_TRUNCATION) -> comp
     sigma = math.sqrt(sigma2)
     scale0 = max(1.0, abs(complex(f(0.0))))
     ymax = sigma * math.sqrt(2.0 * max(math.log(scale0 / tr.tol), 1.0))
-    return _trapezoid(integrand, -ymax, ymax, sigma / 4.0, tr, "gaussian_line", probe=sigma)
+    return _trapezoid(integrand, -ymax, ymax, sigma / 2.0, tr, "gaussian_line", probe=sigma)
 
 
 def circle_contour(f, r: float, tr: Truncation = DEFAULT_TRUNCATION) -> complex:

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qkit import (QParam, QuadratureError, Truncation, q_exp_small, qpoch_finite, qpoch_inf,
                   qpoch_multi, ramanujan_a)
-from qkit.identities import _truncation_for, get_identity
+import qkit.registry.fourier
+from qkit.identities import _truncation_for, get_identity, run_suite
 from qkit.polys import qhermite
 from qkit.registry import prelim
 from qkit import quad
@@ -68,21 +69,39 @@ class TestGaussianLine:
         assert rel(val, expected) < 1e-9
 
     def test_pure_phase_work(self):
-        # four nodes per sigma = 0.83 put 15 per period of e^(2iy), so the
+        # two nodes per sigma = 0.83 put 7.5 per period of e^(2iy), so the
         # first comparison stops
         q = QParam(0.5)
         L = q.log_inv
         f, calls = counted(lambda y: cmath.exp(2j * y))
         val = gaussian_line(f, L, TR)
         assert rel(val, math.sqrt(2 * math.pi * L) * q.power(2.0)) < 1e-11
-        assert calls[0] <= 200
+        assert calls[0] <= 100
+
+    @pytest.mark.parametrize("qv", [0.3, 0.5, 0.7])
+    def test_first_alias_refines(self, qv):
+        # e^(iay) at a = 4 pi/sigma has one period per step of the start
+        # grid sigma/2, which sees it as a constant; the next grid does not,
+        # so the step must halve rather than stop at the first comparison
+        q = QParam(qv)
+        s2 = q.log_inv
+        a = 4 * math.pi / math.sqrt(s2)
+        mass = math.sqrt(2 * math.pi * s2)
+        smooth, smooth_calls = counted(lambda y: cmath.exp(2j * y))
+        gaussian_line(smooth, s2, TR)
+        f, calls = counted(lambda y: cmath.exp(1j * a * y))
+        val = gaussian_line(f, s2, TR)
+        assert abs(val - mass * q.power(a * a / 2)) <= 1e-11 * mass
+        assert calls[0] > 1.5 * smooth_calls[0]
 
     @settings(max_examples=150, deadline=None)
-    @given(st.floats(0.2, 0.8), st.floats(0.0, 6.0))
+    @given(st.floats(0.2, 0.8), st.floats(0.0, 12.0))
     def test_pure_phase_property(self, qv, a):
-        # the coarse start grid must not converge falsely when four nodes per
-        # sigma understate the frequency; the value q^(a^2/2) falls far below
-        # the mass, so the error is measured against the mass
+        # the coarse start grid must not converge falsely when two nodes per
+        # sigma understate the frequency: the draw crosses the start grid's
+        # alias 4 pi/sigma for sigma > 1.05 and stays below 8 pi/sigma, where
+        # both compared grids alias alike; the value q^(a^2/2) falls far
+        # below the mass, so the error is measured against the mass
         q = QParam(qv)
         mass = math.sqrt(2 * math.pi * q.log_inv)
         val = gaussian_line(lambda y: cmath.exp(1j * a * y), q.log_inv, TR)
@@ -105,6 +124,23 @@ class TestGaussianLine:
         # halving reuses every point, so the coarse start costs the hardest
         # case almost nothing
         assert work[0.02] <= 8800
+
+    def test_fourier_suite_work(self, monkeypatch):
+        # the FOURIER suite point pins the start grid's work: 9,083
+        # integrand evaluations from sigma/2 (12,897 from sigma/4)
+        calls = [0]
+
+        def counting(f, *args):
+            def g(y):
+                calls[0] += 1
+                return f(y)
+            return gaussian_line(g, *args)
+
+        monkeypatch.setattr(qkit.registry.fourier, "gaussian_line", counting)
+        reports = run_suite("FOURIER", 1, 55)
+        assert all(r.status == "pass" for r in reports), [
+            (r.id, r.status) for r in reports if r.status != "pass"]
+        assert calls[0] <= 9500
 
     def test_zero_variance(self):
         with pytest.raises(QuadratureError):
