@@ -127,7 +127,8 @@ class TestGaussianLine:
 
     def test_fourier_suite_work(self, monkeypatch):
         # the FOURIER suite point pins the start grid's work: 9,083
-        # integrand evaluations from sigma/2 (12,897 from sigma/4)
+        # integrand evaluations from sigma/2, while a start from sigma/4
+        # makes 12,897 and fails the bound
         calls = [0]
 
         def counting(f, *args):
