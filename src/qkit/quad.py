@@ -15,8 +15,13 @@ confirms convergence; a harder integrand keeps halving under the same
 stop rule.
 The windows of gaussian_line and finite_interval start where their
 weight falls below tolerance, and like real_line's they are probed
-outward while the integrand is not negligible near their ends.  All
-engines are pure given their integrand closures.
+outward while the integrand is not negligible near their ends.  Every
+point of one core call lies on one lattice, the start window's grid and
+its halvings, and a memo evaluates each point once: the probe walks that
+lattice one step at a time, testing nodes of the first two levels, which
+the first comparison needs anyway, and the widening after convergence
+snaps outward to it.  All engines are pure given their integrand
+closures.
 """
 
 from __future__ import annotations
@@ -49,81 +54,98 @@ def _trapezoid(integrand, lo: float, hi: float, h0: float, tr: Truncation, name:
                probe: float = 0.0, atol: float = 1e-300) -> complex:
     """Composite trapezoid integral of g = integrand over [lo, hi] with step halving.
 
-    Starts from panels no wider than h0 and halves the step, reusing every
-    point already evaluated, until two successive estimates differ by at
-    most max(tol |T|, 2e-16 max|g| (hi - lo), atol).  probe > 0 marks a
-    window that truncates an infinite range: its ends are first pushed out
-    in steps of at least probe while g is not negligible near them, and
-    after convergence the window is widened 1.3x about its centre until
-    |g| at both ends, times the window length, is within ten times that
-    same threshold.  An OverflowError of g, such as a map that leaves
-    the double range while the probe walks out, raises QuadratureError.
+    Every point lies on one lattice, node i of level k at lo + i (h 2^-k)
+    with h = (hi - lo)/n, n = max(8, ceil((hi - lo)/h0)), so a point is
+    the same float at every level, and a memo keyed by the point evaluates
+    g at most once per call.  The step halves until two successive
+    estimates differ by at most max(tol |T|, 2e-16 max|g| W, atol) on the
+    window of length W.  probe > 0 marks a window that truncates an
+    infinite range: its ends are first pushed out one step h at a time,
+    up to 400 max(probe, W/8) per side, while g is not negligible at the
+    end node or at the level-1 nodes beside it.  Those are points of the
+    first comparison, T(h) against T(h/2), so inside the final window the
+    probe costs nothing.  After convergence the window is widened 1.3x
+    about its centre, snapped outward to the lattice and reusing every
+    node it has, until |g| at both ends, times the window length, is
+    within ten times that same threshold.  An OverflowError of g, such as
+    a map that leaves the double range while the probe walks out, raises
+    QuadratureError.
     """
-    def g(x: float) -> complex:
-        try:
-            return complex(integrand(x))
-        except OverflowError:
-            raise QuadratureError(f"{name} integrand overflows at {x:.4g}") from None
+    memo = {}
 
+    def g(x: float) -> complex:
+        v = memo.get(x)
+        if v is None:
+            try:
+                v = memo[x] = complex(integrand(x))
+            except OverflowError:
+                raise QuadratureError(f"{name} integrand overflows at {x:.4g}") from None
+        return v
+
+    n = max(8, math.ceil((hi - lo) / h0))
+    h = (hi - lo) / n
+    a, b = 0, n  # the window in level-0 indices
     if probe > 0.0:
         # Integrands whose analytic factor grows against their decay fall off
         # only exponentially, so the caller's window can be far too narrow.
-        def edge_mag(y: float) -> float:
+        half = 0.5 * h
+
+        def edge_mag(j: int) -> float:
             worst = 0.0
-            for yy in (y, y - 0.23 * probe, y + 0.26 * probe):
-                v = g(yy)
+            # the end node first, so that finite_interval's end check, not the
+            # finiteness test here, reports a point that rounds onto an end
+            for i in (2 * j, 2 * j - 1, 2 * j + 1):
+                x = lo + i * half
+                v = g(x)
                 m = abs(v.real) + abs(v.imag)
                 if not math.isfinite(m):
-                    raise QuadratureError(f"{name} integrand not finite near {yy:.3g}")
+                    raise QuadratureError(f"{name} integrand not finite near {x:.3g}")
                 worst = max(worst, m)
             return worst
 
-        negligible = 0.02 * tr.tol * max(1.0, abs(g(0.5 * (lo + hi))))
-        step = max(probe, (hi - lo) / 8.0)
-        for _ in range(400):
-            if edge_mag(lo) <= negligible:
+        negligible = 0.02 * tr.tol * max(1.0, abs(g(lo + n * half)))
+        reach = math.ceil(400 * max(probe, (hi - lo) / 8.0) / h)
+        for _ in range(reach):
+            if edge_mag(a) <= negligible:
                 break
-            lo -= step
-        for _ in range(400):
-            if edge_mag(hi) <= negligible:
+            a -= 1
+        for _ in range(reach):
+            if edge_mag(b) <= negligible:
                 break
-            hi += step
+            b += 1
 
-    evals = 0
     for _ in range(200):  # window widening loop
-        n = max(8, math.ceil((hi - lo) / h0))
-        h = (hi - lo) / n
-        vals = [g(lo + i * h) for i in range(n + 1)]
-        evals += n + 1
+        width = (b - a) * h
+        vals = [g(lo + i * h) for i in range(a, b + 1)]
         fmax = max(abs(v.real) + abs(v.imag) for v in vals)
         total = (sum(vals) - 0.5 * (vals[0] + vals[-1])) * h
-        for _level in range(24):
-            mvals = [g(lo + (i + 0.5) * h) for i in range(n)]
-            evals += n
-            prev, total = total, 0.5 * total + 0.5 * h * sum(mvals)
-            if evals > _EVAL_BUDGET:
+        hk = h
+        for level in range(1, 25):
+            hk *= 0.5
+            mvals = [g(lo + i * hk) for i in range(a << level | 1, b << level, 2)]
+            prev, total = total, 0.5 * total + hk * sum(mvals)
+            if len(memo) > _EVAL_BUDGET:
                 raise QuadratureError(f"{name} exceeded evaluation budget", estimates=(prev, total))
-            h *= 0.5
-            n *= 2
             fmax = max(fmax, max(abs(v.real) + abs(v.imag) for v in mvals))
-            threshold = max(tr.tol * abs(total), 2e-16 * fmax * (hi - lo), atol)
+            threshold = max(tr.tol * abs(total), 2e-16 * fmax * width, atol)
             if abs(total - prev) <= threshold:
                 break
         else:
             raise QuadratureError(f"{name} trapezoid did not stabilize", estimates=(prev, total))
-        if probe <= 0.0 or max(abs(vals[0]), abs(vals[-1])) * (hi - lo) <= 10.0 * threshold:
+        if probe <= 0.0 or max(abs(vals[0]), abs(vals[-1])) * width <= 10.0 * threshold:
             return ensure_finite(total, name)
-        center = 0.5 * (lo + hi)
-        lo = center + 1.3 * (lo - center)
-        hi = center + 1.3 * (hi - center)
+        c = 0.5 * (a + b)
+        a, b = math.floor(c - 1.3 * (c - a)), math.ceil(c + 1.3 * (b - c))
     raise QuadratureError(f"{name} domain extension did not terminate")
 
 
 def gaussian_line(f, sigma2: float, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Integrate f(y) exp(-y^2/(2 sigma2)) over the real line, sigma2 > 0.
 
-    The window starts where the Gaussian falls below tolerance and is
-    probed and widened while the integrand is not negligible at its ends.
+    The window +-sigma sqrt(2 max(ln(1/tol), 1)) is where the Gaussian
+    alone falls below tolerance; f is not evaluated to size it.  Where f
+    is large at the ends, the core's probe pushes the window out, and the
+    widening after convergence certifies it.
     The trapezoid starts from h0 = sigma/2, two nodes per sigma.  The
     weight alone leaves a trapezoid error of 2 exp(-2 pi^2 sigma^2/h^2)
     of its mass, about 1e-34 at h = sigma/2 and below 2^-53 down to
@@ -148,8 +170,7 @@ def gaussian_line(f, sigma2: float, tr: Truncation = DEFAULT_TRUNCATION) -> comp
         return complex(f(y)) * math.exp(-y * y / (2.0 * sigma2))
 
     sigma = math.sqrt(sigma2)
-    scale0 = max(1.0, abs(complex(f(0.0))))
-    ymax = sigma * math.sqrt(2.0 * max(math.log(scale0 / tr.tol), 1.0))
+    ymax = sigma * math.sqrt(2.0 * max(math.log(1.0 / tr.tol), 1.0))
     return _trapezoid(integrand, -ymax, ymax, sigma / 2.0, tr, "gaussian_line", probe=sigma)
 
 

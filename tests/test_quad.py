@@ -1,4 +1,5 @@
 import cmath
+import collections
 import inspect
 import math
 
@@ -37,6 +38,28 @@ def counted(f):
         return f(*args)
 
     return g, calls
+
+
+def _fourier_suite_evals(monkeypatch, name):
+    """Integrand evaluations of one quad engine over run_suite("FOURIER", 1, 55).
+
+    The engine is wrapped where the FOURIER registry calls it, and every
+    point of the suite must pass.
+    """
+    engine = getattr(qkit.registry.fourier, name)
+    calls = [0]
+
+    def counting(f, *args):
+        def g(y):
+            calls[0] += 1
+            return f(y)
+        return engine(g, *args)
+
+    monkeypatch.setattr(qkit.registry.fourier, name, counting)
+    reports = run_suite("FOURIER", 1, 55)
+    assert all(r.status == "pass" for r in reports), [
+        (r.id, r.status) for r in reports if r.status != "pass"]
+    return calls[0]
 
 
 class TestGaussianLine:
@@ -126,22 +149,10 @@ class TestGaussianLine:
         assert work[0.02] <= 8800
 
     def test_fourier_suite_work(self, monkeypatch):
-        # the FOURIER suite point pins the start grid's work: 9,083
-        # integrand evaluations from sigma/2, while a start from sigma/4
-        # makes 12,897 and fails the bound
-        calls = [0]
-
-        def counting(f, *args):
-            def g(y):
-                calls[0] += 1
-                return f(y)
-            return gaussian_line(g, *args)
-
-        monkeypatch.setattr(qkit.registry.fourier, "gaussian_line", counting)
-        reports = run_suite("FOURIER", 1, 55)
-        assert all(r.status == "pass" for r in reports), [
-            (r.id, r.status) for r in reports if r.status != "pass"]
-        assert calls[0] <= 9500
+        # the FOURIER suite point pins the work of the start grid and of the
+        # lattice probe: 7,567 integrand evaluations, while the off-lattice
+        # probe of three points per edge test made 9,083 and fails the bound
+        assert _fourier_suite_evals(monkeypatch, "gaussian_line") <= 8000
 
     def test_zero_variance(self):
         with pytest.raises(QuadratureError):
@@ -264,6 +275,22 @@ class TestRealLineFamily:
         # integral pi sech(pi a/2) falls far below the mass pi
         val = real_line(lambda y: cmath.exp(1j * a * y) / math.cosh(y), Truncation(tol=1e-13))
         assert abs(val - math.pi / math.cosh(math.pi * a / 2)) <= 1e-11 * math.pi
+
+    @pytest.mark.parametrize("a", [1.0, 0.2, 0.05])
+    def test_real_line_slow_decay(self, a):
+        # sech(a u) falls below the probe's threshold only near
+        # |u| = ln(1e15)/a, about 690 at a = 0.05: the probe walks there one
+        # step at a time, on nodes that the first comparison needs anyway
+        f, calls = counted(lambda u: 1.0 / math.cosh(a * u))
+        val = real_line(f, Truncation(tol=1e-13))
+        assert rel(val, math.pi / a) <= 1e-13
+        if a == 0.05:
+            assert calls[0] <= 6000
+
+    def test_fourier_real_line_work(self, monkeypatch):
+        # the 24 FOURIER sides that carry their own decay: 3,752 integrand
+        # evaluations on the node lattice, 5,315 with the off-lattice probe
+        assert _fourier_suite_evals(monkeypatch, "real_line") <= 4000
 
     def test_finite_interval_between_nodes(self):
         # sin^2(4t) vanishes at every node of a 5-point Simpson rule on [0, pi]
@@ -395,3 +422,33 @@ def test_non_decaying_integrand_raises(integrate):
     # quadrature failure, which the suite reports as skipped(budget), not error
     with pytest.raises(QuadratureError, match="overflows"):
         integrate()
+
+
+_ENDS = (math.nextafter(1.0, 0.0), math.nextafter(math.nextafter(1.0, 0.0), 0.0))
+
+
+@pytest.mark.parametrize("integrate, f, repeats_by_design", [
+    (lambda f: gaussian_line(f, 1.0, TR), lambda y: math.cosh(3.0 * y), ()),
+    (lambda f: real_line(f, TR), lambda u: 1.0 / math.cosh(0.3 * u), ()),
+    (lambda f: halfline_log(f, TR), lambda x: 1.0 / (1.0 + x * x), ()),
+    (lambda f: vertical_line(f, 0.5, Truncation(tol=1e-9)), lambda z: 1.0 / (z * (1.0 - z)), ()),
+    (lambda f: finite_interval(f, 0.0, 1.0, TR), lambda x: x ** -0.5, _ENDS),
+    (lambda f: circle_contour(f, 1.0, TR), lambda z: 1.0 / z, ()),
+], ids=["gaussian_line", "real_line", "halfline_log", "vertical_line", "finite_interval",
+        "circle_contour"])
+def test_no_point_evaluated_twice(integrate, f, repeats_by_design):
+    # every point of one call lies on one lattice and is evaluated once, the
+    # probed and widened window included; each integrand but the contour's
+    # makes the probe move.  finite_interval takes f at the float inside the
+    # end 1 for every point that rounds onto it (and at the next float
+    # inward where that value matters), by design.
+    args = []
+
+    def recording(x):
+        args.append(x)
+        return f(x)
+
+    integrate(recording)
+    repeated = [x for x, n in collections.Counter(args).items()
+                if n > 1 and x not in repeats_by_design]
+    assert not repeated, (len(repeated), repeated[:5])

@@ -132,3 +132,19 @@ def test_directories_point_on_one_side_only(tmp_path, capsys):
                           {"prelim_0.json": [_point("a")]})
     assert code == 1
     assert "status b#0: pass -> missing" in out
+
+
+def test_directories_end_with_totals(tmp_path, capsys):
+    # the sums over all reports, per group and overall, close the output
+    fourier = dict(_point("f"), group="FOURIER")
+    parent = {"a.json": [_point("a"), _point("b"), fourier],
+              "b.json": [_point("c"), _point("d")]}
+    change = {"a.json": [_point("a"), _point("b", 2e-9, "fail"), dict(fourier, rel_err=3e-14)],
+              "b.json": [_point("c"), _point("d", 5e-13)]}
+    code, out = _run_dirs(tmp_path, capsys, parent, change)
+    assert code == 1
+    assert out.splitlines()[-3:] == [
+        "TOTAL FOURIER: 1 points, 0 identical, 0 status changes, 0 grew >10x",
+        "TOTAL PRELIM: 4 points, 2 identical, 1 status changes, 2 grew >10x",
+        "TOTAL: 5 points, 2 identical, 1 status changes, 2 grew >10x",
+    ]

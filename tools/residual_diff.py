@@ -12,11 +12,14 @@ arguments.
 For each group the script prints how many points are identical in both
 reports (the same rel_err, lhs and rhs), the status changes, the largest
 and the median |log10(new rel_err / old rel_err)|, and every point whose
-residual grew more than tenfold.  Residuals below FLOOR = 1e-15, the rounding
-level of a double, count as FLOOR, so a move from 0 to 1e-15 between two
-results exact to rounding does not show as a huge ratio.  A point without a
-finite residual in either report (one that raised) enters only the status
-comparison.
+residual grew more than tenfold.  Residuals below FLOOR = 1e-15, the
+rounding level of a double, count as FLOOR, so a move from 0 to 1e-15
+between two results exact to rounding does not show as a huge ratio.  A
+point without a finite residual in either report (one that raised) enters
+only the status comparison.  In directory mode the output ends with the
+sums over all reports: one ``TOTAL <group>:`` line per group, then one
+``TOTAL:`` line, each giving the points, the identical points, the status
+changes and the points that grew more than tenfold.
 
 Exit status: 0 when every point keeps its status, 1 when any status changed
 or a point or report is missing from one side, 2 on a usage error.
@@ -29,6 +32,7 @@ import math
 import os
 import statistics
 import sys
+from collections import Counter
 
 FLOOR = 1e-15
 GROWTH = 10.0
@@ -56,9 +60,14 @@ def _log_ratio(old, new):
     return math.log10(max(abs(new), FLOOR) / max(abs(old), FLOOR))
 
 
+def _counts(label, c):
+    return (f"{label}: {c['points']} points, {c['identical']} identical, "
+            f"{c['status']} status changes, {c['grew']} grew >{GROWTH:g}x")
+
+
 def compare(parent, change):
-    """Print the per-group comparison; return the number of status changes."""
-    changed = 0
+    """Print the per-group comparison; return {group: Counter of points, identical, status, grew}."""
+    counts = {}
     groups = sorted({key[0] for key in parent} | {key[0] for key in change})
     for group in groups:
         keys = sorted({k for k in parent if k[0] == group} | {k for k in change if k[0] == group})
@@ -83,7 +92,8 @@ def compare(parent, change):
             logs.append(abs(d))
             if d > math.log10(GROWTH):
                 growth_lines.append(f"  grew {label}: {old['rel_err']:.3g} -> {new['rel_err']:.3g}")
-        changed += len(status_lines)
+        counts[group] = Counter(points=len(keys), identical=identical,
+                                status=len(status_lines), grew=len(growth_lines))
         worst = max(logs) if logs else 0.0
         median = statistics.median(logs) if logs else 0.0
         print(f"{group}: {len(keys)} points, {identical} identical, {len(status_lines)} status changes, "
@@ -91,7 +101,7 @@ def compare(parent, change):
               f"{len(growth_lines)} grew >{GROWTH:g}x")
         for line in status_lines + growth_lines:
             print(line)
-    return changed
+    return counts
 
 
 def compare_dirs(parent_dir, change_dir):
@@ -99,15 +109,22 @@ def compare_dirs(parent_dir, change_dir):
     parent_names = {n for n in os.listdir(parent_dir) if n.endswith(".json")}
     change_names = {n for n in os.listdir(change_dir) if n.endswith(".json")}
     changed = 0
+    totals = {}
     for name in sorted(parent_names | change_names):
         if name not in change_names or name not in parent_names:
             print(f"{name}: only in {parent_dir if name in parent_names else change_dir}")
             changed += 1
             continue
         print(f"{name}:")
-        changed += compare(_points(os.path.join(parent_dir, name)),
-                           _points(os.path.join(change_dir, name)))
-    return changed
+        counts = compare(_points(os.path.join(parent_dir, name)),
+                         _points(os.path.join(change_dir, name)))
+        for group, c in counts.items():
+            totals[group] = totals.get(group, Counter()) + c
+    for group in sorted(totals):
+        print(_counts(f"TOTAL {group}", totals[group]))
+    total = sum(totals.values(), Counter())
+    print(_counts("TOTAL", total))
+    return changed + total["status"]
 
 
 def main(argv=None) -> int:
@@ -119,7 +136,7 @@ def main(argv=None) -> int:
     if os.path.isdir(argv[0]):
         changed = compare_dirs(*argv)
     else:
-        changed = compare(_points(argv[0]), _points(argv[1]))
+        changed = sum(c["status"] for c in compare(_points(argv[0]), _points(argv[1])).values())
     return 1 if changed else 0
 
 
