@@ -113,6 +113,11 @@ def ensure_finite(value: complex, context: str = "") -> complex:
     raise NumericOverflowError(f"non-finite value {value!r}" + (f" in {context}" if context else ""))
 
 
+def _exp_bound(x: float) -> float:
+    """exp(x) for a majorant: inf past the double range, never an OverflowError."""
+    return math.exp(x) if x < 709.0 else math.inf
+
+
 def geometric_tail(mag: float, r: float) -> float:
     """Bound mag*r/(1-r) on sum_{j>k} |t_j| when |t_j| <= m_j, m_k = mag and m_(j+1) <= r m_j.
 
@@ -219,15 +224,13 @@ def _m_terms(alphas, betas, q: QParam, ell: float, z):
     return walk
 
 
-def _as_exact_negative_qpower(a, q: QParam):
-    """If a is (numerically) q^(-m) for an integer 0 <= m <= 500, return m, else None."""
+def _as_exact_negative_qpower(a, q: QParam, tol: float = 1e-9, top: float = 500):
+    """If a is q^(-m) for an integer 0 <= m <= top, to |a q^m - 1| < tol, return m, else None."""
     mag = abs(a)
     if not 1.0 - 1e-12 <= mag < math.inf:  # nan fails every comparison
         return None
     m = round(math.log(mag) / q.log_inv)
-    if m > 500:
-        return None
-    if abs(a * q.power(m) - 1.0) < 1e-9:
+    if m <= top and abs(a * q.power(m) - 1.0) < tol:
         return m
     return None
 
@@ -251,16 +254,15 @@ def _lattice_end(upper, lower, q: QParam, end=None):
 
 
 def _bilateral(upper, lower, q: QParam, ell: float, z):
-    """Yield the (t, tail) stream of sum_(k in Z) prod(a;q)_k q^(l k(k-1)) (-z)^k / prod(b;q)_k.
+    """Return the (t, tail) stream of sum_(k in Z) prod(a;q)_k q^(l k(k-1)) (-z)^k / prod(b;q)_k.
 
     Both wings are :func:`_m_terms` walks.  The wing k >= 0 takes an extra upper parameter
     q, which cancels its (q;q)_k.  The wing k = -j <= -1 is reflected by
     (a;q)_(-j) = (-q/a)^j q^(j(j-1)/2) / (q/a;q)_j (Gasper & Rahman, section 1.2): upper
     q/b and q, lower q/a, weight l + d/2 and argument (-q)^d q^(2l) prod(b) / (prod(a) z),
     where d = #upper - #lower and a lower 0, (0;q)_k = 1, is left out; the walks end a
-    wing at a lower q^(m+1) and raise at an upper q^(m+1) or l + d/2 < 0.  Each step extends
-    the wing whose tail bound is larger, so the sum is certified as a whole without summing
-    the faster wing far past need; the tail of the whole is the sum of the two wings' tails.
+    wing at a lower q^(m+1) and raise at an upper q^(m+1) or l + d/2 < 0.  :func:`_merged`
+    sums the two wings as one certified stream.
     """
     z = complex(z)
     lower = [b for b in lower if b != 0]
@@ -272,16 +274,24 @@ def _bilateral(upper, lower, q: QParam, ell: float, z):
     pos = _m_terms((*upper, qq), lower, q, ell, z)
     neg = _m_terms((*(qq / b for b in lower), qq), [qq / a for a in upper], q, ell + d / 2, neg_z)
     next(neg)  # the k = 0 term, 1, is pos's
-    p, pos_tail = next(pos)
-    n, neg_tail = next(neg)
-    yield p + n, pos_tail + neg_tail
+    return _merged(pos, neg)
+
+
+def _merged(a, b):
+    """Yield the (t, tail) stream of the sum of two endless (t, tail) streams.
+
+    After the first terms of both, each step extends the stream whose tail bound is larger;
+    the tail of the whole is the sum of the two tails.
+    """
+    ta, a_tail = next(a)
+    tb, b_tail = next(b)
+    yield ta + tb, a_tail + b_tail
     while True:
-        if pos_tail >= neg_tail:
-            p, pos_tail = next(pos)
-            yield p, pos_tail + neg_tail
+        if a_tail >= b_tail:
+            term, a_tail = next(a)
         else:
-            n, neg_tail = next(neg)
-            yield n, pos_tail + neg_tail
+            term, b_tail = next(b)
+        yield term, a_tail + b_tail
 
 
 def qpoch_finite(a, q: QParam, n: int) -> complex:
@@ -420,6 +430,21 @@ def _split(z: complex) -> tuple:
     return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e
 
 
+def _qpoch_inf_divisor(a, q: QParam, tr: Truncation, context: str) -> complex:
+    """(a;q)_inf as a divisor: ``PoleError`` at a = q^(-m), m >= 0.
+
+    The pole is recognised by value as in :func:`_lattice_end`, but to 1e-12 and for any m,
+    since a value just off it is wanted (qgamma(-2 + 1e-11) = 6.0e9 at q = 1/2).
+    """
+    m = _as_exact_negative_qpower(a, q, 1e-12, math.inf)
+    if m is not None:
+        raise PoleError(f"{context} pole: (a;q)_inf vanishes at a = q^(-{m})")
+    den = qpoch_inf(a, q, tr)
+    if abs(den) < 1e-280:
+        raise PoleError(f"{context} pole: (a;q)_inf vanished at a = {a}")
+    return den
+
+
 def qpoch_multi(avals, q: QParam, n=None, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     """Multi-argument Pochhammer (a_1,...,a_m;q)_n; n=None means infinity."""
     prod = 1.0 + 0.0j
@@ -448,15 +473,7 @@ def qgamma(x, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     Poles at x = 0, -1, -2, ... where (q^x;q)_inf vanishes.
     """
     x = complex(x)
-    qx = q.power(x)
-    # (q^x;q)_inf vanishes iff q^x = q^{-m}: check the nearest candidate.
-    if abs(qx) >= 1.0 - 1e-12:
-        m = round(-x.real)
-        if m >= 0 and abs(qx * q.power(m) - 1.0) < 1e-12:
-            raise PoleError(f"q-gamma pole at x = {-m}")
-    den = qpoch_inf(qx, q, tr)
-    if abs(den) < 1e-280:
-        raise PoleError(f"q-gamma pole: (q^x;q)_inf vanished at x = {x}")
+    den = _qpoch_inf_divisor(q.power(x), q, tr, "q-gamma")
     one_minus_q = 1.0 - q.q
     prefactor = cmath.exp((1.0 - x) * math.log(one_minus_q))
     return ensure_finite(prefactor * qpoch_inf(q.q, q, tr) / den, "qgamma")
@@ -483,28 +500,20 @@ def theta4(z, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "prod
 def theta3(v, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "product") -> complex:
     """Theta_3(v|tau) = sum q^(k^2) e^(2k pi i v) with q = exp(i pi tau).
 
-    Product form (q^2, -q e^(2 pi i v), -q e^(-2 pi i v); q^2)_inf.
+    theta4 at -e^(2 pi i v) by either route: (q^2, -q e^(2 pi i v), -q e^(-2 pi i v); q^2)_inf.
     """
-    w = cmath.exp(2j * math.pi * complex(v))
-    if route == "product":
-        q2 = QParam(q.q * q.q)
-        return qpoch_multi([q.q * q.q, -q.q * w, -q.q / w], q2, None, tr)
-    return theta4(-w, q, tr, route="series")
+    return theta4(-cmath.exp(2j * math.pi * complex(v)), q, tr, route)
 
 
 def theta2(v, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "product") -> complex:
     """Theta_2(v|tau) = sum q^((k+1/2)^2) e^((2k+1) pi i v).
 
-    Product form 2 q^(1/4) cos(pi v) (q^2, -q^2 e^(2 pi i v), -q^2 e^(-2 pi i v); q^2)_inf.
+    q^(1/4) e^(pi i v) theta4(-q w), w = e^(2 pi i v), by either route; theta4's product
+    (q^2, -q^2 w, -1/w; q^2)_inf turns 1 + 1/w into 2 e^(-pi i v) cos(pi v).
     """
     v = complex(v)
     w = cmath.exp(2j * math.pi * v)
-    if route == "product":
-        q2 = QParam(q.q * q.q)
-        pref = 2.0 * q.power(0.25) * cmath.cos(math.pi * v)
-        return pref * qpoch_multi([q.q * q.q, -q.q * q.q * w, -q.q * q.q / w], q2, None, tr)
-    # q^((k+1/2)^2) e^((2k+1) pi i v) = q^(1/4) e^(pi i v) q^(k^2) (q w)^k
-    return q.power(0.25) * cmath.exp(1j * math.pi * v) * theta4(-q.q * w, q, tr, route="series")
+    return q.power(0.25) * cmath.exp(1j * math.pi * v) * theta4(-q.q * w, q, tr, route)
 
 
 def partial_theta(v, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .core import (DEFAULT_TRUNCATION, QParam, Truncation, _lattice_end, ensure_finite, qpoch_finite,
-                   qpoch_inf)
+from .core import (DEFAULT_TRUNCATION, QParam, Truncation, _lattice_end, ensure_finite, qbinom,
+                   qpoch_finite, qpoch_inf)
 from .errors import DomainError, NumericOverflowError, PoleError
 
 __all__ = [
@@ -73,8 +73,7 @@ def qhermite_sum(n: int, x, q: QParam) -> complex:
     eip = cmath.exp(1j * theta)
     total = 0.0 + 0.0j
     for k in range(n + 1):
-        coeff = qpoch_finite(q.q, q, n) / (qpoch_finite(q.q, q, k) * qpoch_finite(q.q, q, n - k))
-        total += coeff * eip ** (n - 2 * k)
+        total += qbinom(n, k, q) * eip ** (n - 2 * k)
     return ensure_finite(total, "qhermite_sum")
 
 

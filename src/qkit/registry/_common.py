@@ -5,7 +5,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from ..core import _certified_sum, geometric_tail, qpoch_finite, qpoch_inf, qpoch_multi
+from ..core import (_certified_sum, _exp_bound as exp_bound, geometric_tail, qpoch_finite, qpoch_inf,
+                    qpoch_multi)
 from ..identities import IdentityRecord, register
 
 TWO_PI = 2.0 * math.pi
@@ -29,11 +30,6 @@ def qfac(q, n):
 
 def exp_i(x):
     return cmath.exp(1j * x)
-
-
-def exp_bound(x):
-    """exp(x) for a majorant: inf past the double range, never an OverflowError."""
-    return math.exp(x) if x < 709.0 else math.inf
 
 
 def majorized_sum(values, major, ratio, tr, context):

@@ -10,7 +10,9 @@ The weighted series share two term generators, each with one tail bound:
 ``core._m_terms`` (weight q^(l k(k-1)): the q^(l k^2)-weighted series,
 r_phi_s at l = (1+s-r)/2, J^(1) at l = 0, and the native J^(2) and J^(3);
 the bilateral m_psi_m and weighted sums, like the theta series of
-``core``, sum both wings as two of its walks through ``core._bilateral``)
+``core``, sum both wings as two of its walks through ``core._bilateral``,
+and the shifted route of cal-E its even and odd terms as two walks at
+l = 0 in base q^2, merged by ``core._merged`` as those wings are)
 and ``_m_damped`` (Gaussian weight q^(l (n+s)^2), at l = 1/2 optionally
 times (b0 q^(s+n);q)_inf: the shifted A_q, the damped J^(2) and J^(3) and
 the product-weighted 1phi1 of :func:`confluent_phi_weighted`).
@@ -18,7 +20,8 @@ the product-weighted 1phi1 of :func:`confluent_phi_weighted`).
 finite at large |z|; ``_m_damped`` takes each weight afresh, as one
 exponential or from ``_poch_gauss_ladder``, since a running weight would
 stay 0 after it underflows at a large negative shift s while the terms
-near n = -s are of ordinary size.
+near n = -s are of ordinary size.  e_q and the continued J^(1) divide by
+``core._qpoch_inf_divisor``, which owns the pole rule of 1/(a;q)_inf.
 """
 
 from __future__ import annotations
@@ -33,12 +36,15 @@ from .core import (
     Truncation,
     _bilateral,
     _certified_sum,
+    _exp_bound,
     _m_terms,
+    _merged,
+    _qpoch_inf_divisor,
     ensure_finite,
     geometric_tail,
     qpoch_inf,
 )
-from .errors import ConvergenceError, DomainError, NumericOverflowError, PoleError, TruncationError
+from .errors import ConvergenceError, DomainError, NumericOverflowError, TruncationError
 
 __all__ = [
     "phi",
@@ -53,12 +59,6 @@ __all__ = [
     "jackson_bessel",
     "modified_bessel_i",
 ]
-
-
-def _qpow(q: QParam, e: float) -> float:
-    """q^e for real e, inf where it leaves the double range."""
-    x = e * q.ln_q
-    return math.exp(x) if x < 709.0 else math.inf
 
 
 def phi(upper, lower, q: QParam, z, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -114,7 +114,7 @@ def _m_damped(alphas, q: QParam, ell: float, z, shift: float, b0=0,
     c = sum(abs(a) for a in alphas) + qq
     ladder = None
     if b0:
-        c += abs(b0) * _qpow(q, shift)
+        c += abs(b0) * _exp_bound(shift * q.ln_q)
         ladder = _poch_gauss_ladder(b0, shift, q, tr)
     term = 1.0 + 0.0j  # prod(alpha;q)_n (-z)^n / (q;q)_n
     qn = 1.0  # q^n
@@ -127,7 +127,8 @@ def _m_damped(alphas, q: QParam, ell: float, z, shift: float, b0=0,
     for n in itertools.count():
         piece = term * (next(ladder) if ladder else math.exp((n + shift) ** 2 * lw))
         cx = c * qn
-        r = az * _qpow(q, ell * (2 * n + 2 * shift + 1)) / (1.0 - cx) if cx < 1.0 else math.inf
+        r = (az * _exp_bound(ell * (2 * n + 2 * shift + 1) * q.ln_q) / (1.0 - cx)
+             if cx < 1.0 else math.inf)
         yield piece, geometric_tail(abs(piece), r)
         ratio = mz
         for a in alphas:
@@ -185,10 +186,7 @@ def q_exp_small(z, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
     Computed as the reciprocal infinite product, which stays valid well
     beyond |z| < 1 (where the defining power series converges).
     """
-    den = qpoch_inf(z, q, tr)
-    if abs(den) < 1e-280:
-        raise PoleError(f"e_q pole: (z;q)_inf vanished at z = {z}")
-    return 1.0 / den
+    return 1.0 / _qpoch_inf_divisor(z, q, tr, "e_q")
 
 
 def q_exp_big(z, q: QParam, tr: Truncation = DEFAULT_TRUNCATION) -> complex:
@@ -205,8 +203,8 @@ def cal_e(x, t, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "he
     """Two-variable q-exponential cal-E(x;t) for |t| < 1.
 
     route='hermite' sums q^(n^2/4) t^n H_n(x|q)/(q;q)_n and divides by
-    (q t^2;q^2)_inf.  route='shifted' uses the equivalent form with the
-    (t^2;q^2)_inf/(q t^2;q^2)_inf prefactor and shifted finite products;
+    (q t^2;q^2)_inf.  route='shifted' sums the equivalent form with the
+    (t^2;q^2)_inf/(q t^2;q^2)_inf prefactor as two 2phi1 walks in base q^2;
     the two must agree and are cross-checked by the identity registry.
     """
     x = complex(x)
@@ -220,34 +218,24 @@ def cal_e(x, t, q: QParam, tr: Truncation = DEFAULT_TRUNCATION, route: str = "he
         raise DomainError(f"unknown cal_e route {route!r}")
     if t == 0:
         return 1.0 + 0.0j
-    qq = q.q
-    t2 = t * t
-    x4 = 4.0 * x * x
-    at2 = abs(t2)
-    c = max(4.0 * abs(x) ** 2 - 1.0, 0.0)
-
+    qq, p = q.q, q2.q
     # Term n is q^(n^2/4) (-i t)^n Q_n/(q;q)_n with the shifted product pair
     # Q_n = prod_(e = e^(+-i theta)) (-i e q^((1-n)/2);q)_n, x = cos(theta).  With y = q^(m+1),
     # q^((m+2)^2/4) Q_(m+2) = -q^(m^2/4) Q_m ((1-y)^2 + 4x^2 y), so from t_0 = 1 and
-    # t_1 = 2 x t q^(1/4)/(1-q) each term is t_(m+2) = t_m t^2 ((1-y)^2 + 4x^2 y)/((1-y)(1-q y)),
-    # and |t_(m+2)/t_m| <= |t|^2 (1 + c y) / ((1 - y)(1 - q y)) <= |t|^2 / (1 - (c + 1 + q) y),
-    # decreasing in m: the tail after t_n is bounded along the two chains that start at t_(n-1)
-    # and t_n, with y <= q^n.
-    def terms():
-        cur, nxt = 1.0 + 0.0j, 2.0 * x * t * q.power(0.25) / (1.0 - qq)  # t_n, t_(n+1)
-        prev = 0.0
-        qn = 1.0  # q^n
-        while True:
-            mag = abs(cur)
-            cy = (c + 1.0 + qq) * qn
-            yield cur, geometric_tail(prev + mag, at2 / (1.0 - cy) if cy < 1.0 else math.inf)
-            y = qn * qq
-            cur, nxt = nxt, cur * t2 * ((1.0 - y) ** 2 + x4 * y) / ((1.0 - y) * (1.0 - qq * y))
-            prev = mag
-            qn = y
-
+    # t_1 = 2 x t q^(1/4)/(1-q), t_(m+2) = t_m t^2 (1 + r y)(1 + y/r) / ((1-y)(1-q y)), where
+    # r + 1/r = 4x^2 - 2 (r = e^(2 i theta); the larger root is taken, without cancellation).
+    # In base p = q^2 the even terms are 2phi1(-q r, -q/r; q; p, t^2) and the odd ones
+    # t_1 2phi1(-p r, -p/r; q p; p, t^2): two walks, summed as one
+    s = 4.0 * x * x - 2.0
+    d = cmath.sqrt(s * s - 4.0)
+    r = (s + d if abs(s + d) >= abs(s - d) else s - d) / 2.0
+    t1 = 2.0 * x * t * q.power(0.25) / (1.0 - qq)
+    at1 = abs(t1)
+    even = _m_terms((-qq * r, -qq / r), (qq,), q2, 0.0, -t * t)
+    odd = _m_terms((-p * r, -p / r), (qq * p,), q2, 0.0, -t * t)
+    terms = _merged(even, ((t1 * c, at1 * tail) for c, tail in odd))
     pref = qpoch_inf(t * t, q2, tr) / qpoch_inf(q.q * t * t, q2, tr)
-    return ensure_finite(pref * _certified_sum(terms(), tr, "cal_e"), "cal_e")
+    return ensure_finite(pref * _certified_sum(terms, tr, "cal_e"), "cal_e")
 
 
 def _principal_pow(base, expo) -> complex:
@@ -281,9 +269,7 @@ def jackson_bessel(kind: int, nu, z, q: QParam, tr: Truncation = DEFAULT_TRUNCAT
             return 0.0 + 0.0j
         raise DomainError("q-Bessel at z = 0 needs Re nu >= 0")
     if kind == 1 and abs(z) >= 2.0:
-        den = qpoch_inf(-z * z / 4.0, q, tr)
-        if abs(den) < 1e-280:
-            raise PoleError("kind-1 q-Bessel pole: (-z^2/4;q)_inf vanished")
+        den = _qpoch_inf_divisor(-z * z / 4.0, q, tr, "kind-1 q-Bessel")
         return jackson_bessel(2, nu, z, q, tr) / den
     normalized = (bessel1_normalized, bessel2_normalized_native, bessel3_normalized_native)
     body = normalized[kind - 1](nu, z * z / 4.0, q, tr)
@@ -433,7 +419,7 @@ def cal_e_raw_shifted(x, t, shift, q: QParam, tr: Truncation = DEFAULT_TRUNCATIO
                 qfac *= 1.0 - qn
             weight = math.exp((n + shift) ** 2 / 4.0 * ln_q)
             major = weight * abs(tn) * max(abs(hcur), rho * abs(hprev)) / abs(qfac)
-            r = rho * at * _qpow(q, (2 * n + 2 * shift + 1) / 4.0) / (1.0 - qn * qq)
+            r = rho * at * _exp_bound((2 * n + 2 * shift + 1) / 4.0 * ln_q) / (1.0 - qn * qq)
             yield weight * tn * hcur / qfac, geometric_tail(major, r)
 
     return _certified_sum(terms(), tr, "cal_e_raw_shifted")

@@ -1,7 +1,9 @@
+import ast
 import cmath
 import collections
 import itertools
 import math
+import pathlib
 import random
 import sys
 
@@ -94,6 +96,22 @@ class TestCertifiedSum:
         assert geometric_tail(2.0, 0.5) == 2.0
         for r in (1.0, 1.5, math.inf, math.nan):
             assert geometric_tail(1.0, r) == math.inf
+
+
+def test_geometric_tail_callers_are_pinned():
+    # each caller of geometric_tail generates terms under its own proven tail bound: the
+    # walker of core, the damped walker and the damped q-Hermite sum of series, and the
+    # registry's majorized sums.  Another caller is a private walker beside them
+    package = pathlib.Path(qkit.core.__file__).parent
+    callers = set()
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(getattr(node, "id", getattr(node, "attr", None)) == "geometric_tail"
+                   for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))):
+                callers.add(f"{module}.{getattr(top, 'name', None)}")
+    assert callers == {"core._walk", "series._m_damped", "series.cal_e_raw_shifted",
+                       "registry._common.majorized_sum"}, callers
 
 
 class TestQPochhammer:

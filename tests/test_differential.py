@@ -14,6 +14,7 @@ from qkit.series import (
     bessel2_normalized_native,
     bessel3_normalized_gauss,
     bessel3_normalized_native,
+    cal_e,
     cal_e_raw_shifted,
     confluent_phi_weighted,
     m_weighted,
@@ -665,3 +666,48 @@ def test_native_bessel_match_direct_sums(name):
         cases.append(((nu, u, qv), f(nu, u, QParam(qv), TR), exact, absum))
     # measured worst 7.3e-16 of sum |t_k|; 5, 8 and 6 of the 8 points are checked relative
     assert _check_spread(cases) >= 4
+
+
+# --- cal-E's shifted route -----------------------------------------------------------
+
+def _cal_e_shifted_absum(x, t, q):
+    """|(t^2;q^2)_inf / (q t^2;q^2)_inf| times sum |t_m| over the terms of cal-E's shifted route.
+
+    t_0 = 1, t_1 = 2 x t q^(1/4)/(1-q) and t_(m+2) = t_m t^2 ((1-y)^2 + 4x^2 y)/((1-y)(1-q y)),
+    y = q^(m+1), until two successive terms fall below 1e-40 of the largest.
+    """
+    x, t, q = mp.mpc(x), mp.mpc(t), mp.mpf(q)
+    cur, nxt = mp.mpc(1), 2 * x * t * q ** mp.mpf(0.25) / (1 - q)
+    absum, peak, m = mp.mpf(0), mp.mpf(0), 0
+    while m < 10 or abs(cur) + abs(nxt) >= mp.mpf(10) ** -40 * peak:
+        absum += abs(cur)
+        peak = max(peak, abs(cur))
+        y = q ** (m + 1)
+        cur, nxt = nxt, cur * t * t * ((1 - y) ** 2 + 4 * x * x * y) / ((1 - y) * (1 - q * y))
+        m += 1
+    return absum * abs(mp.qp(t * t, q * q) / mp.qp(q * t * t, q * q))
+
+
+def test_cal_e_shifted_route_matches_hermite_sum():
+    # the shifted route, its even and odd terms summed as two base-q^2 walks, against the
+    # q-Hermite sum over (q t^2;q^2)_inf in 40-digit mpmath at complex x and |t| < 0.9.  Off
+    # [-1, 1] the terms of the route cancel, so the bound scales with their sum of |term|
+    rng = random.Random("cal_e-shifted")
+    relative = 0
+    with mp.workdps(40):
+        for _ in range(24):
+            qv = rng.uniform(0.1, 0.8)
+            x, t = _cring(rng, 0.05, 1.5), _cring(rng, 0.05, 0.9)
+            value = cal_e(x, t, QParam(qv), TR, route="shifted")
+            exact = (_cal_e_raw_shifted(x, t, 0, qv)[0]
+                     / mp.qp(mp.mpf(qv) * mp.mpc(t) ** 2, mp.mpf(qv) ** 2))
+            err = rel(value, exact)
+            spread = float(_cal_e_shifted_absum(x, t, qv) / abs(exact))
+            # the bounds round up the worst measured for the single pair-recurrence generator
+            # the route had before the two walks: 6.8e-16 of sum |t_m| and 1.5e-15 relative
+            # (the two walks: 6.7e-16 and 1.1e-15)
+            assert err < 1e-15 * spread, (qv, x, t, err, spread)
+            if spread < 10.0:
+                relative += 1
+                assert err < 2e-15, (qv, x, t, err)
+    assert relative >= 16  # 21 of the 24 points are checked relative

@@ -76,7 +76,9 @@ class TestPhi:
             phi([0.3], [q.power(-2)], q, 0.2, TR)
         # given as a double, q^(-2) makes 1 - b q^2 round to a few ulps rather than 0 at
         # most q, so every walker must recognise the pole by value; the native J^(2) at
-        # nu = -3 has the lower parameter q^(nu+1) = q^(-2)
+        # nu = -3 has the lower parameter q^(nu+1) = q^(-2).  The same holds for the
+        # reciprocal products: e_q(z) = 1/(z;q)_inf at z = q^(-2), and the continued J^(1)
+        # = J^(2)/(-z^2/4;q)_inf at z = 2i q^(-1)
         rng = random.Random("lower-pole")
         for _ in range(200):
             q = QParam(rng.uniform(0.2, 0.8))
@@ -86,7 +88,9 @@ class TestPhi:
                          lambda: m_expansion([0.3], [b], q, 0.5, 0.7, lambda k: 1.0,
                                              lambda k: 1.0, TR),
                          lambda: m_weighted_bilateral([0.3], [b], q, 0.5, 0.7, TR),
-                         lambda: bessel2_normalized_native(-3, 0.7, q, TR)):
+                         lambda: bessel2_normalized_native(-3, 0.7, q, TR),
+                         lambda: q_exp_small(b, q, TR),
+                         lambda: jackson_bessel(1, 0.5, 2j * q.q**-1, q, TR)):
                 with pytest.raises(PoleError):
                     call()
 
